@@ -182,13 +182,13 @@ type Config struct {
 	// `ALTER SYSTEM SET ADAPTIVE_REFRESH = 0` disables, `= 1` enables,
 	// `= n` (n > 1) enables with window n.
 	AdaptiveWindow int
-	// DisableColumnar turns off the columnar execution fast path: queries
-	// and refresh boundary snapshots fall back to row-at-a-time
-	// execution everywhere. The zero value (columnar enabled) is the
-	// default; results are byte-identical either way — the differential
-	// harness enforces it — so the switch exists for A/B measurement and
-	// as an escape hatch. Adjustable at runtime with
-	// `ALTER SYSTEM SET COLUMNAR = 0|1`.
+	// DisableColumnar selects the row-at-a-time reference path: queries
+	// and refresh boundary snapshots run on the row executor only. It is
+	// not a tuning option — results are byte-identical either way — and
+	// exists for the callers that compare against the reference path:
+	// the differential harness's legacy engine (internal/difftest), the
+	// legacy baseline of `dtbench -exp parallel`, and
+	// BenchmarkRefreshLegacy.
 	DisableColumnar bool
 	// CompactionHorizon, when > 0, keeps only the last N versions of
 	// every storage table readable: the scheduler's compaction sweep
@@ -363,13 +363,6 @@ func (e *Engine) DeltaParallelism() int {
 // smoothing window) for experiments and monitoring.
 func (e *Engine) AdaptiveChooser() *adaptive.Chooser { return e.ctrl.Adaptive }
 
-// Columnar reports whether the columnar execution fast path is enabled.
-func (e *Engine) Columnar() bool {
-	e.stmtMu.RLock()
-	defer e.stmtMu.RUnlock()
-	return e.ctrl.Columnar
-}
-
 // CompactionHorizon returns the live COMPACTION_HORIZON setting: the
 // number of trailing versions kept readable per table, or 0 when
 // compaction is disabled.
@@ -502,17 +495,6 @@ func (e *Engine) RunScheduler() error {
 	e.afterWrite()
 	return err
 }
-
-// SetRole switches the role of the engine's default session.
-//
-// Deprecated: roles are per-session state; use NewSession and
-// Session.SetRole so concurrent sessions can hold different roles.
-func (e *Engine) SetRole(role string) { e.def.SetRole(role) }
-
-// Role returns the default session's role.
-//
-// Deprecated: use Session.Role.
-func (e *Engine) Role() string { return e.def.Role() }
 
 // OpenCursors reports the number of Rows cursors not yet released, for
 // leak detection in tests and monitoring.

@@ -117,6 +117,26 @@ func TestIncrementalRefreshViaScheduler(t *testing.T) {
 	if !sawIncremental {
 		t.Errorf("expected an INCREMENTAL refresh, history: %+v", status.History)
 	}
+
+	// Data timestamps only move forward (§3.1.1); a NO_DATA re-refresh at
+	// the same timestamp is the one permitted repeat.
+	var last time.Time
+	for i, rec := range status.History {
+		switch {
+		case rec.Action == core.ActionSkip || rec.Action == core.ActionError:
+			continue
+		case rec.Action == core.ActionNoData && !rec.DataTS.After(last):
+			continue
+		case !last.IsZero() && !rec.DataTS.After(last):
+			t.Errorf("refresh %d regressed data timestamp %s -> %s", i, last, rec.DataTS)
+		}
+		last = rec.DataTS
+	}
+	// And the scheduled refresh kept lag within target (plus one minute
+	// of slack for the refresh itself).
+	if status.Lag > 2*time.Minute {
+		t.Errorf("lag %v exceeds the 1 minute target plus slack", status.Lag)
+	}
 }
 
 func TestNoDataRefresh(t *testing.T) {
@@ -496,30 +516,31 @@ func TestRBACPrivileges(t *testing.T) {
 	entry, _, _ := e.dynamicTable("d")
 	tableEntry, _ := e.Catalog().Get("t")
 
-	e.SetRole("analyst")
-	if _, err := e.Query(`SELECT * FROM d`); err == nil {
+	s := e.NewSession()
+	defer s.Close()
+	s.SetRole("analyst")
+	if _, err := s.Query(`SELECT * FROM d`); err == nil {
 		t.Error("SELECT without privilege must fail")
 	}
-	if err := e.ManualRefresh("d"); err == nil {
+	if err := s.ManualRefresh("d"); err == nil {
 		t.Error("OPERATE without privilege must fail")
 	}
-	if _, err := e.Describe("d"); err == nil {
+	if _, err := s.Describe("d"); err == nil {
 		t.Error("MONITOR without privilege must fail")
 	}
 
 	e.Catalog().Grant(entry.ID, 0 /* SELECT */, "analyst")
 	e.Catalog().Grant(tableEntry.ID, 0, "analyst")
-	if _, err := e.Query(`SELECT * FROM d`); err != nil {
+	if _, err := s.Query(`SELECT * FROM d`); err != nil {
 		t.Errorf("SELECT after grant: %v", err)
 	}
 	e.Catalog().Grant(entry.ID, 2 /* MONITOR */, "analyst")
-	if _, err := e.Describe("d"); err != nil {
+	if _, err := s.Describe("d"); err != nil {
 		t.Errorf("MONITOR after grant: %v", err)
 	}
-	if err := e.ManualRefresh("d"); err == nil {
+	if err := s.ManualRefresh("d"); err == nil {
 		t.Error("MONITOR must not imply OPERATE")
 	}
-	e.SetRole("ADMIN")
 }
 
 func TestRenameUpstreamKeepsDTWorking(t *testing.T) {

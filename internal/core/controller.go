@@ -88,8 +88,8 @@ type Controller struct {
 	// Columnar routes refresh boundary-snapshot evaluations through the
 	// columnar execution path (shared per-version batches + vectorized
 	// filters/projections). Change sets are identical either way; the
-	// differential harness holds the two paths byte-equivalent. Written
-	// only while refreshes are excluded (engine DDL lock).
+	// differential harness holds the two paths byte-equivalent. Set once
+	// at engine construction (off only for the row reference path).
 	Columnar bool
 
 	// Adaptive, when set and enabled, chooses the effective refresh mode

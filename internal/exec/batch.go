@@ -10,9 +10,10 @@ import (
 // This file implements the columnar fast path: Scan→Filter→Project→Limit
 // chains execute over shared, version-cached column batches with
 // vectorized predicates and projections, and materialize to []TRow only
-// at the boundary to a row-at-a-time operator (join, aggregate, window,
-// sort, ...). Operators outside those chains run the legacy row path
-// unchanged, which the differential harness holds byte-equivalent.
+// at the boundary to a row-at-a-time operator (join, window, sort, ...);
+// an aggregate over such a chain consumes the batch directly. Operators
+// outside those chains run on the row path in run.go; the differential
+// harness holds the two byte-equivalent.
 
 // batchRes is a columnar intermediate result: a (possibly shared) batch
 // plus a selection of surviving row indices; a nil selection means every
@@ -76,15 +77,27 @@ func batchable(n plan.Node) bool {
 	}
 }
 
-// useBatches reports whether the columnar path is available and
-// applicable for this execution (EXPLAIN ANALYZE keeps the row path so
-// per-operator stats stay complete).
+// useBatches reports whether the columnar path is available for this
+// execution.
 func (c *Context) useBatches() bool {
-	return c.BatchOf != nil && c.Stats == nil
+	return c.BatchOf != nil
 }
 
-// runBatch executes a batchable subtree on the columnar path.
+// runBatch executes a batchable subtree on the columnar path, observing
+// each node of it once (rows out = selection length, inclusive time).
 func runBatch(n plan.Node, ctx *Context) (*batchRes, error) {
+	start := ctx.Stats.start()
+	res, err := runBatchNode(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	ctx.Stats.observe(n, int64(res.len()), start)
+	return res, nil
+}
+
+// runBatchNode dispatches one batchable node; runBatch wraps it with the
+// optional per-node stats observation.
+func runBatchNode(n plan.Node, ctx *Context) (*batchRes, error) {
 	if err := ctx.canceled(); err != nil {
 		return nil, err
 	}
@@ -264,7 +277,7 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 }
 
 // batchIter adapts a columnar result to the pull-based cursor protocol,
-// deferring execution to the first Next like deferredIter so statement
+// deferring execution to the first Next like runIter so statement
 // errors surface on the first row, not at open.
 type batchIter struct {
 	n   plan.Node

@@ -1,9 +1,11 @@
-// Package exec evaluates bound query plans: Run materializes a plan's
-// full result, Collect/Stream drive the pull-based iterator the session
-// cursors wrap (context-cancelable, one row at a time over pinned
-// source versions). The executor is deliberately plain — nested-loop
-// joins, hash aggregation, full sorts — because the engine's focus is
-// refresh semantics, not single-query speed.
+// Package exec evaluates bound query plans over pinned source versions.
+// Run materializes a plan's full result: Scan→Filter→Project→Limit
+// chains run on the columnar path (batch.go) and every other operator
+// runs row at a time here. Stream/Collect wrap the same two paths in the
+// context-cancelable pull cursor that session cursors drive. The
+// operators are deliberately plain — hash joins, hash aggregation, full
+// sorts — because the engine's focus is refresh semantics, not
+// single-query speed.
 package exec
 
 import (
@@ -58,7 +60,7 @@ type Context struct {
 	// BatchOf, when non-nil, returns the pinned contents for a scan as a
 	// shared columnar batch (sorted by row ID), enabling the vectorized
 	// Scan→Filter→Project→Limit fast path. Scans outside batchable
-	// chains, and executions collecting per-node stats, use RowsOf.
+	// chains use RowsOf.
 	BatchOf func(s *plan.Scan) (*types.Batch, error)
 	// Now is CURRENT_TIMESTAMP for this execution.
 	Now time.Time
@@ -109,27 +111,25 @@ func (c *Context) count(f func(*Counters)) {
 // Run executes a logical plan and returns the result rows with derived row
 // IDs. Result order is unspecified except beneath Sort.
 func Run(n plan.Node, ctx *Context) ([]TRow, error) {
-	if ctx.Stats == nil {
-		return runNode(n, ctx)
-	}
-	start := time.Now()
-	rows, err := runNode(n, ctx)
-	ctx.Stats.observe(n, int64(len(rows)), time.Since(start))
-	return rows, err
-}
-
-// runNode dispatches one plan node; Run wraps it with the optional
-// per-node stats observation.
-func runNode(n plan.Node, ctx *Context) ([]TRow, error) {
-	if err := ctx.canceled(); err != nil {
-		return nil, err
-	}
 	if ctx.useBatches() && batchable(n) {
+		// runBatch observes every node of the chain, this one included.
 		res, err := runBatch(n, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return res.materialize(), nil
+	}
+	start := ctx.Stats.start()
+	rows, err := runNode(n, ctx)
+	ctx.Stats.observe(n, int64(len(rows)), start)
+	return rows, err
+}
+
+// runNode dispatches one plan node on the row path; Run wraps it with the
+// optional per-node stats observation.
+func runNode(n plan.Node, ctx *Context) ([]TRow, error) {
+	if err := ctx.canceled(); err != nil {
+		return nil, err
 	}
 	ctx.count(func(c *Counters) { c.NodesVisited++ })
 	switch x := n.(type) {
@@ -954,9 +954,8 @@ func runUnionAll(u *plan.UnionAll, ctx *Context) ([]TRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		prefix := "u" + strconv.Itoa(i) + "("
 		for _, tr := range rows {
-			out = append(out, TRow{ID: prefix + tr.ID + ")", Row: tr.Row})
+			out = append(out, TRow{ID: UnionBranchID(i, tr.ID), Row: tr.Row})
 		}
 	}
 	return out, nil

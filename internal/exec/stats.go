@@ -43,7 +43,24 @@ func (s *NodeStats) Lookup(n plan.Node) (NodeStat, bool) {
 	return *st, true
 }
 
-func (s *NodeStats) observe(n plan.Node, rows int64, d time.Duration) {
+// start marks the beginning of one node execution; on a nil collector it
+// skips the clock read.
+func (s *NodeStats) start() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observe records one execution of n that produced rows and began at
+// start. The executor calls it exactly once per node execution, from Run
+// for row operators and from runBatch for columnar ones; on a nil
+// collector it does nothing.
+func (s *NodeStats) observe(n plan.Node, rows int64, start time.Time) {
+	if s == nil {
+		return
+	}
+	d := time.Since(start)
 	s.mu.Lock()
 	st := s.m[n]
 	if st == nil {
@@ -55,44 +72,3 @@ func (s *NodeStats) observe(n plan.Node, rows int64, d time.Duration) {
 	st.Time += d
 	s.mu.Unlock()
 }
-
-// addRow accumulates streaming-iterator progress: one loop is counted
-// by open (loop=true) and each produced row by rows=1.
-func (s *NodeStats) add(n plan.Node, rows int64, d time.Duration, loop bool) {
-	s.mu.Lock()
-	st := s.m[n]
-	if st == nil {
-		st = &NodeStat{}
-		s.m[n] = st
-	}
-	st.Rows += rows
-	st.Time += d
-	if loop {
-		st.Loops++
-	}
-	s.mu.Unlock()
-}
-
-// statIter wraps a pipelined iterator, attributing rows out and
-// cumulative wall time (inclusive of children) to its plan node.
-type statIter struct {
-	in     RowIter
-	stats  *NodeStats
-	n      plan.Node
-	opened bool
-}
-
-func (it *statIter) Next() (TRow, bool, error) {
-	loop := !it.opened
-	it.opened = true
-	start := time.Now()
-	tr, ok, err := it.in.Next()
-	rows := int64(0)
-	if ok {
-		rows = 1
-	}
-	it.stats.add(it.n, rows, time.Since(start), loop)
-	return tr, ok, err
-}
-
-func (it *statIter) Close() { it.in.Close() }

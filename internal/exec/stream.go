@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"strconv"
-
-	"dyntables/internal/plan"
-	"dyntables/internal/types"
-)
+import "dyntables/internal/plan"
 
 // RowIter is a pull-based cursor over plan execution output. Next returns
 // the next row, or ok=false once the input is exhausted or Close has been
@@ -15,57 +10,19 @@ type RowIter interface {
 	Close()
 }
 
-// Stream returns a cursor over the plan's result rows. Pipelined operators
-// (Scan, Filter, Project, Limit, UnionAll, Flatten, Values) produce rows
-// incrementally; blocking operators (Join, Aggregate, Window, Sort,
-// Distinct) materialize their input on first Next. Every operator checks
-// ctx.Ctx between rows, so abandoning the cursor via context cancellation
-// stops execution promptly. With ctx.Stats set, every pipelined operator
-// reports rows out and cumulative wall time per plan node (blocking
-// operators report through Run).
+// Stream returns a cursor over the plan's result rows. A batchable
+// subtree (Scan→Filter→Project→Limit) on the columnar path streams its
+// selection straight out of the shared version batches; any other plan
+// executes through Run on the first Next and streams the materialized
+// result. Either way execution is deferred to the first Next, so statement
+// errors surface there, and every Next checks ctx.Ctx, so abandoning the
+// cursor via context cancellation stops it promptly. With ctx.Stats set,
+// every executed plan node reports rows out and inclusive wall time.
 func Stream(n plan.Node, ctx *Context) RowIter {
-	it := stream(n, ctx)
-	if ctx.Stats != nil {
-		if _, blocking := it.(*deferredIter); !blocking {
-			// Blocking subtrees are observed node-by-node inside Run;
-			// wrapping the deferred iterator too would double-count.
-			return &statIter{in: it, stats: ctx.Stats, n: n}
-		}
-	}
-	return it
-}
-
-func stream(n plan.Node, ctx *Context) RowIter {
 	if ctx.useBatches() && batchable(n) {
-		// Columnar fast path: the whole subtree executes over shared
-		// version batches on first Next and streams the selection.
 		return &batchIter{n: n, ctx: ctx}
 	}
-	switch x := n.(type) {
-	case *plan.Filter:
-		return &filterIter{in: Stream(x.Input, ctx), pred: x.Pred, ctx: ctx, ev: ctx.eval()}
-	case *plan.Project:
-		return &projectIter{in: Stream(x.Input, ctx), exprs: x.Exprs, ctx: ctx, ev: ctx.eval()}
-	case *plan.Limit:
-		return &limitIter{in: Stream(x.Input, ctx), n: x.N, ctx: ctx}
-	case *plan.UnionAll:
-		return &unionIter{u: x, ctx: ctx}
-	case *plan.Flatten:
-		return &flattenIter{in: Stream(x.Input, ctx), f: x, ctx: ctx}
-	case *plan.Scan:
-		return &scanIter{s: x, ctx: ctx}
-	case *plan.Values:
-		out := make([]TRow, len(x.Rows))
-		for i, r := range x.Rows {
-			out[i] = TRow{ID: "v:" + strconv.Itoa(i), Row: r}
-		}
-		return &sliceIter{rows: out, ctx: ctx}
-	default:
-		// Blocking operator: materialize via the recursive executor. The
-		// per-node cancellation check in Run bounds the work done after a
-		// cancellation arrives.
-		return &deferredIter{n: n, ctx: ctx}
-	}
+	return &runIter{n: n, ctx: ctx}
 }
 
 // Collect drains a cursor into a slice, closing it.
@@ -84,273 +41,39 @@ func Collect(it RowIter) ([]TRow, error) {
 	}
 }
 
-// sliceIter yields pre-computed rows.
-type sliceIter struct {
-	rows   []TRow
-	pos    int
+// runIter materializes the plan through Run on the first Next and yields
+// its rows. It stays closed after an error or Close.
+type runIter struct {
+	n      plan.Node
 	ctx    *Context
+	rows   []TRow
+	ran    bool
 	closed bool
 }
 
-func (it *sliceIter) Next() (TRow, bool, error) {
-	if it.closed || it.pos >= len(it.rows) {
+func (it *runIter) Next() (TRow, bool, error) {
+	if it.closed {
 		return TRow{}, false, nil
 	}
 	if err := it.ctx.canceled(); err != nil {
 		it.Close()
 		return TRow{}, false, err
 	}
-	tr := it.rows[it.pos]
-	it.pos++
-	return tr, true, nil
-}
-
-func (it *sliceIter) Close() { it.closed = true; it.rows = nil }
-
-// deferredIter materializes a blocking operator's output on first Next.
-type deferredIter struct {
-	n      plan.Node
-	ctx    *Context
-	inner  *sliceIter
-	closed bool
-}
-
-func (it *deferredIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	if it.inner == nil {
+	if !it.ran {
+		it.ran = true
 		rows, err := Run(it.n, it.ctx)
 		if err != nil {
 			it.Close()
 			return TRow{}, false, err
 		}
-		it.inner = &sliceIter{rows: rows, ctx: it.ctx}
+		it.rows = rows
 	}
-	return it.inner.Next()
-}
-
-func (it *deferredIter) Close() {
-	it.closed = true
-	if it.inner != nil {
-		it.inner.Close()
-	}
-}
-
-// scanIter streams a table scan, resolving the pinned contents lazily on
-// first Next.
-type scanIter struct {
-	s      *plan.Scan
-	ctx    *Context
-	rows   []TRow
-	opened bool
-	pos    int
-	closed bool
-}
-
-func (it *scanIter) Next() (TRow, bool, error) {
-	if it.closed {
+	if len(it.rows) == 0 {
 		return TRow{}, false, nil
 	}
-	if err := it.ctx.canceled(); err != nil {
-		it.Close()
-		return TRow{}, false, err
-	}
-	if !it.opened {
-		it.opened = true
-		contents, err := it.ctx.RowsOf(it.s)
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		it.rows = make([]TRow, 0, len(contents))
-		for id, r := range contents {
-			it.rows = append(it.rows, TRow{ID: id, Row: r})
-		}
-		if it.ctx.Counters != nil {
-			it.ctx.Counters.ScanCalls++
-			it.ctx.Counters.ScanRows += int64(len(it.rows))
-			it.ctx.Counters.ScanBytes += approxRowsBytes(it.rows)
-		}
-	}
-	if it.pos >= len(it.rows) {
-		return TRow{}, false, nil
-	}
-	tr := it.rows[it.pos]
-	it.pos++
+	tr := it.rows[0]
+	it.rows = it.rows[1:]
 	return tr, true, nil
 }
 
-func (it *scanIter) Close() { it.closed = true; it.rows = nil }
-
-type filterIter struct {
-	in     RowIter
-	pred   plan.Expr
-	ctx    *Context
-	ev     *plan.EvalContext
-	closed bool
-}
-
-func (it *filterIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	ev := it.ev
-	for {
-		if err := it.ctx.canceled(); err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		tr, ok, err := it.in.Next()
-		if err != nil || !ok {
-			return TRow{}, false, err
-		}
-		pass, err := plan.EvalBool(it.pred, tr.Row, ev)
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		if pass {
-			return tr, true, nil
-		}
-	}
-}
-
-func (it *filterIter) Close() { it.closed = true; it.in.Close() }
-
-type projectIter struct {
-	in     RowIter
-	exprs  []plan.Expr
-	ctx    *Context
-	ev     *plan.EvalContext
-	closed bool
-}
-
-func (it *projectIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	if err := it.ctx.canceled(); err != nil {
-		it.Close()
-		return TRow{}, false, err
-	}
-	tr, ok, err := it.in.Next()
-	if err != nil || !ok {
-		return TRow{}, false, err
-	}
-	row := make(types.Row, len(it.exprs))
-	for j, e := range it.exprs {
-		v, err := plan.Eval(e, tr.Row, it.ev)
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		row[j] = v
-	}
-	return TRow{ID: tr.ID, Row: row}, true, nil
-}
-
-func (it *projectIter) Close() { it.closed = true; it.in.Close() }
-
-type limitIter struct {
-	in     RowIter
-	n      int64
-	seen   int64
-	ctx    *Context
-	closed bool
-}
-
-func (it *limitIter) Next() (TRow, bool, error) {
-	if it.closed || it.seen >= it.n {
-		it.Close()
-		return TRow{}, false, nil
-	}
-	tr, ok, err := it.in.Next()
-	if err != nil || !ok {
-		return TRow{}, false, err
-	}
-	it.seen++
-	return tr, true, nil
-}
-
-func (it *limitIter) Close() { it.closed = true; it.in.Close() }
-
-// unionIter streams each branch in order, opening branches lazily.
-type unionIter struct {
-	u      *plan.UnionAll
-	ctx    *Context
-	branch int
-	cur    RowIter
-	closed bool
-}
-
-func (it *unionIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	for {
-		if it.cur == nil {
-			if it.branch >= len(it.u.Inputs) {
-				return TRow{}, false, nil
-			}
-			it.cur = Stream(it.u.Inputs[it.branch], it.ctx)
-		}
-		tr, ok, err := it.cur.Next()
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		if ok {
-			return TRow{ID: UnionBranchID(it.branch, tr.ID), Row: tr.Row}, true, nil
-		}
-		it.cur.Close()
-		it.cur = nil
-		it.branch++
-	}
-}
-
-func (it *unionIter) Close() {
-	it.closed = true
-	if it.cur != nil {
-		it.cur.Close()
-		it.cur = nil
-	}
-}
-
-// flattenIter unnests variant arrays one input row at a time.
-type flattenIter struct {
-	in      RowIter
-	f       *plan.Flatten
-	ctx     *Context
-	pending []TRow
-	closed  bool
-}
-
-func (it *flattenIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	for {
-		if len(it.pending) > 0 {
-			tr := it.pending[0]
-			it.pending = it.pending[1:]
-			return tr, true, nil
-		}
-		if err := it.ctx.canceled(); err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		tr, ok, err := it.in.Next()
-		if err != nil || !ok {
-			return TRow{}, false, err
-		}
-		out, err := FlattenRows(it.f, []TRow{tr}, it.ctx)
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		it.pending = out
-	}
-}
-
-func (it *flattenIter) Close() { it.closed = true; it.pending = nil; it.in.Close() }
+func (it *runIter) Close() { it.closed = true; it.rows = nil }

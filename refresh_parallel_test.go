@@ -126,6 +126,7 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 		{`ALTER SYSTEM SET HISTORY_CAPACITY = 0`, "zero capacity"},
 		{`ALTER SYSTEM SET HISTORY_CAPACITY = -10`, "negative capacity"},
 		{`ALTER SYSTEM REFRESH_WORKERS = 1`, "missing SET"},
+		{`ALTER SYSTEM SET COLUMNAR = 0`, "removed parameter"},
 	}
 	for _, tc := range bad {
 		if _, err := e.Exec(tc.stmt); err == nil {

@@ -339,16 +339,15 @@ func TestSessionRoles(t *testing.T) {
 	if _, err := admin.Query(`SELECT * FROM t`); err != nil {
 		t.Fatal(err)
 	}
+	if restricted.Role() != "ANALYST" {
+		t.Fatalf("session role: %s", restricted.Role())
+	}
 
-	// Deprecated engine-level helpers delegate to the default session.
-	e.SetRole("ANALYST")
-	if e.Role() != "ANALYST" {
-		t.Fatalf("engine role: %s", e.Role())
+	// Switching back restores the privileges.
+	restricted.SetRole("ADMIN")
+	if _, err := restricted.Query(`SELECT * FROM t`); err != nil {
+		t.Fatalf("SELECT after switching back to ADMIN: %v", err)
 	}
-	if _, err := e.Query(`SELECT * FROM t`); err == nil {
-		t.Fatal("default session should lack SELECT after SetRole")
-	}
-	e.SetRole("ADMIN")
 }
 
 // ---------------------------------------------------------------------------

@@ -991,21 +991,6 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 		e.trc.SetSlowQueryMs(stmt.Value)
 		return &Result{Kind: "ALTER SYSTEM",
 			Message: fmt.Sprintf("SLOW_QUERY_MS = %d", stmt.Value)}, nil
-	case "COLUMNAR":
-		// Gates the columnar execution fast path (0 = row-at-a-time
-		// everywhere, 1 = columnar for batchable plans). Results are
-		// byte-identical either way; the switch exists for A/B
-		// measurement and as an escape hatch.
-		switch stmt.Value {
-		case 0:
-			e.ctrl.Columnar = false
-			return &Result{Kind: "ALTER SYSTEM", Message: "COLUMNAR = 0 (disabled)"}, nil
-		case 1:
-			e.ctrl.Columnar = true
-			return &Result{Kind: "ALTER SYSTEM", Message: "COLUMNAR = 1 (enabled)"}, nil
-		default:
-			return nil, fmt.Errorf("dyntables: COLUMNAR must be 0 or 1")
-		}
 	case "COMPACTION_HORIZON":
 		// Version-chain retention: n > 0 keeps the last n versions of
 		// every table readable and lets the scheduler's sweep fold older
@@ -1200,10 +1185,10 @@ func (x *executor) execExplain(stmt *sql.ExplainStmt) (*Result, error) {
 // execExplainAnalyze runs the SELECT to completion with a per-node
 // statistics collector attached and renders the plan tree annotated
 // with actual rows, loop counts and inclusive wall time per operator —
-// Postgres-style EXPLAIN ANALYZE. The query really executes (same
-// privilege checks and pinned snapshot as a plain SELECT) but its rows
-// are discarded; canceling the statement context aborts it mid-scan
-// like any other query.
+// Postgres-style EXPLAIN ANALYZE. The query really executes on the same
+// path as a plain SELECT (privilege checks, pinned snapshot, columnar
+// chains included) but its rows are discarded; canceling the statement
+// context aborts it mid-scan like any other query.
 func (x *executor) execExplainAnalyze(stmt *sql.SelectStmt) (*Result, error) {
 	p, pins, err := x.planSelect(stmt)
 	if err != nil {

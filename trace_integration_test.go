@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +94,44 @@ func TestExplainAnalyzeCancellation(t *testing.T) {
 	}
 	if n := res.Rows[0][0].Int(); n == 0 {
 		t.Fatal("QUERY_HISTORY did not record the canceled statement")
+	}
+}
+
+// TestExplainAnalyzeObservesEveryNode checks that EXPLAIN ANALYZE reports
+// the plan that actually ran: every node executed (columnar chains, an
+// aggregate fused over one, and a LIMIT over a UNION ALL, whose branches
+// all run), and the root's actual rows equal the rows the SELECT returns.
+func TestExplainAnalyzeObservesEveryNode(t *testing.T) {
+	_, sess := obsFixture(t)
+	actualRows := regexp.MustCompile(`actual rows=(\d+) `)
+	for _, q := range []string{
+		`SELECT id, v FROM events WHERE v > 10`,
+		`SELECT id, count(*) FROM events WHERE v > 0 GROUP BY id`,
+		`SELECT id FROM events UNION ALL SELECT id FROM totals LIMIT 2`,
+	} {
+		want, err := sess.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		res, err := sess.Exec(`EXPLAIN ANALYZE ` + q)
+		if err != nil {
+			t.Fatalf("EXPLAIN ANALYZE %s: %v", q, err)
+		}
+		var lines []string
+		for _, r := range res.Rows {
+			lines = append(lines, r[0].Str())
+		}
+		plan := strings.Join(lines, "\n")
+		if strings.Contains(plan, "(never executed)") {
+			t.Errorf("%s: EXPLAIN ANALYZE reports unexecuted nodes:\n%s", q, plan)
+		}
+		m := actualRows.FindStringSubmatch(lines[0])
+		if m == nil {
+			t.Fatalf("%s: root line %q has no actual rows", q, lines[0])
+		}
+		if got, _ := strconv.Atoi(m[1]); got != len(want.Rows) {
+			t.Errorf("%s: root actual rows=%d, SELECT returned %d:\n%s", q, got, len(want.Rows), plan)
+		}
 	}
 }
 
