@@ -17,6 +17,7 @@ import (
 
 	"dyntables/internal/alert"
 	"dyntables/internal/obs"
+	"dyntables/internal/persist"
 	"dyntables/internal/sql"
 	"dyntables/internal/trace"
 	"dyntables/internal/types"
@@ -63,61 +64,37 @@ func alertConfig(def alert.Definition) alert.Config {
 // ---------------------------------------------------------------------------
 
 func (x *executor) execCreateAlert(stmt *sql.CreateAlertStmt) (*Result, error) {
-	e := x.e
-	def := alert.Definition{
-		Name:          stmt.Name,
-		Owner:         x.s.Role(),
-		Schedule:      stmt.Schedule,
-		ConditionText: stmt.ConditionText,
-		Action:        alert.ActionKind(stmt.ActionKind),
-		WebhookURL:    stmt.ActionURL,
-		ActionSQL:     stmt.ActionSQL,
+	if err := x.e.execDDL(&persist.Record{Kind: persist.KindCreateAlert, CreateAlert: &persist.CreateAlertRecord{
+		Name:           stmt.Name,
+		Owner:          x.s.Role(),
+		OrReplace:      stmt.OrReplace,
+		ScheduleMicros: int64(stmt.Schedule / time.Microsecond),
+		ConditionText:  stmt.ConditionText,
+		ActionKind:     stmt.ActionKind,
+		ActionURL:      stmt.ActionURL,
+		ActionSQL:      stmt.ActionSQL,
+	}}); err != nil {
+		return nil, err
 	}
-	e.alertMu.Lock()
-	if _, exists := e.alerts[def.Name]; exists && !stmt.OrReplace {
-		e.alertMu.Unlock()
-		return nil, fmt.Errorf("dyntables: alert %s already exists", def.Name)
-	}
-	e.alerts[def.Name] = &alertEntry{def: def}
-	e.alertMu.Unlock()
-	e.logCreateAlert(def, stmt.OrReplace)
-	return &Result{Kind: "CREATE ALERT", Message: fmt.Sprintf("alert %s created", def.Name)}, nil
+	return &Result{Kind: "CREATE ALERT", Message: fmt.Sprintf("alert %s created", stmt.Name)}, nil
 }
 
 func (x *executor) execDropAlert(stmt *sql.DropStmt) (*Result, error) {
-	e := x.e
-	e.alertMu.Lock()
-	_, ok := e.alerts[stmt.Name]
-	if ok {
-		delete(e.alerts, stmt.Name)
+	if err := x.e.execDDL(&persist.Record{Kind: persist.KindDropAlert,
+		DropAlert: &persist.DropAlertRecord{Name: stmt.Name}}); err != nil {
+		return nil, err
 	}
-	e.alertMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dyntables: alert %s does not exist", stmt.Name)
-	}
-	e.logDropAlert(stmt.Name)
 	return &Result{Kind: "DROP", Message: fmt.Sprintf("ALERT %s dropped", stmt.Name)}, nil
 }
 
 func (x *executor) execAlterAlert(stmt *sql.AlterStmt) (*Result, error) {
-	e := x.e
 	if stmt.Action != "SUSPEND" && stmt.Action != "RESUME" {
 		return nil, fmt.Errorf("dyntables: ALTER ALERT supports only SUSPEND and RESUME")
 	}
-	e.alertMu.Lock()
-	entry, ok := e.alerts[stmt.Name]
-	if ok {
-		entry.suspended = stmt.Action == "SUSPEND"
-		if stmt.Action == "RESUME" {
-			// A resumed alert is due on the next pass.
-			entry.nextDue = time.Time{}
-		}
+	if err := x.e.execDDL(&persist.Record{Kind: persist.KindAlterAlert,
+		AlterAlert: &persist.AlterAlertRecord{Name: stmt.Name, Action: stmt.Action}}); err != nil {
+		return nil, err
 	}
-	e.alertMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dyntables: alert %s does not exist", stmt.Name)
-	}
-	e.logAlterAlert(stmt.Name, stmt.Action)
 	return &Result{Kind: "ALTER", Message: stmt.Action}, nil
 }
 
@@ -356,8 +333,8 @@ type alertSnap struct {
 	nextDue   time.Time
 }
 
-// installAlert registers an alert during recovery (snapshot restore or
-// WAL replay), overwriting any previous registration of the same name.
+// installAlert registers an alert during checkpoint restore, overwriting
+// any previous registration of the same name.
 func (e *Engine) installAlert(s alertSnap) {
 	e.alertMu.Lock()
 	defer e.alertMu.Unlock()
@@ -366,25 +343,6 @@ func (e *Engine) installAlert(s alertSnap) {
 		state:     s.state,
 		suspended: s.suspended,
 		nextDue:   s.nextDue,
-	}
-}
-
-// removeAlert unregisters an alert during WAL replay.
-func (e *Engine) removeAlert(name string) {
-	e.alertMu.Lock()
-	defer e.alertMu.Unlock()
-	delete(e.alerts, name)
-}
-
-// setAlertSuspended applies a replayed ALTER ALERT.
-func (e *Engine) setAlertSuspended(name string, suspended bool) {
-	e.alertMu.Lock()
-	defer e.alertMu.Unlock()
-	if entry, ok := e.alerts[name]; ok {
-		entry.suspended = suspended
-		if !suspended {
-			entry.nextDue = time.Time{}
-		}
 	}
 }
 

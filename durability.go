@@ -35,19 +35,16 @@ func (e *Engine) checkOpen() error {
 	return nil
 }
 
-// persister is the engine-side durability glue: it assigns stable table
-// keys (process-local storage IDs change across restarts), observes
-// storage commits, frontier advances and grants, and appends WAL records
-// for them. It also owns checkpoint assembly and WAL replay.
+// persister is the engine-side durability glue: it observes storage
+// commits, frontier advances and grants, and appends WAL records for
+// them, naming tables by the engine's stable table keys. It also owns
+// checkpoint assembly and WAL replay.
 type persister struct {
 	eng *Engine
 	wal *persist.WAL
 	dir string
 
-	mu             sync.Mutex
-	keyByStorageID map[int64]int64
-	tableByKey     map[int64]*storage.Table
-	nextKey        int64
+	mu sync.Mutex
 	// err is the first WAL append failure; surfaced at Close/Checkpoint
 	// because commit hooks have no error channel.
 	err error
@@ -101,77 +98,6 @@ func (p *persister) Stats() PersistStats {
 	return st
 }
 
-// registerTable assigns a fresh stable key to a storage table and hooks
-// its commit sink.
-func (p *persister) registerTable(t *storage.Table) int64 {
-	p.mu.Lock()
-	p.nextKey++
-	key := p.nextKey
-	p.keyByStorageID[t.ID()] = key
-	p.tableByKey[key] = t
-	p.mu.Unlock()
-	t.SetCommitSink(p)
-	return key
-}
-
-// registerRestoredTable installs a recovered table under its original key.
-func (p *persister) registerRestoredTable(key int64, t *storage.Table) {
-	p.mu.Lock()
-	p.keyByStorageID[t.ID()] = key
-	p.tableByKey[key] = t
-	if key > p.nextKey {
-		p.nextKey = key
-	}
-	p.mu.Unlock()
-	t.SetCommitSink(p)
-}
-
-// deregisterTable forgets a storage table superseded by CREATE OR
-// REPLACE: its chain stops being checkpointed and its commits stop being
-// logged (nothing can reference it again — replaced entries have no
-// graveyard).
-func (p *persister) deregisterTable(t *storage.Table) {
-	t.SetCommitSink(nil)
-	p.mu.Lock()
-	if key, ok := p.keyByStorageID[t.ID()]; ok {
-		delete(p.keyByStorageID, t.ID())
-		delete(p.tableByKey, key)
-	}
-	p.mu.Unlock()
-}
-
-// deregisterReplacedPayload drops the storage table behind a catalog
-// entry that is about to be replaced, if any.
-func (e *Engine) deregisterReplacedPayload(name string) {
-	if e.pers == nil {
-		return
-	}
-	entry, err := e.cat.Get(name)
-	if err != nil {
-		return
-	}
-	switch payload := entry.Payload.(type) {
-	case *tableObject:
-		e.pers.deregisterTable(payload.table)
-	case *core.DynamicTable:
-		e.pers.deregisterTable(payload.Storage)
-	}
-}
-
-func (p *persister) keyOf(storageID int64) (int64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key, ok := p.keyByStorageID[storageID]
-	return key, ok
-}
-
-func (p *persister) table(key int64) (*storage.Table, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.tableByKey[key]
-	return t, ok
-}
-
 // append writes a record, capturing the first failure.
 func (p *persister) append(rec *persist.Record) {
 	if p.replaying.Load() {
@@ -199,7 +125,7 @@ func (p *persister) TableCommitted(t *storage.Table, v *storage.Version, schema 
 	if p.replaying.Load() {
 		return
 	}
-	key, ok := p.keyOf(t.ID())
+	key, ok := p.eng.keyOf(t.ID())
 	if !ok {
 		return // table never registered (not reachable from the catalog)
 	}
@@ -239,7 +165,7 @@ func (p *persister) FrontierAdvanced(dt *core.DynamicTable, u core.FrontierUpdat
 	}
 	versions := make(map[int64]int64, len(u.Versions))
 	for storageID, seq := range u.Versions {
-		if key, ok := p.keyOf(storageID); ok {
+		if key, ok := p.eng.keyOf(storageID); ok {
 			versions[key] = seq
 		}
 	}
@@ -322,13 +248,7 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 	// RunScheduler against Open's return.
 	e.refr.Quiesce()
 	defer e.refr.Resume()
-	p := &persister{
-		eng:            e,
-		wal:            wal,
-		dir:            dir,
-		keyByStorageID: make(map[int64]int64),
-		tableByKey:     make(map[int64]*storage.Table),
-	}
+	p := &persister{eng: e, wal: wal, dir: dir}
 	p.replaying.Store(true)
 	e.pers = p
 
@@ -352,13 +272,13 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 	// Advance the HLC past every recovered commit so new commits keep
 	// ordering forward.
 	maxCommit := hlc.Zero
-	p.mu.Lock()
-	for _, t := range p.tableByKey {
+	e.keysMu.Lock()
+	for _, t := range e.tableByKey {
 		if c := t.LatestVersion().Commit; maxCommit.Less(c) {
 			maxCommit = c
 		}
 	}
-	p.mu.Unlock()
+	e.keysMu.Unlock()
 	if !maxCommit.IsZero() {
 		e.txns.Clock().Update(maxCommit)
 	}
@@ -381,19 +301,17 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 // restoreSnapshot installs checkpointed state into a freshly constructed
 // engine.
 func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
-	p := e.pers
-
 	// Storage: rebuild every table under its stable key.
 	for _, ts := range snap.Tables {
 		t, err := persist.DecodeTable(ts)
 		if err != nil {
 			return err
 		}
-		p.registerRestoredTable(ts.Key, t)
+		e.registerTable(ts.Key, t)
 	}
-	if snap.TableSeq > p.nextKey {
-		p.nextKey = snap.TableSeq
-	}
+	e.keysMu.Lock()
+	e.nextKey = max(e.nextKey, snap.TableSeq)
+	e.keysMu.Unlock()
 
 	// Warehouses: configuration plus billing state.
 	for _, ws := range snap.Warehouses {
@@ -437,7 +355,7 @@ func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
 		}
 		switch entry.Kind {
 		case catalog.KindTable:
-			t, ok := p.table(es.TableKey)
+			t, ok := e.keyedTable(es.TableKey)
 			if !ok {
 				return fmt.Errorf("dyntables: snapshot entry %s references unknown table key %d", es.Name, es.TableKey)
 			}
@@ -525,13 +443,11 @@ func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
 
 // restoreDT rebuilds a dynamic table payload from its checkpointed state.
 func (e *Engine) restoreDT(entryID int64, st *persist.DTState) (*core.DynamicTable, error) {
-	p := e.pers
-	tbl, ok := p.table(st.TableKey)
+	tbl, ok := e.keyedTable(st.TableKey)
 	if !ok {
 		return nil, fmt.Errorf("dyntables: DT %s references unknown table key %d", st.Name, st.TableKey)
 	}
-	dt := core.RestoreDynamicTable(st.Name, st.Text,
-		sql.TargetLag{Kind: sql.TargetLagKind(st.LagKind), Duration: time.Duration(st.LagMicros) * time.Microsecond},
+	dt := core.NewDynamicTable(st.Name, st.Text, targetLagOf(st.LagKind, st.LagMicros),
 		st.Warehouse, sql.RefreshMode(st.DeclaredMode), sql.RefreshMode(st.EffectiveMode), tbl)
 	dt.EntryID = entryID
 	// History capacity is process state (not checkpointed); recovered
@@ -557,7 +473,7 @@ func (e *Engine) restoreDT(entryID int64, st *persist.DTState) (*core.DynamicTab
 		cp.Frontier.DataTS = time.Time{}
 	}
 	for key, seq := range st.FrontierVersions {
-		src, ok := p.table(key)
+		src, ok := e.keyedTable(key)
 		if !ok {
 			return nil, fmt.Errorf("dyntables: DT %s frontier references unknown table key %d", st.Name, key)
 		}
@@ -589,31 +505,10 @@ func (e *Engine) restoreDT(entryID int64, st *persist.DTState) (*core.DynamicTab
 // WAL replay
 // ---------------------------------------------------------------------------
 
+// replayRecord replays one WAL record: data-plane records through the
+// live storage and controller code with sinks muted, DDL through applyDDL.
 func (e *Engine) replayRecord(rec *persist.Record) error {
 	switch rec.Kind {
-	case persist.KindCreateTable:
-		return e.replayCreateTable(rec.CreateTable)
-	case persist.KindCreateView:
-		return e.replayCreateView(rec.CreateView)
-	case persist.KindCreateWh:
-		return e.replayCreateWarehouse(rec.CreateWh)
-	case persist.KindCreateDT:
-		return e.replayCreateDT(rec.CreateDT)
-	case persist.KindDrop:
-		return e.replayDrop(rec.Drop)
-	case persist.KindUndrop:
-		return e.replayUndrop(rec.Undrop)
-	case persist.KindRename:
-		if entry, err := e.cat.Get(rec.Rename.Name); err == nil {
-			if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-				dt.Name = rec.Rename.Target
-			}
-		}
-		return e.cat.Rename(rec.Rename.Name, rec.Rename.Target, rec.Rename.TS)
-	case persist.KindSwap:
-		return e.cat.Swap(rec.Swap.Name, rec.Swap.Target, rec.Swap.TS)
-	case persist.KindAlterDT:
-		return e.replayAlterDT(rec.AlterDT)
 	case persist.KindGrant:
 		g := rec.Grant
 		if g.Revoked {
@@ -631,24 +526,6 @@ func (e *Engine) replayRecord(rec *persist.Record) error {
 			e.vclk.AdvanceTo(time.UnixMicro(rec.Clock.NowMicros).UTC())
 		}
 		e.sch.Restore(e.sch.Epoch(), e.sch.Phase(), time.UnixMicro(rec.Clock.CursorMicros).UTC())
-		return nil
-	case persist.KindCreateAlert:
-		ca := rec.CreateAlert
-		e.installAlert(alertSnap{def: alert.Definition{
-			Name:          ca.Name,
-			Owner:         ca.Owner,
-			Schedule:      time.Duration(ca.ScheduleMicros) * time.Microsecond,
-			ConditionText: ca.ConditionText,
-			Action:        alert.ActionKind(ca.ActionKind),
-			WebhookURL:    ca.ActionURL,
-			ActionSQL:     ca.ActionSQL,
-		}})
-		return nil
-	case persist.KindDropAlert:
-		e.removeAlert(rec.DropAlert.Name)
-		return nil
-	case persist.KindAlterAlert:
-		e.setAlertSuspended(rec.AlterAlert.Name, rec.AlterAlert.Action == "SUSPEND")
 		return nil
 	case persist.KindAlertState:
 		as := rec.AlertState
@@ -668,172 +545,19 @@ func (e *Engine) replayRecord(rec *persist.Record) error {
 		e.setAlertState(as.Name, st, nextDue)
 		return nil
 	case persist.KindCompact:
-		t, ok := e.pers.table(rec.Compact.TableKey)
+		t, ok := e.keyedTable(rec.Compact.TableKey)
 		if !ok {
 			return fmt.Errorf("dyntables: compact for unknown table key %d", rec.Compact.TableKey)
 		}
 		_, _, err := t.Compact(rec.Compact.Horizon)
 		return err
 	default:
-		return fmt.Errorf("dyntables: unknown WAL record kind %q", rec.Kind)
+		return e.applyDDL(rec)
 	}
-}
-
-// replayCatalogInstall mirrors the Create/Replace split of the live DDL
-// paths and verifies that replay reproduced the original entry ID: the
-// allocator is deterministic, so a mismatch means the log is corrupt.
-func (e *Engine) replayCatalogInstall(name string, payload catalog.Object, owner string,
-	deps []int64, ts hlc.Timestamp, orReplace bool, wantID int64) (*catalog.Entry, error) {
-	var entry *catalog.Entry
-	var err error
-	if orReplace {
-		e.deregisterReplacedPayload(name)
-		entry, err = e.cat.Replace(name, payload, owner, deps, ts)
-	} else {
-		entry, err = e.cat.Create(name, payload, owner, deps, ts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if wantID != 0 && entry.ID != wantID {
-		return nil, fmt.Errorf("dyntables: replay assigned entry ID %d, log expects %d", entry.ID, wantID)
-	}
-	return entry, nil
-}
-
-func (e *Engine) replayCreateTable(rec *persist.CreateTableRecord) error {
-	var t *storage.Table
-	if rec.CloneOfKey != 0 {
-		src, ok := e.pers.table(rec.CloneOfKey)
-		if !ok {
-			return fmt.Errorf("dyntables: clone source table key %d unknown", rec.CloneOfKey)
-		}
-		clone, err := src.Clone(rec.CloneAt)
-		if err != nil {
-			return err
-		}
-		t = clone
-	} else {
-		t = storage.NewTable(persist.DecodeSchema(rec.Schema), rec.CreatedAt)
-	}
-	e.pers.registerRestoredTable(rec.TableKey, t)
-	_, err := e.replayCatalogInstall(rec.Name, &tableObject{table: t}, rec.Owner, nil,
-		rec.CreatedAt, rec.OrReplace, rec.EntryID)
-	return err
-}
-
-func (e *Engine) replayCreateView(rec *persist.CreateViewRecord) error {
-	_, err := e.replayCatalogInstall(rec.Name, &viewObject{text: rec.Text}, rec.Owner,
-		rec.Deps, rec.CreatedAt, rec.OrReplace, rec.EntryID)
-	return err
-}
-
-func (e *Engine) replayCreateWarehouse(rec *persist.CreateWhRecord) error {
-	wh, err := e.pool.Create(rec.Name, warehouse.Size(rec.Size), time.Duration(rec.AutoSuspend)*time.Microsecond)
-	if err != nil {
-		if rec.OrReplace {
-			existing, gerr := e.pool.Get(rec.Name)
-			if gerr != nil {
-				return err
-			}
-			existing.Size = warehouse.Size(rec.Size)
-			existing.AutoSuspend = time.Duration(rec.AutoSuspend) * time.Microsecond
-			return nil
-		}
-		return err
-	}
-	if !e.cat.Exists(rec.Name) {
-		if _, err := e.replayCatalogInstall(rec.Name, &warehouseObject{wh: wh}, rec.Owner,
-			nil, rec.CreatedAt, false, rec.EntryID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Engine) replayCreateDT(rec *persist.CreateDTRecord) error {
-	lag := sql.TargetLag{Kind: sql.TargetLagKind(rec.LagKind), Duration: time.Duration(rec.LagMicros) * time.Microsecond}
-	var dt *core.DynamicTable
-	if rec.CloneOf != "" {
-		_, src, err := e.dynamicTable(rec.CloneOf)
-		if err != nil {
-			return err
-		}
-		clone, err := src.CloneAt(rec.CloneAt)
-		if err != nil {
-			return err
-		}
-		clone.Name = rec.Name
-		clone.Lag = lag
-		dt = clone
-	} else {
-		dt = core.RestoreDynamicTable(rec.Name, rec.Text, lag, rec.Warehouse,
-			sql.RefreshMode(rec.DeclaredMode), sql.RefreshMode(rec.EffectiveMode),
-			storage.NewTable(persist.DecodeSchema(rec.Schema), rec.CreatedAt))
-	}
-	dt.SetHistoryCapacity(e.ctrl.HistoryCapacity)
-	if rec.OrReplace {
-		if old, derr := e.cat.Get(rec.Name); derr == nil {
-			if oldDT, ok := old.Payload.(*core.DynamicTable); ok {
-				e.sch.Untrack(oldDT)
-				e.ctrl.Unregister(oldDT)
-			}
-		}
-	}
-	e.pers.registerRestoredTable(rec.TableKey, dt.Storage)
-	entry, err := e.replayCatalogInstall(rec.Name, dt, rec.Owner, rec.Deps,
-		rec.CreatedAt, rec.OrReplace, rec.EntryID)
-	if err != nil {
-		return err
-	}
-	dt.EntryID = entry.ID
-	e.ctrl.Register(dt)
-	e.sch.Track(dt)
-	return nil
-}
-
-func (e *Engine) replayDrop(rec *persist.DropRecord) error {
-	if entry, err := e.cat.Get(rec.Name); err == nil {
-		if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-			e.sch.Untrack(dt)
-		}
-	}
-	return e.cat.Drop(rec.Name, rec.TS)
-}
-
-func (e *Engine) replayUndrop(rec *persist.DropRecord) error {
-	entry, err := e.cat.Undrop(rec.Name, rec.TS)
-	if err != nil {
-		return err
-	}
-	if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-		e.sch.Track(dt)
-	}
-	return nil
-}
-
-func (e *Engine) replayAlterDT(rec *persist.AlterDTRecord) error {
-	_, dt, err := e.dynamicTable(rec.Name)
-	if err != nil {
-		return err
-	}
-	switch rec.Action {
-	case "SUSPEND":
-		dt.Suspend()
-	case "RESUME":
-		dt.Resume()
-	case "SET_LAG":
-		dt.Lag = sql.TargetLag{Kind: sql.TargetLagKind(rec.LagKind), Duration: time.Duration(rec.LagMicros) * time.Microsecond}
-	case "SET_MODE":
-		return e.setRefreshMode(dt, sql.RefreshMode(rec.Mode))
-	default:
-		return fmt.Errorf("dyntables: unknown ALTER action %q in WAL", rec.Action)
-	}
-	return nil
 }
 
 func (e *Engine) replayCommit(rec *persist.CommitRecord) error {
-	t, ok := e.pers.table(rec.TableKey)
+	t, ok := e.keyedTable(rec.TableKey)
 	if !ok {
 		return fmt.Errorf("dyntables: commit for unknown table key %d", rec.TableKey)
 	}
@@ -875,7 +599,7 @@ func (e *Engine) replayFrontier(rec *persist.FrontierRecord) error {
 	}
 	versions := ivm.VersionMap{}
 	for key, seq := range rec.Versions {
-		t, ok := e.pers.table(key)
+		t, ok := e.keyedTable(key)
 		if !ok {
 			return fmt.Errorf("dyntables: frontier references unknown table key %d", key)
 		}
@@ -897,7 +621,7 @@ func (e *Engine) replayFrontier(rec *persist.FrontierRecord) error {
 }
 
 // ---------------------------------------------------------------------------
-// live record emission (called from the DDL paths in statements.go)
+// live record emission
 // ---------------------------------------------------------------------------
 
 // durable reports whether the engine write-ahead-logs mutations.
@@ -922,7 +646,7 @@ func (e *Engine) logCompact(t *storage.Table, horizon int64) {
 	if !e.durable() || e.closed.Load() {
 		return
 	}
-	key, ok := e.pers.keyOf(t.ID())
+	key, ok := e.keyOf(t.ID())
 	if !ok {
 		return
 	}
@@ -930,176 +654,6 @@ func (e *Engine) logCompact(t *storage.Table, horizon int64) {
 		TableKey: key,
 		Horizon:  horizon,
 	}})
-}
-
-// logCreateTable registers a just-created base table with the durability
-// layer and appends its WAL record. Registration happens here — after the
-// catalog accepted the entry — so only catalog-reachable tables are
-// write-ahead-logged.
-func (e *Engine) logCreateTable(stmt *sql.CreateTableStmt, entry *catalog.Entry,
-	table, cloneOf *storage.Table, createdAt hlc.Timestamp) error {
-	if !e.durable() {
-		return nil
-	}
-	rec := &persist.CreateTableRecord{
-		Name:      stmt.Name,
-		Owner:     entry.Owner,
-		EntryID:   entry.ID,
-		TableKey:  e.pers.registerTable(table),
-		OrReplace: stmt.OrReplace,
-		Schema:    persist.EncodeSchema(table.Schema()),
-		CreatedAt: createdAt,
-	}
-	if cloneOf != nil {
-		key, ok := e.pers.keyOf(cloneOf.ID())
-		if !ok {
-			return fmt.Errorf("dyntables: clone source %s is not registered for durability", stmt.CloneOf)
-		}
-		rec.CloneOfKey = key
-		rec.CloneAt = createdAt
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindCreateTable, CreateTable: rec})
-	return nil
-}
-
-func (e *Engine) logCreateView(stmt *sql.CreateViewStmt, entry *catalog.Entry, deps []int64, ts hlc.Timestamp) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindCreateView, CreateView: &persist.CreateViewRecord{
-		Name:      stmt.Name,
-		Owner:     entry.Owner,
-		EntryID:   entry.ID,
-		OrReplace: stmt.OrReplace,
-		Text:      stmt.Text,
-		Deps:      deps,
-		CreatedAt: ts,
-	}})
-}
-
-func (e *Engine) logCreateWarehouse(name, owner string, entryID int64, orReplace bool,
-	size warehouse.Size, autoSuspend time.Duration, ts hlc.Timestamp) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindCreateWh, CreateWh: &persist.CreateWhRecord{
-		Name:        name,
-		Owner:       owner,
-		EntryID:     entryID,
-		OrReplace:   orReplace,
-		Size:        int(size),
-		AutoSuspend: int64(autoSuspend / time.Microsecond),
-		CreatedAt:   ts,
-	}})
-}
-
-func (e *Engine) logCreateDT(orReplace bool, entry *catalog.Entry, dt *core.DynamicTable,
-	owner string, deps []int64, createdAt hlc.Timestamp, cloneOf string, cloneAt hlc.Timestamp) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindCreateDT, CreateDT: &persist.CreateDTRecord{
-		Name:          dt.Name,
-		Owner:         owner,
-		EntryID:       entry.ID,
-		TableKey:      e.pers.registerTable(dt.Storage),
-		OrReplace:     orReplace,
-		Text:          dt.Text,
-		LagKind:       int(dt.Lag.Kind),
-		LagMicros:     int64(dt.Lag.Duration / time.Microsecond),
-		Warehouse:     dt.Warehouse,
-		DeclaredMode:  int(dt.DeclaredMode),
-		EffectiveMode: int(dt.EffectiveMode),
-		Schema:        persist.EncodeSchema(dt.Storage.Schema()),
-		Deps:          deps,
-		CreatedAt:     createdAt,
-		CloneOf:       cloneOf,
-		CloneAt:       cloneAt,
-	}})
-}
-
-func (e *Engine) logDropUndrop(kind, name string, ts hlc.Timestamp) {
-	if !e.durable() {
-		return
-	}
-	rec := &persist.Record{Kind: kind}
-	dr := &persist.DropRecord{Name: name, TS: ts}
-	if kind == persist.KindDrop {
-		rec.Drop = dr
-	} else {
-		rec.Undrop = dr
-	}
-	e.pers.append(rec)
-}
-
-func (e *Engine) logRenameSwap(kind, name, target string, ts hlc.Timestamp) {
-	if !e.durable() {
-		return
-	}
-	rec := &persist.Record{Kind: kind}
-	rr := &persist.RenameRecord{Name: name, Target: target, TS: ts}
-	if kind == persist.KindRename {
-		rec.Rename = rr
-	} else {
-		rec.Swap = rr
-	}
-	e.pers.append(rec)
-}
-
-func (e *Engine) logAlterDT(name, action string, lag *sql.TargetLag) {
-	if !e.durable() {
-		return
-	}
-	rec := &persist.AlterDTRecord{Name: name, Action: action}
-	if lag != nil {
-		rec.LagKind = int(lag.Kind)
-		rec.LagMicros = int64(lag.Duration / time.Microsecond)
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindAlterDT, AlterDT: rec})
-}
-
-// logAlterDTMode write-ahead-logs ALTER ... SET REFRESH_MODE so replay
-// re-pins the declared mode (and clears the adaptive decision) the same
-// way the live path did.
-func (e *Engine) logAlterDTMode(name string, mode sql.RefreshMode) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindAlterDT, AlterDT: &persist.AlterDTRecord{
-		Name: name, Action: "SET_MODE", Mode: int(mode),
-	}})
-}
-
-func (e *Engine) logCreateAlert(def alert.Definition, orReplace bool) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindCreateAlert, CreateAlert: &persist.CreateAlertRecord{
-		Name:           def.Name,
-		Owner:          def.Owner,
-		OrReplace:      orReplace,
-		ScheduleMicros: int64(def.Schedule / time.Microsecond),
-		ConditionText:  def.ConditionText,
-		ActionKind:     string(def.Action),
-		ActionURL:      def.WebhookURL,
-		ActionSQL:      def.ActionSQL,
-	}})
-}
-
-func (e *Engine) logDropAlert(name string) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindDropAlert,
-		DropAlert: &persist.DropAlertRecord{Name: name}})
-}
-
-func (e *Engine) logAlterAlert(name, action string) {
-	if !e.durable() {
-		return
-	}
-	e.pers.append(&persist.Record{Kind: persist.KindAlterAlert,
-		AlterAlert: &persist.AlterAlertRecord{Name: name, Action: action}})
 }
 
 // logAlertState write-ahead-logs an alert's evaluation-state transition
@@ -1201,21 +755,21 @@ func (e *Engine) buildSnapshot() (*persist.Snapshot, error) {
 		CursorMicros: e.sch.Cursor().UnixMicro(),
 	}
 
-	p.mu.Lock()
-	snap.TableSeq = p.nextKey
-	keys := make([]int64, 0, len(p.tableByKey))
-	for key := range p.tableByKey {
+	e.keysMu.Lock()
+	snap.TableSeq = e.nextKey
+	keys := make([]int64, 0, len(e.tableByKey))
+	for key := range e.tableByKey {
 		keys = append(keys, key)
 	}
-	tables := make(map[int64]*storage.Table, len(p.tableByKey))
-	for key, t := range p.tableByKey {
+	tables := make(map[int64]*storage.Table, len(e.tableByKey))
+	for key, t := range e.tableByKey {
 		tables[key] = t
 	}
-	keyOf := make(map[int64]int64, len(p.keyByStorageID))
-	for id, key := range p.keyByStorageID {
+	keyOf := make(map[int64]int64, len(e.keyByStorageID))
+	for id, key := range e.keyByStorageID {
 		keyOf[id] = key
 	}
-	p.mu.Unlock()
+	e.keysMu.Unlock()
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
 	for _, key := range keys {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,7 +67,11 @@ func dumpTable(t *testing.T, tbl *storage.Table) []versionDump {
 	return out
 }
 
-// dumpEngine captures every catalog-reachable table and DT.
+// dumpEngine captures every catalog-reachable table and DT, plus the DDL
+// state of every catalog entry (live and dropped), warehouse and alert.
+// DDL state rides as one-version pseudo-chains whose rows are the
+// compared fields, so every caller that walks dumps by version compares
+// it too.
 func dumpEngine(t *testing.T, e *Engine) map[string][]versionDump {
 	t.Helper()
 	out := make(map[string][]versionDump)
@@ -76,7 +81,40 @@ func dumpEngine(t *testing.T, e *Engine) map[string][]versionDump {
 	for _, entry := range e.Catalog().List(catalog.KindDynamicTable) {
 		out["dt:"+entry.Name] = dumpTable(t, entry.Payload.(*core.DynamicTable).Storage)
 	}
+	for _, entry := range e.Catalog().Entries() {
+		fields := []string{
+			"name=" + entry.Name,
+			"kind=" + entry.Kind.String(),
+			fmt.Sprintf("generation=%d", entry.Generation),
+			"owner=" + entry.Owner,
+			fmt.Sprintf("deps=%v", entry.DependsOn),
+			fmt.Sprintf("dropped=%v", entry.Dropped),
+		}
+		switch p := entry.Payload.(type) {
+		case *viewObject:
+			fields = append(fields, "text="+p.text)
+		case *core.DynamicTable:
+			fields = append(fields,
+				"dt.name="+p.Name,
+				fmt.Sprintf("lag=%+v", p.Lag),
+				"declared="+p.DeclaredMode.String(),
+				"effective="+p.EffectiveMode.String(),
+				"state="+p.State().String())
+		}
+		out[fmt.Sprintf("entry:%d", entry.ID)] = stateDump(fields...)
+	}
+	for _, wh := range e.Warehouses().All() {
+		out["warehouse:"+wh.Name] = stateDump(fmt.Sprintf("size=%v", wh.Size), fmt.Sprintf("auto_suspend=%v", wh.AutoSuspend))
+	}
+	for _, a := range e.alertSnapshots() {
+		out["alert:"+a.def.Name] = stateDump(fmt.Sprintf("def=%+v", a.def), fmt.Sprintf("suspended=%v", a.suspended))
+	}
 	return out
+}
+
+// stateDump wraps compared DDL fields as a one-version pseudo-chain.
+func stateDump(fields ...string) []versionDump {
+	return []versionDump{{Seq: 1, RowCount: len(fields), Rows: fields}}
 }
 
 func compareDumps(t *testing.T, want, got map[string][]versionDump, context string) {
@@ -107,8 +145,8 @@ func compareDumps(t *testing.T, want, got map[string][]versionDump, context stri
 			}
 			for j := range w.Rows {
 				if w.Rows[j] != g.Rows[j] {
-					t.Fatalf("%s: %s version %d row %d differs byte-for-byte",
-						context, name, w.Seq, j)
+					t.Fatalf("%s: %s version %d row %d differs byte-for-byte:\nwant %q\ngot  %q",
+						context, name, w.Seq, j, w.Rows[j], g.Rows[j])
 				}
 			}
 		}
@@ -546,6 +584,104 @@ func TestRecoveryEquivalenceCompactedMidSweep(t *testing.T) {
 	for _, name := range []string{"d1", "d2"} {
 		if err := e2.CheckDVS(name); err != nil {
 			t.Fatalf("DVS after post-recovery sweep: %v", err)
+		}
+	}
+}
+
+// TestDDLLiveEqualsRecovered runs DDL scripts — including rejected
+// statements — on a durable engine and requires the live engine, a clean
+// reopen and a crash reopen to agree on every object's DDL state and
+// contents.
+func TestDDLLiveEqualsRecovered(t *testing.T) {
+	type step struct {
+		sql     string
+		wantErr bool
+	}
+	setup := []step{
+		{sql: `CREATE WAREHOUSE wh`},
+		{sql: `CREATE TABLE t (x INT)`},
+		{sql: `INSERT INTO t VALUES (1), (2)`},
+		{sql: `CREATE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT x FROM t`},
+		{sql: `CREATE DYNAMIC TABLE b TARGET_LAG = '2 minutes' WAREHOUSE = wh AS SELECT x FROM a`},
+	}
+	describeName := func(t *testing.T, e *Engine, name string) string {
+		t.Helper()
+		st, err := e.Describe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Name
+	}
+	cases := []struct {
+		name  string
+		steps []step
+		check func(t *testing.T, e *Engine)
+	}{
+		{
+			// b reads a, so redefining a over b closes a cycle: the
+			// statement fails and a keeps its definition and rows.
+			name: "rejected replace keeps the DT",
+			steps: []step{{sql: `CREATE OR REPLACE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = wh
+				AS SELECT x FROM b`, wantErr: true}},
+			check: func(t *testing.T, e *Engine) {
+				expectQuery(t, e, `SELECT count(*) FROM a`, "[2]")
+				if got := mustDT(t, e, "a").Text; !strings.Contains(got, "FROM t") {
+					t.Fatalf("a's definition changed: %s", got)
+				}
+			},
+		},
+		{
+			name:  "rejected rename keeps the DT name",
+			steps: []step{{sql: `ALTER DYNAMIC TABLE a RENAME TO t`, wantErr: true}},
+			check: func(t *testing.T, e *Engine) {
+				if got := describeName(t, e, "a"); got != "a" {
+					t.Fatalf(`Describe("a").Name = %q`, got)
+				}
+			},
+		},
+		{
+			name:  "swap renames both DTs",
+			steps: []step{{sql: `ALTER DYNAMIC TABLE a SWAP WITH b`}},
+			check: func(t *testing.T, e *Engine) {
+				for _, name := range []string{"a", "b"} {
+					if got := describeName(t, e, name); got != name {
+						t.Fatalf("Describe(%q).Name = %q", name, got)
+					}
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/crash=%v", tc.name, crash), func(t *testing.T) {
+				dir := t.TempDir()
+				e, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range append(append([]step(nil), setup...), tc.steps...) {
+					if _, err := e.Exec(st.sql); (err != nil) != st.wantErr {
+						t.Fatalf("%s: err = %v, want error %v", st.sql, err, st.wantErr)
+					}
+				}
+				tc.check(t, e)
+				want := dumpEngine(t, e)
+				if crash {
+					err = e.crash()
+				} else {
+					err = e.Close()
+				}
+				if err != nil {
+					t.Fatalf("shutdown: %v", err)
+				}
+				e2, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e2.Close()
+				compareDumps(t, want, dumpEngine(t, e2), "reopen")
+				tc.check(t, e2)
+			})
 		}
 	}
 }

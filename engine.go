@@ -134,6 +134,15 @@ type Engine struct {
 	// which also holds it exclusively.
 	compactionHorizon int
 
+	// keysMu guards the stable table-key registry. Storage IDs are
+	// process-local, so every catalog-reachable storage table also gets a
+	// key that DDL records assign and that WAL records and checkpoints
+	// name it by.
+	keysMu         sync.Mutex
+	keyByStorageID map[int64]int64
+	tableByKey     map[int64]*storage.Table
+	nextKey        int64
+
 	// pers is the durability layer; nil for in-memory engines (New).
 	pers *persister
 	// checkpointEvery is the WAL-record count that triggers a snapshot
@@ -274,6 +283,8 @@ func New(opts ...Option) *Engine {
 		startedAt:       time.Now(),
 		alerts:          make(map[string]*alertEntry),
 		alertNotifier:   &alert.Notifier{},
+		keyByStorageID:  make(map[int64]int64),
+		tableByKey:      make(map[int64]*storage.Table),
 	}
 	e.vclk = clock.NewVirtual(DefaultOrigin)
 	e.clk = e.vclk

@@ -731,6 +731,13 @@ func TestSetTargetLagChangesSchedule(t *testing.T) {
 	if after >= before {
 		t.Errorf("shrinking the lag must shrink the period: %v -> %v", before, after)
 	}
+	// ALTER enforces CREATE's 1-minute floor.
+	if _, err := e.Exec(`ALTER DYNAMIC TABLE d SET TARGET_LAG = '1 second'`); err == nil {
+		t.Error("ALTER accepted a TARGET_LAG below the 1 minute minimum")
+	}
+	if got := e.Scheduler().Period(dt); got != after {
+		t.Errorf("rejected ALTER changed the period: %v -> %v", after, got)
+	}
 }
 
 func TestExecScriptStopsAtError(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"dyntables/internal/ivm"
 	"dyntables/internal/plan"
 	"dyntables/internal/sql"
-	"dyntables/internal/storage"
 	"dyntables/internal/trace"
 	"dyntables/internal/txn"
 	"dyntables/internal/types"
@@ -255,43 +254,20 @@ func (c *Controller) LookupByStorage(id int64) (*DynamicTable, bool) {
 	return dt, ok
 }
 
-// Build creates the DT state for a CREATE DYNAMIC TABLE statement: it
-// binds the defining query, resolves the effective refresh mode (§3.3.2),
-// and allocates the storage table with the query's output schema.
-func (c *Controller) Build(stmt *sql.CreateDynamicTableStmt, createdAt hlc.Timestamp) (*DynamicTable, error) {
+// Build validates a CREATE DYNAMIC TABLE statement: it binds the defining
+// query and resolves the effective refresh mode (§3.3.2). The bound plan's
+// schema is the DT's output schema and its Deps the entries it reads; the
+// engine records both and constructs the DT with NewDynamicTable.
+func (c *Controller) Build(stmt *sql.CreateDynamicTableStmt) (*plan.Bound, sql.RefreshMode, error) {
 	bound, err := c.bind(stmt.Text)
 	if err != nil {
-		return nil, fmt.Errorf("core: invalid defining query for %s: %w", stmt.Name, err)
+		return nil, stmt.Mode, fmt.Errorf("core: invalid defining query for %s: %w", stmt.Name, err)
 	}
-	mode := stmt.Mode
-	incErr := ivm.Incrementalizable(bound.Plan)
-	switch mode {
-	case sql.RefreshAuto:
-		if incErr == nil {
-			mode = sql.RefreshIncremental
-		} else {
-			mode = sql.RefreshFull
-		}
-	case sql.RefreshIncremental:
-		if incErr != nil {
-			return nil, fmt.Errorf("core: %s: REFRESH_MODE=INCREMENTAL unsupported: %w", stmt.Name, incErr)
-		}
+	mode, err := resolveMode(stmt.Name, bound, stmt.Mode)
+	if err != nil {
+		return nil, stmt.Mode, err
 	}
-	dt := &DynamicTable{
-		Name:            stmt.Name,
-		Text:            stmt.Text,
-		Lag:             stmt.Lag,
-		Warehouse:       stmt.Warehouse,
-		DeclaredMode:    stmt.Mode,
-		EffectiveMode:   mode,
-		Storage:         storage.NewTable(bound.Plan.Schema(), createdAt),
-		deps:            bound.Deps,
-		versionByDataTS: make(map[int64]int64),
-		commitByDataTS:  make(map[int64]hlc.Timestamp),
-		historyCap:      c.HistoryCapacity,
-	}
-	dt.schemaFingerprint = bound.Plan.Schema().String()
-	return dt, nil
+	return bound, mode, nil
 }
 
 func (c *Controller) bind(text string) (*plan.Bound, error) {
@@ -636,11 +612,19 @@ func (c *Controller) StaticMode(dt *DynamicTable, declared sql.RefreshMode) (sql
 	if err != nil {
 		return declared, err
 	}
+	return resolveMode(dt.Name, bound, declared)
+}
+
+// resolveMode maps a declared refresh mode to the static effective mode
+// for a bound defining query: AUTO becomes INCREMENTAL when the plan is
+// incrementalizable and FULL otherwise, and an INCREMENTAL pin on a
+// non-incrementalizable plan is an error.
+func resolveMode(name string, bound *plan.Bound, declared sql.RefreshMode) (sql.RefreshMode, error) {
 	incErr := ivm.Incrementalizable(bound.Plan)
 	switch declared {
 	case sql.RefreshIncremental:
 		if incErr != nil {
-			return declared, fmt.Errorf("core: %s: REFRESH_MODE=INCREMENTAL unsupported: %w", dt.Name, incErr)
+			return declared, fmt.Errorf("core: %s: REFRESH_MODE=INCREMENTAL unsupported: %w", name, incErr)
 		}
 		return sql.RefreshIncremental, nil
 	case sql.RefreshFull:

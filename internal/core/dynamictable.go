@@ -542,13 +542,14 @@ func (dt *DynamicTable) CloneAt(at hlc.Timestamp) (*DynamicTable, error) {
 // checkpoint export / recovery restore
 // ---------------------------------------------------------------------------
 
-// RestoreDynamicTable reconstructs a DT from its durable definition during
-// recovery: the defining SQL plus the resolved modes, with a restored (or
-// fresh) storage table. The refresh-continuity state (frontier, mappings,
-// history) is installed separately via RestoreState or replayed through
-// ApplyFrontierUpdate. No binding happens here — recovery must not depend
-// on catalog population order.
-func RestoreDynamicTable(name, text string, lag sql.TargetLag, wh string,
+// NewDynamicTable constructs a DT from its definition: the defining SQL,
+// the resolved modes and the storage table holding its contents. CREATE,
+// WAL replay and checkpoint restore all build DTs here, from the same
+// record fields. No binding happens — recovery must not depend on catalog
+// population order. Refresh-continuity state (frontier, mappings,
+// history) starts empty; recovery installs it via RestoreState or
+// ApplyFrontierUpdate.
+func NewDynamicTable(name, text string, lag sql.TargetLag, wh string,
 	declared, effective sql.RefreshMode, st *storage.Table) *DynamicTable {
 	return &DynamicTable{
 		Name:            name,

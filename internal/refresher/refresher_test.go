@@ -89,14 +89,17 @@ func (h *harness) insert(tb *storage.Table, at time.Time, rows ...types.Row) {
 
 func (h *harness) dt(name, text string) *core.DynamicTable {
 	h.t.Helper()
-	dt, err := h.ctrl.Build(&sql.CreateDynamicTableStmt{
+	stmt := &sql.CreateDynamicTableStmt{
 		Name: name, Text: text, Warehouse: "wh",
 		Lag:  sql.TargetLag{Kind: sql.LagDuration, Duration: time.Minute},
 		Mode: sql.RefreshAuto,
-	}, hlc.Timestamp{WallMicros: t0.UnixMicro()})
+	}
+	bound, mode, err := h.ctrl.Build(stmt)
 	if err != nil {
 		h.t.Fatalf("build %s: %v", name, err)
 	}
+	dt := core.NewDynamicTable(name, text, stmt.Lag, stmt.Warehouse, stmt.Mode, mode,
+		storage.NewTable(bound.Plan.Schema(), hlc.Timestamp{WallMicros: t0.UnixMicro()}))
 	h.ctrl.Register(dt)
 	h.addSource(name, catalog.KindDynamicTable, dt.Storage)
 	return dt

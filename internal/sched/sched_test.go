@@ -178,12 +178,14 @@ func (h *dtHarness) baseTable(name string) *storage.Table {
 
 func (h *dtHarness) dt(name, text string, lag sql.TargetLag) *core.DynamicTable {
 	h.t.Helper()
-	dt, err := h.ctrl.Build(&sql.CreateDynamicTableStmt{
+	bound, mode, err := h.ctrl.Build(&sql.CreateDynamicTableStmt{
 		Name: name, Text: text, Warehouse: "wh", Lag: lag, Mode: sql.RefreshAuto,
-	}, hlc.Timestamp{WallMicros: schedT0.UnixMicro()})
+	})
 	if err != nil {
 		h.t.Fatalf("build %s: %v", name, err)
 	}
+	dt := core.NewDynamicTable(name, text, lag, "wh", sql.RefreshAuto, mode,
+		storage.NewTable(bound.Plan.Schema(), hlc.Timestamp{WallMicros: schedT0.UnixMicro()}))
 	h.ctrl.Register(dt)
 	h.addSource(name, catalog.KindDynamicTable, dt.Storage)
 	return dt

@@ -11,7 +11,6 @@ import (
 	"dyntables/internal/core"
 	"dyntables/internal/delta"
 	"dyntables/internal/exec"
-	"dyntables/internal/hlc"
 	"dyntables/internal/ivm"
 	"dyntables/internal/obs"
 	"dyntables/internal/persist"
@@ -258,9 +257,9 @@ func (x *executor) checkSelectPrivileges(bound *plan.Bound) error {
 func (x *executor) execCreateTable(stmt *sql.CreateTableStmt) (*Result, error) {
 	e := x.e
 	now := e.txns.Now()
-	var table *storage.Table
-	var rows []exec.TRow
-	var cloneOf *storage.Table
+	rec := &persist.CreateTableRecord{Name: stmt.Name, Owner: x.s.Role(),
+		OrReplace: stmt.OrReplace, CreatedAt: now}
+	var rows [][]types.Value
 	switch {
 	case stmt.CloneOf != "":
 		src, err := e.cat.Get(stmt.CloneOf)
@@ -276,12 +275,12 @@ func (x *executor) execCreateTable(stmt *sql.CreateTableStmt) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("dyntables: cannot clone %s", src.Kind)
 		}
-		clone, err := srcTable.Clone(now)
-		if err != nil {
-			return nil, err
+		key, ok := e.keyOf(srcTable.ID())
+		if !ok {
+			return nil, fmt.Errorf("dyntables: clone source %s has no table key", stmt.CloneOf)
 		}
-		table = clone
-		cloneOf = srcTable
+		rec.CloneOfKey, rec.CloneAt = key, now
+		rec.Schema = persist.EncodeSchema(srcTable.Schema())
 	case stmt.AsSelect != nil:
 		res, err := x.execSelect(stmt.AsSelect)
 		if err != nil {
@@ -291,10 +290,8 @@ func (x *executor) execCreateTable(stmt *sql.CreateTableStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		table = storage.NewTable(plan.Optimize(bound.Plan).Schema(), now)
-		for _, r := range res.Rows {
-			rows = append(rows, exec.TRow{ID: table.NextRowID(), Row: r})
-		}
+		rec.Schema = persist.EncodeSchema(plan.Optimize(bound.Plan).Schema())
+		rows = res.Rows
 	default:
 		schema := types.Schema{}
 		for _, col := range stmt.Columns {
@@ -304,29 +301,19 @@ func (x *executor) execCreateTable(stmt *sql.CreateTableStmt) (*Result, error) {
 			}
 			schema.Columns = append(schema.Columns, types.Column{Name: col.Name, Kind: kind})
 		}
-		table = storage.NewTable(schema, now)
+		rec.Schema = persist.EncodeSchema(schema)
 	}
-
-	payload := &tableObject{table: table}
-	var entry *catalog.Entry
-	var err error
-	if stmt.OrReplace {
-		e.deregisterReplacedPayload(stmt.Name)
-		entry, err = e.cat.Replace(stmt.Name, payload, x.s.Role(), nil, e.txns.Now())
-	} else {
-		entry, err = e.cat.Create(stmt.Name, payload, x.s.Role(), nil, e.txns.Now())
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := e.logCreateTable(stmt, entry, table, cloneOf, now); err != nil {
+	rec.EntryID = e.entryIDFor(stmt.Name, stmt.OrReplace)
+	rec.TableKey = e.newTableKey()
+	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateTable, CreateTable: rec}); err != nil {
 		return nil, err
 	}
 	if len(rows) > 0 {
+		table, _ := e.keyedTable(rec.TableKey)
 		tx := e.txns.Begin()
 		var cs delta.ChangeSet
-		for _, tr := range rows {
-			cs.AddInsert(tr.ID, tr.Row)
+		for _, r := range rows {
+			cs.AddInsert(table.NextRowID(), r)
 		}
 		if err := tx.Write(table, cs); err != nil {
 			tx.Abort()
@@ -348,20 +335,17 @@ func (x *executor) execCreateView(stmt *sql.CreateViewStmt) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dyntables: invalid view definition: %w", err)
 	}
-	deps := depIDs(bound.Deps)
-	payload := &viewObject{text: stmt.Text}
-	ts := e.txns.Now()
-	var entry *catalog.Entry
-	if stmt.OrReplace {
-		e.deregisterReplacedPayload(stmt.Name)
-		entry, err = e.cat.Replace(stmt.Name, payload, x.s.Role(), deps, ts)
-	} else {
-		entry, err = e.cat.Create(stmt.Name, payload, x.s.Role(), deps, ts)
-	}
-	if err != nil {
+	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateView, CreateView: &persist.CreateViewRecord{
+		Name:      stmt.Name,
+		Owner:     x.s.Role(),
+		EntryID:   e.entryIDFor(stmt.Name, stmt.OrReplace),
+		OrReplace: stmt.OrReplace,
+		Text:      stmt.Text,
+		Deps:      depIDs(bound.Deps),
+		CreatedAt: e.txns.Now(),
+	}}); err != nil {
 		return nil, err
 	}
-	e.logCreateView(stmt, entry, deps, ts)
 	return &Result{Kind: "CREATE VIEW", Message: fmt.Sprintf("view %s created", stmt.Name)}, nil
 }
 
@@ -384,32 +368,27 @@ func (x *executor) execCreateWarehouse(stmt *sql.CreateWarehouseStmt) (*Result, 
 	if autoSuspend == 0 {
 		autoSuspend = 10 * time.Minute
 	}
-	ts := e.txns.Now()
-	wh, err := e.pool.Create(stmt.Name, size, autoSuspend)
-	if err != nil {
-		if stmt.OrReplace {
-			// Replacement keeps the existing warehouse identity; billing
-			// history is retained.
-			existing, gerr := e.pool.Get(stmt.Name)
-			if gerr != nil {
-				return nil, err
-			}
-			existing.Size = size
-			existing.AutoSuspend = autoSuspend
-			e.logCreateWarehouse(stmt.Name, x.s.Role(), 0, true, size, autoSuspend, ts)
-			return &Result{Kind: "CREATE WAREHOUSE", Message: "warehouse replaced"}, nil
-		}
+	rec := &persist.CreateWhRecord{
+		Name:        stmt.Name,
+		Owner:       x.s.Role(),
+		OrReplace:   stmt.OrReplace,
+		Size:        int(size),
+		AutoSuspend: int64(autoSuspend / time.Microsecond),
+		CreatedAt:   e.txns.Now(),
+	}
+	// Replacement keeps the existing warehouse identity (and its billing
+	// history) and adds no catalog entry.
+	_, gerr := e.pool.Get(stmt.Name)
+	replaced := gerr == nil
+	if !replaced && !e.cat.Exists(stmt.Name) {
+		rec.EntryID = e.entryIDFor(stmt.Name, false)
+	}
+	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateWh, CreateWh: rec}); err != nil {
 		return nil, err
 	}
-	var entryID int64
-	if !e.cat.Exists(stmt.Name) {
-		entry, err := e.cat.Create(stmt.Name, &warehouseObject{wh: wh}, x.s.Role(), nil, ts)
-		if err != nil {
-			return nil, err
-		}
-		entryID = entry.ID
+	if replaced {
+		return &Result{Kind: "CREATE WAREHOUSE", Message: "warehouse replaced"}, nil
 	}
-	e.logCreateWarehouse(stmt.Name, x.s.Role(), entryID, stmt.OrReplace, size, autoSuspend, ts)
 	return &Result{Kind: "CREATE WAREHOUSE", Message: fmt.Sprintf("warehouse %s created", stmt.Name)}, nil
 }
 
@@ -424,48 +403,42 @@ func (x *executor) execCreateDynamicTable(stmt *sql.CreateDynamicTableStmt) (*Re
 	if _, err := e.pool.Get(stmt.Warehouse); err != nil {
 		return nil, err
 	}
-	if stmt.Lag.Kind == sql.LagDuration && stmt.Lag.Duration < time.Minute {
-		return nil, fmt.Errorf("dyntables: TARGET_LAG below the 1 minute minimum (§3.2)")
+	if err := checkTargetLag(stmt.Lag); err != nil {
+		return nil, err
 	}
-
-	createdAt := e.txns.Now()
-	dt, err := e.ctrl.Build(stmt, createdAt)
+	bound, mode, err := e.ctrl.Build(stmt)
 	if err != nil {
 		return nil, err
 	}
-
 	// Dependencies and cycle check (§3.1.1: cycles are not allowed).
-	bound, err := plan.NewBinder(e).BindSelect(stmt.Query)
-	if err != nil {
-		return nil, err
-	}
 	deps := depIDs(bound.Deps)
-
-	var entry *catalog.Entry
-	if stmt.OrReplace {
-		if old, derr := e.cat.Get(stmt.Name); derr == nil {
-			if oldDT, ok := old.Payload.(*core.DynamicTable); ok {
-				e.sch.Untrack(oldDT)
-				e.ctrl.Unregister(oldDT)
-			}
-		}
-		e.deregisterReplacedPayload(stmt.Name)
-		entry, err = e.cat.Replace(stmt.Name, dt, x.s.Role(), deps, e.txns.Now())
-	} else {
-		entry, err = e.cat.Create(stmt.Name, dt, x.s.Role(), deps, e.txns.Now())
-	}
-	if err != nil {
-		return nil, err
-	}
-	if e.cat.WouldCycle(entry.ID, deps) {
-		_ = e.cat.Drop(stmt.Name, e.txns.Now())
+	entryID := e.entryIDFor(stmt.Name, stmt.OrReplace)
+	if e.cat.WouldCycle(entryID, deps) {
 		return nil, fmt.Errorf("dyntables: dynamic table %s would create a dependency cycle", stmt.Name)
 	}
-	dt.EntryID = entry.ID
-	e.ctrl.Register(dt)
-	e.sch.Track(dt)
+	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateDT, CreateDT: &persist.CreateDTRecord{
+		Name:          stmt.Name,
+		Owner:         x.s.Role(),
+		EntryID:       entryID,
+		TableKey:      e.newTableKey(),
+		OrReplace:     stmt.OrReplace,
+		Text:          stmt.Text,
+		LagKind:       int(stmt.Lag.Kind),
+		LagMicros:     int64(stmt.Lag.Duration / time.Microsecond),
+		Warehouse:     stmt.Warehouse,
+		DeclaredMode:  int(stmt.Mode),
+		EffectiveMode: int(mode),
+		Schema:        persist.EncodeSchema(bound.Plan.Schema()),
+		Deps:          deps,
+		CreatedAt:     e.txns.Now(),
+	}}); err != nil {
+		return nil, err
+	}
+	_, dt, err := e.dynamicTable(stmt.Name)
+	if err != nil {
+		return nil, err
+	}
 	e.recordDTGraph(dt.Name, deps)
-	e.logCreateDT(stmt.OrReplace, entry, dt, x.s.Role(), deps, createdAt, "", hlc.Zero)
 
 	// Initialization (§3.1.2): synchronous by default, reusing a recent
 	// upstream data timestamp when possible.
@@ -479,41 +452,45 @@ func (x *executor) execCreateDynamicTable(stmt *sql.CreateDynamicTableStmt) (*Re
 		}
 	}
 	return &Result{Kind: "CREATE DYNAMIC TABLE",
-		Message: fmt.Sprintf("dynamic table %s created (%s refresh mode)", stmt.Name, dt.EffectiveMode)}, nil
+		Message: fmt.Sprintf("dynamic table %s created (%s refresh mode)", stmt.Name, mode)}, nil
 }
 
 // cloneDynamicTable implements CREATE DYNAMIC TABLE x CLONE y (§3.4):
 // metadata-only copy of contents; the clone keeps the source's frontier so
-// it avoids reinitialization.
+// it avoids reinitialization. CLONE statements override nothing: the
+// clone keeps the source's definition, lag and modes.
 func (x *executor) cloneDynamicTable(stmt *sql.CreateDynamicTableStmt) (*Result, error) {
 	e := x.e
 	_, src, err := e.dynamicTable(stmt.CloneOf)
 	if err != nil {
 		return nil, err
 	}
+	bound, err := plan.NewBinder(e).BindSelect(mustParseSelect(src.Text))
+	if err != nil {
+		return nil, err
+	}
+	deps := depIDs(bound.Deps)
 	cloneAt := e.txns.Now()
-	clone, err := src.CloneAt(cloneAt)
-	if err != nil {
+	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateDT, CreateDT: &persist.CreateDTRecord{
+		Name:          stmt.Name,
+		Owner:         x.s.Role(),
+		EntryID:       e.entryIDFor(stmt.Name, false),
+		TableKey:      e.newTableKey(),
+		Text:          src.Text,
+		LagKind:       int(src.Lag.Kind),
+		LagMicros:     int64(src.Lag.Duration / time.Microsecond),
+		Warehouse:     src.Warehouse,
+		DeclaredMode:  int(src.DeclaredMode),
+		EffectiveMode: int(src.EffectiveMode),
+		Schema:        persist.EncodeSchema(src.Storage.Schema()),
+		Deps:          deps,
+		CreatedAt:     cloneAt,
+		CloneOf:       stmt.CloneOf,
+		CloneAt:       cloneAt,
+	}}); err != nil {
 		return nil, err
 	}
-	clone.Name = stmt.Name
-	if stmt.Lag.Kind == sql.LagDuration || stmt.Lag.Kind == sql.LagDownstream {
-		// CLONE statements may override nothing; keep the source's lag.
-		clone.Lag = src.Lag
-	}
-	bound, err := plan.NewBinder(e).BindSelect(mustParseSelect(clone.Text))
-	if err != nil {
-		return nil, err
-	}
-	entry, err := e.cat.Create(stmt.Name, clone, x.s.Role(), depIDs(bound.Deps), e.txns.Now())
-	if err != nil {
-		return nil, err
-	}
-	clone.EntryID = entry.ID
-	e.ctrl.Register(clone)
-	e.sch.Track(clone)
-	e.recordDTGraph(clone.Name, depIDs(bound.Deps))
-	e.logCreateDT(false, entry, clone, x.s.Role(), depIDs(bound.Deps), cloneAt, stmt.CloneOf, cloneAt)
+	e.recordDTGraph(stmt.Name, deps)
 	return &Result{Kind: "CREATE DYNAMIC TABLE",
 		Message: fmt.Sprintf("dynamic table %s cloned from %s", stmt.Name, stmt.CloneOf)}, nil
 }
@@ -808,40 +785,25 @@ func (x *executor) execDelete(stmt *sql.DeleteStmt) (*Result, error) {
 // ---------------------------------------------------------------------------
 
 func (x *executor) execDrop(stmt *sql.DropStmt) (*Result, error) {
-	e := x.e
 	// Alerts live in the watchdog registry, not the catalog.
 	if stmt.Kind == "ALERT" {
 		return x.execDropAlert(stmt)
 	}
-	entry, err := e.cat.Get(stmt.Name)
-	if err != nil {
+	if err := x.e.execDDL(&persist.Record{Kind: persist.KindDrop,
+		Drop: &persist.DropRecord{Name: stmt.Name, TS: x.e.txns.Now()}}); err != nil {
 		return nil, err
 	}
-	if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-		e.sch.Untrack(dt)
-	}
-	ts := e.txns.Now()
-	if err := e.cat.Drop(stmt.Name, ts); err != nil {
-		return nil, err
-	}
-	e.logDropUndrop(persist.KindDrop, stmt.Name, ts)
 	return &Result{Kind: "DROP", Message: fmt.Sprintf("%s %s dropped", stmt.Kind, stmt.Name)}, nil
 }
 
 func (x *executor) execUndrop(stmt *sql.UndropStmt) (*Result, error) {
-	e := x.e
 	if stmt.Kind == "ALERT" {
 		return nil, fmt.Errorf("dyntables: UNDROP does not support alerts")
 	}
-	ts := e.txns.Now()
-	entry, err := e.cat.Undrop(stmt.Name, ts)
-	if err != nil {
+	if err := x.e.execDDL(&persist.Record{Kind: persist.KindUndrop,
+		Undrop: &persist.DropRecord{Name: stmt.Name, TS: x.e.txns.Now()}}); err != nil {
 		return nil, err
 	}
-	if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-		e.sch.Track(dt)
-	}
-	e.logDropUndrop(persist.KindUndrop, stmt.Name, ts)
 	return &Result{Kind: "UNDROP", Message: fmt.Sprintf("%s %s restored", stmt.Kind, stmt.Name)}, nil
 }
 
@@ -851,25 +813,18 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 		return x.execAlterAlert(stmt)
 	}
 	switch stmt.Action {
-	case "RENAME":
-		if entry, err := e.cat.Get(stmt.Name); err == nil {
-			if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-				dt.Name = stmt.Target
-			}
+	case "RENAME", "SWAP":
+		rr := &persist.RenameRecord{Name: stmt.Name, Target: stmt.Target, TS: e.txns.Now()}
+		rec := &persist.Record{Kind: persist.KindRename, Rename: rr}
+		msg := "renamed"
+		if stmt.Action == "SWAP" {
+			rec = &persist.Record{Kind: persist.KindSwap, Swap: rr}
+			msg = "swapped"
 		}
-		ts := e.txns.Now()
-		if err := e.cat.Rename(stmt.Name, stmt.Target, ts); err != nil {
+		if err := e.execDDL(rec); err != nil {
 			return nil, err
 		}
-		e.logRenameSwap(persist.KindRename, stmt.Name, stmt.Target, ts)
-		return &Result{Kind: "ALTER", Message: "renamed"}, nil
-	case "SWAP":
-		ts := e.txns.Now()
-		if err := e.cat.Swap(stmt.Name, stmt.Target, ts); err != nil {
-			return nil, err
-		}
-		e.logRenameSwap(persist.KindSwap, stmt.Name, stmt.Target, ts)
-		return &Result{Kind: "ALTER", Message: "swapped"}, nil
+		return &Result{Kind: "ALTER", Message: msg}, nil
 	case "SUSPEND", "RESUME", "REFRESH", "SET_LAG", "SET_MODE":
 		entry, dt, err := e.dynamicTable(stmt.Name)
 		if err != nil {
@@ -879,29 +834,28 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 		if !e.cat.HasPrivilege(entry.ID, catalog.PrivOperate, role) {
 			return nil, fmt.Errorf("dyntables: role %q lacks OPERATE on %s", role, stmt.Name)
 		}
-		switch stmt.Action {
-		case "SUSPEND":
-			dt.Suspend()
-			e.logAlterDT(stmt.Name, "SUSPEND", nil)
-		case "RESUME":
-			dt.Resume()
-			e.logAlterDT(stmt.Name, "RESUME", nil)
-		case "REFRESH":
+		if stmt.Action == "REFRESH" {
 			// Durable via the refresh's own commit + frontier records.
 			if err := e.refreshAt(dt, e.clk.Now()); err != nil {
 				return nil, err
 			}
+			return &Result{Kind: "ALTER", Message: stmt.Action}, nil
+		}
+		rec := &persist.AlterDTRecord{Name: stmt.Name, Action: stmt.Action}
+		switch stmt.Action {
 		case "SET_LAG":
-			dt.Lag = *stmt.Lag
-			e.logAlterDT(stmt.Name, "SET_LAG", stmt.Lag)
-		case "SET_MODE":
-			// Per-DT override of the adaptive chooser: pinning to FULL or
-			// INCREMENTAL takes the DT out of adaptive control; setting it
-			// back to AUTO re-enters with a fresh (cold-start) decision.
-			if err := e.setRefreshMode(dt, *stmt.Mode); err != nil {
+			if err := checkTargetLag(*stmt.Lag); err != nil {
 				return nil, err
 			}
-			e.logAlterDTMode(stmt.Name, *stmt.Mode)
+			rec.LagKind = int(stmt.Lag.Kind)
+			rec.LagMicros = int64(stmt.Lag.Duration / time.Microsecond)
+		case "SET_MODE":
+			rec.Mode = int(*stmt.Mode)
+		}
+		if err := e.execDDL(&persist.Record{Kind: persist.KindAlterDT, AlterDT: rec}); err != nil {
+			return nil, err
+		}
+		if stmt.Action == "SET_MODE" {
 			return &Result{Kind: "ALTER",
 				Message: fmt.Sprintf("REFRESH_MODE = %s (effective %s)", stmt.Mode, dt.CurrentMode())}, nil
 		}
@@ -909,23 +863,6 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("dyntables: unsupported ALTER action %q", stmt.Action)
 	}
-}
-
-// setRefreshMode re-declares a DT's refresh mode under the exclusive
-// statement lock: it validates the pin against the current plan (an
-// INCREMENTAL pin on a non-incrementalizable query fails), installs the
-// new declared and static effective modes, and clears any sticky
-// adaptive decision so an AUTO re-declaration starts from a cold-start
-// decision.
-func (e *Engine) setRefreshMode(dt *core.DynamicTable, mode sql.RefreshMode) error {
-	effective, err := e.ctrl.StaticMode(dt, mode)
-	if err != nil {
-		return err
-	}
-	dt.DeclaredMode = mode
-	dt.EffectiveMode = effective
-	dt.ClearAdaptiveDecision()
-	return nil
 }
 
 // execAlterSystem applies engine-wide runtime tuning. It runs under the
