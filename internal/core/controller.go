@@ -9,12 +9,12 @@ import (
 	"time"
 
 	"dyntables/internal/adaptive"
-	"dyntables/internal/delta"
 	"dyntables/internal/exec"
 	"dyntables/internal/hlc"
 	"dyntables/internal/ivm"
 	"dyntables/internal/plan"
 	"dyntables/internal/sql"
+	"dyntables/internal/storage"
 	"dyntables/internal/trace"
 	"dyntables/internal/txn"
 	"dyntables/internal/types"
@@ -508,20 +508,10 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	rec.ScanBytes = counters.ScanBytes
 
 	// §6.1 validations 2 and 3: at most one row per ($ROW_ID, $ACTION),
-	// and never delete a row that does not exist.
+	// and never delete a row that does not exist. The second is the
+	// storage commit's own check, which reports *storage.ErrMissingRow.
 	if err := cs.ValidateWellFormed(); err != nil {
 		return rec, fmt.Errorf("core: %s: refresh produced ill-formed changes: %w", dt.Name, err)
-	}
-	current, err := dt.Storage.Rows(int64(dt.Storage.VersionCount()))
-	if err != nil {
-		return rec, err
-	}
-	for _, ch := range cs.Changes {
-		if ch.Action == delta.Delete {
-			if _, ok := current[ch.RowID]; !ok {
-				return rec, fmt.Errorf("core: %s: refresh deletes nonexistent row %s", dt.Name, ch.RowID)
-			}
-		}
 	}
 
 	ins, del := cs.Counts()
@@ -537,6 +527,10 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	}
 	commit, err := tx.Commit()
 	mergeSpan.End()
+	var missing *storage.ErrMissingRow
+	if errors.As(err, &missing) {
+		return rec, fmt.Errorf("core: %s: refresh deletes nonexistent row %s", dt.Name, missing.RowID)
+	}
 	if err != nil {
 		return rec, err
 	}

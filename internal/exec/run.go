@@ -58,7 +58,7 @@ type Context struct {
 	// the table version per §5.3).
 	RowsOf func(s *plan.Scan) (map[string]types.Row, error)
 	// BatchOf, when non-nil, returns the pinned contents for a scan as a
-	// shared columnar batch (sorted by row ID), enabling the vectorized
+	// shared columnar batch (in storage log order), enabling the vectorized
 	// Scan→Filter→Project→Limit fast path. Scans outside batchable
 	// chains use RowsOf.
 	BatchOf func(s *plan.Scan) (*types.Batch, error)

@@ -182,9 +182,7 @@ const (
 // CommitRecord logs one committed storage version: the change set (Apply),
 // the full contents (Overwrite), or nothing (data-equivalent maintenance).
 // Replaying commits in per-table order through the same Table methods
-// reproduces the version chain exactly, including the periodic snapshot
-// placement, because the table's snapshot counters are part of its
-// checkpointed state.
+// reproduces the version chain exactly.
 type CommitRecord struct {
 	TableKey int64         `json:"table_key"`
 	Kind     string        `json:"commit_kind"`

@@ -157,12 +157,10 @@ type WarehouseState struct {
 // so time travel over recovered tables is byte-for-byte identical to the
 // uninterrupted run.
 type TableState struct {
-	Key              int64          `json:"key"`
-	Schema           SchemaState    `json:"schema"`
-	SnapshotInterval int            `json:"snapshot_interval"`
-	SinceSnapshot    int            `json:"since_snapshot"`
-	RowSeq           int64          `json:"row_seq"`
-	Versions         []VersionState `json:"versions"`
+	Key      int64          `json:"key"`
+	Schema   SchemaState    `json:"schema"`
+	RowSeq   int64          `json:"row_seq"`
+	Versions []VersionState `json:"versions"`
 }
 
 // VersionState is one serialized storage version.
@@ -212,12 +210,10 @@ func DecodeRowMap(entries []RowEntry) (map[string]types.Row, error) {
 // key.
 func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 	out := TableState{
-		Key:              key,
-		Schema:           EncodeSchema(st.Schema),
-		SnapshotInterval: st.SnapshotInterval,
-		SinceSnapshot:    st.SinceSnapshot,
-		RowSeq:           st.RowSeq,
-		Versions:         make([]VersionState, len(st.Versions)),
+		Key:      key,
+		Schema:   EncodeSchema(st.Schema),
+		RowSeq:   st.RowSeq,
+		Versions: make([]VersionState, len(st.Versions)),
 	}
 	for i, v := range st.Versions {
 		vs := VersionState{
@@ -248,11 +244,9 @@ func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 // DecodeTable restores a storage table from its serialized state.
 func DecodeTable(st TableState) (*storage.Table, error) {
 	out := storage.TableState{
-		Schema:           DecodeSchema(st.Schema),
-		SnapshotInterval: st.SnapshotInterval,
-		SinceSnapshot:    st.SinceSnapshot,
-		RowSeq:           st.RowSeq,
-		Versions:         make([]*storage.Version, len(st.Versions)),
+		Schema:   DecodeSchema(st.Schema),
+		RowSeq:   st.RowSeq,
+		Versions: make([]*storage.Version, len(st.Versions)),
 	}
 	for i, vs := range st.Versions {
 		v := &storage.Version{

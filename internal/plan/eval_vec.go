@@ -143,21 +143,19 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 	var rightSel []int
 	var rightPos []int
 	lNull := make([]bool, n)
-	lTrue := make([]bool, n)
 	for i := 0; i < n; i++ {
-		lv := l.Value(i)
-		if !lv.IsNull() {
-			if lv.Kind() != types.KindBool {
-				return nil, fmt.Errorf("plan: %s requires BOOL, got %s", x.Op, lv.Kind())
-			}
-			if isAnd && !lv.Bool() {
+		lv, null, err := boolAt(l, i, x.Op)
+		if err != nil {
+			return nil, err
+		}
+		if !null {
+			if isAnd && !lv {
 				continue // decided: FALSE
 			}
-			if !isAnd && lv.Bool() {
+			if !isAnd && lv {
 				out[i] = true
 				continue // decided: TRUE
 			}
-			lTrue[i] = lv.Bool()
 		} else {
 			lNull[i] = true
 		}
@@ -170,14 +168,13 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 			return nil, err
 		}
 		for j, i := range rightPos {
-			rv := r.Value(j)
-			rNull := rv.IsNull()
-			if !rNull && rv.Kind() != types.KindBool {
-				return nil, fmt.Errorf("plan: %s requires BOOL, got %s", x.Op, rv.Kind())
+			rv, rNull, err := boolAt(r, j, x.Op)
+			if err != nil {
+				return nil, err
 			}
 			if isAnd {
 				switch {
-				case !rNull && !rv.Bool():
+				case !rNull && !rv:
 					// FALSE wins over the left's TRUE or NULL.
 				case lNull[i] || rNull:
 					setNull(i)
@@ -186,7 +183,7 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 				}
 			} else {
 				switch {
-				case !rNull && rv.Bool():
+				case !rNull && rv:
 					out[i] = true
 				case lNull[i] || rNull:
 					setNull(i)
@@ -197,6 +194,22 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 		}
 	}
 	return types.NewBoolVector(out, nulls), nil
+}
+
+// boolAt reads element i of an AND/OR operand, from the typed payload
+// when the vector has one.
+func boolAt(v *types.Vector, i int, op sql.BinaryOp) (val, null bool, err error) {
+	if v.Typed(types.KindBool) {
+		return v.Bools()[i], v.IsNull(i), nil
+	}
+	ev := v.Value(i)
+	if ev.IsNull() {
+		return false, true, nil
+	}
+	if ev.Kind() != types.KindBool {
+		return false, false, fmt.Errorf("plan: %s requires BOOL, got %s", op, ev.Kind())
+	}
+	return ev.Bool(), false, nil
 }
 
 // cmpToBool converts a three-way comparison result to the operator's

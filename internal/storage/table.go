@@ -1,13 +1,23 @@
 // Package storage implements the versioned table store underneath the
-// engine: copy-on-write table versions indexed by HLC commit timestamp,
-// change-set logs with periodic snapshots for time travel (§5.3), change
-// intervals for incremental refreshes (§5.5), zero-copy cloning (§3.4) and
-// data-equivalent maintenance versions that incremental readers skip
-// (§5.5.2).
+// engine: table versions indexed by HLC commit timestamp, change-set logs
+// for time travel (§5.3), change intervals for incremental refreshes
+// (§5.5), zero-copy cloning (§3.4) and data-equivalent maintenance
+// versions that incremental readers skip (§5.5.2).
+//
+// Every version of a table reads from one shared, append-only row log.
+// Each log entry carries the sequence of the version that inserted it and
+// of the one that deleted it, so a version is a shared base plus a change
+// log rather than a private copy: a commit appends its inserts and stamps
+// its deletes in place, which costs O(|Δ|), and any retained version
+// reads in one sequence-filtered pass over the log, or is derived from a
+// recently read neighbour. Scan order is log order, deterministic per
+// version. An overwrite starts a new log, and compaction folds away
+// entries no retained version can see.
 package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,16 +28,11 @@ import (
 	"dyntables/internal/types"
 )
 
-// DefaultSnapshotInterval is how many versions may accumulate between full
-// snapshots; time travel replays at most this many change sets.
-const DefaultSnapshotInterval = 32
-
-// rowsCacheSize bounds the per-table memo of materialized non-tip
-// versions. Concurrent refreshes repeatedly materialize the same handful
-// of historical versions (a delta's interval start, a window recompute's
-// boundary); memoizing the last few avoids replaying the change chain
-// from the nearest snapshot on every call.
-const rowsCacheSize = 4
+// memoSize bounds the per-table memo of materialized versions. Concurrent
+// refreshes over one source version (sibling DTs, a delta's interval start
+// and end) share one materialization and the column vectors an expression
+// builds on first use.
+const memoSize = 4
 
 // Version is one committed version of a table. Versions are immutable once
 // committed.
@@ -38,17 +43,20 @@ type Version struct {
 	// are totally ordered by it.
 	Commit hlc.Timestamp
 	// Changes transforms the previous version into this one. Empty for
-	// snapshots taken at creation and for data-equivalent versions.
+	// the creation version, overwrites and data-equivalent versions.
 	Changes delta.ChangeSet
-	// Overwrite marks an INSERT OVERWRITE: the version's contents replace
-	// everything before it. Snapshot holds the full contents.
+	// Overwrite marks an INSERT OVERWRITE (or a compaction fold): the
+	// version's contents replace everything before it. Snapshot holds the
+	// full contents.
 	Overwrite bool
 	// DataEquivalent marks background maintenance (reclustering,
 	// defragmentation) that rewrote storage without changing logical
 	// contents; incremental readers skip these versions (§5.5.2).
 	DataEquivalent bool
 	// Snapshot, when non-nil, is the fully materialized contents at this
-	// version. Present on overwrites and on periodic snapshot versions.
+	// version. Present on the creation version, on overwrites and on a
+	// compaction fold: the versions whose contents do not derive from the
+	// one before.
 	Snapshot map[string]types.Row
 	// RowCount is the number of live rows at this version.
 	RowCount int
@@ -63,6 +71,40 @@ var tableIDs atomic.Int64
 // the table lock held and must not call back into the table.
 type CommitSink interface {
 	TableCommitted(t *Table, v *Version, schema types.Schema)
+}
+
+// notDeleted is the delete sequence of an entry that is live at the tip.
+const notDeleted = math.MaxInt64
+
+// entry is one row of the log, visible at versions [ins, del). Only del
+// changes after the entry is appended: writers stamp it under the table
+// lock, and readers, which scan without the lock, load it.
+type entry struct {
+	id  string
+	row types.Row
+	ins int64
+	del atomic.Int64
+}
+
+func (e *entry) visibleAt(seq int64) bool {
+	return e.ins <= seq && seq < e.del.Load()
+}
+
+// segment is the row log of the versions from seq `from` up to the next
+// segment's start. Entries are appended in version order, so ins never
+// decreases along a segment. An overwrite starts a new segment; so does a
+// clone's first write, because the log it was cloned from belongs to
+// another table.
+type segment struct {
+	from    int64
+	entries []entry
+}
+
+// add appends an entry and returns its position.
+func (s *segment) add(id string, row types.Row, ins, del int64) int {
+	s.entries = append(s.entries, entry{id: id, row: row, ins: ins})
+	s.entries[len(s.entries)-1].del.Store(del)
+	return len(s.entries) - 1
 }
 
 // Table is a versioned collection of rows keyed by row ID. All methods are
@@ -87,29 +129,24 @@ type Table struct {
 	// rowSeq allocates row IDs for plain inserts.
 	rowSeq atomic.Int64
 
-	snapshotInterval int
-	sinceSnapshot    int
-
 	// sink, when set, observes every committed version (WAL emission).
 	sink CommitSink
 
-	// tip caches the materialized latest contents.
-	tip map[string]types.Row
-	// rowsCache memoizes recently materialized non-tip versions by seq;
-	// rowsCacheLRU orders the cached seqs oldest-use first for eviction.
-	// Versions are immutable once committed, so entries never go stale.
-	rowsCache    map[int64]map[string]types.Row
-	rowsCacheLRU []int64
+	// segs is the row log, oldest segment first; the last one holds the
+	// latest version. Segment structs are never shared between tables: a
+	// clone copies the headers, and never appends to a borrowed segment.
+	segs []*segment
+	// live maps each row ID live at the latest version to its position in
+	// the last segment. It is mutated in place under mu and never handed
+	// to readers. Nil while the last segment is borrowed from the table a
+	// clone was made from; the clone's first write takes its own copy.
+	live map[string]int
 
-	// batchTip caches the columnar batch of the latest version (seq
-	// batchTipSeq); batchCache/batchLRU memoize recent non-tip batches.
-	// Batches are immutable and shared across concurrent readers, so N
-	// sibling DTs scanning the same source version share one
-	// materialization.
-	batchTip    *types.Batch
-	batchTipSeq int64
-	batchCache  map[int64]*types.Batch
-	batchLRU    []int64
+	// memos holds recently materialized versions, least recently used
+	// first. Batches are immutable and shared across concurrent readers,
+	// so N sibling DTs scanning the same source version share one
+	// materialization, and the next version is derived from the last.
+	memos []*memo
 }
 
 // NewTable creates an empty table with the given schema. The table begins
@@ -117,16 +154,16 @@ type Table struct {
 // reads as of any later time resolve to a defined version.
 func NewTable(schema types.Schema, createdAt hlc.Timestamp) *Table {
 	t := &Table{
-		id:               tableIDs.Add(1),
-		schema:           schema,
-		snapshotInterval: DefaultSnapshotInterval,
+		id:     tableIDs.Add(1),
+		schema: schema,
+		segs:   []*segment{{from: 1}},
+		live:   map[string]int{},
 	}
 	t.versions = []*Version{{
 		Seq:      1,
 		Commit:   createdAt,
 		Snapshot: map[string]types.Row{},
 	}}
-	t.tip = map[string]types.Row{}
 	return t
 }
 
@@ -141,14 +178,12 @@ func (t *Table) SetCommitSink(s CommitSink) {
 }
 
 // TableState is the serializable form of a table: the complete version
-// chain plus the snapshot-cadence counters, enough to reconstruct a table
-// whose Rows(seq) match the original at every version.
+// chain, enough to reconstruct a table whose Rows(seq) match the original
+// at every version.
 type TableState struct {
-	Schema           types.Schema
-	SnapshotInterval int
-	SinceSnapshot    int
-	RowSeq           int64
-	Versions         []*Version
+	Schema   types.Schema
+	RowSeq   int64
+	Versions []*Version
 }
 
 // State exports the table's full state for checkpointing. Version structs
@@ -159,37 +194,55 @@ func (t *Table) State() TableState {
 	versions := make([]*Version, len(t.versions))
 	copy(versions, t.versions)
 	return TableState{
-		Schema:           t.schema,
-		SnapshotInterval: t.snapshotInterval,
-		SinceSnapshot:    t.sinceSnapshot,
-		RowSeq:           t.rowSeq.Load(),
-		Versions:         versions,
+		Schema:   t.schema,
+		RowSeq:   t.rowSeq.Load(),
+		Versions: versions,
 	}
 }
 
 // RestoreTable reconstructs a table from checkpointed state under a fresh
-// process-local ID. Replaying WAL commits against the restored table
-// reproduces the original chain exactly, because the snapshot-cadence
-// counters are part of the state.
+// process-local ID, rebuilding the row log by replaying the chain from its
+// first snapshot. Snapshots on plain change versions (the periodic
+// snapshots of older checkpoints) are dropped: the log reads every version
+// without them.
 func RestoreTable(st TableState) (*Table, error) {
 	if len(st.Versions) == 0 {
 		return nil, fmt.Errorf("storage: cannot restore table with no versions")
 	}
-	if st.Versions[0].Snapshot == nil {
+	first := st.Versions[0]
+	if first.Snapshot == nil {
 		return nil, fmt.Errorf("storage: restored chain must begin with a snapshot version")
 	}
 	t := &Table{
-		id:               tableIDs.Add(1),
-		schema:           st.Schema,
-		snapshotInterval: st.SnapshotInterval,
-		sinceSnapshot:    st.SinceSnapshot,
-		versions:         append([]*Version(nil), st.Versions...),
-		base:             st.Versions[0].Seq - 1,
-	}
-	if t.snapshotInterval <= 0 {
-		t.snapshotInterval = DefaultSnapshotInterval
+		id:       tableIDs.Add(1),
+		schema:   st.Schema,
+		versions: make([]*Version, 0, len(st.Versions)),
+		base:     first.Seq - 1,
 	}
 	t.rowSeq.Store(st.RowSeq)
+	t.startSegment(first.Seq, first.Snapshot)
+	t.versions = append(t.versions, first)
+	for _, v := range st.Versions[1:] {
+		switch {
+		case v.Overwrite:
+			if v.Snapshot == nil {
+				return nil, fmt.Errorf("storage: restored overwrite version %d has no snapshot", v.Seq)
+			}
+			t.startSegment(v.Seq, v.Snapshot)
+		case v.DataEquivalent:
+		default:
+			if v.Snapshot != nil {
+				cp := *v
+				cp.Snapshot = nil
+				v = &cp
+			}
+			if err := t.checkDeletes(v.Changes); err != nil {
+				return nil, fmt.Errorf("storage: restored version %d: %w", v.Seq, err)
+			}
+			t.appendChanges(v.Changes, v.Seq)
+		}
+		t.versions = append(t.versions, v)
+	}
 	return t, nil
 }
 
@@ -245,6 +298,10 @@ func (t *Table) versionBySeqLocked(seq int64) (*Version, error) {
 func (t *Table) VersionAsOf(ts hlc.Timestamp) (*Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.versionAsOfLocked(ts)
+}
+
+func (t *Table) versionAsOfLocked(ts hlc.Timestamp) (*Version, error) {
 	idx := sort.Search(len(t.versions), func(i int) bool {
 		return ts.Less(t.versions[i].Commit)
 	})
@@ -269,160 +326,165 @@ func (t *Table) VersionByCommit(ts hlc.Timestamp) (*Version, bool) {
 	return nil, false
 }
 
-// Rows materializes the full contents at the given version sequence.
-// The returned map must not be mutated.
-func (t *Table) Rows(seq int64) (map[string]types.Row, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rowsLocked(seq)
-}
-
-func (t *Table) rowsLocked(seq int64) (map[string]types.Row, error) {
-	if seq == t.base+int64(len(t.versions)) && t.tip != nil {
-		return t.tip, nil
-	}
-	if _, err := t.versionBySeqLocked(seq); err != nil {
-		return nil, err
-	}
-	if rows, ok := t.rowsCache[seq]; ok {
-		t.touchCachedRows(seq)
-		return rows, nil
-	}
-	// Find the nearest snapshot at or before seq (indexes below are into
-	// the retained slice; retained index i holds sequence base+i+1).
-	snapSeq := int64(0)
-	for i := seq - 1 - t.base; i >= 0; i-- {
-		if t.versions[i].Snapshot != nil {
-			snapSeq = t.base + i + 1
-			break
+// segmentFor returns the log segment that holds version seq (a retained
+// sequence). Callers hold t.mu.
+func (t *Table) segmentFor(seq int64) *segment {
+	for i := len(t.segs) - 1; i > 0; i-- {
+		if t.segs[i].from <= seq {
+			return t.segs[i]
 		}
 	}
-	if snapSeq == 0 {
-		return nil, fmt.Errorf("storage: table %d has no snapshot at or before version %d", t.id, seq)
+	return t.segs[0]
+}
+
+// Rows materializes the full contents at the given version sequence as a
+// fresh map. The returned map and its rows must not be mutated.
+func (t *Table) Rows(seq int64) (map[string]types.Row, error) {
+	b, err := t.Batch(seq)
+	if err != nil {
+		return nil, err
 	}
-	rows := t.versions[snapSeq-1-t.base].Snapshot
-	if snapSeq == seq {
-		return rows, nil
-	}
-	out := make(map[string]types.Row, len(rows))
-	for id, r := range rows {
-		out[id] = r
-	}
-	for i := snapSeq; i < seq; i++ {
-		applyChanges(out, t.versions[i-t.base].Changes)
-	}
-	if seq == t.base+int64(len(t.versions)) {
-		t.tip = out
-	} else {
-		t.cacheRows(seq, out)
+	ids, rows := b.IDs(), b.Rows()
+	out := make(map[string]types.Row, len(ids))
+	for i, id := range ids {
+		out[id] = rows[i]
 	}
 	return out, nil
 }
 
 // Batch materializes the contents at the given version sequence as a
-// shared columnar batch sorted by row ID. Batches are cached per version
-// (tip plus a small LRU), so concurrent readers of the same version —
-// parallel refresh workers evaluating sibling DTs over one source
-// version — share a single materialization. The returned batch and
-// everything reachable from it must not be mutated.
+// shared columnar batch in log order. A version after one memoized on the
+// same log is derived from it — its surviving rows and built columns plus
+// the entries inserted since — and any other is read in one pass over the
+// log. Either runs without the table lock, so commits proceed beside it,
+// and the result is memoized for the next reader of the same version. The
+// returned batch and everything reachable from it must not be mutated.
 func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.batchTip != nil && seq == t.batchTipSeq {
-		return t.batchTip, nil
-	}
-	if b, ok := t.batchCache[seq]; ok {
-		t.touchCachedBatch(seq)
-		return b, nil
-	}
-	rows, err := t.rowsLocked(seq)
+	v, err := t.versionBySeqLocked(seq)
 	if err != nil {
+		t.mu.Unlock()
 		return nil, err
 	}
-	b := types.BatchFromRowMap(t.schema, rows)
-	if seq == t.base+int64(len(t.versions)) {
-		// Demote the outgoing tip batch like cacheRows does for row maps.
-		if t.batchTip != nil {
-			t.cacheBatch(t.batchTipSeq, t.batchTip)
-		}
-		t.batchTip, t.batchTipSeq = b, seq
+	if m := t.memoFor(seq); m != nil {
+		t.mu.Unlock()
+		return m.b, nil
+	}
+	seg := t.segmentFor(seq)
+	schema, entries, base := t.schema, seg.entries, t.deriveBase(seq, seg)
+	t.mu.Unlock()
+
+	m := &memo{seq: seq, seg: seg}
+	if base != nil {
+		m.b, m.pos = derive(base, entries, seq, v.RowCount)
 	} else {
-		t.cacheBatch(seq, b)
+		ids, rows, pos := scan(entries, seq, v.RowCount)
+		m.b, m.pos = types.NewBatch(schema, ids, rows), pos
 	}
-	return b, nil
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cached := t.memoFor(seq); cached != nil {
+		// A concurrent reader got there first; share its materialization.
+		return cached.b, nil
+	}
+	if seq > t.base {
+		t.remember(m)
+	}
+	return m.b, nil
 }
 
-// cacheBatch memoizes a non-tip batch with the same LRU policy as
-// cacheRows. Callers hold t.mu.
-func (t *Table) cacheBatch(seq int64, b *types.Batch) {
-	if _, ok := t.batchCache[seq]; ok {
-		t.touchCachedBatch(seq)
-		return
-	}
-	if t.batchCache == nil {
-		t.batchCache = make(map[int64]*types.Batch, rowsCacheSize)
-	}
-	t.batchCache[seq] = b
-	t.batchLRU = append(t.batchLRU, seq)
-	if len(t.batchLRU) > rowsCacheSize {
-		evict := t.batchLRU[0]
-		t.batchLRU = t.batchLRU[1:]
-		delete(t.batchCache, evict)
-	}
+// memo is a materialized version: its batch, plus what deriving a later
+// version from it needs — the log segment it was read from and the entry
+// positions of its rows there (int32: an in-memory segment stays far
+// below 2^31 entries).
+type memo struct {
+	seq int64
+	b   *types.Batch
+	seg *segment
+	pos []int32
 }
 
-// touchCachedBatch marks a cached batch seq as most recently used.
-func (t *Table) touchCachedBatch(seq int64) {
-	for i, s := range t.batchLRU {
-		if s == seq {
-			copy(t.batchLRU[i:], t.batchLRU[i+1:])
-			t.batchLRU[len(t.batchLRU)-1] = seq
-			return
+// memoFor returns the memoized version seq, marking it most recently used,
+// or nil. Callers hold t.mu.
+func (t *Table) memoFor(seq int64) *memo {
+	for i, m := range t.memos {
+		if m.seq == seq {
+			copy(t.memos[i:], t.memos[i+1:])
+			t.memos[len(t.memos)-1] = m
+			return m
 		}
 	}
+	return nil
 }
 
-// cacheRows memoizes a materialized version, evicting the least recently
-// used entry beyond rowsCacheSize. Callers hold t.mu.
-func (t *Table) cacheRows(seq int64, rows map[string]types.Row) {
-	if _, ok := t.rowsCache[seq]; ok {
-		t.touchCachedRows(seq)
-		return
-	}
-	if t.rowsCache == nil {
-		t.rowsCache = make(map[int64]map[string]types.Row, rowsCacheSize)
-	}
-	t.rowsCache[seq] = rows
-	t.rowsCacheLRU = append(t.rowsCacheLRU, seq)
-	if len(t.rowsCacheLRU) > rowsCacheSize {
-		evict := t.rowsCacheLRU[0]
-		t.rowsCacheLRU = t.rowsCacheLRU[1:]
-		delete(t.rowsCache, evict)
-	}
-}
-
-// touchCachedRows marks a cached seq as most recently used.
-func (t *Table) touchCachedRows(seq int64) {
-	for i, s := range t.rowsCacheLRU {
-		if s == seq {
-			copy(t.rowsCacheLRU[i:], t.rowsCacheLRU[i+1:])
-			t.rowsCacheLRU[len(t.rowsCacheLRU)-1] = seq
-			return
+// deriveBase picks the memoized version a read of seq can be derived
+// from: the latest one before seq on the same segment, built with the
+// current schema. Callers hold t.mu.
+func (t *Table) deriveBase(seq int64, seg *segment) *memo {
+	var best *memo
+	for _, m := range t.memos {
+		if m.seg == seg && m.seq < seq && (best == nil || m.seq > best.seq) && m.b.Schema().Equal(t.schema) {
+			best = m
 		}
+	}
+	return best
+}
+
+// remember memoizes a version, evicting the least recently used beyond
+// memoSize. Callers hold t.mu.
+func (t *Table) remember(m *memo) {
+	t.memos = append(t.memos, m)
+	if len(t.memos) > memoSize {
+		t.memos = append(t.memos[:0], t.memos[1:]...)
 	}
 }
 
-func applyChanges(rows map[string]types.Row, cs delta.ChangeSet) {
-	for _, c := range cs.Changes {
-		if c.Action == delta.Delete {
-			delete(rows, c.RowID)
+// scan collects the IDs, rows and entry positions of the entries visible
+// at version seq, in log order; n is the version's row count. It reads
+// only immutable entry fields and atomic delete stamps, so it runs without
+// the table lock.
+func scan(entries []entry, seq int64, n int) ([]string, []types.Row, []int32) {
+	ids := make([]string, 0, n)
+	rows := make([]types.Row, 0, n)
+	pos := make([]int32, 0, n)
+	for i := range entries {
+		if e := &entries[i]; e.visibleAt(seq) {
+			ids = append(ids, e.id)
+			rows = append(rows, e.row)
+			pos = append(pos, int32(i))
 		}
 	}
-	for _, c := range cs.Changes {
-		if c.Action == delta.Insert {
-			rows[c.RowID] = c.Row
+	return ids, rows, pos
+}
+
+// derive builds version seq from an earlier memoized version on the same
+// segment: the rows of that version not deleted by seq, then the entries
+// inserted after it and visible at seq. Entries are appended in version
+// order, so the inserted ones follow the surviving ones in the log, and
+// the result is in log order exactly as a scan would produce it. The cost
+// is the memoized version's row count plus the entries inserted since,
+// and columns the memoized batch had built are carried over.
+func derive(from *memo, entries []entry, seq int64, n int) (*types.Batch, []int32) {
+	keep := make([]int, 0, len(from.pos))
+	pos := make([]int32, 0, n)
+	for i, p := range from.pos {
+		if entries[p].del.Load() > seq {
+			keep = append(keep, i)
+			pos = append(pos, p)
 		}
 	}
+	var ids []string
+	var rows []types.Row
+	first := sort.Search(len(entries), func(i int) bool { return entries[i].ins > from.seq })
+	for i := first; i < len(entries) && entries[i].ins <= seq; i++ {
+		if e := &entries[i]; e.visibleAt(seq) {
+			ids = append(ids, e.id)
+			rows = append(rows, e.row)
+			pos = append(pos, int32(i))
+		}
+	}
+	return from.b.Extend(keep, ids, rows), pos
 }
 
 // RowCount returns the number of live rows at the latest version.
@@ -430,9 +492,22 @@ func (t *Table) RowCount() int {
 	return t.LatestVersion().RowCount
 }
 
+// ErrMissingRow reports a change set that deletes a row the latest
+// version does not hold — the §6.1 invariant every commit validates.
+type ErrMissingRow struct {
+	RowID string
+}
+
+// Error implements error.
+func (e *ErrMissingRow) Error() string {
+	return fmt.Sprintf("storage: change set deletes nonexistent row %s", e.RowID)
+}
+
 // Apply commits a change set as a new version with the given commit
 // timestamp and returns the new version. It validates the §6.1 invariant
-// that no change set deletes a row that does not exist.
+// that no change set deletes a row that does not exist (*ErrMissingRow).
+// The cost is O(|Δ|): the change set is appended to the row log and its
+// deletes are stamped in place.
 func (t *Table) Apply(cs delta.ChangeSet, commit hlc.Timestamp) (*Version, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -440,49 +515,116 @@ func (t *Table) Apply(cs delta.ChangeSet, commit hlc.Timestamp) (*Version, error
 	if !last.Commit.Less(commit) {
 		return nil, fmt.Errorf("storage: commit %s does not advance past %s", commit, last.Commit)
 	}
-	tip, err := t.rowsLocked(last.Seq)
-	if err != nil {
+	t.ownLog()
+	if err := t.checkDeletes(cs); err != nil {
 		return nil, err
 	}
-	for _, c := range cs.Changes {
-		if c.Action == delta.Delete {
-			if _, ok := tip[c.RowID]; !ok {
-				return nil, fmt.Errorf("storage: change set deletes nonexistent row %s", c.RowID)
-			}
-		}
-	}
-	newTip := make(map[string]types.Row, len(tip)+len(cs.Changes))
-	for id, r := range tip {
-		newTip[id] = r
-	}
-	applyChanges(newTip, cs)
-
-	v := &Version{
-		Seq:      last.Seq + 1,
-		Commit:   commit,
-		Changes:  cs,
-		RowCount: len(newTip),
-	}
-	t.sinceSnapshot++
-	if t.sinceSnapshot >= t.snapshotInterval {
-		v.Snapshot = newTip
-		t.sinceSnapshot = 0
-	}
-	t.versions = append(t.versions, v)
-	// The outgoing tip is the incoming refresh interval's start version;
-	// keep it warm for the incremental readers about to ask for it.
-	if t.tip != nil {
-		t.cacheRows(last.Seq, t.tip)
-	}
-	t.tip = newTip
-	if t.sink != nil {
-		t.sink.TableCommitted(t, v, t.schema)
-	}
+	v := &Version{Seq: last.Seq + 1, Commit: commit, Changes: cs}
+	t.appendChanges(cs, v.Seq)
+	v.RowCount = len(t.live)
+	t.commitLocked(v)
 	return v, nil
 }
 
+// checkDeletes rejects a change set that deletes a row not live at the
+// latest version. Callers hold t.mu and own the last segment.
+func (t *Table) checkDeletes(cs delta.ChangeSet) error {
+	for _, c := range cs.Changes {
+		if c.Action == delta.Delete {
+			if _, ok := t.live[c.RowID]; !ok {
+				return &ErrMissingRow{RowID: c.RowID}
+			}
+		}
+	}
+	return nil
+}
+
+// appendChanges records version seq's change set in the last segment:
+// deletes first, then inserts, as a change set applies. An insert of a row
+// ID that is still live replaces that row. Callers hold t.mu and own the
+// last segment.
+func (t *Table) appendChanges(cs delta.ChangeSet, seq int64) {
+	seg := t.segs[len(t.segs)-1]
+	for _, c := range cs.Changes {
+		if c.Action == delta.Delete {
+			t.retire(seg, c.RowID, seq)
+		}
+	}
+	for _, c := range cs.Changes {
+		if c.Action == delta.Insert {
+			t.retire(seg, c.RowID, seq)
+			t.live[c.RowID] = seg.add(c.RowID, c.Row, seq, notDeleted)
+		}
+	}
+}
+
+// retire stamps the live entry for id, if any, as deleted at seq.
+func (t *Table) retire(seg *segment, id string, seq int64) {
+	if pos, ok := t.live[id]; ok {
+		seg.entries[pos].del.Store(seq)
+		delete(t.live, id)
+	}
+}
+
+// ownLog gives a clone its own last segment before its first write: the
+// rows live at the latest version, copied out of the borrowed log. It is a
+// no-op on a table that already owns its log. Callers hold t.mu.
+func (t *Table) ownLog() {
+	if t.live != nil {
+		return
+	}
+	seq := t.base + int64(len(t.versions))
+	src := t.segmentFor(seq).entries
+	own := &segment{from: seq, entries: make([]entry, 0, t.versions[len(t.versions)-1].RowCount)}
+	t.live = make(map[string]int, cap(own.entries))
+	for i := range src {
+		if e := &src[i]; e.visibleAt(seq) {
+			t.live[e.id] = own.add(e.id, e.row, e.ins, notDeleted)
+		}
+	}
+	t.replaceSegmentsFrom(seq, own)
+}
+
+// startSegment begins a new log at version seq holding rows, in row ID
+// order so that the scan order is a function of the contents. Callers
+// hold t.mu.
+func (t *Table) startSegment(seq int64, rows map[string]types.Row) {
+	ids := make([]string, 0, len(rows))
+	for id := range rows {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	seg := &segment{from: seq, entries: make([]entry, 0, len(ids))}
+	t.live = make(map[string]int, len(ids))
+	for _, id := range ids {
+		t.live[id] = seg.add(id, rows[id], seq, notDeleted)
+	}
+	t.replaceSegmentsFrom(seq, seg)
+}
+
+// replaceSegmentsFrom installs seg as the last segment, replacing any
+// segment that starts at or after its first version (only ever one that
+// starts exactly there, and only on an empty or borrowed log).
+func (t *Table) replaceSegmentsFrom(seq int64, seg *segment) {
+	n := len(t.segs)
+	for n > 0 && t.segs[n-1].from >= seq {
+		n--
+	}
+	t.segs = append(t.segs[:n], seg)
+}
+
+// commitLocked appends a committed version and notifies the sink.
+// Callers hold t.mu.
+func (t *Table) commitLocked(v *Version) {
+	t.versions = append(t.versions, v)
+	if t.sink != nil {
+		t.sink.TableCommitted(t, v, t.schema)
+	}
+}
+
 // Overwrite commits a full replacement of the table's contents (INSERT
-// OVERWRITE, used by FULL refreshes and reinitializations, §5.4).
+// OVERWRITE, used by FULL refreshes and reinitializations, §5.4). It
+// starts a new row log; earlier versions keep reading the old one.
 func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Version, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -501,12 +643,8 @@ func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Ver
 		Snapshot:  snap,
 		RowCount:  len(snap),
 	}
-	t.versions = append(t.versions, v)
-	t.tip = snap
-	t.sinceSnapshot = 0
-	if t.sink != nil {
-		t.sink.TableCommitted(t, v, t.schema)
-	}
+	t.startSegment(v.Seq, snap)
+	t.commitLocked(v)
 	return v, nil
 }
 
@@ -519,17 +657,15 @@ func (t *Table) AppendDataEquivalent(commit hlc.Timestamp) (*Version, error) {
 	if !last.Commit.Less(commit) {
 		return nil, fmt.Errorf("storage: commit %s does not advance past %s", commit, last.Commit)
 	}
+	// The new version reads the last segment, so a clone must own it.
+	t.ownLog()
 	v := &Version{
 		Seq:            last.Seq + 1,
 		Commit:         commit,
 		DataEquivalent: true,
 		RowCount:       last.RowCount,
 	}
-	t.versions = append(t.versions, v)
-	t.sinceSnapshot++
-	if t.sink != nil {
-		t.sink.TableCommitted(t, v, t.schema)
-	}
+	t.commitLocked(v)
 	return v, nil
 }
 
@@ -639,18 +775,18 @@ func (t *Table) ChangeVolume(fromSeq, toSeq int64) int64 {
 
 // Footprint is a table's in-memory accounting: how much the version
 // chain holds beyond the live tip. These are the signals a compaction
-// pass gates on — chain rows and interior snapshots are what trimming
-// old versions would reclaim.
+// pass gates on — chain rows and interior snapshots are what trimming old
+// versions would reclaim.
 type Footprint struct {
 	// Versions is the number of live versions in the chain.
 	Versions int
 	// LiveRows is the row count at the latest version.
 	LiveRows int64
 	// ChainRows counts the change rows pending across all versions'
-	// change sets (the per-version deltas time travel replays).
+	// change sets (the per-version deltas incremental readers consume).
 	ChainRows int64
-	// SnapshotRows counts rows pinned by materialized snapshots,
-	// including the tip's.
+	// SnapshotRows counts rows pinned by materialized snapshots (the
+	// creation version, overwrites and a compaction fold).
 	SnapshotRows int64
 	// Bytes estimates the total in-memory size of chain change rows and
 	// snapshot rows (types.Row.ApproxBytes; an accounting estimate).
@@ -686,33 +822,34 @@ func (t *Table) FootprintStats() Footprint {
 }
 
 // Clone returns a zero-copy clone: a new table whose version chain shares
-// every committed version with the original. Subsequent writes to either
-// table diverge (§3.4). The clone's first own version is stamped at the
-// clone time.
+// every committed version with the original, and whose reads share the
+// original's row log. Subsequent writes to either table diverge (§3.4):
+// the clone's first write copies the rows live at its latest version into
+// a log of its own. The clone's first own version is stamped at the clone
+// time.
 func (t *Table) Clone(at hlc.Timestamp) (*Table, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	src, err := func() (*Version, error) {
-		idx := sort.Search(len(t.versions), func(i int) bool {
-			return at.Less(t.versions[i].Commit)
-		})
-		if idx == 0 {
-			return nil, fmt.Errorf("storage: table %d has no version at or before %s", t.id, at)
-		}
-		return t.versions[idx-1], nil
-	}()
+	src, err := t.versionAsOfLocked(at)
 	if err != nil {
 		return nil, err
 	}
 	clone := &Table{
-		id:               tableIDs.Add(1),
-		schema:           t.schema,
-		snapshotInterval: t.snapshotInterval,
-		base:             t.base,
+		id:     tableIDs.Add(1),
+		schema: t.schema,
+		base:   t.base,
 	}
 	// Share the version chain prefix (metadata-only copy).
 	clone.versions = make([]*Version, src.Seq-t.base)
 	copy(clone.versions, t.versions[:src.Seq-t.base])
+	// Borrow the segments the prefix reads. Each copy is a header of the
+	// clone's own, so this table's later appends stay out of its view.
+	for _, s := range t.segs {
+		if s.from > src.Seq {
+			break
+		}
+		clone.segs = append(clone.segs, &segment{from: s.from, entries: s.entries})
+	}
 	clone.rowSeq.Store(t.rowSeq.Load())
 	return clone, nil
 }
@@ -800,11 +937,11 @@ func (t *Table) pinnedFloorLocked() int64 {
 	return min
 }
 
-// Compact folds the version chain below horizon: change sets of versions
-// with Seq < horizon are folded into a single materialized snapshot at
-// horizon, and those versions become unreadable (Rows returns
-// *ErrCompacted; change intervals starting below the horizon report
-// *ErrOverwritten so incremental readers reinitialize). The horizon is
+// Compact folds the version chain below horizon: versions with Seq <
+// horizon become unreadable (Rows returns *ErrCompacted; change intervals
+// starting below the horizon report *ErrOverwritten so incremental readers
+// reinitialize), the version at horizon becomes a snapshot, and the row
+// log drops every entry deleted at or before horizon. The horizon is
 // clamped to the oldest pinned sequence and to the latest version, so a
 // pinned snapshot — an open cursor's version — always stays byte-stable.
 // It returns the effective horizon after clamping (the new oldest
@@ -824,13 +961,14 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	if h <= t.base+1 {
 		return t.base + 1, 0, nil
 	}
-	rows, err := t.rowsLocked(h)
-	if err != nil {
-		return 0, 0, err
-	}
 	orig, err := t.versionBySeqLocked(h)
 	if err != nil {
 		return 0, 0, err
+	}
+	ids, rs, _ := scan(t.segmentFor(h).entries, h, orig.RowCount)
+	rows := make(map[string]types.Row, len(ids))
+	for i, id := range ids {
+		rows[id] = rs[i]
 	}
 	// The folded version is a fresh struct — version structs are shared
 	// with clones and exported checkpoints and must never be mutated.
@@ -851,38 +989,56 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	newVersions = append(newVersions, kept...)
 	t.versions = newVersions
 	t.base = h - 1
-	// Drop caches below the new horizon; entries at or above it stay
-	// valid (contents per sequence are unchanged).
-	for seq := range t.rowsCache {
-		if seq < h {
-			delete(t.rowsCache, seq)
-			for i, s := range t.rowsCacheLRU {
-				if s == seq {
-					t.rowsCacheLRU = append(t.rowsCacheLRU[:i], t.rowsCacheLRU[i+1:]...)
-					break
-				}
-			}
+	t.foldLog(h)
+	// Memoized versions below the new horizon are unreadable now; those at
+	// or above it stay valid (contents per sequence are unchanged), but a
+	// memo of a folded segment lets go of it: its positions no longer
+	// match any retained log, so nothing can be derived from it.
+	memos := t.memos[:0]
+	for _, m := range t.memos {
+		switch {
+		case m.seq < h:
+		case m.seg == t.segmentFor(m.seq):
+			memos = append(memos, m)
+		default:
+			memos = append(memos, &memo{seq: m.seq, b: m.b})
 		}
 	}
-	for seq := range t.batchCache {
-		if seq < h {
-			delete(t.batchCache, seq)
-			for i, s := range t.batchLRU {
-				if s == seq {
-					t.batchLRU = append(t.batchLRU[:i], t.batchLRU[i+1:]...)
-					break
-				}
-			}
-		}
-	}
+	t.memos = memos
 	return h, dropped, nil
 }
 
-// SetSnapshotInterval overrides the snapshot cadence (testing knob).
-func (t *Table) SetSnapshotInterval(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > 0 {
-		t.snapshotInterval = n
+// foldLog drops the segments that only versions below h read and, from
+// the segment holding h, every entry deleted at or before h. The folded
+// segment is a fresh slice (readers scanning the old one are unaffected),
+// so the live index of an owned last segment is rebuilt. Callers hold
+// t.mu.
+func (t *Table) foldLog(h int64) {
+	first := len(t.segs) - 1
+	for first > 0 && t.segs[first].from > h {
+		first--
 	}
+	owned := first == len(t.segs)-1 && t.live != nil
+	old := t.segs[first]
+	folded := &segment{from: h, entries: make([]entry, 0, len(old.entries))}
+	if owned {
+		t.live = make(map[string]int, len(t.live))
+	}
+	for i := range old.entries {
+		e := &old.entries[i]
+		if del := e.del.Load(); del > h {
+			pos := folded.add(e.id, e.row, e.ins, del)
+			if owned && del == notDeleted {
+				t.live[e.id] = pos
+			}
+		}
+	}
+	segs := make([]*segment, 0, len(t.segs)-first)
+	segs = append(segs, folded)
+	t.segs = append(segs, t.segs[first+1:]...)
 }
+
+// SetSnapshotInterval is retained for callers of the periodic-snapshot
+// chain this package used to keep; the row log reads every version in one
+// pass, so there is no snapshot cadence to set.
+func (t *Table) SetSnapshotInterval(n int) {}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -99,8 +98,13 @@ func TestDeleteNonexistentRowRejected(t *testing.T) {
 	tb := newTestTable()
 	var cs delta.ChangeSet
 	cs.AddDelete("ghost", intRow(0))
-	if _, err := tb.Apply(cs, ts(5)); err == nil {
-		t.Error("deleting a nonexistent row must fail (§6.1 validation)")
+	_, err := tb.Apply(cs, ts(5))
+	var missing *ErrMissingRow
+	if !errors.As(err, &missing) || missing.RowID != "ghost" {
+		t.Errorf("deleting a nonexistent row must fail with *ErrMissingRow (§6.1 validation), got %v", err)
+	}
+	if tb.VersionCount() != 1 {
+		t.Errorf("rejected change set committed a version: %d versions", tb.VersionCount())
 	}
 }
 
@@ -300,78 +304,47 @@ func TestNextRowIDUniqueAndPrefixed(t *testing.T) {
 	}
 }
 
-func rowsPtr(m map[string]types.Row) uintptr {
-	return reflect.ValueOf(m).Pointer()
-}
-
-func TestRowsMemoizesRecentVersions(t *testing.T) {
+// TestBatchSharedAcrossReadersAndCommits checks what the version memo is
+// for: readers of one version share a single materialization, and the
+// outgoing tip — the next refresh interval's start version — still reads
+// from that materialization after a commit.
+func TestBatchSharedAcrossReadersAndCommits(t *testing.T) {
 	tb := newTestTable()
-	tb.SetSnapshotInterval(1000) // no intermediate snapshots: replay is real work
-	for i := int64(0); i < 20; i++ {
-		apply(t, tb, 10+i, func(cs *delta.ChangeSet) {
-			cs.AddInsert(tb.NextRowID(), intRow(i))
-		})
-	}
-	// A historical version materializes once and is served from the memo
-	// afterwards (same map, not a recomputed copy).
-	first, err := tb.Rows(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := tb.Rows(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsPtr(first) != rowsPtr(second) {
-		t.Error("repeated Rows(seq) recomputed instead of serving the memo")
-	}
-	if len(first) != 9 {
-		t.Errorf("Rows(10) has %d rows, want 9", len(first))
-	}
-
-	// The memo holds the last rowsCacheSize versions; one beyond that
-	// evicts the least recently used and recomputes it on return.
-	seqs := []int64{5, 6, 7, 8, 10} // 10 was cached above; 4 extra entries evict it
-	for _, seq := range seqs[:4] {
-		if _, err := tb.Rows(seq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	third, err := tb.Rows(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsPtr(third) == rowsPtr(first) {
-		t.Error("LRU eviction did not drop the oldest memo entry")
-	}
-	if len(third) != len(first) {
-		t.Errorf("recomputed version differs: %d vs %d rows", len(third), len(first))
-	}
-}
-
-func TestRowsMemoKeepsOutgoingTipWarm(t *testing.T) {
-	tb := newTestTable()
-	tb.SetSnapshotInterval(1000)
 	for i := int64(0); i < 5; i++ {
 		apply(t, tb, 10+i, func(cs *delta.ChangeSet) {
 			cs.AddInsert(tb.NextRowID(), intRow(i))
 		})
 	}
-	tip, err := tb.Rows(int64(tb.VersionCount()))
+	tipSeq := int64(tb.VersionCount())
+	first, err := tb.Batch(tipSeq)
 	if err != nil {
 		t.Fatal(err)
+	}
+	second, err := tb.Batch(tipSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Error("repeated Batch(seq) rebuilt the version instead of sharing it")
 	}
 	apply(t, tb, 50, func(cs *delta.ChangeSet) {
 		cs.AddInsert(tb.NextRowID(), intRow(99))
 	})
-	// The pre-commit tip — an incremental reader's interval start — is
-	// served from the memo without replaying the chain.
-	prev, err := tb.Rows(int64(tb.VersionCount()) - 1)
+	prev, err := tb.Batch(tipSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowsPtr(prev) != rowsPtr(tip) {
-		t.Error("outgoing tip was not kept warm for interval-start readers")
+	if prev != first || prev.Len() != 5 {
+		t.Errorf("outgoing tip after a commit: shared=%v, %d rows (want 5)", prev == first, prev.Len())
+	}
+	rows, err := tb.Rows(tipSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range prev.IDs() {
+		if !rows[id].Equal(prev.Row(i)) {
+			t.Errorf("Rows(%d)[%s] = %v, batch holds %v", tipSeq, id, rows[id], prev.Row(i))
+		}
 	}
 }
 

@@ -141,6 +141,19 @@ func (t *Txn) Read(table *storage.Table) (map[string]types.Row, error) {
 	return table.Rows(seq)
 }
 
+// ReadBatch returns the table's contents visible to this transaction as
+// the version's shared columnar batch. The batch must not be mutated.
+func (t *Txn) ReadBatch(table *storage.Table) (*types.Batch, error) {
+	if t.finished {
+		return nil, ErrFinished
+	}
+	seq, err := t.PinVersion(table)
+	if err != nil {
+		return nil, err
+	}
+	return table.Batch(seq)
+}
+
 // Write stages a change set against the table.
 func (t *Txn) Write(table *storage.Table, cs delta.ChangeSet) error {
 	if t.finished {

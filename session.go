@@ -378,10 +378,14 @@ func (s *Session) execStatementLocked(ctx context.Context, stmt sql.Statement, p
 // exclude concurrent readers. SHOW and EXPLAIN only read engine
 // metadata, so they run as parallel readers like queries.
 func isDDL(stmt sql.Statement) bool {
-	switch stmt.(type) {
+	switch s := stmt.(type) {
 	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt,
 		*sql.ShowStmt, *sql.ExplainStmt:
 		return false
+	case *sql.AlterStmt:
+		// ALTER DYNAMIC TABLE … REFRESH is a manual refresh: it runs beside
+		// other statements, as Session.ManualRefresh and scheduler waves do.
+		return s.Action != "REFRESH"
 	default:
 		return true
 	}

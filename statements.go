@@ -17,6 +17,7 @@ import (
 	"dyntables/internal/plan"
 	"dyntables/internal/sql"
 	"dyntables/internal/storage"
+	"dyntables/internal/txn"
 	"dyntables/internal/types"
 	"dyntables/internal/warehouse"
 )
@@ -679,29 +680,17 @@ func (x *executor) execUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 	}
 
 	tx := e.txns.Begin()
-	rows, err := tx.Read(table)
+	ev := &plan.EvalContext{Now: e.clk.Now(), Params: x.params}
+	b, sel, err := x.dmlTargets(tx, table, where, ev)
 	if err != nil {
 		tx.Abort()
 		return nil, err
 	}
-	ev := &plan.EvalContext{Now: e.clk.Now(), Params: x.params}
+	ids, rows := b.IDs(), b.Rows()
 	var cs delta.ChangeSet
 	affected := 0
-	for id, row := range rows {
-		if err := x.canceled(); err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		if where != nil {
-			ok, err := plan.EvalBool(where, row, ev)
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	for _, i := range sel {
+		row := rows[i]
 		newRow := row.Clone()
 		for _, a := range assignments {
 			v, err := plan.Eval(a.Expr, row, ev)
@@ -717,8 +706,8 @@ func (x *executor) execUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 			newRow[a.ColumnIdx] = coerced
 		}
 		if !newRow.Equal(row) {
-			cs.AddDelete(id, row)
-			cs.AddInsert(id, newRow)
+			cs.AddDelete(ids[i], row)
+			cs.AddInsert(ids[i], newRow)
 			affected++
 		}
 	}
@@ -730,6 +719,29 @@ func (x *executor) execUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Kind: "UPDATE", RowsAffected: affected}, nil
+}
+
+// dmlTargets selects the rows an UPDATE or DELETE touches:
+// Filter(where) ∘ Scan on the columnar path, over the batch of the table
+// version the transaction reads. It returns the batch and the positions
+// of the matching rows, in scan order; a nil where matches every row.
+func (x *executor) dmlTargets(tx *txn.Txn, table *storage.Table, where plan.Expr, ev *plan.EvalContext) (*types.Batch, []int, error) {
+	b, err := tx.ReadBatch(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	if where == nil {
+		sel := make([]int, b.Len())
+		for i := range sel {
+			sel[i] = i
+		}
+		return b, sel, nil
+	}
+	sel, err := plan.FilterVec(where, b, nil, ev)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, sel, x.canceled()
 }
 
 func (x *executor) execDelete(stmt *sql.DeleteStmt) (*Result, error) {
@@ -745,29 +757,15 @@ func (x *executor) execDelete(stmt *sql.DeleteStmt) (*Result, error) {
 	}
 
 	tx := e.txns.Begin()
-	rows, err := tx.Read(table)
+	b, sel, err := x.dmlTargets(tx, table, where, &plan.EvalContext{Now: e.clk.Now(), Params: x.params})
 	if err != nil {
 		tx.Abort()
 		return nil, err
 	}
-	ev := &plan.EvalContext{Now: e.clk.Now(), Params: x.params}
+	ids, rows := b.IDs(), b.Rows()
 	var cs delta.ChangeSet
-	for id, row := range rows {
-		if err := x.canceled(); err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		if where != nil {
-			ok, err := plan.EvalBool(where, row, ev)
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		cs.AddDelete(id, row)
+	for _, i := range sel {
+		cs.AddDelete(ids[i], rows[i])
 	}
 	affected := cs.Len()
 	if err := tx.Write(table, cs); err != nil {
@@ -825,7 +823,13 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Kind: "ALTER", Message: msg}, nil
-	case "SUSPEND", "RESUME", "REFRESH", "SET_LAG", "SET_MODE":
+	case "REFRESH":
+		// Durable via the refresh's own commit + frontier records.
+		if err := x.manualRefresh(stmt.Name); err != nil {
+			return nil, err
+		}
+		return &Result{Kind: "ALTER", Message: stmt.Action}, nil
+	case "SUSPEND", "RESUME", "SET_LAG", "SET_MODE":
 		entry, dt, err := e.dynamicTable(stmt.Name)
 		if err != nil {
 			return nil, err
@@ -833,13 +837,6 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 		role := x.s.Role()
 		if !e.cat.HasPrivilege(entry.ID, catalog.PrivOperate, role) {
 			return nil, fmt.Errorf("dyntables: role %q lacks OPERATE on %s", role, stmt.Name)
-		}
-		if stmt.Action == "REFRESH" {
-			// Durable via the refresh's own commit + frontier records.
-			if err := e.refreshAt(dt, e.clk.Now()); err != nil {
-				return nil, err
-			}
-			return &Result{Kind: "ALTER", Message: stmt.Action}, nil
 		}
 		rec := &persist.AlterDTRecord{Name: stmt.Name, Action: stmt.Action}
 		switch stmt.Action {
