@@ -182,6 +182,11 @@ func EncodeRowMap(rows map[string]types.Row) ([]RowEntry, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	return encodeRows(rows, ids)
+}
+
+// encodeRows serializes the rows with the given IDs, in that order.
+func encodeRows(rows map[string]types.Row, ids []string) ([]RowEntry, error) {
 	out := make([]RowEntry, 0, len(rows))
 	for _, id := range ids {
 		row, err := EncodeRow(rows[id])
@@ -204,6 +209,22 @@ func DecodeRowMap(entries []RowEntry) (map[string]types.Row, error) {
 		out[e.ID] = row
 	}
 	return out, nil
+}
+
+// snapshotOrder returns the row IDs of a serialized snapshot in written
+// order, or nil when that is row ID order (every snapshot but a
+// compaction fold's).
+func snapshotOrder(entries []RowEntry) []string {
+	for i := 1; i < len(entries); i++ {
+		if entries[i].ID < entries[i-1].ID {
+			ids := make([]string, len(entries))
+			for j, e := range entries {
+				ids[j] = e.ID
+			}
+			return ids
+		}
+	}
+	return nil
 }
 
 // EncodeTable serializes a storage table's full state under the stable
@@ -230,7 +251,12 @@ func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 		vs.Changes = changes
 		if v.Snapshot != nil {
 			vs.HasSnapshot = true
+			// A compaction fold's snapshot is written in its scan order, so
+			// the restored log scans as the live one did.
 			snap, err := EncodeRowMap(v.Snapshot)
+			if v.SnapshotOrder != nil {
+				snap, err = encodeRows(v.Snapshot, v.SnapshotOrder)
+			}
 			if err != nil {
 				return out, err
 			}
@@ -266,7 +292,7 @@ func DecodeTable(st TableState) (*storage.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			v.Snapshot = snap
+			v.Snapshot, v.SnapshotOrder = snap, snapshotOrder(vs.Snapshot)
 		}
 		out.Versions[i] = v
 	}

@@ -144,15 +144,15 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 	var rightPos []int
 	lNull := make([]bool, n)
 	for i := 0; i < n; i++ {
-		lv, null, err := boolAt(l, i, x.Op)
-		if err != nil {
-			return nil, err
-		}
-		if !null {
-			if isAnd && !lv {
+		lv := l.Value(i)
+		if !lv.IsNull() {
+			if lv.Kind() != types.KindBool {
+				return nil, fmt.Errorf("plan: %s requires BOOL, got %s", x.Op, lv.Kind())
+			}
+			if isAnd && !lv.Bool() {
 				continue // decided: FALSE
 			}
-			if !isAnd && lv {
+			if !isAnd && lv.Bool() {
 				out[i] = true
 				continue // decided: TRUE
 			}
@@ -168,13 +168,14 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 			return nil, err
 		}
 		for j, i := range rightPos {
-			rv, rNull, err := boolAt(r, j, x.Op)
-			if err != nil {
-				return nil, err
+			rv := r.Value(j)
+			rNull := rv.IsNull()
+			if !rNull && rv.Kind() != types.KindBool {
+				return nil, fmt.Errorf("plan: %s requires BOOL, got %s", x.Op, rv.Kind())
 			}
 			if isAnd {
 				switch {
-				case !rNull && !rv:
+				case !rNull && !rv.Bool():
 					// FALSE wins over the left's TRUE or NULL.
 				case lNull[i] || rNull:
 					setNull(i)
@@ -183,7 +184,7 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 				}
 			} else {
 				switch {
-				case !rNull && rv:
+				case !rNull && rv.Bool():
 					out[i] = true
 				case lNull[i] || rNull:
 					setNull(i)
@@ -194,22 +195,6 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 		}
 	}
 	return types.NewBoolVector(out, nulls), nil
-}
-
-// boolAt reads element i of an AND/OR operand, from the typed payload
-// when the vector has one.
-func boolAt(v *types.Vector, i int, op sql.BinaryOp) (val, null bool, err error) {
-	if v.Typed(types.KindBool) {
-		return v.Bools()[i], v.IsNull(i), nil
-	}
-	ev := v.Value(i)
-	if ev.IsNull() {
-		return false, true, nil
-	}
-	if ev.Kind() != types.KindBool {
-		return false, false, fmt.Errorf("plan: %s requires BOOL, got %s", op, ev.Kind())
-	}
-	return ev.Bool(), false, nil
 }
 
 // cmpToBool converts a three-way comparison result to the operator's

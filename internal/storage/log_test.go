@@ -14,10 +14,12 @@ import (
 )
 
 // logModel is the reference for one table: its contents at every version
-// sequence, computed by replaying change sets on plain maps.
+// sequence, computed by replaying change sets on plain maps, and the scan
+// order each version showed the first time it was read.
 type logModel struct {
 	tb       *Table
 	contents map[int64]map[string]int64 // seq -> row ID -> value
+	order    map[int64][]string         // seq -> row IDs in scan order
 	pins     []int64
 }
 
@@ -30,9 +32,15 @@ func copyContents(c map[string]int64) map[string]int64 {
 }
 
 // checkRetained compares Rows, Batch and RowCount of every retained
-// version against the reference replay.
+// version against the reference replay, and checks that each version
+// scans in the order it first showed, here and in a table restored from
+// this one's state.
 func (m *logModel) checkRetained(t *testing.T, label string) {
 	t.Helper()
+	restored, err := RestoreTable(m.tb.State())
+	if err != nil {
+		t.Fatalf("%s: RestoreTable: %v", label, err)
+	}
 	for seq := m.tb.CompactedThrough() + 1; seq <= int64(m.tb.VersionCount()); seq++ {
 		want := m.contents[seq]
 		rows, err := m.tb.Rows(seq)
@@ -57,11 +65,20 @@ func (m *logModel) checkRetained(t *testing.T, label string) {
 		m.tb.mu.RLock()
 		entries := m.tb.segmentFor(seq).entries
 		m.tb.mu.RUnlock()
-		if order, _, _ := scan(entries, seq, len(want)); !slices.Equal(order, b.IDs()) {
+		if order, _ := scan(entries, seq, len(want)); !slices.Equal(order, b.IDs()) {
 			t.Fatalf("%s: Batch(%d) order %v, log order %v", label, seq, b.IDs(), order)
 		}
-		// The column is built on the first read of each version and carried
-		// into versions derived from it, so check it element by element too.
+		if first, ok := m.order[seq]; ok && !slices.Equal(first, b.IDs()) {
+			t.Fatalf("%s: Batch(%d) order %v, earlier %v", label, seq, b.IDs(), first)
+		}
+		m.order[seq] = b.IDs()
+		rb, err := restored.Batch(seq)
+		if err != nil {
+			t.Fatalf("%s: restored Batch(%d): %v", label, seq, err)
+		}
+		if !slices.Equal(rb.IDs(), b.IDs()) {
+			t.Fatalf("%s: restored Batch(%d) order %v, live %v", label, seq, rb.IDs(), b.IDs())
+		}
 		col := b.Col(0)
 		seen := make(map[string]bool, b.Len())
 		for i, id := range b.IDs() {
@@ -85,14 +102,14 @@ func (m *logModel) checkRetained(t *testing.T, label string) {
 // Overwrite, AppendDataEquivalent, Compact under random pins, and Clone
 // (whose clones then take writes of their own), and checks that every
 // retained version of every table reads the contents a replay of its
-// change sets gives.
+// change sets gives, in one scan order across compactions and restores.
 func TestRowLogMatchesReplayProperty(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			root := newTestTable()
-			models := []*logModel{{tb: root, contents: map[int64]map[string]int64{1: {}}}}
+			models := []*logModel{{tb: root, contents: map[int64]map[string]int64{1: {}}, order: map[int64][]string{}}}
 			commit := int64(10)
 			nextRow := 0
 			for op := 0; op < 250; op++ {
@@ -186,9 +203,12 @@ func TestRowLogMatchesReplayProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("op %d: Clone: %v", op, err)
 					}
-					cm := &logModel{tb: clone, contents: map[int64]map[string]int64{}}
+					cm := &logModel{tb: clone, contents: map[int64]map[string]int64{}, order: map[int64][]string{}}
 					for s := lo; s <= at; s++ {
 						cm.contents[s] = m.contents[s]
+						if o, ok := m.order[s]; ok {
+							cm.order[s] = o
+						}
 					}
 					models = append(models, cm)
 				}

@@ -9,10 +9,10 @@
 // of the one that deleted it, so a version is a shared base plus a change
 // log rather than a private copy: a commit appends its inserts and stamps
 // its deletes in place, which costs O(|Δ|), and any retained version
-// reads in one sequence-filtered pass over the log, or is derived from a
-// recently read neighbour. Scan order is log order, deterministic per
-// version. An overwrite starts a new log, and compaction folds away
-// entries no retained version can see.
+// reads in one sequence-filtered pass over the log. Scan order is log
+// order: a version scans in the same order before and after compaction,
+// and after recovery from a checkpoint. An overwrite starts a new log, and
+// compaction folds away entries no retained version can see.
 package storage
 
 import (
@@ -58,6 +58,10 @@ type Version struct {
 	// compaction fold: the versions whose contents do not derive from the
 	// one before.
 	Snapshot map[string]types.Row
+	// SnapshotOrder lists the snapshot's row IDs in scan order on a
+	// compaction fold, which keeps the log order it folded; a restored
+	// table rebuilds its log in this order. Nil means row ID order.
+	SnapshotOrder []string
 	// RowCount is the number of live rows at this version.
 	RowCount int
 }
@@ -145,7 +149,7 @@ type Table struct {
 	// memos holds recently materialized versions, least recently used
 	// first. Batches are immutable and shared across concurrent readers,
 	// so N sibling DTs scanning the same source version share one
-	// materialization, and the next version is derived from the last.
+	// materialization.
 	memos []*memo
 }
 
@@ -220,7 +224,7 @@ func RestoreTable(st TableState) (*Table, error) {
 		base:     first.Seq - 1,
 	}
 	t.rowSeq.Store(st.RowSeq)
-	t.startSegment(first.Seq, first.Snapshot)
+	t.startSegment(first.Seq, first.Snapshot, first.SnapshotOrder)
 	t.versions = append(t.versions, first)
 	for _, v := range st.Versions[1:] {
 		switch {
@@ -228,7 +232,7 @@ func RestoreTable(st TableState) (*Table, error) {
 			if v.Snapshot == nil {
 				return nil, fmt.Errorf("storage: restored overwrite version %d has no snapshot", v.Seq)
 			}
-			t.startSegment(v.Seq, v.Snapshot)
+			t.startSegment(v.Seq, v.Snapshot, v.SnapshotOrder)
 		case v.DataEquivalent:
 		default:
 			if v.Snapshot != nil {
@@ -353,11 +357,9 @@ func (t *Table) Rows(seq int64) (map[string]types.Row, error) {
 }
 
 // Batch materializes the contents at the given version sequence as a
-// shared columnar batch in log order. A version after one memoized on the
-// same log is derived from it — its surviving rows and built columns plus
-// the entries inserted since — and any other is read in one pass over the
-// log. Either runs without the table lock, so commits proceed beside it,
-// and the result is memoized for the next reader of the same version. The
+// shared columnar batch in log order, read in one pass over the log. The
+// pass runs without the table lock, so commits proceed beside it, and the
+// result is memoized for the next reader of the same version. The
 // returned batch and everything reachable from it must not be mutated.
 func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	t.mu.Lock()
@@ -370,17 +372,11 @@ func (t *Table) Batch(seq int64) (*types.Batch, error) {
 		t.mu.Unlock()
 		return m.b, nil
 	}
-	seg := t.segmentFor(seq)
-	schema, entries, base := t.schema, seg.entries, t.deriveBase(seq, seg)
+	schema, entries := t.schema, t.segmentFor(seq).entries
 	t.mu.Unlock()
 
-	m := &memo{seq: seq, seg: seg}
-	if base != nil {
-		m.b, m.pos = derive(base, entries, seq, v.RowCount)
-	} else {
-		ids, rows, pos := scan(entries, seq, v.RowCount)
-		m.b, m.pos = types.NewBatch(schema, ids, rows), pos
-	}
+	ids, rows := scan(entries, seq, v.RowCount)
+	m := &memo{seq: seq, b: types.NewBatch(schema, ids, rows)}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -394,15 +390,10 @@ func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	return m.b, nil
 }
 
-// memo is a materialized version: its batch, plus what deriving a later
-// version from it needs — the log segment it was read from and the entry
-// positions of its rows there (int32: an in-memory segment stays far
-// below 2^31 entries).
+// memo is a materialized version.
 type memo struct {
 	seq int64
 	b   *types.Batch
-	seg *segment
-	pos []int32
 }
 
 // memoFor returns the memoized version seq, marking it most recently used,
@@ -418,19 +409,6 @@ func (t *Table) memoFor(seq int64) *memo {
 	return nil
 }
 
-// deriveBase picks the memoized version a read of seq can be derived
-// from: the latest one before seq on the same segment, built with the
-// current schema. Callers hold t.mu.
-func (t *Table) deriveBase(seq int64, seg *segment) *memo {
-	var best *memo
-	for _, m := range t.memos {
-		if m.seg == seg && m.seq < seq && (best == nil || m.seq > best.seq) && m.b.Schema().Equal(t.schema) {
-			best = m
-		}
-	}
-	return best
-}
-
 // remember memoizes a version, evicting the least recently used beyond
 // memoSize. Callers hold t.mu.
 func (t *Table) remember(m *memo) {
@@ -440,51 +418,19 @@ func (t *Table) remember(m *memo) {
 	}
 }
 
-// scan collects the IDs, rows and entry positions of the entries visible
-// at version seq, in log order; n is the version's row count. It reads
-// only immutable entry fields and atomic delete stamps, so it runs without
-// the table lock.
-func scan(entries []entry, seq int64, n int) ([]string, []types.Row, []int32) {
+// scan collects the IDs and rows of the entries visible at version seq, in
+// log order; n is the version's row count. It reads only immutable entry
+// fields and atomic delete stamps, so it runs without the table lock.
+func scan(entries []entry, seq int64, n int) ([]string, []types.Row) {
 	ids := make([]string, 0, n)
 	rows := make([]types.Row, 0, n)
-	pos := make([]int32, 0, n)
 	for i := range entries {
 		if e := &entries[i]; e.visibleAt(seq) {
 			ids = append(ids, e.id)
 			rows = append(rows, e.row)
-			pos = append(pos, int32(i))
 		}
 	}
-	return ids, rows, pos
-}
-
-// derive builds version seq from an earlier memoized version on the same
-// segment: the rows of that version not deleted by seq, then the entries
-// inserted after it and visible at seq. Entries are appended in version
-// order, so the inserted ones follow the surviving ones in the log, and
-// the result is in log order exactly as a scan would produce it. The cost
-// is the memoized version's row count plus the entries inserted since,
-// and columns the memoized batch had built are carried over.
-func derive(from *memo, entries []entry, seq int64, n int) (*types.Batch, []int32) {
-	keep := make([]int, 0, len(from.pos))
-	pos := make([]int32, 0, n)
-	for i, p := range from.pos {
-		if entries[p].del.Load() > seq {
-			keep = append(keep, i)
-			pos = append(pos, p)
-		}
-	}
-	var ids []string
-	var rows []types.Row
-	first := sort.Search(len(entries), func(i int) bool { return entries[i].ins > from.seq })
-	for i := first; i < len(entries) && entries[i].ins <= seq; i++ {
-		if e := &entries[i]; e.visibleAt(seq) {
-			ids = append(ids, e.id)
-			rows = append(rows, e.row)
-			pos = append(pos, int32(i))
-		}
-	}
-	return from.b.Extend(keep, ids, rows), pos
+	return ids, rows
 }
 
 // RowCount returns the number of live rows at the latest version.
@@ -585,15 +531,18 @@ func (t *Table) ownLog() {
 	t.replaceSegmentsFrom(seq, own)
 }
 
-// startSegment begins a new log at version seq holding rows, in row ID
-// order so that the scan order is a function of the contents. Callers
-// hold t.mu.
-func (t *Table) startSegment(seq int64, rows map[string]types.Row) {
-	ids := make([]string, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
+// startSegment begins a new log at version seq holding rows, in the given
+// order, or in row ID order when order is nil so that the scan order is a
+// function of the contents. Callers hold t.mu.
+func (t *Table) startSegment(seq int64, rows map[string]types.Row, order []string) {
+	ids := order
+	if ids == nil {
+		ids = make([]string, 0, len(rows))
+		for id := range rows {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
 	}
-	sort.Strings(ids)
 	seg := &segment{from: seq, entries: make([]entry, 0, len(ids))}
 	t.live = make(map[string]int, len(ids))
 	for _, id := range ids {
@@ -643,7 +592,7 @@ func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Ver
 		Snapshot:  snap,
 		RowCount:  len(snap),
 	}
-	t.startSegment(v.Seq, snap)
+	t.startSegment(v.Seq, snap, nil)
 	t.commitLocked(v)
 	return v, nil
 }
@@ -965,7 +914,7 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	ids, rs, _ := scan(t.segmentFor(h).entries, h, orig.RowCount)
+	ids, rs := scan(t.segmentFor(h).entries, h, orig.RowCount)
 	rows := make(map[string]types.Row, len(ids))
 	for i, id := range ids {
 		rows[id] = rs[i]
@@ -976,11 +925,12 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	// it) and keeps ChangedSince/ChangeVolume conservative across the
 	// fold.
 	folded := &Version{
-		Seq:       h,
-		Commit:    orig.Commit,
-		Overwrite: true,
-		Snapshot:  rows,
-		RowCount:  len(rows),
+		Seq:           h,
+		Commit:        orig.Commit,
+		Overwrite:     true,
+		Snapshot:      rows,
+		SnapshotOrder: ids,
+		RowCount:      len(rows),
 	}
 	kept := t.versions[h-t.base:]
 	dropped := h - 1 - t.base
@@ -991,17 +941,11 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	t.base = h - 1
 	t.foldLog(h)
 	// Memoized versions below the new horizon are unreadable now; those at
-	// or above it stay valid (contents per sequence are unchanged), but a
-	// memo of a folded segment lets go of it: its positions no longer
-	// match any retained log, so nothing can be derived from it.
+	// or above it stay valid, since the fold keeps log order.
 	memos := t.memos[:0]
 	for _, m := range t.memos {
-		switch {
-		case m.seq < h:
-		case m.seg == t.segmentFor(m.seq):
+		if m.seq >= h {
 			memos = append(memos, m)
-		default:
-			memos = append(memos, &memo{seq: m.seq, b: m.b})
 		}
 	}
 	t.memos = memos
@@ -1009,8 +953,9 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 }
 
 // foldLog drops the segments that only versions below h read and, from
-// the segment holding h, every entry deleted at or before h. The folded
-// segment is a fresh slice (readers scanning the old one are unaffected),
+// the segment holding h, every entry deleted at or before h. The survivors
+// keep their log order, so every retained version scans as it did before
+// the fold. The folded segment is a fresh slice (readers scanning the old one are unaffected),
 // so the live index of an owned last segment is rebuilt. Callers hold
 // t.mu.
 func (t *Table) foldLog(h int64) {
@@ -1038,7 +983,8 @@ func (t *Table) foldLog(h int64) {
 	t.segs = append(segs, t.segs[first+1:]...)
 }
 
-// SetSnapshotInterval is retained for callers of the periodic-snapshot
-// chain this package used to keep; the row log reads every version in one
-// pass, so there is no snapshot cadence to set.
+// SetSnapshotInterval does nothing. The row log reads every version in one
+// pass, so there is no periodic-snapshot cadence to set.
+//
+// Deprecated: no-op, kept for existing callers.
 func (t *Table) SetSnapshotInterval(n int) {}

@@ -29,6 +29,17 @@ type Vector struct {
 	length int
 }
 
+// typedVectorKind reports whether a column holding only values of kind k
+// (plus NULLs) can use a typed payload slice.
+func typedVectorKind(k Kind) bool {
+	switch k {
+	case KindInt, KindFloat, KindString, KindBool, KindTimestamp, KindInterval:
+		return true
+	default:
+		return false
+	}
+}
+
 // NewIntVector builds a typed vector over int64 payloads. kind must be
 // KindInt, KindTimestamp (microseconds since epoch) or KindInterval
 // (microseconds). nulls may be nil.
@@ -107,79 +118,78 @@ func NewConstVector(v Value, n int) *Vector {
 // typed payload when every non-NULL value shares one scalar kind and the
 // generic fallback otherwise.
 func VectorFromValues(vals []Value) *Vector {
-	if v := typedVector(len(vals), func(i int) *Value { return &vals[i] }); v != nil {
-		return v
-	}
-	return NewValueVector(vals)
-}
-
-// columnVector builds column c of rows as a vector. A typed column is
-// filled straight from the rows in one pass, with no intermediate
-// []Value. A row shorter than the schema reads NULL.
-func columnVector(rows []Row, c int) *Vector {
-	null := Null
-	at := func(i int) *Value {
-		if c < len(rows[i]) {
-			return &rows[i][c]
-		}
-		return &null
-	}
-	if v := typedVector(len(rows), at); v != nil {
-		return v
-	}
-	vals := make([]Value, len(rows))
-	for i := range vals {
-		vals[i] = *at(i)
-	}
-	return NewValueVector(vals)
-}
-
-// typedVector fills a typed payload from a column of n values in one
-// pass, or returns nil when the non-NULL values do not share one scalar
-// kind (the caller then uses the generic fallback). An all-NULL column
-// becomes a typed INT column of NULLs.
-func typedVector(n int, at func(int) *Value) *Vector {
-	out := &Vector{kind: KindNull, length: n}
-	for i := 0; i < n; i++ {
-		v := at(i)
+	kind := KindNull
+	for _, v := range vals {
 		if v.IsNull() {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
 			continue
 		}
-		if out.kind == KindNull {
-			out.kind = v.kind
-			switch v.kind {
-			case KindInt, KindTimestamp, KindInterval:
-				out.ints = make([]int64, n)
-			case KindFloat:
-				out.floats = make([]float64, n)
-			case KindString:
-				out.strs = make([]string, n)
-			case KindBool:
-				out.bools = make([]bool, n)
-			default:
-				return nil
+		if kind == KindNull {
+			kind = v.kind
+			if !typedVectorKind(kind) {
+				return NewValueVector(vals)
 			}
-		} else if v.kind != out.kind {
-			return nil
+			continue
 		}
-		switch out.kind {
-		case KindInt, KindTimestamp, KindInterval:
+		if v.kind != kind {
+			return NewValueVector(vals)
+		}
+	}
+	n := len(vals)
+	if kind == KindNull {
+		// All-NULL column: represent as a typed INT column of NULLs.
+		nulls := make([]bool, n)
+		for i := range nulls {
+			nulls[i] = true
+		}
+		return &Vector{kind: KindInt, ints: make([]int64, n), nulls: nulls, length: n}
+	}
+	var nulls []bool
+	setNull := func(i int) {
+		if nulls == nil {
+			nulls = make([]bool, n)
+		}
+		nulls[i] = true
+	}
+	out := &Vector{kind: kind, length: n}
+	switch kind {
+	case KindInt, KindTimestamp, KindInterval:
+		out.ints = make([]int64, n)
+		for i, v := range vals {
+			if v.IsNull() {
+				setNull(i)
+				continue
+			}
 			out.ints[i] = v.i
-		case KindFloat:
+		}
+	case KindFloat:
+		out.floats = make([]float64, n)
+		for i, v := range vals {
+			if v.IsNull() {
+				setNull(i)
+				continue
+			}
 			out.floats[i] = v.f
-		case KindString:
+		}
+	case KindString:
+		out.strs = make([]string, n)
+		for i, v := range vals {
+			if v.IsNull() {
+				setNull(i)
+				continue
+			}
 			out.strs[i] = v.s
-		case KindBool:
+		}
+	case KindBool:
+		out.bools = make([]bool, n)
+		for i, v := range vals {
+			if v.IsNull() {
+				setNull(i)
+				continue
+			}
 			out.bools[i] = v.b
 		}
 	}
-	if out.kind == KindNull {
-		out.kind, out.ints = KindInt, make([]int64, n)
-	}
+	out.nulls = nulls
 	return out
 }
 
@@ -283,72 +293,6 @@ func (v *Vector) Gather(sel []int) *Vector {
 	return out
 }
 
-// extend returns the typed vector of v's elements at keep followed by
-// column c of add, or nil when v is the generic fallback or an added
-// value does not fit its payload (the caller then columnarizes afresh). A
-// row shorter than c reads NULL.
-func (v *Vector) extend(keep []int, add []Row, c int) *Vector {
-	at := func(i int) Value {
-		if c < len(add[i]) {
-			return add[i][c]
-		}
-		return Null
-	}
-	n := len(keep) + len(add)
-	out := &Vector{kind: v.kind, length: n}
-	if v.nulls != nil {
-		out.nulls = make([]bool, n)
-		for i, k := range keep {
-			out.nulls[i] = v.nulls[k]
-		}
-	}
-	switch v.kind {
-	case KindInt, KindTimestamp, KindInterval:
-		out.ints = make([]int64, n)
-		for i, k := range keep {
-			out.ints[i] = v.ints[k]
-		}
-	case KindFloat:
-		out.floats = make([]float64, n)
-		for i, k := range keep {
-			out.floats[i] = v.floats[k]
-		}
-	case KindString:
-		out.strs = make([]string, n)
-		for i, k := range keep {
-			out.strs[i] = v.strs[k]
-		}
-	case KindBool:
-		out.bools = make([]bool, n)
-		for i, k := range keep {
-			out.bools[i] = v.bools[k]
-		}
-	default:
-		return nil
-	}
-	for i := range add {
-		j, x := len(keep)+i, at(i)
-		switch {
-		case x.IsNull():
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[j] = true
-		case x.kind != v.kind:
-			return nil
-		case out.ints != nil:
-			out.ints[j] = x.i
-		case out.floats != nil:
-			out.floats[j] = x.f
-		case out.strs != nil:
-			out.strs[j] = x.s
-		default:
-			out.bools[j] = x.b
-		}
-	}
-	return out
-}
-
 // Batch is a columnar slice of a relation: parallel row IDs, row views
 // and column vectors over a fixed schema. A batch holds a dual
 // representation — row views (shared []Value rows) and column vectors —
@@ -378,38 +322,6 @@ func NewBatch(schema Schema, ids []string, rows []Row) *Batch {
 // column, all the same length as ids).
 func NewBatchFromCols(schema Schema, ids []string, cols []*Vector) *Batch {
 	return &Batch{schema: schema, ids: ids, cols: cols}
-}
-
-// Extend returns a batch of b's rows at keep, in order, followed by ids
-// and rows: a later version of the same relation, derived without a
-// rebuild. Columns already built on b carry over, gathered and extended
-// with the added rows, so readers of the new batch do not columnarize
-// them again.
-func (b *Batch) Extend(keep []int, ids []string, rows []Row) *Batch {
-	old := b.Rows()
-	n := len(keep) + len(ids)
-	outIDs, outRows := make([]string, n), make([]Row, n)
-	for i, k := range keep {
-		outIDs[i], outRows[i] = b.ids[k], old[k]
-	}
-	copy(outIDs[len(keep):], ids)
-	copy(outRows[len(keep):], rows)
-	out := NewBatch(b.schema, outIDs, outRows)
-	b.mu.Lock()
-	cols := append([]*Vector(nil), b.cols...)
-	b.mu.Unlock()
-	for c, v := range cols {
-		if v == nil {
-			continue
-		}
-		if ev := v.extend(keep, rows, c); ev != nil {
-			if out.cols == nil {
-				out.cols = make([]*Vector, len(cols))
-			}
-			out.cols[c] = ev
-		}
-	}
-	return out
 }
 
 // Len returns the number of rows.
@@ -450,24 +362,21 @@ func (b *Batch) Rows() []Row {
 }
 
 // Col returns column c as a vector, columnarizing it from the row views
-// on first use. The conversion runs outside the batch lock, so a reader
-// never waits for another's; if two race, the first installed wins.
+// on first use.
 func (b *Batch) Col(c int) *Vector {
-	b.mu.Lock()
-	if b.cols != nil && b.cols[c] != nil {
-		defer b.mu.Unlock()
-		return b.cols[c]
-	}
-	rows := b.rows
-	b.mu.Unlock()
-	v := columnVector(rows, c)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cols == nil {
 		b.cols = make([]*Vector, len(b.schema.Columns))
 	}
 	if b.cols[c] == nil {
-		b.cols[c] = v
+		vals := make([]Value, len(b.rows))
+		for i, row := range b.rows {
+			if c < len(row) {
+				vals[i] = row[c]
+			}
+		}
+		b.cols[c] = VectorFromValues(vals)
 	}
 	return b.cols[c]
 }
