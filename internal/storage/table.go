@@ -358,9 +358,11 @@ func (t *Table) Rows(seq int64) (map[string]types.Row, error) {
 
 // Batch materializes the contents at the given version sequence as a
 // shared columnar batch in log order, read in one pass over the log. The
-// pass runs without the table lock, so commits proceed beside it, and the
-// result is memoized for the next reader of the same version. The
-// returned batch and everything reachable from it must not be mutated.
+// pass runs without the table lock, so commits proceed beside it. The
+// first reader of a version makes the pass and memoizes it; readers that
+// arrive meanwhile wait for that pass instead of making their own, so a
+// version costs one pass however its readers interleave. The returned
+// batch and everything reachable from it must not be mutated.
 func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	t.mu.Lock()
 	v, err := t.versionBySeqLocked(seq)
@@ -370,30 +372,25 @@ func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	}
 	if m := t.memoFor(seq); m != nil {
 		t.mu.Unlock()
+		<-m.ready
 		return m.b, nil
 	}
+	m := &memo{seq: seq, ready: make(chan struct{})}
+	t.remember(m)
 	schema, entries := t.schema, t.segmentFor(seq).entries
 	t.mu.Unlock()
 
 	ids, rows := scan(entries, seq, v.RowCount)
-	m := &memo{seq: seq, b: types.NewBatch(schema, ids, rows)}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cached := t.memoFor(seq); cached != nil {
-		// A concurrent reader got there first; share its materialization.
-		return cached.b, nil
-	}
-	if seq > t.base {
-		t.remember(m)
-	}
+	m.b = types.NewBatch(schema, ids, rows)
+	close(m.ready)
 	return m.b, nil
 }
 
-// memo is a materialized version.
+// memo is a materialized version. b is set before ready is closed.
 type memo struct {
-	seq int64
-	b   *types.Batch
+	seq   int64
+	ready chan struct{}
+	b     *types.Batch
 }
 
 // memoFor returns the memoized version seq, marking it most recently used,

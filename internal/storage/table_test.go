@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -345,6 +346,62 @@ func TestBatchSharedAcrossReadersAndCommits(t *testing.T) {
 		if !rows[id].Equal(prev.Row(i)) {
 			t.Errorf("Rows(%d)[%s] = %v, batch holds %v", tipSeq, id, rows[id], prev.Row(i))
 		}
+	}
+}
+
+// TestBatchConcurrentFirstReadersShareOnePass starts several readers of a
+// version nobody has read yet at once: they must share one pass over the
+// log, so they allocate about what one reader of a like version does.
+func TestBatchConcurrentFirstReadersShareOnePass(t *testing.T) {
+	tb := newTestTable()
+	for round := int64(0); round < 2; round++ {
+		apply(t, tb, 10+round, func(cs *delta.ChangeSet) {
+			for i := int64(0); i < 20000; i++ {
+				cs.AddInsert(tb.NextRowID(), intRow(i))
+			}
+		})
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := allocated(func() {
+		if _, err := tb.Batch(2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const readers = 8
+	batches := make([]*types.Batch, readers)
+	start := make(chan struct{})
+	shared := allocated(func() {
+		var wg sync.WaitGroup
+		for g := range batches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				b, err := tb.Batch(3)
+				if err != nil {
+					t.Error(err)
+				}
+				batches[g] = b
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	for _, b := range batches {
+		if b != batches[0] || b.Len() != 40000 {
+			t.Fatalf("concurrent readers of version 3 got different batches or %d rows", b.Len())
+		}
+	}
+	// Version 3 has twice the rows of version 2, so one pass over it
+	// allocates about 2x; eight separate passes would allocate about 16x.
+	if shared > 4*one {
+		t.Errorf("%d concurrent first readers allocated %d bytes, one reader of half the rows %d", readers, shared, one)
 	}
 }
 
