@@ -17,9 +17,9 @@ import (
 // genuinely cost more than full recomputes at high churn and less at
 // low churn — the §3.3.2 crossover.
 
-// buildJoinFixture creates facts (4000 rows) ⋈ dims (50 rows) with an
-// AUTO dynamic table over the join.
-func buildJoinFixture(t *testing.T, e *Engine) {
+// buildJoinFixture creates facts (4000 rows) ⋈ dims (50 rows) with a
+// dynamic table d over the join, declared with the given REFRESH_MODE.
+func buildJoinFixture(t *testing.T, e *Engine, mode string) {
 	t.Helper()
 	s := e.NewSession()
 	s.MustExec(`CREATE WAREHOUSE wh`)
@@ -39,7 +39,7 @@ func buildJoinFixture(t *testing.T, e *Engine) {
 	for i := 0; i < 50; i++ {
 		s.MustExec(fmt.Sprintf(`INSERT INTO dims VALUES (%d, %d)`, i, i))
 	}
-	s.MustExec(`CREATE DYNAMIC TABLE d TARGET_LAG = '1 hour' WAREHOUSE = wh
+	s.MustExec(`CREATE DYNAMIC TABLE d TARGET_LAG = '1 hour' WAREHOUSE = wh REFRESH_MODE = ` + mode + `
 	            AS SELECT f.k, f.v, d.name FROM facts f JOIN dims d ON f.v % 50 = d.k`)
 }
 
@@ -63,8 +63,54 @@ func churnDims(t *testing.T, e *Engine, n int) core.RefreshRecord {
 }
 
 func TestAdaptiveSwitchesAcrossTheCrossover(t *testing.T) {
+	// A churn ramp across the crossover, with AUTO beside DTs pinned to
+	// each mode over the same changes: AUTO switches at most once per
+	// regime, and at both ends of the ramp its work (rows scanned plus
+	// rows written) stays within 15% of the cheaper pinned mode.
+	t.Run("ramp", func(t *testing.T) {
+		modes := []string{"AUTO", "INCREMENTAL", "FULL"}
+		engines := make([]*Engine, len(modes))
+		for i, mode := range modes {
+			engines[i] = New()
+			buildJoinFixture(t, engines[i], mode)
+		}
+		lastMode := sql.RefreshAuto // no refresh yet: effective modes are never AUTO
+		for _, regime := range []struct {
+			name         string
+			churn, steps int
+		}{{"low", 1, 12}, {"crossover", 20, 10}, {"high", 40, 12}} {
+			work := make([]int64, len(modes))
+			switches := 0
+			for step := 0; step < regime.steps; step++ {
+				for i, e := range engines {
+					rec := churnDims(t, e, regime.churn)
+					work[i] += rec.SourceRowsScanned + int64(rec.Inserted+rec.Deleted)
+					if i > 0 {
+						continue
+					}
+					if lastMode != sql.RefreshAuto && rec.EffectiveMode != lastMode {
+						switches++
+					}
+					lastMode = rec.EffectiveMode
+				}
+			}
+			t.Logf("%s: work AUTO %d, INCREMENTAL %d, FULL %d; %d switches", regime.name, work[0], work[1], work[2], switches)
+			if switches > 1 {
+				t.Errorf("%s: AUTO switched mode %d times, want at most 1", regime.name, switches)
+			}
+			if regime.name == "crossover" {
+				continue
+			}
+			best := min(work[1], work[2])
+			if over := float64(work[0]-best) / float64(best); over > 0.15 {
+				t.Errorf("%s: AUTO work %d is %.0f%% above the cheaper pinned mode (INCREMENTAL %d, FULL %d), want at most 15%%",
+					regime.name, work[0], over*100, work[1], work[2])
+			}
+		}
+	})
+
 	e := New()
-	buildJoinFixture(t, e)
+	buildJoinFixture(t, e, "AUTO")
 	dt, err := e.DynamicTableHandle("d")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +175,7 @@ func TestAdaptiveSwitchesAcrossTheCrossover(t *testing.T) {
 
 func TestAdaptiveDecisionIsQueryableAndExplained(t *testing.T) {
 	e := New()
-	buildJoinFixture(t, e)
+	buildJoinFixture(t, e, "AUTO")
 	for i := 0; i < 3; i++ {
 		churnDims(t, e, 40)
 	}
@@ -196,7 +242,7 @@ func TestAdaptiveDecisionIsQueryableAndExplained(t *testing.T) {
 
 func TestAlterSystemAdaptiveRefreshGate(t *testing.T) {
 	e := New()
-	buildJoinFixture(t, e)
+	buildJoinFixture(t, e, "AUTO")
 	s := e.NewSession()
 
 	// Disabled: AUTO keeps its static resolution under any churn.
@@ -261,7 +307,7 @@ func TestAlterSystemAdaptiveRefreshGate(t *testing.T) {
 
 func TestAlterRefreshModePinOverridesChooser(t *testing.T) {
 	e := New()
-	buildJoinFixture(t, e)
+	buildJoinFixture(t, e, "AUTO")
 	s := e.NewSession()
 	dt, err := e.DynamicTableHandle("d")
 	if err != nil {
@@ -379,7 +425,7 @@ func TestAdaptiveDecisionSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildJoinFixture(t, e)
+	buildJoinFixture(t, e, "AUTO")
 	for i := 0; i < 3; i++ {
 		churnDims(t, e, 40)
 	}

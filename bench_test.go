@@ -1,7 +1,7 @@
 package dyntables
 
 // Benchmarks regenerating every figure and table of the paper's evaluation
-// (DESIGN.md §3). Each benchmark runs the corresponding experiment and
+// (cmd/dtbench's package comment lists the experiments). Each benchmark runs the corresponding experiment and
 // reports the headline metrics alongside timing, so
 // `go test -bench=. -benchmem` reproduces the paper's results table by
 // table. Shape assertions live in experiments_test.go; the benchmarks

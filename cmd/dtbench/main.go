@@ -1,6 +1,6 @@
 // Command dtbench regenerates every figure and table of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). Run a single
-// experiment with -exp, or everything with -exp all:
+// evaluation. Run a single experiment with -exp, or everything with
+// -exp all:
 //
 //	dtbench -exp fig4        # lag sawtooth series
 //	dtbench -exp fig5        # target-lag distribution
@@ -15,23 +15,17 @@
 //	dtbench -exp window      # window derivative ablation (§5.5.1)
 //	dtbench -exp fig1 | fig2 # isolation DSGs (§4)
 //	dtbench -exp oracle      # randomized DVS property test (§6.1)
-//	dtbench -exp concurrent  # mixed traffic over parallel sessions
-//	dtbench -exp recovery    # crash recovery time vs WAL length (emits BENCH_recovery.json)
-//	dtbench -exp parallel    # DAG-wave parallel refresh execution (emits BENCH_parallel.json)
-//	dtbench -exp observability # history-recording overhead on the parallel workload (emits BENCH_observability.json)
-//	dtbench -exp server      # remote concurrent sessions over the HTTP cursor protocol (emits BENCH_server.json)
 //
-// -data DIR points experiments that exercise durability (recovery) at a
-// persistent directory instead of a temp dir, so the WAL and snapshot are
-// left behind for inspection.
+// Every experiment runs on a virtual clock, so its output is
+// deterministic; go run ./bench measures wall-clock performance.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"dyntables"
@@ -40,48 +34,33 @@ import (
 	"dyntables/internal/workload"
 )
 
+// order lists every experiment in the order -exp all runs them.
+var order = []string{"fig1", "fig2", "fig4", "fig5", "fig6", "actions",
+	"changevol", "cost", "init", "skips", "periods", "outerjoin", "window", "oracle"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1,fig2,fig4,fig5,fig6,actions,changevol,cost,init,skips,periods,outerjoin,window,oracle,concurrent,recovery,parallel,observability,all)")
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(order, ",")+",all)")
 	dts := flag.Int("dts", dyntables.DefaultFleetConfig.DTs, "fleet size for fleet experiments")
 	hours := flag.Int("hours", dyntables.DefaultFleetConfig.Hours, "simulated hours for fleet experiments")
 	seed := flag.Int64("seed", 1, "random seed")
-	dataDir := flag.String("data", "", "data directory for durability experiments (empty = temp dirs)")
-	rounds := flag.Int("rounds", 200, "insert+refresh rounds for the recovery experiment")
-	siblings := flag.Int("siblings", 8, "fan-out width for the parallel experiment")
-	workers := flag.Int("workers", 4, "refresh worker-pool width for the parallel experiment")
-	obsRounds := flag.Int("obsrounds", 5, "rounds per mode for the observability overhead experiment")
-	sessions := flag.Int("sessions", 1000, "concurrent remote sessions for the server experiment")
-	ops := flag.Int("ops", 6, "statements per remote session for the server experiment")
-	p99gate := flag.Duration("p99gate", 5*time.Second, "p99 statement-latency budget for the server experiment")
 	flag.Parse()
 
 	runners := map[string]func() error{
-		"fig1":       fig1,
-		"fig2":       fig2,
-		"fig4":       fig4,
-		"fig5":       func() error { return fleetFigures(*dts, *hours, *seed, "fig5") },
-		"fig6":       func() error { return fleetFigures(*dts, *hours, *seed, "fig6") },
-		"actions":    func() error { return fleetFigures(*dts, *hours, *seed, "actions") },
-		"changevol":  func() error { return fleetFigures(*dts, *hours, *seed, "changevol") },
-		"cost":       cost,
-		"init":       initStrategy,
-		"skips":      skips,
-		"periods":    periods,
-		"outerjoin":  outerjoin,
-		"window":     window,
-		"oracle":     func() error { return oracle(*seed) },
-		"concurrent": concurrent,
-		"recovery":   func() error { return recovery(*dataDir, *rounds) },
-		"parallel":   func() error { return parallel(*siblings, *workers) },
-		"observability": func() error {
-			return observability(*siblings, *workers, *obsRounds)
-		},
-		"adaptive": adaptiveExp,
-		"server":   func() error { return serverBench(*sessions, *ops, *p99gate) },
+		"fig1":      fig1,
+		"fig2":      fig2,
+		"fig4":      fig4,
+		"fig5":      func() error { return fleetFigures(*dts, *hours, *seed, "fig5") },
+		"fig6":      func() error { return fleetFigures(*dts, *hours, *seed, "fig6") },
+		"actions":   func() error { return fleetFigures(*dts, *hours, *seed, "actions") },
+		"changevol": func() error { return fleetFigures(*dts, *hours, *seed, "changevol") },
+		"cost":      cost,
+		"init":      initStrategy,
+		"skips":     skips,
+		"periods":   periods,
+		"outerjoin": outerjoin,
+		"window":    window,
+		"oracle":    func() error { return oracle(*seed) },
 	}
-	order := []string{"fig1", "fig2", "fig4", "fig5", "fig6", "actions",
-		"changevol", "cost", "init", "skips", "periods", "outerjoin", "window", "oracle",
-		"concurrent", "recovery", "parallel", "observability", "adaptive", "server"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -352,197 +331,6 @@ func oracle(seed int64) error {
 			fmt.Println("  VIOLATION:", v)
 		}
 	}
-	return nil
-}
-
-func concurrent() error {
-	fmt.Println("concurrent sessions — mixed SELECT / INSERT / refresh traffic")
-	fmt.Println("sessions  queries  inserts  refreshes  conflicts  elapsed")
-	for _, n := range []int{1, 4, 16} {
-		res, err := dyntables.RunConcurrentSessions(n, 60)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%8d  %7d  %7d  %9d  %9d  %s\n",
-			res.Sessions, res.Queries, res.Inserts, res.Refreshes, res.Conflicts,
-			res.Elapsed.Truncate(time.Millisecond))
-	}
-	fmt.Println("queries and DML run in parallel across sessions, serializing against DDL only")
-	return nil
-}
-
-func recovery(dataDir string, rounds int) error {
-	cadences := []int{64, 256, 1024, 1 << 20}
-	points, err := dyntables.RunRecoveryBench(dataDir, rounds, cadences)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("durability — crash recovery time after %d insert+refresh rounds\n", rounds)
-	fmt.Println("checkpoint_every  wal_records  snapshot  versions  dt_rows  open_ms")
-	for _, p := range points {
-		fmt.Printf("%16d  %11d  %8v  %8d  %7d  %8.2f\n",
-			p.CheckpointEvery, p.WALRecords, p.SnapshotPresent, p.Versions, p.Rows, p.OpenMillis)
-	}
-	out := struct {
-		Experiment string                    `json:"experiment"`
-		Rounds     int                       `json:"rounds"`
-		Points     []dyntables.RecoveryPoint `json:"points"`
-	}{Experiment: "recovery", Rounds: rounds, Points: points}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_recovery.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_recovery.json")
-	fmt.Println("frequent checkpoints bound the WAL tail; recovery replays snapshot + tail")
-	return nil
-}
-
-func parallel(siblings, workers int) error {
-	res, err := dyntables.RunParallelRefresh(siblings, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("parallel refresh — fan-out DAG (1 base → %d siblings → 1 rollup), %d workers\n",
-		res.Siblings, res.Workers)
-	fmt.Println("            wave_makespan  lag_p50    lag_p95")
-	fmt.Printf("  serial    %13s  %-9s  %s\n",
-		time.Duration(res.SerialWaveMillis*float64(time.Millisecond)).Truncate(time.Second),
-		time.Duration(res.SerialLagP50Millis*float64(time.Millisecond)).Truncate(time.Second),
-		time.Duration(res.SerialLagP95Millis*float64(time.Millisecond)).Truncate(time.Second))
-	fmt.Printf("  parallel  %13s  %-9s  %s\n",
-		time.Duration(res.ParallelWaveMillis*float64(time.Millisecond)).Truncate(time.Second),
-		time.Duration(res.ParallelLagP50Millis*float64(time.Millisecond)).Truncate(time.Second),
-		time.Duration(res.ParallelLagP95Millis*float64(time.Millisecond)).Truncate(time.Second))
-	fmt.Printf("  speedup: %.2fx, byte-identical contents: %v\n", res.Speedup, res.IdenticalRows)
-	fmt.Println("  execution core (refresh-attributed metering, same workload columnar vs row-at-a-time):")
-	fmt.Printf("            rows/sec/worker  allocs/row\n")
-	fmt.Printf("  columnar  %15.0f  %10.2f\n", res.RowsPerSecPerWorker, res.AllocsPerRow)
-	fmt.Printf("  legacy    %15.0f  %10.2f\n", res.LegacyRowsPerSecPerWorker, res.LegacyAllocsPerRow)
-	fmt.Printf("  columnar speedup: %.2fx, alloc reduction: %.1f%%, identical contents: %v\n",
-		res.ColumnarSpeedup, res.AllocReductionPct, res.LegacyIdenticalRows)
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_parallel.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_parallel.json")
-	fmt.Println("a wide wave pays its critical path, not the sum of its refresh costs")
-	return nil
-}
-
-func observability(siblings, workers, rounds int) error {
-	res, err := dyntables.RunObservabilityBench(siblings, workers, rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("observability — history-recording overhead on the parallel workload (%d siblings, %d workers, best of %d rounds)\n",
-		res.Siblings, res.Workers, res.Rounds)
-	fmt.Printf("              wave_makespan  host_ms\n")
-	fmt.Printf("  disabled    %13.0f  %7.2f\n", res.BaselineWaveMillis, res.BaselineHostMillis)
-	fmt.Printf("  recording   %13.0f  %7.2f\n", res.ObservedWaveMillis, res.ObservedHostMillis)
-	fmt.Printf("  wave regression: %+.2f%%  host overhead: %+.2f%%\n",
-		res.WaveRegressionPct, res.HostOverheadPct)
-	fmt.Printf("  events recorded: %d, trace spans recorded: %d, identical DT contents: %v\n",
-		res.EventsRecorded, res.SpansRecorded, res.IdenticalRows)
-	fmt.Printf("  refresh-history query: %d rows streamed in %.2fms\n", res.HistoryRows, res.QueryMillis)
-	fmt.Printf("  resource attribution: %d refreshes metered, %.1f allocs/row, %.3fms cpu/refresh\n",
-		res.RefreshesMetered, res.AllocsPerRow, res.CPUPerRefreshMillis)
-	fmt.Printf("  watchdog: %d alert evaluations, %d firings\n", res.AlertEvaluations, res.AlertFirings)
-	if res.WaveRegressionPct >= 5 {
-		return fmt.Errorf("observability: wave-makespan regression %.2f%% exceeds the 5%% budget", res.WaveRegressionPct)
-	}
-	if res.AlertEvaluations == 0 || res.AlertFirings == 0 {
-		return fmt.Errorf("observability: the live alert never evaluated/fired (evaluations=%d, firings=%d)",
-			res.AlertEvaluations, res.AlertFirings)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_observability.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_observability.json")
-	fmt.Println("recording and tracing are a few appends per refresh; the virtual wave makespan is untouched")
-	return nil
-}
-
-func adaptiveExp() error {
-	res, err := dyntables.RunAdaptiveBench()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("adaptive refresh-mode chooser — churn ramp over facts(%d) ⋈ dims(%d), AUTO vs pinned modes\n",
-		res.FactRows, res.DimRows)
-	fmt.Println("regime     churn  refreshes  adaptive_work  incremental_work  full_work  vs_best  switches  final_mode")
-	for _, reg := range res.Regimes {
-		fmt.Printf("%-9s  %5d  %9d  %13d  %16d  %9d  %+6.1f%%  %8d  %s\n",
-			reg.Name, reg.DimChurn, reg.Refreshes, reg.AdaptiveWork, reg.IncrementalWork,
-			reg.FullWork, reg.AdaptiveVsBestPct, reg.Switches, reg.FinalMode)
-	}
-	fmt.Printf("total mode switches: %d\n", res.TotalSwitches)
-
-	// Acceptance gates: AUTO must track the cheaper mode at both ends of
-	// the ramp and must not flap.
-	for _, reg := range res.Regimes {
-		if reg.Switches > 1 {
-			return fmt.Errorf("adaptive: %d mode switches in regime %s (hysteresis allows at most 1)",
-				reg.Switches, reg.Name)
-		}
-	}
-	for _, name := range []string{"low", "high"} {
-		for _, reg := range res.Regimes {
-			if reg.Name == name && reg.AdaptiveVsBestPct > 15 {
-				return fmt.Errorf("adaptive: %s regime %.1f%% above the cheaper pinned mode (budget 15%%)",
-					name, reg.AdaptiveVsBestPct)
-			}
-		}
-	}
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_adaptive.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_adaptive.json")
-	fmt.Println("AUTO rides incremental maintenance at low churn and full recomputes past the crossover")
-	return nil
-}
-
-func serverBench(sessions, ops int, p99gate time.Duration) error {
-	res, err := dyntables.RunServerBench(sessions, ops)
-	if res != nil {
-		fmt.Printf("network server — %d remote sessions × %d mixed statements over the HTTP cursor protocol\n",
-			res.Sessions, res.OpsPerSession)
-		fmt.Printf("  refresher pressure: %d waves, %d refreshes executed while clients ran\n",
-			res.RefreshWaves, res.RefreshesExecuted)
-		fmt.Printf("  %d statements in %.0fms (%.0f ops/s), errors=%d, cursors leaked=%d\n",
-			res.TotalOps, res.ElapsedMillis, res.OpsPerSec, res.Errors, res.OpenCursorsAfter)
-		fmt.Printf("  latency: p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",
-			res.P50Millis, res.P95Millis, res.P99Millis, res.MaxMillis)
-		data, merr := json.MarshalIndent(res, "", "  ")
-		if merr != nil {
-			return merr
-		}
-		if werr := os.WriteFile("BENCH_server.json", data, 0o644); werr != nil {
-			return werr
-		}
-		fmt.Println("wrote BENCH_server.json")
-	}
-	if err != nil {
-		return err
-	}
-	if gate := float64(p99gate.Microseconds()) / 1000; res.P99Millis > gate {
-		return fmt.Errorf("server: p99 statement latency %.1fms exceeds the %.0fms budget", res.P99Millis, gate)
-	}
-	fmt.Println("a shared embedded engine serves a thousand remote cursors without stalling the refresher")
 	return nil
 }
 

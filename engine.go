@@ -195,8 +195,7 @@ type Config struct {
 	// and refresh boundary snapshots run on the row executor only. It is
 	// not a tuning option — results are byte-identical either way — and
 	// exists for the callers that compare against the reference path:
-	// the differential harness's legacy engine (internal/difftest), the
-	// legacy baseline of `dtbench -exp parallel`, and
+	// the differential harness's legacy engine (internal/difftest) and
 	// BenchmarkRefreshLegacy.
 	DisableColumnar bool
 	// CompactionHorizon, when > 0, keeps only the last N versions of

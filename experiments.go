@@ -1,34 +1,25 @@
 package dyntables
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyntables/internal/core"
 	"dyntables/internal/ivm"
-	"dyntables/internal/obs"
-	"dyntables/internal/persist"
 	"dyntables/internal/plan"
 	"dyntables/internal/sched"
 	"dyntables/internal/sql"
-	"dyntables/internal/txn"
 	"dyntables/internal/warehouse"
 	"dyntables/internal/workload"
 )
 
 // This file implements the experiment harness that regenerates every
-// figure and table of the paper's evaluation (see DESIGN.md §3 for the
-// experiment index). Each experiment returns a structured result that
-// cmd/dtbench renders and bench_test.go asserts shape properties over.
+// figure and table of the paper's evaluation (cmd/dtbench's package
+// comment lists the experiments). Each experiment returns a structured
+// result that cmd/dtbench renders and experiments_test.go asserts shape
+// properties over.
 
 // ---------------------------------------------------------------------------
 // E3 / Figure 4: lag sawtooth
@@ -821,869 +812,6 @@ func RunDVSOracle(dtCount, rounds int, seed int64) (*DVSOracleResult, error) {
 		}
 	}
 	return result, nil
-}
-
-// ---------------------------------------------------------------------------
-// concurrent sessions throughput
-// ---------------------------------------------------------------------------
-
-// ConcurrentResult summarizes a mixed-workload run over parallel sessions.
-type ConcurrentResult struct {
-	Sessions  int
-	Queries   int64
-	Inserts   int64
-	Refreshes int64
-	Conflicts int64
-	Elapsed   time.Duration
-}
-
-// RunConcurrentSessions exercises the concurrent session API: N sessions
-// issue mixed SELECT / INSERT / manual-refresh traffic against a shared
-// DT pipeline for the given number of operations each. Write-write
-// conflicts are expected under first-committer-wins and counted rather
-// than failed.
-func RunConcurrentSessions(sessions, opsPerSession int) (*ConcurrentResult, error) {
-	e := New()
-	boot := e.NewSession()
-	boot.MustExec(`CREATE WAREHOUSE wh`)
-	boot.MustExec(`CREATE TABLE events (id INT, sess INT, amount INT)`)
-	boot.MustExec(`CREATE DYNAMIC TABLE totals TARGET_LAG = '1 minute' WAREHOUSE = wh
-	               AS SELECT sess, count(*) c, sum(amount) total FROM events GROUP BY sess`)
-
-	res := &ConcurrentResult{Sessions: sessions}
-	start := time.Now()
-	var wg sync.WaitGroup
-	var queries, inserts, refreshes, conflicts atomic.Int64
-	errs := make(chan error, sessions)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s := e.NewSession()
-			ins, err := s.Prepare(`INSERT INTO events VALUES (?, ?, ?)`)
-			if err != nil {
-				errs <- err
-				return
-			}
-			q, err := s.Prepare(`SELECT count(*) FROM events WHERE sess = :sess`)
-			if err != nil {
-				errs <- err
-				return
-			}
-			ctx := context.Background()
-			for op := 0; op < opsPerSession; op++ {
-				switch op % 3 {
-				case 0:
-					if _, err := ins.ExecContext(ctx, op, id, op%97); err != nil {
-						errs <- err
-						return
-					}
-					inserts.Add(1)
-				case 1:
-					rows, err := q.QueryContext(ctx, Named("sess", id))
-					if err != nil {
-						errs <- err
-						return
-					}
-					for rows.Next() {
-					}
-					rows.Close()
-					if err := rows.Err(); err != nil {
-						errs <- err
-						return
-					}
-					queries.Add(1)
-				case 2:
-					if err := s.ManualRefreshContext(ctx, "totals"); err != nil {
-						// First-committer-wins conflicts and overlapping
-						// refreshes are expected under contention.
-						if errors.Is(err, txn.ErrConflict) || errors.Is(err, core.ErrSkipped) {
-							conflicts.Add(1)
-							continue
-						}
-						errs <- err
-						return
-					}
-					refreshes.Add(1)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	res.Queries = queries.Load()
-	res.Inserts = inserts.Load()
-	res.Refreshes = refreshes.Load()
-	res.Conflicts = conflicts.Load()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// ---------------------------------------------------------------------------
-// recovery: WAL replay time vs log length and snapshot cadence
-// ---------------------------------------------------------------------------
-
-// RecoveryPoint measures one crash-recovery run.
-type RecoveryPoint struct {
-	// CheckpointEvery is the WAL-record checkpoint cadence the crashed
-	// engine ran with.
-	CheckpointEvery int `json:"checkpoint_every"`
-	// WALRecords is how many log records recovery had to replay (records
-	// appended after the last snapshot checkpoint).
-	WALRecords int `json:"wal_records"`
-	// SnapshotPresent reports whether a checkpoint existed at crash time.
-	SnapshotPresent bool `json:"snapshot_present"`
-	// OpenMillis is the wall-clock recovery time of Open.
-	OpenMillis float64 `json:"open_ms"`
-	// Versions is the DT's recovered version-chain length, a proxy for
-	// recovered history size.
-	Versions int `json:"versions"`
-	// Rows is the DT's recovered row count.
-	Rows int `json:"dt_rows"`
-}
-
-// RunRecoveryBench measures crash recovery: for each checkpoint cadence
-// it builds a durable engine, runs `rounds` insert+refresh rounds, then
-// abandons the engine without Close (simulating a crash, so the WAL tail
-// since the last checkpoint must be replayed) and times Open on the same
-// directory. dir may be empty to use a temp directory per cadence.
-func RunRecoveryBench(dir string, rounds int, cadences []int) ([]RecoveryPoint, error) {
-	var points []RecoveryPoint
-	for _, every := range cadences {
-		d := dir
-		if d == "" {
-			tmp, err := os.MkdirTemp("", "dtrecovery-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			d = tmp
-		} else {
-			// Start each cadence from scratch even when the caller keeps
-			// the directory for inspection across runs.
-			d = filepath.Join(d, fmt.Sprintf("cadence-%d", every))
-			if err := os.RemoveAll(d); err != nil {
-				return nil, err
-			}
-		}
-
-		e, err := Open(d, WithCheckpointEvery(every))
-		if err != nil {
-			return nil, err
-		}
-		s := e.NewSession()
-		if _, err := s.Exec(`CREATE WAREHOUSE wh`); err != nil {
-			return nil, err
-		}
-		if _, err := s.Exec(`CREATE TABLE ev (id INT, amt INT)`); err != nil {
-			return nil, err
-		}
-		if _, err := s.Exec(`CREATE DYNAMIC TABLE tot TARGET_LAG = '1 minute' WAREHOUSE = wh
-		                     AS SELECT id, count(*) c, sum(amt) total FROM ev GROUP BY id`); err != nil {
-			return nil, err
-		}
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < 8; i++ {
-				if _, err := s.Exec(fmt.Sprintf(`INSERT INTO ev VALUES (%d, %d)`, r%17, i)); err != nil {
-					return nil, err
-				}
-			}
-			e.AdvanceTime(time.Minute)
-			if err := e.RunScheduler(); err != nil {
-				return nil, err
-			}
-		}
-		// Crash: drop the engine without Close — the WAL keeps every
-		// record but the final checkpoint is missing, so recovery must
-		// replay the tail. (crash also releases the directory lock.)
-		if err := e.crash(); err != nil {
-			return nil, err
-		}
-		walRecords, snapPresent, err := persist.Inspect(d)
-		if err != nil {
-			return nil, err
-		}
-
-		start := time.Now()
-		e2, err := Open(d)
-		if err != nil {
-			return nil, err
-		}
-		openDur := time.Since(start)
-		h, err := e2.DynamicTableHandle("tot")
-		if err != nil {
-			return nil, err
-		}
-		pt := RecoveryPoint{
-			CheckpointEvery: every,
-			WALRecords:      walRecords,
-			SnapshotPresent: snapPresent,
-			OpenMillis:      float64(openDur.Microseconds()) / 1000,
-			Versions:        h.Storage.VersionCount(),
-			Rows:            h.Storage.RowCount(),
-		}
-		if err := e2.CheckDVS("tot"); err != nil {
-			return nil, fmt.Errorf("recovered engine violates DVS: %w", err)
-		}
-		if err := e2.Close(); err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// ---------------------------------------------------------------------------
-// parallel refresh execution: DAG-wave scheduling over a worker pool
-// ---------------------------------------------------------------------------
-
-// ParallelRefreshResult compares serial and parallel execution of one
-// refresh wave over a fan-out DAG (1 base table → N sibling DTs → 1
-// rollup DT). Wave wall-clock is virtual time — the warehouse-simulated
-// makespan of the wave's jobs — so the comparison is deterministic and
-// host-independent; HostMillis records the real execution time of the
-// same scheduler pass for reference.
-type ParallelRefreshResult struct {
-	Siblings int `json:"siblings"`
-	Workers  int `json:"workers"`
-
-	SerialWaveMillis   float64 `json:"serial_wave_ms"`
-	ParallelWaveMillis float64 `json:"parallel_wave_ms"`
-	Speedup            float64 `json:"speedup"`
-
-	SerialHostMillis   float64 `json:"serial_host_ms"`
-	ParallelHostMillis float64 `json:"parallel_host_ms"`
-
-	// Effective lag (end − data timestamp) percentiles across the wave's
-	// DTs at the measured tick.
-	SerialLagP50Millis   float64 `json:"serial_lag_p50_ms"`
-	SerialLagP95Millis   float64 `json:"serial_lag_p95_ms"`
-	ParallelLagP50Millis float64 `json:"parallel_lag_p50_ms"`
-	ParallelLagP95Millis float64 `json:"parallel_lag_p95_ms"`
-
-	// IdenticalRows reports whether every DT's final contents are
-	// byte-identical between the serial and parallel runs.
-	IdenticalRows bool `json:"identical_rows"`
-
-	// Columnar execution-core throughput, from the per-refresh resource
-	// metering: rows processed per CPU-second of refresh work per worker
-	// (total refresh rows over total refresh CPU), and heap objects
-	// allocated per processed row. The Legacy pair is the identical
-	// parallel workload re-run with the columnar path disabled
-	// (row-at-a-time fallback), making the pair a before/after on the
-	// execution core alone.
-	RowsPerSecPerWorker       float64 `json:"rows_per_sec_per_worker"`
-	AllocsPerRow              float64 `json:"allocs_per_row"`
-	LegacyRowsPerSecPerWorker float64 `json:"legacy_rows_per_sec_per_worker"`
-	LegacyAllocsPerRow        float64 `json:"legacy_allocs_per_row"`
-
-	// ColumnarSpeedup is RowsPerSecPerWorker over its legacy counterpart;
-	// AllocReductionPct is the percentage drop in allocs/row.
-	ColumnarSpeedup   float64 `json:"columnar_speedup"`
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-
-	// LegacyIdenticalRows reports whether the legacy (row-at-a-time) run
-	// produced byte-identical DT contents to the columnar run — the
-	// differential check riding inside the benchmark.
-	LegacyIdenticalRows bool `json:"legacy_identical_rows"`
-}
-
-// parallelFanoutRun builds the fan-out DAG, applies a change batch, runs
-// one scheduler pass with the given worker count and measures the wave.
-type parallelFanoutRun struct {
-	eng        *Engine
-	waveMillis float64
-	hostMillis float64
-	lags       []time.Duration
-	contents   string
-
-	// Refresh-attributed resource totals over the measured scheduler
-	// pass, from the observability metering: rows processed, CPU time
-	// and heap objects allocated across every refresh the pass ran.
-	refreshRows   int64
-	refreshCPU    time.Duration
-	refreshAllocs int64
-}
-
-func runParallelFanout(siblings, workers, baseRows, historyCapacity int, columnar bool) (*parallelFanoutRun, error) {
-	e := New(
-		WithConfig(Config{RefreshWorkers: workers, DeltaParallelism: workers,
-			HistoryCapacity: historyCapacity, DisableColumnar: !columnar}),
-		WithCostModel(warehouse.CostModel{Fixed: 2 * time.Second, PerRow: time.Millisecond}),
-	)
-	s := e.NewSession()
-	s.MustExec(`CREATE WAREHOUSE wh`)
-	s.MustExec(`CREATE TABLE base (k INT, grp INT, v INT)`)
-	batch := ""
-	for i := 0; i < baseRows; i++ {
-		if batch != "" {
-			batch += ", "
-		}
-		batch += fmt.Sprintf("(%d, %d, %d)", i, i%37, i%101)
-		if (i+1)%500 == 0 || i == baseRows-1 {
-			s.MustExec(`INSERT INTO base VALUES ` + batch)
-			batch = ""
-		}
-	}
-
-	names := make([]string, 0, siblings+1)
-	for i := 0; i < siblings; i++ {
-		name := fmt.Sprintf("s_%02d", i)
-		s.MustExec(fmt.Sprintf(
-			`CREATE DYNAMIC TABLE %s TARGET_LAG = '2 minutes' WAREHOUSE = wh
-			 AS SELECT grp, count(*) c, sum(v) total FROM base WHERE grp %% %d = %d GROUP BY grp`,
-			name, siblings, i))
-		names = append(names, name)
-	}
-	// The rollup carries its own lag (a DOWNSTREAM sink with no consumers
-	// would be manual-only, §3.2); sharing the siblings' lag puts it in
-	// the same tick as its upstreams, exercising the second wave.
-	rollup := `CREATE DYNAMIC TABLE rollup TARGET_LAG = '2 minutes' WAREHOUSE = wh AS `
-	for i := 0; i < siblings; i++ {
-		if i > 0 {
-			rollup += ` UNION ALL `
-		}
-		rollup += fmt.Sprintf(`SELECT grp, c, total FROM s_%02d`, i)
-	}
-	s.MustExec(rollup)
-	names = append(names, "rollup")
-	// A live always-true alert rides the same scheduler pass in BOTH
-	// modes, so the wave-makespan gate also covers watchdog evaluation:
-	// alerts consume no virtual time, and their host cost is symmetric.
-	s.MustExec(`CREATE ALERT live SCHEDULE = '1 minute'
-		IF (EXISTS (SELECT grp FROM rollup)) THEN RECORD`)
-
-	// Change batch touching every sibling's slice of the key space.
-	batch = ""
-	for i := 0; i < baseRows/5; i++ {
-		if batch != "" {
-			batch += ", "
-		}
-		batch += fmt.Sprintf("(%d, %d, %d)", baseRows+i, i%37, i%89)
-		if (i+1)%500 == 0 || i == baseRows/5-1 {
-			s.MustExec(`INSERT INTO base VALUES ` + batch)
-			batch = ""
-		}
-	}
-
-	wh, err := e.Warehouses().Get("wh")
-	if err != nil {
-		return nil, err
-	}
-	jobsBefore := len(wh.Jobs())
-	pointsBefore := make(map[string]int, len(names))
-	for _, name := range names {
-		dt, err := e.DynamicTableHandle(name)
-		if err != nil {
-			return nil, err
-		}
-		pointsBefore[name] = len(e.Scheduler().LagSeries(dt))
-	}
-	e.AdvanceTime(2 * time.Minute)
-	hostStart := time.Now()
-	if err := e.RunScheduler(); err != nil {
-		return nil, err
-	}
-	hostMillis := float64(time.Since(hostStart).Microseconds()) / 1000
-
-	// The wave's makespan: earliest submit to latest end among the jobs
-	// this scheduler pass billed.
-	jobs := wh.Jobs()[jobsBefore:]
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("parallel experiment: scheduler pass billed no jobs")
-	}
-	first, last := jobs[0].Submit, jobs[0].End
-	for _, j := range jobs {
-		if j.Submit.Before(first) {
-			first = j.Submit
-		}
-		if j.End.After(last) {
-			last = j.End
-		}
-	}
-
-	// Effective lag per DT over the measured pass: the worst end − data
-	// timestamp among the refreshes this pass committed (trailing NO_DATA
-	// ticks have ~zero lag and would mask the queueing the experiment is
-	// about).
-	var lags []time.Duration
-	for _, name := range names {
-		dt, err := e.DynamicTableHandle(name)
-		if err != nil {
-			return nil, err
-		}
-		series := e.Scheduler().LagSeries(dt)
-		worst := time.Duration(-1)
-		for _, p := range series[pointsBefore[name]:] {
-			if p.TroughLag > worst {
-				worst = p.TroughLag
-			}
-		}
-		if worst >= 0 {
-			lags = append(lags, worst)
-		}
-	}
-
-	contents, err := dtContents(e, names)
-	if err != nil {
-		return nil, err
-	}
-	run := &parallelFanoutRun{
-		eng:        e,
-		waveMillis: float64(last.Sub(first).Microseconds()) / 1000,
-		hostMillis: hostMillis,
-		lags:       lags,
-		contents:   contents,
-	}
-	for _, ev := range e.Observability().Resources() {
-		if ev.Kind != obs.ResourceRefresh {
-			continue
-		}
-		run.refreshRows += ev.Rows
-		run.refreshCPU += ev.CPU
-		run.refreshAllocs += ev.AllocObjects
-	}
-	return run, nil
-}
-
-// dtContents canonically serializes the final stored contents of the
-// named DTs: every (row ID, row) pair at the latest version, sorted. Two
-// runs refresh-equivalent under delayed view semantics produce identical
-// bytes.
-func dtContents(e *Engine, names []string) (string, error) {
-	var sb []string
-	for _, name := range names {
-		dt, err := e.DynamicTableHandle(name)
-		if err != nil {
-			return "", err
-		}
-		rows, err := dt.Storage.Rows(int64(dt.Storage.VersionCount()))
-		if err != nil {
-			return "", err
-		}
-		lines := make([]string, 0, len(rows))
-		for id, r := range rows {
-			lines = append(lines, fmt.Sprintf("%s|%s|%s", name, id, r))
-		}
-		sort.Strings(lines)
-		sb = append(sb, lines...)
-	}
-	return strings.Join(sb, "\n"), nil
-}
-
-func lagPercentile(lags []time.Duration, p float64) float64 {
-	if len(lags) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lags...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx].Microseconds()) / 1000
-}
-
-// RunParallelRefresh measures DAG-wave parallel refresh execution: the
-// same fan-out DAG and change batch run once with a serial refresher and
-// once with `workers` refresh workers. The parallel run must produce
-// byte-identical DT contents while compressing the wave's makespan
-// toward the critical path.
-func RunParallelRefresh(siblings, workers int) (*ParallelRefreshResult, error) {
-	const baseRows = 4000
-	serial, err := runParallelFanout(siblings, 1, baseRows, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	parallel, err := runParallelFanout(siblings, workers, baseRows, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	// Same parallel workload with the columnar core switched off: the
-	// row-at-a-time fallback is the before in the before/after.
-	legacy, err := runParallelFanout(siblings, workers, baseRows, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	res := &ParallelRefreshResult{
-		Siblings:             siblings,
-		Workers:              workers,
-		SerialWaveMillis:     serial.waveMillis,
-		ParallelWaveMillis:   parallel.waveMillis,
-		SerialHostMillis:     serial.hostMillis,
-		ParallelHostMillis:   parallel.hostMillis,
-		SerialLagP50Millis:   lagPercentile(serial.lags, 0.50),
-		SerialLagP95Millis:   lagPercentile(serial.lags, 0.95),
-		ParallelLagP50Millis: lagPercentile(parallel.lags, 0.50),
-		ParallelLagP95Millis: lagPercentile(parallel.lags, 0.95),
-		IdenticalRows:        serial.contents == parallel.contents,
-		LegacyIdenticalRows:  legacy.contents == parallel.contents,
-	}
-	if parallel.waveMillis > 0 {
-		res.Speedup = serial.waveMillis / parallel.waveMillis
-	}
-	perWorker := func(r *parallelFanoutRun) (rowsPerSec, allocsPerRow float64) {
-		if sec := r.refreshCPU.Seconds(); sec > 0 {
-			rowsPerSec = float64(r.refreshRows) / sec
-		}
-		if r.refreshRows > 0 {
-			allocsPerRow = float64(r.refreshAllocs) / float64(r.refreshRows)
-		}
-		return rowsPerSec, allocsPerRow
-	}
-	res.RowsPerSecPerWorker, res.AllocsPerRow = perWorker(parallel)
-	res.LegacyRowsPerSecPerWorker, res.LegacyAllocsPerRow = perWorker(legacy)
-	if res.LegacyRowsPerSecPerWorker > 0 {
-		res.ColumnarSpeedup = res.RowsPerSecPerWorker / res.LegacyRowsPerSecPerWorker
-	}
-	if res.LegacyAllocsPerRow > 0 {
-		res.AllocReductionPct = 100 * (1 - res.AllocsPerRow/res.LegacyAllocsPerRow)
-	}
-	return res, nil
-}
-
-// ---------------------------------------------------------------------------
-
-// ObservabilityBenchResult measures the cost of history recording on the
-// PR-3 parallel refresh workload: the same fan-out DAG and scheduler
-// pass run with observability disabled (baseline) and enabled, compared
-// on the deterministic virtual wave makespan (must not regress) and on
-// minimum host execution time across rounds (noise-resistant overhead
-// estimate). It also measures the metadata query path itself: the
-// acceptance query over DYNAMIC_TABLE_REFRESH_HISTORY through a
-// streaming session cursor.
-type ObservabilityBenchResult struct {
-	Siblings int `json:"siblings"`
-	Workers  int `json:"workers"`
-	Rounds   int `json:"rounds"`
-
-	// Virtual wave makespan: identical by construction — recording costs
-	// no virtual time — so any regression here is a correctness bug.
-	BaselineWaveMillis float64 `json:"baseline_wave_ms"`
-	ObservedWaveMillis float64 `json:"observed_wave_ms"`
-	WaveRegressionPct  float64 `json:"wave_regression_pct"`
-
-	// Host time of the measured scheduler pass (min across rounds).
-	BaselineHostMillis float64 `json:"baseline_host_ms"`
-	ObservedHostMillis float64 `json:"observed_host_ms"`
-	HostOverheadPct    float64 `json:"host_overhead_pct"`
-
-	// EventsRecorded counts refresh events captured by the enabled run;
-	// SpansRecorded counts execution-trace spans (the disabled baseline
-	// records neither, so the overhead gate covers tracing too);
-	// HistoryRows and QueryMillis measure reading events back over the
-	// acceptance query's streaming cursor.
-	EventsRecorded int     `json:"events_recorded"`
-	SpansRecorded  int64   `json:"spans_recorded"`
-	HistoryRows    int     `json:"history_rows"`
-	QueryMillis    float64 `json:"query_ms"`
-
-	// IdenticalRows reports whether the enabled run produced the same DT
-	// contents as the baseline (observability must be read-only).
-	IdenticalRows bool `json:"identical_rows"`
-
-	// Resource-attribution figures from the enabled run's
-	// RESOURCE_HISTORY refresh events: heap objects allocated per source
-	// row processed and host CPU (goroutine wall-time) per refresh.
-	RefreshesMetered    int     `json:"refreshes_metered"`
-	AllocsPerRow        float64 `json:"allocs_per_row"`
-	CPUPerRefreshMillis float64 `json:"cpu_per_refresh_ms"`
-
-	// Watchdog activity from the enabled run: a live always-true alert
-	// rides the same scheduler pass in both modes, so the wave gate also
-	// covers alert evaluation.
-	AlertEvaluations int64 `json:"alert_evaluations"`
-	AlertFirings     int64 `json:"alert_firings"`
-}
-
-// RunObservabilityBench measures history-recording overhead on the PR-3
-// parallel workload. Each mode runs `rounds` times; host timings keep
-// the minimum (least-noise) round.
-func RunObservabilityBench(siblings, workers, rounds int) (*ObservabilityBenchResult, error) {
-	const baseRows = 4000
-	if rounds < 1 {
-		rounds = 1
-	}
-	type modeRun struct {
-		wave, host float64
-		run        *parallelFanoutRun
-	}
-	runMode := func(historyCapacity int) (*modeRun, error) {
-		best := &modeRun{}
-		for i := 0; i < rounds; i++ {
-			r, err := runParallelFanout(siblings, workers, baseRows, historyCapacity, true)
-			if err != nil {
-				return nil, err
-			}
-			if best.run == nil || r.hostMillis < best.host {
-				best.run, best.host = r, r.hostMillis
-			}
-			best.wave = r.waveMillis
-		}
-		return best, nil
-	}
-
-	baseline, err := runMode(-1) // recording disabled
-	if err != nil {
-		return nil, err
-	}
-	observed, err := runMode(0) // default capacity
-	if err != nil {
-		return nil, err
-	}
-
-	res := &ObservabilityBenchResult{
-		Siblings:           siblings,
-		Workers:            workers,
-		Rounds:             rounds,
-		BaselineWaveMillis: baseline.wave,
-		ObservedWaveMillis: observed.wave,
-		BaselineHostMillis: baseline.host,
-		ObservedHostMillis: observed.host,
-		EventsRecorded:     len(observed.run.eng.Observability().AllHistory()),
-		SpansRecorded:      observed.run.eng.Tracer().SpanCount(),
-		IdenticalRows:      baseline.run.contents == observed.run.contents,
-	}
-	if baseline.wave > 0 {
-		res.WaveRegressionPct = (observed.wave - baseline.wave) / baseline.wave * 100
-	}
-	if baseline.host > 0 {
-		res.HostOverheadPct = (observed.host - baseline.host) / baseline.host * 100
-	}
-
-	// Per-refresh resource attribution from the enabled run.
-	var cpu time.Duration
-	var allocObjects, resourceRows int64
-	for _, ev := range observed.run.eng.Observability().Resources() {
-		if ev.Kind != obs.ResourceRefresh {
-			continue
-		}
-		res.RefreshesMetered++
-		cpu += ev.CPU
-		allocObjects += ev.AllocObjects
-		resourceRows += ev.Rows
-	}
-	if resourceRows > 0 {
-		res.AllocsPerRow = float64(allocObjects) / float64(resourceRows)
-	}
-	if res.RefreshesMetered > 0 {
-		res.CPUPerRefreshMillis = float64(cpu.Microseconds()) / 1000 / float64(res.RefreshesMetered)
-	}
-	for _, totals := range observed.run.eng.Observability().AlertCounters() {
-		res.AlertEvaluations += totals.Evaluations
-		res.AlertFirings += totals.Firings
-	}
-
-	// Read the history back through the normal streaming query path.
-	sess := observed.run.eng.NewSession()
-	qStart := time.Now()
-	rows, err := sess.QueryContext(context.Background(),
-		`SELECT dt_name, action, inserted, deleted, duration
-		 FROM INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY ORDER BY data_ts`)
-	if err != nil {
-		return nil, err
-	}
-	for rows.Next() {
-		res.HistoryRows++
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	res.QueryMillis = float64(time.Since(qStart).Microseconds()) / 1000
-	return res, nil
-}
-
-// ---------------------------------------------------------------------------
-// adaptive refresh-mode chooser: churn ramp across the crossover
-// ---------------------------------------------------------------------------
-
-// AdaptiveRegime summarizes one churn regime of the adaptive bench: the
-// total refresh work (rows scanned + rows written) of the adaptive AUTO
-// run against DTs pinned to pure INCREMENTAL and pure FULL over the same
-// change schedule.
-type AdaptiveRegime struct {
-	Name string `json:"name"`
-	// DimChurn is how many of the 50 dimension rows each step updates.
-	DimChurn  int `json:"dim_churn"`
-	Refreshes int `json:"refreshes"`
-
-	AdaptiveWork    int64 `json:"adaptive_work"`
-	IncrementalWork int64 `json:"incremental_work"`
-	FullWork        int64 `json:"full_work"`
-
-	// AdaptiveVsBestPct is how far the adaptive run's total work sits
-	// above the cheaper of the two pinned runs (0 = it matched the
-	// winner exactly).
-	AdaptiveVsBestPct float64 `json:"adaptive_vs_best_pct"`
-	// Switches counts effective-mode changes of the adaptive run inside
-	// the regime (hysteresis demands ≤ 1).
-	Switches  int    `json:"mode_switches"`
-	FinalMode string `json:"final_mode"`
-}
-
-// AdaptiveStep is one refresh of the ramp, for the committed series.
-type AdaptiveStep struct {
-	Regime          string `json:"regime"`
-	Mode            string `json:"mode"`
-	Action          string `json:"action"`
-	ChangedRows     int64  `json:"changed_rows"`
-	FullScanRows    int64  `json:"full_scan_rows"`
-	AdaptiveWork    int64  `json:"adaptive_work"`
-	IncrementalWork int64  `json:"incremental_work"`
-	FullWork        int64  `json:"full_work"`
-}
-
-// AdaptiveBenchResult is the dtbench -exp adaptive output
-// (BENCH_adaptive.json).
-type AdaptiveBenchResult struct {
-	FactRows      int              `json:"fact_rows"`
-	DimRows       int              `json:"dim_rows"`
-	Regimes       []AdaptiveRegime `json:"regimes"`
-	TotalSwitches int              `json:"total_switches"`
-	Steps         []AdaptiveStep   `json:"steps"`
-}
-
-// adaptiveRun is one engine driving the ramp's shared change schedule.
-type adaptiveRun struct {
-	eng *Engine
-	dt  *core.DynamicTable
-}
-
-// newAdaptiveRun builds the facts ⋈ dims fixture with the requested
-// refresh-mode declaration. Churning the small dimension side gives the
-// join real change amplification: each changed dim row costs a snapshot
-// scan of the fact side plus fanned-out output deltas, so incremental
-// refreshes overtake full recomputes as churn grows (§3.3.2).
-func newAdaptiveRun(factRows, dimRows int, mode string) (*adaptiveRun, error) {
-	e := New()
-	s := e.NewSession()
-	s.MustExec(`CREATE WAREHOUSE wh`)
-	s.MustExec(`CREATE TABLE facts (k INT, v INT)`)
-	s.MustExec(`CREATE TABLE dims (k INT, name INT)`)
-	batch := ""
-	for i := 0; i < factRows; i++ {
-		if batch != "" {
-			batch += ", "
-		}
-		batch += fmt.Sprintf("(%d, %d)", i, i%97)
-		if (i+1)%500 == 0 || i == factRows-1 {
-			s.MustExec(`INSERT INTO facts VALUES ` + batch)
-			batch = ""
-		}
-	}
-	for i := 0; i < dimRows; i++ {
-		s.MustExec(fmt.Sprintf(`INSERT INTO dims VALUES (%d, %d)`, i, i))
-	}
-	decl := ""
-	if mode != "" {
-		decl = "REFRESH_MODE = " + mode
-	}
-	s.MustExec(fmt.Sprintf(
-		`CREATE DYNAMIC TABLE d TARGET_LAG = '1 hour' WAREHOUSE = wh %s
-		 AS SELECT f.k, f.v, d.name FROM facts f JOIN dims d ON f.v %% %d = d.k`,
-		decl, dimRows))
-	dt, err := e.DynamicTableHandle("d")
-	if err != nil {
-		return nil, err
-	}
-	return &adaptiveRun{eng: e, dt: dt}, nil
-}
-
-// step applies one change batch and refreshes, returning the refresh's
-// work (rows scanned + rows written) and its record.
-func (r *adaptiveRun) step(dimChurn int) (int64, core.RefreshRecord, error) {
-	r.eng.MustExec(fmt.Sprintf(`UPDATE dims SET name = name + 1 WHERE k < %d`, dimChurn))
-	r.eng.AdvanceTime(time.Minute)
-	if err := r.eng.ManualRefresh("d"); err != nil {
-		return 0, core.RefreshRecord{}, err
-	}
-	rec, ok := r.dt.LastRecord()
-	if !ok {
-		return 0, core.RefreshRecord{}, fmt.Errorf("adaptive: no refresh record")
-	}
-	return rec.SourceRowsScanned + int64(rec.Inserted+rec.Deleted), rec, nil
-}
-
-// RunAdaptiveBench drives a churn ramp across the incremental-vs-full
-// crossover with three engines in lockstep — REFRESH_MODE=AUTO under the
-// adaptive chooser, pinned INCREMENTAL, pinned FULL — and compares total
-// refresh work per regime. The acceptance bar: at both ends of the ramp
-// the adaptive run stays within 15% of the cheaper pinned run, with at
-// most one mode switch per regime.
-func RunAdaptiveBench() (*AdaptiveBenchResult, error) {
-	const factRows, dimRows = 4000, 50
-	regimes := []struct {
-		name  string
-		churn int
-		steps int
-	}{
-		{"low", 1, 12},        // incremental wins by ~2x
-		{"crossover", 20, 10}, // incremental ≈ full: hysteresis must hold
-		{"high", 40, 12},      // full wins by ~1.3x
-	}
-
-	auto, err := newAdaptiveRun(factRows, dimRows, "")
-	if err != nil {
-		return nil, err
-	}
-	inc, err := newAdaptiveRun(factRows, dimRows, "INCREMENTAL")
-	if err != nil {
-		return nil, err
-	}
-	full, err := newAdaptiveRun(factRows, dimRows, "FULL")
-	if err != nil {
-		return nil, err
-	}
-
-	res := &AdaptiveBenchResult{FactRows: factRows, DimRows: dimRows}
-	lastMode := ""
-	for _, regime := range regimes {
-		reg := AdaptiveRegime{Name: regime.name, DimChurn: regime.churn, Refreshes: regime.steps}
-		for i := 0; i < regime.steps; i++ {
-			aw, arec, err := auto.step(regime.churn)
-			if err != nil {
-				return nil, err
-			}
-			iw, _, err := inc.step(regime.churn)
-			if err != nil {
-				return nil, err
-			}
-			fw, _, err := full.step(regime.churn)
-			if err != nil {
-				return nil, err
-			}
-			reg.AdaptiveWork += aw
-			reg.IncrementalWork += iw
-			reg.FullWork += fw
-			mode := arec.EffectiveMode.String()
-			if lastMode != "" && mode != lastMode {
-				reg.Switches++
-			}
-			lastMode = mode
-			reg.FinalMode = mode
-			res.Steps = append(res.Steps, AdaptiveStep{
-				Regime:          regime.name,
-				Mode:            mode,
-				Action:          arec.Action.String(),
-				ChangedRows:     arec.SourceRowsChanged,
-				FullScanRows:    arec.FullScanEstimate,
-				AdaptiveWork:    aw,
-				IncrementalWork: iw,
-				FullWork:        fw,
-			})
-		}
-		best := reg.IncrementalWork
-		if reg.FullWork < best {
-			best = reg.FullWork
-		}
-		if best > 0 {
-			reg.AdaptiveVsBestPct = float64(reg.AdaptiveWork-best) / float64(best) * 100
-		}
-		res.TotalSwitches += reg.Switches
-		res.Regimes = append(res.Regimes, reg)
-	}
-	return res, nil
 }
 
 // ---------------------------------------------------------------------------

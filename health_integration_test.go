@@ -109,8 +109,9 @@ func TestHealthBlamesSlowUpstream(t *testing.T) {
 }
 
 // TestResourceHistoryJoins checks the resource-attribution plumbing:
-// refresh resource rows carry CPU/alloc figures and join the span
-// forest on root_id, and statement resource rows join QUERY_HISTORY.
+// refresh resource rows carry a positive CPU and alloc figures and join
+// the span forest on root_id, and statement resource rows join
+// QUERY_HISTORY.
 func TestResourceHistoryJoins(t *testing.T) {
 	_, sess := healthFixture(t)
 
@@ -121,6 +122,16 @@ func TestResourceHistoryJoins(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() == 0 {
 		t.Fatal("no refresh resource events with row counts recorded")
+	}
+
+	res, err = sess.Query(`SELECT name, cpu FROM INFORMATION_SCHEMA.RESOURCE_HISTORY WHERE kind = 'refresh'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if cpu := row[1].Interval(); cpu <= 0 {
+			t.Fatalf("refresh of %s metered cpu = %v, want > 0", row[0], cpu)
+		}
 	}
 
 	res, err = sess.Query(`SELECT count(*)

@@ -40,7 +40,6 @@ func TestCompactRespectsPinsProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tb := newTestTable()
-			tb.SetSnapshotInterval(1 + rng.Intn(5))
 
 			// model[seq] = canonical contents at seq, maintained from the
 			// uncompacted history.

@@ -979,9 +979,3 @@ func (t *Table) foldLog(h int64) {
 	segs = append(segs, folded)
 	t.segs = append(segs, t.segs[first+1:]...)
 }
-
-// SetSnapshotInterval does nothing. The row log reads every version in one
-// pass, so there is no periodic-snapshot cadence to set.
-//
-// Deprecated: no-op, kept for existing callers.
-func (t *Table) SetSnapshotInterval(n int) {}

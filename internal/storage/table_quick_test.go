@@ -11,12 +11,11 @@ import (
 
 // TestTimeTravelQuick is a property test over random change histories:
 // materializing any historical version must equal replaying the change log
-// up to that version, regardless of snapshot placement.
+// up to that version.
 func TestTimeTravelQuick(t *testing.T) {
-	f := func(seed int64, snapshotInterval uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tb := newTestTable()
-		tb.SetSnapshotInterval(int(snapshotInterval%7) + 1)
 
 		// Reference model: full contents per version.
 		reference := []map[string]int64{{}}
@@ -89,7 +88,6 @@ func TestChangesComposeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tb := newTestTable()
-		tb.SetSnapshotInterval(3)
 		commit := int64(10)
 		live := map[string]int64{}
 		for step := 0; step < 15; step++ {

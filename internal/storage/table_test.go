@@ -202,7 +202,6 @@ func TestDataEquivalentVersionsSkipped(t *testing.T) {
 
 func TestSnapshotReplayCorrectness(t *testing.T) {
 	tb := newTestTable()
-	tb.SetSnapshotInterval(4)
 	for i := int64(0); i < 20; i++ {
 		commit := 10 + i
 		apply(t, tb, commit, func(cs *delta.ChangeSet) {
@@ -407,7 +406,6 @@ func TestBatchConcurrentFirstReadersShareOnePass(t *testing.T) {
 
 func TestRowsMemoConcurrentReaders(t *testing.T) {
 	tb := newTestTable()
-	tb.SetSnapshotInterval(1000)
 	for i := int64(0); i < 30; i++ {
 		apply(t, tb, 10+i, func(cs *delta.ChangeSet) {
 			cs.AddInsert(tb.NextRowID(), intRow(i))

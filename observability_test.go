@@ -379,10 +379,15 @@ func TestObservabilityDisabled(t *testing.T) {
 	if n := res.Rows[0][0].Int(); n != 0 {
 		t.Fatalf("disabled recorder retained %d events", n)
 	}
-	// The engine itself still works and the DT history ring (bounded at
-	// the default) still serves Describe.
+	// The engine itself still works, stores the same DT rows as an engine
+	// that records, and the DT history ring (bounded at the default)
+	// still serves Describe.
 	if err := eng.CheckDVS("totals"); err != nil {
 		t.Fatal(err)
+	}
+	recording, _ := obsFixture(t)
+	if got, want := storedRows(t, eng, "totals", "grand"), storedRows(t, recording, "totals", "grand"); got != want {
+		t.Fatalf("disabling the recorder changed DT contents:\n%s\nwant:\n%s", got, want)
 	}
 	st, err := sess.Describe("totals")
 	if err != nil {
