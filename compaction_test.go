@@ -18,7 +18,6 @@ import (
 func TestOpenCursorsStableUnderCompaction(t *testing.T) {
 	e := New(WithConfig(Config{
 		RefreshWorkers:    4,
-		DeltaParallelism:  2,
 		CompactionHorizon: 3,
 	}))
 	defer e.Close()

@@ -167,12 +167,6 @@ type Config struct {
 	// from the host (GOMAXPROCS). Adjustable at runtime with
 	// `ALTER SYSTEM SET REFRESH_WORKERS = n`.
 	RefreshWorkers int
-	// DeltaParallelism bounds concurrent subplan evaluations inside a
-	// single incremental refresh: the two sides of a join delta, union
-	// branches and boundary snapshots evaluate in parallel when > 1.
-	// 0 (or 1) differentiates sequentially. Adjustable at runtime with
-	// `ALTER SYSTEM SET DELTA_PARALLELISM = n`.
-	DeltaParallelism int
 	// HistoryCapacity bounds the observability subsystem's history
 	// rings: per-DT refresh history (both the in-engine ring behind
 	// Describe and the queryable INFORMATION_SCHEMA ring), per-DT lag
@@ -224,8 +218,7 @@ func (c Config) resolveWorkers() int {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithConfig applies execution tuning (refresh worker-pool width, delta
-// parallelism).
+// WithConfig applies the engine's tuning Config.
 func WithConfig(cfg Config) Option {
 	return func(e *Engine) { e.cfg = cfg }
 }
@@ -311,7 +304,6 @@ func New(opts ...Option) *Engine {
 		vclk = clock.NewVirtual(e.clk.Now())
 	}
 	e.pool = warehouse.NewPool()
-	e.ctrl.DeltaParallelism = e.cfg.DeltaParallelism
 	e.ctrl.Columnar = !e.cfg.DisableColumnar
 	if e.cfg.CompactionHorizon > 0 {
 		e.compactionHorizon = e.cfg.CompactionHorizon
@@ -361,13 +353,6 @@ func (e *Engine) PersistStats() (PersistStats, bool) {
 
 // RefreshWorkers returns the current refresh worker-pool width.
 func (e *Engine) RefreshWorkers() int { return e.refr.Workers() }
-
-// DeltaParallelism returns the per-refresh differentiation parallelism.
-func (e *Engine) DeltaParallelism() int {
-	e.stmtMu.RLock()
-	defer e.stmtMu.RUnlock()
-	return e.ctrl.DeltaParallelism
-}
 
 // AdaptiveChooser exposes the REFRESH_MODE=AUTO chooser (runtime gate,
 // smoothing window) for experiments and monitoring.

@@ -166,10 +166,8 @@ func TestNoDataRefresh(t *testing.T) {
 		t.Error("data timestamp did not advance")
 	}
 	// And consumes no warehouse compute.
-	wh, _ := e.Warehouses().Get("wh")
-	jobs := wh.Jobs()
-	for _, j := range jobs {
-		if j.Rows == 0 && j.Label == "d" && j.End.Sub(j.Start) > 3*time.Second {
+	for _, j := range e.Observability().Metering() {
+		if j.Warehouse == "wh" && j.Rows == 0 && j.Label == "d" && j.End.Sub(j.Start) > 3*time.Second {
 			t.Errorf("NO_DATA refresh consumed compute: %+v", j)
 		}
 	}

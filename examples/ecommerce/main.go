@@ -135,5 +135,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwarehouse etl_wh: billed=%s credits=%.4f resumes=%d jobs=%d\n",
-		wh.BilledTime().Truncate(time.Second), wh.Credits(), wh.Resumes(), len(wh.Jobs()))
+		wh.BilledTime().Truncate(time.Second), wh.Credits(), wh.Resumes(), wh.JobCount())
 }

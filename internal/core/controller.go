@@ -77,13 +77,6 @@ type Controller struct {
 	ExpandOuterJoins    bool
 	FullWindowRecompute bool
 
-	// DeltaParallelism bounds concurrent subplan evaluations inside one
-	// refresh's differentiation (ivm.Env.Parallelism): join sides, union
-	// branches and boundary snapshots evaluate in parallel when > 1.
-	// Written only while refreshes are excluded (engine DDL lock); read
-	// by every refresh.
-	DeltaParallelism int
-
 	// Columnar routes refresh boundary-snapshot evaluations through the
 	// columnar execution path (shared per-version batches + vectorized
 	// filters/projections). Change sets are identical either way; the
@@ -428,7 +421,6 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	env := &ivm.Env{
 		Now:                 dataTS,
 		Counters:            counters,
-		Parallelism:         c.DeltaParallelism,
 		ExpandOuterJoins:    c.ExpandOuterJoins,
 		FullWindowRecompute: c.FullWindowRecompute,
 		Columnar:            c.Columnar,
@@ -791,7 +783,7 @@ func (c *Controller) CheckDVS(dt *DynamicTable) error {
 		return err
 	}
 	frontier := dt.Frontier()
-	env := &ivm.Env{Now: frontier.DataTS}
+	env := &ivm.Env{Now: frontier.DataTS, Columnar: c.Columnar}
 	expected, err := ivm.EvalAsOf(bound.Plan, frontier.Versions, env)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -307,5 +308,30 @@ func TestConcurrentSameDTRefreshSkips(t *testing.T) {
 	}
 	if err := e.CheckDVS("d"); err != nil {
 		t.Errorf("DVS violated: %v", err)
+	}
+}
+
+// TestCheckDVSLimitWithoutOrderBy checks a DT whose LIMIT has no ORDER
+// BY. The refresh keeps the first rows in scan order, so the DVS oracle
+// must evaluate the defining query in that same order; a row path that
+// scanned an unordered map would pick other rows.
+func TestCheckDVSLimitWithoutOrderBy(t *testing.T) {
+	e := dyntables.New()
+	e.MustExec(`CREATE WAREHOUSE wh`)
+	e.MustExec(`CREATE TABLE t (id INT, v INT)`)
+	for i := 0; i < 50; i++ {
+		e.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i*10))
+	}
+	e.MustExec(`CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh
+	            AS SELECT id, v FROM t LIMIT 5`)
+	for round := 0; round < 5; round++ {
+		if err := e.CheckDVS("d"); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		e.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d, 0)`, 100+round))
+		e.AdvanceTime(time.Minute)
+		if err := e.ManualRefresh("d"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

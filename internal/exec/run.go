@@ -40,18 +40,6 @@ type Counters struct {
 	NodesVisited int64
 }
 
-// Merge folds another counter set into c. Parallel differentiation gives
-// each concurrent branch its own Counters and merges after the join, so
-// the fields stay plain int64s on the sequential fast path.
-func (c *Counters) Merge(o *Counters) {
-	c.ScanRows += o.ScanRows
-	c.ScanCalls += o.ScanCalls
-	c.ScanBytes += o.ScanBytes
-	c.JoinProbes += o.JoinProbes
-	c.OutputRows += o.OutputRows
-	c.NodesVisited += o.NodesVisited
-}
-
 // Context supplies the executor's environment.
 type Context struct {
 	// RowsOf returns the pinned contents for a scan (the caller resolves

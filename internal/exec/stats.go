@@ -19,8 +19,7 @@ type NodeStat struct {
 
 // NodeStats collects per-plan-node statistics for EXPLAIN ANALYZE.
 // Attach one to Context.Stats to enable collection; a nil collector
-// costs nothing. Safe for concurrent use (parallel differentiation
-// branches share one plan).
+// costs nothing. Safe for concurrent use.
 type NodeStats struct {
 	mu sync.Mutex
 	m  map[plan.Node]*NodeStat

@@ -22,8 +22,6 @@ package ivm
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"dyntables/internal/delta"
@@ -84,13 +82,6 @@ type Env struct {
 	Counters *exec.Counters
 	Stats    *Stats
 
-	// Parallelism bounds how many independent subplan evaluations one
-	// differentiation may run concurrently: the two deltas of a join, its
-	// boundary snapshots, and union-all branches are data-independent and
-	// evaluate in parallel when > 1. 0 or 1 keeps differentiation fully
-	// sequential. The change-set content is identical either way.
-	Parallelism int
-
 	// ExpandOuterJoins switches to the inner+anti-join expansion strategy
 	// for outer-join derivatives (the ablation of §5.5.1).
 	ExpandOuterJoins bool
@@ -100,8 +91,7 @@ type Env struct {
 
 	// Span, when non-nil, opens a named tracing span and returns its
 	// closer. The hook keeps ivm free of a trace dependency; the
-	// controller wires it to the engine's span recorder. Implementations
-	// must be safe for concurrent use — parallel delta branches share it.
+	// controller wires it to the engine's span recorder.
 	Span func(name string) func()
 
 	// Columnar routes boundary-snapshot evaluations through the
@@ -110,118 +100,12 @@ type Env struct {
 	// sets are identical either way (the differential harness enforces
 	// it).
 	Columnar bool
-
-	// sem caps in-flight parallel branches across the whole plan, so a
-	// deep join tree cannot fan out more than Parallelism-1 extra
-	// goroutines. Created once at the Delta entry point and shared by
-	// child environments.
-	sem chan struct{}
 }
 
 func (e *Env) stats(f func(*Stats)) {
 	if e.Stats != nil {
 		f(e.Stats)
 	}
-}
-
-// child derives an Env for one parallel branch: same clock and strategy
-// flags, fresh counter and stat sinks so concurrent branches never write
-// to shared memory. merge folds the child back after the branch joins.
-func (e *Env) child() *Env {
-	c := &Env{
-		Now:                 e.Now,
-		Parallelism:         e.Parallelism,
-		ExpandOuterJoins:    e.ExpandOuterJoins,
-		FullWindowRecompute: e.FullWindowRecompute,
-		Span:                e.Span,
-		Columnar:            e.Columnar,
-		sem:                 e.sem,
-	}
-	if e.Counters != nil {
-		c.Counters = &exec.Counters{}
-	}
-	if e.Stats != nil {
-		c.Stats = &Stats{}
-	}
-	return c
-}
-
-func (e *Env) merge(c *Env) {
-	if e.Counters != nil && c.Counters != nil {
-		e.Counters.Merge(c.Counters)
-	}
-	if e.Stats != nil && c.Stats != nil {
-		e.Stats.merge(c.Stats)
-	}
-}
-
-func (s *Stats) merge(o *Stats) {
-	s.SubplanDeltaEvals += o.SubplanDeltaEvals
-	s.SubplanSnapshotEvals += o.SubplanSnapshotEvals
-	s.PartitionsRecomputed += o.PartitionsRecomputed
-	s.PartitionsTotal += o.PartitionsTotal
-	s.GroupsRecomputed += o.GroupsRecomputed
-	s.RowsEmitted += o.RowsEmitted
-	s.ConsolidationElided += o.ConsolidationElided
-}
-
-// runPar executes independent differentiation tasks, concurrently when
-// the environment has spare parallelism tokens. Each concurrent task
-// gets a child Env (folded back afterwards); tasks that find no spare
-// token run inline on the parent. Tasks write to distinct outputs and
-// errors surface in task order, so the result is identical to running
-// the tasks sequentially.
-func runPar(env *Env, tasks ...func(*Env) error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	if env.Parallelism <= 1 || env.sem == nil || len(tasks) == 1 {
-		for _, task := range tasks {
-			if err := task(env); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(tasks))
-	children := make([]*Env, len(tasks))
-	var wg sync.WaitGroup
-	for i := 1; i < len(tasks); i++ {
-		select {
-		case env.sem <- struct{}{}:
-			child := env.child()
-			children[i] = child
-			wg.Add(1)
-			go func(i int, child *Env) {
-				defer wg.Done()
-				defer func() { <-env.sem }()
-				defer func() {
-					if p := recover(); p != nil {
-						errs[i] = fmt.Errorf("ivm: panic in parallel delta branch: %v\n%s", p, debug.Stack())
-					}
-				}()
-				errs[i] = tasks[i](child)
-			}(i, child)
-		default:
-			// Pool exhausted: run inline. Inline tasks share the parent
-			// env but never run concurrently with each other, and the
-			// spawned branches write only to their children.
-			errs[i] = tasks[i](env)
-		}
-	}
-	errs[0] = tasks[0](env)
-	wg.Wait()
-	for _, child := range children {
-		if child != nil {
-			env.merge(child)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ErrNotIncrementalizable reports a plan feature that has no derivative;
@@ -299,9 +183,6 @@ func pinnedCtx(vm VersionMap, env *Env) *exec.Context {
 // final change-consolidation step is skipped — the §5.5.2 optimization for
 // the extremely common insert-only workloads.
 func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
-	if env.Parallelism > 1 && env.sem == nil {
-		env.sem = make(chan struct{}, env.Parallelism-1)
-	}
 	if env.Span != nil {
 		defer env.Span("ivm.delta")()
 	}
@@ -309,16 +190,9 @@ func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
 	if err != nil {
 		return delta.ChangeSet{}, err
 	}
-	var cs delta.ChangeSet
-	insertOnly := true
-	for _, sr := range rows {
-		cs.Add(delta.Change{RowID: sr.ID, Action: sr.Action, Row: sr.Row})
-		if sr.Action == delta.Delete {
-			insertOnly = false
-		}
-	}
-	env.stats(func(s *Stats) { s.RowsEmitted += int64(len(cs.Changes)) })
-	if insertOnly && ConsolidationFree(n) {
+	cs := delta.ChangeSet{Changes: rows}
+	env.stats(func(s *Stats) { s.RowsEmitted += int64(len(rows)) })
+	if cs.InsertOnly() && ConsolidationFree(n) {
 		env.stats(func(s *Stats) { s.ConsolidationElided++ })
 		return cs, nil
 	}
@@ -349,30 +223,7 @@ func ConsolidationFree(n plan.Node) bool {
 	return safe
 }
 
-// signedRow is a change row during differentiation.
-type signedRow struct {
-	ID     string
-	Row    types.Row
-	Action delta.Action
-}
-
-func insertsOf(rows []exec.TRow) []signedRow {
-	out := make([]signedRow, len(rows))
-	for i, r := range rows {
-		out[i] = signedRow{ID: r.ID, Row: r.Row, Action: delta.Insert}
-	}
-	return out
-}
-
-func trows(rows []signedRow) []exec.TRow {
-	out := make([]exec.TRow, len(rows))
-	for i, r := range rows {
-		out[i] = exec.TRow{ID: r.ID, Row: r.Row}
-	}
-	return out
-}
-
-func deltaRec(n plan.Node, iv Interval, env *Env) ([]signedRow, error) {
+func deltaRec(n plan.Node, iv Interval, env *Env) ([]delta.Change, error) {
 	env.stats(func(s *Stats) { s.SubplanDeltaEvals++ })
 	if env.Span != nil {
 		defer env.Span("delta." + deltaOpName(n))()
@@ -446,28 +297,22 @@ func deltaOpName(n plan.Node) string {
 }
 
 // snapshotBoundaries evaluates a subplan at both interval boundaries —
-// the recompute-affected-groups rules all need the pair — in parallel
-// when the environment allows.
+// the recompute-affected-groups rules all need the pair.
 func snapshotBoundaries(n plan.Node, iv Interval, env *Env) (q0, q1 []exec.TRow, err error) {
-	err = runPar(env,
-		func(e *Env) error {
-			var err error
-			q0, err = snapshot(n, iv.From, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			q1, err = snapshot(n, iv.To, e)
-			return err
-		})
-	return q0, q1, err
+	if q0, err = snapshot(n, iv.From, env); err != nil {
+		return nil, nil, err
+	}
+	if q1, err = snapshot(n, iv.To, env); err != nil {
+		return nil, nil, err
+	}
+	return q0, q1, nil
 }
 
 // ---------------------------------------------------------------------------
 // leaf and linear rules
 // ---------------------------------------------------------------------------
 
-func deltaScan(s *plan.Scan, iv Interval, env *Env) ([]signedRow, error) {
+func deltaScan(s *plan.Scan, iv Interval, env *Env) ([]delta.Change, error) {
 	from, ok := iv.From[s.Table.ID()]
 	if !ok {
 		return nil, fmt.Errorf("ivm: interval missing start version for table %s", s.Name)
@@ -485,11 +330,7 @@ func deltaScan(s *plan.Scan, iv Interval, env *Env) ([]signedRow, error) {
 		}
 		return nil, err
 	}
-	out := make([]signedRow, 0, cs.Len())
-	for _, c := range cs.Changes {
-		out = append(out, signedRow{ID: c.RowID, Row: c.Row, Action: c.Action})
-	}
-	return out, nil
+	return cs.Changes, nil
 }
 
 // ErrSourceOverwritten signals that an upstream table was overwritten or
@@ -497,86 +338,82 @@ func deltaScan(s *plan.Scan, iv Interval, env *Env) ([]signedRow, error) {
 // the refresh controller reacts with a REINITIALIZE action (§3.3.2).
 var ErrSourceOverwritten = errors.New("ivm: source overwritten within change interval")
 
-func deltaFilter(f *plan.Filter, iv Interval, env *Env) ([]signedRow, error) {
+func deltaFilter(f *plan.Filter, iv Interval, env *Env) ([]delta.Change, error) {
 	in, err := deltaRec(f.Input, iv, env)
 	if err != nil {
 		return nil, err
 	}
 	ev := &plan.EvalContext{Now: env.Now}
 	out := in[:0:0]
-	for _, sr := range in {
-		ok, err := plan.EvalBool(f.Pred, sr.Row, ev)
+	for _, c := range in {
+		ok, err := plan.EvalBool(f.Pred, c.Row, ev)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, sr)
+			out = append(out, c)
 		}
 	}
 	return out, nil
 }
 
-func deltaProject(p *plan.Project, iv Interval, env *Env) ([]signedRow, error) {
+func deltaProject(p *plan.Project, iv Interval, env *Env) ([]delta.Change, error) {
 	in, err := deltaRec(p.Input, iv, env)
 	if err != nil {
 		return nil, err
 	}
 	ev := &plan.EvalContext{Now: env.Now}
-	out := make([]signedRow, len(in))
-	for i, sr := range in {
+	out := make([]delta.Change, len(in))
+	for i, c := range in {
 		row := make(types.Row, len(p.Exprs))
 		for j, e := range p.Exprs {
-			v, err := plan.Eval(e, sr.Row, ev)
+			v, err := plan.Eval(e, c.Row, ev)
 			if err != nil {
 				return nil, err
 			}
 			row[j] = v
 		}
-		out[i] = signedRow{ID: sr.ID, Row: row, Action: sr.Action}
+		out[i] = delta.Change{RowID: c.RowID, Action: c.Action, Row: row}
 	}
 	return out, nil
 }
 
-func deltaUnion(u *plan.UnionAll, iv Interval, env *Env) ([]signedRow, error) {
-	// Branch deltas are independent change sets; evaluate them in
-	// parallel and concatenate in branch order.
-	branches := make([][]signedRow, len(u.Inputs))
-	tasks := make([]func(*Env) error, len(u.Inputs))
-	for i := range u.Inputs {
-		tasks[i] = func(e *Env) error {
-			rows, err := deltaRec(u.Inputs[i], iv, e)
-			branches[i] = rows
-			return err
+// deltaUnion concatenates the branch deltas in branch order.
+func deltaUnion(u *plan.UnionAll, iv Interval, env *Env) ([]delta.Change, error) {
+	var out []delta.Change
+	for i, in := range u.Inputs {
+		rows, err := deltaRec(in, iv, env)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := runPar(env, tasks...); err != nil {
-		return nil, err
-	}
-	var out []signedRow
-	for i, rows := range branches {
-		for _, sr := range rows {
-			out = append(out, signedRow{
-				ID: exec.UnionBranchID(i, sr.ID), Row: sr.Row, Action: sr.Action,
-			})
+		for _, c := range rows {
+			c.RowID = exec.UnionBranchID(i, c.RowID)
+			out = append(out, c)
 		}
 	}
 	return out, nil
 }
 
-func deltaFlatten(f *plan.Flatten, iv Interval, env *Env) ([]signedRow, error) {
+// byAction returns the rows of the changes carrying the given action.
+func byAction(changes []delta.Change, action delta.Action) []exec.TRow {
+	var part []exec.TRow
+	for _, c := range changes {
+		if c.Action == action {
+			part = append(part, exec.TRow{ID: c.RowID, Row: c.Row})
+		}
+	}
+	return part
+}
+
+func deltaFlatten(f *plan.Flatten, iv Interval, env *Env) ([]delta.Change, error) {
 	in, err := deltaRec(f.Input, iv, env)
 	if err != nil {
 		return nil, err
 	}
-	var out []signedRow
+	var out []delta.Change
 	// Flatten inserts and deletes separately: each preserves action.
 	for _, action := range []delta.Action{delta.Delete, delta.Insert} {
-		var part []exec.TRow
-		for _, sr := range in {
-			if sr.Action == action {
-				part = append(part, exec.TRow{ID: sr.ID, Row: sr.Row})
-			}
-		}
+		part := byAction(in, action)
 		if len(part) == 0 {
 			continue
 		}
@@ -585,7 +422,7 @@ func deltaFlatten(f *plan.Flatten, iv Interval, env *Env) ([]signedRow, error) {
 			return nil, err
 		}
 		for _, tr := range flat {
-			out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: action})
+			out = append(out, delta.Change{RowID: tr.ID, Action: action, Row: tr.Row})
 		}
 	}
 	return out, nil
@@ -601,105 +438,73 @@ func innerOf(j *plan.Join) *plan.Join {
 	return plan.NewJoin(sql.JoinInner, j.L, j.R, j.LeftKeys, j.RightKeys, j.Residual)
 }
 
-// joinSignedLeft joins signed left rows against unsigned right rows,
-// propagating the left action.
-func joinSignedLeft(j *plan.Join, left []signedRow, right []exec.TRow, env *Env) ([]signedRow, error) {
+// joinSigned inner-joins change rows against plain rows of the other
+// side, each output row carrying the action of its change row. signedLeft
+// says which side of the join the change rows are on.
+func joinSigned(j *plan.Join, signed []delta.Change, other []exec.TRow, signedLeft bool, env *Env) ([]delta.Change, error) {
 	inner := innerOf(j)
 	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
-	var out []signedRow
+	var out []delta.Change
 	for _, action := range []delta.Action{delta.Delete, delta.Insert} {
-		var part []exec.TRow
-		for _, sr := range left {
-			if sr.Action == action {
-				part = append(part, exec.TRow{ID: sr.ID, Row: sr.Row})
-			}
-		}
+		part := byAction(signed, action)
 		if len(part) == 0 {
 			continue
 		}
-		joined, err := exec.JoinRows(inner, part, right, ctx)
+		left, right := part, other
+		if !signedLeft {
+			left, right = other, part
+		}
+		joined, err := exec.JoinRows(inner, left, right, ctx)
 		if err != nil {
 			return nil, err
 		}
 		for _, tr := range joined {
-			out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: action})
+			out = append(out, delta.Change{RowID: tr.ID, Action: action, Row: tr.Row})
 		}
 	}
 	return out, nil
 }
 
-// joinSignedRight joins unsigned left rows against signed right rows.
-func joinSignedRight(j *plan.Join, left []exec.TRow, right []signedRow, env *Env) ([]signedRow, error) {
-	inner := innerOf(j)
-	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
-	var out []signedRow
-	for _, action := range []delta.Action{delta.Delete, delta.Insert} {
-		var part []exec.TRow
-		for _, sr := range right {
-			if sr.Action == action {
-				part = append(part, exec.TRow{ID: sr.ID, Row: sr.Row})
-			}
-		}
-		if len(part) == 0 {
-			continue
-		}
-		joined, err := exec.JoinRows(inner, left, part, ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range joined {
-			out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: action})
-		}
+// joinSides differentiates both inputs of a join, left first.
+func joinSides(j *plan.Join, iv Interval, env *Env) (dq, dr []delta.Change, err error) {
+	if dq, err = deltaRec(j.L, iv, env); err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	if dr, err = deltaRec(j.R, iv, env); err != nil {
+		return nil, nil, err
+	}
+	return dq, dr, nil
 }
 
-// deltaInnerJoin implements Δ(Q⋈R) = ΔQ⋈R₁ + Q₀⋈ΔR. The two side
-// deltas are independent, as are the two bilinear terms once the deltas
-// are known; each pair evaluates in parallel under the Env's
-// parallelism budget.
-func deltaInnerJoin(j *plan.Join, iv Interval, env *Env) ([]signedRow, error) {
-	var dq, dr []signedRow
-	err := runPar(env,
-		func(e *Env) error {
-			var err error
-			dq, err = deltaRec(j.L, iv, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			dr, err = deltaRec(j.R, iv, e)
-			return err
-		})
+// deltaInnerJoin implements Δ(Q⋈R) = ΔQ⋈R₁ + Q₀⋈ΔR, evaluating each
+// bilinear term's boundary snapshot only when its delta is non-empty.
+func deltaInnerJoin(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error) {
+	dq, dr, err := joinSides(j, iv, env)
 	if err != nil {
 		return nil, err
 	}
-	var term1, term2 []signedRow
-	var tasks []func(*Env) error
+	var out []delta.Change
 	if len(dq) > 0 {
-		tasks = append(tasks, func(e *Env) error {
-			r1, err := snapshot(j.R, iv.To, e)
-			if err != nil {
-				return err
-			}
-			term1, err = joinSignedLeft(j, dq, r1, e)
-			return err
-		})
+		r1, err := snapshot(j.R, iv.To, env)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = joinSigned(j, dq, r1, true, env); err != nil {
+			return nil, err
+		}
 	}
 	if len(dr) > 0 {
-		tasks = append(tasks, func(e *Env) error {
-			q0, err := snapshot(j.L, iv.From, e)
-			if err != nil {
-				return err
-			}
-			term2, err = joinSignedRight(j, q0, dr, e)
-			return err
-		})
+		q0, err := snapshot(j.L, iv.From, env)
+		if err != nil {
+			return nil, err
+		}
+		term2, err := joinSigned(j, dr, q0, false, env)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, term2...)
 	}
-	if err := runPar(env, tasks...); err != nil {
-		return nil, err
-	}
-	return append(term1, term2...), nil
+	return out, nil
 }
 
 // matchedIDs runs the inner join of the given left rows against right rows
@@ -743,7 +548,7 @@ func nullExtensionDelta(
 	affected map[string]bool,
 	other0, other1 []exec.TRow,
 	env *Env,
-) ([]signedRow, error) {
+) ([]delta.Change, error) {
 	// Collect the affected rows present at each boundary.
 	var rows0, rows1 []exec.TRow
 	for id := range affected {
@@ -788,23 +593,17 @@ func nullExtensionDelta(
 		return exec.JoinRowID("-", tr.ID), nullLeft.Concat(tr.Row)
 	}
 
-	var out []signedRow
+	// Equal delete+insert pairs cancel during consolidation.
+	var out []delta.Change
 	for id := range affected {
-		tr0, in0 := p0[id]
-		tr1, in1 := p1[id]
-		hadExt := in0 && !m0[id]
-		hasExt := in1 && !m1[id]
-		if hadExt {
+		if tr0, in0 := p0[id]; in0 && !m0[id] {
 			rid, row := extRow(tr0)
-			out = append(out, signedRow{ID: rid, Row: row, Action: delta.Delete})
+			out = append(out, delta.Change{RowID: rid, Action: delta.Delete, Row: row})
 		}
-		if hasExt {
+		if tr1, in1 := p1[id]; in1 && !m1[id] {
 			rid, row := extRow(tr1)
-			out = append(out, signedRow{ID: rid, Row: row, Action: delta.Insert})
+			out = append(out, delta.Change{RowID: rid, Action: delta.Insert, Row: row})
 		}
-		// Equal delete+insert pairs cancel during consolidation.
-		_ = hadExt
-		_ = hasExt
 	}
 	return out, nil
 }
@@ -812,19 +611,8 @@ func nullExtensionDelta(
 // deltaOuterJoinDirect is the direct outer-join derivative (§5.5.1): the
 // inner-join delta plus null-extension maintenance, sharing each boundary
 // evaluation across terms.
-func deltaOuterJoinDirect(j *plan.Join, iv Interval, env *Env) ([]signedRow, error) {
-	var dq, dr []signedRow
-	err := runPar(env,
-		func(e *Env) error {
-			var err error
-			dq, err = deltaRec(j.L, iv, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			dr, err = deltaRec(j.R, iv, e)
-			return err
-		})
+func deltaOuterJoinDirect(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error) {
+	dq, dr, err := joinSides(j, iv, env)
 	if err != nil {
 		return nil, err
 	}
@@ -832,40 +620,22 @@ func deltaOuterJoinDirect(j *plan.Join, iv Interval, env *Env) ([]signedRow, err
 		return nil, nil
 	}
 
-	// Boundary evaluations, shared by every term below; the four
-	// snapshots are independent as-of evaluations.
-	var q0, q1, r0, r1 []exec.TRow
-	err = runPar(env,
-		func(e *Env) error {
-			var err error
-			q0, err = snapshot(j.L, iv.From, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			q1, err = snapshot(j.L, iv.To, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			r0, err = snapshot(j.R, iv.From, e)
-			return err
-		},
-		func(e *Env) error {
-			var err error
-			r1, err = snapshot(j.R, iv.To, e)
-			return err
-		})
+	// Boundary evaluations, shared by every term below.
+	q0, q1, err := snapshotBoundaries(j.L, iv, env)
+	if err != nil {
+		return nil, err
+	}
+	r0, r1, err := snapshotBoundaries(j.R, iv, env)
 	if err != nil {
 		return nil, err
 	}
 
 	// Inner part: ΔQ⋈R₁ + Q₀⋈ΔR.
-	out, err := joinSignedLeft(j, dq, r1, env)
+	out, err := joinSigned(j, dq, r1, true, env)
 	if err != nil {
 		return nil, err
 	}
-	term2, err := joinSignedRight(j, q0, dr, env)
+	term2, err := joinSigned(j, dr, q0, false, env)
 	if err != nil {
 		return nil, err
 	}
@@ -909,14 +679,14 @@ func deltaOuterJoinDirect(j *plan.Join, iv Interval, env *Env) ([]signedRow, err
 // delta, plus rows whose join key appears in the other side's delta.
 func affectedPreservedIDs(
 	j *plan.Join,
-	ownDelta, otherDelta []signedRow,
+	ownDelta, otherDelta []delta.Change,
 	p0, p1 []exec.TRow,
 	preservedLeft bool,
 	env *Env,
 ) (map[string]bool, error) {
 	affected := make(map[string]bool, len(ownDelta))
-	for _, sr := range ownDelta {
-		affected[sr.ID] = true
+	for _, c := range ownDelta {
+		affected[c.RowID] = true
 	}
 	if len(otherDelta) == 0 {
 		return affected, nil
@@ -937,8 +707,8 @@ func affectedPreservedIDs(
 		return affected, nil
 	}
 	changedKeys := make(map[string]bool, len(otherDelta))
-	for _, sr := range otherDelta {
-		key, ok, err := exec.EvalKey(otherKeys, sr.Row, env.Now)
+	for _, c := range otherDelta {
+		key, ok, err := exec.EvalKey(otherKeys, c.Row, env.Now)
 		if err != nil {
 			return nil, err
 		}
@@ -972,7 +742,7 @@ func affectedPreservedIDs(
 // independently. Terms re-differentiate and re-evaluate the shared
 // subplans, so nested outer joins duplicate work exponentially — the
 // behaviour §5.5.1 reports as motivating the direct derivative.
-func deltaOuterJoinExpanded(j *plan.Join, iv Interval, env *Env) ([]signedRow, error) {
+func deltaOuterJoinExpanded(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error) {
 	// Term 1: inner join delta (its own recursive differentiation).
 	out, err := deltaInnerJoin(j, iv, env)
 	if err != nil {
@@ -1000,7 +770,7 @@ func deltaOuterJoinExpanded(j *plan.Join, iv Interval, env *Env) ([]signedRow, e
 // evaluating the anti-join at both boundaries and diffing — including its
 // own recursive delta of the preserved side to find affected rows, which
 // duplicates the subplan evaluations already done by the inner term.
-func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft bool) ([]signedRow, error) {
+func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft bool) ([]delta.Change, error) {
 	// Redundant recursive differentiation (the expansion's cost).
 	if preservedLeft {
 		if _, err := deltaRec(j.L, iv, env); err != nil {
@@ -1073,20 +843,20 @@ func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft b
 		return exec.JoinRowID("-", tr.ID), nullLeft.Concat(tr.Row)
 	}
 
-	var out []signedRow
+	var out []delta.Change
 	for id, tr := range before {
 		if cur, ok := after[id]; ok && cur.Row.Equal(tr.Row) {
 			continue
 		}
 		rid, row := extend(tr)
-		out = append(out, signedRow{ID: rid, Row: row, Action: delta.Delete})
+		out = append(out, delta.Change{RowID: rid, Action: delta.Delete, Row: row})
 	}
 	for id, tr := range after {
 		if prev, ok := before[id]; ok && prev.Row.Equal(tr.Row) {
 			continue
 		}
 		rid, row := extend(tr)
-		out = append(out, signedRow{ID: rid, Row: row, Action: delta.Insert})
+		out = append(out, delta.Change{RowID: rid, Action: delta.Insert, Row: row})
 	}
 	return out, nil
 }
@@ -1097,7 +867,7 @@ func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft b
 
 // deltaAggregate recomputes affected groups:
 // Δγ(Q) = −γ(Q₀ ⋉ₖ keys(ΔQ)) + γ(Q₁ ⋉ₖ keys(ΔQ)).
-func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, error) {
+func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, error) {
 	din, err := deltaRec(a.Input, iv, env)
 	if err != nil {
 		return nil, err
@@ -1106,8 +876,8 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, erro
 		return nil, nil
 	}
 	affected := make(map[string]bool)
-	for _, sr := range din {
-		key, _, err := exec.EvalKey(a.GroupBy, sr.Row, env.Now)
+	for _, c := range din {
+		key, _, err := exec.EvalKey(a.GroupBy, c.Row, env.Now)
 		if err != nil {
 			return nil, err
 		}
@@ -1123,18 +893,12 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, erro
 	// Scalar aggregates materialize a row even over empty input; only
 	// treat boundary rows as present when their group actually had input
 	// rows, except for the genuine global aggregate.
-	var out []signedRow
-	for _, tr := range old {
-		if len(a.GroupBy) == 0 && n0 == 0 {
-			continue
-		}
-		out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: delta.Delete})
+	var out []delta.Change
+	if len(a.GroupBy) > 0 || n0 > 0 {
+		out = appendAs(out, old, delta.Delete)
 	}
-	for _, tr := range cur {
-		if len(a.GroupBy) == 0 && n1 == 0 {
-			continue
-		}
-		out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: delta.Insert})
+	if len(a.GroupBy) > 0 || n1 > 0 {
+		out = appendAs(out, cur, delta.Insert)
 	}
 	return out, nil
 }
@@ -1149,38 +913,20 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, erro
 // aggregates only, where the guard is vacuous).
 func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
 	if len(a.GroupBy) > 0 && env.Columnar {
-		var h0, h1 bool
-		err := runPar(env,
-			func(e *Env) error {
-				ctx := pinnedCtx(iv.From, e)
-				cr, handled, err := exec.RunColumnar(a.Input, ctx)
-				if err != nil || !handled {
-					return err
-				}
-				h0 = true
-				e.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
-				old, err = exec.AggregateColumnar(a, cr, affected, ctx)
-				return err
-			},
-			func(e *Env) error {
-				ctx := pinnedCtx(iv.To, e)
-				cr, handled, err := exec.RunColumnar(a.Input, ctx)
-				if err != nil || !handled {
-					return err
-				}
-				h1 = true
-				e.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
-				cur, err = exec.AggregateColumnar(a, cr, affected, ctx)
-				return err
-			})
+		old, handled, err := aggregateColumnar(a, iv.From, affected, env)
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
-		if h0 && h1 {
+		// Whether the input is batchable depends on the plan alone, so
+		// the end boundary is handled exactly when the start is.
+		if handled {
+			cur, _, err := aggregateColumnar(a, iv.To, affected, env)
+			if err != nil {
+				return nil, nil, 0, 0, err
+			}
 			return old, cur, 0, 0, nil
 		}
-		// Not batchable (or columnar off): fall through to the row path.
-		old, cur = nil, nil
+		// Not batchable: fall through to the row path.
 	}
 
 	q0, q1, err := snapshotBoundaries(a.Input, iv, env)
@@ -1220,8 +966,22 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 	return old, cur, len(in0), len(in1), nil
 }
 
+// aggregateColumnar aggregates the affected groups of the aggregate's
+// input as of vm on the columnar path; handled is false when the input is
+// not batchable.
+func aggregateColumnar(a *plan.Aggregate, vm VersionMap, affected map[string]bool, env *Env) (_ []exec.TRow, handled bool, _ error) {
+	ctx := pinnedCtx(vm, env)
+	cr, handled, err := exec.RunColumnar(a.Input, ctx)
+	if err != nil || !handled {
+		return nil, handled, err
+	}
+	env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
+	rows, err := exec.AggregateColumnar(a, cr, affected, ctx)
+	return rows, true, err
+}
+
 // deltaDistinct treats DISTINCT as grouping on every column.
-func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]signedRow, error) {
+func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]delta.Change, error) {
 	din, err := deltaRec(d.Input, iv, env)
 	if err != nil {
 		return nil, err
@@ -1237,8 +997,8 @@ func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]signedRow, error)
 		return string(buf)
 	}
 	affected := make(map[string]bool, len(din))
-	for _, sr := range din {
-		affected[rowKey(sr.Row)] = true
+	for _, c := range din {
+		affected[rowKey(c.Row)] = true
 	}
 	count := func(rows []exec.TRow) map[string]types.Row {
 		m := make(map[string]types.Row)
@@ -1258,15 +1018,15 @@ func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]signedRow, error)
 	}
 	before := count(q0)
 	after := count(q1)
-	var out []signedRow
+	var out []delta.Change
 	for k, row := range before {
 		if _, still := after[k]; !still {
-			out = append(out, signedRow{ID: exec.DistinctRowID(k), Row: row, Action: delta.Delete})
+			out = append(out, delta.Change{RowID: exec.DistinctRowID(k), Action: delta.Delete, Row: row})
 		}
 	}
 	for k, row := range after {
 		if _, had := before[k]; !had {
-			out = append(out, signedRow{ID: exec.DistinctRowID(k), Row: row, Action: delta.Insert})
+			out = append(out, delta.Change{RowID: exec.DistinctRowID(k), Action: delta.Insert, Row: row})
 		}
 	}
 	return out, nil
@@ -1274,7 +1034,7 @@ func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]signedRow, error)
 
 // deltaWindow recomputes affected partitions (§5.5.1):
 // Δξ(Q) = π₋(ξ(Q₀ ⋉ₖ ΔQ)) + π₊(ξ(Q₁ ⋉ₖ ΔQ)).
-func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]signedRow, error) {
+func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) {
 	din, err := deltaRec(w.Input, iv, env)
 	if err != nil {
 		return nil, err
@@ -1309,8 +1069,8 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]signedRow, error) {
 			affected[k] = true
 		}
 	} else {
-		for _, sr := range din {
-			k, err := partKey(sr.Row)
+		for _, c := range din {
+			k, err := partKey(c.Row)
 			if err != nil {
 				return nil, err
 			}
@@ -1357,13 +1117,16 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]signedRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]signedRow, 0, len(old)+len(cur))
-	for _, tr := range old {
-		out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: delta.Delete})
-	}
-	for _, tr := range cur {
-		out = append(out, signedRow{ID: tr.ID, Row: tr.Row, Action: delta.Insert})
-	}
+	out := make([]delta.Change, 0, len(old)+len(cur))
+	out = appendAs(out, old, delta.Delete)
 	// Rows whose window values did not change cancel in consolidation.
-	return out, nil
+	return appendAs(out, cur, delta.Insert), nil
+}
+
+// appendAs appends the rows to out as changes carrying the action.
+func appendAs(out []delta.Change, rows []exec.TRow, action delta.Action) []delta.Change {
+	for _, tr := range rows {
+		out = append(out, delta.Change{RowID: tr.ID, Action: action, Row: tr.Row})
+	}
+	return out
 }

@@ -783,13 +783,13 @@ func TestConsolidationFreeClassification(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel differentiation
+// oracle across operator shapes
 // ---------------------------------------------------------------------------
 
-// parallelQueries covers every operator with a parallelized rule: join
-// sides, outer-join boundary snapshots, union branches, and the
-// recompute-affected-group boundary pairs.
-var parallelQueries = []string{
+// shapeQueries covers every rule that differentiates more than one
+// subplan: join sides, outer-join boundary snapshots, union branches, and
+// the recompute-affected-group boundary pairs.
+var shapeQueries = []string{
 	`SELECT f.k, f.v, d.name FROM facts f JOIN dims d ON f.k = d.k`,
 	`SELECT f.k, d.name FROM facts f LEFT JOIN dims d ON f.k = d.k`,
 	`SELECT f.k, d.name FROM facts f FULL JOIN dims d ON f.k = d.k`,
@@ -800,7 +800,7 @@ var parallelQueries = []string{
 	`SELECT a.k, a.v, b.v FROM facts a JOIN facts b ON a.k = b.k LEFT JOIN dims d ON a.v = d.k`,
 }
 
-func parallelHarness(t *testing.T) (*harness, ivm.VersionMap, ivm.VersionMap) {
+func shapeHarness(t *testing.T) (*harness, ivm.VersionMap, ivm.VersionMap) {
 	h := newHarness(t)
 	h.table("facts", "k INT, v INT")
 	h.table("dims", "k INT, name INT")
@@ -823,62 +823,19 @@ func parallelHarness(t *testing.T) (*harness, ivm.VersionMap, ivm.VersionMap) {
 	return h, from, h.versions()
 }
 
-func TestDeltaParallelMatchesSequential(t *testing.T) {
-	for _, query := range parallelQueries {
-		h, from, to := parallelHarness(t)
-		p := h.bind(query)
-		iv := ivm.Interval{From: from, To: to}
-
-		var seqCounters, parCounters exec.Counters
-		var seqStats, parStats ivm.Stats
-		seqEnv := &ivm.Env{Now: h.env.Now, Counters: &seqCounters, Stats: &seqStats}
-		seq, err := ivm.Delta(p, iv, seqEnv)
-		if err != nil {
-			t.Fatalf("%s: sequential delta: %v", query, err)
-		}
-		parEnv := &ivm.Env{Now: h.env.Now, Counters: &parCounters, Stats: &parStats, Parallelism: 4}
-		par, err := ivm.Delta(p, iv, parEnv)
-		if err != nil {
-			t.Fatalf("%s: parallel delta: %v", query, err)
-		}
-
-		render := func(cs delta.ChangeSet) []string {
-			out := make([]string, 0, len(cs.Changes))
-			for _, c := range cs.Changes {
-				out = append(out, fmt.Sprintf("%s %d %s", c.RowID, c.Action, c.Row))
-			}
-			sort.Strings(out)
-			return out
-		}
-		s, q := render(seq), render(par)
-		if strings.Join(s, "\n") != strings.Join(q, "\n") {
-			t.Errorf("%s: parallel delta differs\nseq: %v\npar: %v", query, s, q)
-		}
-		// Work accounting folds child branches back into the parent.
-		if seqCounters.ScanRows != parCounters.ScanRows {
-			t.Errorf("%s: ScanRows %d (seq) vs %d (par)", query, seqCounters.ScanRows, parCounters.ScanRows)
-		}
-		if seqStats.SubplanDeltaEvals != parStats.SubplanDeltaEvals ||
-			seqStats.SubplanSnapshotEvals != parStats.SubplanSnapshotEvals {
-			t.Errorf("%s: stats diverge: seq %+v, par %+v", query, seqStats, parStats)
-		}
-	}
-}
-
-func TestDeltaParallelOracle(t *testing.T) {
-	// The incremental oracle (old + Δ == new) must hold under parallel
-	// differentiation for every covered query shape.
-	for _, query := range parallelQueries {
-		h, from, to := parallelHarness(t)
-		h.env.Parallelism = 4
+func TestDeltaOracleAcrossShapes(t *testing.T) {
+	// The incremental oracle (old + Δ == new) must hold for every query
+	// shape whose rule differentiates more than one subplan.
+	for _, query := range shapeQueries {
+		h, from, to := shapeHarness(t)
 		p := h.bind(query)
 		h.checkIncremental(p, from, to)
 	}
 }
 
-func TestDeltaParallelErrorParity(t *testing.T) {
-	// A source overwritten inside the interval must surface the same
-	// REINITIALIZE signal whether or not branches run concurrently.
+func TestDeltaOverwrittenSourceErrors(t *testing.T) {
+	// A source overwritten inside the interval must surface the
+	// REINITIALIZE signal.
 	h := newHarness(t)
 	facts := h.table("facts", "k INT, v INT")
 	h.table("dims", "k INT, name INT")
@@ -890,11 +847,9 @@ func TestDeltaParallelErrorParity(t *testing.T) {
 	}
 	to := h.versions()
 	p := h.bind(`SELECT f.k, d.name FROM facts f JOIN dims d ON f.k = d.k`)
-	for _, par := range []int{0, 4} {
-		env := &ivm.Env{Now: h.env.Now, Parallelism: par}
-		_, err := ivm.Delta(p, ivm.Interval{From: from, To: to}, env)
-		if !errors.Is(err, ivm.ErrSourceOverwritten) {
-			t.Errorf("parallelism %d: err = %v, want ErrSourceOverwritten", par, err)
-		}
+	env := &ivm.Env{Now: h.env.Now}
+	_, err := ivm.Delta(p, ivm.Interval{From: from, To: to}, env)
+	if !errors.Is(err, ivm.ErrSourceOverwritten) {
+		t.Errorf("err = %v, want ErrSourceOverwritten", err)
 	}
 }

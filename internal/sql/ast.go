@@ -442,8 +442,8 @@ type AlterStmt struct {
 }
 
 // AlterSystemStmt is ALTER SYSTEM SET <param> = <value>: an engine-wide
-// runtime tuning knob (refresh worker-pool width, delta parallelism,
-// observability history capacity, the adaptive refresh-mode chooser).
+// runtime tuning knob (refresh worker-pool width, observability history
+// capacity, the adaptive refresh-mode chooser, the compaction horizon).
 type AlterSystemStmt struct {
 	Param string // upper-cased parameter name
 	Value int64

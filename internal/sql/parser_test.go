@@ -649,7 +649,7 @@ func TestParseAlterSystem(t *testing.T) {
 	if sys.Param != "REFRESH_WORKERS" || sys.Value != 8 {
 		t.Errorf("parsed %+v", sys)
 	}
-	if _, err := Parse(`ALTER SYSTEM SET delta_parallelism = 2`); err != nil {
+	if _, err := Parse(`ALTER SYSTEM SET history_capacity = 2`); err != nil {
 		t.Errorf("lower-case param should parse: %v", err)
 	}
 	if _, err := Parse(`ALTER SYSTEM SET REFRESH_WORKERS = 'four'`); err == nil {

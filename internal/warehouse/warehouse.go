@@ -124,7 +124,8 @@ type Warehouse struct {
 	billed time.Duration
 	// resumes counts suspend→resume transitions.
 	resumes int
-	jobs    []Job
+	// jobs counts submitted jobs; the jobs themselves go to the sink.
+	jobs int
 	// sink, when set, observes every submitted job (the observability
 	// recorder's metering feed).
 	sink JobSink
@@ -217,7 +218,7 @@ func (w *Warehouse) SubmitConcurrent(at time.Time, rows int64, m CostModel, labe
 	}
 	w.everUsed = true
 	job := Job{Submit: at, Start: start, End: end, Rows: rows, Label: label}
-	w.jobs = append(w.jobs, job)
+	w.jobs++
 	if w.sink != nil {
 		w.sink.JobSubmitted(w, job)
 	}
@@ -225,7 +226,7 @@ func (w *Warehouse) SubmitConcurrent(at time.Time, rows int64, m CostModel, labe
 }
 
 // State is the serializable billing-simulation state of a warehouse. The
-// job log is not checkpointed; aggregate billing is.
+// job count is not checkpointed; aggregate billing is.
 type State struct {
 	BusyUntil time.Time
 	EverUsed  bool
@@ -284,13 +285,11 @@ func (w *Warehouse) Resumes() int {
 	return w.resumes
 }
 
-// Jobs returns a copy of the job log.
-func (w *Warehouse) Jobs() []Job {
+// JobCount returns how many jobs this process submitted to the warehouse.
+func (w *Warehouse) JobCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]Job, len(w.jobs))
-	copy(out, w.jobs)
-	return out
+	return w.jobs
 }
 
 // Pool is a named set of warehouses.

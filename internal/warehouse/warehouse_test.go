@@ -121,10 +121,13 @@ func TestPool(t *testing.T) {
 
 func TestJobLog(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
-	w.Submit(t0, 5, DefaultCostModel, "x")
-	jobs := w.Jobs()
-	if len(jobs) != 1 || jobs[0].Label != "x" || jobs[0].Rows != 5 {
-		t.Errorf("jobs: %+v", jobs)
+	job := w.Submit(t0, 5, DefaultCostModel, "x")
+	if job.Label != "x" || job.Rows != 5 {
+		t.Errorf("job: %+v", job)
+	}
+	w.Submit(t0, 1, DefaultCostModel, "y")
+	if got := w.JobCount(); got != 2 {
+		t.Errorf("JobCount = %d, want 2", got)
 	}
 }
 

@@ -850,13 +850,6 @@ func (e *Engine) dtHealthRows() ([]types.Row, error) {
 	return rows, nil
 }
 
-// showHealthColumns back SHOW HEALTH, a shorthand over the same rows as
-// INFORMATION_SCHEMA.DT_HEALTH.
-var showHealthColumns = []string{
-	"dt", "status", "reason", "slo_attainment", "error_streak",
-	"cpu_trend", "blame", "blame_phase", "blame_cost",
-}
-
 // warehousesRows backs SHOW WAREHOUSES: one row per warehouse with its
 // size and billing aggregates.
 var showWarehousesColumns = []string{
@@ -875,7 +868,7 @@ func (e *Engine) warehousesRows() []types.Row {
 			types.NewInterval(wh.BilledTime()),
 			types.NewFloat(wh.Credits()),
 			types.NewInt(int64(wh.Resumes())),
-			types.NewInt(int64(len(wh.Jobs()))),
+			types.NewInt(int64(wh.JobCount())),
 			tsOrNull(wh.BusyUntil()),
 		})
 	}

@@ -15,9 +15,6 @@ func TestAlterSystemKnobs(t *testing.T) {
 	if got := e.RefreshWorkers(); got != 1 {
 		t.Fatalf("default RefreshWorkers = %d, want 1 (serial)", got)
 	}
-	if got := e.DeltaParallelism(); got != 0 {
-		t.Fatalf("default DeltaParallelism = %d, want 0", got)
-	}
 
 	res := e.MustExec(`ALTER SYSTEM SET REFRESH_WORKERS = 4`)
 	if res.Kind != "ALTER SYSTEM" || !strings.Contains(res.Message, "4") {
@@ -25,10 +22,6 @@ func TestAlterSystemKnobs(t *testing.T) {
 	}
 	if got := e.RefreshWorkers(); got != 4 {
 		t.Errorf("RefreshWorkers = %d after ALTER, want 4", got)
-	}
-	e.MustExec(`ALTER SYSTEM SET DELTA_PARALLELISM = 2`)
-	if got := e.DeltaParallelism(); got != 2 {
-		t.Errorf("DeltaParallelism = %d after ALTER, want 2", got)
 	}
 	// 0 restores the serial default, mirroring Config.RefreshWorkers.
 	e.MustExec(`ALTER SYSTEM SET REFRESH_WORKERS = 0`)
@@ -51,15 +44,10 @@ func TestWithConfigWorkerResolution(t *testing.T) {
 	if got := New(WithConfig(Config{RefreshWorkers: -1})).RefreshWorkers(); got < 1 {
 		t.Errorf("host-derived RefreshWorkers = %d, want >= 1", got)
 	}
-	e := New(WithConfig(Config{DeltaParallelism: 4}))
-	if got := e.DeltaParallelism(); got != 4 {
-		t.Errorf("DeltaParallelism = %d, want 4", got)
-	}
 }
 
 // TestParallelSchedulerUpholdsDVS runs a mixed DAG under a wide worker
-// pool and intra-refresh parallelism and re-checks delayed view
-// semantics for every DT — the §6.1 oracle under concurrency. The same
+// pool and re-checks delayed view semantics for every DT — the §6.1 oracle under concurrency. The same
 // script on a serial refresher must store exactly the same rows.
 func TestParallelSchedulerUpholdsDVS(t *testing.T) {
 	names := []string{"agg", "flt", "joined"}
@@ -90,7 +78,7 @@ func TestParallelSchedulerUpholdsDVS(t *testing.T) {
 		}
 		return storedRows(t, e, names...)
 	}
-	parallel := run(Config{RefreshWorkers: 4, DeltaParallelism: 2})
+	parallel := run(Config{RefreshWorkers: 4})
 	if serial := run(Config{RefreshWorkers: 1}); parallel != serial {
 		t.Errorf("parallel refresh stored different rows than serial:\nparallel:\n%s\nserial:\n%s", parallel, serial)
 	}
@@ -134,7 +122,6 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 		{`ALTER SYSTEM SET REFRESH_WORKERS = banana`, "non-integer value"},
 		{`ALTER SYSTEM SET REFRESH_WORKERS = 'four'`, "string value"},
 		{`ALTER SYSTEM SET REFRESH_WORKERS = -3`, "negative workers"},
-		{`ALTER SYSTEM SET DELTA_PARALLELISM = -1`, "negative parallelism"},
 		{`ALTER SYSTEM SET HISTORY_CAPACITY = 0`, "zero capacity"},
 		{`ALTER SYSTEM SET HISTORY_CAPACITY = -10`, "negative capacity"},
 		{`ALTER SYSTEM REFRESH_WORKERS = 1`, "missing SET"},
@@ -145,12 +132,14 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 			t.Errorf("%s (%s): expected error", tc.stmt, tc.why)
 		}
 	}
+	// Differentiation is sequential; its parallelism knob is gone.
+	if _, err := e.Exec(`ALTER SYSTEM SET DELTA_PARALLELISM = 2`); err == nil ||
+		!strings.Contains(err.Error(), "unknown system parameter") {
+		t.Errorf("SET DELTA_PARALLELISM: err = %v, want unknown system parameter", err)
+	}
 	// Nothing changed.
 	if got := e.RefreshWorkers(); got != 1 {
 		t.Errorf("RefreshWorkers mutated to %d by failing statements", got)
-	}
-	if got := e.DeltaParallelism(); got != 0 {
-		t.Errorf("DeltaParallelism mutated to %d by failing statements", got)
 	}
 	if got := e.Observability().Capacity(); got != 1024 {
 		t.Errorf("history capacity mutated to %d by failing statements", got)
@@ -162,7 +151,7 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 // and the INFORMATION_SCHEMA query path. Run under -race: the defensive
 // copies must keep every reader free of torn state.
 func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
-	e := New(WithConfig(Config{RefreshWorkers: 4, DeltaParallelism: 2}))
+	e := New(WithConfig(Config{RefreshWorkers: 4}))
 	t.Cleanup(func() { e.Close() })
 	s := e.NewSession()
 	s.MustExec(`CREATE WAREHOUSE wh`)

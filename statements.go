@@ -884,13 +884,6 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 		e.refr.SetWorkers(n)
 		return &Result{Kind: "ALTER SYSTEM",
 			Message: fmt.Sprintf("REFRESH_WORKERS = %d", e.refr.Workers())}, nil
-	case "DELTA_PARALLELISM":
-		if stmt.Value < 0 {
-			return nil, fmt.Errorf("dyntables: DELTA_PARALLELISM must be >= 0")
-		}
-		e.ctrl.DeltaParallelism = int(stmt.Value)
-		return &Result{Kind: "ALTER SYSTEM",
-			Message: fmt.Sprintf("DELTA_PARALLELISM = %d", stmt.Value)}, nil
 	case "HISTORY_CAPACITY":
 		// Rebounds every observability ring (refresh history, lag
 		// samples, metering, graph edges) and each DT's in-engine history
@@ -1005,7 +998,7 @@ func (x *executor) execShow(stmt *sql.ShowStmt) (*Result, error) {
 		}
 		return &Result{
 			Kind:    "SHOW HEALTH",
-			Columns: showHealthColumns,
+			Columns: dtHealthSchema.Names(),
 			Rows:    rowsToValues(rows),
 		}, nil
 	case "ALERTS":
