@@ -175,7 +175,14 @@ func TestExplainAnalyzeResourceFooter(t *testing.T) {
 // per-DT CPU/alloc counters, table footprint gauges, the health-state
 // enum, and the Go runtime gauges.
 func TestMetricsResourceFamilies(t *testing.T) {
-	eng, _ := healthFixture(t)
+	eng, sess := healthFixture(t)
+	if !strings.Contains(eng.MetricsText(), `dyntables_table_index_bytes{table="src"} 0`+"\n") {
+		t.Errorf("src reports lookup-index bytes before any lookup")
+	}
+	// A key lookup of src indexes v over its 200-entry row log: 12 B each.
+	if res := sess.MustExec(`SELECT k FROM src WHERE v = 7`); len(res.Rows) != 1 {
+		t.Fatalf("point read returned %d rows", len(res.Rows))
+	}
 	text := eng.MetricsText()
 	for _, family := range []string{
 		"dyntables_dt_cpu_seconds_total",
@@ -184,6 +191,7 @@ func TestMetricsResourceFamilies(t *testing.T) {
 		"dyntables_table_live_rows",
 		"dyntables_table_chain_rows",
 		"dyntables_table_bytes",
+		"dyntables_table_index_bytes",
 		"dyntables_dt_health_state",
 		"dyntables_go_heap_inuse_bytes",
 		"dyntables_go_goroutines",
@@ -198,5 +206,8 @@ func TestMetricsResourceFamilies(t *testing.T) {
 	}
 	if !strings.Contains(text, `dyntables_table_bytes{table="src"}`) {
 		t.Errorf("no footprint gauge for table src")
+	}
+	if !strings.Contains(text, `dyntables_table_index_bytes{table="src"} 2400`+"\n") {
+		t.Errorf("src's lookup index is not 2400 B after a key lookup")
 	}
 }

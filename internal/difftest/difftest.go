@@ -152,6 +152,10 @@ func sqlType(k types.Kind) string {
 func (g *gen) literal(k types.Kind) string {
 	switch k {
 	case types.KindInt:
+		// Some NULLs, so that key lookups meet NULL keys.
+		if g.rng.Intn(8) == 0 {
+			return "NULL"
+		}
 		return fmt.Sprintf("%d", g.rng.Intn(200)-50)
 	case types.KindFloat:
 		// Halves only: exactly representable, so float formatting is
@@ -252,8 +256,8 @@ func (g *gen) genDML() {
 }
 
 // genQuery emits an ad-hoc SELECT: single-table filters with bind
-// parameters, two-table joins, aggregates, or a read over a DT —
-// optionally with ORDER BY over a unique key (compared in order) and
+// parameters, key lookups, two-table joins, aggregates, or a read over a
+// DT — optionally with ORDER BY over a unique key (compared in order) and
 // LIMIT.
 func (g *gen) genQuery() {
 	var (
@@ -261,7 +265,9 @@ func (g *gen) genQuery() {
 		args    []any
 		ordered bool
 	)
-	switch g.rng.Intn(5) {
+	switch g.rng.Intn(7) {
+	case 5, 6: // key lookup
+		q, args = g.lookupQuery()
 	case 0: // parameterized filter
 		t := g.tables[g.rng.Intn(len(g.tables))]
 		q = fmt.Sprintf("SELECT * FROM %s WHERE id >= ? AND %s %% ? <> 1",
@@ -295,6 +301,45 @@ func (g *gen) genQuery() {
 		ordered = true
 	}
 	g.script.Steps = append(g.script.Steps, Step{Kind: StepQuery, SQL: q, Args: args, Ordered: ordered})
+}
+
+// lookupQuery emits a filter whose leading conjuncts bound one INT
+// column, the shape the columnar engine serves through a storage lookup:
+// a point read, a two-sided range, a mirrored bound, a range over a
+// nullable INT column, bounds of another kind (FLOAT, STRING), and a
+// trailing conjunct that divides by zero on every row it reaches.
+func (g *gen) lookupQuery() (string, []any) {
+	t := g.tables[g.rng.Intn(len(g.tables))]
+	key := func() int { return g.rng.Intn(t.nextID+10) - 5 }
+	switch g.rng.Intn(6) {
+	case 0:
+		return fmt.Sprintf("SELECT * FROM %s WHERE id = ?", t.name), []any{key()}
+	case 1:
+		lo := key()
+		return fmt.Sprintf("SELECT * FROM %s WHERE id >= ? AND id < ? AND id <> ?", t.name),
+			[]any{lo, lo + g.rng.Intn(12), key()}
+	case 2:
+		lo := key()
+		return fmt.Sprintf("SELECT id FROM %s WHERE ? <= id AND ? > id", t.name), []any{lo, lo + g.rng.Intn(8)}
+	case 3:
+		c := g.intCol(t)
+		lo := g.rng.Intn(200) - 60
+		return fmt.Sprintf("SELECT * FROM %s WHERE %s >= ? AND %s <= %d", t.name, c, c, lo+g.rng.Intn(20)), []any{lo}
+	case 4:
+		bound := []any{2.5, float64(key()), "w3"}[g.rng.Intn(3)]
+		return fmt.Sprintf("SELECT * FROM %s WHERE id >= ?", t.name), []any{bound}
+	default:
+		k, e := g.intCol(t), g.intCol(t)
+		if g.rng.Intn(2) == 0 {
+			k = "id"
+		}
+		if g.rng.Intn(2) == 0 {
+			e = "id"
+		}
+		lo := key()
+		return fmt.Sprintf("SELECT id FROM %s WHERE %s >= ? AND %s <= ? AND 1/(%s-%s) > 0", t.name, k, k, e, e),
+			[]any{lo, lo + g.rng.Intn(3)}
+	}
 }
 
 // ---------------------------------------------------------------------------

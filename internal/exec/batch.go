@@ -108,14 +108,10 @@ func runBatchNode(n plan.Node, ctx *Context) (*batchRes, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ctx.Counters != nil {
-			ctx.Counters.ScanCalls++
-			ctx.Counters.ScanRows += int64(b.Len())
-			ctx.Counters.ScanBytes += b.ApproxBytes()
-		}
+		ctx.scanned(b)
 		return &batchRes{b: b}, nil
 	case *plan.Filter:
-		in, err := runBatch(x.Input, ctx)
+		in, err := filterInput(x, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -168,6 +164,43 @@ func runBatchNode(n plan.Node, ctx *Context) (*batchRes, error) {
 	default:
 		return nil, fmt.Errorf("exec: node %T is not batchable", n)
 	}
+}
+
+// scanned counts a batch a scan read.
+func (c *Context) scanned(b *types.Batch) {
+	if c.Counters != nil {
+		c.Counters.ScanCalls++
+		c.Counters.ScanRows += int64(b.Len())
+		c.Counters.ScanBytes += b.ApproxBytes()
+	}
+}
+
+// filterInput runs a filter's input. When the input is a scan and the
+// predicate leads with a range on one INT-family column
+// (plan.LeadingRange), the scan reads only that range's candidates
+// through LookupOf, and the filter evaluates its whole predicate over
+// them; an unselective range falls back to the full scan.
+func filterInput(f *plan.Filter, ctx *Context) (*batchRes, error) {
+	s, ok := f.Input.(*plan.Scan)
+	if !ok || ctx.LookupOf == nil {
+		return runBatch(f.Input, ctx)
+	}
+	r, ok := plan.LeadingRange(f.Pred, ctx.Params)
+	if !ok || r.Col >= s.Schema().Len() || s.Schema().Column(r.Col).Kind != r.Kind {
+		return runBatch(f.Input, ctx)
+	}
+	start := ctx.Stats.start()
+	b, ok, err := ctx.LookupOf(s, r)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return runBatch(f.Input, ctx)
+	}
+	ctx.count(func(c *Counters) { c.NodesVisited++ })
+	ctx.scanned(b)
+	ctx.Stats.observe(s, int64(b.Len()), start)
+	return &batchRes{b: b}, nil
 }
 
 // ColumnarRows is an exported handle to a columnar intermediate result.

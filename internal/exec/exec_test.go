@@ -20,7 +20,7 @@ import (
 // harness wires a fake catalog of storage tables to the binder and
 // executor.
 type harness struct {
-	t       *testing.T
+	t       testing.TB
 	tables  map[string]*storage.Table
 	views   map[string]string
 	nextTS  int64
@@ -28,7 +28,7 @@ type harness struct {
 	ids     map[string]int64
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	return &harness{
 		t:      t,
 		tables: map[string]*storage.Table{},

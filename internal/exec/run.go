@@ -50,6 +50,13 @@ type Context struct {
 	// Scan→Filter→Project→Limit fast path. Scans outside batchable
 	// chains use RowsOf.
 	BatchOf func(s *plan.Scan) (*types.Batch, error)
+	// LookupOf, when non-nil, lets a filter straight over a scan on the
+	// columnar path read only the candidate rows of the range its
+	// predicate leads with: the rows of the pinned version whose key lies
+	// in r, and those whose key is NULL or of another kind, in storage log
+	// order. ok false means the range is not selective enough, and the
+	// scan runs through BatchOf instead.
+	LookupOf func(s *plan.Scan, r plan.KeyRange) (_ *types.Batch, ok bool, _ error)
 	// Now is CURRENT_TIMESTAMP for this execution.
 	Now time.Time
 	// Counters, when non-nil, accumulates execution statistics.

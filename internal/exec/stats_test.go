@@ -14,20 +14,29 @@ import (
 // (EXPLAIN ANALYZE) profiles the columnar path instead of switching it
 // off: a Scan→Filter→Project chain and an aggregate fused over such a
 // chain read version batches, never row maps, and every plan node is
-// observed exactly once with its output row count.
+// observed exactly once with its output row count. With LookupOf set, a
+// selective key filter reads its candidates without the version batch,
+// and its Scan node reports the candidates; an unselective one scans.
 func TestStatsProfileColumnarPath(t *testing.T) {
 	h := newHarness(t)
 	h.table("t", "a int, b int", ints(1, 10), ints(2, 20), ints(3, 30), ints(4, 40))
 
 	cases := []struct {
-		query string
+		query  string
+		lookup bool
+		// batchCalls is how often the scan reads the version batch.
+		batchCalls int
 		// rows is each node's expected output, parents before children.
 		rows []int64
 	}{
 		// Project → Filter → Scan.
-		{`SELECT a, b * 2 FROM t WHERE a >= 2`, []int64{3, 3, 4}},
+		{`SELECT a, b * 2 FROM t WHERE a >= 2`, false, 1, []int64{3, 3, 4}},
 		// Project → Aggregate → Filter → Scan.
-		{`SELECT a % 2, sum(b) FROM t WHERE a >= 2 GROUP BY a % 2`, []int64{2, 2, 3, 4}},
+		{`SELECT a % 2, sum(b) FROM t WHERE a >= 2 GROUP BY a % 2`, false, 1, []int64{2, 2, 3, 4}},
+		// Project → Filter → Scan reading one candidate through the lookup.
+		{`SELECT b FROM t WHERE a = 3`, true, 0, []int64{1, 1, 1}},
+		// Three candidates of four rows are not selective: the scan runs.
+		{`SELECT b FROM t WHERE a >= 2`, true, 1, []int64{3, 3, 4}},
 	}
 	for _, tc := range cases {
 		stmt, err := sql.Parse(tc.query)
@@ -54,12 +63,17 @@ func TestStatsProfileColumnarPath(t *testing.T) {
 			Now:   time.Date(2025, 4, 1, 12, 0, 0, 0, time.UTC),
 			Stats: stats,
 		}
+		if tc.lookup {
+			ctx.LookupOf = func(s *plan.Scan, r plan.KeyRange) (*types.Batch, bool, error) {
+				return s.Table.SelectiveLookup(int64(s.Table.VersionCount()), r.Col, r.Lo, r.Hi)
+			}
+		}
 		out, err := exec.Collect(exec.Stream(p, ctx))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		if batchCalls != 1 || rowCalls != 0 {
-			t.Errorf("%s: BatchOf ran %d times, RowsOf %d; want 1 and 0", tc.query, batchCalls, rowCalls)
+		if batchCalls != tc.batchCalls || rowCalls != 0 {
+			t.Errorf("%s: BatchOf ran %d times, RowsOf %d; want %d and 0", tc.query, batchCalls, rowCalls, tc.batchCalls)
 		}
 		if got := int64(len(out)); got != tc.rows[0] {
 			t.Errorf("%s: returned %d rows, want %d", tc.query, got, tc.rows[0])

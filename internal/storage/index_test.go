@@ -1,0 +1,380 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"dyntables/internal/delta"
+	"dyntables/internal/types"
+)
+
+// lookupKey draws a column-0 value for the lookup tests: mostly small
+// INTs so that ranges hit several rows, sometimes the extreme INTs, a NULL
+// or a FLOAT (a value of another kind than the column's).
+func lookupKey(rng *rand.Rand) types.Value {
+	switch r := rng.Intn(20); {
+	case r == 0:
+		return types.Null
+	case r == 1:
+		return types.NewFloat(float64(rng.Intn(40)) / 2)
+	case r == 2:
+		return types.NewInt(math.MinInt64)
+	case r == 3:
+		return types.NewInt(math.MaxInt64)
+	default:
+		return types.NewInt(rng.Int63n(40) - 5)
+	}
+}
+
+// lookupBound draws a range end: an extreme, or a value near the keys.
+func lookupBound(rng *rand.Rand) int64 {
+	switch rng.Intn(6) {
+	case 0:
+		return math.MinInt64
+	case 1:
+		return math.MaxInt64
+	default:
+		return rng.Int63n(50) - 10
+	}
+}
+
+// wantLookup is the reference for Lookup: Batch(seq) filtered to the rows
+// whose column 0 lies in [lo, hi] or is not an INT.
+func wantLookup(t *testing.T, tb *Table, seq, lo, hi int64) ([]string, []types.Row) {
+	t.Helper()
+	b, err := tb.Batch(seq)
+	if err != nil {
+		t.Fatalf("Batch(%d): %v", seq, err)
+	}
+	var ids []string
+	var rows []types.Row
+	for i, id := range b.IDs() {
+		v := b.Row(i)[0]
+		if v.Kind() != types.KindInt || lo <= v.Int() && v.Int() <= hi {
+			ids = append(ids, id)
+			rows = append(rows, b.Row(i))
+		}
+	}
+	return ids, rows
+}
+
+// checkLookup compares Lookup and SelectiveLookup of version seq over
+// [lo, hi] with the reference.
+func checkLookup(t *testing.T, label string, tb *Table, seq, lo, hi int64) {
+	t.Helper()
+	wantIDs, wantRows := wantLookup(t, tb, seq, lo, hi)
+	check := func(name string, selective bool) {
+		b, ok, err := tb.lookup(seq, 0, lo, hi, selective)
+		if err != nil {
+			t.Fatalf("%s: %s(%d, [%d, %d]): %v", label, name, seq, lo, hi, err)
+		}
+		if !ok {
+			if !selective {
+				t.Fatalf("%s: Lookup(%d, [%d, %d]) declined an INT column", label, seq, lo, hi)
+			}
+			return
+		}
+		if !slices.Equal(b.IDs(), wantIDs) {
+			t.Fatalf("%s: %s(%d, [%d, %d]) = %v, filtered scan %v", label, name, seq, lo, hi, b.IDs(), wantIDs)
+		}
+		for i, row := range b.Rows() {
+			if !row.Equal(wantRows[i]) {
+				t.Fatalf("%s: %s(%d, [%d, %d]) row %s = %v, scan %v", label, name, seq, lo, hi, b.ID(i), row, wantRows[i])
+			}
+		}
+	}
+	check("Lookup", false)
+	check("SelectiveLookup", true)
+}
+
+// TestLookupMatchesFilteredScanProperty runs random histories of Apply,
+// Overwrite, AppendDataEquivalent, Compact, Clone (the clone and its
+// origin both writing afterwards) and RestoreTable, with lookups between
+// the writes so that runs are built early, read long tails and merge. At
+// every tenth step and at the end, every retained version of every table
+// must look up, for ranges that include both extreme INTs and empty ones,
+// exactly the rows of its scan whose key is in range, NULL or of another
+// kind, in log order.
+func TestLookupMatchesFilteredScanProperty(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tables := []*Table{newTestTable()}
+			commit := int64(10)
+			nextRow := 0
+			newRow := func() (string, types.Row) {
+				nextRow++
+				return fmt.Sprintf("r%d", nextRow), types.Row{lookupKey(rng)}
+			}
+			checkAll := func(label string) {
+				for i, tb := range tables {
+					for seq := tb.CompactedThrough() + 1; seq <= int64(tb.VersionCount()); seq++ {
+						checkLookup(t, fmt.Sprintf("%s table %d", label, i), tb, seq, math.MinInt64, math.MaxInt64)
+						checkLookup(t, fmt.Sprintf("%s table %d", label, i), tb, seq, 5, 4)
+						for r := 0; r < 3; r++ {
+							checkLookup(t, fmt.Sprintf("%s table %d", label, i), tb, seq, lookupBound(rng), lookupBound(rng))
+						}
+					}
+				}
+			}
+			for op := 0; op < 200; op++ {
+				tb := tables[rng.Intn(len(tables))]
+				latest := int64(tb.VersionCount())
+				commit += int64(1 + rng.Intn(3))
+				switch r := rng.Intn(20); {
+				case r < 11: // deletes, updates, inserts
+					b, err := tb.Batch(latest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var cs delta.ChangeSet
+					for i, id := range b.IDs() {
+						switch rng.Intn(10) {
+						case 0:
+							cs.AddDelete(id, b.Row(i))
+						case 1:
+							cs.AddDelete(id, b.Row(i))
+							cs.AddInsert(id, types.Row{lookupKey(rng)})
+						}
+					}
+					for i := rng.Intn(12); i > 0; i-- {
+						cs.AddInsert(newRow())
+					}
+					if _, err := tb.Apply(cs, ts(commit)); err != nil {
+						t.Fatalf("op %d: Apply: %v", op, err)
+					}
+				case r < 13:
+					rows := map[string]types.Row{}
+					for i := rng.Intn(20); i > 0; i-- {
+						id, row := newRow()
+						rows[id] = row
+					}
+					if _, err := tb.Overwrite(rows, ts(commit)); err != nil {
+						t.Fatalf("op %d: Overwrite: %v", op, err)
+					}
+				case r < 14:
+					if _, err := tb.AppendDataEquivalent(ts(commit)); err != nil {
+						t.Fatalf("op %d: AppendDataEquivalent: %v", op, err)
+					}
+				case r < 16:
+					lo := tb.CompactedThrough() + 1
+					if _, _, err := tb.Compact(lo + rng.Int63n(latest-lo+1)); err != nil {
+						t.Fatalf("op %d: Compact: %v", op, err)
+					}
+				case r < 18:
+					lo := tb.CompactedThrough() + 1
+					v, err := tb.VersionBySeq(lo + rng.Int63n(latest-lo+1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					clone, err := tb.Clone(v.Commit)
+					if err != nil {
+						t.Fatalf("op %d: Clone: %v", op, err)
+					}
+					tables = append(tables, clone)
+				default:
+					restored, err := RestoreTable(tb.State())
+					if err != nil {
+						t.Fatalf("op %d: RestoreTable: %v", op, err)
+					}
+					tables = append(tables, restored)
+				}
+				// A few lookups between writes build runs and grow tails.
+				for i := 0; i < 2; i++ {
+					tb := tables[rng.Intn(len(tables))]
+					lo := tb.CompactedThrough() + 1
+					seq := lo + rng.Int63n(int64(tb.VersionCount())-lo+1)
+					checkLookup(t, fmt.Sprintf("op %d", op), tb, seq, lookupBound(rng), lookupBound(rng))
+				}
+				if op%10 == 9 {
+					checkAll(fmt.Sprintf("op %d", op))
+				}
+			}
+			checkAll("end")
+		})
+	}
+}
+
+// TestLookupTailMerges appends one row at a time after the first lookup:
+// the tail stays short, because a lookup folds it into a new run once
+// tail² exceeds the segment's entries, and every lookup stays exact.
+func TestLookupTailMerges(t *testing.T) {
+	tb := newTestTable()
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 400; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i%50))
+		}
+	})
+	var r *run
+	for i := int64(0); i < 300; i++ {
+		apply(t, tb, 11+i, func(cs *delta.ChangeSet) {
+			cs.AddInsert(tb.NextRowID(), intRow(i%50))
+		})
+		seq := int64(tb.VersionCount())
+		checkLookup(t, fmt.Sprintf("append %d", i), tb, seq, 7, 7)
+		seg := tb.segmentFor(seq)
+		r = seg.index[0].run.Load()
+		if tail := len(seg.entries) - r.n; tail*tail > len(seg.entries) {
+			t.Fatalf("append %d: tail of %d entries over a %d-entry segment was not merged", i, tail, len(seg.entries))
+		}
+	}
+	if fp := tb.FootprintStats(); fp.IndexBytes != 12*int64(r.n) {
+		t.Errorf("IndexBytes = %d, want 12 B for each of the run's %d entries", fp.IndexBytes, r.n)
+	}
+}
+
+// TestLookupConcurrentFirstReadersShareOneBuild starts several first
+// lookups of a column nobody has looked up yet at once: they must share
+// one build of its run, so they allocate about what one first lookup of a
+// like column does.
+func TestLookupConcurrentFirstReadersShareOneBuild(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "a", Kind: types.KindInt}, types.Column{Name: "b", Kind: types.KindInt})
+	tb := NewTable(schema, ts(1))
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 40000; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i, 40000-i))
+		}
+	})
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := allocated(func() {
+		if _, _, err := tb.Lookup(2, 0, 7, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const readers = 8
+	got := make([]*types.Batch, readers)
+	start := make(chan struct{})
+	shared := allocated(func() {
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				b, _, err := tb.Lookup(2, 1, 7, 7)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = b
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	for _, b := range got {
+		if b.Len() != 1 || b.Row(0)[1].Int() != 7 {
+			t.Fatalf("a concurrent first lookup of b = 7 returned %d rows", b.Len())
+		}
+	}
+	// Eight separate builds would allocate about 8x one build.
+	if shared > 2*one {
+		t.Errorf("%d concurrent first lookups allocated %d bytes, one first lookup %d", readers, shared, one)
+	}
+}
+
+// TestLookupsRaceApplyAndCompact looks up pinned old versions and the
+// latest one while a writer commits deletes, updates and inserts of the
+// very rows they hold and compacts up to the pins. Run it under -race:
+// runs are built and merged without the table lock beside commits that
+// append to the log and stamp deletes in place.
+func TestLookupsRaceApplyAndCompact(t *testing.T) {
+	tb := newTestTable()
+	live := map[string]int64{}
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := 0; i < 300; i++ {
+			id := fmt.Sprintf("r%d", i)
+			live[id] = int64(i % 60)
+			cs.AddInsert(id, intRow(live[id]))
+		}
+	})
+	commit := int64(10)
+	step := func(i int) {
+		var cs delta.ChangeSet
+		id := fmt.Sprintf("r%d", i%300)
+		if v, ok := live[id]; ok {
+			cs.AddDelete(id, intRow(v))
+			if i%3 != 0 {
+				live[id] = (v + 7) % 60
+				cs.AddInsert(id, intRow(live[id]))
+			} else {
+				delete(live, id)
+			}
+		} else {
+			live[id] = int64(i % 60)
+			cs.AddInsert(id, intRow(live[id]))
+		}
+		commit++
+		if _, err := tb.Apply(cs, ts(commit)); err != nil {
+			t.Error(err)
+		}
+	}
+	var pinned []int64
+	want := map[int64][]string{}
+	for p := 0; p < 6; p++ {
+		for i := 0; i < 9; i++ {
+			step(p*9 + i)
+		}
+		seq := int64(tb.VersionCount())
+		tb.Pin(seq)
+		pinned = append(pinned, seq)
+		want[seq], _ = wantLookup(t, tb, seq, 10, 19)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 100; i < 600; i++ {
+			step(i)
+			if i%40 == 0 {
+				if _, _, err := tb.Compact(int64(tb.VersionCount())); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				seq := pinned[(r+i)%len(pinned)]
+				if i%2 == 1 {
+					seq = int64(tb.VersionCount())
+				}
+				b, _, err := tb.Lookup(seq, 0, 10, 19)
+				var compacted *ErrCompacted
+				if errors.As(err, &compacted) {
+					continue // the latest version was folded meanwhile
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if w, ok := want[seq]; ok && !slices.Equal(b.IDs(), w) {
+					t.Errorf("pinned version %d looked up %v, want %v", seq, b.IDs(), w)
+					return
+				}
+				for j := range b.Len() {
+					if k := b.Row(j)[0].Int(); k < 10 || k > 19 {
+						t.Errorf("version %d looked up key %d outside [10, 19]", seq, k)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}

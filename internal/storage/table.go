@@ -102,6 +102,10 @@ func (e *entry) visibleAt(seq int64) bool {
 type segment struct {
 	from    int64
 	entries []entry
+	// index holds the lookup runs over entries by column (index.go),
+	// guarded by the table lock. A new segment, a compaction fold and a
+	// clone's copy of a header all start without one.
+	index map[int]*colIndex
 }
 
 // add appends an entry and returns its position.
@@ -737,6 +741,9 @@ type Footprint struct {
 	// Bytes estimates the total in-memory size of chain change rows and
 	// snapshot rows (types.Row.ApproxBytes; an accounting estimate).
 	Bytes int64
+	// IndexBytes is the memory of the lookup runs the table's readers have
+	// built (index.go): 12 B per indexed log entry. Bytes excludes it.
+	IndexBytes int64
 	// CompactedThrough is the highest version sequence folded away by
 	// compaction (0 when the chain is uncompacted). Versions reports live
 	// versions only, so under steady churn with compaction enabled it —
@@ -762,6 +769,13 @@ func (t *Table) FootprintStats() Footprint {
 		for id, row := range v.Snapshot {
 			fp.SnapshotRows++
 			fp.Bytes += row.ApproxBytes() + int64(len(id))
+		}
+	}
+	for _, s := range t.segs {
+		for _, ci := range s.index {
+			if r := ci.run.Load(); r != nil {
+				fp.IndexBytes += r.bytes()
+			}
 		}
 	}
 	return fp

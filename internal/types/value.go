@@ -56,6 +56,12 @@ func (k Kind) String() string {
 	}
 }
 
+// IntFamily reports whether values of kind k carry an int64 payload that
+// orders them: INT, TIMESTAMP (microseconds) and INTERVAL (microseconds).
+func (k Kind) IntFamily() bool {
+	return k == KindInt || k == KindTimestamp || k == KindInterval
+}
+
 // KindFromName parses a SQL type name into a Kind. It accepts the common
 // aliases used by the dialect (INTEGER, BIGINT, DOUBLE, TEXT, VARCHAR, ...).
 func KindFromName(name string) (Kind, error) {
@@ -160,6 +166,16 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Int returns the INT payload. It panics if the value is not an INT.
 func (v Value) Int() int64 {
 	v.mustBe(KindInt)
+	return v.i
+}
+
+// IntPayload returns the int64 payload of an INT-family value (see
+// Kind.IntFamily), which orders values of one kind. It panics for every
+// other kind.
+func (v Value) IntPayload() int64 {
+	if !v.kind.IntFamily() {
+		panic(fmt.Sprintf("types: value is %s, not INT, TIMESTAMP or INTERVAL", v.kind))
+	}
 	return v.i
 }
 

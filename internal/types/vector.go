@@ -44,7 +44,7 @@ func typedVectorKind(k Kind) bool {
 // KindInt, KindTimestamp (microseconds since epoch) or KindInterval
 // (microseconds). nulls may be nil.
 func NewIntVector(kind Kind, ints []int64, nulls []bool) *Vector {
-	if kind != KindInt && kind != KindTimestamp && kind != KindInterval {
+	if !kind.IntFamily() {
 		panic(fmt.Sprintf("types: NewIntVector kind %s", kind))
 	}
 	return &Vector{kind: kind, ints: ints, nulls: nulls, length: len(ints)}

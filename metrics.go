@@ -161,8 +161,8 @@ func (e *Engine) writeResourceMetrics(b *strings.Builder) {
 }
 
 // writeFootprintMetrics emits per-table memory accounting gauges: live
-// rows, version-chain rows, and estimated resident bytes for every base
-// table and dynamic-table materialization.
+// rows, version-chain rows, estimated resident bytes and lookup-index
+// bytes for every base table and dynamic-table materialization.
 func (e *Engine) writeFootprintMetrics(b *strings.Builder) {
 	type tableFP struct {
 		name string
@@ -200,6 +200,11 @@ func (e *Engine) writeFootprintMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE dyntables_table_bytes gauge\n")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_bytes{table=%s} %d\n", labelQuote(t.name), t.fp.Bytes)
+	}
+	fmt.Fprintf(b, "# HELP dyntables_table_index_bytes Estimated bytes of the automatic lookup indexes per table.\n")
+	fmt.Fprintf(b, "# TYPE dyntables_table_index_bytes gauge\n")
+	for _, t := range fps {
+		fmt.Fprintf(b, "dyntables_table_index_bytes{table=%s} %d\n", labelQuote(t.name), t.fp.IndexBytes)
 	}
 }
 

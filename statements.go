@@ -147,15 +147,19 @@ func (x *executor) planSelect(stmt *sql.SelectStmt) (plan.Node, map[int64]int64,
 
 // runContext builds the executor environment reading the pinned versions.
 // With the columnar path enabled, batchable subtrees read shared
-// per-version column batches instead of copying the row map per scan.
+// per-version column batches instead of copying the row map per scan, and
+// a filter over a scan that leads with a selective range on an INT-family
+// column reads only that range's rows (storage.Table.SelectiveLookup).
 func (x *executor) runContext(pins map[int64]int64) *exec.Context {
+	seqOf := func(s *plan.Scan) int64 {
+		if seq, ok := pins[s.Table.ID()]; ok {
+			return seq
+		}
+		return int64(s.Table.VersionCount())
+	}
 	ctx := &exec.Context{
 		RowsOf: func(s *plan.Scan) (map[string]types.Row, error) {
-			seq, ok := pins[s.Table.ID()]
-			if !ok {
-				seq = int64(s.Table.VersionCount())
-			}
-			return s.Table.Rows(seq)
+			return s.Table.Rows(seqOf(s))
 		},
 		Now:    x.e.clk.Now(),
 		Params: x.params,
@@ -163,11 +167,10 @@ func (x *executor) runContext(pins map[int64]int64) *exec.Context {
 	}
 	if x.e.ctrl.Columnar {
 		ctx.BatchOf = func(s *plan.Scan) (*types.Batch, error) {
-			seq, ok := pins[s.Table.ID()]
-			if !ok {
-				seq = int64(s.Table.VersionCount())
-			}
-			return s.Table.Batch(seq)
+			return s.Table.Batch(seqOf(s))
+		}
+		ctx.LookupOf = func(s *plan.Scan, r plan.KeyRange) (*types.Batch, bool, error) {
+			return s.Table.SelectiveLookup(seqOf(s), r.Col, r.Lo, r.Hi)
 		}
 	}
 	return ctx
