@@ -20,7 +20,6 @@ import (
 	"dyntables/internal/persist"
 	"dyntables/internal/sql"
 	"dyntables/internal/trace"
-	"dyntables/internal/types"
 )
 
 // DefaultAlertSuppression is the per-alert minimum gap between fired
@@ -245,61 +244,22 @@ func (e *Engine) runAlertAction(s *Session, def alert.Definition, now time.Time,
 // surfacing: SHOW ALERTS + INFORMATION_SCHEMA
 // ---------------------------------------------------------------------------
 
-// alertsRows builds INFORMATION_SCHEMA.ALERTS (and SHOW ALERTS): one row
-// per registered alert with its definition and evaluation state.
-func (e *Engine) alertsRows() ([]types.Row, error) {
+// alertEntries snapshots the registry for INFORMATION_SCHEMA.ALERTS
+// (and SHOW ALERTS), sorted by name. An alert never evaluated shows as
+// OK.
+func (e *Engine) alertEntries() []alertEntry {
 	e.alertMu.Lock()
 	entries := make([]alertEntry, 0, len(e.alerts))
 	for _, entry := range e.alerts {
-		entries = append(entries, *entry)
+		snap := *entry
+		if snap.state.Status == "" {
+			snap.state.Status = alert.OK
+		}
+		entries = append(entries, snap)
 	}
 	e.alertMu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].def.Name < entries[j].def.Name })
-	rows := make([]types.Row, 0, len(entries))
-	for _, entry := range entries {
-		status := entry.state.Status
-		if status == "" {
-			status = alert.OK
-		}
-		rows = append(rows, types.Row{
-			types.NewString(entry.def.Name),
-			types.NewString(string(status)),
-			types.NewBool(entry.suspended),
-			types.NewInterval(entry.def.Schedule),
-			types.NewString(entry.def.ActionText()),
-			strOrNull(entry.def.Owner),
-			types.NewString(entry.def.ConditionText),
-			types.NewInt(entry.state.Firings),
-			tsOrNull(entry.state.LastFired),
-			tsOrNull(entry.nextDue),
-		})
-	}
-	return rows, nil
-}
-
-// alertHistoryRows builds INFORMATION_SCHEMA.ALERT_HISTORY from the
-// recorder's alert-evaluation ring, joinable against TRACE_SPANS on
-// root_id.
-func (e *Engine) alertHistoryRows() ([]types.Row, error) {
-	events := e.rec.Alerts()
-	rows := make([]types.Row, 0, len(events))
-	for _, ev := range events {
-		rows = append(rows, types.Row{
-			types.NewInt(ev.Seq),
-			types.NewString(ev.Alert),
-			tsOrNull(ev.At),
-			types.NewBool(ev.Result),
-			types.NewString(ev.Status),
-			types.NewBool(ev.Fired),
-			strOrNull(ev.Action),
-			strOrNull(ev.ActionErr),
-			strOrNull(ev.Detail),
-			intOrNull(ev.RootID),
-			strOrNull(ev.Error),
-			types.NewInterval(ev.Duration),
-		})
-	}
-	return rows, nil
+	return entries
 }
 
 // ---------------------------------------------------------------------------

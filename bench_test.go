@@ -76,8 +76,8 @@ func BenchmarkFigure4LagSawtooth(b *testing.B) {
 		}
 		var worst time.Duration
 		for _, p := range res.Points[1:] {
-			if p.PeakLag > worst {
-				worst = p.PeakLag
+			if p.Peak > worst {
+				worst = p.Peak
 			}
 		}
 		b.ReportMetric(worst.Seconds(), "peak-lag-s")

@@ -154,7 +154,7 @@ func fig4() error {
 	for _, p := range res.Points {
 		fmt.Printf("%-21s %-11s %-9s %s\n",
 			p.At.Format("15:04:05"), p.DataTS.Format("15:04:05"),
-			p.PeakLag.Truncate(time.Second), p.TroughLag.Truncate(time.Second))
+			p.Peak.Truncate(time.Second), p.Trough.Truncate(time.Second))
 	}
 	return nil
 }

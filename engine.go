@@ -533,7 +533,7 @@ func (e *Engine) ResolveTable(name string) (*plan.Source, error) {
 func (e *Engine) resolveCatalogTable(name string) (*plan.Source, error) {
 	entry, err := e.cat.Get(name)
 	if err != nil {
-		if e.virt != nil && e.virt.Has(name) {
+		if e.virt != nil && e.virt.Table(name) != nil {
 			return nil, fmt.Errorf("dyntables: %s is an INFORMATION_SCHEMA virtual table; stored defining queries may not read it", name)
 		}
 		return nil, err

@@ -8,8 +8,8 @@ import (
 
 	"dyntables/internal/core"
 	"dyntables/internal/ivm"
+	"dyntables/internal/obs"
 	"dyntables/internal/plan"
-	"dyntables/internal/sched"
 	"dyntables/internal/sql"
 	"dyntables/internal/warehouse"
 	"dyntables/internal/workload"
@@ -29,7 +29,7 @@ import (
 type LagSawtoothResult struct {
 	TargetLag time.Duration
 	Period    time.Duration
-	Points    []sched.LagPoint
+	Points    []obs.LagSample
 }
 
 // RunLagSawtooth simulates a single DT under steady source changes and
@@ -61,7 +61,7 @@ func RunLagSawtooth(targetLag time.Duration, hours int) (*LagSawtoothResult, err
 	return &LagSawtoothResult{
 		TargetLag: targetLag,
 		Period:    e.Scheduler().Period(dt),
-		Points:    e.Scheduler().LagSeries(dt),
+		Points:    e.Observability().LagSeries(dt.Name),
 	}, nil
 }
 

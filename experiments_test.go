@@ -22,19 +22,19 @@ func TestLagSawtoothShape(t *testing.T) {
 	}
 	for i, p := range res.Points {
 		// Peak exceeds trough (the sawtooth drop at each commit).
-		if p.PeakLag < p.TroughLag {
-			t.Errorf("point %d: peak %v < trough %v", i, p.PeakLag, p.TroughLag)
+		if p.Peak < p.Trough {
+			t.Errorf("point %d: peak %v < trough %v", i, p.Peak, p.Trough)
 		}
-		if p.TroughLag < 0 {
-			t.Errorf("point %d: negative trough %v", i, p.TroughLag)
+		if p.Trough < 0 {
+			t.Errorf("point %d: negative trough %v", i, p.Trough)
 		}
 		// The scheduler keeps peak lag within the target (steady state).
-		if i > 0 && p.PeakLag > res.TargetLag {
-			t.Errorf("point %d: peak lag %v exceeds target %v", i, p.PeakLag, res.TargetLag)
+		if i > 0 && p.Peak > res.TargetLag {
+			t.Errorf("point %d: peak lag %v exceeds target %v", i, p.Peak, res.TargetLag)
 		}
 		// Peak ≈ trough + period (lag rises 1s/s between commits).
 		if i > 0 {
-			rise := p.PeakLag - res.Points[i-1].TroughLag
+			rise := p.Peak - res.Points[i-1].Trough
 			drift := rise - res.Period
 			if drift < -res.Period/2 || drift > res.Period/2 {
 				t.Errorf("point %d: rise %v far from period %v", i, rise, res.Period)

@@ -6,9 +6,9 @@ import (
 )
 
 // Optimize applies the rewrite passes: constant folding, filter merging,
-// and predicate pushdown through projections and into join inputs. The
-// passes are conservative — they never change result semantics — and run
-// to a fixed point (bounded).
+// and predicate pushdown into join inputs. The passes are conservative —
+// they never change result semantics — and run to a fixed point
+// (bounded).
 func Optimize(n Node) Node {
 	for i := 0; i < 8; i++ {
 		before := Explain(n)
@@ -82,24 +82,14 @@ func isTrueLit(e Expr) bool {
 	return ok && l.Val.Kind() == types.KindBool && l.Val.Bool()
 }
 
-func isFalseOrNullLit(e Expr) bool {
-	l, ok := e.(*Lit)
-	if !ok {
-		return false
-	}
-	if l.Val.IsNull() {
-		return true
-	}
-	return l.Val.Kind() == types.KindBool && !l.Val.Bool()
-}
-
-// pushDownFilter pushes a filter's conjuncts as deep as possible:
-// through another filter (merge), through a projection of pure column
-// references, and into the matching side of a join. Outer-join semantics
-// restrict pushdown: predicates push only into the preserved side's input
-// when doing so cannot change null-extension behaviour, so we push into the
-// left input of a LEFT join and the right input of a RIGHT join only for
-// conjuncts referencing that side, and never through FULL joins.
+// pushDownFilter drops a filter of literal TRUE, merges a filter into the
+// filter below it, and pushes each conjunct over a join into the join
+// side it references; a filter over any other node stays where it is.
+// Outer-join semantics restrict pushdown: predicates push only into the
+// preserved side's input when doing so cannot change null-extension
+// behaviour, so we push into the left input of a LEFT join and the right
+// input of a RIGHT join only for conjuncts referencing that side, and
+// never through FULL joins.
 func pushDownFilter(f *Filter) Node {
 	// Filter(TRUE) vanishes; Filter(FALSE) stays (executor returns empty).
 	if isTrueLit(f.Pred) {

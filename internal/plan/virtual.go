@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dyntables/internal/catalog"
+	"dyntables/internal/delta"
 	"dyntables/internal/hlc"
 	"dyntables/internal/storage"
 	"dyntables/internal/types"
@@ -60,12 +61,11 @@ func (vr *VirtualResolver) Register(vt *VirtualTable) {
 	vr.tables[strings.ToUpper(vt.Name)] = vt
 }
 
-// Has reports whether name is a registered virtual table.
-func (vr *VirtualResolver) Has(name string) bool {
+// Table returns the registered virtual table called name, or nil.
+func (vr *VirtualResolver) Table(name string) *VirtualTable {
 	vr.mu.RLock()
 	defer vr.mu.RUnlock()
-	_, ok := vr.tables[strings.ToUpper(name)]
-	return ok
+	return vr.tables[strings.ToUpper(name)]
 }
 
 // Names lists the registered virtual tables, sorted.
@@ -83,9 +83,7 @@ func (vr *VirtualResolver) Names() []string {
 // ResolveTable implements Resolver: registered virtual tables win,
 // everything else falls through to the base resolver.
 func (vr *VirtualResolver) ResolveTable(name string) (*Source, error) {
-	vr.mu.RLock()
-	vt := vr.tables[strings.ToUpper(name)]
-	vr.mu.RUnlock()
+	vt := vr.Table(name)
 	if vt == nil {
 		return vr.base.ResolveTable(name)
 	}
@@ -94,13 +92,14 @@ func (vr *VirtualResolver) ResolveTable(name string) (*Source, error) {
 		return nil, fmt.Errorf("plan: materializing virtual table %s: %w", vt.Name, err)
 	}
 	// Two HLC reads: commits must strictly advance past the table's
-	// creation version.
+	// creation version. The rows go in as inserts in the order Rows
+	// produced them, which is the order a scan returns them in.
 	t := storage.NewTable(vt.Schema, vr.now())
-	contents := make(map[string]types.Row, len(rows))
-	for _, r := range rows {
-		contents[t.NextRowID()] = r
+	cs := delta.ChangeSet{Changes: make([]delta.Change, len(rows))}
+	for i, r := range rows {
+		cs.Changes[i] = delta.Change{RowID: t.NextRowID(), Action: delta.Insert, Row: r}
 	}
-	if _, err := t.Overwrite(contents, vr.now()); err != nil {
+	if _, err := t.Apply(cs, vr.now()); err != nil {
 		return nil, fmt.Errorf("plan: materializing virtual table %s: %w", vt.Name, err)
 	}
 	return &Source{

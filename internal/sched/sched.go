@@ -3,7 +3,7 @@
 // canonical refresh periods (48·2ⁿ seconds with a shared phase so data
 // timestamps align across the graph), issues refreshes in dependency
 // order, skips refreshes that would overlap a still-running one (§3.3.3),
-// and records the lag sawtooth of Figure 4.
+// and measures the lag sawtooth of Figure 4 for its LagSink.
 package sched
 
 import (
@@ -14,6 +14,7 @@ import (
 
 	"dyntables/internal/clock"
 	"dyntables/internal/core"
+	"dyntables/internal/obs"
 	"dyntables/internal/refresher"
 	"dyntables/internal/sql"
 	"dyntables/internal/warehouse"
@@ -46,18 +47,6 @@ func CanonicalPeriod(targetLag time.Duration) time.Duration {
 	return p
 }
 
-// LagPoint is one measurement of a DT's lag sawtooth (Figure 4).
-type LagPoint struct {
-	// At is the measurement time (a refresh commit).
-	At time.Time
-	// PeakLag is the lag immediately before the commit: e_i − v_{i−1}.
-	PeakLag time.Duration
-	// TroughLag is the lag immediately after: e_i − v_i.
-	TroughLag time.Duration
-	// DataTS is the refresh's data timestamp v_i.
-	DataTS time.Time
-}
-
 // Stats aggregates scheduler activity for the experiments.
 type Stats struct {
 	Scheduled              int // refresh attempts issued
@@ -74,9 +63,9 @@ type Stats struct {
 // Scheduler drives refreshes against virtual time. All methods are safe
 // for concurrent use. Two locks split the roles: tickMu serializes
 // scheduler passes (Step/RunUntil) so ticks never interleave, while mu
-// guards the cadence and series state and is held only for the policy
+// guards the cadence state and the stats and is held only for the policy
 // pass and the result fold — never across refresh execution. Monitoring
-// readers (Stats, LagSeries, EffectiveLag, ...) therefore return
+// readers (Stats, EffectiveLag, Period, ...) therefore return
 // immediately even while a wave is running, instead of stalling for the
 // wave makespan.
 type Scheduler struct {
@@ -113,14 +102,10 @@ type Scheduler struct {
 	// busyUntil tracks each DT's simulated refresh completion; a fire
 	// instant inside a busy window is skipped (§3.3.3).
 	busyUntil map[*core.DynamicTable]time.Time
-	// lastDataTS remembers the previous data timestamp for peak-lag
-	// measurement.
-	lastDataTS map[*core.DynamicTable]time.Time
 
-	lagSeries map[*core.DynamicTable][]LagPoint
-	stats     Stats
-	// lagSink, when set, observes every sawtooth point as it is recorded
-	// (the observability recorder's lag-SLO feed).
+	stats Stats
+	// lagSink, when set, observes every sawtooth point as it is measured
+	// (the observability recorder, which keeps the series).
 	lagSink LagSink
 
 	// DisableSkip runs overlapping refreshes back-to-back instead of
@@ -136,16 +121,14 @@ type Scheduler struct {
 // refresh executor.
 func New(clk *clock.Virtual, ctrl *core.Controller, pool *warehouse.Pool, model warehouse.CostModel, epoch time.Time, phase time.Duration) *Scheduler {
 	return &Scheduler{
-		clk:        clk,
-		ctrl:       ctrl,
-		pool:       pool,
-		model:      model,
-		epoch:      epoch,
-		phase:      phase,
-		cursor:     epoch,
-		busyUntil:  make(map[*core.DynamicTable]time.Time),
-		lastDataTS: make(map[*core.DynamicTable]time.Time),
-		lagSeries:  make(map[*core.DynamicTable][]LagPoint),
+		clk:       clk,
+		ctrl:      ctrl,
+		pool:      pool,
+		model:     model,
+		epoch:     epoch,
+		phase:     phase,
+		cursor:    epoch,
+		busyUntil: make(map[*core.DynamicTable]time.Time),
 	}
 }
 
@@ -156,11 +139,11 @@ func (s *Scheduler) SetRefresher(r *refresher.Refresher) {
 	s.exec = r
 }
 
-// LagSink observes lag-sawtooth points as the scheduler records them.
-// Implementations are invoked with the scheduler lock held and must not
-// call back into the scheduler.
+// LagSink observes lag-sawtooth points (Figure 4) as the scheduler
+// measures them. Implementations are invoked with the scheduler lock held
+// and must not call back into the scheduler.
 type LagSink interface {
-	LagRecorded(dt *core.DynamicTable, p LagPoint)
+	LagRecorded(s obs.LagSample)
 }
 
 // SetLagSink registers the sawtooth observer (at most one; nil clears).
@@ -254,28 +237,6 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// LagSeries returns the recorded sawtooth for a DT. The returned slice is
-// a defensive copy taken under the scheduler lock — the tick loop appends
-// to the underlying series concurrently, so handing out the internal
-// slice would race with monitoring callers.
-func (s *Scheduler) LagSeries(dt *core.DynamicTable) []LagPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]LagPoint(nil), s.lagSeries[dt]...)
-}
-
-// LagSeriesAll returns every tracked DT's sawtooth, deep-copied under the
-// scheduler lock for the same reason as LagSeries.
-func (s *Scheduler) LagSeriesAll() map[*core.DynamicTable][]LagPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[*core.DynamicTable][]LagPoint, len(s.lagSeries))
-	for dt, series := range s.lagSeries {
-		out[dt] = append([]LagPoint(nil), series...)
-	}
-	return out
 }
 
 // EffectiveLag resolves a DT's effective target lag: its own duration, or
@@ -510,22 +471,21 @@ func (s *Scheduler) fireAt(at time.Time) error {
 		}
 		s.busyUntil[res.DT] = res.End
 
-		// Record the Figure 4 sawtooth point.
-		peakBase := res.PrevDataTS
-		if peakBase.IsZero() {
-			peakBase = at
-		}
-		point := LagPoint{
-			At:        res.End,
-			PeakLag:   res.End.Sub(peakBase),
-			TroughLag: res.End.Sub(at),
-			DataTS:    at,
-		}
-		s.lagSeries[res.DT] = append(s.lagSeries[res.DT], point)
+		// Measure the Figure 4 sawtooth point: the peak is the lag just
+		// before the commit, e_i − v_{i−1}; the trough just after, e_i − v_i.
 		if s.lagSink != nil {
-			s.lagSink.LagRecorded(res.DT, point)
+			peakBase := res.PrevDataTS
+			if peakBase.IsZero() {
+				peakBase = at
+			}
+			s.lagSink.LagRecorded(obs.LagSample{
+				DTName: res.DT.Name,
+				At:     res.End,
+				DataTS: at,
+				Peak:   res.End.Sub(peakBase),
+				Trough: res.End.Sub(at),
+			})
 		}
-		s.lastDataTS[res.DT] = at
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"dyntables/internal/core"
 	"dyntables/internal/delta"
 	"dyntables/internal/hlc"
+	"dyntables/internal/obs"
 	"dyntables/internal/plan"
 	"dyntables/internal/refresher"
 	"dyntables/internal/sql"
@@ -260,6 +261,24 @@ func TestEffectiveLagDownstreamSinkHasNoLag(t *testing.T) {
 	}
 }
 
+// lagCollector is a LagSink that keeps every sample it is handed.
+type lagCollector struct {
+	mu      sync.Mutex
+	samples []obs.LagSample
+}
+
+func (c *lagCollector) LagRecorded(s obs.LagSample) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.samples = append(c.samples, s)
+}
+
+func (c *lagCollector) points() []obs.LagSample {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]obs.LagSample(nil), c.samples...)
+}
+
 func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	h := newDTHarness(t)
 	src := h.baseTable("src")
@@ -268,6 +287,8 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	s := New(h.clk, h.ctrl, h.pool,
 		warehouse.CostModel{Fixed: time.Second, PerRow: time.Millisecond}, schedT0, 0)
 	s.Track(dt)
+	lags := &lagCollector{}
+	s.SetLagSink(lags)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -281,17 +302,6 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 			case <-stop:
 				return
 			default:
-			}
-			series := s.LagSeries(dt)
-			for i := range series {
-				series[i].PeakLag = -1
-			}
-			all := s.LagSeriesAll()
-			for k, v := range all {
-				for i := range v {
-					v[i].TroughLag = -1
-				}
-				delete(all, k)
 			}
 			st := s.Stats()
 			st.Scheduled = -1
@@ -319,20 +329,20 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	if stats.Scheduled <= 0 || stats.Scheduled == -1 {
 		t.Errorf("reader mutation leaked into scheduler stats: %+v", stats)
 	}
-	series := s.LagSeries(dt)
+	series := lags.points()
 	if len(series) == 0 {
 		t.Fatal("no lag points recorded")
 	}
 	for _, p := range series {
-		if p.PeakLag < 0 || p.TroughLag < 0 {
-			t.Fatalf("reader mutation leaked into the lag series: %+v", p)
+		if p.DTName != "d" || p.Peak < 0 || p.Trough < 0 {
+			t.Fatalf("bad lag point: %+v", p)
 		}
 	}
 }
 
 func TestMonitoringAccessorsReturnMidWave(t *testing.T) {
 	// Regression: fireAt used to hold the scheduler mutex across the whole
-	// wave, so Stats/LagSeriesAll stalled for the wave makespan. A
+	// wave, so Stats stalled for the wave makespan. A
 	// quiesced refresher stalls ExecuteTick indefinitely — the accessors
 	// must still return while the wave is (apparently) running.
 	h := newDTHarness(t)
@@ -381,8 +391,6 @@ func TestMonitoringAccessorsReturnMidWave(t *testing.T) {
 	// Every other monitoring accessor must stay responsive mid-wave too.
 	acc := make(chan struct{})
 	go func() {
-		_ = s.LagSeriesAll()
-		_ = s.LagSeries(dt)
 		_ = s.EffectiveLag(dt)
 		_ = s.Period(dt)
 		_ = s.Cursor()

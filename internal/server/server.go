@@ -184,12 +184,15 @@ func (s *Server) Handler() http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		// Health and scrape endpoints stay reachable while draining so
 		// monitoring observes the shutdown instead of losing the target.
+		// ServeMux records the matched route in r.Pattern; a drained request
+		// never reaches the mux, so only that path matches on its own.
 		if s.draining.Load() && r.URL.Path != "/v1/status" && r.URL.Path != "/metrics" {
 			writeError(sw, errf(http.StatusServiceUnavailable, "draining", "server is draining"))
+			_, r.Pattern = s.mux.Handler(r)
 		} else {
 			s.mux.ServeHTTP(sw, r)
 		}
-		_, pattern := s.mux.Handler(r)
+		pattern := r.Pattern
 		if pattern == "" {
 			pattern = r.URL.Path
 		}

@@ -433,7 +433,7 @@ func TestTokenAuthAndRoles(t *testing.T) {
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {
-	_, srv, ts := newTestServer(t, nil, -1)
+	eng, srv, ts := newTestServer(t, nil, -1)
 	ctx := context.Background()
 	cli := server.NewClient(ts.URL, "")
 	sess := mustSession(t, cli, "")
@@ -452,6 +452,18 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 	if !st.Draining {
 		t.Error("status does not report draining")
+	}
+	// The rejected requests are recorded under their route, not their path.
+	res, err := eng.Query(`SELECT status FROM INFORMATION_SCHEMA.SERVER_REQUEST_HISTORY WHERE endpoint = 'POST /v1/sessions'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawDrained bool
+	for _, r := range res.Rows {
+		sawDrained = sawDrained || r[0].Int() == http.StatusServiceUnavailable
+	}
+	if !sawDrained {
+		t.Errorf("SERVER_REQUEST_HISTORY for POST /v1/sessions = %v, want a 503", res.Rows)
 	}
 }
 

@@ -85,51 +85,28 @@ func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 // the virtual clock, the effective target, and lag-SLO attainment over
 // the recorded sawtooth window.
 func (e *Engine) writeLagMetrics(b *strings.Builder) {
-	entries := e.cat.List(catalog.KindDynamicTable)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	now := e.clk.Now()
-
-	type dtLag struct {
-		name              string
-		lag, target, attn float64
-		hasTarget, hasSLO bool
-	}
-	lags := make([]dtLag, 0, len(entries))
-	for _, entry := range entries {
-		dt, ok := entry.Payload.(*core.DynamicTable)
-		if !ok {
-			continue
-		}
-		l := dtLag{name: dt.Name, lag: -1}
-		if dataTS := dt.DataTimestamp(); !dataTS.IsZero() {
-			l.lag = now.Sub(dataTS).Seconds()
-		}
-		if target := e.sch.EffectiveLag(dt); target < sched.NoLag {
-			l.hasTarget, l.target = true, target.Seconds()
-			if stats := e.rec.SLO(dt.Name, target, now); stats.Samples > 0 {
-				l.hasSLO, l.attn = true, stats.Attainment
-			}
-		}
-		lags = append(lags, l)
-	}
-
+	infos := e.dynamicTableInfos()
 	fmt.Fprintf(b, "# HELP dyntables_dt_lag_seconds Virtual-clock staleness of each dynamic table (-1 before first refresh).\n")
 	fmt.Fprintf(b, "# TYPE dyntables_dt_lag_seconds gauge\n")
-	for _, l := range lags {
-		fmt.Fprintf(b, "dyntables_dt_lag_seconds{dt=%s} %s\n", labelQuote(l.name), fmtFloat(l.lag))
+	for _, r := range infos {
+		lag := -1.0
+		if !r.dataTS.IsZero() {
+			lag = r.now.Sub(r.dataTS).Seconds()
+		}
+		fmt.Fprintf(b, "dyntables_dt_lag_seconds{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(lag))
 	}
 	fmt.Fprintf(b, "# HELP dyntables_dt_target_lag_seconds Effective target lag per dynamic table.\n")
 	fmt.Fprintf(b, "# TYPE dyntables_dt_target_lag_seconds gauge\n")
-	for _, l := range lags {
-		if l.hasTarget {
-			fmt.Fprintf(b, "dyntables_dt_target_lag_seconds{dt=%s} %s\n", labelQuote(l.name), fmtFloat(l.target))
+	for _, r := range infos {
+		if r.target < sched.NoLag {
+			fmt.Fprintf(b, "dyntables_dt_target_lag_seconds{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(r.target.Seconds()))
 		}
 	}
 	fmt.Fprintf(b, "# HELP dyntables_dt_slo_attainment Fraction of time each dynamic table spent within its target lag (0..1).\n")
 	fmt.Fprintf(b, "# TYPE dyntables_dt_slo_attainment gauge\n")
-	for _, l := range lags {
-		if l.hasSLO {
-			fmt.Fprintf(b, "dyntables_dt_slo_attainment{dt=%s} %s\n", labelQuote(l.name), fmtFloat(l.attn))
+	for _, r := range infos {
+		if r.slo.Samples > 0 {
+			fmt.Fprintf(b, "dyntables_dt_slo_attainment{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(r.slo.Attainment))
 		}
 	}
 }

@@ -142,12 +142,7 @@ func (a *obsAdapter) TickExecuted(results []refresher.Result) {
 }
 
 // LagRecorded implements sched.LagSink.
-func (a *obsAdapter) LagRecorded(dt *core.DynamicTable, p sched.LagPoint) {
-	a.e.rec.RecordLag(obs.LagSample{
-		DTName: dt.Name, At: p.At, DataTS: p.DataTS,
-		Peak: p.PeakLag, Trough: p.TroughLag,
-	})
-}
+func (a *obsAdapter) LagRecorded(s obs.LagSample) { a.e.rec.RecordLag(s) }
 
 // JobSubmitted implements warehouse.JobSink.
 func (a *obsAdapter) JobSubmitted(w *warehouse.Warehouse, job warehouse.Job) {
@@ -192,239 +187,316 @@ func (e *Engine) recordDTGraph(dtName string, deps []int64) {
 // INFORMATION_SCHEMA virtual tables
 // ---------------------------------------------------------------------------
 
-func infoCol(name string, kind types.Kind) types.Column {
-	return types.Column{Name: name, Kind: kind}
+// infoColumn is one column of an INFORMATION_SCHEMA table (or SHOW
+// result) built from source records of type T: its name, its kind and
+// how to read its value from one record.
+type infoColumn[T any] struct {
+	col   types.Column
+	value func(T) types.Value
 }
 
-var dynamicTablesSchema = types.Schema{Columns: []types.Column{
-	infoCol("name", types.KindString),
-	infoCol("state", types.KindString),
-	infoCol("refresh_mode", types.KindString),
-	infoCol("declared_mode", types.KindString),
-	infoCol("mode_reason", types.KindString),
-	infoCol("target_lag", types.KindString),
-	infoCol("effective_lag", types.KindInterval),
-	infoCol("warehouse", types.KindString),
-	infoCol("rows", types.KindInt),
-	infoCol("data_ts", types.KindTimestamp),
-	infoCol("current_lag", types.KindInterval),
-	infoCol("error_count", types.KindInt),
-	infoCol("refreshes", types.KindInt),
-	infoCol("slo_attainment", types.KindFloat),
-	infoCol("lag_p50", types.KindInterval),
-	infoCol("lag_p95", types.KindInterval),
-}}
+// column builds an infoColumn whose get reads a value from a record,
+// false meaning NULL, and whose conv makes that value a types.Value. The
+// kind-typed constructors below pair each kind with its one conv, so a
+// column's declared kind and its values cannot disagree.
+func column[T, V any](name string, kind types.Kind, conv func(V) types.Value, get func(T) (V, bool)) infoColumn[T] {
+	return infoColumn[T]{
+		col: types.Column{Name: name, Kind: kind},
+		value: func(r T) types.Value {
+			if v, ok := get(r); ok {
+				return conv(v)
+			}
+			return types.Null
+		},
+	}
+}
 
-var refreshHistorySchema = types.Schema{Columns: []types.Column{
-	infoCol("dt_name", types.KindString),
-	infoCol("data_ts", types.KindTimestamp),
-	infoCol("action", types.KindString),
-	infoCol("incremental", types.KindBool),
-	infoCol("inserted", types.KindInt),
-	infoCol("deleted", types.KindInt),
-	infoCol("rows_after", types.KindInt),
-	infoCol("scanned", types.KindInt),
-	infoCol("effective_mode", types.KindString),
-	infoCol("mode_reason", types.KindString),
-	infoCol("changed_rows", types.KindInt),
-	infoCol("full_scan_rows", types.KindInt),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("end_ts", types.KindTimestamp),
-	infoCol("duration", types.KindInterval),
-	infoCol("wave", types.KindInt),
-	infoCol("worker", types.KindInt),
-	infoCol("error", types.KindString),
-	infoCol("seq", types.KindInt),
-	infoCol("root_id", types.KindInt),
-}}
+// strCol, intCol, floatCol, boolCol, tsCol and intervalCol build a
+// column of their kind.
+func strCol[T any](name string, get func(T) (string, bool)) infoColumn[T] {
+	return column(name, types.KindString, types.NewString, get)
+}
 
-var graphHistorySchema = types.Schema{Columns: []types.Column{
-	infoCol("dt_name", types.KindString),
-	infoCol("upstream", types.KindString),
-	infoCol("upstream_kind", types.KindString),
-	infoCol("valid_from", types.KindTimestamp),
-	infoCol("seq", types.KindInt),
-}}
+func intCol[T any](name string, get func(T) (int64, bool)) infoColumn[T] {
+	return column(name, types.KindInt, types.NewInt, get)
+}
 
-var warehouseMeteringSchema = types.Schema{Columns: []types.Column{
-	infoCol("warehouse", types.KindString),
-	infoCol("size", types.KindString),
-	infoCol("label", types.KindString),
-	infoCol("submit_ts", types.KindTimestamp),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("end_ts", types.KindTimestamp),
-	infoCol("queued", types.KindInterval),
-	infoCol("duration", types.KindInterval),
-	infoCol("rows", types.KindInt),
-	infoCol("credits", types.KindFloat),
-	infoCol("seq", types.KindInt),
-}}
+func floatCol[T any](name string, get func(T) (float64, bool)) infoColumn[T] {
+	return column(name, types.KindFloat, types.NewFloat, get)
+}
 
-var serverRequestsSchema = types.Schema{Columns: []types.Column{
-	infoCol("method", types.KindString),
-	infoCol("endpoint", types.KindString),
-	infoCol("status", types.KindInt),
-	infoCol("role", types.KindString),
-	infoCol("session_id", types.KindString),
-	infoCol("statement_id", types.KindString),
-	infoCol("rows", types.KindInt),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("duration", types.KindInterval),
-	infoCol("request_id", types.KindString),
-	infoCol("seq", types.KindInt),
-}}
+func boolCol[T any](name string, get func(T) (bool, bool)) infoColumn[T] {
+	return column(name, types.KindBool, types.NewBool, get)
+}
 
-var queryHistorySchema = types.Schema{Columns: []types.Column{
-	infoCol("seq", types.KindInt),
-	infoCol("session_id", types.KindInt),
-	infoCol("role", types.KindString),
-	infoCol("text", types.KindString),
-	infoCol("kind", types.KindString),
-	infoCol("status", types.KindString),
-	infoCol("rows", types.KindInt),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("duration", types.KindInterval),
-	infoCol("root_id", types.KindInt),
-	infoCol("error", types.KindString),
-}}
+func tsCol[T any](name string, get func(T) (time.Time, bool)) infoColumn[T] {
+	return column(name, types.KindTimestamp, types.NewTimestamp, get)
+}
 
-var resourceHistorySchema = types.Schema{Columns: []types.Column{
-	infoCol("seq", types.KindInt),
-	infoCol("kind", types.KindString),
-	infoCol("name", types.KindString),
-	infoCol("root_id", types.KindInt),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("cpu", types.KindInterval),
-	infoCol("alloc_bytes", types.KindInt),
-	infoCol("alloc_objects", types.KindInt),
-	infoCol("rows", types.KindInt),
-	infoCol("bytes", types.KindInt),
-}}
+func intervalCol[T any](name string, get func(T) (time.Duration, bool)) infoColumn[T] {
+	return column(name, types.KindInterval, types.NewInterval, get)
+}
 
-var dtHealthSchema = types.Schema{Columns: []types.Column{
-	infoCol("dt", types.KindString),
-	infoCol("status", types.KindString),
-	infoCol("reason", types.KindString),
-	infoCol("slo_attainment", types.KindFloat),
-	infoCol("error_streak", types.KindInt),
-	infoCol("cpu_trend", types.KindFloat),
-	infoCol("blame", types.KindString),
-	infoCol("blame_phase", types.KindString),
-	infoCol("blame_cost", types.KindInterval),
-}}
+// nonZero reports v with ok false at its zero value ("" or 0), the NULL
+// convention of optional strings and of span IDs, where 0 means
+// "tracing was disabled".
+func nonZero[V comparable](v V) (V, bool) {
+	var zero V
+	return v, v != zero
+}
 
-var alertsSchema = types.Schema{Columns: []types.Column{
-	infoCol("name", types.KindString),
-	infoCol("status", types.KindString),
-	infoCol("suspended", types.KindBool),
-	infoCol("schedule", types.KindInterval),
-	infoCol("action", types.KindString),
-	infoCol("owner", types.KindString),
-	infoCol("condition", types.KindString),
-	infoCol("firings", types.KindInt),
-	infoCol("last_fired", types.KindTimestamp),
-	infoCol("next_eval", types.KindTimestamp),
-}}
+// nonZeroTime reports t with ok false at the zero time.
+func nonZeroTime(t time.Time) (time.Time, bool) { return t, !t.IsZero() }
 
-var alertHistorySchema = types.Schema{Columns: []types.Column{
-	infoCol("seq", types.KindInt),
-	infoCol("alert", types.KindString),
-	infoCol("eval_ts", types.KindTimestamp),
-	infoCol("result", types.KindBool),
-	infoCol("status", types.KindString),
-	infoCol("fired", types.KindBool),
-	infoCol("action", types.KindString),
-	infoCol("action_error", types.KindString),
-	infoCol("detail", types.KindString),
-	infoCol("root_id", types.KindInt),
-	infoCol("error", types.KindString),
-	infoCol("duration", types.KindInterval),
-}}
-
-var traceSpansSchema = types.Schema{Columns: []types.Column{
-	infoCol("root_id", types.KindInt),
-	infoCol("span_id", types.KindInt),
-	infoCol("parent_id", types.KindInt),
-	infoCol("name", types.KindString),
-	infoCol("attrs", types.KindString),
-	infoCol("start_ts", types.KindTimestamp),
-	infoCol("duration", types.KindInterval),
-}}
+// virtualTable derives a virtual table from its column list: the schema
+// lists the columns in order, and Rows reads one row from each record
+// that records returns, in the order it returns them.
+func virtualTable[T any](name string, records func() []T, cols ...infoColumn[T]) *plan.VirtualTable {
+	schema := types.Schema{Columns: make([]types.Column, len(cols))}
+	for i, c := range cols {
+		schema.Columns[i] = c.col
+	}
+	return &plan.VirtualTable{
+		Name:   name,
+		Schema: schema,
+		Rows: func() ([]types.Row, error) {
+			recs := records()
+			rows := make([]types.Row, len(recs))
+			for i, r := range recs {
+				row := make(types.Row, len(cols))
+				for j, c := range cols {
+					row[j] = c.value(r)
+				}
+				rows[i] = row
+			}
+			return rows, nil
+		},
+	}
+}
 
 // registerInfoSchema registers the virtual tables with the resolver
 // layer. Each Rows callback materializes the current metadata snapshot
 // at bind time, so the whole planner — filters, joins, aggregation,
 // ORDER BY, streaming cursors — works over it unchanged.
 func (e *Engine) registerInfoSchema() {
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaDynamicTables, Schema: dynamicTablesSchema,
-		Rows: e.dynamicTablesRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaRefreshHistory, Schema: refreshHistorySchema,
-		Rows: e.refreshHistoryRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaGraphHistory, Schema: graphHistorySchema,
-		Rows: e.graphHistoryRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaWarehouseMetering, Schema: warehouseMeteringSchema,
-		Rows: e.warehouseMeteringRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaServerRequests, Schema: serverRequestsSchema,
-		Rows: e.serverRequestsRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaQueryHistory, Schema: queryHistorySchema,
-		Rows: e.queryHistoryRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaTraceSpans, Schema: traceSpansSchema,
-		Rows: e.traceSpansRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaResourceHistory, Schema: resourceHistorySchema,
-		Rows: e.resourceHistoryRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaDTHealth, Schema: dtHealthSchema,
-		Rows: e.dtHealthRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaAlerts, Schema: alertsSchema,
-		Rows: e.alertsRows,
-	})
-	e.virt.Register(&plan.VirtualTable{
-		Name: InfoSchemaAlertHistory, Schema: alertHistorySchema,
-		Rows: e.alertHistoryRows,
-	})
+	// DYNAMIC_TABLES: one row per DT with its state, refresh mode, lag
+	// settings and lag-SLO accounting (attainment fraction and
+	// effective-lag percentiles against the effective target lag).
+	e.virt.Register(virtualTable(InfoSchemaDynamicTables, e.dynamicTableInfos,
+		strCol("name", func(r dtInfo) (string, bool) { return r.dt.Name, true }),
+		strCol("state", func(r dtInfo) (string, bool) { return r.dt.State().String(), true }),
+		strCol("refresh_mode", func(r dtInfo) (string, bool) { return r.mode.String(), true }),
+		strCol("declared_mode", func(r dtInfo) (string, bool) { return r.dt.DeclaredMode.String(), true }),
+		strCol("mode_reason", func(r dtInfo) (string, bool) { return nonZero(r.reason) }),
+		strCol("target_lag", func(r dtInfo) (string, bool) { return targetLagText(r.dt.Lag), true }),
+		intervalCol("effective_lag", func(r dtInfo) (time.Duration, bool) { return r.target, r.target < sched.NoLag }),
+		strCol("warehouse", func(r dtInfo) (string, bool) { return r.dt.Warehouse, true }),
+		intCol("rows", func(r dtInfo) (int64, bool) { return int64(r.dt.Storage.RowCount()), true }),
+		tsCol("data_ts", func(r dtInfo) (time.Time, bool) { return nonZeroTime(r.dataTS) }),
+		intervalCol("current_lag", func(r dtInfo) (time.Duration, bool) { return r.now.Sub(r.dataTS), !r.dataTS.IsZero() }),
+		intCol("error_count", func(r dtInfo) (int64, bool) { return int64(r.dt.ErrorCount()), true }),
+		intCol("refreshes", func(r dtInfo) (int64, bool) { return int64(e.rec.HistoryLen(r.dt.Name)), true }),
+		floatCol("slo_attainment", func(r dtInfo) (float64, bool) { return r.slo.Attainment, r.slo.Samples > 0 }),
+		intervalCol("lag_p50", func(r dtInfo) (time.Duration, bool) { return r.slo.P50, r.slo.Samples > 0 }),
+		intervalCol("lag_p95", func(r dtInfo) (time.Duration, bool) { return r.slo.P95, r.slo.Samples > 0 }),
+	))
+
+	// DYNAMIC_TABLE_REFRESH_HISTORY, from the recorder's bounded per-DT
+	// rings.
+	e.virt.Register(virtualTable(InfoSchemaRefreshHistory, e.rec.AllHistory,
+		strCol("dt_name", func(ev obs.RefreshEvent) (string, bool) { return ev.DTName, true }),
+		tsCol("data_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.DataTS) }),
+		strCol("action", func(ev obs.RefreshEvent) (string, bool) { return ev.Action, true }),
+		boolCol("incremental", func(ev obs.RefreshEvent) (bool, bool) { return ev.Incremental, true }),
+		intCol("inserted", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Inserted), true }),
+		intCol("deleted", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Deleted), true }),
+		intCol("rows_after", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.RowsAfter), true }),
+		intCol("scanned", func(ev obs.RefreshEvent) (int64, bool) { return ev.SourceRowsScanned, true }),
+		strCol("effective_mode", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.Mode) }),
+		strCol("mode_reason", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.ModeReason) }),
+		intCol("changed_rows", func(ev obs.RefreshEvent) (int64, bool) { return ev.ChangedRows, ev.FullScanRows > 0 }),
+		intCol("full_scan_rows", func(ev obs.RefreshEvent) (int64, bool) { return ev.FullScanRows, ev.FullScanRows > 0 }),
+		tsCol("start_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.Start) }),
+		tsCol("end_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.End) }),
+		intervalCol("duration", func(ev obs.RefreshEvent) (time.Duration, bool) {
+			return ev.Duration(), !ev.Start.IsZero() || !ev.End.IsZero()
+		}),
+		intCol("wave", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Wave), ev.Wave >= 0 }),
+		intCol("worker", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Worker), ev.Worker >= 0 }),
+		strCol("error", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.Error) }),
+		intCol("seq", func(ev obs.RefreshEvent) (int64, bool) { return ev.Seq, true }),
+		intCol("root_id", func(ev obs.RefreshEvent) (int64, bool) { return nonZero(ev.RootID) }),
+	))
+
+	// DYNAMIC_TABLE_GRAPH_HISTORY, from the recorder's edge-observation
+	// ring.
+	e.virt.Register(virtualTable(InfoSchemaGraphHistory, e.rec.Edges,
+		strCol("dt_name", func(ed obs.GraphEdge) (string, bool) { return ed.DTName, true }),
+		strCol("upstream", func(ed obs.GraphEdge) (string, bool) { return ed.Upstream, true }),
+		strCol("upstream_kind", func(ed obs.GraphEdge) (string, bool) { return ed.UpstreamKind, true }),
+		tsCol("valid_from", func(ed obs.GraphEdge) (time.Time, bool) { return nonZeroTime(ed.ValidFrom) }),
+		intCol("seq", func(ed obs.GraphEdge) (int64, bool) { return ed.Seq, true }),
+	))
+
+	// WAREHOUSE_METERING_HISTORY, from the recorder's per-warehouse
+	// metering rings.
+	e.virt.Register(virtualTable(InfoSchemaWarehouseMetering, e.rec.Metering,
+		strCol("warehouse", func(p obs.MeterPoint) (string, bool) { return p.Warehouse, true }),
+		strCol("size", func(p obs.MeterPoint) (string, bool) { return p.Size, true }),
+		strCol("label", func(p obs.MeterPoint) (string, bool) { return nonZero(p.Label) }),
+		tsCol("submit_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.Submit) }),
+		tsCol("start_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.Start) }),
+		tsCol("end_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.End) }),
+		intervalCol("queued", func(p obs.MeterPoint) (time.Duration, bool) { return p.Start.Sub(p.Submit), true }),
+		intervalCol("duration", func(p obs.MeterPoint) (time.Duration, bool) { return p.End.Sub(p.Start), true }),
+		intCol("rows", func(p obs.MeterPoint) (int64, bool) { return p.Rows, true }),
+		floatCol("credits", func(p obs.MeterPoint) (float64, bool) { return p.Credits, true }),
+		intCol("seq", func(p obs.MeterPoint) (int64, bool) { return p.Seq, true }),
+	))
+
+	// SERVER_REQUEST_HISTORY, from the recorder's served-request ring
+	// (populated by the network server's per-endpoint metrics middleware;
+	// empty for embedded engines). Request timings are host wall-clock —
+	// they describe the serving path, not the virtual refresh timeline.
+	e.virt.Register(virtualTable(InfoSchemaServerRequests, e.rec.Requests,
+		strCol("method", func(ev obs.RequestEvent) (string, bool) { return ev.Method, true }),
+		strCol("endpoint", func(ev obs.RequestEvent) (string, bool) { return ev.Endpoint, true }),
+		intCol("status", func(ev obs.RequestEvent) (int64, bool) { return int64(ev.Status), true }),
+		strCol("role", func(ev obs.RequestEvent) (string, bool) { return nonZero(ev.Role) }),
+		strCol("session_id", func(ev obs.RequestEvent) (string, bool) { return nonZero(ev.SessionID) }),
+		strCol("statement_id", func(ev obs.RequestEvent) (string, bool) { return nonZero(ev.StatementID) }),
+		intCol("rows", func(ev obs.RequestEvent) (int64, bool) { return int64(ev.Rows), true }),
+		tsCol("start_ts", func(ev obs.RequestEvent) (time.Time, bool) { return nonZeroTime(ev.Start) }),
+		intervalCol("duration", func(ev obs.RequestEvent) (time.Duration, bool) { return ev.Duration, true }),
+		strCol("request_id", func(ev obs.RequestEvent) (string, bool) { return nonZero(ev.RequestID) }),
+		intCol("seq", func(ev obs.RequestEvent) (int64, bool) { return ev.Seq, true }),
+	))
+
+	// QUERY_HISTORY, from the recorder's shared statement ring. Statement
+	// text is recorded verbatim but bind-argument values are never
+	// captured, so parameterized statements stay redacted by construction.
+	e.virt.Register(virtualTable(InfoSchemaQueryHistory, e.rec.Statements,
+		intCol("seq", func(ev obs.StatementEvent) (int64, bool) { return ev.Seq, true }),
+		intCol("session_id", func(ev obs.StatementEvent) (int64, bool) { return ev.SessionID, true }),
+		strCol("role", func(ev obs.StatementEvent) (string, bool) { return nonZero(ev.Role) }),
+		strCol("text", func(ev obs.StatementEvent) (string, bool) { return ev.Text, true }),
+		strCol("kind", func(ev obs.StatementEvent) (string, bool) { return nonZero(ev.Kind) }),
+		strCol("status", func(ev obs.StatementEvent) (string, bool) { return ev.Status, true }),
+		intCol("rows", func(ev obs.StatementEvent) (int64, bool) { return ev.Rows, true }),
+		tsCol("start_ts", func(ev obs.StatementEvent) (time.Time, bool) { return nonZeroTime(ev.Start) }),
+		intervalCol("duration", func(ev obs.StatementEvent) (time.Duration, bool) { return ev.Duration, true }),
+		intCol("root_id", func(ev obs.StatementEvent) (int64, bool) { return nonZero(ev.RootID) }),
+		strCol("error", func(ev obs.StatementEvent) (string, bool) { return nonZero(ev.Error) }),
+	))
+
+	// TRACE_SPANS: the flattened span tree of every retained root trace,
+	// joinable against QUERY_HISTORY and DYNAMIC_TABLE_REFRESH_HISTORY on
+	// root_id. Span timings are host wall-clock (they describe real
+	// execution work, not the virtual refresh timeline).
+	e.virt.Register(virtualTable(InfoSchemaTraceSpans, e.trc.Snapshot,
+		intCol("root_id", func(r trace.Record) (int64, bool) { return r.Root, true }),
+		intCol("span_id", func(r trace.Record) (int64, bool) { return r.ID, true }),
+		intCol("parent_id", func(r trace.Record) (int64, bool) { return nonZero(r.Parent) }),
+		strCol("name", func(r trace.Record) (string, bool) { return r.Name, true }),
+		strCol("attrs", func(r trace.Record) (string, bool) {
+			var attrs string
+			for i, a := range r.Attrs {
+				if i > 0 {
+					attrs += " "
+				}
+				attrs += a.Key + "=" + a.Value
+			}
+			return nonZero(attrs)
+		}),
+		tsCol("start_ts", func(r trace.Record) (time.Time, bool) { return nonZeroTime(r.Start) }),
+		intervalCol("duration", func(r trace.Record) (time.Duration, bool) { return r.Duration, true }),
+	))
+
+	// RESOURCE_HISTORY, from the recorder's shared resource ring: one row
+	// per metered unit of work (scheduler-tick refreshes and session
+	// statements), joinable against QUERY_HISTORY,
+	// DYNAMIC_TABLE_REFRESH_HISTORY and TRACE_SPANS on root_id.
+	e.virt.Register(virtualTable(InfoSchemaResourceHistory, e.rec.Resources,
+		intCol("seq", func(ev obs.ResourceEvent) (int64, bool) { return ev.Seq, true }),
+		strCol("kind", func(ev obs.ResourceEvent) (string, bool) { return ev.Kind, true }),
+		strCol("name", func(ev obs.ResourceEvent) (string, bool) { return nonZero(ev.Name) }),
+		intCol("root_id", func(ev obs.ResourceEvent) (int64, bool) { return nonZero(ev.RootID) }),
+		tsCol("start_ts", func(ev obs.ResourceEvent) (time.Time, bool) { return nonZeroTime(ev.Start) }),
+		intervalCol("cpu", func(ev obs.ResourceEvent) (time.Duration, bool) { return ev.CPU, true }),
+		intCol("alloc_bytes", func(ev obs.ResourceEvent) (int64, bool) { return ev.AllocBytes, true }),
+		intCol("alloc_objects", func(ev obs.ResourceEvent) (int64, bool) { return ev.AllocObjects, true }),
+		intCol("rows", func(ev obs.ResourceEvent) (int64, bool) { return ev.Rows, true }),
+		intCol("bytes", func(ev obs.ResourceEvent) (int64, bool) { return ev.Bytes, true }),
+	))
+
+	// DT_HEALTH: one evaluated row per DT, with blame columns populated for
+	// AT_RISK / MISSING_SLO rows.
+	e.virt.Register(virtualTable(InfoSchemaDTHealth, e.healthReports,
+		strCol("dt", func(rep healthReport) (string, bool) { return rep.Name, true }),
+		strCol("status", func(rep healthReport) (string, bool) { return string(rep.Status), true }),
+		strCol("reason", func(rep healthReport) (string, bool) { return rep.Reason, true }),
+		floatCol("slo_attainment", func(rep healthReport) (float64, bool) { return rep.Attainment, rep.HasSLO && rep.Samples > 0 }),
+		intCol("error_streak", func(rep healthReport) (int64, bool) { return int64(rep.ErrorStreak), true }),
+		floatCol("cpu_trend", func(rep healthReport) (float64, bool) { return rep.CPUTrend, rep.CPUTrend > 0 }),
+		strCol("blame", func(rep healthReport) (string, bool) { return nonZero(rep.Blame.Culprit) }),
+		strCol("blame_phase", func(rep healthReport) (string, bool) { return nonZero(rep.Blame.Phase) }),
+		intervalCol("blame_cost", func(rep healthReport) (time.Duration, bool) { return rep.Blame.Cost, rep.Blame.Culprit != "" }),
+	))
+
+	// ALERTS: one row per registered alert with its definition and
+	// evaluation state.
+	e.virt.Register(virtualTable(InfoSchemaAlerts, e.alertEntries,
+		strCol("name", func(a alertEntry) (string, bool) { return a.def.Name, true }),
+		strCol("status", func(a alertEntry) (string, bool) { return string(a.state.Status), true }),
+		boolCol("suspended", func(a alertEntry) (bool, bool) { return a.suspended, true }),
+		intervalCol("schedule", func(a alertEntry) (time.Duration, bool) { return a.def.Schedule, true }),
+		strCol("action", func(a alertEntry) (string, bool) { return a.def.ActionText(), true }),
+		strCol("owner", func(a alertEntry) (string, bool) { return nonZero(a.def.Owner) }),
+		strCol("condition", func(a alertEntry) (string, bool) { return a.def.ConditionText, true }),
+		intCol("firings", func(a alertEntry) (int64, bool) { return a.state.Firings, true }),
+		tsCol("last_fired", func(a alertEntry) (time.Time, bool) { return nonZeroTime(a.state.LastFired) }),
+		tsCol("next_eval", func(a alertEntry) (time.Time, bool) { return nonZeroTime(a.nextDue) }),
+	))
+
+	// ALERT_HISTORY, from the recorder's alert-evaluation ring, joinable
+	// against TRACE_SPANS on root_id.
+	e.virt.Register(virtualTable(InfoSchemaAlertHistory, e.rec.Alerts,
+		intCol("seq", func(ev obs.AlertEvent) (int64, bool) { return ev.Seq, true }),
+		strCol("alert", func(ev obs.AlertEvent) (string, bool) { return ev.Alert, true }),
+		tsCol("eval_ts", func(ev obs.AlertEvent) (time.Time, bool) { return nonZeroTime(ev.At) }),
+		boolCol("result", func(ev obs.AlertEvent) (bool, bool) { return ev.Result, true }),
+		strCol("status", func(ev obs.AlertEvent) (string, bool) { return ev.Status, true }),
+		boolCol("fired", func(ev obs.AlertEvent) (bool, bool) { return ev.Fired, true }),
+		strCol("action", func(ev obs.AlertEvent) (string, bool) { return nonZero(ev.Action) }),
+		strCol("action_error", func(ev obs.AlertEvent) (string, bool) { return nonZero(ev.ActionErr) }),
+		strCol("detail", func(ev obs.AlertEvent) (string, bool) { return nonZero(ev.Detail) }),
+		intCol("root_id", func(ev obs.AlertEvent) (int64, bool) { return nonZero(ev.RootID) }),
+		strCol("error", func(ev obs.AlertEvent) (string, bool) { return nonZero(ev.Error) }),
+		intervalCol("duration", func(ev obs.AlertEvent) (time.Duration, bool) { return ev.Duration, true }),
+	))
 }
 
-// tsOrNull converts a timestamp, mapping the zero time to NULL.
-func tsOrNull(t time.Time) types.Value {
-	if t.IsZero() {
-		return types.Null
-	}
-	return types.NewTimestamp(t)
+// warehousesTable backs SHOW WAREHOUSES: one row per warehouse with its
+// size and billing aggregates. It is not registered, so no query sees
+// it.
+func (e *Engine) warehousesTable() *plan.VirtualTable {
+	return virtualTable("WAREHOUSES", e.sortedWarehouses,
+		strCol("name", func(wh *warehouse.Warehouse) (string, bool) { return wh.Name, true }),
+		strCol("size", func(wh *warehouse.Warehouse) (string, bool) { return wh.Size.String(), true }),
+		intervalCol("auto_suspend", func(wh *warehouse.Warehouse) (time.Duration, bool) { return wh.AutoSuspend, true }),
+		intervalCol("billed", func(wh *warehouse.Warehouse) (time.Duration, bool) { return wh.BilledTime(), true }),
+		floatCol("credits", func(wh *warehouse.Warehouse) (float64, bool) { return wh.Credits(), true }),
+		intCol("resumes", func(wh *warehouse.Warehouse) (int64, bool) { return int64(wh.Resumes()), true }),
+		intCol("jobs", func(wh *warehouse.Warehouse) (int64, bool) { return int64(wh.JobCount()), true }),
+		tsCol("busy_until", func(wh *warehouse.Warehouse) (time.Time, bool) { return nonZeroTime(wh.BusyUntil()) }),
+	)
 }
 
-// intOrNull converts an int64, mapping 0 to NULL (used for span IDs,
-// where 0 means "tracing was disabled").
-func intOrNull(v int64) types.Value {
-	if v == 0 {
-		return types.Null
-	}
-	return types.NewInt(v)
-}
-
-// strOrNull converts a string, mapping "" to NULL.
-func strOrNull(s string) types.Value {
-	if s == "" {
-		return types.Null
-	}
-	return types.NewString(s)
+// sortedWarehouses lists the warehouses by name.
+func (e *Engine) sortedWarehouses() []*warehouse.Warehouse {
+	whs := e.pool.All()
+	sort.Slice(whs, func(i, j int) bool { return whs[i].Name < whs[j].Name })
+	return whs
 }
 
 // targetLagText renders a TARGET_LAG setting.
@@ -435,252 +507,47 @@ func targetLagText(lag sql.TargetLag) string {
 	return lag.Duration.String()
 }
 
-// dynamicTablesRows builds INFORMATION_SCHEMA.DYNAMIC_TABLES: one row
-// per DT with its state, refresh mode, lag settings and lag-SLO
-// accounting (attainment fraction and effective-lag percentiles against
-// the effective target lag).
-func (e *Engine) dynamicTablesRows() ([]types.Row, error) {
+// sortedDTs lists the dynamic tables by name.
+func (e *Engine) sortedDTs() []*core.DynamicTable {
 	entries := e.cat.List(catalog.KindDynamicTable)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	now := e.clk.Now()
-	rows := make([]types.Row, 0, len(entries))
+	dts := make([]*core.DynamicTable, 0, len(entries))
 	for _, entry := range entries {
-		dt, ok := entry.Payload.(*core.DynamicTable)
-		if !ok {
-			continue
+		if dt, ok := entry.Payload.(*core.DynamicTable); ok {
+			dts = append(dts, dt)
 		}
-		target := e.sch.EffectiveLag(dt)
-		effective := types.Null
-		slo, p50, p95 := types.Null, types.Null, types.Null
-		if target < sched.NoLag {
-			effective = types.NewInterval(target)
-			if stats := e.rec.SLO(dt.Name, target, now); stats.Samples > 0 {
-				slo = types.NewFloat(stats.Attainment)
-				p50 = types.NewInterval(stats.P50)
-				p95 = types.NewInterval(stats.P95)
-			}
-		}
-		dataTS := dt.DataTimestamp()
-		currentLag := types.Null
-		if !dataTS.IsZero() {
-			currentLag = types.NewInterval(now.Sub(dataTS))
-		}
-		mode, reason := dt.ModeDecision()
-		rows = append(rows, types.Row{
-			types.NewString(dt.Name),
-			types.NewString(dt.State().String()),
-			types.NewString(mode.String()),
-			types.NewString(dt.DeclaredMode.String()),
-			strOrNull(reason),
-			types.NewString(targetLagText(dt.Lag)),
-			effective,
-			types.NewString(dt.Warehouse),
-			types.NewInt(int64(dt.Storage.RowCount())),
-			tsOrNull(dataTS),
-			currentLag,
-			types.NewInt(int64(dt.ErrorCount())),
-			types.NewInt(int64(e.rec.HistoryLen(dt.Name))),
-			slo,
-			p50,
-			p95,
-		})
 	}
-	return rows, nil
+	return dts
 }
 
-// refreshHistoryRows builds
-// INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY from the recorder's
-// bounded per-DT rings.
-func (e *Engine) refreshHistoryRows() ([]types.Row, error) {
-	events := e.rec.AllHistory()
-	rows := make([]types.Row, 0, len(events))
-	for _, ev := range events {
-		duration := types.Null
-		if !ev.Start.IsZero() || !ev.End.IsZero() {
-			duration = types.NewInterval(ev.Duration())
+// dtInfo is one DYNAMIC_TABLES record: a DT and the values derived from
+// it once per row.
+type dtInfo struct {
+	dt          *core.DynamicTable
+	mode        sql.RefreshMode
+	reason      string
+	target      time.Duration
+	slo         obs.SLOStats
+	dataTS, now time.Time
+}
+
+// dynamicTableInfos gathers the DYNAMIC_TABLES records, which also back
+// the /metrics lag gauges: each DT's mode decision, effective target lag
+// and data timestamp, and its lag-SLO stats when it has a lag
+// requirement.
+func (e *Engine) dynamicTableInfos() []dtInfo {
+	dts := e.sortedDTs()
+	now := e.clk.Now()
+	infos := make([]dtInfo, 0, len(dts))
+	for _, dt := range dts {
+		info := dtInfo{dt: dt, target: e.sch.EffectiveLag(dt), dataTS: dt.DataTimestamp(), now: now}
+		if info.target < sched.NoLag {
+			info.slo = e.rec.SLO(dt.Name, info.target, now)
 		}
-		wave, worker := types.Null, types.Null
-		if ev.Wave >= 0 {
-			wave = types.NewInt(int64(ev.Wave))
-		}
-		if ev.Worker >= 0 {
-			worker = types.NewInt(int64(ev.Worker))
-		}
-		changed, fullScan := types.Null, types.Null
-		if ev.FullScanRows > 0 {
-			changed = types.NewInt(ev.ChangedRows)
-			fullScan = types.NewInt(ev.FullScanRows)
-		}
-		rows = append(rows, types.Row{
-			types.NewString(ev.DTName),
-			tsOrNull(ev.DataTS),
-			types.NewString(ev.Action),
-			types.NewBool(ev.Incremental),
-			types.NewInt(int64(ev.Inserted)),
-			types.NewInt(int64(ev.Deleted)),
-			types.NewInt(int64(ev.RowsAfter)),
-			types.NewInt(ev.SourceRowsScanned),
-			strOrNull(ev.Mode),
-			strOrNull(ev.ModeReason),
-			changed,
-			fullScan,
-			tsOrNull(ev.Start),
-			tsOrNull(ev.End),
-			duration,
-			wave,
-			worker,
-			strOrNull(ev.Error),
-			types.NewInt(ev.Seq),
-			intOrNull(ev.RootID),
-		})
+		info.mode, info.reason = dt.ModeDecision()
+		infos = append(infos, info)
 	}
-	return rows, nil
-}
-
-// graphHistoryRows builds INFORMATION_SCHEMA.DYNAMIC_TABLE_GRAPH_HISTORY
-// from the recorder's edge-observation ring.
-func (e *Engine) graphHistoryRows() ([]types.Row, error) {
-	edges := e.rec.Edges()
-	rows := make([]types.Row, 0, len(edges))
-	for _, ed := range edges {
-		rows = append(rows, types.Row{
-			types.NewString(ed.DTName),
-			types.NewString(ed.Upstream),
-			types.NewString(ed.UpstreamKind),
-			tsOrNull(ed.ValidFrom),
-			types.NewInt(ed.Seq),
-		})
-	}
-	return rows, nil
-}
-
-// warehouseMeteringRows builds
-// INFORMATION_SCHEMA.WAREHOUSE_METERING_HISTORY from the recorder's
-// per-warehouse metering rings.
-func (e *Engine) warehouseMeteringRows() ([]types.Row, error) {
-	points := e.rec.Metering()
-	rows := make([]types.Row, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, types.Row{
-			types.NewString(p.Warehouse),
-			types.NewString(p.Size),
-			strOrNull(p.Label),
-			tsOrNull(p.Submit),
-			tsOrNull(p.Start),
-			tsOrNull(p.End),
-			types.NewInterval(p.Start.Sub(p.Submit)),
-			types.NewInterval(p.End.Sub(p.Start)),
-			types.NewInt(p.Rows),
-			types.NewFloat(p.Credits),
-			types.NewInt(p.Seq),
-		})
-	}
-	return rows, nil
-}
-
-// serverRequestsRows builds INFORMATION_SCHEMA.SERVER_REQUEST_HISTORY
-// from the recorder's served-request ring (populated by the network
-// server's per-endpoint metrics middleware; empty for embedded engines).
-// Request timings are host wall-clock — they describe the serving path,
-// not the virtual refresh timeline.
-func (e *Engine) serverRequestsRows() ([]types.Row, error) {
-	events := e.rec.Requests()
-	rows := make([]types.Row, 0, len(events))
-	for _, ev := range events {
-		rows = append(rows, types.Row{
-			types.NewString(ev.Method),
-			types.NewString(ev.Endpoint),
-			types.NewInt(int64(ev.Status)),
-			strOrNull(ev.Role),
-			strOrNull(ev.SessionID),
-			strOrNull(ev.StatementID),
-			types.NewInt(int64(ev.Rows)),
-			tsOrNull(ev.Start),
-			types.NewInterval(ev.Duration),
-			strOrNull(ev.RequestID),
-			types.NewInt(ev.Seq),
-		})
-	}
-	return rows, nil
-}
-
-// queryHistoryRows builds INFORMATION_SCHEMA.QUERY_HISTORY from the
-// recorder's shared statement ring. Statement text is recorded verbatim
-// but bind-argument values are never captured, so parameterized
-// statements stay redacted by construction.
-func (e *Engine) queryHistoryRows() ([]types.Row, error) {
-	events := e.rec.Statements()
-	rows := make([]types.Row, 0, len(events))
-	for _, ev := range events {
-		rows = append(rows, types.Row{
-			types.NewInt(ev.Seq),
-			types.NewInt(ev.SessionID),
-			strOrNull(ev.Role),
-			types.NewString(ev.Text),
-			strOrNull(ev.Kind),
-			types.NewString(ev.Status),
-			types.NewInt(ev.Rows),
-			tsOrNull(ev.Start),
-			types.NewInterval(ev.Duration),
-			intOrNull(ev.RootID),
-			strOrNull(ev.Error),
-		})
-	}
-	return rows, nil
-}
-
-// traceSpansRows builds INFORMATION_SCHEMA.TRACE_SPANS: the flattened
-// span tree of every retained root trace, joinable against
-// QUERY_HISTORY and DYNAMIC_TABLE_REFRESH_HISTORY on root_id. Span
-// timings are host wall-clock (they describe real execution work, not
-// the virtual refresh timeline).
-func (e *Engine) traceSpansRows() ([]types.Row, error) {
-	records := e.trc.Snapshot()
-	rows := make([]types.Row, 0, len(records))
-	for _, r := range records {
-		var attrs string
-		for i, a := range r.Attrs {
-			if i > 0 {
-				attrs += " "
-			}
-			attrs += a.Key + "=" + a.Value
-		}
-		rows = append(rows, types.Row{
-			types.NewInt(r.Root),
-			types.NewInt(r.ID),
-			intOrNull(r.Parent),
-			types.NewString(r.Name),
-			strOrNull(attrs),
-			tsOrNull(r.Start),
-			types.NewInterval(r.Duration),
-		})
-	}
-	return rows, nil
-}
-
-// resourceHistoryRows builds INFORMATION_SCHEMA.RESOURCE_HISTORY from
-// the recorder's shared resource ring: one row per metered unit of work
-// (scheduler-tick refreshes and session statements), joinable against
-// QUERY_HISTORY, DYNAMIC_TABLE_REFRESH_HISTORY and TRACE_SPANS on
-// root_id.
-func (e *Engine) resourceHistoryRows() ([]types.Row, error) {
-	events := e.rec.Resources()
-	rows := make([]types.Row, 0, len(events))
-	for _, ev := range events {
-		rows = append(rows, types.Row{
-			types.NewInt(ev.Seq),
-			types.NewString(ev.Kind),
-			strOrNull(ev.Name),
-			intOrNull(ev.RootID),
-			tsOrNull(ev.Start),
-			types.NewInterval(ev.CPU),
-			types.NewInt(ev.AllocBytes),
-			types.NewInt(ev.AllocObjects),
-			types.NewInt(ev.Rows),
-			types.NewInt(ev.Bytes),
-		})
-	}
-	return rows, nil
+	return infos
 }
 
 // healthReport is one DT's evaluated health, the row model behind
@@ -713,8 +580,7 @@ var blamePhases = map[string]bool{
 // lag budget. The previous per-DT status is remembered on the engine so
 // the classifier's hysteresis has its memory.
 func (e *Engine) healthReports() []healthReport {
-	entries := e.cat.List(catalog.KindDynamicTable)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	dts := e.sortedDTs()
 	now := e.clk.Now()
 	spans := e.trc.Snapshot()
 	meter := e.rec.Metering()
@@ -725,12 +591,8 @@ func (e *Engine) healthReports() []healthReport {
 		e.healthPrev = make(map[string]health.Status)
 	}
 
-	reports := make([]healthReport, 0, len(entries))
-	for _, entry := range entries {
-		dt, ok := entry.Payload.(*core.DynamicTable)
-		if !ok {
-			continue
-		}
+	reports := make([]healthReport, 0, len(dts))
+	for _, dt := range dts {
 		in := health.Input{
 			Name:        dt.Name,
 			Suspended:   dt.State() == core.StateSuspended,
@@ -816,61 +678,4 @@ func (e *Engine) phaseBreakdown(dtName string, spans []trace.Record, meter []obs
 		}
 	}
 	return p
-}
-
-// dtHealthRows builds INFORMATION_SCHEMA.DT_HEALTH: one evaluated row
-// per DT, with blame columns populated for AT_RISK / MISSING_SLO rows.
-func (e *Engine) dtHealthRows() ([]types.Row, error) {
-	reports := e.healthReports()
-	rows := make([]types.Row, 0, len(reports))
-	for _, rep := range reports {
-		attainment, trend := types.Null, types.Null
-		if rep.HasSLO && rep.Samples > 0 {
-			attainment = types.NewFloat(rep.Attainment)
-		}
-		if rep.CPUTrend > 0 {
-			trend = types.NewFloat(rep.CPUTrend)
-		}
-		blameCost := types.Null
-		if rep.Blame.Culprit != "" {
-			blameCost = types.NewInterval(rep.Blame.Cost)
-		}
-		rows = append(rows, types.Row{
-			types.NewString(rep.Name),
-			types.NewString(string(rep.Status)),
-			types.NewString(rep.Reason),
-			attainment,
-			types.NewInt(int64(rep.ErrorStreak)),
-			trend,
-			strOrNull(rep.Blame.Culprit),
-			strOrNull(rep.Blame.Phase),
-			blameCost,
-		})
-	}
-	return rows, nil
-}
-
-// warehousesRows backs SHOW WAREHOUSES: one row per warehouse with its
-// size and billing aggregates.
-var showWarehousesColumns = []string{
-	"name", "size", "auto_suspend", "billed", "credits", "resumes", "jobs", "busy_until",
-}
-
-func (e *Engine) warehousesRows() []types.Row {
-	whs := e.pool.All()
-	sort.Slice(whs, func(i, j int) bool { return whs[i].Name < whs[j].Name })
-	rows := make([]types.Row, 0, len(whs))
-	for _, wh := range whs {
-		rows = append(rows, types.Row{
-			types.NewString(wh.Name),
-			types.NewString(wh.Size.String()),
-			types.NewInterval(wh.AutoSuspend),
-			types.NewInterval(wh.BilledTime()),
-			types.NewFloat(wh.Credits()),
-			types.NewInt(int64(wh.Resumes())),
-			types.NewInt(int64(wh.JobCount())),
-			tsOrNull(wh.BusyUntil()),
-		})
-	}
-	return rows
 }

@@ -147,8 +147,8 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 }
 
 // TestConcurrentStatsReadersNoTornSnapshot drives the parallel refresher
-// while monitoring goroutines hammer the scheduler's snapshot accessors
-// and the INFORMATION_SCHEMA query path. Run under -race: the defensive
+// while monitoring goroutines hammer the scheduler's stats, the
+// recorder's lag series and the INFORMATION_SCHEMA query path. Run under -race: the defensive
 // copies must keep every reader free of torn state.
 func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
 	e := New(WithConfig(Config{RefreshWorkers: 4}))
@@ -181,10 +181,11 @@ func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
 					t.Errorf("torn Stats snapshot: tallied %d > scheduled %d", tallied, stats.Scheduled)
 					return
 				}
-				for _, series := range e.Scheduler().LagSeriesAll() {
+				for d := 0; d < 4; d++ {
+					series := e.Observability().LagSeries(fmt.Sprintf("p_%d", d))
 					for i := 1; i < len(series); i++ {
 						if series[i].At.Before(series[i-1].At) {
-							t.Error("torn LagSeriesAll snapshot: out-of-order points")
+							t.Error("torn LagSeries snapshot: out-of-order points")
 							return
 						}
 					}

@@ -963,60 +963,37 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 // SHOW / EXPLAIN
 // ---------------------------------------------------------------------------
 
-// rowsToValues adapts builder rows to the Result row representation.
-func rowsToValues(rows []types.Row) [][]types.Value {
-	out := make([][]types.Value, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
+// showTables maps each SHOW statement to the INFORMATION_SCHEMA table
+// it lists.
+var showTables = map[string]string{
+	"DYNAMIC TABLES": InfoSchemaDynamicTables,
+	"HEALTH":         InfoSchemaDTHealth,
+	"ALERTS":         InfoSchemaAlerts,
 }
 
 // execShow renders engine metadata as a result set. SHOW statements are
 // the operator-facing shorthand over the INFORMATION_SCHEMA virtual
-// tables: the same rows, no query required.
+// tables: the same rows, no query required. SHOW WAREHOUSES reads a
+// table of the same form that is not registered.
 func (x *executor) execShow(stmt *sql.ShowStmt) (*Result, error) {
-	e := x.e
-	switch stmt.Kind {
-	case "DYNAMIC TABLES":
-		rows, err := e.dynamicTablesRows()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:    "SHOW DYNAMIC TABLES",
-			Columns: dynamicTablesSchema.Names(),
-			Rows:    rowsToValues(rows),
-		}, nil
-	case "WAREHOUSES":
-		return &Result{
-			Kind:    "SHOW WAREHOUSES",
-			Columns: showWarehousesColumns,
-			Rows:    rowsToValues(e.warehousesRows()),
-		}, nil
-	case "HEALTH":
-		rows, err := e.dtHealthRows()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:    "SHOW HEALTH",
-			Columns: dtHealthSchema.Names(),
-			Rows:    rowsToValues(rows),
-		}, nil
-	case "ALERTS":
-		rows, err := e.alertsRows()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:    "SHOW ALERTS",
-			Columns: alertsSchema.Names(),
-			Rows:    rowsToValues(rows),
-		}, nil
-	default:
+	var vt *plan.VirtualTable
+	if stmt.Kind == "WAREHOUSES" {
+		vt = x.e.warehousesTable()
+	} else if name, ok := showTables[stmt.Kind]; ok {
+		vt = x.e.virt.Table(name)
+	}
+	if vt == nil {
 		return nil, fmt.Errorf("dyntables: unsupported SHOW %s", stmt.Kind)
 	}
+	rows, err := vt.Rows()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Kind: "SHOW " + stmt.Kind, Columns: vt.Schema.Names(), Rows: make([][]types.Value, len(rows))}
+	for i, r := range rows {
+		res.Rows[i] = r
+	}
+	return res, nil
 }
 
 // execExplain renders the bound plan tree of a SELECT, or — for CREATE
