@@ -17,6 +17,10 @@
 //     Δγ(Q) = −γ(Q₀ ⋉ₖ ΔQ) + γ(Q₁ ⋉ₖ ΔQ);
 //   - window functions recompute affected partitions:
 //     Δξ(Q) = π₋(ξ(Q₀ ⋉ₖ ΔQ)) + π₊(ξ(Q₁ ⋉ₖ ΔQ)) (§5.5.1).
+//
+// On the columnar path, the boundaries of the aggregate and window rules
+// read only the affected groups' rows through the storage row-log index
+// when a group key is a column of the input's one scan (keyed.go).
 package ivm
 
 import (
@@ -63,7 +67,13 @@ type Stats struct {
 	// PartitionsRecomputed counts window partitions recomputed.
 	PartitionsRecomputed int64
 	// PartitionsTotal counts window partitions present at the interval
-	// end (for comparison with PartitionsRecomputed).
+	// end (for comparison with PartitionsRecomputed). When the boundaries
+	// read only the affected partitions (keyed.go), it counts instead the
+	// distinct values of the keyed partition column in the end version's
+	// row log (storage.Table.DistinctKeys). For a one-column PARTITION BY
+	// that is an upper bound, which still counts values whose rows were
+	// all deleted or filtered out, until the next compaction fold; for a
+	// wider one it counts the keyed column's values only.
 	PartitionsTotal int64
 	// GroupsRecomputed counts aggregate groups recomputed.
 	GroupsRecomputed int64
@@ -885,7 +895,8 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 	}
 	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(affected)) })
 
-	old, cur, n0, n1, err := aggregateBoundaries(a, iv, affected, env)
+	lk := affectedLookup(a.Input, a.GroupBy, din, env)
+	old, cur, n0, n1, err := aggregateBoundaries(a, iv, affected, lk, env)
 	if err != nil {
 		return nil, err
 	}
@@ -905,22 +916,22 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 
 // aggregateBoundaries computes the affected-group aggregations of both
 // boundary snapshots of the aggregate's input. On the columnar path the
-// boundary subplans evaluate to batches and the affected-group
-// restriction fuses into the vectorized aggregation loop; otherwise the
-// snapshots materialize and a row-at-a-time restrict feeds
-// AggregateRows. n0/n1 count the restricted input rows (the scalar
+// boundary subplans evaluate to batches, their scan reading only lk's keys
+// when lk is non-nil, and the affected-group restriction fuses into the
+// vectorized aggregation loop; otherwise the snapshots materialize and a
+// row-at-a-time restrict feeds AggregateRows. n0/n1 count the restricted input rows (the scalar
 // aggregate guard's signal; the columnar path handles grouped
 // aggregates only, where the guard is vacuous).
-func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
+func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, lk *keyLookup, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
 	if len(a.GroupBy) > 0 && env.Columnar {
-		old, handled, err := aggregateColumnar(a, iv.From, affected, env)
+		old, handled, err := aggregateColumnar(a, iv.From, affected, lk, env)
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
 		// Whether the input is batchable depends on the plan alone, so
 		// the end boundary is handled exactly when the start is.
 		if handled {
-			cur, _, err := aggregateColumnar(a, iv.To, affected, env)
+			cur, _, err := aggregateColumnar(a, iv.To, affected, lk, env)
 			if err != nil {
 				return nil, nil, 0, 0, err
 			}
@@ -969,8 +980,8 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 // aggregateColumnar aggregates the affected groups of the aggregate's
 // input as of vm on the columnar path; handled is false when the input is
 // not batchable.
-func aggregateColumnar(a *plan.Aggregate, vm VersionMap, affected map[string]bool, env *Env) (_ []exec.TRow, handled bool, _ error) {
-	ctx := pinnedCtx(vm, env)
+func aggregateColumnar(a *plan.Aggregate, vm VersionMap, affected map[string]bool, lk *keyLookup, env *Env) (_ []exec.TRow, handled bool, _ error) {
+	ctx := lk.ctx(vm, env)
 	cr, handled, err := exec.RunColumnar(a.Input, ctx)
 	if err != nil || !handled {
 		return nil, handled, err
@@ -1042,7 +1053,16 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	if len(din) == 0 {
 		return nil, nil
 	}
-	q0, q1, err := snapshotBoundaries(w.Input, iv, env)
+	// The ablation recomputes every partition, so it reads whole versions.
+	var lk *keyLookup
+	if !env.FullWindowRecompute {
+		lk = affectedLookup(w.Input, w.PartitionBy, din, env)
+	}
+	q0, err := lk.boundary(w.Input, iv.From, env)
+	if err != nil {
+		return nil, err
+	}
+	q1, err := lk.boundary(w.Input, iv.To, env)
 	if err != nil {
 		return nil, err
 	}
@@ -1099,13 +1119,21 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	if err != nil {
 		return nil, err
 	}
-	in1, err := restrict(q1, true)
+	in1, err := restrict(q1, lk == nil)
 	if err != nil {
 		return nil, err
 	}
+	partitions := len(total)
+	if lk != nil {
+		// The end boundary read only the affected partitions' rows; the
+		// keyed column's run counts the others without reading them.
+		if partitions, _, err = lk.scan.Table.DistinctKeys(iv.To[lk.scan.Table.ID()], lk.col); err != nil {
+			return nil, err
+		}
+	}
 	env.stats(func(s *Stats) {
 		s.PartitionsRecomputed += int64(len(affected))
-		s.PartitionsTotal += int64(len(total))
+		s.PartitionsTotal += int64(partitions)
 	})
 
 	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}

@@ -25,6 +25,13 @@ import (
 // ~3.5 ms plus ~0.16 µs per match: 2.1 against 4.5 ms at N/8 candidates,
 // 8.9 against 7.6 ms at N/2. The two cross near 0.4N, so declining above
 // N/4 keeps every lookup on the winning side with a margin for wider rows.
+// A set of scattered point keys (BenchmarkLookupKeysVsScan, same table and
+// host) costs ~0.36 µs per candidate against a restrict of the memoized
+// version at ~1.5 ms plus ~0.17 µs per match: 2.5 against 3.6 ms at N/8,
+// 4.7 against 4.2 ms at N/4. They cross near N/5, so at the bound a key
+// set costs up to ~10% more than the scan would, less when the version is
+// not memoized yet (refresh boundaries read new versions) and the scan
+// would pay its build.
 const lookupShare = 4
 
 // run is a sorted index of one column over a prefix of a segment's
@@ -144,6 +151,9 @@ func (ci *colIndex) current(entries []entry, col int, first bool) *run {
 	return r
 }
 
+// keyRange is the closed range [lo, hi] of keys.
+type keyRange struct{ lo, hi int64 }
+
 // Lookup returns, as a batch in log order, the rows visible at version seq
 // whose INT-family column col lies in [lo, hi] (empty when lo > hi), and
 // the visible rows whose col is NULL or of another kind. That is a
@@ -163,24 +173,79 @@ func (t *Table) SelectiveLookup(seq int64, col int, lo, hi int64) (_ *types.Batc
 	return t.lookup(seq, col, lo, hi, true)
 }
 
+// SelectiveLookupKeys is SelectiveLookup for a set of point keys, in any
+// order and possibly repeated: it returns the visible rows whose col
+// equals one of keys, and the visible rows whose col is NULL or of another
+// kind. It declines when the candidates of all the keys together exceed
+// 1/lookupShare of the version's rows.
+func (t *Table) SelectiveLookupKeys(seq int64, col int, keys []int64) (_ *types.Batch, ok bool, _ error) {
+	return t.lookupRanges(seq, col, pointRanges(keys), true)
+}
+
+// lookup is lookupRanges over [lo, hi], or over no range when lo > hi.
 func (t *Table) lookup(seq int64, col int, lo, hi int64, selective bool) (*types.Batch, bool, error) {
+	var rs []keyRange
+	if lo <= hi {
+		rs = []keyRange{{lo, hi}}
+	}
+	return t.lookupRanges(seq, col, rs, selective)
+}
+
+// pointRanges returns the sorted, disjoint ranges that hold exactly keys:
+// one per run of consecutive keys.
+func pointRanges(keys []int64) []keyRange {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	var rs []keyRange
+	for _, k := range sorted {
+		switch n := len(rs); {
+		case n > 0 && k <= rs[n-1].hi: // a repeat
+		case n > 0 && k == rs[n-1].hi+1:
+			rs[n-1].hi = k
+		default:
+			rs = append(rs, keyRange{k, k})
+		}
+	}
+	return rs
+}
+
+// inRanges reports whether k lies in one of the sorted, disjoint ranges.
+func inRanges(rs []keyRange, k int64) bool {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].hi >= k })
+	return i < len(rs) && rs[i].lo <= k
+}
+
+// indexView is what a reader of one column's run sees: the run, the
+// segment's entries as of the read, and the version's row count.
+type indexView struct {
+	r       *run
+	entries []entry
+	kind    types.Kind
+	schema  types.Schema
+	rows    int
+}
+
+// indexed returns the current run of column col over the segment that
+// version seq reads, building or merging it as colIndex.current does. It
+// returns nil, and reads nothing, when col is not an INT-family column.
+func (t *Table) indexed(seq int64, col int) (*indexView, error) {
 	t.mu.Lock()
 	v, err := t.versionBySeqLocked(seq)
 	if err != nil {
 		t.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
 	if col < 0 || col >= t.schema.Len() || !t.schema.Column(col).Kind.IntFamily() {
 		t.mu.Unlock()
-		return nil, false, nil
+		return nil, nil
 	}
-	schema, kind := t.schema, t.schema.Column(col).Kind
+	view := &indexView{kind: t.schema.Column(col).Kind, schema: t.schema, rows: v.RowCount}
 	seg := t.segmentFor(seq)
-	entries := seg.entries
+	view.entries = seg.entries
 	ci := seg.index[col]
-	first := ci == nil || ci.kind != kind
+	first := ci == nil || ci.kind != view.kind
 	if first {
-		ci = &colIndex{kind: kind, built: make(chan struct{})}
+		ci = &colIndex{kind: view.kind, built: make(chan struct{})}
 		ci.merging.Store(true)
 		if seg.index == nil {
 			seg.index = make(map[int]*colIndex)
@@ -189,24 +254,54 @@ func (t *Table) lookup(seq int64, col int, lo, hi int64, selective bool) (*types
 	}
 	t.mu.Unlock()
 
-	r := ci.current(entries, col, first)
-	i, j := 0, 0
-	if lo <= hi {
-		i = sort.Search(len(r.keys), func(k int) bool { return r.keys[k] >= lo })
-		j = i + sort.Search(len(r.keys)-i, func(k int) bool { return r.keys[i+k] > hi })
+	view.r = ci.current(view.entries, col, first)
+	return view, nil
+}
+
+// lookupRanges returns, as a batch in log order, the rows visible at
+// version seq whose column col lies in one of the sorted, disjoint ranges
+// rs, and the visible rows whose col is NULL or of another kind. ok is
+// false when col is not an INT-family column and, when selective, when
+// the candidates over all of rs exceed 1/lookupShare of the version's
+// rows.
+func (t *Table) lookupRanges(seq int64, col int, rs []keyRange, selective bool) (*types.Batch, bool, error) {
+	view, err := t.indexed(seq, col)
+	if view == nil || err != nil {
+		return nil, false, err
+	}
+	r, entries := view.r, view.entries
+	over := func(n int) bool { return selective && n*lookupShare > view.rows }
+	// Each span [i, j) of the run holds one range's keys; the ranges are
+	// sorted, so each search starts where the last one ended.
+	var spans [][2]int
+	n, from := len(r.unkeyed), 0
+	for _, kr := range rs {
+		i := from + sort.Search(len(r.keys)-from, func(k int) bool { return r.keys[from+k] >= kr.lo })
+		j := i + sort.Search(len(r.keys)-i, func(k int) bool { return r.keys[i+k] > kr.hi })
+		if i < j {
+			spans = append(spans, [2]int{i, j})
+			n += j - i
+		}
+		if over(n) {
+			return nil, false, nil
+		}
+		from = j
 	}
 	var tail []int32
 	for p := r.n; p < len(entries); p++ {
-		if k, keyed := keyOf(entries[p].row, col, kind); !keyed || lo <= k && k <= hi {
+		if k, keyed := keyOf(entries[p].row, col, view.kind); !keyed || inRanges(rs, k) {
 			tail = append(tail, int32(p))
 		}
 	}
-	n := j - i + len(r.unkeyed) + len(tail)
-	if selective && n*lookupShare > v.RowCount {
+	n += len(tail)
+	if over(n) {
 		return nil, false, nil
 	}
 	cand := make([]int32, 0, n)
-	cand = append(append(append(cand, r.pos[i:j]...), r.unkeyed...), tail...)
+	for _, s := range spans {
+		cand = append(cand, r.pos[s[0]:s[1]]...)
+	}
+	cand = append(append(cand, r.unkeyed...), tail...)
 	slices.Sort(cand)
 	ids := make([]string, 0, len(cand))
 	rows := make([]types.Row, 0, len(cand))
@@ -221,5 +316,48 @@ func (t *Table) lookup(seq int64, col int, lo, hi int64, selective bool) (*types
 			rows = append(rows, e.row)
 		}
 	}
-	return types.NewBatch(schema, ids, rows), true, nil
+	return types.NewBatch(view.schema, ids, rows), true, nil
+}
+
+// DistinctKeys returns the number of distinct values that INT-family
+// column col takes in the row log version seq reads; ok is false when col
+// is not an INT-family column. It reads the column's run and its tail, and
+// only the NULL or other-kind values among the rows, so it is an upper
+// bound on the distinct values visible at seq: it still counts a value
+// whose rows were all deleted, or inserted after seq, until compaction
+// folds the log.
+func (t *Table) DistinctKeys(seq int64, col int) (n int, ok bool, _ error) {
+	view, err := t.indexed(seq, col)
+	if view == nil || err != nil {
+		return 0, false, err
+	}
+	r, entries := view.r, view.entries
+	for i, k := range r.keys {
+		if i == 0 || k != r.keys[i-1] {
+			n++
+		}
+	}
+	fresh := map[int64]bool{}
+	others := map[string]bool{}
+	other := func(p int) {
+		if p >= len(entries) {
+			return
+		}
+		v := types.Null // a row shorter than the schema reads NULL
+		if row := entries[p].row; col < len(row) {
+			v = row[col]
+		}
+		others[string(v.EncodeKey(nil))] = true
+	}
+	for _, p := range r.unkeyed {
+		other(int(p))
+	}
+	for p := r.n; p < len(entries); p++ {
+		if k, keyed := keyOf(entries[p].row, col, view.kind); !keyed {
+			other(p)
+		} else if _, found := slices.BinarySearch(r.keys, k); !found {
+			fresh[k] = true
+		}
+	}
+	return n + len(fresh) + len(others), true, nil
 }

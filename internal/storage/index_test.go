@@ -378,3 +378,277 @@ func TestLookupsRaceApplyAndCompact(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// wantKeys is the reference for a key-set lookup: Batch(seq) filtered to
+// the rows whose column 0 is one of keys or not an INT.
+func wantKeys(t *testing.T, tb *Table, seq int64, keys []int64) []string {
+	t.Helper()
+	b, err := tb.Batch(seq)
+	if err != nil {
+		t.Fatalf("Batch(%d): %v", seq, err)
+	}
+	var ids []string
+	for i, id := range b.IDs() {
+		if v := b.Row(i)[0]; v.Kind() != types.KindInt || slices.Contains(keys, v.Int()) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestLookupKeySetsMatchFilteredScan looks up random key sets, unsorted
+// and with repeats, over a history of writes and compactions that leaves
+// runs with tails: every lookup must return exactly the rows of the
+// version's scan whose key is in the set, NULL or of another kind, each
+// once and in log order. SelectiveLookupKeys returns the same rows or
+// declines.
+func TestLookupKeySetsMatchFilteredScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tb := newTestTable()
+	for step := int64(0); step < 80; step++ {
+		latest := int64(tb.VersionCount())
+		b, err := tb.Batch(latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cs delta.ChangeSet
+		for i, id := range b.IDs() {
+			switch rng.Intn(12) {
+			case 0:
+				cs.AddDelete(id, b.Row(i))
+			case 1:
+				cs.AddDelete(id, b.Row(i))
+				cs.AddInsert(id, types.Row{lookupKey(rng)})
+			}
+		}
+		for i := rng.Intn(15); i > 0; i-- {
+			cs.AddInsert(tb.NextRowID(), types.Row{lookupKey(rng)})
+		}
+		if _, err := tb.Apply(cs, ts(10+step)); err != nil {
+			t.Fatal(err)
+		}
+		if step%20 == 19 {
+			if _, _, err := tb.Compact(int64(tb.VersionCount()) - 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo := tb.CompactedThrough() + 1
+		seq := lo + rng.Int63n(int64(tb.VersionCount())-lo+1)
+		keys := make([]int64, rng.Intn(7))
+		for i := range keys {
+			if v := lookupKey(rng); v.Kind() == types.KindInt {
+				keys[i] = v.Int()
+			} else {
+				keys[i] = rng.Int63n(40) - 5
+			}
+		}
+		if len(keys) > 1 {
+			keys = append(keys, keys[0]) // a repeat
+		}
+		want := wantKeys(t, tb, seq, keys)
+		got, ok, err := tb.lookupRanges(seq, 0, pointRanges(keys), false)
+		if err != nil || !ok {
+			t.Fatalf("step %d: lookup of keys %v at %d: ok %v, %v", step, keys, seq, ok, err)
+		}
+		if !slices.Equal(got.IDs(), want) {
+			t.Fatalf("step %d: lookup of keys %v at %d = %v, filtered scan %v", step, keys, seq, got.IDs(), want)
+		}
+		sel, ok, err := tb.SelectiveLookupKeys(seq, 0, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && !slices.Equal(sel.IDs(), want) {
+			t.Fatalf("step %d: SelectiveLookupKeys(%v) at %d = %v, filtered scan %v", step, keys, seq, sel.IDs(), want)
+		}
+	}
+}
+
+// TestPointRanges checks that a key set becomes sorted, disjoint ranges,
+// consecutive keys sharing one, the extreme INTs included.
+func TestPointRanges(t *testing.T) {
+	got := pointRanges([]int64{9, 3, math.MaxInt64, 4, 3, math.MinInt64, 7, 5, math.MaxInt64, math.MaxInt64 - 1})
+	want := []keyRange{{math.MinInt64, math.MinInt64}, {3, 5}, {7, 7}, {9, 9}, {math.MaxInt64 - 1, math.MaxInt64}}
+	if !slices.Equal(got, want) {
+		t.Errorf("pointRanges = %v, want %v", got, want)
+	}
+	if rs := pointRanges(nil); len(rs) != 0 {
+		t.Errorf("pointRanges(nil) = %v", rs)
+	}
+}
+
+// TestLookupKeysInUnmergedTail looks up keys that only rows appended after
+// the run was built hold, before a merge folds them in.
+func TestLookupKeysInUnmergedTail(t *testing.T) {
+	tb := newTestTable()
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 100; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i%10))
+		}
+		cs.AddInsert(tb.NextRowID(), types.Row{types.Null})
+	})
+	if _, ok, err := tb.SelectiveLookupKeys(2, 0, []int64{3}); err != nil || !ok {
+		t.Fatalf("first lookup: ok %v, %v", ok, err)
+	}
+	apply(t, tb, 11, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 5; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(100+i%2))
+		}
+	})
+	b, ok, err := tb.SelectiveLookupKeys(3, 0, []int64{101, 3, 101})
+	if err != nil || !ok {
+		t.Fatalf("lookup: ok %v, %v", ok, err)
+	}
+	if want := wantKeys(t, tb, 3, []int64{3, 101}); !slices.Equal(b.IDs(), want) {
+		t.Fatalf("lookup of {3, 101} = %v, want %v", b.IDs(), want)
+	}
+	if seg := tb.segmentFor(3); seg.index[0].run.Load().n != 101 {
+		t.Fatalf("the tail was merged; the test wants it unmerged")
+	}
+	// 10 rows of 3, 2 of 101 and the NULL row, which comes back once.
+	if b.Len() != 13 {
+		t.Errorf("lookup of {3, 101} returned %d rows, want 13", b.Len())
+	}
+}
+
+// TestSelectiveLookupKeysDeclinesOverUnion checks that the decline counts
+// the candidates of all the keys together: each key alone is selective,
+// their union is not.
+func TestSelectiveLookupKeysDeclinesOverUnion(t *testing.T) {
+	tb := newTestTable()
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 400; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i%40))
+		}
+	})
+	var keys []int64
+	for k := int64(0); k < 11; k++ {
+		if _, ok, err := tb.SelectiveLookupKeys(2, 0, []int64{k}); err != nil || !ok {
+			t.Fatalf("key %d alone: ok %v, %v", k, ok, err)
+		}
+		keys = append(keys, k*3) // scattered: one range per key
+	}
+	// 10 keys have 100 candidates, a quarter of the 400 rows.
+	if b, ok, err := tb.SelectiveLookupKeys(2, 0, keys[:10]); err != nil || !ok || b.Len() != 100 {
+		t.Fatalf("10 keys: ok %v, %v", ok, err)
+	}
+	if _, ok, err := tb.SelectiveLookupKeys(2, 0, keys); err != nil || ok {
+		t.Errorf("11 keys (110 candidates of 400 rows): ok %v, %v; want a decline", ok, err)
+	}
+}
+
+// TestDistinctKeysBoundsVisibleValues checks DistinctKeys against the
+// values a version holds: it counts run and tail keys and each NULL or
+// other-kind value once, keeps counting a deleted key until a compaction
+// folds it away, and declines a non-INT column.
+func TestDistinctKeysBoundsVisibleValues(t *testing.T) {
+	tb := newTestTable()
+	var victims []string
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 50; i++ {
+			id := tb.NextRowID()
+			if i%10 == 7 {
+				victims = append(victims, id)
+			}
+			cs.AddInsert(id, intRow(i%10))
+		}
+		cs.AddInsert(tb.NextRowID(), types.Row{types.Null})
+		cs.AddInsert(tb.NextRowID(), types.Row{types.Null})
+		cs.AddInsert(tb.NextRowID(), types.Row{types.NewFloat(2.5)})
+	})
+	count := func(seq int64) int {
+		t.Helper()
+		n, ok, err := tb.DistinctKeys(seq, 0)
+		if err != nil || !ok {
+			t.Fatalf("DistinctKeys(%d): ok %v, %v", seq, ok, err)
+		}
+		return n
+	}
+	// 0..9, NULL and 2.5.
+	if n := count(2); n != 12 {
+		t.Errorf("DistinctKeys = %d, want 12", n)
+	}
+	// A new key in the tail, and every row of 7 deleted.
+	apply(t, tb, 11, func(cs *delta.ChangeSet) {
+		cs.AddInsert(tb.NextRowID(), intRow(42))
+		for _, id := range victims {
+			cs.AddDelete(id, intRow(7))
+		}
+	})
+	if n := count(3); n != 13 {
+		t.Errorf("DistinctKeys after adding 42 and deleting 7 = %d, want 13 (7 counts until a fold)", n)
+	}
+	if _, _, err := tb.Compact(3); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(3); n != 12 {
+		t.Errorf("DistinctKeys after the fold = %d, want 12", n)
+	}
+	st := NewTable(types.NewSchema(types.Column{Name: "s", Kind: types.KindString}), ts(1))
+	if _, ok, err := st.DistinctKeys(1, 0); err != nil || ok {
+		t.Errorf("DistinctKeys of a STRING column: ok %v, %v", ok, err)
+	}
+}
+
+// BenchmarkLookupKeysVsScan is BenchmarkLookupVsScan (internal/exec) for
+// key sets: it reads the rows of k scattered point keys of a 50k-row table
+// both ways — through a key-set lookup, and by restricting the memoized
+// version batch to the keys as a refresh boundary does — for k from one
+// key up to half the table, to place the crossover that lookupShare
+// encodes. The lookup arm uses the non-selective form, which never
+// declines.
+func BenchmarkLookupKeysVsScan(b *testing.B) {
+	const n = 50_000
+	schema := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt}, types.Column{Name: "v", Kind: types.KindInt})
+	tb := NewTable(schema, ts(1))
+	var cs delta.ChangeSet
+	for i := int64(0); i < n; i++ {
+		cs.AddInsert(tb.NextRowID(), intRow(i, i%101))
+	}
+	if _, err := tb.Apply(cs, ts(2)); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := rng.Perm(n)
+	for _, k := range []int{1, 10, 500, n / 97, n / 8, n / 4, n / 2} {
+		keys := make([]int64, k)
+		set := make(map[string]bool, k)
+		for i := range keys {
+			keys[i] = int64(order[i])
+			set[string(types.NewInt(keys[i]).EncodeKey(nil))] = true
+		}
+		restrict := func(batch *types.Batch) int {
+			var buf []byte
+			out := 0
+			for _, row := range batch.Rows() {
+				buf = row[0].EncodeKey(buf[:0])
+				if set[string(buf)] {
+					out++
+				}
+			}
+			return out
+		}
+		for _, arm := range []struct {
+			name string
+			read func() (*types.Batch, error)
+		}{
+			{"lookup", func() (*types.Batch, error) {
+				batch, _, err := tb.lookupRanges(2, 0, pointRanges(keys), false)
+				return batch, err
+			}},
+			{"scan", func() (*types.Batch, error) { return tb.Batch(2) }},
+		} {
+			b.Run(fmt.Sprintf("keys=%d/%s", k, arm.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					batch, err := arm.read()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := restrict(batch); got != k {
+						b.Fatalf("%d rows, want %d", got, k)
+					}
+				}
+			})
+		}
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dyntables/internal/core"
 )
 
 func TestAlterSystemKnobs(t *testing.T) {
@@ -212,4 +214,71 @@ func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
+}
+
+// TestParallelKeyedRefreshesShareOneSource refreshes, in each wave on two
+// workers, two DTs whose boundaries look up different columns of one
+// source: the aggregate its grp column and the window its dim column, so
+// both build and merge lookup runs on the same row-log segment at once.
+// Run it under -race. The refreshes must be incremental, every DT must
+// uphold DVS, and the source must end up indexing both columns.
+func TestParallelKeyedRefreshesShareOneSource(t *testing.T) {
+	e := New(WithConfig(Config{RefreshWorkers: 2}))
+	s := e.NewSession()
+	s.MustExec(`CREATE WAREHOUSE wh`)
+	s.MustExec(`CREATE TABLE facts (id INT, grp INT, dim INT, v INT)`)
+	const n = 2000
+	for lo := 0; lo < n; lo += 500 {
+		var vals []string
+		for id := lo; id < lo+500; id++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d, %d)", id, id%50, id%200, id%97))
+		}
+		s.MustExec(`INSERT INTO facts VALUES ` + strings.Join(vals, ", "))
+	}
+	s.MustExec(`CREATE DYNAMIC TABLE dt_agg TARGET_LAG = '1 minute' WAREHOUSE = wh
+	            AS SELECT grp, count(*) c, sum(v) total FROM facts GROUP BY grp`)
+	s.MustExec(`CREATE DYNAMIC TABLE dt_win TARGET_LAG = '1 minute' WAREHOUSE = wh
+	            AS SELECT id, dim, v, row_number() OVER (PARTITION BY dim ORDER BY v, id) rn FROM facts`)
+	for round := 0; round < 8; round++ {
+		s.MustExec(fmt.Sprintf(`UPDATE facts SET v = v + 1, grp = %d WHERE id = %d`, round%50, round*37))
+		s.MustExec(fmt.Sprintf(`DELETE FROM facts WHERE id = %d`, round*41+1))
+		s.MustExec(fmt.Sprintf(`INSERT INTO facts VALUES (%d, %d, %d, %d)`, n+round, round, round*3, round))
+		e.AdvanceTime(time.Minute)
+		if err := e.RunScheduler(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"dt_agg", "dt_win"} {
+		dt, err := e.DynamicTableHandle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incremental := 0
+		for _, rec := range dt.History() {
+			switch rec.Action {
+			case core.ActionIncremental:
+				incremental++
+			case core.ActionInitialize, core.ActionNoData:
+			default:
+				t.Errorf("%s refreshed with %v, want INCREMENTAL", name, rec.Action)
+			}
+		}
+		if incremental != 8 {
+			t.Errorf("%s refreshed incrementally %d times in 8 rounds", name, incremental)
+		}
+		if err := e.CheckDVS(name); err != nil {
+			t.Errorf("DVS violated for %s: %v", name, err)
+		}
+	}
+	// Two runs of 12 B over at least the n loaded entries.
+	var indexBytes int64
+	prefix := `dyntables_table_index_bytes{table="facts"} `
+	for _, line := range strings.Split(e.MetricsText(), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			fmt.Sscan(rest, &indexBytes)
+		}
+	}
+	if indexBytes < 2*12*n {
+		t.Errorf("facts indexes %d B, want the grp and dim runs of at least %d B each", indexBytes, 12*n)
+	}
 }
