@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dyntables/internal/core"
+	"dyntables/internal/sql"
 	"dyntables/internal/warehouse"
 )
 
@@ -787,5 +788,50 @@ func TestDescribeAfterOrderByLimitDT(t *testing.T) {
 	expectQuery(t, e, `SELECT player FROM top2`, "[4]", "[2]")
 	if err := e.CheckDVS("top2"); err != nil {
 		t.Errorf("DVS for full-mode top-k: %v", err)
+	}
+}
+
+// TestCurrentTimestampRefreshesFull checks that a defining query with
+// CURRENT_TIMESTAMP is not maintained incrementally: a row kept at an
+// earlier refresh's timestamp would never be re-evaluated. An
+// INCREMENTAL pin is refused at CREATE, AUTO resolves to FULL, and every
+// refresh, also one over an interval with no source change, leaves the
+// contents equal to the query as of the data timestamp.
+func TestCurrentTimestampRefreshesFull(t *testing.T) {
+	e := New()
+	s := e.NewSession()
+	s.MustExec(`CREATE WAREHOUSE wh`)
+	s.MustExec(`CREATE TABLE ev (id INT, ts TIMESTAMP)`)
+	s.MustExec(`INSERT INTO ev VALUES (1, '2025-04-01 00:02:30'), (2, '2025-04-01 00:05:30')`)
+	const query = `SELECT id FROM ev WHERE ts >= CURRENT_TIMESTAMP()`
+	if _, err := s.Exec(`CREATE DYNAMIC TABLE pinned TARGET_LAG = '1 minute' WAREHOUSE = wh
+		REFRESH_MODE = INCREMENTAL AS ` + query); err == nil || !strings.Contains(err.Error(), "CURRENT_TIMESTAMP") {
+		t.Fatalf("CREATE of an INCREMENTAL DT over CURRENT_TIMESTAMP: err = %v, want a refusal naming it", err)
+	}
+	s.MustExec(`CREATE DYNAMIC TABLE upcoming TARGET_LAG = '1 minute' WAREHOUSE = wh AS ` + query)
+	dt, err := e.DynamicTableHandle("upcoming")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode, reason := dt.ModeDecision(); mode != sql.RefreshFull {
+		t.Fatalf("AUTO over CURRENT_TIMESTAMP resolved to %s (%s), want FULL", mode, reason)
+	}
+	for minute := 1; minute <= 6; minute++ {
+		if minute == 2 {
+			s.MustExec(`INSERT INTO ev VALUES (3, '2025-04-01 00:04:30')`)
+		}
+		e.AdvanceTime(time.Minute)
+		if err := e.RunScheduler(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CheckDVS("upcoming"); err != nil {
+			t.Fatalf("minute %d: %v", minute, err)
+		}
+		if rec, ok := dt.LastRecord(); ok && rec.Action == core.ActionIncremental {
+			t.Fatalf("minute %d: refreshed INCREMENTAL", minute)
+		}
+	}
+	if rows := dt.Storage.RowCount(); rows != 0 {
+		t.Errorf("%d rows left after every event's time passed", rows)
 	}
 }

@@ -425,6 +425,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		FullWindowRecompute: c.FullWindowRecompute,
 		Columnar:            c.Columnar,
 		Span:                spanHook(root),
+		Accumulators:        &dt.accumulators,
 	}
 
 	if !dt.Initialized() || evolved {
@@ -450,10 +451,15 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
 	}
 
-	// NO_DATA when no source changed over the interval (§3.3.2).
+	// NO_DATA when no source changed over the interval (§3.3.2) and the
+	// result cannot change without them: CURRENT_TIMESTAMP moves it with
+	// the data timestamp alone.
 	frontier := dt.Frontier()
-	changed := false
+	changed := plan.Volatile(bound.Plan)
 	for _, scan := range plan.Scans(bound.Plan) {
+		if changed {
+			break
+		}
 		id := scan.Table.ID()
 		from, ok := frontier.Versions[id]
 		if !ok {
@@ -485,7 +491,14 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
 	}
 
-	// INCREMENTAL: differentiate over the frontier interval.
+	// INCREMENTAL: differentiate over the frontier interval. AUTO never
+	// gets here with a plan that is not incrementalizable, and CREATE and
+	// ALTER refuse such a pin, but a pin recorded before its plan stopped
+	// being incrementalizable (upstream DDL, or CURRENT_TIMESTAMP before
+	// it forced FULL) fails rather than store contents that break DVS.
+	if err := ivm.Incrementalizable(bound.Plan); err != nil {
+		return rec, fmt.Errorf("core: %s: REFRESH_MODE=INCREMENTAL unsupported: %w", dt.Name, err)
+	}
 	cs, err := ivm.Delta(bound.Plan, ivm.Interval{From: frontier.Versions, To: vmTo}, env)
 	if errors.Is(err, ivm.ErrSourceOverwritten) {
 		// An upstream replace/overwrite invalidates stored results (§3.3.2).
@@ -788,7 +801,14 @@ func (c *Controller) CheckDVS(dt *DynamicTable) error {
 	if err != nil {
 		return err
 	}
-	stored, err := dt.Storage.Rows(int64(dt.Storage.VersionCount()))
+	// Compare the version the frontier's data timestamp maps to, not the
+	// tip: a refresh running beside this check commits its new version
+	// before it advances the frontier.
+	seq, ok := dt.VersionAtDataTS(frontier.DataTS)
+	if !ok {
+		seq = int64(dt.Storage.VersionCount())
+	}
+	stored, err := dt.Storage.Rows(seq)
 	if err != nil {
 		return err
 	}

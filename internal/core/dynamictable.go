@@ -191,6 +191,12 @@ type DynamicTable struct {
 	staticMode   sql.RefreshMode
 	staticReason string
 
+	// accumulators holds the stored accumulators of the defining query's
+	// invertible aggregates between refreshes, which the refresh lock
+	// serializes. In memory only: neither the WAL nor a checkpoint
+	// carries it, and a refresh after recovery seeds it again.
+	accumulators ivm.AggStore
+
 	// versionByDataTS maps a data timestamp (µs) to the storage version
 	// sequence holding the corresponding contents, and commitByDataTS to
 	// the commit timestamp — the mapping §5.3 describes for resolving

@@ -5,7 +5,8 @@
 // refreshes — and replays it against two engines that differ only in the
 // execution path (columnar fast path vs. row-at-a-time). Every query
 // result and every refreshed DT's contents are canonicalized and
-// byte-compared; any divergence is a bug in one of the paths.
+// byte-compared, and every DT is checked against its query evaluated
+// afresh (delayed view semantics); any divergence is a bug.
 //
 // The harness runs in CI under the race detector via the package tests;
 // a failing seed is reproducible with RunSeed alone.
@@ -85,8 +86,8 @@ type gen struct {
 }
 
 // Generate builds the deterministic workload for a seed: 2-3 tables with
-// random column sets, a DT layer (filter/projection, join, aggregate and
-// a stacked DT-over-DT), and steps interleaved churn, parameterized
+// random column sets, a DT layer (filter/projection, join, aggregates and
+// stacked DTs-over-DTs), and steps interleaved churn, parameterized
 // queries and scheduler ticks.
 func Generate(seed int64, steps int) *Script {
 	g := &gen{rng: rand.New(rand.NewSource(seed)), script: &Script{}}
@@ -232,6 +233,15 @@ func (g *gen) genDTs() {
 
 	// Stacked DT: a DT reading another DT (refresh DAG).
 	add("dt_top", fmt.Sprintf("SELECT grp, n, s FROM dt_agg WHERE n > %d", g.rng.Intn(3)))
+
+	// Aggregates whose refreshes fold Δ into stored accumulators: COUNT,
+	// COUNT_IF and SUM over a nullable INT column, and one over that DT.
+	c := g.intCol(t0)
+	add("dt_acc", fmt.Sprintf(
+		"SELECT id %% %d AS grp, COUNT(*) AS n, COUNT(%s) AS nc, COUNT_IF(%s > 0) AS p, SUM(%s) AS s FROM %s GROUP BY ALL",
+		2+g.rng.Intn(6), c, c, c, t0.name))
+	add("dt_acc_top", fmt.Sprintf(
+		"SELECT n %% %d AS b, COUNT(*) AS groups, SUM(s) AS total FROM dt_acc GROUP BY ALL", 2+g.rng.Intn(3)))
 }
 
 func (g *gen) genDML() {
@@ -473,6 +483,15 @@ func RunSeed(seed int64, steps int) error {
 			}
 			if a != b {
 				return fmt.Errorf("difftest: step %d DT contents divergence after tick:\ncolumnar:\n%s\nlegacy:\n%s", i, a, b)
+			}
+			// Both paths could agree and still be wrong: each DT must
+			// also equal its query evaluated afresh (DVS).
+			for _, name := range script.DTs {
+				for _, e := range []*dyntables.Engine{p.columnar, p.legacy} {
+					if err := e.CheckDVS(name); err != nil {
+						return fmt.Errorf("difftest: step %d: %w", i, err)
+					}
+				}
 			}
 		}
 	}

@@ -448,11 +448,18 @@ func (a *accumulator) add(row types.Row, ev *plan.EvalContext) error {
 // addValue folds one already-evaluated argument value into the
 // accumulator — the entry point the columnar aggregation loop uses after
 // evaluating the argument expression once per column.
-func (a *accumulator) addValue(v types.Value) error {
+func (a *accumulator) addValue(v types.Value) error { return a.fold(v, 1) }
+
+// fold folds one argument value in with multiplicity sign: +1 adds it, and
+// −1 takes back a value added before (GroupState), which only the
+// invertible kinds (Invertible) support. A −1 subtracts exactly what a +1
+// adds, so a sum wraps past MaxInt64 the same whichever order values come
+// and go in.
+func (a *accumulator) fold(v types.Value, sign int64) error {
 	switch a.agg.Kind {
 	case plan.AggCount:
 		if a.agg.Arg == nil {
-			a.count++
+			a.count += sign
 			return nil
 		}
 		if v.IsNull() {
@@ -465,10 +472,10 @@ func (a *accumulator) addValue(v types.Value) error {
 			}
 			a.distinct[k] = true
 		}
-		a.count++
+		a.count += sign
 	case plan.AggCountIf:
 		if !v.IsNull() && v.Kind() == types.KindBool && v.Bool() {
-			a.count++
+			a.count += sign
 		}
 	case plan.AggSum, plan.AggAvg:
 		if v.IsNull() {
@@ -477,15 +484,15 @@ func (a *accumulator) addValue(v types.Value) error {
 		if !v.Numeric() {
 			return fmt.Errorf("exec: %s requires numeric input, got %s", a.agg.Kind, v.Kind())
 		}
-		a.count++
+		a.count += sign
 		if v.Kind() == types.KindFloat {
 			a.isFloat = true
 		}
 		if a.isFloat {
-			a.sumFloat += v.AsFloat()
+			a.sumFloat += float64(sign) * v.AsFloat()
 		} else {
-			a.sumInt += v.Int()
-			a.sumFloat += v.AsFloat()
+			a.sumInt += sign * v.Int()
+			a.sumFloat += float64(sign) * v.AsFloat()
 		}
 	case plan.AggMin, plan.AggMax:
 		if v.IsNull() {
@@ -589,15 +596,20 @@ func finalizeGroups(a *plan.Aggregate, groups map[string]*aggGroup, order []stri
 	}
 	out := make([]TRow, 0, len(groups))
 	for _, key := range order {
-		grp := groups[key]
-		row := make(types.Row, 0, len(a.GroupBy)+len(a.Aggs))
-		row = append(row, grp.vals...)
-		for _, acc := range grp.accs {
-			row = append(row, acc.result())
-		}
-		out = append(out, TRow{ID: GroupRowID(key), Row: row})
+		out = append(out, TRow{ID: GroupRowID(key), Row: groups[key].row()})
 	}
 	return out
+}
+
+// row renders the group's output row: its key values, then each
+// aggregate's result.
+func (g *aggGroup) row() types.Row {
+	row := make(types.Row, 0, len(g.vals)+len(g.accs))
+	row = append(row, g.vals...)
+	for _, acc := range g.accs {
+		row = append(row, acc.result())
+	}
+	return row
 }
 
 // AggregateRows aggregates pre-computed input rows; reused by the IVM

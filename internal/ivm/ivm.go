@@ -21,6 +21,14 @@
 // On the columnar path, the boundaries of the aggregate and window rules
 // read only the affected groups' rows through the storage row-log index
 // when a group key is a column of the input's one scan (keyed.go).
+//
+// A grouped aggregate of COUNT, COUNT_IF and SUM over INT values (none
+// DISTINCT) skips the boundaries when Env.Accumulators holds its
+// per-group accumulators as of the interval's start: it folds ΔQ into
+// them, reading |ΔQ| rows. The state is seeded once from the whole input,
+// after a refresh that took the boundary path, and is held in memory at
+// a cost per group; it is not in the WAL or the checkpoint, and is
+// rebuilt by that seed after recovery (accum.go).
 package ivm
 
 import (
@@ -79,6 +87,11 @@ type Stats struct {
 	GroupsRecomputed int64
 	// RowsEmitted counts change rows produced before consolidation.
 	RowsEmitted int64
+	// AccumulatorFolds counts aggregate deltas folded from stored
+	// accumulators, and AccumulatorSeeds the seeds of those accumulators
+	// from a whole input (accum.go).
+	AccumulatorFolds int64
+	AccumulatorSeeds int64
 	// ConsolidationElided counts refreshes that skipped the final
 	// change-consolidation step because the plan structure and an
 	// insert-only delta guarantee no duplicate ($ROW_ID, $ACTION) pairs
@@ -104,6 +117,11 @@ type Env struct {
 	// controller wires it to the engine's span recorder.
 	Span func(name string) func()
 
+	// Accumulators, when non-nil, holds the stored accumulators of the
+	// plan's invertible aggregates between refreshes of one DT (accum.go);
+	// nil recomputes every affected group from the boundaries.
+	Accumulators *AggStore
+
 	// Columnar routes boundary-snapshot evaluations through the
 	// executor's columnar fast path: scans resolve to shared,
 	// version-cached batches instead of per-call row-map copies. Change
@@ -127,8 +145,13 @@ var ErrNotIncrementalizable = errors.New("ivm: plan is not incrementalizable")
 // union-all, inner and outer joins, LATERAL FLATTEN, distinct and grouped
 // aggregations, and partitioned window functions. Scalar (ungrouped)
 // aggregates, unpartitioned windows, ORDER BY and LIMIT force full
-// refreshes.
+// refreshes, and so does CURRENT_TIMESTAMP anywhere in the plan: a row
+// derived at an earlier refresh's timestamp is never re-evaluated, so its
+// stored value would differ from the query's as of the data timestamp.
 func Incrementalizable(n plan.Node) error {
+	if plan.Volatile(n) {
+		return fmt.Errorf("%w: CURRENT_TIMESTAMP", ErrNotIncrementalizable)
+	}
 	var bad error
 	plan.Walk(n, func(node plan.Node) {
 		if bad != nil {
@@ -196,6 +219,7 @@ func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
 	if env.Span != nil {
 		defer env.Span("ivm.delta")()
 	}
+	env.Accumulators.attach(n)
 	rows, err := deltaRec(n, iv, env)
 	if err != nil {
 		return delta.ChangeSet{}, err
@@ -876,14 +900,21 @@ func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft b
 // ---------------------------------------------------------------------------
 
 // deltaAggregate recomputes affected groups:
-// Δγ(Q) = −γ(Q₀ ⋉ₖ keys(ΔQ)) + γ(Q₁ ⋉ₖ keys(ΔQ)).
+// Δγ(Q) = −γ(Q₀ ⋉ₖ keys(ΔQ)) + γ(Q₁ ⋉ₖ keys(ΔQ)),
+// or, when env holds the node's accumulators as of the interval's start,
+// folds ΔQ into them (accum.go).
 func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, error) {
 	din, err := deltaRec(a.Input, iv, env)
 	if err != nil {
 		return nil, err
 	}
+	st := env.Accumulators.state(a)
 	if len(din) == 0 {
+		st.carry(iv)
 		return nil, nil
+	}
+	if out, ok := st.fold(din, iv, env); ok {
+		return out, nil
 	}
 	affected := make(map[string]bool)
 	for _, c := range din {
@@ -911,6 +942,7 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 	if len(a.GroupBy) > 0 || n1 > 0 {
 		out = appendAs(out, cur, delta.Insert)
 	}
+	st.seed(a, iv.To, env)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dyntables/internal/sql"
@@ -315,6 +316,91 @@ func Scans(n Node) []*Scan {
 		}
 	})
 	return out
+}
+
+// Volatile reports whether any operator of the plan evaluates a volatile
+// expression (see VolatileExpr).
+func Volatile(n Node) bool {
+	volatile := false
+	Walk(n, func(node Node) {
+		volatile = volatile || slices.ContainsFunc(nodeExprs(node), VolatileExpr)
+	})
+	return volatile
+}
+
+// nodeExprs returns the expressions the operator evaluates itself, not
+// its inputs'.
+func nodeExprs(n Node) []Expr {
+	var out []Expr
+	switch x := n.(type) {
+	case *Project:
+		out = x.Exprs
+	case *Filter:
+		out = []Expr{x.Pred}
+	case *Join:
+		out = append(append(append(out, x.LeftKeys...), x.RightKeys...), x.Residual)
+	case *Aggregate:
+		out = append(out, x.GroupBy...)
+		for _, a := range x.Aggs {
+			out = append(out, a.Arg)
+		}
+	case *Window:
+		out = append(out, x.PartitionBy...)
+		for _, o := range x.OrderBy {
+			out = append(out, o.Expr)
+		}
+		for _, f := range x.Funcs {
+			out = append(out, f.Arg)
+		}
+	case *Flatten:
+		out = []Expr{x.Expr}
+	case *Sort:
+		for _, o := range x.Items {
+			out = append(out, o.Expr)
+		}
+	}
+	return out
+}
+
+// Fingerprint renders the plan with every expression, aggregate, window
+// function and sort order and the storage identity of every scan, so two
+// plans share a fingerprint only when they compute the same rows from the
+// same tables.
+func Fingerprint(n Node) string {
+	var b strings.Builder
+	Walk(n, func(node Node) {
+		b.WriteString(node.Describe())
+		switch x := node.(type) {
+		case *Scan:
+			fmt.Fprintf(&b, "#%d", x.Table.ID())
+		case *Aggregate:
+			for _, a := range x.Aggs {
+				b.WriteString(" " + a.Fingerprint())
+			}
+		case *Window:
+			for _, o := range x.OrderBy {
+				b.WriteString(" " + o.Fingerprint())
+			}
+			for _, f := range x.Funcs {
+				b.WriteString(" " + f.Fingerprint())
+			}
+		case *Sort:
+			for _, o := range x.Items {
+				b.WriteString(" " + o.Fingerprint())
+			}
+		case *Values:
+			for _, r := range x.Rows {
+				b.WriteString(" " + r.Key())
+			}
+		}
+		for _, e := range nodeExprs(node) {
+			if e != nil {
+				b.WriteString(" " + e.Fingerprint())
+			}
+		}
+		b.WriteByte('\n')
+	})
+	return b.String()
 }
 
 // Explain renders the plan as an indented tree.

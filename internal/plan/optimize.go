@@ -229,10 +229,25 @@ func isConstant(e Expr) bool {
 		case *Param:
 			constant = false // value arrives at execution time
 		case *Func:
-			if x.Name == "CURRENT_TIMESTAMP" {
+			if volatileFunc(x) {
 				constant = false
 			}
 		}
 	})
 	return constant
 }
+
+// VolatileExpr reports whether e calls a volatile function, one whose
+// value depends on when it is evaluated (CURRENT_TIMESTAMP). A nil
+// expression is not volatile.
+func VolatileExpr(e Expr) bool {
+	volatile := false
+	WalkExpr(e, func(sub Expr) {
+		if f, ok := sub.(*Func); ok && volatileFunc(f) {
+			volatile = true
+		}
+	})
+	return volatile
+}
+
+func volatileFunc(f *Func) bool { return f.Name == "CURRENT_TIMESTAMP" }
