@@ -73,10 +73,6 @@ type Controller struct {
 	// while refreshes are excluded (engine DDL lock).
 	HistoryCapacity int
 
-	// Hooks for the IVM ablation strategies.
-	ExpandOuterJoins    bool
-	FullWindowRecompute bool
-
 	// Columnar routes refresh boundary-snapshot evaluations through the
 	// columnar execution path (shared per-version batches + vectorized
 	// filters/projections). Change sets are identical either way; the
@@ -419,13 +415,11 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 
 	counters := &exec.Counters{}
 	env := &ivm.Env{
-		Now:                 dataTS,
-		Counters:            counters,
-		ExpandOuterJoins:    c.ExpandOuterJoins,
-		FullWindowRecompute: c.FullWindowRecompute,
-		Columnar:            c.Columnar,
-		Span:                spanHook(root),
-		Accumulators:        &dt.accumulators,
+		Now:          dataTS,
+		Counters:     counters,
+		Columnar:     c.Columnar,
+		Span:         spanHook(root),
+		Accumulators: &dt.accumulators,
 	}
 
 	if !dt.Initialized() || evolved {

@@ -242,6 +242,11 @@ func (g *gen) genDTs() {
 		2+g.rng.Intn(6), c, c, c, t0.name))
 	add("dt_acc_top", fmt.Sprintf(
 		"SELECT n %% %d AS b, COUNT(*) AS groups, SUM(s) AS total FROM dt_acc GROUP BY ALL", 2+g.rng.Intn(3)))
+
+	// DISTINCT DT: a bare column beside a computed one, so values repeat
+	// and the boundaries read only Δ's values through the bare column.
+	add("dt_distinct", fmt.Sprintf("SELECT DISTINCT %s AS v, id %% %d AS k FROM %s",
+		g.intCol(t1), 2+g.rng.Intn(3), t1.name))
 }
 
 func (g *gen) genDML() {

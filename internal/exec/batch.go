@@ -242,11 +242,9 @@ func AggregateColumnar(a *plan.Aggregate, in *ColumnarRows, affected map[string]
 
 // aggregateBatch is the vectorized aggregation loop: group-by and
 // aggregate-argument expressions are evaluated once per column over the
-// whole batch, group keys are encoded into one reused buffer, and map
-// lookups use the allocation-free string-conversion idiom — so the
-// steady-state per-row work (existing group, key already seen) allocates
-// nothing, where the row loop pays a group-values row, a key buffer and
-// a key string per input row.
+// whole batch, and each row folds into the group table (groupTable), so
+// the steady-state per-row work (existing group, key already seen)
+// allocates nothing.
 func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, ctx *Context) ([]TRow, error) {
 	ev := ctx.eval()
 	keys := make([]*types.Vector, len(a.GroupBy))
@@ -269,44 +267,31 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 		args[i] = v
 	}
 
-	groups := make(map[string]*aggGroup)
-	order := []string{}
-	var buf []byte
+	t := newGroupTable(a, false)
 	n := in.len()
 	ticks := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.tick(&ticks); err != nil {
 			return nil, err
 		}
-		buf = buf[:0]
-		for _, kv := range keys {
-			buf = normalizeKeyValue(kv.Value(i)).EncodeKey(buf)
+		for k, kv := range keys {
+			t.vals[k] = kv.Value(i)
 		}
-		if affected != nil && !affected[string(buf)] {
+		t.encode(t.vals)
+		if affected != nil && !affected[string(t.key)] {
 			continue
 		}
-		grp := groups[string(buf)]
-		if grp == nil {
-			vals := make(types.Row, len(keys))
-			for k, kv := range keys {
-				vals[k] = kv.Value(i)
+		for k, av := range args {
+			t.args[k] = types.Null
+			if av != nil {
+				t.args[k] = av.Value(i)
 			}
-			grp = newAggGroup(a, vals)
-			key := string(buf)
-			groups[key] = grp
-			order = append(order, key)
 		}
-		for k, acc := range grp.accs {
-			var v types.Value
-			if args[k] != nil {
-				v = args[k].Value(i)
-			}
-			if err := acc.addValue(v); err != nil {
-				return nil, err
-			}
+		if _, err := t.fold(t.groups[string(t.key)], t.vals, t.args, 1); err != nil {
+			return nil, err
 		}
 	}
-	return finalizeGroups(a, groups, order), nil
+	return t.result(GroupRowID), nil
 }
 
 // batchIter adapts a columnar result to the pull-based cursor protocol,

@@ -559,6 +559,17 @@ func TestAggregateRowIDsStableAcrossRuns(t *testing.T) {
 			t.Errorf("aggregate row ID must carry plaintext prefix: %q", id)
 		}
 	}
+	// Durable DTs store these IDs, so they are pinned literally: a
+	// grouping change that moves them breaks existing data directories.
+	for _, c := range []struct{ query, id, row string }{
+		{`SELECT grp, sum(v) FROM t WHERE grp = 1 GROUP BY grp`, "g:529a2ddc8ff5355f", "[1, 10]"},
+		{`SELECT DISTINCT grp, v FROM t WHERE grp = 2`, "d:6c9e0ef56f8d4405", "[2, 20]"},
+	} {
+		rows := h.run(c.query)
+		if len(rows) != 1 || rows[0].ID != c.id || rows[0].Row.String() != c.row {
+			t.Errorf("%s: got %v, want one row %s with ID %s", c.query, rows, c.row, c.id)
+		}
+	}
 }
 
 func TestOptimizerPushesFilterBelowJoin(t *testing.T) {

@@ -413,149 +413,6 @@ func NormalizeKeyValue(v types.Value) types.Value { return normalizeKeyValue(v) 
 // aggregation
 // ---------------------------------------------------------------------------
 
-type accumulator struct {
-	agg plan.AggExpr
-
-	count    int64
-	sumInt   int64
-	sumFloat float64
-	isFloat  bool
-	min, max types.Value
-	any      types.Value
-	distinct map[string]bool
-}
-
-func newAccumulator(agg plan.AggExpr) *accumulator {
-	acc := &accumulator{agg: agg, min: types.Null, max: types.Null, any: types.Null}
-	if agg.Distinct {
-		acc.distinct = make(map[string]bool)
-	}
-	return acc
-}
-
-func (a *accumulator) add(row types.Row, ev *plan.EvalContext) error {
-	var v types.Value
-	if a.agg.Arg != nil {
-		var err error
-		v, err = plan.Eval(a.agg.Arg, row, ev)
-		if err != nil {
-			return err
-		}
-	}
-	return a.addValue(v)
-}
-
-// addValue folds one already-evaluated argument value into the
-// accumulator — the entry point the columnar aggregation loop uses after
-// evaluating the argument expression once per column.
-func (a *accumulator) addValue(v types.Value) error { return a.fold(v, 1) }
-
-// fold folds one argument value in with multiplicity sign: +1 adds it, and
-// −1 takes back a value added before (GroupState), which only the
-// invertible kinds (Invertible) support. A −1 subtracts exactly what a +1
-// adds, so a sum wraps past MaxInt64 the same whichever order values come
-// and go in.
-func (a *accumulator) fold(v types.Value, sign int64) error {
-	switch a.agg.Kind {
-	case plan.AggCount:
-		if a.agg.Arg == nil {
-			a.count += sign
-			return nil
-		}
-		if v.IsNull() {
-			return nil
-		}
-		if a.distinct != nil {
-			k := string(normalizeKeyValue(v).EncodeKey(nil))
-			if a.distinct[k] {
-				return nil
-			}
-			a.distinct[k] = true
-		}
-		a.count += sign
-	case plan.AggCountIf:
-		if !v.IsNull() && v.Kind() == types.KindBool && v.Bool() {
-			a.count += sign
-		}
-	case plan.AggSum, plan.AggAvg:
-		if v.IsNull() {
-			return nil
-		}
-		if !v.Numeric() {
-			return fmt.Errorf("exec: %s requires numeric input, got %s", a.agg.Kind, v.Kind())
-		}
-		a.count += sign
-		if v.Kind() == types.KindFloat {
-			a.isFloat = true
-		}
-		if a.isFloat {
-			a.sumFloat += float64(sign) * v.AsFloat()
-		} else {
-			a.sumInt += sign * v.Int()
-			a.sumFloat += float64(sign) * v.AsFloat()
-		}
-	case plan.AggMin, plan.AggMax:
-		if v.IsNull() {
-			return nil
-		}
-		ref := a.min
-		if a.agg.Kind == plan.AggMax {
-			ref = a.max
-		}
-		if ref.IsNull() {
-			a.min, a.max = pick(a.agg.Kind, v, a.min, a.max)
-			return nil
-		}
-		c, err := types.Compare(v, ref)
-		if err != nil {
-			return err
-		}
-		if (a.agg.Kind == plan.AggMin && c < 0) || (a.agg.Kind == plan.AggMax && c > 0) {
-			a.min, a.max = pick(a.agg.Kind, v, a.min, a.max)
-		}
-	case plan.AggAnyValue:
-		if a.any.IsNull() && !v.IsNull() {
-			a.any = v
-		}
-	}
-	return nil
-}
-
-func pick(kind plan.AggKind, v, curMin, curMax types.Value) (types.Value, types.Value) {
-	if kind == plan.AggMin {
-		return v, curMax
-	}
-	return curMin, v
-}
-
-func (a *accumulator) result() types.Value {
-	switch a.agg.Kind {
-	case plan.AggCount, plan.AggCountIf:
-		return types.NewInt(a.count)
-	case plan.AggSum:
-		if a.count == 0 {
-			return types.Null
-		}
-		if a.isFloat {
-			return types.NewFloat(a.sumFloat)
-		}
-		return types.NewInt(a.sumInt)
-	case plan.AggAvg:
-		if a.count == 0 {
-			return types.Null
-		}
-		return types.NewFloat(a.sumFloat / float64(a.count))
-	case plan.AggMin:
-		return a.min
-	case plan.AggMax:
-		return a.max
-	case plan.AggAnyValue:
-		return a.any
-	default:
-		return types.Null
-	}
-}
-
 func runAggregate(a *plan.Aggregate, ctx *Context) ([]TRow, error) {
 	if ctx.useBatches() && batchable(a.Input) {
 		res, err := runBatch(a.Input, ctx)
@@ -571,83 +428,14 @@ func runAggregate(a *plan.Aggregate, ctx *Context) ([]TRow, error) {
 	return AggregateRows(a, in, ctx)
 }
 
-// aggGroup is one group's in-flight state during aggregation, shared by
-// the row and columnar aggregation loops.
-type aggGroup struct {
-	vals types.Row
-	accs []*accumulator
-}
-
-func newAggGroup(a *plan.Aggregate, vals types.Row) *aggGroup {
-	grp := &aggGroup{vals: vals, accs: make([]*accumulator, len(a.Aggs))}
-	for i, agg := range a.Aggs {
-		grp.accs[i] = newAccumulator(agg)
-	}
-	return grp
-}
-
-// finalizeGroups renders the accumulated groups to output rows in
-// first-seen order. A global aggregate (no GROUP BY) over empty input
-// yields one row.
-func finalizeGroups(a *plan.Aggregate, groups map[string]*aggGroup, order []string) []TRow {
-	if len(a.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = newAggGroup(a, nil)
-		order = append(order, "")
-	}
-	out := make([]TRow, 0, len(groups))
-	for _, key := range order {
-		out = append(out, TRow{ID: GroupRowID(key), Row: groups[key].row()})
-	}
-	return out
-}
-
-// row renders the group's output row: its key values, then each
-// aggregate's result.
-func (g *aggGroup) row() types.Row {
-	row := make(types.Row, 0, len(g.vals)+len(g.accs))
-	row = append(row, g.vals...)
-	for _, acc := range g.accs {
-		row = append(row, acc.result())
-	}
-	return row
-}
-
 // AggregateRows aggregates pre-computed input rows; reused by the IVM
 // affected-group recompute rule.
 func AggregateRows(a *plan.Aggregate, in []TRow, ctx *Context) ([]TRow, error) {
-	ev := ctx.eval()
-	groups := make(map[string]*aggGroup)
-	order := []string{}
-
-	ticks := 0
-	for _, tr := range in {
-		if err := ctx.tick(&ticks); err != nil {
-			return nil, err
-		}
-		vals := make(types.Row, len(a.GroupBy))
-		var buf []byte
-		for i, g := range a.GroupBy {
-			v, err := plan.Eval(g, tr.Row, ev)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-			buf = normalizeKeyValue(v).EncodeKey(buf)
-		}
-		key := string(buf)
-		grp := groups[key]
-		if grp == nil {
-			grp = newAggGroup(a, vals)
-			groups[key] = grp
-			order = append(order, key)
-		}
-		for _, acc := range grp.accs {
-			if err := acc.add(tr.Row, ev); err != nil {
-				return nil, err
-			}
-		}
+	t := newGroupTable(a, false)
+	if _, err := t.foldRows(in, 1, ctx, nil); err != nil {
+		return nil, err
 	}
-	return finalizeGroups(a, groups, order), nil
+	return t.result(GroupRowID), nil
 }
 
 // GroupRowID derives the stable row ID for an aggregate output row from
@@ -981,23 +769,14 @@ func runDistinct(d *plan.Distinct, ctx *Context) ([]TRow, error) {
 	return DistinctRows(in)
 }
 
-// DistinctRows eliminates duplicates from pre-computed rows; reused by IVM.
+// DistinctRows eliminates duplicates from pre-computed rows, keeping each
+// value's first row; reused by IVM.
 func DistinctRows(in []TRow) ([]TRow, error) {
-	seen := make(map[string]bool, len(in))
-	var out []TRow
-	for _, tr := range in {
-		var buf []byte
-		for _, v := range tr.Row {
-			buf = normalizeKeyValue(v).EncodeKey(buf)
-		}
-		key := string(buf)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, TRow{ID: DistinctRowID(key), Row: tr.Row})
+	t := newDistinctTable()
+	if _, err := t.foldRows(in, 1, &Context{}, nil); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return t.result(DistinctRowID), nil
 }
 
 func runFlatten(f *plan.Flatten, ctx *Context) ([]TRow, error) {

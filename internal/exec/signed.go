@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-
 	"dyntables/internal/plan"
 	"dyntables/internal/types"
 )
@@ -53,22 +51,12 @@ func Invertible(a *plan.Aggregate) bool {
 // wraps in int64 and is exactly invertible. Fold reports anything else as
 // not representable.
 type GroupState struct {
-	a      *plan.Aggregate
-	groups map[string]*heldGroup
-}
-
-// heldGroup is one group of a GroupState.
-type heldGroup struct {
-	aggGroup
-	// rows counts the group's input rows; raw is the encoding of its
-	// un-normalised key values.
-	rows int64
-	raw  []byte
+	t *groupTable
 }
 
 // NewGroupState returns the state of a over an empty input.
 func NewGroupState(a *plan.Aggregate) *GroupState {
-	return &GroupState{a: a, groups: make(map[string]*heldGroup)}
+	return &GroupState{t: newGroupTable(a, true)}
 }
 
 // GroupChange is one group's output row before and after a Fold. Old is
@@ -88,26 +76,27 @@ type GroupChange struct {
 func (s *GroupState) Fold(deleted, inserted []TRow, ctx *Context) (_ []GroupChange, ok bool, _ error) {
 	var touched []GroupChange
 	seen := make(map[string]int)
-	visit := func(key string, g *heldGroup) {
-		if _, ok := seen[key]; ok {
+	visit := func(key []byte, g *group) {
+		if _, ok := seen[string(key)]; ok {
 			return
 		}
-		seen[key] = len(touched)
-		c := GroupChange{ID: GroupRowID(key)}
+		k := string(key)
+		seen[k] = len(touched)
+		c := GroupChange{ID: GroupRowID(k)}
 		if g != nil {
-			c.Old = g.row()
+			c.Old = s.t.row(g)
 		}
 		touched = append(touched, c)
 	}
-	if ok, err := s.fold(deleted, -1, ctx, visit); !ok || err != nil {
+	if ok, err := s.t.foldRows(deleted, -1, ctx, visit); !ok || err != nil {
 		return nil, false, err
 	}
-	if ok, err := s.fold(inserted, 1, ctx, visit); !ok || err != nil {
+	if ok, err := s.t.foldRows(inserted, 1, ctx, visit); !ok || err != nil {
 		return nil, false, err
 	}
 	for key, i := range seen {
-		if g := s.groups[key]; g != nil {
-			touched[i].New = g.row()
+		if g := s.t.groups[key]; g != nil {
+			touched[i].New = s.t.row(g)
 		}
 	}
 	return touched, true, nil
@@ -116,67 +105,5 @@ func (s *GroupState) Fold(deleted, inserted []TRow, ctx *Context) (_ []GroupChan
 // Add adds rows to the state's input, as Fold does with inserted rows
 // alone, without rendering the groups' rows.
 func (s *GroupState) Add(rows []TRow, ctx *Context) (ok bool, _ error) {
-	return s.fold(rows, 1, ctx, nil)
-}
-
-// fold folds rows in with multiplicity sign, calling visit with each
-// row's group before the row changes it (nil when the group has no rows).
-func (s *GroupState) fold(rows []TRow, sign int64, ctx *Context, visit func(string, *heldGroup)) (ok bool, _ error) {
-	ev := ctx.eval()
-	vals := make(types.Row, len(s.a.GroupBy))
-	args := make([]types.Value, len(s.a.Aggs))
-	var key, raw []byte
-	ticks := 0
-	for _, tr := range rows {
-		if err := ctx.tick(&ticks); err != nil {
-			return false, err
-		}
-		row := tr.Row
-		key, raw = key[:0], raw[:0]
-		for i, g := range s.a.GroupBy {
-			v, err := plan.Eval(g, row, ev)
-			if err != nil {
-				return false, err
-			}
-			vals[i] = v
-			key = normalizeKeyValue(v).EncodeKey(key)
-			raw = v.EncodeKey(raw)
-		}
-		for i, agg := range s.a.Aggs {
-			args[i] = types.Null
-			if agg.Arg == nil {
-				continue
-			}
-			v, err := plan.Eval(agg.Arg, row, ev)
-			if err != nil {
-				return false, err
-			}
-			if agg.Kind == plan.AggSum && !v.IsNull() && !v.Kind().IntFamily() {
-				return false, nil
-			}
-			args[i] = v
-		}
-		g := s.groups[string(key)]
-		if visit != nil {
-			visit(string(key), g)
-		}
-		switch {
-		case g == nil && sign < 0:
-			return false, nil // a deleted row the state never held
-		case g == nil:
-			g = &heldGroup{aggGroup: *newAggGroup(s.a, vals.Clone()), raw: bytes.Clone(raw)}
-			s.groups[string(key)] = g
-		case !bytes.Equal(g.raw, raw):
-			return false, nil
-		}
-		for i, acc := range g.accs {
-			if err := acc.fold(args[i], sign); err != nil {
-				return false, err
-			}
-		}
-		if g.rows += sign; g.rows == 0 {
-			delete(s.groups, string(key))
-		}
-	}
-	return true, nil
+	return s.t.foldRows(rows, 1, ctx, nil)
 }

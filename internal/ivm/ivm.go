@@ -18,9 +18,10 @@
 //   - window functions recompute affected partitions:
 //     Δξ(Q) = π₋(ξ(Q₀ ⋉ₖ ΔQ)) + π₊(ξ(Q₁ ⋉ₖ ΔQ)) (§5.5.1).
 //
-// On the columnar path, the boundaries of the aggregate and window rules
-// read only the affected groups' rows through the storage row-log index
-// when a group key is a column of the input's one scan (keyed.go).
+// The aggregate, DISTINCT and window rules share one restriction of their
+// boundaries to Δ's keys; on the columnar path the boundaries read only
+// those keys' rows through the storage row-log index when a key is a
+// column of the input's one scan (keyed.go).
 //
 // A grouped aggregate of COUNT, COUNT_IF and SUM over INT values (none
 // DISTINCT) skips the boundaries when Env.Accumulators holds its
@@ -34,6 +35,7 @@ package ivm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"dyntables/internal/delta"
@@ -330,8 +332,8 @@ func deltaOpName(n plan.Node) string {
 	}
 }
 
-// snapshotBoundaries evaluates a subplan at both interval boundaries —
-// the recompute-affected-groups rules all need the pair.
+// snapshotBoundaries evaluates a subplan whole at both interval
+// boundaries, as the direct outer-join rule needs.
 func snapshotBoundaries(n plan.Node, iv Interval, env *Env) (q0, q1 []exec.TRow, err error) {
 	if q0, err = snapshot(n, iv.From, env); err != nil {
 		return nil, nil, err
@@ -916,18 +918,12 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 	if out, ok := st.fold(din, iv, env); ok {
 		return out, nil
 	}
-	affected := make(map[string]bool)
-	for _, c := range din {
-		key, _, err := exec.EvalKey(a.GroupBy, c.Row, env.Now)
-		if err != nil {
-			return nil, err
-		}
-		affected[key] = true
+	ak, err := affectedBy(a.Input, a.GroupBy, din, env)
+	if err != nil {
+		return nil, err
 	}
-	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(affected)) })
-
-	lk := affectedLookup(a.Input, a.GroupBy, din, env)
-	old, cur, n0, n1, err := aggregateBoundaries(a, iv, affected, lk, env)
+	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(ak.keys)) })
+	old, cur, n0, n1, err := aggregateBoundaries(a, iv, ak, env)
 	if err != nil {
 		return nil, err
 	}
@@ -948,22 +944,22 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 
 // aggregateBoundaries computes the affected-group aggregations of both
 // boundary snapshots of the aggregate's input. On the columnar path the
-// boundary subplans evaluate to batches, their scan reading only lk's keys
-// when lk is non-nil, and the affected-group restriction fuses into the
-// vectorized aggregation loop; otherwise the snapshots materialize and a
-// row-at-a-time restrict feeds AggregateRows. n0/n1 count the restricted input rows (the scalar
-// aggregate guard's signal; the columnar path handles grouped
-// aggregates only, where the guard is vacuous).
-func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, lk *keyLookup, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
+// boundary subplans evaluate to batches and the affected-group restriction
+// fuses into the vectorized aggregation loop; otherwise the restricted
+// boundary rows feed AggregateRows. Either way the scan reads only the
+// affected keys when ak has a lookup. n0/n1 count the restricted input
+// rows (the scalar aggregate guard's signal; the columnar path handles
+// grouped aggregates only, where the guard is vacuous).
+func aggregateBoundaries(a *plan.Aggregate, iv Interval, ak *affectedKeys, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
 	if len(a.GroupBy) > 0 && env.Columnar {
-		old, handled, err := aggregateColumnar(a, iv.From, affected, lk, env)
+		old, handled, err := aggregateColumnar(a, iv.From, ak, env)
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
 		// Whether the input is batchable depends on the plan alone, so
 		// the end boundary is handled exactly when the start is.
 		if handled {
-			cur, _, err := aggregateColumnar(a, iv.To, affected, lk, env)
+			cur, _, err := aggregateColumnar(a, iv.To, ak, env)
 			if err != nil {
 				return nil, nil, 0, 0, err
 			}
@@ -972,28 +968,11 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 		// Not batchable: fall through to the row path.
 	}
 
-	q0, q1, err := snapshotBoundaries(a.Input, iv, env)
+	in0, err := ak.boundary(a.Input, iv.From, env, nil)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	restrict := func(rows []exec.TRow) ([]exec.TRow, error) {
-		var out []exec.TRow
-		for _, tr := range rows {
-			key, _, err := exec.EvalKey(a.GroupBy, tr.Row, env.Now)
-			if err != nil {
-				return nil, err
-			}
-			if affected[key] {
-				out = append(out, tr)
-			}
-		}
-		return out, nil
-	}
-	in0, err := restrict(q0)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	in1, err := restrict(q1)
+	in1, err := ak.boundary(a.Input, iv.To, env, nil)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -1012,67 +991,48 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 // aggregateColumnar aggregates the affected groups of the aggregate's
 // input as of vm on the columnar path; handled is false when the input is
 // not batchable.
-func aggregateColumnar(a *plan.Aggregate, vm VersionMap, affected map[string]bool, lk *keyLookup, env *Env) (_ []exec.TRow, handled bool, _ error) {
-	ctx := lk.ctx(vm, env)
+func aggregateColumnar(a *plan.Aggregate, vm VersionMap, ak *affectedKeys, env *Env) (_ []exec.TRow, handled bool, _ error) {
+	ctx := ak.lk.ctx(vm, env)
 	cr, handled, err := exec.RunColumnar(a.Input, ctx)
 	if err != nil || !handled {
 		return nil, handled, err
 	}
 	env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
-	rows, err := exec.AggregateColumnar(a, cr, affected, ctx)
+	rows, err := exec.AggregateColumnar(a, cr, ak.keys, ctx)
 	return rows, true, err
 }
 
-// deltaDistinct treats DISTINCT as grouping on every column.
+// deltaDistinct treats DISTINCT as grouping on every column:
+// Δδ(Q) = −δ(Q₀ ⋉ₖ keys(ΔQ)) + δ(Q₁ ⋉ₖ keys(ΔQ)). A value present at
+// both boundaries under the same first row cancels in consolidation.
 func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]delta.Change, error) {
 	din, err := deltaRec(d.Input, iv, env)
+	if err != nil || len(din) == 0 {
+		return nil, err
+	}
+	ak, err := affectedBy(d.Input, rowKey(d.Input), din, env)
 	if err != nil {
 		return nil, err
 	}
-	if len(din) == 0 {
-		return nil, nil
-	}
-	rowKey := func(r types.Row) string {
-		var buf []byte
-		for _, v := range r {
-			buf = exec.NormalizeKeyValue(v).EncodeKey(buf)
-		}
-		return string(buf)
-	}
-	affected := make(map[string]bool, len(din))
-	for _, c := range din {
-		affected[rowKey(c.Row)] = true
-	}
-	count := func(rows []exec.TRow) map[string]types.Row {
-		m := make(map[string]types.Row)
-		for _, tr := range rows {
-			k := rowKey(tr.Row)
-			if affected[k] {
-				if _, ok := m[k]; !ok {
-					m[k] = tr.Row
-				}
-			}
-		}
-		return m
-	}
-	q0, q1, err := snapshotBoundaries(d.Input, iv, env)
+	in0, err := ak.boundary(d.Input, iv.From, env, nil)
 	if err != nil {
 		return nil, err
 	}
-	before := count(q0)
-	after := count(q1)
-	var out []delta.Change
-	for k, row := range before {
-		if _, still := after[k]; !still {
-			out = append(out, delta.Change{RowID: exec.DistinctRowID(k), Action: delta.Delete, Row: row})
-		}
+	in1, err := ak.boundary(d.Input, iv.To, env, nil)
+	if err != nil {
+		return nil, err
 	}
-	for k, row := range after {
-		if _, had := before[k]; !had {
-			out = append(out, delta.Change{RowID: exec.DistinctRowID(k), Action: delta.Insert, Row: row})
-		}
+	old, err := exec.DistinctRows(in0)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	cur, err := exec.DistinctRows(in1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]delta.Change, 0, len(old)+len(cur))
+	out = appendAs(out, old, delta.Delete)
+	return appendAs(out, cur, delta.Insert), nil
 }
 
 // deltaWindow recomputes affected partitions (§5.5.1):
@@ -1085,78 +1045,31 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	if len(din) == 0 {
 		return nil, nil
 	}
-	// The ablation recomputes every partition, so it reads whole versions.
-	var lk *keyLookup
-	if !env.FullWindowRecompute {
-		lk = affectedLookup(w.Input, w.PartitionBy, din, env)
-	}
-	q0, err := lk.boundary(w.Input, iv.From, env)
+	ak, err := affectedBy(w.Input, w.PartitionBy, din, env)
 	if err != nil {
 		return nil, err
 	}
-	q1, err := lk.boundary(w.Input, iv.To, env)
-	if err != nil {
-		return nil, err
-	}
-
-	partKey := func(row types.Row) (string, error) {
-		key, _, err := exec.EvalKey(w.PartitionBy, row, env.Now)
-		return key, err
-	}
-
-	affected := make(map[string]bool)
+	// The ablation recomputes every partition, so it reads whole versions
+	// and counts the partitions at either boundary.
+	var all map[string]bool
 	if env.FullWindowRecompute {
-		for _, tr := range q0 {
-			k, err := partKey(tr.Row)
-			if err != nil {
-				return nil, err
-			}
-			affected[k] = true
-		}
-		for _, tr := range q1 {
-			k, err := partKey(tr.Row)
-			if err != nil {
-				return nil, err
-			}
-			affected[k] = true
-		}
-	} else {
-		for _, c := range din {
-			k, err := partKey(c.Row)
-			if err != nil {
-				return nil, err
-			}
-			affected[k] = true
-		}
+		ak.keys, ak.lk, all = nil, nil, make(map[string]bool)
 	}
-
-	total := make(map[string]bool)
-	restrict := func(rows []exec.TRow, countTotal bool) ([]exec.TRow, error) {
-		var out []exec.TRow
-		for _, tr := range rows {
-			k, err := partKey(tr.Row)
-			if err != nil {
-				return nil, err
-			}
-			if countTotal {
-				total[k] = true
-			}
-			if affected[k] {
-				out = append(out, tr)
-			}
-		}
-		return out, nil
-	}
-	in0, err := restrict(q0, false)
+	in0, err := ak.boundary(w.Input, iv.From, env, all)
 	if err != nil {
 		return nil, err
 	}
-	in1, err := restrict(q1, lk == nil)
+	end := make(map[string]bool)
+	in1, err := ak.boundary(w.Input, iv.To, env, end)
 	if err != nil {
 		return nil, err
 	}
-	partitions := len(total)
-	if lk != nil {
+	recomputed, partitions := len(ak.keys), len(end)
+	if all != nil {
+		maps.Copy(all, end)
+		recomputed = len(all)
+	}
+	if lk := ak.lk; lk != nil {
 		// The end boundary read only the affected partitions' rows; the
 		// keyed column's run counts the others without reading them.
 		if partitions, _, err = lk.scan.Table.DistinctKeys(iv.To[lk.scan.Table.ID()], lk.col); err != nil {
@@ -1164,7 +1077,7 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 		}
 	}
 	env.stats(func(s *Stats) {
-		s.PartitionsRecomputed += int64(len(affected))
+		s.PartitionsRecomputed += int64(recomputed)
 		s.PartitionsTotal += int64(partitions)
 	})
 

@@ -7,24 +7,83 @@ import (
 	"dyntables/internal/types"
 )
 
-// Keyed boundaries. The affected-group rules (deltaAggregate, deltaWindow)
-// evaluate their input at both interval boundaries but keep only the rows
-// of the groups Δ touches. When the input is a Scan→Filter→Project chain
-// and one group key is a column of its scan, the scan can read just the
-// rows whose value of that column is one of Δ's, through the storage
-// row-log index, instead of the whole version. The rule's restriction by
-// the full key still runs over what the scan returns, so the lookup only
-// has to return a superset of the affected groups' rows: rows whose column
-// is NULL or of another kind come back whatever the keys, and a lookup
-// that would read more than a share of the version declines to a scan.
-// Candidates come back in log order, as the scan returns them, so the
-// change sets are the same either way.
+// Affected keys and keyed boundaries. The affected-key rules
+// (deltaAggregate, deltaDistinct, deltaWindow) evaluate their input at
+// both interval boundaries but keep only the rows of the keys Δ touches
+// (affectedKeys). When the input is a Scan→Filter→Project chain and one
+// key is a column of its scan, the scan can read just the rows whose value
+// of that column is one of Δ's, through the storage row-log index, instead
+// of the whole version. The restriction by the full key still runs over
+// what the scan returns, so the lookup only has to return a superset of
+// the affected keys' rows: rows whose column is NULL or of another kind
+// come back whatever the keys, and a lookup that would read more than a
+// share of the version declines to a scan. Candidates come back in log
+// order, as the scan returns them, so the change sets are the same either
+// way.
 
 // keyedLookups turns the keyed path on. Only tests turn it off, to
 // compare the change sets with the scan path's byte for byte: the row path
 // is no reference for that, because it reads rows in map order and a group
 // takes its key values from its first row.
 var keyedLookups = true
+
+// affectedKeys restricts the input of an affected-key rule to the rows
+// whose key under exprs is one of Δ's.
+type affectedKeys struct {
+	exprs []plan.Expr
+	// keys are the encoded keys (exec.EvalKey) of Δ's rows; nil keeps
+	// every row.
+	keys map[string]bool
+	// lk, when non-nil, has the boundaries' scan read only the keys' rows.
+	lk *keyLookup
+}
+
+// affectedBy returns the keys of din's rows under exprs, which are
+// expressions over input's rows.
+func affectedBy(input plan.Node, exprs []plan.Expr, din []delta.Change, env *Env) (*affectedKeys, error) {
+	ak := &affectedKeys{exprs: exprs, keys: make(map[string]bool), lk: affectedLookup(input, exprs, din, env)}
+	for _, c := range din {
+		key, _, err := exec.EvalKey(exprs, c.Row, env.Now)
+		if err != nil {
+			return nil, err
+		}
+		ak.keys[key] = true
+	}
+	return ak, nil
+}
+
+// boundary evaluates input as of vm and keeps the rows of the affected
+// keys. seen, when non-nil, collects the key of every row evaluated.
+func (ak *affectedKeys) boundary(input plan.Node, vm VersionMap, env *Env, seen map[string]bool) ([]exec.TRow, error) {
+	rows, err := ak.lk.boundary(input, vm, env)
+	if err != nil {
+		return nil, err
+	}
+	var out []exec.TRow
+	for _, tr := range rows {
+		key, _, err := exec.EvalKey(ak.exprs, tr.Row, env.Now)
+		if err != nil {
+			return nil, err
+		}
+		if seen != nil {
+			seen[key] = true
+		}
+		if ak.keys == nil || ak.keys[key] {
+			out = append(out, tr)
+		}
+	}
+	return out, nil
+}
+
+// rowKey returns the key expressions of DISTINCT over n: every column.
+func rowKey(n plan.Node) []plan.Expr {
+	sc := n.Schema()
+	exprs := make([]plan.Expr, sc.Len())
+	for i := range exprs {
+		exprs[i] = &plan.ColIdx{Idx: i, Name: sc.Column(i).Name, Kind: sc.Column(i).Kind}
+	}
+	return exprs
+}
 
 // keyLookup restricts a boundary's scan to the rows of the affected keys.
 type keyLookup struct {
@@ -109,7 +168,7 @@ func (lk *keyLookup) ctx(vm VersionMap, env *Env) *exec.Context {
 }
 
 // boundary evaluates the input of an affected-key rule as of vm, through
-// the lookup's restricted scan when there is one.
+// the lookup's restricted scan when there is one, and keeps every row.
 func (lk *keyLookup) boundary(n plan.Node, vm VersionMap, env *Env) ([]exec.TRow, error) {
 	env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
 	if env.Span != nil {

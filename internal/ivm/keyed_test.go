@@ -17,9 +17,9 @@ import (
 )
 
 // keyedQueries are the shapes whose boundaries take the keyed path: a
-// group or partition key that is a column of the input's one scan, over a
-// bare scan and through Filter and Project, with one key column or with an
-// INT column beside a STRING one. oneColumn marks a one-column PARTITION BY,
+// group, partition or DISTINCT key that is a column of the input's one
+// scan, over a bare scan and through Filter and Project, with one key
+// column or with an INT column beside a STRING one. oneColumn marks a one-column PARTITION BY,
 // whose keyed partition count bounds the scanned count from above.
 var keyedQueries = []struct {
 	sql       string
@@ -31,6 +31,7 @@ var keyedQueries = []struct {
 	{`SELECT a, b, row_number() OVER (PARTITION BY b ORDER BY a) rn FROM t`, true},
 	{`SELECT a, s, sum(a) OVER (PARTITION BY s, b ORDER BY a) w FROM t WHERE a > 20`, false},
 	{`SELECT id, k, rank() OVER (PARTITION BY k ORDER BY v) r FROM (SELECT a id, b k, a % 7 v FROM t) x`, true},
+	{`SELECT DISTINCT s, b, a % 3 m FROM t WHERE a > 10`, false},
 }
 
 // keyedRow draws a row of t: b is mostly one of 60 INTs, sometimes NULL or
