@@ -120,8 +120,9 @@ func (p *persister) append(rec *persist.Record) {
 }
 
 // TableCommitted implements storage.CommitSink: every committed version
-// becomes a WAL commit record. Called with the table lock held.
-func (p *persister) TableCommitted(t *storage.Table, v *storage.Version, schema types.Schema) {
+// becomes a WAL commit record, an overwrite's carrying the new contents in
+// their log order. Called with the table lock held.
+func (p *persister) TableCommitted(t *storage.Table, v *storage.Version, schema types.Schema, rows *types.Batch) {
 	if p.replaying.Load() {
 		return
 	}
@@ -137,12 +138,12 @@ func (p *persister) TableCommitted(t *storage.Table, v *storage.Version, schema 
 	switch {
 	case v.Overwrite:
 		rec.Commit.Kind = persist.CommitOverwrite
-		rows, err := persist.EncodeRowMap(v.Snapshot)
+		entries, err := persist.EncodeRows(rows)
 		if err != nil {
 			p.fail(err)
 			return
 		}
-		rec.Commit.Rows = rows
+		rec.Commit.Rows = entries
 	case v.DataEquivalent:
 		rec.Commit.Kind = persist.CommitDataEquiv
 	default:

@@ -59,7 +59,7 @@ func dumpTable(t *testing.T, tbl *storage.Table) []versionDump {
 			Commit:         v.Commit,
 			Overwrite:      v.Overwrite,
 			DataEquivalent: v.DataEquivalent,
-			HasSnapshot:    v.Snapshot != nil,
+			HasSnapshot:    seq == tbl.CompactedThrough()+1 || v.Overwrite,
 			RowCount:       v.RowCount,
 			Rows:           entries,
 		})

@@ -297,12 +297,6 @@ func New(opts ...Option) *Engine {
 		}
 		return entry.Generation, nil
 	})
-	vclk := e.vclk
-	if vclk == nil {
-		// The scheduler needs a virtual clock; under a wall clock it gets
-		// its own mirror advanced on demand.
-		vclk = clock.NewVirtual(e.clk.Now())
-	}
 	e.pool = warehouse.NewPool()
 	e.ctrl.Columnar = !e.cfg.DisableColumnar
 	if e.cfg.CompactionHorizon > 0 {
@@ -317,7 +311,7 @@ func New(opts ...Option) *Engine {
 		e.ctrl.Adaptive.SetEnabled(false)
 	}
 	e.refr = refresher.New(e.ctrl, e.pool, e.model, e.cfg.resolveWorkers())
-	e.sch = sched.New(vclk, e.ctrl, e.pool, e.model, e.clk.Now(), e.schPhase)
+	e.sch = sched.New(e.vclk, e.ctrl, e.pool, e.model, e.clk.Now(), e.schPhase)
 	e.sch.SetRefresher(e.refr)
 	e.initObservability()
 	e.def = e.NewSession()

@@ -1,6 +1,9 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -300,4 +303,119 @@ func TestInspect(t *testing.T) {
 	if err != nil || n != 1 || !snap {
 		t.Fatalf("want (1, true), got (%d, %v, %v)", n, snap, err)
 	}
+}
+
+// TestTableStateRoundTripKeepsLogOrder checkpoints a table through
+// EncodeTable and DecodeTable after every step of a chain with a creation
+// version, change sets, an INSERT OVERWRITE, a compaction fold, a
+// data-equivalent version and a clone. The restored table must encode to
+// the same bytes, and scan every retained version in the same order, as
+// the table it came from.
+func TestTableStateRoundTripKeepsLogOrder(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "name", Kind: types.KindString},
+	)
+	at := func(n int64) hlc.Timestamp { return hlc.Timestamp{WallMicros: n * 1000} }
+	row := func(id int64, name string) types.Row { return types.Row{types.NewInt(id), types.NewString(name)} }
+	tbl := storage.NewTable(schema, at(1))
+	apply := func(tb *storage.Table, commit int64, f func(cs *delta.ChangeSet)) {
+		t.Helper()
+		var cs delta.ChangeSet
+		f(&cs)
+		if _, err := tb.Apply(cs, at(commit)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, tb *storage.Table) {
+		t.Helper()
+		enc, err := EncodeTable(1, tb.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := DecodeTable(enc)
+		if err != nil {
+			t.Fatalf("%s: DecodeTable: %v", label, err)
+		}
+		again, err := EncodeTable(1, restored.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(enc)
+		got, _ := json.Marshal(again)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: restored table encodes differently:\n got %s\nwant %s", label, got, want)
+		}
+		for _, vs := range enc.Versions {
+			b, err := tb.Batch(vs.Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := restored.Batch(vs.Seq)
+			if err != nil {
+				t.Fatalf("%s: restored Batch(%d): %v", label, vs.Seq, err)
+			}
+			if fmt.Sprint(rb.IDs(), rb.Rows()) != fmt.Sprint(b.IDs(), b.Rows()) {
+				t.Fatalf("%s: version %d scans %v %v restored, %v %v live",
+					label, vs.Seq, rb.IDs(), rb.Rows(), b.IDs(), b.Rows())
+			}
+			if vs.HasSnapshot {
+				ids := make([]string, len(vs.Snapshot))
+				for i, e := range vs.Snapshot {
+					ids[i] = e.ID
+				}
+				if fmt.Sprint(ids) != fmt.Sprint(b.IDs()) {
+					t.Fatalf("%s: version %d's snapshot is written as %v, scans as %v", label, vs.Seq, ids, b.IDs())
+				}
+			}
+		}
+	}
+
+	check("creation", tbl)
+	apply(tbl, 2, func(cs *delta.ChangeSet) {
+		cs.AddInsert("r5", row(5, "e"))
+		cs.AddInsert("r3", row(3, "c"))
+		cs.AddInsert("r9", row(9, "i"))
+	})
+	apply(tbl, 3, func(cs *delta.ChangeSet) {
+		cs.AddDelete("r3", row(3, "c"))
+		cs.AddDelete("r9", row(9, "i"))
+		cs.AddInsert("r9", row(9, "I"))
+		cs.AddInsert("r1", row(1, "a"))
+	})
+	check("changes", tbl)
+	if _, err := tbl.Overwrite(map[string]types.Row{"o2": row(2, "y"), "o1": row(1, "x"), "o3": row(3, "z")}, at(4)); err != nil {
+		t.Fatal(err)
+	}
+	apply(tbl, 5, func(cs *delta.ChangeSet) {
+		cs.AddDelete("o2", row(2, "y"))
+		cs.AddInsert("a1", row(7, "g"))
+	})
+	check("overwrite", tbl)
+	if _, err := tbl.AppendDataEquivalent(at(6)); err != nil {
+		t.Fatal(err)
+	}
+	apply(tbl, 7, func(cs *delta.ChangeSet) { cs.AddInsert("a0", row(8, "h")) })
+	// The fold at 5 keeps log order o1, o3, a1, which is not row ID order.
+	if _, folded, err := tbl.Compact(5); err != nil || folded != 4 {
+		t.Fatalf("Compact(5) folded %d versions, %v", folded, err)
+	}
+	check("fold", tbl)
+	enc, _ := EncodeTable(1, tbl.State())
+	if fold := enc.Versions[0]; !fold.HasSnapshot || len(fold.Snapshot) != 3 || fold.Snapshot[0].ID != "o1" || fold.Snapshot[2].ID != "a1" {
+		t.Fatalf("fold version encoded as %+v", fold)
+	}
+
+	clone, err := tbl.Clone(at(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("clone", clone)
+	apply(clone, 8, func(cs *delta.ChangeSet) {
+		cs.AddDelete("o3", row(3, "z"))
+		cs.AddInsert("c1", row(4, "d"))
+	})
+	apply(tbl, 8, func(cs *delta.ChangeSet) { cs.AddDelete("a1", row(7, "g")) })
+	check("clone after its first write", clone)
+	check("origin after the clone wrote", tbl)
 }

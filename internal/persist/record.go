@@ -371,8 +371,8 @@ func DecodeRow(states []ValueState) (types.Row, error) {
 	return out, nil
 }
 
-// RowEntry is one (row ID, row) pair of a materialized row map. Maps are
-// serialized as sorted slices for deterministic output.
+// RowEntry is one (row ID, row) pair of a table's contents, which are
+// serialized as slices in their log order for deterministic output.
 type RowEntry struct {
 	ID  string       `json:"id"`
 	Row []ValueState `json:"row"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"dyntables/internal/hlc"
 	"dyntables/internal/storage"
@@ -175,27 +174,30 @@ type VersionState struct {
 	RowCount       int           `json:"row_count"`
 }
 
-// EncodeRowMap serializes a row map as a sorted slice.
-func EncodeRowMap(rows map[string]types.Row) ([]RowEntry, error) {
-	ids := make([]string, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return encodeRows(rows, ids)
-}
-
-// encodeRows serializes the rows with the given IDs, in that order.
-func encodeRows(rows map[string]types.Row, ids []string) ([]RowEntry, error) {
-	out := make([]RowEntry, 0, len(rows))
-	for _, id := range ids {
-		row, err := EncodeRow(rows[id])
+// EncodeRows serializes a batch's rows in batch order.
+func EncodeRows(b *types.Batch) ([]RowEntry, error) {
+	out := make([]RowEntry, b.Len())
+	for i, row := range b.Rows() {
+		enc, err := EncodeRow(row)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, RowEntry{ID: id, Row: row})
+		out[i] = RowEntry{ID: b.ID(i), Row: enc}
 	}
 	return out, nil
+}
+
+// DecodeRows restores serialized rows as a batch, in the order written.
+func DecodeRows(schema types.Schema, entries []RowEntry) (*types.Batch, error) {
+	ids, rows := make([]string, len(entries)), make([]types.Row, len(entries))
+	for i, e := range entries {
+		row, err := DecodeRow(e.Row)
+		if err != nil {
+			return nil, err
+		}
+		ids[i], rows[i] = e.ID, row
+	}
+	return types.NewBatch(schema, ids, rows), nil
 }
 
 // DecodeRowMap restores a row map.
@@ -211,24 +213,9 @@ func DecodeRowMap(entries []RowEntry) (map[string]types.Row, error) {
 	return out, nil
 }
 
-// snapshotOrder returns the row IDs of a serialized snapshot in written
-// order, or nil when that is row ID order (every snapshot but a
-// compaction fold's).
-func snapshotOrder(entries []RowEntry) []string {
-	for i := 1; i < len(entries); i++ {
-		if entries[i].ID < entries[i-1].ID {
-			ids := make([]string, len(entries))
-			for j, e := range entries {
-				ids[j] = e.ID
-			}
-			return ids
-		}
-	}
-	return nil
-}
-
 // EncodeTable serializes a storage table's full state under the stable
-// key.
+// key. Each snapshot is written in log order, so the restored log scans as
+// the live one did.
 func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 	out := TableState{
 		Key:      key,
@@ -249,18 +236,11 @@ func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 			return out, err
 		}
 		vs.Changes = changes
-		if v.Snapshot != nil {
+		if snap := st.Snapshots[i]; snap != nil {
 			vs.HasSnapshot = true
-			// A compaction fold's snapshot is written in its scan order, so
-			// the restored log scans as the live one did.
-			snap, err := EncodeRowMap(v.Snapshot)
-			if v.SnapshotOrder != nil {
-				snap, err = encodeRows(v.Snapshot, v.SnapshotOrder)
-			}
-			if err != nil {
+			if vs.Snapshot, err = EncodeRows(snap); err != nil {
 				return out, err
 			}
-			vs.Snapshot = snap
 		}
 		out.Versions[i] = vs
 	}
@@ -270,9 +250,10 @@ func EncodeTable(key int64, st storage.TableState) (TableState, error) {
 // DecodeTable restores a storage table from its serialized state.
 func DecodeTable(st TableState) (*storage.Table, error) {
 	out := storage.TableState{
-		Schema:   DecodeSchema(st.Schema),
-		RowSeq:   st.RowSeq,
-		Versions: make([]*storage.Version, len(st.Versions)),
+		Schema:    DecodeSchema(st.Schema),
+		RowSeq:    st.RowSeq,
+		Versions:  make([]*storage.Version, len(st.Versions)),
+		Snapshots: make([]*types.Batch, len(st.Versions)),
 	}
 	for i, vs := range st.Versions {
 		v := &storage.Version{
@@ -288,11 +269,9 @@ func DecodeTable(st TableState) (*storage.Table, error) {
 		}
 		v.Changes = changes
 		if vs.HasSnapshot {
-			snap, err := DecodeRowMap(vs.Snapshot)
-			if err != nil {
+			if out.Snapshots[i], err = DecodeRows(out.Schema, vs.Snapshot); err != nil {
 				return nil, err
 			}
-			v.Snapshot, v.SnapshotOrder = snap, snapshotOrder(vs.Snapshot)
 		}
 		out.Versions[i] = v
 	}

@@ -116,9 +116,11 @@ type Scheduler struct {
 	ExactPeriods bool
 }
 
-// New creates a scheduler over the controller's DTs. Without
-// SetRefresher, the first tick lazily installs a serial (single-worker)
-// refresh executor.
+// New creates a scheduler over the controller's DTs. Each fire instant
+// advances clk to it; a nil clk (an engine on the wall clock, which is
+// always past the instants it is asked to process) is never advanced.
+// Without SetRefresher, the first tick lazily installs a serial
+// (single-worker) refresh executor.
 func New(clk *clock.Virtual, ctrl *core.Controller, pool *warehouse.Pool, model warehouse.CostModel, epoch time.Time, phase time.Duration) *Scheduler {
 	return &Scheduler{
 		clk:       clk,
@@ -357,7 +359,9 @@ func (s *Scheduler) step(limit time.Time) (bool, error) {
 	}
 	s.cursor = earliest
 	s.mu.Unlock()
-	s.clk.AdvanceTo(earliest)
+	if s.clk != nil {
+		s.clk.AdvanceTo(earliest)
+	}
 	return true, s.fireAt(earliest)
 }
 

@@ -4,15 +4,17 @@
 // (§5.5), zero-copy cloning (§3.4) and data-equivalent maintenance
 // versions that incremental readers skip (§5.5.2).
 //
-// Every version of a table reads from one shared, append-only row log.
-// Each log entry carries the sequence of the version that inserted it and
-// of the one that deleted it, so a version is a shared base plus a change
-// log rather than a private copy: a commit appends its inserts and stamps
-// its deletes in place, which costs O(|Δ|), and any retained version
-// reads in one sequence-filtered pass over the log. Scan order is log
-// order: a version scans in the same order before and after compaction,
-// and after recovery from a checkpoint. An overwrite starts a new log, and
-// compaction folds away entries no retained version can see.
+// A table's contents live in one place: an append-only row log that every
+// version reads. Each log entry carries the sequence of the version that
+// inserted it and of the one that deleted it, so a version is a shared
+// base plus a change log rather than a private copy: a commit appends its
+// inserts and stamps its deletes in place, which costs O(|Δ|), and any
+// retained version reads in one sequence-filtered pass over the log. Scan
+// order is log order: a version scans in the same order before and after
+// compaction, and after recovery from a checkpoint. An overwrite starts a
+// new log, and compaction folds away entries no retained version can see.
+// Versions hold no copy of the contents: what a checkpoint or the WAL
+// writes for a version that starts a snapshot is read from the log.
 package storage
 
 import (
@@ -46,35 +48,34 @@ type Version struct {
 	// the creation version, overwrites and data-equivalent versions.
 	Changes delta.ChangeSet
 	// Overwrite marks an INSERT OVERWRITE (or a compaction fold): the
-	// version's contents replace everything before it. Snapshot holds the
-	// full contents.
+	// version's contents replace everything before it, and it starts a new
+	// segment of the row log.
 	Overwrite bool
 	// DataEquivalent marks background maintenance (reclustering,
 	// defragmentation) that rewrote storage without changing logical
 	// contents; incremental readers skip these versions (§5.5.2).
 	DataEquivalent bool
-	// Snapshot, when non-nil, is the fully materialized contents at this
-	// version. Present on the creation version, on overwrites and on a
-	// compaction fold: the versions whose contents do not derive from the
-	// one before.
-	Snapshot map[string]types.Row
-	// SnapshotOrder lists the snapshot's row IDs in scan order on a
-	// compaction fold, which keeps the log order it folded; a restored
-	// table rebuilds its log in this order. Nil means row ID order.
-	SnapshotOrder []string
 	// RowCount is the number of live rows at this version.
 	RowCount int
 }
+
+// startsSnapshot reports whether the version at index i of a retained
+// chain starts a snapshot: its contents do not derive from the version
+// before. That is the first retained version and every overwrite (a
+// compaction fold is one); each reads a segment of the log that starts at
+// it.
+func startsSnapshot(i int, v *Version) bool { return i == 0 || v.Overwrite }
 
 var tableIDs atomic.Int64
 
 // CommitSink observes committed versions, in commit order per table. The
 // durability layer registers one to write-ahead-log every commit. The
 // schema at commit time rides along so replay can reproduce schema
-// evolution (REPLACE TABLE, DT output changes). Sinks are invoked with
-// the table lock held and must not call back into the table.
+// evolution (REPLACE TABLE, DT output changes), and so do an overwrite's
+// new contents in log order (nil for every other version). Sinks are
+// invoked with the table lock held and must not call back into the table.
 type CommitSink interface {
-	TableCommitted(t *Table, v *Version, schema types.Schema)
+	TableCommitted(t *Table, v *Version, schema types.Schema, rows *types.Batch)
 }
 
 // notDeleted is the delete sequence of an entry that is live at the tip.
@@ -167,11 +168,7 @@ func NewTable(schema types.Schema, createdAt hlc.Timestamp) *Table {
 		segs:   []*segment{{from: 1}},
 		live:   map[string]int{},
 	}
-	t.versions = []*Version{{
-		Seq:      1,
-		Commit:   createdAt,
-		Snapshot: map[string]types.Row{},
-	}}
+	t.versions = []*Version{{Seq: 1, Commit: createdAt}}
 	return t
 }
 
@@ -192,58 +189,62 @@ type TableState struct {
 	Schema   types.Schema
 	RowSeq   int64
 	Versions []*Version
+	// Snapshots runs parallel to Versions: the contents of each version
+	// that starts a snapshot (the first and every overwrite) in log order,
+	// nil for the rest, whose contents derive from the version before.
+	Snapshots []*types.Batch
 }
 
-// State exports the table's full state for checkpointing. Version structs
-// are shared, not copied — they are immutable once committed.
+// State exports the table's full state for checkpointing, reading each
+// snapshot's contents from the log. Version structs are shared, not copied
+// — they are immutable once committed.
 func (t *Table) State() TableState {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	versions := make([]*Version, len(t.versions))
-	copy(versions, t.versions)
-	return TableState{
-		Schema:   t.schema,
-		RowSeq:   t.rowSeq.Load(),
-		Versions: versions,
+	st := TableState{
+		Schema:    t.schema,
+		RowSeq:    t.rowSeq.Load(),
+		Versions:  append([]*Version(nil), t.versions...),
+		Snapshots: make([]*types.Batch, len(t.versions)),
 	}
+	for i, v := range st.Versions {
+		if startsSnapshot(i, v) {
+			ids, rows := scan(t.segmentFor(v.Seq).entries, v.Seq, v.RowCount)
+			st.Snapshots[i] = types.NewBatch(t.schema, ids, rows)
+		}
+	}
+	return st
 }
 
 // RestoreTable reconstructs a table from checkpointed state under a fresh
 // process-local ID, rebuilding the row log by replaying the chain from its
-// first snapshot. Snapshots on plain change versions (the periodic
-// snapshots of older checkpoints) are dropped: the log reads every version
-// without them.
+// first snapshot. Each snapshot's rows enter the log in the order given.
+// Snapshots on plain change versions (the periodic snapshots of older
+// checkpoints) are ignored: the log reads every version without them.
 func RestoreTable(st TableState) (*Table, error) {
 	if len(st.Versions) == 0 {
 		return nil, fmt.Errorf("storage: cannot restore table with no versions")
-	}
-	first := st.Versions[0]
-	if first.Snapshot == nil {
-		return nil, fmt.Errorf("storage: restored chain must begin with a snapshot version")
 	}
 	t := &Table{
 		id:       tableIDs.Add(1),
 		schema:   st.Schema,
 		versions: make([]*Version, 0, len(st.Versions)),
-		base:     first.Seq - 1,
+		base:     st.Versions[0].Seq - 1,
 	}
 	t.rowSeq.Store(st.RowSeq)
-	t.startSegment(first.Seq, first.Snapshot, first.SnapshotOrder)
-	t.versions = append(t.versions, first)
-	for _, v := range st.Versions[1:] {
+	for i, v := range st.Versions {
 		switch {
-		case v.Overwrite:
-			if v.Snapshot == nil {
-				return nil, fmt.Errorf("storage: restored overwrite version %d has no snapshot", v.Seq)
+		case startsSnapshot(i, v):
+			snap := st.Snapshots[i]
+			if snap == nil {
+				return nil, fmt.Errorf("storage: restored version %d starts a snapshot but has none", v.Seq)
 			}
-			t.startSegment(v.Seq, v.Snapshot, v.SnapshotOrder)
+			t.startSegment(v.Seq, snap.IDs(), snap.Rows())
+			if len(t.live) != snap.Len() {
+				return nil, fmt.Errorf("storage: restored version %d's snapshot repeats a row ID", v.Seq)
+			}
 		case v.DataEquivalent:
 		default:
-			if v.Snapshot != nil {
-				cp := *v
-				cp.Snapshot = nil
-				v = &cp
-			}
 			if err := t.checkDeletes(v.Changes); err != nil {
 				return nil, fmt.Errorf("storage: restored version %d: %w", v.Seq, err)
 			}
@@ -317,21 +318,6 @@ func (t *Table) versionAsOfLocked(ts hlc.Timestamp) (*Version, error) {
 		return nil, fmt.Errorf("storage: table %d has no version at or before %s", t.id, ts)
 	}
 	return t.versions[idx-1], nil
-}
-
-// VersionByCommit returns the version committed exactly at ts, used by the
-// §6.1 validation that an upstream DT has a version for the exact refresh
-// timestamp.
-func (t *Table) VersionByCommit(ts hlc.Timestamp) (*Version, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx := sort.Search(len(t.versions), func(i int) bool {
-		return ts.LessEq(t.versions[i].Commit)
-	})
-	if idx < len(t.versions) && t.versions[idx].Commit == ts {
-		return t.versions[idx], true
-	}
-	return nil, false
 }
 
 // segmentFor returns the log segment that holds version seq (a retained
@@ -469,7 +455,7 @@ func (t *Table) Apply(cs delta.ChangeSet, commit hlc.Timestamp) (*Version, error
 	v := &Version{Seq: last.Seq + 1, Commit: commit, Changes: cs}
 	t.appendChanges(cs, v.Seq)
 	v.RowCount = len(t.live)
-	t.commitLocked(v)
+	t.commitLocked(v, nil)
 	return v, nil
 }
 
@@ -532,22 +518,13 @@ func (t *Table) ownLog() {
 	t.replaceSegmentsFrom(seq, own)
 }
 
-// startSegment begins a new log at version seq holding rows, in the given
-// order, or in row ID order when order is nil so that the scan order is a
-// function of the contents. Callers hold t.mu.
-func (t *Table) startSegment(seq int64, rows map[string]types.Row, order []string) {
-	ids := order
-	if ids == nil {
-		ids = make([]string, 0, len(rows))
-		for id := range rows {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-	}
+// startSegment begins a new log at version seq holding the rows with the
+// given IDs, in that order. Callers hold t.mu.
+func (t *Table) startSegment(seq int64, ids []string, rows []types.Row) {
 	seg := &segment{from: seq, entries: make([]entry, 0, len(ids))}
 	t.live = make(map[string]int, len(ids))
-	for _, id := range ids {
-		t.live[id] = seg.add(id, rows[id], seq, notDeleted)
+	for i, id := range ids {
+		t.live[id] = seg.add(id, rows[i], seq, notDeleted)
 	}
 	t.replaceSegmentsFrom(seq, seg)
 }
@@ -563,18 +540,20 @@ func (t *Table) replaceSegmentsFrom(seq int64, seg *segment) {
 	t.segs = append(t.segs[:n], seg)
 }
 
-// commitLocked appends a committed version and notifies the sink.
-// Callers hold t.mu.
-func (t *Table) commitLocked(v *Version) {
+// commitLocked appends a committed version and notifies the sink; rows
+// are an overwrite's new contents. Callers hold t.mu.
+func (t *Table) commitLocked(v *Version, rows *types.Batch) {
 	t.versions = append(t.versions, v)
 	if t.sink != nil {
-		t.sink.TableCommitted(t, v, t.schema)
+		t.sink.TableCommitted(t, v, t.schema, rows)
 	}
 }
 
 // Overwrite commits a full replacement of the table's contents (INSERT
 // OVERWRITE, used by FULL refreshes and reinitializations, §5.4). It
-// starts a new row log; earlier versions keep reading the old one.
+// starts a new row log in row ID order, so the scan order is a function of
+// the contents; earlier versions keep reading the old one. The table keeps
+// the rows but not the map.
 func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Version, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -582,19 +561,23 @@ func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Ver
 	if !last.Commit.Less(commit) {
 		return nil, fmt.Errorf("storage: commit %s does not advance past %s", commit, last.Commit)
 	}
-	snap := make(map[string]types.Row, len(rows))
-	for id, r := range rows {
-		snap[id] = r
+	ids := make([]string, 0, len(rows))
+	for id := range rows {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	ordered := make([]types.Row, len(ids))
+	for i, id := range ids {
+		ordered[i] = rows[id]
 	}
 	v := &Version{
 		Seq:       last.Seq + 1,
 		Commit:    commit,
 		Overwrite: true,
-		Snapshot:  snap,
-		RowCount:  len(snap),
+		RowCount:  len(ids),
 	}
-	t.startSegment(v.Seq, snap, nil)
-	t.commitLocked(v)
+	t.startSegment(v.Seq, ids, ordered)
+	t.commitLocked(v, types.NewBatch(t.schema, ids, ordered))
 	return v, nil
 }
 
@@ -615,7 +598,7 @@ func (t *Table) AppendDataEquivalent(commit hlc.Timestamp) (*Version, error) {
 		DataEquivalent: true,
 		RowCount:       last.RowCount,
 	}
-	t.commitLocked(v)
+	t.commitLocked(v, nil)
 	return v, nil
 }
 
@@ -725,8 +708,8 @@ func (t *Table) ChangeVolume(fromSeq, toSeq int64) int64 {
 
 // Footprint is a table's in-memory accounting: how much the version
 // chain holds beyond the live tip. These are the signals a compaction
-// pass gates on — chain rows and interior snapshots are what trimming old
-// versions would reclaim.
+// pass gates on — chain rows and the rows of old snapshot versions are
+// what trimming old versions would reclaim.
 type Footprint struct {
 	// Versions is the number of live versions in the chain.
 	Versions int
@@ -735,11 +718,13 @@ type Footprint struct {
 	// ChainRows counts the change rows pending across all versions'
 	// change sets (the per-version deltas incremental readers consume).
 	ChainRows int64
-	// SnapshotRows counts rows pinned by materialized snapshots (the
-	// creation version, overwrites and a compaction fold).
+	// SnapshotRows counts the rows of the versions that start a snapshot
+	// (the first retained version, overwrites and a compaction fold), read
+	// from the row log: the rows a checkpoint writes in full.
 	SnapshotRows int64
 	// Bytes estimates the total in-memory size of chain change rows and
-	// snapshot rows (types.Row.ApproxBytes; an accounting estimate).
+	// snapshot rows (types.Row.ApproxBytes; an accounting estimate). A
+	// row both kinds count shares one copy in the log.
 	Bytes int64
 	// IndexBytes is the memory of the lookup runs the table's readers have
 	// built (index.go): 12 B per indexed log entry. Bytes excludes it.
@@ -761,14 +746,20 @@ func (t *Table) FootprintStats() Footprint {
 	if n := len(t.versions); n > 0 {
 		fp.LiveRows = int64(t.versions[n-1].RowCount)
 	}
-	for _, v := range t.versions {
+	for i, v := range t.versions {
 		for _, c := range v.Changes.Changes {
 			fp.ChainRows++
 			fp.Bytes += c.Row.ApproxBytes() + int64(len(c.RowID))
 		}
-		for id, row := range v.Snapshot {
-			fp.SnapshotRows++
-			fp.Bytes += row.ApproxBytes() + int64(len(id))
+		if !startsSnapshot(i, v) {
+			continue
+		}
+		entries := t.segmentFor(v.Seq).entries
+		for j := range entries {
+			if e := &entries[j]; e.visibleAt(v.Seq) {
+				fp.SnapshotRows++
+				fp.Bytes += e.row.ApproxBytes() + int64(len(e.id))
+			}
 		}
 	}
 	for _, s := range t.segs {
@@ -900,7 +891,7 @@ func (t *Table) pinnedFloorLocked() int64 {
 // Compact folds the version chain below horizon: versions with Seq <
 // horizon become unreadable (Rows returns *ErrCompacted; change intervals
 // starting below the horizon report *ErrOverwritten so incremental readers
-// reinitialize), the version at horizon becomes a snapshot, and the row
+// reinitialize), the version at horizon starts a snapshot, and the row
 // log drops every entry deleted at or before horizon. The horizon is
 // clamped to the oldest pinned sequence and to the latest version, so a
 // pinned snapshot — an open cursor's version — always stays byte-stable.
@@ -925,23 +916,16 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	ids, rs := scan(t.segmentFor(h).entries, h, orig.RowCount)
-	rows := make(map[string]types.Row, len(ids))
-	for i, id := range ids {
-		rows[id] = rs[i]
-	}
 	// The folded version is a fresh struct — version structs are shared
 	// with clones and exported checkpoints and must never be mutated.
 	// Overwrite is semantically accurate (it replaces everything before
-	// it) and keeps ChangedSince/ChangeVolume conservative across the
-	// fold.
+	// it), keeps ChangedSince/ChangeVolume conservative across the fold,
+	// and marks the version as the start of the folded segment.
 	folded := &Version{
-		Seq:           h,
-		Commit:        orig.Commit,
-		Overwrite:     true,
-		Snapshot:      rows,
-		SnapshotOrder: ids,
-		RowCount:      len(rows),
+		Seq:       h,
+		Commit:    orig.Commit,
+		Overwrite: true,
+		RowCount:  orig.RowCount,
 	}
 	kept := t.versions[h-t.base:]
 	dropped := h - 1 - t.base

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -81,17 +82,6 @@ func TestApplyAndTimeTravel(t *testing.T) {
 
 	if _, err := tb.VersionAsOf(ts(0)); err == nil {
 		t.Error("as-of before creation must fail")
-	}
-}
-
-func TestVersionByCommitExact(t *testing.T) {
-	tb := newTestTable()
-	apply(t, tb, 10, func(cs *delta.ChangeSet) { cs.AddInsert("a", intRow(1)) })
-	if _, ok := tb.VersionByCommit(ts(10)); !ok {
-		t.Error("exact commit lookup failed")
-	}
-	if _, ok := tb.VersionByCommit(ts(11)); ok {
-		t.Error("lookup at non-commit time must fail (§6.1 validation)")
 	}
 }
 
@@ -284,12 +274,31 @@ func TestOverwriteSetsSnapshotAndRowCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Overwrite || v.Snapshot == nil || v.RowCount != 2 {
+	if !v.Overwrite || v.RowCount != 2 {
 		t.Errorf("overwrite version malformed: %+v", v)
 	}
 	rows, _ := tb.Rows(v.Seq)
-	if len(rows) != 2 {
+	if len(rows) != 2 || !rows["x"].Equal(intRow(1)) || !rows["y"].Equal(intRow(2)) {
 		t.Errorf("contents after overwrite: %v", rows)
+	}
+	// The overwrite starts a log of its own, in row ID order.
+	b, _ := tb.Batch(v.Seq)
+	if ids := b.IDs(); len(ids) != 2 || ids[0] != "x" || ids[1] != "y" {
+		t.Errorf("overwrite scans %v, want [x y]", ids)
+	}
+	if rows, _ := tb.Rows(v.Seq - 1); len(rows) != 1 || !rows["a"].Equal(intRow(1)) {
+		t.Errorf("version before the overwrite reads %v", rows)
+	}
+}
+
+// TestRestoreRejectsRepeatedRowID feeds RestoreTable a checkpointed
+// snapshot that lists one row ID twice: the log would keep both rows
+// live, so the restore must fail instead.
+func TestRestoreRejectsRepeatedRowID(t *testing.T) {
+	st := newTestTable().State()
+	st.Snapshots[0] = types.NewBatch(st.Schema, []string{"a", "a"}, []types.Row{intRow(1), intRow(2)})
+	if _, err := RestoreTable(st); err == nil {
+		t.Fatal("a snapshot repeating a row ID restored without error")
 	}
 }
 
@@ -431,4 +440,43 @@ func TestRowsMemoConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkOverwriteHeapPerRow reports the heap a table holds per row
+// after a 100k-row Overwrite and four 10-row trickle commits: the row log
+// and its live index. The rows and the map the caller overwrote with stay
+// alive outside the measurement, so only the table's own memory counts.
+func BenchmarkOverwriteHeapPerRow(b *testing.B) {
+	const n, trickles, perTrickle = 100_000, 4, 10
+	rows := make(map[string]types.Row, n)
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = "r" + strconv.Itoa(i)
+		rows[ids[i]] = intRow(int64(i))
+	}
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := int64(ms.HeapAlloc)
+		tb := newTestTable()
+		if _, err := tb.Overwrite(rows, ts(10)); err != nil {
+			b.Fatal(err)
+		}
+		for v := 0; v < trickles; v++ {
+			var cs delta.ChangeSet
+			for _, id := range ids[v*perTrickle : (v+1)*perTrickle] {
+				cs.AddDelete(id, rows[id])
+				cs.AddInsert(id, intRow(-1))
+			}
+			if _, err := tb.Apply(cs, ts(int64(11+v))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(int64(ms.HeapAlloc)-before)/n, "heap-B/row")
+		runtime.KeepAlive(tb)
+	}
+	runtime.KeepAlive(rows)
 }

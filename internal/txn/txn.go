@@ -121,26 +121,6 @@ func (t *Txn) PinVersion(table *storage.Table) (int64, error) {
 	return v.Seq, nil
 }
 
-// PinVersionSeq pins an explicit version sequence for the table. DT
-// refreshes use this when the frontier mapping, not the snapshot timestamp,
-// dictates the version (§5.3).
-func (t *Txn) PinVersionSeq(table *storage.Table, seq int64) {
-	t.readSeqs[table] = seq
-}
-
-// Read returns the table's contents visible to this transaction.
-// The returned map must not be mutated.
-func (t *Txn) Read(table *storage.Table) (map[string]types.Row, error) {
-	if t.finished {
-		return nil, ErrFinished
-	}
-	seq, err := t.PinVersion(table)
-	if err != nil {
-		return nil, err
-	}
-	return table.Rows(seq)
-}
-
 // ReadBatch returns the table's contents visible to this transaction as
 // the version's shared columnar batch. The batch must not be mutated.
 func (t *Txn) ReadBatch(table *storage.Table) (*types.Batch, error) {

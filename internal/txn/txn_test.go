@@ -21,6 +21,20 @@ func setup() (*Manager, *storage.Table, *clock.Virtual) {
 
 func intRow(v int64) types.Row { return types.Row{types.NewInt(v)} }
 
+// read returns the contents tx sees of tb through ReadBatch, by row ID.
+func read(t *testing.T, tx *Txn, tb *storage.Table) map[string]types.Row {
+	t.Helper()
+	b, err := tx.ReadBatch(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]types.Row, b.Len())
+	for i, id := range b.IDs() {
+		out[id] = b.Rows()[i]
+	}
+	return out
+}
+
 func TestCommitVisibility(t *testing.T) {
 	m, tb, vc := setup()
 	vc.Advance(time.Second)
@@ -39,11 +53,7 @@ func TestCommitVisibility(t *testing.T) {
 		t.Fatal("commit timestamp missing")
 	}
 
-	r := m.Begin()
-	rows, err := r.Read(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := read(t, m.Begin(), tb)
 	if len(rows) != 1 || rows["a"][0].Int() != 1 {
 		t.Errorf("read after commit: %v", rows)
 	}
@@ -72,11 +82,7 @@ func TestSnapshotIsolationReadsPinnedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, err := reader.Read(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
+	if rows := read(t, reader, tb); len(rows) != 1 {
 		t.Errorf("snapshot read must not see later commit: %v", rows)
 	}
 }
@@ -136,8 +142,7 @@ func TestDisjointRowsDoNotConflict(t *testing.T) {
 	if _, err := t2.Commit(); err != nil {
 		t.Fatalf("disjoint writes must not conflict: %v", err)
 	}
-	r := m.Begin()
-	rows, _ := r.Read(tb)
+	rows := read(t, m.Begin(), tb)
 	if len(rows) != 2 {
 		t.Errorf("both writes should apply: %v", rows)
 	}
@@ -175,8 +180,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	if _, err := w.Commit(); !errors.Is(err, ErrFinished) {
 		t.Errorf("commit after abort: %v", err)
 	}
-	r := m.Begin()
-	rows, _ := r.Read(tb)
+	rows := read(t, m.Begin(), tb)
 	if len(rows) != 0 {
 		t.Errorf("aborted write leaked: %v", rows)
 	}
@@ -185,9 +189,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 func TestReadOnlyCommit(t *testing.T) {
 	m, tb, _ := setup()
 	r := m.Begin()
-	if _, err := r.Read(tb); err != nil {
-		t.Fatal(err)
-	}
+	read(t, r, tb)
 	if _, err := r.Commit(); err != nil {
 		t.Errorf("read-only commit should succeed: %v", err)
 	}
@@ -202,7 +204,7 @@ func TestFinishedTxnRejectsOperations(t *testing.T) {
 	if err := w.Write(tb, delta.ChangeSet{}); !errors.Is(err, ErrFinished) {
 		t.Errorf("write after commit: %v", err)
 	}
-	if _, err := w.Read(tb); !errors.Is(err, ErrFinished) {
+	if _, err := w.ReadBatch(tb); !errors.Is(err, ErrFinished) {
 		t.Errorf("read after commit: %v", err)
 	}
 }
@@ -227,36 +229,8 @@ func TestBeginAtHistoricalSnapshot(t *testing.T) {
 	}
 
 	// A transaction pinned at the first commit sees only the first row.
-	old := m.BeginAt(commit1)
-	rows, err := old.Read(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
+	if rows := read(t, m.BeginAt(commit1), tb); len(rows) != 1 {
 		t.Errorf("historical snapshot: %v", rows)
-	}
-}
-
-func TestPinVersionSeqOverridesSnapshot(t *testing.T) {
-	m, tb, vc := setup()
-	vc.Advance(time.Second)
-
-	w := m.Begin()
-	var cs delta.ChangeSet
-	cs.AddInsert("a", intRow(1))
-	_ = w.Write(tb, cs)
-	if _, err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := m.Begin()
-	r.PinVersionSeq(tb, 1) // the empty initial version
-	rows, err := r.Read(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Errorf("pinned version should be empty: %v", rows)
 	}
 }
 

@@ -173,7 +173,7 @@ func (e *Engine) writeFootprintMetrics(b *strings.Builder) {
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_chain_rows{table=%s} %d\n", labelQuote(t.name), t.fp.ChainRows)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_table_bytes Estimated resident bytes of the version chain and snapshots per table.\n")
+	fmt.Fprintf(b, "# HELP dyntables_table_bytes Estimated bytes of the row-log rows the version chain reads (change sets and snapshot versions) per table.\n")
 	fmt.Fprintf(b, "# TYPE dyntables_table_bytes gauge\n")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_bytes{table=%s} %d\n", labelQuote(t.name), t.fp.Bytes)
