@@ -820,3 +820,68 @@ func TestReplaceDoesNotLeakTables(t *testing.T) {
 		t.Fatalf("want 1 row in final replacement, got %v", res.Rows[0][0])
 	}
 }
+
+// TestWindowDTReadsStoredRowsAfterReopen crashes a durable engine that
+// keeps a window DT and reopens it: the DT's first changing refresh reads
+// the old side of its window from the recovered DT rows, and the DT still
+// equals its query.
+func TestWindowDTReadsStoredRowsAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, WithCheckpointEvery(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.MustExec(`CREATE WAREHOUSE wh`)
+	e.MustExec(`CREATE TABLE src (id INT, k INT, v INT)`)
+	for i := 0; i < 40; i++ {
+		e.MustExec(fmt.Sprintf(`INSERT INTO src VALUES (%d, %d, %d)`, i, i%5, i%7))
+	}
+	e.MustExec(`CREATE DYNAMIC TABLE w TARGET_LAG = '1 minute' WAREHOUSE = wh REFRESH_MODE = INCREMENTAL
+		AS SELECT id, k, v, row_number() OVER (PARTITION BY k ORDER BY v, id) rn FROM src`)
+	for round := 0; round < 3; round++ {
+		e.MustExec(fmt.Sprintf(`UPDATE src SET v = v + 3 WHERE k = %d`, round))
+		e.AdvanceTime(time.Minute)
+		if err := e.RunScheduler(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	stored := func() int {
+		n := 0
+		for _, rec := range e2.Tracer().Snapshot() {
+			if rec.Name == "ivm.stored" {
+				n++
+			}
+		}
+		return n
+	}
+	if n := stored(); n != 0 {
+		t.Fatalf("recovery read %d stored old sides", n)
+	}
+	dt := mustDT(t, e2, "w")
+	before := len(dt.History())
+	e2.MustExec(`UPDATE src SET v = v - 5 WHERE k = 4`)
+	e2.MustExec(`DELETE FROM src WHERE id = 7`)
+	e2.AdvanceTime(time.Minute)
+	if err := e2.RunScheduler(); err != nil {
+		t.Fatal(err)
+	}
+	hist := dt.History()
+	if len(hist) == before || hist[before].Action != core.ActionIncremental {
+		t.Fatalf("the refreshes after reopen were %v, want INCREMENTAL first", hist[before:])
+	}
+	if n := stored(); n != 1 {
+		t.Fatalf("the first refresh after reopen read %d old sides from the DT's rows, want 1", n)
+	}
+	if err := e2.CheckDVS("w"); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -493,6 +493,11 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	if err := ivm.Incrementalizable(bound.Plan); err != nil {
 		return rec, fmt.Errorf("core: %s: REFRESH_MODE=INCREMENTAL unsupported: %w", dt.Name, err)
 	}
+	// The DT's contents at the frontier are the query's result at the
+	// interval's start: the top affected-key rule reads its old side there.
+	if seq, ok := dt.VersionAtDataTS(frontier.DataTS); ok {
+		env.Stored, env.StoredSeq = dt.Storage, seq
+	}
 	cs, err := ivm.Delta(bound.Plan, ivm.Interval{From: frontier.Versions, To: vmTo}, env)
 	if errors.Is(err, ivm.ErrSourceOverwritten) {
 		// An upstream replace/overwrite invalidates stored results (§3.3.2).

@@ -6,8 +6,11 @@
 package delta
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"dyntables/internal/types"
 )
@@ -184,43 +187,120 @@ func (cs ChangeSet) Consolidate() ChangeSet {
 // terms, which must cancel exactly, independent of emission order —
 // unlike Consolidate, which folds an ordered operation log.
 //
-// The result lists deletions before insertions, each sorted by row ID then
-// value key.
+// Two rows are the same value when their key encodings (types.Row.EncodeKey)
+// are equal, so INT 1 and FLOAT 1.0 are different values. A pair's
+// surviving row is its first in emission order. The result lists
+// deletions before insertions, each sorted by row ID and then by the row's
+// key encoding.
+//
+// The changes are grouped by row ID, and rows are encoded and compared
+// only within a group of more than one change, in one buffer reused
+// across groups; a row ID's lone change survives as it is.
 func (cs ChangeSet) ConsolidateSigned() ChangeSet {
-	type entry struct {
-		rowID string
-		vkey  string
-		row   types.Row
-		count int
-	}
-	sums := make(map[string]*entry, len(cs.Changes))
-	var order []string
-	for _, c := range cs.Changes {
-		key := c.RowID + "\x00" + c.Row.Key()
-		e, ok := sums[key]
+	// Group the changes by row ID, in first-seen order.
+	group := make([]int32, len(cs.Changes))
+	byID := make(map[string]int32, len(cs.Changes))
+	var ids []string
+	var sizes []int32
+	for i, c := range cs.Changes {
+		g, ok := byID[c.RowID]
 		if !ok {
-			e = &entry{rowID: c.RowID, vkey: c.Row.Key(), row: c.Row}
-			sums[key] = e
-			order = append(order, key)
+			g = int32(len(ids))
+			byID[c.RowID] = g
+			ids = append(ids, c.RowID)
+			sizes = append(sizes, 0)
 		}
-		if c.Action == Insert {
-			e.count++
-		} else {
-			e.count--
+		group[i] = g
+		sizes[g]++
+	}
+	sorted := make([]int32, len(ids))
+	for g := range sorted {
+		sorted[g] = int32(g)
+	}
+	slices.SortFunc(sorted, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	// Lay the changes out by group in row-ID order, each group's in
+	// emission order.
+	next := make([]int32, len(ids))
+	off := int32(0)
+	for _, g := range sorted {
+		next[g], off = off, off+sizes[g]
+	}
+	order := make([]int32, len(cs.Changes))
+	for i, g := range group {
+		order[next[g]] = int32(i)
+		next[g]++
+	}
+
+	type sum struct {
+		change int32 // the pair's first change, whose row survives
+		count  int32
+	}
+	var sums []sum
+	var enc []byte
+	var spans [][2]int32 // per change of a group: its encoding in enc
+	var pos []int
+	var nDel, nIns int
+	add := func(s sum) {
+		switch {
+		case s.count < 0:
+			nDel += int(-s.count)
+		case s.count > 0:
+			nIns += int(s.count)
+		default:
+			return
+		}
+		sums = append(sums, s)
+	}
+	sign := func(i int32) int32 {
+		if cs.Changes[i].Action == Insert {
+			return 1
+		}
+		return -1
+	}
+	for from := 0; from < len(order); {
+		to := from + int(sizes[group[order[from]]])
+		grp := order[from:to]
+		from = to
+		if len(grp) == 1 {
+			add(sum{grp[0], sign(grp[0])})
+			continue
+		}
+		enc, spans = enc[:0], spans[:0]
+		for _, i := range grp {
+			start := int32(len(enc))
+			enc = cs.Changes[i].Row.EncodeKey(enc)
+			spans = append(spans, [2]int32{start, int32(len(enc))})
+		}
+		key := func(k int) []byte { return enc[spans[k][0]:spans[k][1]] }
+		// Sort the group's positions by encoding; the stable sort keeps
+		// equal rows in emission order, so a run starts at its first.
+		pos = pos[:0]
+		for k := range grp {
+			pos = append(pos, k)
+		}
+		slices.SortStableFunc(pos, func(a, b int) int { return bytes.Compare(key(a), key(b)) })
+		for r := 0; r < len(pos); {
+			s := sum{change: grp[pos[r]]}
+			q := r
+			for ; q < len(pos) && bytes.Equal(key(pos[q]), key(pos[r])); q++ {
+				s.count += sign(grp[pos[q]])
+			}
+			add(s)
+			r = q
 		}
 	}
-	sort.Strings(order)
-	var out ChangeSet
-	for _, key := range order {
-		e := sums[key]
-		for i := 0; i > e.count; i-- {
-			out.AddDelete(e.rowID, e.row)
+
+	out := ChangeSet{Changes: make([]Change, 0, nDel+nIns)}
+	for _, s := range sums {
+		c := cs.Changes[s.change]
+		for k := int32(0); k > s.count; k-- {
+			out.AddDelete(c.RowID, c.Row)
 		}
 	}
-	for _, key := range order {
-		e := sums[key]
-		for i := 0; i < e.count; i++ {
-			out.AddInsert(e.rowID, e.row)
+	for _, s := range sums {
+		c := cs.Changes[s.change]
+		for k := int32(0); k < s.count; k++ {
+			out.AddInsert(c.RowID, c.Row)
 		}
 	}
 	return out

@@ -247,6 +247,15 @@ func (g *gen) genDTs() {
 	// and the boundaries read only Δ's values through the bare column.
 	add("dt_distinct", fmt.Sprintf("SELECT DISTINCT %s AS v, id %% %d AS k FROM %s",
 		g.intCol(t1), 2+g.rng.Intn(3), t1.name))
+
+	// Window DTs: one keeps its PARTITION BY column, so its refreshes read
+	// the old side from its own rows; the other drops it, so they
+	// recompute the old side from the sources.
+	k := g.intCol(t0)
+	add("dt_window", fmt.Sprintf(
+		"SELECT id, %s AS k, ROW_NUMBER() OVER (PARTITION BY %s ORDER BY id) AS rn FROM %s", k, k, t0.name))
+	add("dt_window_hidden", fmt.Sprintf(
+		"SELECT id, RANK() OVER (PARTITION BY %s ORDER BY id) AS r FROM %s", g.intCol(t1), t1.name))
 }
 
 func (g *gen) genDML() {

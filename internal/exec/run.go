@@ -266,6 +266,19 @@ func EvalKey(exprs []plan.Expr, row types.Row, now time.Time) (string, bool, err
 	return evalKey(exprs, row, &plan.EvalContext{Now: now})
 }
 
+// AppendKey appends the encoded key EvalKey returns to dst, so that a
+// caller probing a map of keys can reuse one buffer.
+func AppendKey(dst []byte, exprs []plan.Expr, row types.Row, ev *plan.EvalContext) ([]byte, error) {
+	for _, e := range exprs {
+		v, err := plan.Eval(e, row, ev)
+		if err != nil {
+			return dst, err
+		}
+		dst = normalizeKeyValue(v).EncodeKey(dst)
+	}
+	return dst, nil
+}
+
 // evalKey computes a hash key for the expressions; ok is false when any
 // key component is NULL (SQL equality never matches NULLs).
 func evalKey(exprs []plan.Expr, row types.Row, ev *plan.EvalContext) (string, bool, error) {
@@ -462,33 +475,35 @@ func runWindow(w *plan.Window, ctx *Context) ([]TRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return WindowRows(w, in, ctx)
+	return WindowRows(w, in, nil, ctx)
 }
 
 // WindowRows applies window functions to pre-computed input; reused by the
-// IVM changed-partition recompute rule (§5.5.1).
-func WindowRows(w *plan.Window, in []TRow, ctx *Context) ([]TRow, error) {
+// IVM changed-partition recompute rule (§5.5.1). cols, when non-nil, lists
+// the output columns to keep by position in the window's row (the input's
+// columns, then one per function): a projection of bare columns over the
+// window, applied without building the whole row.
+func WindowRows(w *plan.Window, in []TRow, cols []int, ctx *Context) ([]TRow, error) {
 	ev := ctx.eval()
-	partitions := make(map[string][]*partRow)
-	var keys []string
+	// parts holds the partitions in first-seen order, and at their
+	// positions by encoded key.
+	var parts [][]*partRow
+	at := make(map[string]int)
+	// The partition rows and their ORDER BY keys live only for this call,
+	// so they are allocated together.
+	prs := make([]partRow, len(in))
+	oks := make([]types.Value, len(in)*len(w.OrderBy))
+	var buf []byte
 	ticks := 0
-	for _, tr := range in {
+	for r, tr := range in {
 		if err := ctx.tick(&ticks); err != nil {
 			return nil, err
 		}
-		var buf []byte
-		for _, pe := range w.PartitionBy {
-			v, err := plan.Eval(pe, tr.Row, ev)
-			if err != nil {
-				return nil, err
-			}
-			buf = normalizeKeyValue(v).EncodeKey(buf)
+		var err error
+		if buf, err = AppendKey(buf[:0], w.PartitionBy, tr.Row, ev); err != nil {
+			return nil, err
 		}
-		key := string(buf)
-		if _, ok := partitions[key]; !ok {
-			keys = append(keys, key)
-		}
-		ok := make([]types.Value, len(w.OrderBy))
+		ok := oks[r*len(w.OrderBy) : (r+1)*len(w.OrderBy) : (r+1)*len(w.OrderBy)]
 		for i, o := range w.OrderBy {
 			v, err := plan.Eval(o.Expr, tr.Row, ev)
 			if err != nil {
@@ -496,12 +511,18 @@ func WindowRows(w *plan.Window, in []TRow, ctx *Context) ([]TRow, error) {
 			}
 			ok[i] = v
 		}
-		partitions[key] = append(partitions[key], &partRow{tr: tr, orderKey: ok})
+		prs[r] = partRow{tr: tr, orderKey: ok}
+		p, seen := at[string(buf)]
+		if !seen {
+			p = len(parts)
+			at[string(buf)] = p
+			parts = append(parts, nil)
+		}
+		parts[p] = append(parts[p], &prs[r])
 	}
 
-	var out []TRow
-	for _, key := range keys {
-		part := partitions[key]
+	out := make([]TRow, 0, len(in))
+	for _, part := range parts {
 		// Sort by ORDER BY with row-ID tie-break so ties are repeatable
 		// across refreshes (§5.5.1 requires repeatable tie-breaking).
 		sort.SliceStable(part, func(i, j int) bool {
@@ -524,7 +545,19 @@ func WindowRows(w *plan.Window, in []TRow, ctx *Context) ([]TRow, error) {
 			return nil, err
 		}
 		for i, pr := range part {
-			row := pr.tr.Row.Concat(results[i])
+			var row types.Row
+			if cols == nil {
+				row = pr.tr.Row.Concat(results[i])
+			} else {
+				row = make(types.Row, len(cols))
+				for j, c := range cols {
+					if c < len(pr.tr.Row) {
+						row[j] = pr.tr.Row[c]
+					} else {
+						row[j] = results[i][c-len(pr.tr.Row)]
+					}
+				}
+			}
 			out = append(out, TRow{ID: pr.tr.ID, Row: row})
 		}
 	}
@@ -542,8 +575,10 @@ type partRow struct {
 func windowPartition(w *plan.Window, part []*partRow, ev *plan.EvalContext) ([]types.Row, error) {
 	n := len(part)
 	out := make([]types.Row, n)
+	// The values are copied out by the caller, so one block holds them.
+	vals := make(types.Row, n*len(w.Funcs))
 	for i := range out {
-		out[i] = make(types.Row, len(w.Funcs))
+		out[i] = vals[i*len(w.Funcs) : (i+1)*len(w.Funcs) : (i+1)*len(w.Funcs)]
 	}
 	ordered := len(w.OrderBy) > 0
 	for fi, f := range w.Funcs {

@@ -18,6 +18,16 @@
 //   - window functions recompute affected partitions:
 //     Δξ(Q) = π₋(ξ(Q₀ ⋉ₖ ΔQ)) + π₊(ξ(Q₁ ⋉ₖ ΔQ)) (§5.5.1).
 //
+// When one of these rules is the plan's top operator, under at most a
+// Project of bare columns that keeps its key, and Env.Stored holds the
+// DT's table, its old side is read from the DT instead: by delayed view
+// semantics the DT's stored rows of Δ's keys are π(op(Q₀ ⋉ₖ ΔQ)), so
+// Δ = −(the DT's rows of Δ's keys) + π(op(Q₁ ⋉ₖ ΔQ)), and Q₀ is never
+// evaluated. A key the DT does not store (a PARTITION BY column the
+// query drops), a window under a Filter, an aggregate with stored
+// accumulators and the full-recompute ablation keep the rules above
+// (stored.go).
+//
 // The aggregate, DISTINCT and window rules share one restriction of their
 // boundaries to Δ's keys; on the columnar path the boundaries read only
 // those keys' rows through the storage row-log index when a key is a
@@ -94,6 +104,12 @@ type Stats struct {
 	// from a whole input (accum.go).
 	AccumulatorFolds int64
 	AccumulatorSeeds int64
+	// OldSidesStored counts affected-key rules whose old side was read
+	// from the DT's stored rows instead of recomputed (stored.go), and
+	// StoredRowsRead the rows they read there: a lookup's candidates, or
+	// the whole version when the lookup declines.
+	OldSidesStored int64
+	StoredRowsRead int64
 	// ConsolidationElided counts refreshes that skipped the final
 	// change-consolidation step because the plan structure and an
 	// insert-only delta guarantee no duplicate ($ROW_ID, $ACTION) pairs
@@ -123,6 +139,14 @@ type Env struct {
 	// plan's invertible aggregates between refreshes of one DT (accum.go);
 	// nil recomputes every affected group from the boundaries.
 	Accumulators *AggStore
+
+	// Stored, when non-nil, is the table of the DT whose defining query is
+	// being differentiated, and StoredSeq its version that holds the
+	// query's result as of the interval's start. The plan's top
+	// affected-key rule then reads its old side from those rows
+	// (stored.go); nil recomputes it from the start boundary.
+	Stored    *storage.Table
+	StoredSeq int64
 
 	// Columnar routes boundary-snapshot evaluations through the
 	// executor's columnar fast path: scans resolve to shared,
@@ -222,7 +246,13 @@ func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
 		defer env.Span("ivm.delta")()
 	}
 	env.Accumulators.attach(n)
-	rows, err := deltaRec(n, iv, env)
+	var rows []delta.Change
+	var err error
+	if t := storedRule(n, env); t != nil {
+		rows, err = t.delta(iv, env)
+	} else {
+		rows, err = deltaRec(n, iv, env)
+	}
 	if err != nil {
 		return delta.ChangeSet{}, err
 	}
@@ -260,10 +290,7 @@ func ConsolidationFree(n plan.Node) bool {
 }
 
 func deltaRec(n plan.Node, iv Interval, env *Env) ([]delta.Change, error) {
-	env.stats(func(s *Stats) { s.SubplanDeltaEvals++ })
-	if env.Span != nil {
-		defer env.Span("delta." + deltaOpName(n))()
-	}
+	defer enter(n, env)()
 	switch x := n.(type) {
 	case *plan.Scan:
 		return deltaScan(x, iv, env)
@@ -294,6 +321,16 @@ func deltaRec(n plan.Node, iv Interval, env *Env) ([]delta.Change, error) {
 	default:
 		return nil, fmt.Errorf("%w: operator %T", ErrNotIncrementalizable, n)
 	}
+}
+
+// enter counts the differentiation of n and opens its span; the caller
+// calls the result when done.
+func enter(n plan.Node, env *Env) func() {
+	env.stats(func(s *Stats) { s.SubplanDeltaEvals++ })
+	if env.Span != nil {
+		return env.Span("delta." + deltaOpName(n))
+	}
+	return func() {}
 }
 
 func snapshot(n plan.Node, vm VersionMap, env *Env) ([]exec.TRow, error) {
@@ -923,7 +960,11 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 		return nil, err
 	}
 	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(ak.keys)) })
-	old, cur, n0, n1, err := aggregateBoundaries(a, iv, ak, env)
+	old, n0, err := aggregateAt(a, iv.From, ak, env)
+	if err != nil {
+		return nil, err
+	}
+	cur, n1, err := aggregateAt(a, iv.To, ak, env)
 	if err != nil {
 		return nil, err
 	}
@@ -942,64 +983,34 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]delta.Change, e
 	return out, nil
 }
 
-// aggregateBoundaries computes the affected-group aggregations of both
-// boundary snapshots of the aggregate's input. On the columnar path the
-// boundary subplans evaluate to batches and the affected-group restriction
-// fuses into the vectorized aggregation loop; otherwise the restricted
-// boundary rows feed AggregateRows. Either way the scan reads only the
-// affected keys when ak has a lookup. n0/n1 count the restricted input
-// rows (the scalar aggregate guard's signal; the columnar path handles
-// grouped aggregates only, where the guard is vacuous).
-func aggregateBoundaries(a *plan.Aggregate, iv Interval, ak *affectedKeys, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
+// aggregateAt aggregates the affected groups of the aggregate's input as
+// of vm. On the columnar path the input evaluates to batches and the
+// affected-group restriction fuses into the vectorized aggregation loop;
+// otherwise the restricted rows feed AggregateRows. Either way the scan
+// reads only the affected keys when ak has a lookup. n counts the
+// restricted input rows on the row path (the scalar aggregate guard's
+// signal; the columnar path handles grouped aggregates only, where the
+// guard is vacuous).
+func aggregateAt(a *plan.Aggregate, vm VersionMap, ak *affectedKeys, env *Env) (_ []exec.TRow, n int, _ error) {
 	if len(a.GroupBy) > 0 && env.Columnar {
-		old, handled, err := aggregateColumnar(a, iv.From, ak, env)
+		ctx := ak.lk.ctx(vm, env)
+		cr, handled, err := exec.RunColumnar(a.Input, ctx)
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return nil, 0, err
 		}
-		// Whether the input is batchable depends on the plan alone, so
-		// the end boundary is handled exactly when the start is.
 		if handled {
-			cur, _, err := aggregateColumnar(a, iv.To, ak, env)
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			return old, cur, 0, 0, nil
+			env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
+			rows, err := exec.AggregateColumnar(a, cr, ak.keys, ctx)
+			return rows, 0, err
 		}
 		// Not batchable: fall through to the row path.
 	}
-
-	in0, err := ak.boundary(a.Input, iv.From, env, nil)
+	in, err := ak.boundary(a.Input, vm, env, nil)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, err
 	}
-	in1, err := ak.boundary(a.Input, iv.To, env, nil)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
-	old, err = exec.AggregateRows(a, in0, ctx)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	cur, err = exec.AggregateRows(a, in1, ctx)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return old, cur, len(in0), len(in1), nil
-}
-
-// aggregateColumnar aggregates the affected groups of the aggregate's
-// input as of vm on the columnar path; handled is false when the input is
-// not batchable.
-func aggregateColumnar(a *plan.Aggregate, vm VersionMap, ak *affectedKeys, env *Env) (_ []exec.TRow, handled bool, _ error) {
-	ctx := ak.lk.ctx(vm, env)
-	cr, handled, err := exec.RunColumnar(a.Input, ctx)
-	if err != nil || !handled {
-		return nil, handled, err
-	}
-	env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
-	rows, err := exec.AggregateColumnar(a, cr, ak.keys, ctx)
-	return rows, true, err
+	rows, err := exec.AggregateRows(a, in, &exec.Context{Now: env.Now, Counters: env.Counters})
+	return rows, len(in), err
 }
 
 // deltaDistinct treats DISTINCT as grouping on every column:
@@ -1014,25 +1025,26 @@ func deltaDistinct(d *plan.Distinct, iv Interval, env *Env) ([]delta.Change, err
 	if err != nil {
 		return nil, err
 	}
-	in0, err := ak.boundary(d.Input, iv.From, env, nil)
+	old, err := distinctAt(d, iv.From, ak, env)
 	if err != nil {
 		return nil, err
 	}
-	in1, err := ak.boundary(d.Input, iv.To, env, nil)
-	if err != nil {
-		return nil, err
-	}
-	old, err := exec.DistinctRows(in0)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := exec.DistinctRows(in1)
+	cur, err := distinctAt(d, iv.To, ak, env)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]delta.Change, 0, len(old)+len(cur))
 	out = appendAs(out, old, delta.Delete)
 	return appendAs(out, cur, delta.Insert), nil
+}
+
+// distinctAt is DISTINCT over the rows of the affected keys as of vm.
+func distinctAt(d *plan.Distinct, vm VersionMap, ak *affectedKeys, env *Env) ([]exec.TRow, error) {
+	in, err := ak.boundary(d.Input, vm, env, nil)
+	if err != nil {
+		return nil, err
+	}
+	return exec.DistinctRows(in)
 }
 
 // deltaWindow recomputes affected partitions (§5.5.1):
@@ -1059,6 +1071,26 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	if err != nil {
 		return nil, err
 	}
+	old, err := exec.WindowRows(w, in0, nil, &exec.Context{Now: env.Now, Counters: env.Counters})
+	if err != nil {
+		return nil, err
+	}
+	cur, err := windowEnd(w, iv, ak, all, nil, env)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]delta.Change, 0, len(old)+len(cur))
+	out = appendAs(out, old, delta.Delete)
+	// Rows whose window values did not change cancel in consolidation.
+	return appendAs(out, cur, delta.Insert), nil
+}
+
+// windowEnd computes the window over the affected partitions as of the
+// interval's end and counts the partitions recomputed and present there.
+// all, when non-nil, holds the partitions the start boundary saw, and
+// makes every partition count as recomputed (the ablation); cols is
+// exec.WindowRows's projection.
+func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]bool, cols []int, env *Env) ([]exec.TRow, error) {
 	end := make(map[string]bool)
 	in1, err := ak.boundary(w.Input, iv.To, env, end)
 	if err != nil {
@@ -1080,20 +1112,7 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 		s.PartitionsRecomputed += int64(recomputed)
 		s.PartitionsTotal += int64(partitions)
 	})
-
-	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
-	old, err := exec.WindowRows(w, in0, ctx)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := exec.WindowRows(w, in1, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]delta.Change, 0, len(old)+len(cur))
-	out = appendAs(out, old, delta.Delete)
-	// Rows whose window values did not change cancel in consolidation.
-	return appendAs(out, cur, delta.Insert), nil
+	return exec.WindowRows(w, in1, cols, &exec.Context{Now: env.Now, Counters: env.Counters})
 }
 
 // appendAs appends the rows to out as changes carrying the action.

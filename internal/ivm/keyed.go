@@ -42,12 +42,17 @@ type affectedKeys struct {
 // expressions over input's rows.
 func affectedBy(input plan.Node, exprs []plan.Expr, din []delta.Change, env *Env) (*affectedKeys, error) {
 	ak := &affectedKeys{exprs: exprs, keys: make(map[string]bool), lk: affectedLookup(input, exprs, din, env)}
+	ev := &plan.EvalContext{Now: env.Now}
+	var key []byte
 	for _, c := range din {
-		key, _, err := exec.EvalKey(exprs, c.Row, env.Now)
-		if err != nil {
+		var err error
+		if key, err = exec.AppendKey(key[:0], exprs, c.Row, ev); err != nil {
 			return nil, err
 		}
-		ak.keys[key] = true
+		// Only a new key allocates its string.
+		if !ak.keys[string(key)] {
+			ak.keys[string(key)] = true
+		}
 	}
 	return ak, nil
 }
@@ -59,16 +64,17 @@ func (ak *affectedKeys) boundary(input plan.Node, vm VersionMap, env *Env, seen 
 	if err != nil {
 		return nil, err
 	}
+	ev := &plan.EvalContext{Now: env.Now}
+	var key []byte
 	var out []exec.TRow
 	for _, tr := range rows {
-		key, _, err := exec.EvalKey(ak.exprs, tr.Row, env.Now)
-		if err != nil {
+		if key, err = exec.AppendKey(key[:0], ak.exprs, tr.Row, ev); err != nil {
 			return nil, err
 		}
-		if seen != nil {
-			seen[key] = true
+		if seen != nil && !seen[string(key)] {
+			seen[string(key)] = true
 		}
-		if ak.keys == nil || ak.keys[key] {
+		if ak.keys == nil || ak.keys[string(key)] {
 			out = append(out, tr)
 		}
 	}

@@ -274,7 +274,9 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 // runWave executes one wave's refreshes concurrently, at most `workers`
 // at a time, and returns per-DT results in the wave's (name) order with
 // Start seeded from each request's Ready time. The semaphore carries
-// worker-slot tokens so each result records which slot executed it.
+// worker-slot tokens so each result records which slot executed it. The
+// dispatch loop takes a slot before it starts a refresh, so refreshes
+// start in the wave's order; with one worker they also commit in it.
 func (r *Refresher) runWave(wave []Request, workers int, waveSpan *trace.Span) []Result {
 	out := make([]Result, len(wave))
 	slots := make(chan int, workers)
@@ -283,10 +285,10 @@ func (r *Refresher) runWave(wave []Request, workers int, waveSpan *trace.Span) [
 	}
 	var wg sync.WaitGroup
 	for i, req := range wave {
+		slot := <-slots
 		wg.Add(1)
-		go func(i int, req Request) {
+		go func(i int, req Request, slot int) {
 			defer wg.Done()
-			slot := <-slots
 			defer func() { slots <- slot }()
 			execSpan := waveSpan.Child("refresh.exec",
 				trace.A("dt", req.DT.Name),
@@ -303,7 +305,7 @@ func (r *Refresher) runWave(wave []Request, workers int, waveSpan *trace.Span) [
 			execSpan.SetAttr("alloc_bytes", strconv.FormatInt(res.Usage.AllocBytes, 10))
 			execSpan.End()
 			out[i] = res
-		}(i, req)
+		}(i, req, slot)
 	}
 	wg.Wait()
 	return out

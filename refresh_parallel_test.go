@@ -1,8 +1,12 @@
 package dyntables
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -10,6 +14,7 @@ import (
 	"time"
 
 	"dyntables/internal/core"
+	"dyntables/internal/persist"
 )
 
 func TestAlterSystemKnobs(t *testing.T) {
@@ -280,5 +285,80 @@ func TestParallelKeyedRefreshesShareOneSource(t *testing.T) {
 	}
 	if indexBytes < 2*12*n {
 		t.Errorf("facts indexes %d B, want the grp and dim runs of at least %d B each", indexBytes, 12*n)
+	}
+}
+
+// serialWaveScript runs a fixed script on a durable engine in dir with one
+// refresh worker: three sibling DTs share every wave. It then crashes the
+// engine, which leaves the WAL as written (a clean close would checkpoint
+// it away), and checks that every wave committed its siblings in name
+// order, which is also their creation order.
+func serialWaveScript(t *testing.T, dir string) {
+	e, err := Open(dir, WithConfig(Config{RefreshWorkers: 1}), WithCheckpointEvery(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.MustExec(`CREATE WAREHOUSE wh`)
+	e.MustExec(`CREATE TABLE src (k INT, v INT)`)
+	for _, name := range []string{"sib_a", "sib_b", "sib_c"} {
+		e.MustExec(fmt.Sprintf(`CREATE DYNAMIC TABLE %s TARGET_LAG = '1 minute' WAREHOUSE = wh
+			REFRESH_MODE = INCREMENTAL AS SELECT k, sum(v) s FROM src GROUP BY k`, name))
+	}
+	for round := 0; round < 6; round++ {
+		e.MustExec(fmt.Sprintf(`INSERT INTO src VALUES (%d, %d), (%d, 1)`, round%3, round, round+10))
+		e.AdvanceTime(time.Minute)
+		if err := e.RunScheduler(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.crash(); err != nil {
+		t.Fatal(err)
+	}
+	w, recs, err := persist.OpenWAL(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	// The frontier records come three at a time, one per sibling: their
+	// creations, then the waves.
+	var ids []int64
+	for _, rec := range recs {
+		if rec.Frontier != nil {
+			ids = append(ids, rec.Frontier.EntryID)
+		}
+	}
+	if len(ids) < 3*7 || len(ids)%3 != 0 {
+		t.Fatalf("the WAL holds %d frontier records, want 3 per creation wave and round", len(ids))
+	}
+	for i := 0; i < len(ids); i += 3 {
+		if wave := ids[i : i+3]; !sort.SliceIsSorted(wave, func(a, b int) bool { return wave[a] < wave[b] }) {
+			t.Fatalf("a wave committed its siblings in entry order %v, not in name order", wave)
+		}
+	}
+}
+
+// TestSerialWaveWALIsReproducible runs serialWaveScript twice, each time
+// in a fresh process (row IDs carry process-wide table numbers) and into a
+// fresh directory; both runs must write the same wal.log, byte for byte.
+func TestSerialWaveWALIsReproducible(t *testing.T) {
+	if dir := os.Getenv("DYNTABLES_SERIAL_WAVE_DIR"); dir != "" {
+		serialWaveScript(t, dir) // the child process
+		return
+	}
+	var wals [2][]byte
+	for i := range wals {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSerialWaveWALIsReproducible$")
+		cmd.Env = append(os.Environ(), "DYNTABLES_SERIAL_WAVE_DIR="+dir)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out)
+		}
+		var err error
+		if wals[i], err = os.ReadFile(filepath.Join(dir, persist.WALName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(wals[0], wals[1]) {
+		t.Fatalf("two runs of one script wrote different wal.log files (%d and %d bytes)", len(wals[0]), len(wals[1]))
 	}
 }
