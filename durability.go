@@ -12,6 +12,7 @@ import (
 	"dyntables/internal/alert"
 	"dyntables/internal/catalog"
 	"dyntables/internal/core"
+	"dyntables/internal/delta"
 	"dyntables/internal/hlc"
 	"dyntables/internal/ivm"
 	"dyntables/internal/persist"
@@ -492,9 +493,14 @@ func (e *Engine) restoreDT(entryID int64, st *persist.DTState) (*core.DynamicTab
 			ModeReason:        h.ModeReason,
 			SourceRowsChanged: h.ChangedRows,
 			FullScanEstimate:  h.FullScanRows,
+			Seq:               h.Seq,
 		}
 		if h.Err != "" {
 			rec.Err = errors.New(h.Err)
+		}
+		if x := h.Exec; x != nil {
+			rec.Exec = &core.Execution{Wave: x.Wave, Worker: x.Worker,
+				Start: time.UnixMicro(x.StartMicros).UTC(), End: time.UnixMicro(x.EndMicros).UTC()}
 		}
 		cp.History = append(cp.History, rec)
 	}
@@ -572,12 +578,20 @@ func (e *Engine) replayCommit(rec *persist.CommitRecord) error {
 		if err != nil {
 			return err
 		}
+		for _, c := range cs.Changes {
+			if c.Action == delta.Insert {
+				t.AdvanceRowSeq(c.RowID)
+			}
+		}
 		_, err = t.Apply(cs, rec.Commit)
 		return err
 	case persist.CommitOverwrite:
 		rows, err := persist.DecodeRowMap(rec.Rows)
 		if err != nil {
 			return err
+		}
+		for id := range rows {
+			t.AdvanceRowSeq(id)
 		}
 		_, err = t.Overwrite(rows, rec.Commit)
 		return err
@@ -917,9 +931,12 @@ func (e *Engine) snapshotDT(dt *core.DynamicTable, keyOf map[int64]int64) (*pers
 			ModeReason:        h.ModeReason,
 			ChangedRows:       h.SourceRowsChanged,
 			FullScanRows:      h.FullScanEstimate,
+			Err:               errText(h.Err),
+			Seq:               h.Seq,
 		}
-		if h.Err != nil {
-			hs.Err = h.Err.Error()
+		if x := h.Exec; x != nil {
+			hs.Exec = &persist.ExecState{Wave: x.Wave, Worker: x.Worker,
+				StartMicros: x.Start.UnixMicro(), EndMicros: x.End.UnixMicro()}
 		}
 		st.History = append(st.History, hs)
 	}

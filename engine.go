@@ -167,12 +167,13 @@ type Config struct {
 	// from the host (GOMAXPROCS). Adjustable at runtime with
 	// `ALTER SYSTEM SET REFRESH_WORKERS = n`.
 	RefreshWorkers int
-	// HistoryCapacity bounds the observability subsystem's history
-	// rings: per-DT refresh history (both the in-engine ring behind
-	// Describe and the queryable INFORMATION_SCHEMA ring), per-DT lag
-	// samples, per-warehouse metering and the graph-edge log. 0 uses the
-	// default (1024 events per ring); a negative value disables
-	// observability recording entirely (overhead baselines).
+	// HistoryCapacity bounds the history rings: each DT's refresh
+	// history (behind Describe and DYNAMIC_TABLE_REFRESH_HISTORY) and
+	// the observability recorder's rings (per-DT lag samples,
+	// per-warehouse metering, the graph-edge log and the others). 0
+	// uses the default (1024 entries per ring); a negative value
+	// disables the recorder and tracing (overhead baselines) while each
+	// DT keeps its refresh history at the default bound.
 	// `ALTER SYSTEM SET HISTORY_CAPACITY = n` rebounds the rings at
 	// runtime and re-enables recording on a disabled engine.
 	HistoryCapacity int

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyntables/internal/adaptive"
@@ -64,9 +65,8 @@ type Controller struct {
 	// frontierSink, when set, observes every frontier advance (WAL
 	// emission for refresh continuity across restarts).
 	frontierSink FrontierSink
-	// refreshSink, when set, observes every recorded refresh attempt
-	// (success, error or skip) — the observability recorder's feed.
-	refreshSink RefreshSink
+	// seq numbers refresh records across every DT, in recording order.
+	seq atomic.Int64
 
 	// HistoryCapacity bounds the per-DT refresh-history ring of DTs this
 	// controller builds (0 = core.DefaultHistoryCapacity). Written only
@@ -144,44 +144,20 @@ func (c *Controller) emitFrontier(dt *DynamicTable, u FrontierUpdate) {
 	}
 }
 
-// RefreshSink observes every refresh attempt the controller records in a
-// DT's history: successes, errors and skips alike. Implementations must
-// not call back into the controller; the observability recorder uses
-// this to maintain its queryable per-DT history rings. Refreshes of
-// distinct DTs run concurrently, so implementations must be safe for
-// concurrent use.
-type RefreshSink interface {
-	RefreshRecorded(dt *DynamicTable, rec RefreshRecord)
-}
-
-// SetRefreshSink registers the refresh observer (at most one; nil
-// clears).
-func (c *Controller) SetRefreshSink(s RefreshSink) {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	c.refreshSink = s
-}
-
-func (c *Controller) emitRefresh(dt *DynamicTable, rec RefreshRecord) {
-	c.regMu.RLock()
-	sink := c.refreshSink
-	c.regMu.RUnlock()
-	if sink != nil {
-		sink.RefreshRecorded(dt, rec)
-	}
-}
-
 // RecordSkip records a scheduler-initiated skip (§3.3.3) in the DT's
-// history and emits it to the refresh sink; the scheduler routes its
-// skip decisions here so skipped ticks are observable alongside executed
-// refreshes. One record feeds both surfaces, so Describe and
-// INFORMATION_SCHEMA agree about the event.
+// history; the scheduler routes its skip decisions here so skipped ticks
+// are observable alongside executed refreshes.
 func (c *Controller) RecordSkip(dt *DynamicTable, dataTS time.Time) {
 	mode, reason := dt.ModeDecision()
-	rec := RefreshRecord{DataTS: dataTS, Action: ActionSkip, RowsAfter: dt.Storage.RowCount(),
-		EffectiveMode: mode, ModeReason: reason}
+	c.record(dt, RefreshRecord{DataTS: dataTS, Action: ActionSkip, RowsAfter: dt.Storage.RowCount(),
+		EffectiveMode: mode, ModeReason: reason})
+}
+
+// record numbers a refresh record and appends it to the DT's history.
+func (c *Controller) record(dt *DynamicTable, rec RefreshRecord) RefreshRecord {
+	rec.Seq = c.seq.Add(1)
 	dt.record(rec)
-	c.emitRefresh(dt, rec)
+	return rec
 }
 
 // NewController wires a controller.
@@ -197,12 +173,20 @@ func NewController(txns *txn.Manager, resolver plan.Resolver, depGeneration func
 // Register makes the controller aware of a DT (after catalog creation).
 // The DT also learns the controller's adaptive chooser, so its mode
 // reporting can tell whether a sticky adaptive decision is actually in
-// force (a disabled chooser falls back to the static resolution).
+// force (a disabled chooser falls back to the static resolution). A
+// recovered DT's history keeps its sequence numbers, which the
+// controller's numbering then continues past.
 func (c *Controller) Register(dt *DynamicTable) {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	c.byStorageID[dt.Storage.ID()] = dt
 	dt.setChooser(c.Adaptive)
+	top := dt.numberHistory(func() int64 { return c.seq.Add(1) })
+	for cur := c.seq.Load(); cur < top; cur = c.seq.Load() {
+		if c.seq.CompareAndSwap(cur, top) {
+			break
+		}
+	}
 }
 
 // Unregister removes a dropped DT's storage mapping.
@@ -327,9 +311,7 @@ func (c *Controller) Refresh(dt *DynamicTable, dataTS time.Time) (RefreshRecord,
 			RowsAfter: dt.Storage.RowCount(), EffectiveMode: mode, ModeReason: reason,
 			TraceRoot: root.RootID()}
 		root.SetAttr("action", rec.Action.String())
-		dt.record(rec)
-		c.emitRefresh(dt, rec)
-		return rec, ErrSkipped
+		return c.record(dt, rec), ErrSkipped
 	}
 	defer dt.endRefresh()
 
@@ -339,8 +321,7 @@ func (c *Controller) Refresh(dt *DynamicTable, dataTS time.Time) (RefreshRecord,
 		rec.Action = ActionError
 		rec.Err = err
 		root.SetAttr("action", rec.Action.String())
-		dt.record(rec)
-		c.emitRefresh(dt, rec)
+		rec = c.record(dt, rec)
 		dt.mu.Lock()
 		dt.errorCount++
 		suspend := dt.errorCount >= MaxConsecutiveErrors
@@ -356,9 +337,7 @@ func (c *Controller) Refresh(dt *DynamicTable, dataTS time.Time) (RefreshRecord,
 	dt.mu.Lock()
 	dt.errorCount = 0
 	dt.mu.Unlock()
-	dt.record(rec)
-	c.emitRefresh(dt, rec)
-	return rec, nil
+	return c.record(dt, rec), nil
 }
 
 // spanHook adapts a trace span to ivm.Env.Span, keeping ivm free of a

@@ -335,3 +335,53 @@ func TestCheckDVSLimitWithoutOrderBy(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceWritesNewestRecord checks that Place writes a refresh's
+// execution onto the newest record at its data timestamp and adds its
+// duration to the DT's counters, and that a data timestamp with no
+// record places nothing.
+func TestPlaceWritesNewestRecord(t *testing.T) {
+	e := newEngine(t)
+	e.MustExec(`CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh
+	            AS SELECT b, count(*) c FROM src GROUP BY b`)
+	dt, err := e.DynamicTableHandle("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The initialization ran outside a scheduler tick: no wave, no worker.
+	first, _ := dt.LastRecord()
+	if x := first.Exec; x == nil || x.Wave != -1 || x.Worker != -1 || x.Duration() <= 0 {
+		t.Fatalf("initialization placed at %+v, want its warehouse job outside a tick", x)
+	}
+	initSecs := first.Exec.Duration().Seconds()
+	if c := dt.Counts(); c.Attempts != 1 || c.Errors != 0 || c.Seconds != initSecs {
+		t.Fatalf("counts after the initialization = %+v, want 1 attempt of %v s", c, initSecs)
+	}
+
+	// A manual NO_DATA refresh bills no warehouse job, so nothing places it.
+	e.AdvanceTime(time.Minute)
+	if err := e.ManualRefresh("d"); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := dt.LastRecord()
+	if rec.Action != core.ActionNoData || rec.Exec != nil {
+		t.Fatalf("manual refresh without changes recorded %s placed at %+v, want an unplaced NO_DATA", rec.Action, rec.Exec)
+	}
+	start := rec.DataTS
+	dt.Place(rec.DataTS, core.Execution{Wave: 2, Worker: 1, Start: start, End: start.Add(3 * time.Second)})
+	rec, _ = dt.LastRecord()
+	if x := rec.Exec; x == nil || x.Wave != 2 || x.Worker != 1 || x.Duration() != 3*time.Second {
+		t.Fatalf("placement not written: %+v", x)
+	}
+	if c := dt.Counts(); c.Attempts != 2 || c.Seconds != initSecs+3 {
+		t.Fatalf("counts after placing the NO_DATA = %+v, want 2 attempts of %v s", c, initSecs+3)
+	}
+
+	dt.Place(rec.DataTS.Add(time.Hour), core.Execution{Wave: 9, Worker: 9, Start: start, End: start.Add(time.Hour)})
+	if rec, _ = dt.LastRecord(); rec.Exec.Wave != 2 {
+		t.Fatalf("placing an unknown data timestamp changed the record: wave %d", rec.Exec.Wave)
+	}
+	if c := dt.Counts(); c.Seconds != initSecs+3 {
+		t.Fatalf("placing an unknown data timestamp counted %v s, want %v", c.Seconds, initSecs+3)
+	}
+}

@@ -101,9 +101,12 @@ func (a RefreshAction) String() string {
 }
 
 // RefreshRecord describes one refresh attempt; the scheduler, the
-// adaptive refresh-mode chooser and the experiment harness consume
-// these.
+// adaptive refresh-mode chooser, the experiment harness and
+// INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY consume these.
 type RefreshRecord struct {
+	// Seq numbers the record in the controller's recording order across
+	// every DT; it keeps increasing past ring evictions and reopens.
+	Seq      int64
 	DataTS   time.Time
 	Action   RefreshAction
 	Inserted int
@@ -132,7 +135,32 @@ type RefreshRecord struct {
 	// TraceRoot is the refresh's trace-root span ID (0 when tracing is
 	// disabled), joinable against INFORMATION_SCHEMA.TRACE_SPANS.
 	TraceRoot int64
-	Err       error
+	// Exec places the refresh on the virtual timeline; nil until the
+	// refresher's accounting pass or a manual refresh writes it (see
+	// DynamicTable.Place), and for records from older checkpoints.
+	Exec *Execution
+	Err  error
+}
+
+// Execution is where and when a refresh ran: its dependency wave and
+// worker slot (-1 outside a scheduler tick) and the virtual instants its
+// warehouse job started and ended.
+type Execution struct {
+	Wave, Worker int
+	Start, End   time.Time
+}
+
+// Duration is the refresh's virtual execution time (End - Start).
+func (x Execution) Duration() time.Duration { return x.End.Sub(x.Start) }
+
+// RefreshCounts are a DT's monotonic refresh counters: unlike the
+// bounded history ring they never evict, so the /metrics counters
+// derived from them never decrease while the engine runs.
+type RefreshCounts struct {
+	// Attempts counts every recorded refresh, Errors the failed ones.
+	Attempts, Errors int64
+	// Seconds sums the placed refreshes' virtual execution time.
+	Seconds float64
 }
 
 // DynamicTable is the engine-side state of one DT. The catalog stores it
@@ -205,9 +233,11 @@ type DynamicTable struct {
 	commitByDataTS  map[int64]hlc.Timestamp
 
 	// history is a bounded ring of refresh records (capacity historyCap;
-	// 0 = DefaultHistoryCapacity).
+	// 0 = DefaultHistoryCapacity), and counts the totals of every record
+	// it has taken.
 	history    ring.Ring[RefreshRecord]
 	historyCap int
+	counts     RefreshCounts
 }
 
 // ObjectKind implements catalog.Object.
@@ -452,6 +482,39 @@ func (dt *DynamicTable) History() []RefreshRecord {
 	return dt.history.Snapshot()
 }
 
+// HistoryLen returns how many refresh records the ring retains, without
+// copying them.
+func (dt *DynamicTable) HistoryLen() int {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	return dt.history.Len()
+}
+
+// Counts returns the DT's monotonic refresh counters.
+func (dt *DynamicTable) Counts() RefreshCounts {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	return dt.counts
+}
+
+// Place writes a refresh's execution onto the newest record at its data
+// timestamp and adds its duration to the counters. The controller
+// records a refresh from inside it; wave placement and virtual timing are
+// known only after the refresher's accounting pass (or a manual refresh's
+// warehouse job), which places it here, once. A refresh that left no
+// record (a recovered panic, a suspended DT) places nothing.
+func (dt *DynamicTable) Place(dataTS time.Time, x Execution) {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	for i := dt.history.Len() - 1; i >= 0; i-- {
+		if r := dt.history.At(i); r.DataTS.Equal(dataTS) {
+			r.Exec = &x
+			dt.counts.Seconds += x.Duration().Seconds()
+			return
+		}
+	}
+}
+
 // HistoryCapacity returns the history ring's bound.
 func (dt *DynamicTable) HistoryCapacity() int {
 	dt.mu.Lock()
@@ -670,14 +733,35 @@ func (dt *DynamicTable) ApplyFrontierUpdate(u FrontierUpdate) {
 	dt.errorCount = 0
 }
 
-// record appends a refresh record to the bounded ring (callers hold no
-// locks).
+// record appends a refresh record to the bounded ring and counts it
+// (callers hold no locks).
 func (dt *DynamicTable) record(r RefreshRecord) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	// Resize is a no-op while the configured capacity is unchanged.
 	dt.history.Resize(dt.historyCapLocked())
 	dt.history.Push(r)
+	dt.counts.Attempts++
+	if r.Err != nil {
+		dt.counts.Errors++
+	}
+}
+
+// numberHistory gives each retained record without a sequence number
+// (one restored from an older checkpoint) the next number from next, and
+// returns the highest number the ring holds.
+func (dt *DynamicTable) numberHistory(next func() int64) int64 {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	var top int64
+	for i := 0; i < dt.history.Len(); i++ {
+		r := dt.history.At(i)
+		if r.Seq == 0 {
+			r.Seq = next()
+		}
+		top = max(top, r.Seq)
+	}
+	return top
 }
 
 // tryBeginRefresh acquires the per-DT refresh lock without blocking; a

@@ -1,11 +1,14 @@
 // Package obs is the engine's observability subsystem: it records every
-// refresh attempt, dependency-graph edge, lag-sawtooth sample and
-// warehouse job into bounded per-object history rings, and aggregates
-// per-DT lag-SLO attainment (the fraction of wall-clock time a dynamic
-// table spent within its target lag, plus effective-lag percentiles).
+// dependency-graph edge, lag-sawtooth sample, warehouse job, metered
+// resource use, served request, executed statement and alert evaluation
+// into bounded history rings, and aggregates per-DT lag-SLO attainment
+// (the fraction of wall-clock time a dynamic table spent within its
+// target lag, plus effective-lag percentiles). Refresh attempts are not
+// recorded here: each dynamic table keeps its own history ring
+// (core.DynamicTable.History), which checkpoints carry and renames keep.
 //
-// The recorder is a passive sink: producers (the refresh controller, the
-// DAG-wave refresher, the scheduler, the warehouse pool) push events
+// The recorder is a passive sink: producers (the DAG-wave refresher, the
+// scheduler, the warehouse pool, sessions and the server) push events
 // through narrow hook interfaces defined in their own packages, and the
 // engine adapts those hooks onto the recorder. Consumers read the same
 // data back through SQL — the engine exposes the rings as
@@ -30,53 +33,6 @@ import (
 // recent DefaultCapacity entries so long-running schedulers do not grow
 // without bound.
 const DefaultCapacity = 1024
-
-// RefreshEvent is one recorded refresh attempt of a dynamic table.
-type RefreshEvent struct {
-	// Seq is a recorder-global, monotonically increasing sequence number
-	// (assigned at record time; survives ring eviction gaps).
-	Seq int64
-	// DTName names the dynamic table.
-	DTName string
-	// DataTS is the refresh's data timestamp.
-	DataTS time.Time
-	// Action is the refresh action taken (NO_DATA, INCREMENTAL, FULL,
-	// REINITIALIZE, INITIALIZE, SKIP, ERROR).
-	Action string
-	// Incremental marks differentiated refreshes.
-	Incremental bool
-	// Inserted, Deleted and RowsAfter describe the contents change.
-	Inserted, Deleted, RowsAfter int
-	// SourceRowsScanned approximates the work reading sources.
-	SourceRowsScanned int64
-	// Mode is the effective refresh mode in force for this refresh (FULL
-	// or INCREMENTAL) and ModeReason why it was chosen: the declared
-	// mode, the static AUTO resolution, or the adaptive chooser's
-	// decision.
-	Mode, ModeReason string
-	// ChangedRows counts source rows changed over the refresh interval
-	// and FullScanRows the full-recompute cost estimate — the adaptive
-	// chooser's inputs. Both are zero for refreshes that reached no mode
-	// decision (skips, initializations, early errors).
-	ChangedRows, FullScanRows int64
-	// Start and End bound the refresh job in virtual time; zero when the
-	// refresh did no billable work (NO_DATA, SKIP, errors).
-	Start, End time.Time
-	// Wave is the dependency wave the refresh ran in; -1 for refreshes
-	// outside a scheduler tick (manual refresh, initialization).
-	Wave int
-	// Worker is the refresher worker-slot that executed the refresh; -1
-	// when unknown (serial/manual execution).
-	Worker int
-	// RootID is the refresh's trace-root span ID, joinable against
-	// INFORMATION_SCHEMA.TRACE_SPANS; 0 when tracing was disabled.
-	RootID int64
-	// Error is the refresh failure, if any.
-	Error string
-}
-
-// Duration is the refresh's virtual execution time (End - Start).
-func (e RefreshEvent) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // GraphEdge is one observed dependency edge of the DT graph: DTName's
 // defining query reads Upstream.
@@ -127,7 +83,7 @@ type MeterPoint struct {
 
 // RequestEvent is one network-protocol request served by the engine's
 // HTTP server (internal/server): the route it hit, its outcome, and the
-// protocol objects it touched. Unlike the refresh rings, requests are
+// protocol objects it touched. Unlike the lag and metering rings, requests are
 // timed in host wall-clock time — they measure the serving path, not the
 // virtual refresh timeline.
 type RequestEvent struct {
@@ -192,7 +148,7 @@ type AlertEvent struct {
 }
 
 // AlertTotals are monotonic per-alert counters backing the
-// dyntables_alert_* metric families; like RefreshTotals they never
+// dyntables_alert_* metric families; unlike the bounded rings they never
 // evict.
 type AlertTotals struct {
 	// Evaluations counts condition evaluations, Firings fired actions,
@@ -233,17 +189,6 @@ type StatementEvent struct {
 	Error string
 }
 
-// RefreshTotals are monotonic per-DT refresh counters backing the
-// /metrics exposition: unlike the bounded history rings they never
-// evict, so Prometheus counters derived from them stay monotonic
-// across scrapes.
-type RefreshTotals struct {
-	// Count is every recorded refresh attempt, Errors the failed ones.
-	Count, Errors int64
-	// Seconds sums the refreshes' virtual execution time.
-	Seconds float64
-}
-
 // RequestBuckets are the upper bounds, in seconds, of the
 // request-latency histogram exposed at /metrics.
 var RequestBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5}
@@ -271,9 +216,9 @@ type SLOStats struct {
 	P50, P95 time.Duration
 }
 
-// Recorder accumulates observability events in bounded rings: one
-// refresh-history and one lag ring per DT, one metering ring per
-// warehouse, and one shared graph-edge ring. A disabled recorder (see
+// Recorder accumulates observability events in bounded rings: one lag
+// ring per DT, one metering ring per warehouse, and shared graph-edge,
+// request, statement, resource and alert rings. A disabled recorder (see
 // NewDisabled) drops every event, for overhead baselines.
 type Recorder struct {
 	mu       sync.RWMutex
@@ -281,7 +226,6 @@ type Recorder struct {
 	capacity int
 	seq      int64
 
-	refreshes  map[string]*ring.Ring[RefreshEvent]
 	lags       map[string]*ring.Ring[LagSample]
 	meter      map[string]*ring.Ring[MeterPoint]
 	edges      *ring.Ring[GraphEdge]
@@ -290,9 +234,8 @@ type Recorder struct {
 	resources  *ring.Ring[ResourceEvent]
 	alerts     *ring.Ring[AlertEvent]
 
-	// totals, resTotals and reqBuckets/reqCount/reqSum are the monotonic
-	// /metrics aggregates; rings evict, these never do.
-	totals      map[string]*RefreshTotals
+	// resTotals, alertTotals and reqBuckets/reqCount/reqSum are the
+	// monotonic /metrics aggregates; rings evict, these never do.
 	resTotals   map[string]*ResourceTotals
 	alertTotals map[string]*AlertTotals
 	reqBuckets  []int64 // per-bound counts (non-cumulative)
@@ -309,7 +252,6 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{
 		enabled:     true,
 		capacity:    capacity,
-		refreshes:   make(map[string]*ring.Ring[RefreshEvent]),
 		lags:        make(map[string]*ring.Ring[LagSample]),
 		meter:       make(map[string]*ring.Ring[MeterPoint]),
 		edges:       ring.New[GraphEdge](capacity),
@@ -317,7 +259,6 @@ func NewRecorder(capacity int) *Recorder {
 		statements:  ring.New[StatementEvent](capacity),
 		resources:   ring.New[ResourceEvent](capacity),
 		alerts:      ring.New[AlertEvent](capacity),
-		totals:      make(map[string]*RefreshTotals),
 		resTotals:   make(map[string]*ResourceTotals),
 		alertTotals: make(map[string]*AlertTotals),
 		reqBuckets:  make([]int64, len(RequestBuckets)+1),
@@ -364,9 +305,6 @@ func (r *Recorder) SetCapacity(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.capacity = n
-	for _, rg := range r.refreshes {
-		rg.Resize(n)
-	}
 	for _, rg := range r.lags {
 		rg.Resize(n)
 	}
@@ -378,60 +316,6 @@ func (r *Recorder) SetCapacity(n int) {
 	r.statements.Resize(n)
 	r.resources.Resize(n)
 	r.alerts.Resize(n)
-}
-
-// RecordRefresh appends a refresh event to the DT's history ring,
-// assigning its sequence number.
-func (r *Recorder) RecordRefresh(ev RefreshEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
-	r.seq++
-	ev.Seq = r.seq
-	rg := r.refreshes[ev.DTName]
-	if rg == nil {
-		rg = ring.New[RefreshEvent](r.capacity)
-		r.refreshes[ev.DTName] = rg
-	}
-	rg.Push(ev)
-	t := r.totals[ev.DTName]
-	if t == nil {
-		t = &RefreshTotals{}
-		r.totals[ev.DTName] = t
-	}
-	t.Count++
-	if ev.Error != "" {
-		t.Errors++
-	}
-	t.Seconds += ev.Duration().Seconds()
-}
-
-// AnnotateExecution backfills execution detail (dependency wave, worker
-// slot, virtual start/end) onto the most recent event matching the DT
-// and data timestamp. The refresh controller records the outcome from
-// inside the refresh; the refresher learns wave placement and
-// deterministic virtual timing only after the wave's accounting pass,
-// and annotates here.
-func (r *Recorder) AnnotateExecution(dtName string, dataTS time.Time, wave, worker int, start, end time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
-	rg := r.refreshes[dtName]
-	if rg == nil {
-		return
-	}
-	for i := rg.Len() - 1; i >= 0; i-- {
-		ev := rg.At(i)
-		if ev.DataTS.Equal(dataTS) {
-			ev.Wave, ev.Worker = wave, worker
-			ev.Start, ev.End = start, end
-			return
-		}
-	}
 }
 
 // RecordEdges appends one graph-edge observation per upstream.
@@ -503,18 +387,6 @@ func (r *Recorder) RecordRequest(ev RequestEvent) {
 	r.reqBuckets[slot]++
 	r.reqCount++
 	r.reqSum += secs
-}
-
-// RefreshCounters returns a copy of the monotonic per-DT refresh
-// totals.
-func (r *Recorder) RefreshCounters() map[string]RefreshTotals {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]RefreshTotals, len(r.totals))
-	for name, t := range r.totals {
-		out[name] = *t
-	}
-	return out
 }
 
 // RequestLatency returns the request-latency histogram with cumulative
@@ -608,48 +480,6 @@ func (r *Recorder) Requests() []RequestEvent {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.requests.Snapshot()
-}
-
-// HistoryLen returns how many refresh events one DT's ring retains,
-// without copying them.
-func (r *Recorder) HistoryLen(dtName string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg := r.refreshes[dtName]
-	if rg == nil {
-		return 0
-	}
-	return rg.Len()
-}
-
-// History returns a copy of one DT's refresh events, oldest first.
-func (r *Recorder) History(dtName string) []RefreshEvent {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg := r.refreshes[dtName]
-	if rg == nil {
-		return nil
-	}
-	return rg.Snapshot()
-}
-
-// AllHistory returns every DT's refresh events, ordered by DT name then
-// recording order.
-func (r *Recorder) AllHistory() []RefreshEvent {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.refreshes))
-	total := 0
-	for name, rg := range r.refreshes {
-		names = append(names, name)
-		total += rg.Len()
-	}
-	sort.Strings(names)
-	out := make([]RefreshEvent, 0, total)
-	for _, name := range names {
-		out = append(out, r.refreshes[name].Snapshot()...)
-	}
-	return out
 }
 
 // Edges returns a copy of the graph-edge observations, oldest first.

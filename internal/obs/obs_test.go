@@ -12,17 +12,17 @@ var t0 = time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
 func TestRingBounded(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.RecordRefresh(RefreshEvent{DTName: "dt", DataTS: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	hist := r.History("dt")
+	hist := r.Metering()
 	if len(hist) != 4 {
 		t.Fatalf("ring kept %d events, want 4", len(hist))
 	}
 	// The newest four survive, in order.
 	for i, ev := range hist {
 		want := t0.Add(time.Duration(6+i) * time.Minute)
-		if !ev.DataTS.Equal(want) {
-			t.Fatalf("event %d has DataTS %v, want %v", i, ev.DataTS, want)
+		if !ev.Submit.Equal(want) {
+			t.Fatalf("event %d has Submit %v, want %v", i, ev.Submit, want)
 		}
 	}
 	// Sequence numbers keep increasing across evictions.
@@ -34,54 +34,32 @@ func TestRingBounded(t *testing.T) {
 func TestSetCapacityTrims(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 8; i++ {
-		r.RecordRefresh(RefreshEvent{DTName: "dt", DataTS: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordLag(LagSample{DTName: "dt", At: t0.Add(time.Duration(i) * time.Minute)})
 	}
 	r.SetCapacity(3)
-	hist := r.History("dt")
+	hist := r.LagSeries("dt")
 	if len(hist) != 3 {
 		t.Fatalf("after shrink kept %d, want 3", len(hist))
 	}
-	if !hist[0].DataTS.Equal(t0.Add(5 * time.Minute)) {
-		t.Fatalf("oldest survivor %v, want %v", hist[0].DataTS, t0.Add(5*time.Minute))
+	if !hist[0].At.Equal(t0.Add(5 * time.Minute)) {
+		t.Fatalf("oldest survivor %v, want %v", hist[0].At, t0.Add(5*time.Minute))
 	}
 	// Growing keeps everything and accepts more.
 	r.SetCapacity(16)
 	for i := 0; i < 5; i++ {
-		r.RecordRefresh(RefreshEvent{DTName: "dt", DataTS: t0.Add(time.Hour)})
+		r.RecordLag(LagSample{DTName: "dt", At: t0.Add(time.Hour)})
 	}
-	if got := len(r.History("dt")); got != 8 {
+	if got := len(r.LagSeries("dt")); got != 8 {
 		t.Fatalf("after grow kept %d, want 8", got)
-	}
-}
-
-func TestAnnotateExecution(t *testing.T) {
-	r := NewRecorder(8)
-	ts := t0.Add(time.Minute)
-	r.RecordRefresh(RefreshEvent{DTName: "dt", DataTS: ts, Action: "INCREMENTAL", Wave: -1, Worker: -1})
-	start, end := ts, ts.Add(3*time.Second)
-	r.AnnotateExecution("dt", ts, 2, 1, start, end)
-	hist := r.History("dt")
-	ev := hist[len(hist)-1]
-	if ev.Wave != 2 || ev.Worker != 1 {
-		t.Fatalf("annotation not applied: wave=%d worker=%d", ev.Wave, ev.Worker)
-	}
-	if ev.Duration() != 3*time.Second {
-		t.Fatalf("duration = %v, want 3s", ev.Duration())
-	}
-	// Annotating an unknown timestamp is a no-op.
-	r.AnnotateExecution("dt", ts.Add(time.Hour), 9, 9, start, end)
-	if got := r.History("dt")[0].Wave; got != 2 {
-		t.Fatalf("unknown-timestamp annotation mutated event: wave=%d", got)
 	}
 }
 
 func TestDisabledRecorderDropsEverything(t *testing.T) {
 	r := NewDisabled()
-	r.RecordRefresh(RefreshEvent{DTName: "dt"})
 	r.RecordLag(LagSample{DTName: "dt"})
 	r.RecordJob(MeterPoint{Warehouse: "wh"})
 	r.RecordEdges([]GraphEdge{{DTName: "dt", Upstream: "base"}})
-	if len(r.AllHistory()) != 0 || len(r.Metering()) != 0 || len(r.Edges()) != 0 {
+	if len(r.LagSeries("dt")) != 0 || len(r.Metering()) != 0 || len(r.Edges()) != 0 {
 		t.Fatal("disabled recorder retained events")
 	}
 }
@@ -199,7 +177,6 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			defer writers.Done()
 			name := fmt.Sprintf("dt%d", w)
 			for i := 0; i < 500; i++ {
-				r.RecordRefresh(RefreshEvent{DTName: name, DataTS: t0.Add(time.Duration(i) * time.Second)})
 				r.RecordLag(LagSample{DTName: name, At: t0.Add(time.Duration(i) * time.Second)})
 				r.RecordJob(MeterPoint{Warehouse: "wh", Label: name})
 			}
@@ -215,20 +192,19 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 				return
 			default:
 			}
-			for _, ev := range r.AllHistory() {
-				if ev.DTName == "" {
-					t.Error("torn refresh event")
+			for _, p := range r.Metering() {
+				if p.Label == "" {
+					t.Error("torn metering point")
 					return
 				}
 			}
-			r.Metering()
 			r.SLO("dt0", time.Minute, t0.Add(time.Hour))
 		}
 	}()
 	writers.Wait()
 	close(stop)
 	<-readerDone
-	if got := len(r.History("dt0")); got != 64 {
+	if got := len(r.LagSeries("dt0")); got != 64 {
 		t.Fatalf("ring kept %d, want capacity 64", got)
 	}
 }

@@ -96,7 +96,7 @@ type ResourceEvent struct {
 }
 
 // ResourceTotals are monotonic per-DT resource counters backing the
-// /metrics exposition; like RefreshTotals they never evict.
+// /metrics exposition; unlike the bounded rings they never evict.
 type ResourceTotals struct {
 	// Refreshes counts measured refreshes.
 	Refreshes int64

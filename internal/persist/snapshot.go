@@ -128,6 +128,22 @@ type RefreshState struct {
 	ChangedRows  int64  `json:"changed_rows,omitempty"`
 	FullScanRows int64  `json:"full_scan_rows,omitempty"`
 	Err          string `json:"err,omitempty"`
+	// Seq is the record's engine-wide recording sequence number; 0 in
+	// checkpoints written before records carried one.
+	Seq int64 `json:"seq,omitempty"`
+	// Exec is where and when the refresh ran; nil for a refresh never
+	// placed on the virtual timeline and in checkpoints written before
+	// records carried it.
+	Exec *ExecState `json:"exec,omitempty"`
+}
+
+// ExecState is a serialized refresh execution: its dependency wave and
+// worker slot (-1 outside a scheduler tick) and its virtual job instants.
+type ExecState struct {
+	Wave        int   `json:"wave"`
+	Worker      int   `json:"worker"`
+	StartMicros int64 `json:"start_us"`
+	EndMicros   int64 `json:"end_us"`
 }
 
 // DDLState is a serialized catalog DDL log record.

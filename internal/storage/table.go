@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -270,11 +271,27 @@ func (t *Table) SetSchema(s types.Schema) {
 	t.schema = s
 }
 
-// NextRowID allocates a fresh row ID with the table's plaintext prefix
+// NextRowID allocates a fresh row ID with the plaintext prefix "t:"
 // (§5.5.2 notes DT row IDs use plaintext prefixes; base tables share the
-// scheme).
+// scheme). The ID depends only on the table's own sequence, so one
+// script writes the same row IDs in every engine. Older data directories
+// hold IDs of the form t<n>:<seq>, which "t:<seq>" can never equal.
 func (t *Table) NextRowID() string {
-	return "t" + strconv.FormatInt(t.id, 10) + ":" + strconv.FormatInt(t.rowSeq.Add(1), 10)
+	return "t:" + strconv.FormatInt(t.rowSeq.Add(1), 10)
+}
+
+// AdvanceRowSeq moves the row sequence past id when id has NextRowID's
+// form. Recovery calls it for every row a replayed commit inserts: the
+// checkpoint's sequence predates those rows, and NextRowID must not mint
+// one of their IDs again. Replay runs on one goroutine.
+func (t *Table) AdvanceRowSeq(id string) {
+	rest, ok := strings.CutPrefix(id, "t:")
+	if !ok {
+		return
+	}
+	if n, err := strconv.ParseInt(rest, 10, 64); err == nil && n > t.rowSeq.Load() {
+		t.rowSeq.Store(n)
+	}
 }
 
 // LatestVersion returns the most recent version.

@@ -54,30 +54,29 @@ func (e *Engine) MetricsText() string {
 	return b.String()
 }
 
-// writeRefreshMetrics emits the monotonic per-DT refresh counters.
+// writeRefreshMetrics emits each DT's monotonic refresh counters.
 func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
-	totals := e.rec.RefreshCounters()
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
+	dts := e.sortedDTs()
+	counts := make([]core.RefreshCounts, len(dts))
+	for i, dt := range dts {
+		counts[i] = dt.Counts()
 	}
-	sort.Strings(names)
 
 	fmt.Fprintf(b, "# HELP dyntables_refreshes_total Recorded refresh attempts per dynamic table.\n")
 	fmt.Fprintf(b, "# TYPE dyntables_refreshes_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(b, "dyntables_refreshes_total{dt=%s} %d\n", labelQuote(name), totals[name].Count)
+	for i, dt := range dts {
+		fmt.Fprintf(b, "dyntables_refreshes_total{dt=%s} %d\n", labelQuote(dt.Name), counts[i].Attempts)
 	}
 	fmt.Fprintf(b, "# HELP dyntables_refresh_errors_total Failed refresh attempts per dynamic table.\n")
 	fmt.Fprintf(b, "# TYPE dyntables_refresh_errors_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(b, "dyntables_refresh_errors_total{dt=%s} %d\n", labelQuote(name), totals[name].Errors)
+	for i, dt := range dts {
+		fmt.Fprintf(b, "dyntables_refresh_errors_total{dt=%s} %d\n", labelQuote(dt.Name), counts[i].Errors)
 	}
 	fmt.Fprintf(b, "# HELP dyntables_refresh_duration_seconds_total Summed virtual refresh execution time per dynamic table.\n")
 	fmt.Fprintf(b, "# TYPE dyntables_refresh_duration_seconds_total counter\n")
-	for _, name := range names {
+	for i, dt := range dts {
 		fmt.Fprintf(b, "dyntables_refresh_duration_seconds_total{dt=%s} %s\n",
-			labelQuote(name), fmtFloat(totals[name].Seconds))
+			labelQuote(dt.Name), fmtFloat(counts[i].Seconds))
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 )
 
 // This file wires the observability subsystem: the obs.Recorder collects
-// refresh, graph, lag and metering events from sink hooks in core,
-// refresher, sched and warehouse, and the engine exposes the rings as
-// INFORMATION_SCHEMA virtual tables resolvable by the normal planner —
-// so every signal the engine produces is queryable with plain SQL
-// through the ordinary session/cursor path.
+// graph, lag, metering and resource events from sink hooks in the
+// refresher, sched and warehouse, each DT keeps its own refresh history,
+// and the engine exposes both as INFORMATION_SCHEMA virtual tables
+// resolvable by the normal planner — so every signal the engine produces
+// is queryable with plain SQL through the ordinary session/cursor path.
 
 // The INFORMATION_SCHEMA virtual table names.
 const (
@@ -61,7 +61,6 @@ func (e *Engine) initObservability() {
 	e.registerInfoSchema()
 
 	ad := &obsAdapter{e: e}
-	e.ctrl.SetRefreshSink(ad)
 	e.refr.SetSink(ad)
 	e.sch.SetLagSink(ad)
 	e.pool.SetJobSink(ad)
@@ -94,39 +93,14 @@ func (e *Engine) LagSLO(name string) (obs.SLOStats, bool) {
 // the concurrent refresh workers that invoke them.
 type obsAdapter struct{ e *Engine }
 
-// RefreshRecorded implements core.RefreshSink.
-func (a *obsAdapter) RefreshRecorded(dt *core.DynamicTable, rec core.RefreshRecord) {
-	ev := obs.RefreshEvent{
-		DTName:            dt.Name,
-		DataTS:            rec.DataTS,
-		Action:            rec.Action.String(),
-		Incremental:       rec.Action == core.ActionIncremental,
-		Inserted:          rec.Inserted,
-		Deleted:           rec.Deleted,
-		RowsAfter:         rec.RowsAfter,
-		SourceRowsScanned: rec.SourceRowsScanned,
-		Mode:              rec.EffectiveMode.String(),
-		ModeReason:        rec.ModeReason,
-		ChangedRows:       rec.SourceRowsChanged,
-		FullScanRows:      rec.FullScanEstimate,
-		Wave:              -1,
-		Worker:            -1,
-		RootID:            rec.TraceRoot,
-	}
-	if rec.Err != nil {
-		ev.Error = rec.Err.Error()
-	}
-	a.e.rec.RecordRefresh(ev)
-}
-
-// TickExecuted implements refresher.Sink: it backfills wave placement,
-// worker slots and deterministic virtual timing onto the events the
-// controller recorded during the tick, and records each refresh's
-// metered resource usage (captured on the worker goroutine) into the
-// resource ring.
+// TickExecuted implements refresher.Sink: it places each refresh the
+// controller recorded during the tick (wave, worker slot, deterministic
+// virtual timing) on its DT's record, and records each refresh's metered
+// resource usage (captured on the worker goroutine) into the resource
+// ring.
 func (a *obsAdapter) TickExecuted(results []refresher.Result) {
 	for _, res := range results {
-		a.e.rec.AnnotateExecution(res.DT.Name, res.Rec.DataTS, res.Wave, res.Worker, res.Start, res.End)
+		res.DT.Place(res.Rec.DataTS, core.Execution{Wave: res.Wave, Worker: res.Worker, Start: res.Start, End: res.End})
 		a.e.rec.RecordResource(obs.ResourceEvent{
 			Kind:         obs.ResourceRefresh,
 			Name:         res.DT.Name,
@@ -295,37 +269,35 @@ func (e *Engine) registerInfoSchema() {
 		tsCol("data_ts", func(r dtInfo) (time.Time, bool) { return nonZeroTime(r.dataTS) }),
 		intervalCol("current_lag", func(r dtInfo) (time.Duration, bool) { return r.now.Sub(r.dataTS), !r.dataTS.IsZero() }),
 		intCol("error_count", func(r dtInfo) (int64, bool) { return int64(r.dt.ErrorCount()), true }),
-		intCol("refreshes", func(r dtInfo) (int64, bool) { return int64(e.rec.HistoryLen(r.dt.Name)), true }),
+		intCol("refreshes", func(r dtInfo) (int64, bool) { return int64(r.dt.HistoryLen()), true }),
 		floatCol("slo_attainment", func(r dtInfo) (float64, bool) { return r.slo.Attainment, r.slo.Samples > 0 }),
 		intervalCol("lag_p50", func(r dtInfo) (time.Duration, bool) { return r.slo.P50, r.slo.Samples > 0 }),
 		intervalCol("lag_p95", func(r dtInfo) (time.Duration, bool) { return r.slo.P95, r.slo.Samples > 0 }),
 	))
 
-	// DYNAMIC_TABLE_REFRESH_HISTORY, from the recorder's bounded per-DT
-	// rings.
-	e.virt.Register(virtualTable(InfoSchemaRefreshHistory, e.rec.AllHistory,
-		strCol("dt_name", func(ev obs.RefreshEvent) (string, bool) { return ev.DTName, true }),
-		tsCol("data_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.DataTS) }),
-		strCol("action", func(ev obs.RefreshEvent) (string, bool) { return ev.Action, true }),
-		boolCol("incremental", func(ev obs.RefreshEvent) (bool, bool) { return ev.Incremental, true }),
-		intCol("inserted", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Inserted), true }),
-		intCol("deleted", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Deleted), true }),
-		intCol("rows_after", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.RowsAfter), true }),
-		intCol("scanned", func(ev obs.RefreshEvent) (int64, bool) { return ev.SourceRowsScanned, true }),
-		strCol("effective_mode", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.Mode) }),
-		strCol("mode_reason", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.ModeReason) }),
-		intCol("changed_rows", func(ev obs.RefreshEvent) (int64, bool) { return ev.ChangedRows, ev.FullScanRows > 0 }),
-		intCol("full_scan_rows", func(ev obs.RefreshEvent) (int64, bool) { return ev.FullScanRows, ev.FullScanRows > 0 }),
-		tsCol("start_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.Start) }),
-		tsCol("end_ts", func(ev obs.RefreshEvent) (time.Time, bool) { return nonZeroTime(ev.End) }),
-		intervalCol("duration", func(ev obs.RefreshEvent) (time.Duration, bool) {
-			return ev.Duration(), !ev.Start.IsZero() || !ev.End.IsZero()
-		}),
-		intCol("wave", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Wave), ev.Wave >= 0 }),
-		intCol("worker", func(ev obs.RefreshEvent) (int64, bool) { return int64(ev.Worker), ev.Worker >= 0 }),
-		strCol("error", func(ev obs.RefreshEvent) (string, bool) { return nonZero(ev.Error) }),
-		intCol("seq", func(ev obs.RefreshEvent) (int64, bool) { return ev.Seq, true }),
-		intCol("root_id", func(ev obs.RefreshEvent) (int64, bool) { return nonZero(ev.RootID) }),
+	// DYNAMIC_TABLE_REFRESH_HISTORY, from each DT's bounded history
+	// ring.
+	e.virt.Register(virtualTable(InfoSchemaRefreshHistory, e.refreshHistory,
+		strCol("dt_name", func(r refreshRow) (string, bool) { return r.dt, true }),
+		tsCol("data_ts", func(r refreshRow) (time.Time, bool) { return nonZeroTime(r.DataTS) }),
+		strCol("action", func(r refreshRow) (string, bool) { return r.Action.String(), true }),
+		boolCol("incremental", func(r refreshRow) (bool, bool) { return r.Action == core.ActionIncremental, true }),
+		intCol("inserted", func(r refreshRow) (int64, bool) { return int64(r.Inserted), true }),
+		intCol("deleted", func(r refreshRow) (int64, bool) { return int64(r.Deleted), true }),
+		intCol("rows_after", func(r refreshRow) (int64, bool) { return int64(r.RowsAfter), true }),
+		intCol("scanned", func(r refreshRow) (int64, bool) { return r.SourceRowsScanned, true }),
+		strCol("effective_mode", func(r refreshRow) (string, bool) { return nonZero(r.EffectiveMode.String()) }),
+		strCol("mode_reason", func(r refreshRow) (string, bool) { return nonZero(r.ModeReason) }),
+		intCol("changed_rows", func(r refreshRow) (int64, bool) { return r.SourceRowsChanged, r.FullScanEstimate > 0 }),
+		intCol("full_scan_rows", func(r refreshRow) (int64, bool) { return r.FullScanEstimate, r.FullScanEstimate > 0 }),
+		tsCol("start_ts", func(r refreshRow) (time.Time, bool) { return r.exec().Start, r.Exec != nil }),
+		tsCol("end_ts", func(r refreshRow) (time.Time, bool) { return r.exec().End, r.Exec != nil }),
+		intervalCol("duration", func(r refreshRow) (time.Duration, bool) { return r.exec().Duration(), r.Exec != nil }),
+		intCol("wave", func(r refreshRow) (int64, bool) { return int64(r.exec().Wave), r.exec().Wave >= 0 }),
+		intCol("worker", func(r refreshRow) (int64, bool) { return int64(r.exec().Worker), r.exec().Worker >= 0 }),
+		strCol("error", func(r refreshRow) (string, bool) { return nonZero(errText(r.Err)) }),
+		intCol("seq", func(r refreshRow) (int64, bool) { return r.Seq, true }),
+		intCol("root_id", func(r refreshRow) (int64, bool) { return nonZero(r.TraceRoot) }),
 	))
 
 	// DYNAMIC_TABLE_GRAPH_HISTORY, from the recorder's edge-observation
@@ -550,6 +522,46 @@ func (e *Engine) dynamicTableInfos() []dtInfo {
 	return infos
 }
 
+// refreshRow is one DYNAMIC_TABLE_REFRESH_HISTORY record: a record of a
+// DT's history and the DT's name.
+type refreshRow struct {
+	dt string
+	core.RefreshRecord
+}
+
+// unplaced reads NULL in every execution column of a record that was
+// never placed on the virtual timeline.
+var unplaced = core.Execution{Wave: -1, Worker: -1}
+
+// exec returns the record's execution, unplaced when it has none.
+func (r refreshRow) exec() core.Execution {
+	if r.Exec == nil {
+		return unplaced
+	}
+	return *r.Exec
+}
+
+// refreshHistory lists every DT's retained refresh records, ordered by
+// DT name, then recording order.
+func (e *Engine) refreshHistory() []refreshRow {
+	var rows []refreshRow
+	for _, dt := range e.sortedDTs() {
+		name := dt.Name
+		for _, rec := range dt.History() {
+			rows = append(rows, refreshRow{dt: name, RefreshRecord: rec})
+		}
+	}
+	return rows
+}
+
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // healthReport is one DT's evaluated health, the row model behind
 // INFORMATION_SCHEMA.DT_HEALTH, SHOW HEALTH and the /metrics health
 // gauge.
@@ -633,11 +645,11 @@ func (e *Engine) healthReports() []healthReport {
 // attributeBlame builds phase breakdowns for the DT and its upstream DTs
 // and asks the pure attributor which node/phase dominated.
 func (e *Engine) attributeBlame(dt *core.DynamicTable, spans []trace.Record, meter []obs.MeterPoint) health.Blame {
-	self := e.phaseBreakdown(dt.Name, spans, meter)
+	self := e.phaseBreakdown(dt, spans, meter)
 	var ups []health.PhaseBreakdown
 	if upstream, err := e.ctrl.Upstreams(dt); err == nil {
 		for _, up := range upstream {
-			ups = append(ups, e.phaseBreakdown(up.Name, spans, meter))
+			ups = append(ups, e.phaseBreakdown(up, spans, meter))
 		}
 	}
 	return health.Attribute(self, ups)
@@ -647,29 +659,29 @@ func (e *Engine) attributeBlame(dt *core.DynamicTable, spans []trace.Record, met
 // duration from refresh history, queue wait from the newest metering
 // point labeled with the DT, and traced phase spans under the refresh
 // root.
-func (e *Engine) phaseBreakdown(dtName string, spans []trace.Record, meter []obs.MeterPoint) health.PhaseBreakdown {
-	p := health.PhaseBreakdown{DT: dtName}
-	hist := e.rec.History(dtName)
-	var last obs.RefreshEvent
+func (e *Engine) phaseBreakdown(dt *core.DynamicTable, spans []trace.Record, meter []obs.MeterPoint) health.PhaseBreakdown {
+	p := health.PhaseBreakdown{DT: dt.Name}
+	hist := dt.History()
+	var last *core.RefreshRecord
 	for i := len(hist) - 1; i >= 0; i-- {
-		if ev := hist[i]; !ev.Start.IsZero() && ev.End.After(ev.Start) {
-			last = ev
+		if x := hist[i].Exec; x != nil && x.End.After(x.Start) {
+			last = &hist[i]
 			break
 		}
 	}
-	if last.DTName == "" {
+	if last == nil {
 		return p
 	}
-	p.Exec = last.End.Sub(last.Start)
+	p.Exec = last.Exec.Duration()
 	for i := len(meter) - 1; i >= 0; i-- {
-		if meter[i].Label == dtName {
+		if meter[i].Label == dt.Name {
 			p.QueueWait = meter[i].Start.Sub(meter[i].Submit)
 			break
 		}
 	}
-	if last.RootID != 0 {
+	if last.TraceRoot != 0 {
 		for _, r := range spans {
-			if r.Root == last.RootID && r.Parent != 0 && blamePhases[r.Name] {
+			if r.Root == last.TraceRoot && r.Parent != 0 && blamePhases[r.Name] {
 				if p.Phases == nil {
 					p.Phases = make(map[string]time.Duration)
 				}

@@ -372,12 +372,23 @@ func TestViewEvolvedToVirtualDoesNotDeadlock(t *testing.T) {
 
 func TestObservabilityDisabled(t *testing.T) {
 	eng, sess := obsFixture(t, WithConfig(Config{HistoryCapacity: -1}))
+	// Refresh history is each DT's own ring, which the AUTO chooser reads
+	// whether or not the recorder records, so a disabled recorder still
+	// lists it.
 	res, err := sess.Query(`SELECT count(*) FROM INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Rows[0][0].Int(); n != 0 {
-		t.Fatalf("disabled recorder retained %d events", n)
+	want := 0
+	for _, name := range []string{"totals", "grand"} {
+		st, err := sess.Describe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += len(st.History)
+	}
+	if n := res.Rows[0][0].Int(); n != int64(want) {
+		t.Fatalf("REFRESH_HISTORY has %d rows, Describe's histories %d records", n, want)
 	}
 	// The engine itself still works, stores the same DT rows as an engine
 	// that records, and the DT history ring (bounded at the default)

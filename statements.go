@@ -530,10 +530,10 @@ func (e *Engine) refreshAt(dt *core.DynamicTable, dataTS time.Time) error {
 	if rec.Action != core.ActionNoData && rec.Action != core.ActionSkip {
 		if wh, werr := e.pool.Get(dt.Warehouse); werr == nil {
 			job := wh.Submit(dataTS, rec.SourceRowsScanned, e.model, dt.Name)
-			// Backfill the job's virtual timing onto the recorded event
-			// (manual refreshes run outside a scheduler tick: no wave, no
-			// worker slot).
-			e.rec.AnnotateExecution(dt.Name, dataTS, -1, -1, job.Start, job.End)
+			// Place the refresh at the job's virtual timing (manual
+			// refreshes run outside a scheduler tick: no wave, no worker
+			// slot).
+			dt.Place(dataTS, core.Execution{Wave: -1, Worker: -1, Start: job.Start, End: job.End})
 		}
 	}
 	return nil
@@ -888,9 +888,9 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 		return &Result{Kind: "ALTER SYSTEM",
 			Message: fmt.Sprintf("REFRESH_WORKERS = %d", e.refr.Workers())}, nil
 	case "HISTORY_CAPACITY":
-		// Rebounds every observability ring (refresh history, lag
-		// samples, metering, graph edges) and each DT's in-engine history
-		// ring, evicting the oldest events that no longer fit. On an
+		// Rebounds each DT's refresh-history ring and every
+		// observability ring (lag samples, metering, graph edges),
+		// evicting the oldest entries that no longer fit. On an
 		// engine built with recording disabled (Config.HistoryCapacity <
 		// 0) this turns recording on.
 		if stmt.Value <= 0 {
