@@ -287,16 +287,20 @@ func (e *Engine) entryIDFor(name string, orReplace bool) int64 {
 }
 
 // syncDTNames copies the catalog's names onto the named entries' DT
-// payloads. RENAME and SWAP call it once the catalog accepted the change,
-// so a rejected statement leaves every DT name as it was.
+// payloads and re-keys the recorder's per-DT data from each DT's old name
+// to its new one. RENAME and SWAP call it once the catalog accepted the
+// change, so a rejected statement leaves every DT name as it was.
 func (e *Engine) syncDTNames(names ...string) {
+	moves := make(map[string]string, len(names))
 	for _, name := range names {
 		if entry, err := e.cat.Get(name); err == nil {
-			if dt, ok := entry.Payload.(*core.DynamicTable); ok {
+			if dt, ok := entry.Payload.(*core.DynamicTable); ok && dt.Name != entry.Name {
+				moves[dt.Name] = entry.Name
 				dt.Name = entry.Name
 			}
 		}
 	}
+	e.rec.RenameDTs(moves)
 }
 
 // checkTargetLag enforces the TARGET_LAG minimum (§3.2) for CREATE and

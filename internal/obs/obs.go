@@ -347,6 +347,47 @@ func (r *Recorder) RecordLag(s LagSample) {
 	rg.Push(s)
 }
 
+// RenameDTs re-keys the per-DT observability data after ALTER DYNAMIC
+// TABLE ... RENAME or SWAP: moves maps each DT's old name to its new one,
+// and every move applies at once, so a swap is {a: b, b: a}. The lag
+// ring and its samples, the resource totals and the refresh events of the
+// resource ring all follow the DT.
+func (r *Recorder) RenameDTs(moves map[string]string) {
+	if len(moves) == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lags := make(map[string]*ring.Ring[LagSample], len(moves))
+	totals := make(map[string]*ResourceTotals, len(moves))
+	for from := range moves {
+		if rg, ok := r.lags[from]; ok {
+			lags[from] = rg
+			delete(r.lags, from)
+		}
+		if t, ok := r.resTotals[from]; ok {
+			totals[from] = t
+			delete(r.resTotals, from)
+		}
+	}
+	for from, rg := range lags {
+		to := moves[from]
+		for i := 0; i < rg.Len(); i++ {
+			rg.At(i).DTName = to
+		}
+		r.lags[to] = rg
+	}
+	for from, t := range totals {
+		r.resTotals[moves[from]] = t
+	}
+	for i := 0; i < r.resources.Len(); i++ {
+		ev := r.resources.At(i)
+		if to, ok := moves[ev.Name]; ok && ev.Kind == ResourceRefresh {
+			ev.Name = to
+		}
+	}
+}
+
 // RecordJob appends a billed warehouse job to the warehouse's metering
 // ring.
 func (r *Recorder) RecordJob(p MeterPoint) {

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -87,50 +88,101 @@ func KindFromName(name string) (Kind, error) {
 
 // Value is a NULL-aware runtime value. The zero Value is SQL NULL.
 //
-// Values are small and passed by value. Variant payloads hold the result of
-// encoding/json unmarshalling (map[string]any, []any, string, float64, bool,
-// nil) and are treated as immutable.
+// Values are small and passed by value: 24 bytes on 64-bit platforms, one
+// payload word and one pointer word. INT, TIMESTAMP, INTERVAL, FLOAT (its
+// IEEE-754 bits) and BOOL (0 or 1) keep their payload in n. A STRING keeps
+// its data pointer in p and its length in n. A VARIANT keeps in p a pointer
+// to a boxed payload, which holds the result of encoding/json unmarshalling
+// (map[string]any, []any, string, float64, bool, nil) and is treated as
+// immutable; a nil payload is a nil p.
+//
+// Compare Values with Compare, Equal or EncodeKey. The == operator does not
+// compile on Values, and reflect.DeepEqual compares STRING and VARIANT
+// values by the identity of their data, not by content.
 type Value struct {
+	_    [0]func() // makes Value incomparable with ==
+	p    unsafe.Pointer
+	n    uint64
 	kind Kind
-	i    int64   // int, timestamp (µs since epoch), interval (µs)
-	f    float64 // float
-	s    string  // string
-	b    bool    // bool
-	v    any     // variant
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
+// intValue returns a value of an INT-family kind with payload i.
+func intValue(k Kind, i int64) Value { return Value{kind: k, n: uint64(i)} }
+
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return intValue(KindInt, i) }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
-// NewString returns a STRING value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+// NewString returns a STRING value. It shares s's bytes; strings are
+// immutable, so the value needs no copy. An empty string keeps a nil p, so
+// every "" is one value and no p points at the end of another string.
+func NewString(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // NewBool returns a BOOL value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // NewTimestamp returns a TIMESTAMP value. The time is converted to UTC and
 // truncated to microsecond precision.
 func NewTimestamp(t time.Time) Value {
-	return Value{kind: KindTimestamp, i: t.UTC().UnixMicro()}
+	return intValue(KindTimestamp, t.UTC().UnixMicro())
 }
 
 // NewTimestampMicros returns a TIMESTAMP value from microseconds since the
 // Unix epoch.
-func NewTimestampMicros(us int64) Value { return Value{kind: KindTimestamp, i: us} }
+func NewTimestampMicros(us int64) Value { return intValue(KindTimestamp, us) }
 
 // NewInterval returns an INTERVAL value from a duration.
 func NewInterval(d time.Duration) Value {
-	return Value{kind: KindInterval, i: d.Microseconds()}
+	return intValue(KindInterval, d.Microseconds())
 }
 
 // NewVariant returns a VARIANT value wrapping a JSON-shaped Go value.
-func NewVariant(v any) Value { return Value{kind: KindVariant, v: v} }
+func NewVariant(v any) Value {
+	if v == nil {
+		return Value{kind: KindVariant}
+	}
+	box := new(any)
+	*box = v
+	return Value{kind: KindVariant, p: unsafe.Pointer(box)}
+}
+
+// The payload accessors below read the fields without checking the kind;
+// callers have checked it.
+
+// i returns the int64 payload of an INT-family value.
+func (v Value) i() int64 { return int64(v.n) }
+
+// f returns the payload of a FLOAT value.
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+
+// s returns the payload of a STRING value.
+func (v Value) s() string { return unsafe.String((*byte)(v.p), int(v.n)) }
+
+// b returns the payload of a BOOL value.
+func (v Value) b() bool { return v.n != 0 }
+
+// variant returns the payload of a VARIANT value.
+func (v Value) variant() any {
+	if v.p == nil {
+		return nil
+	}
+	return *(*any)(v.p)
+}
 
 // ParseVariant parses a JSON document into a VARIANT value.
 func ParseVariant(doc string) (Value, error) {
@@ -149,10 +201,10 @@ func (v Value) Kind() Kind { return v.kind }
 // variants, whose trees are not walked — this is an accounting estimate,
 // not a measurement).
 func (v Value) ApproxBytes() int64 {
-	const header = 48 // unsafe.Sizeof(Value{}) on 64-bit
+	const header = int64(unsafe.Sizeof(Value{}))
 	switch v.kind {
 	case KindString:
-		return header + int64(len(v.s))
+		return header + int64(len(v.s()))
 	case KindVariant:
 		return header + 64
 	default:
@@ -166,7 +218,7 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Int returns the INT payload. It panics if the value is not an INT.
 func (v Value) Int() int64 {
 	v.mustBe(KindInt)
-	return v.i
+	return v.i()
 }
 
 // IntPayload returns the int64 payload of an INT-family value (see
@@ -176,52 +228,52 @@ func (v Value) IntPayload() int64 {
 	if !v.kind.IntFamily() {
 		panic(fmt.Sprintf("types: value is %s, not INT, TIMESTAMP or INTERVAL", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // Float returns the FLOAT payload. It panics if the value is not a FLOAT.
 func (v Value) Float() float64 {
 	v.mustBe(KindFloat)
-	return v.f
+	return v.f()
 }
 
 // Str returns the STRING payload. It panics if the value is not a STRING.
 func (v Value) Str() string {
 	v.mustBe(KindString)
-	return v.s
+	return v.s()
 }
 
 // Bool returns the BOOL payload. It panics if the value is not a BOOL.
 func (v Value) Bool() bool {
 	v.mustBe(KindBool)
-	return v.b
+	return v.b()
 }
 
 // Time returns the TIMESTAMP payload. It panics if the value is not a
 // TIMESTAMP.
 func (v Value) Time() time.Time {
 	v.mustBe(KindTimestamp)
-	return time.UnixMicro(v.i).UTC()
+	return time.UnixMicro(v.i()).UTC()
 }
 
 // Micros returns the TIMESTAMP payload in microseconds since the epoch.
 func (v Value) Micros() int64 {
 	v.mustBe(KindTimestamp)
-	return v.i
+	return v.i()
 }
 
 // Interval returns the INTERVAL payload. It panics if the value is not an
 // INTERVAL.
 func (v Value) Interval() time.Duration {
 	v.mustBe(KindInterval)
-	return time.Duration(v.i) * time.Microsecond
+	return time.Duration(v.i()) * time.Microsecond
 }
 
 // Variant returns the VARIANT payload. It panics if the value is not a
 // VARIANT.
 func (v Value) Variant() any {
 	v.mustBe(KindVariant)
-	return v.v
+	return v.variant()
 }
 
 func (v Value) mustBe(k Kind) {
@@ -238,9 +290,9 @@ func (v Value) Numeric() bool { return v.kind == KindInt || v.kind == KindFloat 
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	case KindFloat:
-		return v.f
+		return v.f()
 	default:
 		panic(fmt.Sprintf("types: value is %s, not numeric", v.kind))
 	}
@@ -252,13 +304,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.s()
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
@@ -267,9 +319,9 @@ func (v Value) String() string {
 	case KindInterval:
 		return v.Interval().String()
 	case KindVariant:
-		raw, err := json.Marshal(v.v)
+		raw, err := json.Marshal(v.variant())
 		if err != nil {
-			return fmt.Sprintf("<variant:%v>", v.v)
+			return fmt.Sprintf("<variant:%v>", v.variant())
 		}
 		return string(raw)
 	default:
@@ -293,7 +345,7 @@ func Compare(a, b Value) (int, error) {
 	}
 	if a.Numeric() && b.Numeric() {
 		if a.kind == KindInt && b.kind == KindInt {
-			return cmpOrdered(a.i, b.i), nil
+			return cmpOrdered(a.i(), b.i()), nil
 		}
 		return cmpFloat(a.AsFloat(), b.AsFloat()), nil
 	}
@@ -302,11 +354,11 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch a.kind {
 	case KindString:
-		return strings.Compare(a.s, b.s), nil
+		return strings.Compare(a.s(), b.s()), nil
 	case KindBool:
-		return cmpBool(a.b, b.b), nil
+		return cmpBool(a.b(), b.b()), nil
 	case KindTimestamp, KindInterval:
-		return cmpOrdered(a.i, b.i), nil
+		return cmpOrdered(a.i(), b.i()), nil
 	case KindVariant:
 		return strings.Compare(a.String(), b.String()), nil
 	default:
@@ -368,14 +420,14 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindInt, KindTimestamp, KindInterval:
-		dst = appendInt64(dst, v.i)
+		dst = appendInt64(dst, v.i())
 	case KindFloat:
-		dst = appendInt64(dst, int64(math.Float64bits(v.f)))
+		dst = appendInt64(dst, int64(math.Float64bits(v.f())))
 	case KindString:
-		dst = appendInt64(dst, int64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = appendInt64(dst, int64(len(v.s())))
+		dst = append(dst, v.s()...)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
@@ -410,7 +462,7 @@ func Cast(v Value, target Kind) (Value, error) {
 		// Variant strings unwrap to their payload rather than re-marshal
 		// with JSON quoting.
 		if v.kind == KindVariant {
-			if s, ok := v.v.(string); ok {
+			if s, ok := v.variant().(string); ok {
 				return NewString(s), nil
 			}
 		}
@@ -438,20 +490,20 @@ func retag(v Value, target Kind) Value {
 func castInt(v Value) (Value, error) {
 	switch v.kind {
 	case KindFloat:
-		return NewInt(int64(v.f)), nil
+		return NewInt(int64(v.f())), nil
 	case KindString:
-		i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		i, err := strconv.ParseInt(strings.TrimSpace(v.s()), 10, 64)
 		if err != nil {
 			// Snowflake-style: numeric strings with decimals cast via float.
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.s()), 64)
 			if ferr != nil {
-				return Null, fmt.Errorf("types: cannot cast %q to INT", v.s)
+				return Null, fmt.Errorf("types: cannot cast %q to INT", v.s())
 			}
 			return NewInt(int64(f)), nil
 		}
 		return NewInt(i), nil
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return NewInt(1), nil
 		}
 		return NewInt(0), nil
@@ -465,11 +517,11 @@ func castInt(v Value) (Value, error) {
 func castFloat(v Value) (Value, error) {
 	switch v.kind {
 	case KindInt:
-		return NewFloat(float64(v.i)), nil
+		return NewFloat(float64(v.i())), nil
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.s()), 64)
 		if err != nil {
-			return Null, fmt.Errorf("types: cannot cast %q to FLOAT", v.s)
+			return Null, fmt.Errorf("types: cannot cast %q to FLOAT", v.s())
 		}
 		return NewFloat(f), nil
 	case KindVariant:
@@ -482,15 +534,15 @@ func castFloat(v Value) (Value, error) {
 func castBool(v Value) (Value, error) {
 	switch v.kind {
 	case KindInt:
-		return NewBool(v.i != 0), nil
+		return NewBool(v.i() != 0), nil
 	case KindString:
-		switch strings.ToLower(strings.TrimSpace(v.s)) {
+		switch strings.ToLower(strings.TrimSpace(v.s())) {
 		case "true", "t", "yes", "1":
 			return NewBool(true), nil
 		case "false", "f", "no", "0":
 			return NewBool(false), nil
 		}
-		return Null, fmt.Errorf("types: cannot cast %q to BOOL", v.s)
+		return Null, fmt.Errorf("types: cannot cast %q to BOOL", v.s())
 	case KindVariant:
 		return variantScalar(v, KindBool)
 	default:
@@ -512,16 +564,16 @@ var timestampLayouts = []string{
 func castTimestamp(v Value) (Value, error) {
 	switch v.kind {
 	case KindString:
-		s := strings.TrimSpace(v.s)
+		s := strings.TrimSpace(v.s())
 		for _, layout := range timestampLayouts {
 			if t, err := time.Parse(layout, s); err == nil {
 				return NewTimestamp(t), nil
 			}
 		}
-		return Null, fmt.Errorf("types: cannot cast %q to TIMESTAMP", v.s)
+		return Null, fmt.Errorf("types: cannot cast %q to TIMESTAMP", v.s())
 	case KindInt:
 		// Integer seconds since epoch, matching TO_TIMESTAMP(int).
-		return NewTimestampMicros(v.i * 1_000_000), nil
+		return NewTimestampMicros(v.i() * 1_000_000), nil
 	case KindVariant:
 		return variantScalar(v, KindTimestamp)
 	default:
@@ -532,13 +584,13 @@ func castTimestamp(v Value) (Value, error) {
 func castInterval(v Value) (Value, error) {
 	switch v.kind {
 	case KindString:
-		d, err := ParseIntervalText(v.s)
+		d, err := ParseIntervalText(v.s())
 		if err != nil {
 			return Null, err
 		}
 		return NewInterval(d), nil
 	case KindInt:
-		return NewInterval(time.Duration(v.i) * time.Second), nil
+		return NewInterval(time.Duration(v.i()) * time.Second), nil
 	default:
 		return Null, fmt.Errorf("types: cannot cast %s to INTERVAL", v.kind)
 	}
@@ -547,13 +599,13 @@ func castInterval(v Value) (Value, error) {
 func castVariant(v Value) (Value, error) {
 	switch v.kind {
 	case KindString:
-		return ParseVariant(v.s)
+		return ParseVariant(v.s())
 	case KindInt:
-		return NewVariant(float64(v.i)), nil
+		return NewVariant(float64(v.i())), nil
 	case KindFloat:
-		return NewVariant(v.f), nil
+		return NewVariant(v.f()), nil
 	case KindBool:
-		return NewVariant(v.b), nil
+		return NewVariant(v.b()), nil
 	default:
 		return Null, fmt.Errorf("types: cannot cast %s to VARIANT", v.kind)
 	}
@@ -561,7 +613,7 @@ func castVariant(v Value) (Value, error) {
 
 // variantScalar converts a variant holding a JSON scalar to the target kind.
 func variantScalar(v Value, target Kind) (Value, error) {
-	switch x := v.v.(type) {
+	switch x := v.variant().(type) {
 	case nil:
 		return Null, nil
 	case float64:
@@ -590,7 +642,7 @@ func VariantGet(v Value, field string) (Value, error) {
 	if v.kind != KindVariant {
 		return Null, fmt.Errorf("types: %s is not a VARIANT", v.kind)
 	}
-	obj, ok := v.v.(map[string]any)
+	obj, ok := v.variant().(map[string]any)
 	if !ok {
 		return Null, nil
 	}
@@ -610,7 +662,7 @@ func VariantIndex(v Value, idx int) (Value, error) {
 	if v.kind != KindVariant {
 		return Null, fmt.Errorf("types: %s is not a VARIANT", v.kind)
 	}
-	arr, ok := v.v.([]any)
+	arr, ok := v.variant().([]any)
 	if !ok || idx < 0 || idx >= len(arr) {
 		return Null, nil
 	}

@@ -84,25 +84,25 @@ func NewConstVector(v Value, n int) *Vector {
 	case KindInt, KindTimestamp, KindInterval:
 		ints := make([]int64, n)
 		for i := range ints {
-			ints[i] = v.i
+			ints[i] = v.i()
 		}
 		return &Vector{kind: v.kind, ints: ints, length: n}
 	case KindFloat:
 		floats := make([]float64, n)
 		for i := range floats {
-			floats[i] = v.f
+			floats[i] = v.f()
 		}
 		return &Vector{kind: KindFloat, floats: floats, length: n}
 	case KindString:
 		strs := make([]string, n)
 		for i := range strs {
-			strs[i] = v.s
+			strs[i] = v.s()
 		}
 		return &Vector{kind: KindString, strs: strs, length: n}
 	case KindBool:
 		bools := make([]bool, n)
 		for i := range bools {
-			bools[i] = v.b
+			bools[i] = v.b()
 		}
 		return &Vector{kind: KindBool, bools: bools, length: n}
 	default:
@@ -159,7 +159,7 @@ func VectorFromValues(vals []Value) *Vector {
 				setNull(i)
 				continue
 			}
-			out.ints[i] = v.i
+			out.ints[i] = v.i()
 		}
 	case KindFloat:
 		out.floats = make([]float64, n)
@@ -168,7 +168,7 @@ func VectorFromValues(vals []Value) *Vector {
 				setNull(i)
 				continue
 			}
-			out.floats[i] = v.f
+			out.floats[i] = v.f()
 		}
 	case KindString:
 		out.strs = make([]string, n)
@@ -177,7 +177,7 @@ func VectorFromValues(vals []Value) *Vector {
 				setNull(i)
 				continue
 			}
-			out.strs[i] = v.s
+			out.strs[i] = v.s()
 		}
 	case KindBool:
 		out.bools = make([]bool, n)
@@ -186,7 +186,7 @@ func VectorFromValues(vals []Value) *Vector {
 				setNull(i)
 				continue
 			}
-			out.bools[i] = v.b
+			out.bools[i] = v.b()
 		}
 	}
 	out.nulls = nulls
@@ -239,13 +239,13 @@ func (v *Vector) Value(i int) Value {
 	}
 	switch v.kind {
 	case KindInt, KindTimestamp, KindInterval:
-		return Value{kind: v.kind, i: v.ints[i]}
+		return intValue(v.kind, v.ints[i])
 	case KindFloat:
-		return Value{kind: KindFloat, f: v.floats[i]}
+		return NewFloat(v.floats[i])
 	case KindString:
-		return Value{kind: KindString, s: v.strs[i]}
+		return NewString(v.strs[i])
 	case KindBool:
-		return Value{kind: KindBool, b: v.bools[i]}
+		return NewBool(v.bools[i])
 	default:
 		return Null
 	}

@@ -423,3 +423,96 @@ func TestObservabilityDisabled(t *testing.T) {
 		t.Fatal("ALTER SYSTEM SET HISTORY_CAPACITY should re-enable recording")
 	}
 }
+
+// dtObservability reads what the recorder holds for one DT name: its
+// DYNAMIC_TABLES lag-SLO columns, its RESOURCE_HISTORY refresh rows, its
+// /metrics CPU counter and its DT_HEALTH cpu_trend.
+type dtObservability struct {
+	sloNull, p95Null bool
+	resourceRows     int64
+	metric           bool
+	trendNull        bool
+}
+
+func readDTObservability(t *testing.T, eng *Engine, sess *Session, name string) dtObservability {
+	t.Helper()
+	var o dtObservability
+	res := sess.MustExec(`SELECT slo_attainment, lag_p95 FROM INFORMATION_SCHEMA.DYNAMIC_TABLES WHERE name = ?`, name)
+	if len(res.Rows) != 1 {
+		t.Fatalf("DYNAMIC_TABLES has %d rows for %s", len(res.Rows), name)
+	}
+	o.sloNull, o.p95Null = res.Rows[0][0].IsNull(), res.Rows[0][1].IsNull()
+	res = sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.RESOURCE_HISTORY
+		WHERE kind = 'refresh' AND name = ?`, name)
+	o.resourceRows = res.Rows[0][0].Int()
+	o.metric = strings.Contains(eng.MetricsText(), `dyntables_dt_cpu_seconds_total{dt="`+name+`"}`)
+	res = sess.MustExec(`SELECT cpu_trend FROM INFORMATION_SCHEMA.DT_HEALTH WHERE dt = ?`, name)
+	if len(res.Rows) != 1 {
+		t.Fatalf("DT_HEALTH has %d rows for %s", len(res.Rows), name)
+	}
+	o.trendNull = res.Rows[0][0].IsNull()
+	return o
+}
+
+// TestRenameKeepsObservability checks that ALTER DYNAMIC TABLE ... RENAME
+// and SWAP carry a DT's lag samples, resource totals and resource events
+// to its new name: nothing stays under the old name, and DT_HEALTH's
+// cpu_trend continues from the refreshes made before the rename.
+func TestRenameKeepsObservability(t *testing.T) {
+	t.Run("rename", func(t *testing.T) {
+		eng, sess := obsFixture(t)
+		before := readDTObservability(t, eng, sess, "grand")
+		if before.sloNull || before.p95Null || before.resourceRows == 0 || !before.metric {
+			t.Fatalf("fixture has no observability data for grand: %+v", before)
+		}
+		sess.MustExec(`ALTER DYNAMIC TABLE grand RENAME TO grand2`)
+		after := readDTObservability(t, eng, sess, "grand2")
+		if after.sloNull || after.p95Null {
+			t.Errorf("DYNAMIC_TABLES lag-SLO columns are NULL for grand2 after the rename: %+v", after)
+		}
+		if after.resourceRows != before.resourceRows || !after.metric {
+			t.Errorf("resource data did not follow the rename: before %+v, after %+v", before, after)
+		}
+		res := sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.RESOURCE_HISTORY WHERE name = 'grand'`)
+		if n := res.Rows[0][0].Int(); n != 0 {
+			t.Errorf("RESOURCE_HISTORY keeps %d rows under the old name", n)
+		}
+		if strings.Contains(eng.MetricsText(), `dyntables_dt_cpu_seconds_total{dt="grand"}`) {
+			t.Error("dyntables_dt_cpu_seconds_total keeps a series for the old name")
+		}
+
+		// More refreshes under the new name: the trend needs at least
+		// four, so it reads NULL unless it spans the rename.
+		historyRound(t, eng, sess)
+		if o := readDTObservability(t, eng, sess, "grand2"); o.trendNull || o.resourceRows <= before.resourceRows {
+			t.Errorf("DT_HEALTH cpu_trend does not continue across the rename: %+v", o)
+		}
+	})
+	t.Run("swap", func(t *testing.T) {
+		eng, sess := obsFixture(t)
+		counters := eng.Observability().ResourceCounters()
+		totals, grand := counters["totals"], counters["grand"]
+		if totals.Refreshes == 0 || grand.Refreshes == 0 {
+			t.Fatalf("fixture has no resource totals: %+v", counters)
+		}
+		lagTotals := len(eng.Observability().LagSeries("totals"))
+		lagGrand := len(eng.Observability().LagSeries("grand"))
+		sess.MustExec(`ALTER DYNAMIC TABLE totals SWAP WITH grand`)
+		counters = eng.Observability().ResourceCounters()
+		if counters["totals"] != grand || counters["grand"] != totals {
+			t.Errorf("resource totals did not swap: before totals %+v grand %+v, after %+v", totals, grand, counters)
+		}
+		for name, want := range map[string]int{"totals": lagGrand, "grand": lagTotals} {
+			series := eng.Observability().LagSeries(name)
+			if len(series) != want {
+				t.Errorf("lag series of %s has %d samples after the swap, want %d", name, len(series), want)
+			}
+			for _, s := range series {
+				if s.DTName != name {
+					t.Errorf("lag sample of %s names %s", name, s.DTName)
+					break
+				}
+			}
+		}
+	})
+}
