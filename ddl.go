@@ -201,6 +201,9 @@ func (e *Engine) applyCreateDT(r *persist.CreateDTRecord) error {
 		return err
 	}
 	dt.EntryID = entry.ID
+	// A dropped DT of this name leaves its recorder data for UNDROP; the
+	// new DT starts without it.
+	e.rec.ForgetDT(r.Name)
 	e.registerTable(r.TableKey, dt.Storage)
 	e.ctrl.Register(dt)
 	e.sch.Track(dt)

@@ -124,20 +124,22 @@ func (cs *ChangeSet) Clone() ChangeSet {
 // insertions, each sorted by $ROW_ID.
 func (cs ChangeSet) Consolidate() ChangeSet {
 	type state struct {
+		id          string
 		deletedOld  types.Row // pre-interval row this interval deletes
 		hasDel      bool
 		insertedNew types.Row // post-interval row this interval installs
 		hasIns      bool
 	}
-	byID := make(map[string]*state, len(cs.Changes))
-	order := make([]string, 0, len(cs.Changes))
+	at := make(map[string]int32, len(cs.Changes))
+	states := make([]state, 0, len(cs.Changes))
 	for _, c := range cs.Changes {
-		st, ok := byID[c.RowID]
+		i, ok := at[c.RowID]
 		if !ok {
-			st = &state{}
-			byID[c.RowID] = st
-			order = append(order, c.RowID)
+			i = int32(len(states))
+			at[c.RowID] = i
+			states = append(states, state{id: c.RowID})
 		}
+		st := &states[i]
 		if c.Action == Insert {
 			// A later insert supersedes any pending insert for the rowid.
 			st.insertedNew, st.hasIns = c.Row, true
@@ -152,28 +154,38 @@ func (cs ChangeSet) Consolidate() ChangeSet {
 			}
 		}
 	}
-	sort.Strings(order)
-	var out ChangeSet
-	noOp := func(st *state) bool {
-		return st.hasDel && st.hasIns && st.deletedOld.Equal(st.insertedNew)
+	order := make([]int32, len(states))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	// Deletions first so merges never insert before clearing a row.
-	for _, id := range order {
-		st := byID[id]
-		if noOp(st) {
-			continue
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(states[a].id, states[b].id) })
+	n := 0
+	for i := range states {
+		st := &states[i]
+		if st.hasDel && st.hasIns && st.deletedOld.Equal(st.insertedNew) {
+			// A deletion and a re-insertion of equal contents cancel.
+			st.hasDel, st.hasIns = false, false
 		}
 		if st.hasDel {
-			out.AddDelete(id, st.deletedOld)
-		}
-	}
-	for _, id := range order {
-		st := byID[id]
-		if noOp(st) {
-			continue
+			n++
 		}
 		if st.hasIns {
-			out.AddInsert(id, st.insertedNew)
+			n++
+		}
+	}
+	var out ChangeSet
+	if n > 0 {
+		out.Changes = make([]Change, 0, n)
+	}
+	// Deletions first so merges never insert before clearing a row.
+	for _, i := range order {
+		if st := &states[i]; st.hasDel {
+			out.AddDelete(st.id, st.deletedOld)
+		}
+	}
+	for _, i := range order {
+		if st := &states[i]; st.hasIns {
+			out.AddInsert(st.id, st.insertedNew)
 		}
 	}
 	return out
@@ -310,17 +322,14 @@ func (cs ChangeSet) ConsolidateSigned() ChangeSet {
 // contains at most one row per ($ROW_ID, $ACTION) pair. It returns an error
 // naming the first offending pair.
 func (cs *ChangeSet) ValidateWellFormed() error {
-	seen := make(map[string]struct{}, len(cs.Changes))
-	var key []byte
+	// seen holds one bit per action a row ID has had.
+	seen := make(map[string]uint8, len(cs.Changes))
 	for _, c := range cs.Changes {
-		key = key[:0]
-		key = append(key, byte(c.Action))
-		key = append(key, c.RowID...)
-		k := string(key)
-		if _, dup := seen[k]; dup {
+		bit := uint8(1) << c.Action
+		if seen[c.RowID]&bit != 0 {
 			return fmt.Errorf("delta: duplicate (%s, %s) in change set", c.RowID, c.Action)
 		}
-		seen[k] = struct{}{}
+		seen[c.RowID] |= bit
 	}
 	return nil
 }

@@ -12,8 +12,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"dyntables/internal/plan"
@@ -475,24 +477,112 @@ func runWindow(w *plan.Window, ctx *Context) ([]TRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return WindowRows(w, in, nil, ctx)
+	return WindowRows(w, in, ctx)
 }
 
 // WindowRows applies window functions to pre-computed input; reused by the
-// IVM changed-partition recompute rule (§5.5.1). cols, when non-nil, lists
-// the output columns to keep by position in the window's row (the input's
-// columns, then one per function): a projection of bare columns over the
-// window, applied without building the whole row.
-func WindowRows(w *plan.Window, in []TRow, cols []int, ctx *Context) ([]TRow, error) {
+// IVM changed-partition recompute rule (§5.5.1).
+func WindowRows(w *plan.Window, in []TRow, ctx *Context) ([]TRow, error) {
+	parts, err := WindowPartitions(w, in, ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TRow, 0, len(in))
+	for _, p := range parts {
+		for i := range p.at {
+			out = append(out, TRow{ID: p.ID(i), Row: p.Row(i, nil)})
+		}
+	}
+	return out, nil
+}
+
+// WindowPartition is one partition of a window's output: its rows in
+// window order and their function values. A caller that keeps only some
+// of the rows builds just those (Row) and compares the others in place
+// (KeyEqual).
+type WindowPartition struct {
+	// Key is the partition's encoded PARTITION BY key (AppendKey).
+	Key string
+	// at holds the partition's rows as positions in the input in, in
+	// window order once sorted; oks holds every input row's ORDER BY key,
+	// nk values a row.
+	in   []TRow
+	at   []int32
+	oks  []types.Value
+	nk   int
+	vals []types.Row
+}
+
+// Len returns the number of rows in the partition.
+func (p *WindowPartition) Len() int { return len(p.at) }
+
+// ID returns row i's row ID: its input row's.
+func (p *WindowPartition) ID(i int) string { return p.in[p.at[i]].ID }
+
+// row returns row i's input row.
+func (p *WindowPartition) row(i int) types.Row { return p.in[p.at[i]].Row }
+
+// orderKey returns row i's ORDER BY key.
+func (p *WindowPartition) orderKey(i int) []types.Value {
+	r := int(p.at[i])
+	return p.oks[r*p.nk : (r+1)*p.nk]
+}
+
+// Row builds row i as the window emits it, or, when cols is non-nil, its
+// projection to cols: positions in the window's row, which holds the
+// input's columns and then one per function.
+func (p *WindowPartition) Row(i int, cols []int) types.Row {
+	in, vals := p.row(i), p.vals[i]
+	if cols == nil {
+		return in.Concat(vals)
+	}
+	row := make(types.Row, len(cols))
+	for j, c := range cols {
+		row[j] = windowValue(in, vals, c)
+	}
+	return row
+}
+
+// KeyEqual reports whether Row(i, cols) would have the encoding of row
+// (types.Row.KeyEqual), without building it.
+func (p *WindowPartition) KeyEqual(i int, cols []int, row types.Row) bool {
+	in, vals := p.row(i), p.vals[i]
+	if cols == nil {
+		return len(row) == len(in)+len(vals) && row[:len(in)].KeyEqual(in) && row[len(in):].KeyEqual(vals)
+	}
+	if len(row) != len(cols) {
+		return false
+	}
+	for j, c := range cols {
+		if !types.KeyEqual(row[j], windowValue(in, vals, c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// windowValue returns column c of the window's row made of an input row
+// and its function values.
+func windowValue(in, vals types.Row, c int) types.Value {
+	if c < len(in) {
+		return in[c]
+	}
+	return vals[c-len(in)]
+}
+
+// WindowPartitions applies window functions to pre-computed input and
+// returns the partitions in first-seen order, without building output
+// rows.
+func WindowPartitions(w *plan.Window, in []TRow, ctx *Context) ([]WindowPartition, error) {
 	ev := ctx.eval()
-	// parts holds the partitions in first-seen order, and at their
-	// positions by encoded key.
-	var parts [][]*partRow
-	at := make(map[string]int)
-	// The partition rows and their ORDER BY keys live only for this call,
-	// so they are allocated together.
-	prs := make([]partRow, len(in))
-	oks := make([]types.Value, len(in)*len(w.OrderBy))
+	// parts holds the partitions in first-seen order, and byKey their
+	// positions by encoded key; of[r] is row r's partition.
+	var parts []WindowPartition
+	byKey := make(map[string]int)
+	of := make([]int32, len(in))
+	var sizes []int32
+	nk := len(w.OrderBy)
+	oks := make([]types.Value, len(in)*nk)
 	var buf []byte
 	ticks := 0
 	for r, tr := range in {
@@ -503,79 +593,70 @@ func WindowRows(w *plan.Window, in []TRow, cols []int, ctx *Context) ([]TRow, er
 		if buf, err = AppendKey(buf[:0], w.PartitionBy, tr.Row, ev); err != nil {
 			return nil, err
 		}
-		ok := oks[r*len(w.OrderBy) : (r+1)*len(w.OrderBy) : (r+1)*len(w.OrderBy)]
 		for i, o := range w.OrderBy {
 			v, err := plan.Eval(o.Expr, tr.Row, ev)
 			if err != nil {
 				return nil, err
 			}
-			ok[i] = v
+			oks[r*nk+i] = v
 		}
-		prs[r] = partRow{tr: tr, orderKey: ok}
-		p, seen := at[string(buf)]
+		p, seen := byKey[string(buf)]
 		if !seen {
 			p = len(parts)
-			at[string(buf)] = p
-			parts = append(parts, nil)
+			key := string(buf)
+			byKey[key] = p
+			parts = append(parts, WindowPartition{Key: key, in: in, oks: oks, nk: nk})
+			sizes = append(sizes, 0)
 		}
-		parts[p] = append(parts[p], &prs[r])
+		of[r] = int32(p)
+		sizes[p]++
+	}
+	// The partitions' row positions share one block, in input order.
+	block := make([]int32, len(in))
+	off := 0
+	for p, n := range sizes {
+		parts[p].at = block[off : off : off+int(n)]
+		off += int(n)
+	}
+	for r, p := range of {
+		parts[p].at = append(parts[p].at, int32(r))
 	}
 
-	out := make([]TRow, 0, len(in))
-	for _, part := range parts {
+	for pi := range parts {
+		p := &parts[pi]
 		// Sort by ORDER BY with row-ID tie-break so ties are repeatable
 		// across refreshes (§5.5.1 requires repeatable tie-breaking).
-		sort.SliceStable(part, func(i, j int) bool {
+		slices.SortStableFunc(p.at, func(a, b int32) int {
+			ka, kb := oks[int(a)*nk:int(a+1)*nk], oks[int(b)*nk:int(b+1)*nk]
 			for k, o := range w.OrderBy {
-				c, err := types.Compare(part[i].orderKey[k], part[j].orderKey[k])
+				c, err := types.Compare(ka[k], kb[k])
 				if err != nil {
 					c = 0
 				}
 				if c != 0 {
 					if o.Desc {
-						return c > 0
+						return -c
 					}
-					return c < 0
+					return c
 				}
 			}
-			return part[i].tr.ID < part[j].tr.ID
+			return strings.Compare(in[a].ID, in[b].ID)
 		})
-		results, err := windowPartition(w, part, ev)
+		vals, err := windowPartition(w, p, ev)
 		if err != nil {
 			return nil, err
 		}
-		for i, pr := range part {
-			var row types.Row
-			if cols == nil {
-				row = pr.tr.Row.Concat(results[i])
-			} else {
-				row = make(types.Row, len(cols))
-				for j, c := range cols {
-					if c < len(pr.tr.Row) {
-						row[j] = pr.tr.Row[c]
-					} else {
-						row[j] = results[i][c-len(pr.tr.Row)]
-					}
-				}
-			}
-			out = append(out, TRow{ID: pr.tr.ID, Row: row})
-		}
+		p.vals = vals
 	}
-	return out, nil
-}
-
-// partRow pairs a row with its evaluated ORDER BY key during windowing.
-type partRow struct {
-	tr       TRow
-	orderKey []types.Value
+	return parts, nil
 }
 
 // windowPartition computes every window function over one sorted partition,
 // returning the appended column values per row.
-func windowPartition(w *plan.Window, part []*partRow, ev *plan.EvalContext) ([]types.Row, error) {
-	n := len(part)
+func windowPartition(w *plan.Window, part *WindowPartition, ev *plan.EvalContext) ([]types.Row, error) {
+	n := part.Len()
 	out := make([]types.Row, n)
-	// The values are copied out by the caller, so one block holds them.
+	// One block holds every row's values.
 	vals := make(types.Row, n*len(w.Funcs))
 	for i := range out {
 		out[i] = vals[i*len(w.Funcs) : (i+1)*len(w.Funcs) : (i+1)*len(w.Funcs)]
@@ -586,7 +667,7 @@ func windowPartition(w *plan.Window, part []*partRow, ev *plan.EvalContext) ([]t
 			if f.Arg == nil {
 				return types.Null, nil
 			}
-			return plan.Eval(f.Arg, part[i].tr.Row, ev)
+			return plan.Eval(f.Arg, part.row(i), ev)
 		}
 		switch f.Kind {
 		case plan.WinRowNumber:
@@ -596,7 +677,7 @@ func windowPartition(w *plan.Window, part []*partRow, ev *plan.EvalContext) ([]t
 		case plan.WinRank, plan.WinDenseRank:
 			rank, dense := int64(1), int64(1)
 			for i := 0; i < n; i++ {
-				if i > 0 && !sameOrderKey(part[i-1].orderKey, part[i].orderKey) {
+				if i > 0 && !sameOrderKey(part.orderKey(i-1), part.orderKey(i)) {
 					rank = int64(i + 1)
 					dense++
 				}
@@ -651,8 +732,8 @@ func windowPartition(w *plan.Window, part []*partRow, ev *plan.EvalContext) ([]t
 
 // windowAggregate computes aggregate-style window functions: cumulative
 // when an ORDER BY is present, whole-partition otherwise.
-func windowAggregate(f plan.WindowFunc, part []*partRow, out []types.Row, fi int, ordered bool, ev *plan.EvalContext) error {
-	n := len(part)
+func windowAggregate(f plan.WindowFunc, part *WindowPartition, out []types.Row, fi int, ordered bool, ev *plan.EvalContext) error {
+	n := part.Len()
 	var count int64
 	var sum float64
 	sumIsFloat := false
@@ -688,7 +769,7 @@ func windowAggregate(f plan.WindowFunc, part []*partRow, out []types.Row, fi int
 		var v types.Value
 		if f.Arg != nil {
 			var err error
-			v, err = plan.Eval(f.Arg, part[i].tr.Row, ev)
+			v, err = plan.Eval(f.Arg, part.row(i), ev)
 			if err != nil {
 				return err
 			}
@@ -737,7 +818,7 @@ func windowAggregate(f plan.WindowFunc, part []*partRow, out []types.Row, fi int
 		i := 0
 		for i < n {
 			j := i
-			for j < n && sameOrderKey(part[i].orderKey, part[j].orderKey) {
+			for j < n && sameOrderKey(part.orderKey(i), part.orderKey(j)) {
 				if err := add(j); err != nil {
 					return err
 				}

@@ -23,10 +23,11 @@
 // DT's table, its old side is read from the DT instead: by delayed view
 // semantics the DT's stored rows of Δ's keys are π(op(Q₀ ⋉ₖ ΔQ)), so
 // Δ = −(the DT's rows of Δ's keys) + π(op(Q₁ ⋉ₖ ΔQ)), and Q₀ is never
-// evaluated. A key the DT does not store (a PARTITION BY column the
-// query drops), a window under a Filter, an aggregate with stored
-// accumulators and the full-recompute ablation keep the rules above
-// (stored.go).
+// evaluated. The refresh emits that sum already consolidated, by diffing
+// the two sides by row ID within each key. A key the DT does not store
+// (a PARTITION BY column the query drops), a window under a Filter, an
+// aggregate with stored accumulators and the full-recompute ablation keep
+// the rules above (stored.go).
 //
 // The aggregate, DISTINCT and window rules share one restriction of their
 // boundaries to Δ's keys; on the columnar path the boundaries read only
@@ -99,6 +100,13 @@ type Stats struct {
 	GroupsRecomputed int64
 	// RowsEmitted counts change rows produced before consolidation.
 	RowsEmitted int64
+	// RowsDiffed counts the stored and new rows a stored-rule refresh
+	// matched by row ID to emit only the rows that differ (stored.go). Its
+	// change set is already consolidated, so ConsolidateSigned never runs
+	// on it, and RowsEmitted counts the rows it emitted. A refresh that
+	// falls back to consolidation, because a side repeats a row ID within
+	// a key, counts none.
+	RowsDiffed int64
 	// AccumulatorFolds counts aggregate deltas folded from stored
 	// accumulators, and AccumulatorSeeds the seeds of those accumulators
 	// from a whole input (accum.go).
@@ -246,13 +254,10 @@ func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
 		defer env.Span("ivm.delta")()
 	}
 	env.Accumulators.attach(n)
-	var rows []delta.Change
-	var err error
 	if t := storedRule(n, env); t != nil {
-		rows, err = t.delta(iv, env)
-	} else {
-		rows, err = deltaRec(n, iv, env)
+		return t.delta(iv, env)
 	}
+	rows, err := deltaRec(n, iv, env)
 	if err != nil {
 		return delta.ChangeSet{}, err
 	}
@@ -1071,11 +1076,16 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	if err != nil {
 		return nil, err
 	}
-	old, err := exec.WindowRows(w, in0, nil, &exec.Context{Now: env.Now, Counters: env.Counters})
+	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
+	old, err := exec.WindowRows(w, in0, ctx)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := windowEnd(w, iv, ak, all, nil, env)
+	in1, err := windowEnd(w, iv, ak, all, env)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := exec.WindowRows(w, in1, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1085,13 +1095,16 @@ func deltaWindow(w *plan.Window, iv Interval, env *Env) ([]delta.Change, error) 
 	return appendAs(out, cur, delta.Insert), nil
 }
 
-// windowEnd computes the window over the affected partitions as of the
-// interval's end and counts the partitions recomputed and present there.
-// all, when non-nil, holds the partitions the start boundary saw, and
-// makes every partition count as recomputed (the ablation); cols is
-// exec.WindowRows's projection.
-func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]bool, cols []int, env *Env) ([]exec.TRow, error) {
-	end := make(map[string]bool)
+// windowEnd evaluates the window's input over the affected partitions as
+// of the interval's end and counts the partitions recomputed and present
+// there. all, when non-nil, holds the partitions the start boundary saw,
+// and makes every partition count as recomputed (the ablation).
+func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]bool, env *Env) ([]exec.TRow, error) {
+	// With a lookup, the keyed column's run counts the partitions.
+	var end map[string]bool
+	if ak.lk == nil {
+		end = make(map[string]bool)
+	}
 	in1, err := ak.boundary(w.Input, iv.To, env, end)
 	if err != nil {
 		return nil, err
@@ -1103,7 +1116,7 @@ func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]boo
 	}
 	if lk := ak.lk; lk != nil {
 		// The end boundary read only the affected partitions' rows; the
-		// keyed column's run counts the others without reading them.
+		// keyed column's run counts them all without reading them.
 		if partitions, _, err = lk.scan.Table.DistinctKeys(iv.To[lk.scan.Table.ID()], lk.col); err != nil {
 			return nil, err
 		}
@@ -1112,7 +1125,7 @@ func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]boo
 		s.PartitionsRecomputed += int64(recomputed)
 		s.PartitionsTotal += int64(partitions)
 	})
-	return exec.WindowRows(w, in1, cols, &exec.Context{Now: env.Now, Counters: env.Counters})
+	return in1, nil
 }
 
 // appendAs appends the rows to out as changes carrying the action.

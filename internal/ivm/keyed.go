@@ -66,7 +66,9 @@ func (ak *affectedKeys) boundary(input plan.Node, vm VersionMap, env *Env, seen 
 	}
 	ev := &plan.EvalContext{Now: env.Now}
 	var key []byte
-	var out []exec.TRow
+	// The evaluation's rows are this call's own: keep the affected keys'
+	// in place.
+	out := rows[:0]
 	for _, tr := range rows {
 		if key, err = exec.AppendKey(key[:0], ak.exprs, tr.Row, ev); err != nil {
 			return nil, err

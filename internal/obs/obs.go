@@ -388,6 +388,24 @@ func (r *Recorder) RenameDTs(moves map[string]string) {
 	}
 }
 
+// ForgetDT drops the per-DT observability data kept under name: the lag
+// ring, the resource totals and the refresh events of the resource ring.
+// Creating a DT calls it, so that a new DT does not inherit a dropped
+// one's data under a reused name; DROP does not, so UNDROP keeps it.
+func (r *Recorder) ForgetDT(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.lags, name)
+	delete(r.resTotals, name)
+	kept := ring.New[ResourceEvent](r.capacity)
+	for i := 0; i < r.resources.Len(); i++ {
+		if ev := r.resources.At(i); ev.Kind != ResourceRefresh || ev.Name != name {
+			kept.Push(*ev)
+		}
+	}
+	r.resources = kept
+}
+
 // RecordJob appends a billed warehouse job to the warehouse's metering
 // ring.
 func (r *Recorder) RecordJob(p MeterPoint) {

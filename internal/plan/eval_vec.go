@@ -139,9 +139,9 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 		}
 		nulls[i] = true
 	}
-	// Rows the left operand leaves undecided need the right operand.
-	var rightSel []int
-	var rightPos []int
+	// Rows the left operand leaves undecided need the right operand;
+	// they are counted first, so that their lists are allocated once.
+	undecided := 0
 	lNull := make([]bool, n)
 	for i := 0; i < n; i++ {
 		lv := l.Value(i)
@@ -159,8 +159,15 @@ func evalLogicVec(x *BinOp, b *types.Batch, sel []int, ctx *EvalContext) (*types
 		} else {
 			lNull[i] = true
 		}
-		rightSel = append(rightSel, selAt(sel, i))
-		rightPos = append(rightPos, i)
+		undecided++
+	}
+	rightSel := make([]int, 0, undecided)
+	rightPos := make([]int, 0, undecided)
+	for i := 0; i < n && len(rightPos) < undecided; i++ {
+		if lNull[i] || l.Value(i).Bool() == isAnd {
+			rightSel = append(rightSel, selAt(sel, i))
+			rightPos = append(rightPos, i)
+		}
 	}
 	if len(rightSel) > 0 {
 		r, err := EvalVec(x.R, b, rightSel, ctx)

@@ -36,7 +36,9 @@ type lexer struct {
 // matching happens case-insensitively in the parser. Comments (-- and
 // /* */) are skipped.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src}
+	// SQL text averages two bytes a token or more, so a long statement, a
+	// bulk INSERT, mostly fills its token list without regrowing it.
+	l := &lexer{src: src, tokens: make([]Token, 0, len(src)/2+1)}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {

@@ -124,6 +124,20 @@ func (r Row) EncodeKey(dst []byte) []byte {
 	return dst
 }
 
+// KeyEqual reports whether r and o have the same EncodeKey encoding,
+// comparing value by value (KeyEqual) without encoding them.
+func (r Row) KeyEqual(o Row) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i := range r {
+		if !KeyEqual(r[i], o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Key returns the row's injective string key.
 func (r Row) Key() string { return string(r.EncodeKey(nil)) }
 

@@ -440,6 +440,27 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	return dst
 }
 
+// KeyEqual reports whether a and b have the same EncodeKey encoding,
+// without encoding them. Unlike Equal, INT 1 and FLOAT 1.0 differ, and so
+// do FLOATs with different bits (0.0 and -0.0); NULL equals NULL.
+func KeyEqual(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindNull:
+		return true
+	case KindString:
+		return a.s() == b.s()
+	case KindBool:
+		return a.b() == b.b()
+	case KindVariant:
+		return a.String() == b.String()
+	default:
+		return a.n == b.n
+	}
+}
+
 func appendInt64(dst []byte, i int64) []byte {
 	u := uint64(i)
 	return append(dst,

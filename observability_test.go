@@ -454,6 +454,57 @@ func readDTObservability(t *testing.T, eng *Engine, sess *Session, name string) 
 	return o
 }
 
+// TestCreateForgetsDroppedObservability checks that a DT created under a
+// dropped DT's name, by CREATE or CREATE OR REPLACE, starts without the
+// old DT's lag samples, resource totals and resource events, and that
+// UNDROP, with no CREATE in between, gets them back.
+func TestCreateForgetsDroppedObservability(t *testing.T) {
+	const create = `DYNAMIC TABLE grand TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT count(*) n FROM totals`
+	for _, tc := range []struct {
+		name  string
+		stmts []string
+	}{
+		{"drop and create", []string{`DROP DYNAMIC TABLE grand`, `CREATE ` + create}},
+		{"create or replace", []string{`CREATE OR REPLACE ` + create}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, sess := obsFixture(t)
+			if o := readDTObservability(t, eng, sess, "grand"); o.sloNull || o.resourceRows == 0 || !o.metric {
+				t.Fatalf("fixture has no observability data for grand: %+v", o)
+			}
+			for _, stmt := range tc.stmts {
+				sess.MustExec(stmt)
+			}
+			o := readDTObservability(t, eng, sess, "grand")
+			if !o.sloNull || !o.p95Null {
+				t.Errorf("DYNAMIC_TABLES lag-SLO columns of the new grand are not NULL: %+v", o)
+			}
+			if o.resourceRows != 0 || o.metric {
+				t.Errorf("the new grand inherits resource data: %+v", o)
+			}
+			if n := len(eng.Observability().LagSeries("grand")); n != 0 {
+				t.Errorf("the new grand inherits %d lag samples", n)
+			}
+			if c := eng.Observability().ResourceCounters()["grand"]; c.Refreshes != 0 || c.CPUSeconds != 0 {
+				t.Errorf("the new grand inherits resource totals %+v", c)
+			}
+			// The other DT keeps its data.
+			if o := readDTObservability(t, eng, sess, "totals"); o.sloNull || o.resourceRows == 0 {
+				t.Errorf("totals lost its observability data: %+v", o)
+			}
+		})
+	}
+	t.Run("undrop", func(t *testing.T) {
+		eng, sess := obsFixture(t)
+		before := readDTObservability(t, eng, sess, "grand")
+		sess.MustExec(`DROP DYNAMIC TABLE grand`)
+		sess.MustExec(`UNDROP DYNAMIC TABLE grand`)
+		if after := readDTObservability(t, eng, sess, "grand"); after != before {
+			t.Errorf("UNDROP changed grand's observability data: before %+v, after %+v", before, after)
+		}
+	})
+}
+
 // TestRenameKeepsObservability checks that ALTER DYNAMIC TABLE ... RENAME
 // and SWAP carry a DT's lag samples, resource totals and resource events
 // to its new name: nothing stays under the old name, and DT_HEALTH's

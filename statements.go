@@ -582,7 +582,7 @@ func (x *executor) execInsert(stmt *sql.InsertStmt) (*Result, error) {
 	}
 
 	ev := &plan.EvalContext{Now: e.clk.Now(), Params: x.params}
-	var newRows []types.Row
+	newRows := make([]types.Row, 0, len(stmt.Rows))
 	switch {
 	case len(stmt.Rows) > 0:
 		binder := plan.NewBinder(e)
@@ -645,7 +645,7 @@ func (x *executor) execInsert(stmt *sql.InsertStmt) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		var cs delta.ChangeSet
+		cs := delta.ChangeSet{Changes: make([]delta.Change, 0, len(newRows))}
 		for _, r := range newRows {
 			cs.AddInsert(table.NextRowID(), r)
 		}
