@@ -201,9 +201,6 @@ func (e *Engine) applyCreateDT(r *persist.CreateDTRecord) error {
 		return err
 	}
 	dt.EntryID = entry.ID
-	// A dropped DT of this name leaves its recorder data for UNDROP; the
-	// new DT starts without it.
-	e.rec.ForgetDT(r.Name)
 	e.registerTable(r.TableKey, dt.Storage)
 	e.ctrl.Register(dt)
 	e.sch.Track(dt)
@@ -290,20 +287,16 @@ func (e *Engine) entryIDFor(name string, orReplace bool) int64 {
 }
 
 // syncDTNames copies the catalog's names onto the named entries' DT
-// payloads and re-keys the recorder's per-DT data from each DT's old name
-// to its new one. RENAME and SWAP call it once the catalog accepted the
-// change, so a rejected statement leaves every DT name as it was.
+// payloads. RENAME and SWAP call it once the catalog accepted the change,
+// so a rejected statement leaves every DT name as it was.
 func (e *Engine) syncDTNames(names ...string) {
-	moves := make(map[string]string, len(names))
 	for _, name := range names {
 		if entry, err := e.cat.Get(name); err == nil {
-			if dt, ok := entry.Payload.(*core.DynamicTable); ok && dt.Name != entry.Name {
-				moves[dt.Name] = entry.Name
+			if dt, ok := entry.Payload.(*core.DynamicTable); ok {
 				dt.Name = entry.Name
 			}
 		}
 	}
-	e.rec.RenameDTs(moves)
 }
 
 // checkTargetLag enforces the TARGET_LAG minimum (§3.2) for CREATE and

@@ -113,10 +113,11 @@ type Engine struct {
 	// cursors counts open Rows cursors, for leak detection.
 	cursors atomic.Int64
 
-	// healthMu guards healthPrev, the per-DT status the last health
-	// evaluation produced — the evaluator's flapping-hysteresis memory.
+	// healthMu guards healthPrev, the status the last health evaluation
+	// produced for each DT that then existed — the evaluator's
+	// flapping-hysteresis memory.
 	healthMu   sync.Mutex
-	healthPrev map[string]health.Status
+	healthPrev map[*core.DynamicTable]health.Status
 
 	// alertMu guards the watchdog registry: declared alerts plus their
 	// firing/resolved evaluation state. Alert conditions evaluate through
@@ -168,12 +169,13 @@ type Config struct {
 	// `ALTER SYSTEM SET REFRESH_WORKERS = n`.
 	RefreshWorkers int
 	// HistoryCapacity bounds the history rings: each DT's refresh
-	// history (behind Describe and DYNAMIC_TABLE_REFRESH_HISTORY) and
-	// the observability recorder's rings (per-DT lag samples,
-	// per-warehouse metering, the graph-edge log and the others). 0
-	// uses the default (1024 entries per ring); a negative value
-	// disables the recorder and tracing (overhead baselines) while each
-	// DT keeps its refresh history at the default bound.
+	// history (behind Describe, DYNAMIC_TABLE_REFRESH_HISTORY and the
+	// lag, resource and health signals derived from it) and the
+	// observability recorder's rings (per-warehouse metering, the
+	// graph-edge log, statements and the others). 0 uses the default
+	// (1024 entries per ring); a negative value disables the recorder
+	// and tracing (overhead baselines) while each DT keeps its refresh
+	// history at the default bound.
 	// `ALTER SYSTEM SET HISTORY_CAPACITY = n` rebounds the rings at
 	// runtime and re-enables recording on a disabled engine.
 	HistoryCapacity int

@@ -61,7 +61,7 @@ func RunLagSawtooth(targetLag time.Duration, hours int) (*LagSawtoothResult, err
 	return &LagSawtoothResult{
 		TargetLag: targetLag,
 		Period:    e.Scheduler().Period(dt),
-		Points:    e.Observability().LagSeries(dt.Name),
+		Points:    dt.LagSeries(),
 	}, nil
 }
 

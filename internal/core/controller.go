@@ -318,18 +318,8 @@ func (c *Controller) Refresh(dt *DynamicTable, dataTS time.Time) (RefreshRecord,
 	rec, err := c.refreshLocked(dt, dataTS, root)
 	rec.TraceRoot = root.RootID()
 	if err != nil {
-		rec.Action = ActionError
-		rec.Err = err
-		root.SetAttr("action", rec.Action.String())
-		rec = c.record(dt, rec)
-		dt.mu.Lock()
-		dt.errorCount++
-		suspend := dt.errorCount >= MaxConsecutiveErrors
-		if suspend {
-			dt.state = StateSuspended
-		}
-		dt.mu.Unlock()
-		return rec, err
+		root.SetAttr("action", ActionError.String())
+		return c.Fail(dt, rec, err), err
 	}
 	root.SetAttr("action", rec.Action.String())
 	root.SetAttr("scan_rows", strconv.FormatInt(rec.SourceRowsScanned, 10))
@@ -338,6 +328,23 @@ func (c *Controller) Refresh(dt *DynamicTable, dataTS time.Time) (RefreshRecord,
 	dt.errorCount = 0
 	dt.mu.Unlock()
 	return c.record(dt, rec), nil
+}
+
+// Fail records a failed refresh: rec becomes the DT's ERROR record and
+// the DT's error streak advances, suspending it at MaxConsecutiveErrors
+// (§3.3.3). Refresh fails through it, and so does the refresher for a
+// refresh that panicked.
+func (c *Controller) Fail(dt *DynamicTable, rec RefreshRecord, err error) RefreshRecord {
+	rec.Action = ActionError
+	rec.Err = err
+	rec = c.record(dt, rec)
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	dt.errorCount++
+	if dt.errorCount >= MaxConsecutiveErrors {
+		dt.state = StateSuspended
+	}
+	return rec
 }
 
 // spanHook adapts a trace span to ivm.Env.Span, keeping ivm free of a

@@ -9,6 +9,7 @@ import (
 
 	"dyntables"
 	"dyntables/internal/core"
+	"dyntables/internal/obs"
 	"dyntables/internal/sql"
 )
 
@@ -368,7 +369,7 @@ func TestPlaceWritesNewestRecord(t *testing.T) {
 		t.Fatalf("manual refresh without changes recorded %s placed at %+v, want an unplaced NO_DATA", rec.Action, rec.Exec)
 	}
 	start := rec.DataTS
-	dt.Place(rec.DataTS, core.Execution{Wave: 2, Worker: 1, Start: start, End: start.Add(3 * time.Second)})
+	dt.Place(rec.DataTS, core.Execution{Wave: 2, Worker: 1, Start: start, End: start.Add(3 * time.Second)}, nil)
 	rec, _ = dt.LastRecord()
 	if x := rec.Exec; x == nil || x.Wave != 2 || x.Worker != 1 || x.Duration() != 3*time.Second {
 		t.Fatalf("placement not written: %+v", x)
@@ -377,11 +378,62 @@ func TestPlaceWritesNewestRecord(t *testing.T) {
 		t.Fatalf("counts after placing the NO_DATA = %+v, want 2 attempts of %v s", c, initSecs+3)
 	}
 
-	dt.Place(rec.DataTS.Add(time.Hour), core.Execution{Wave: 9, Worker: 9, Start: start, End: start.Add(time.Hour)})
+	dt.Place(rec.DataTS.Add(time.Hour), core.Execution{Wave: 9, Worker: 9, Start: start, End: start.Add(time.Hour)}, nil)
 	if rec, _ = dt.LastRecord(); rec.Exec.Wave != 2 {
 		t.Fatalf("placing an unknown data timestamp changed the record: wave %d", rec.Exec.Wave)
 	}
 	if c := dt.Counts(); c.Seconds != initSecs+3 {
 		t.Fatalf("placing an unknown data timestamp counted %v s, want %v", c.Seconds, initSecs+3)
+	}
+}
+
+// TestLagSeriesDerivedFromHistory derives the Figure 4 sawtooth from a
+// hand-built record sequence. Only a successful refresh a tick placed
+// gives a sample; every successful refresh, placed or not, moves the base
+// the next sample's peak is measured from.
+func TestLagSeriesDerivedFromHistory(t *testing.T) {
+	t0 := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(m int) time.Time { return t0.Add(time.Duration(m) * time.Minute) }
+	tick := func(wave int, start time.Time, d time.Duration) *core.Execution {
+		return &core.Execution{Wave: wave, Worker: 0, Start: start, End: start.Add(d)}
+	}
+	failed := errors.New("boom")
+	dt := core.NewDynamicTable("d", "SELECT 1", sql.TargetLag{}, "wh", sql.RefreshAuto, sql.RefreshIncremental, nil)
+	dt.RestoreState(core.DTCheckpoint{History: []core.RefreshRecord{
+		// The first refresh has no predecessor: its peak is its trough.
+		{Seq: 1, DataTS: at(1), Action: core.ActionFull, Exec: tick(0, at(1), 10*time.Second)},
+		// NO_DATA is a success: it gives a sample and moves the base.
+		{Seq: 2, DataTS: at(2), Action: core.ActionNoData, Exec: tick(0, at(2), 0)},
+		// A skip and a failure give no sample and leave the base at 2.
+		{Seq: 3, DataTS: at(3), Action: core.ActionSkip, Exec: tick(0, at(3), 0)},
+		{Seq: 4, DataTS: at(4), Action: core.ActionError, Err: failed, Exec: tick(0, at(4), 0)},
+		{Seq: 5, DataTS: at(5), Action: core.ActionIncremental, Exec: tick(1, at(5), 5*time.Second)},
+		// A manual refresh between ticks gives no sample but moves the
+		// base to 6.
+		{Seq: 6, DataTS: at(6), Action: core.ActionIncremental, Exec: &core.Execution{Wave: -1, Worker: -1, Start: at(6), End: at(6).Add(time.Second)}},
+		// A retried refresh: the failed first attempt, then the success.
+		{Seq: 7, DataTS: at(8), Action: core.ActionError, Err: failed},
+		{Seq: 8, DataTS: at(8), Action: core.ActionIncremental},
+	}})
+	// The refresher places the retried refresh once, on its newest record.
+	usage := &obs.Usage{CPU: 2 * time.Second, AllocBytes: 100}
+	dt.Place(at(8), core.Execution{Wave: 0, Worker: 1, Start: at(8), End: at(8).Add(3 * time.Second)}, usage)
+
+	want := []obs.LagSample{
+		{DTName: "d", At: at(1).Add(10 * time.Second), DataTS: at(1), Peak: 10 * time.Second, Trough: 10 * time.Second},
+		{DTName: "d", At: at(2), DataTS: at(2), Peak: time.Minute, Trough: 0},
+		{DTName: "d", At: at(5).Add(5 * time.Second), DataTS: at(5), Peak: 3*time.Minute + 5*time.Second, Trough: 5 * time.Second},
+		{DTName: "d", At: at(8).Add(3 * time.Second), DataTS: at(8), Peak: 2*time.Minute + 3*time.Second, Trough: 3 * time.Second},
+	}
+	got := dt.LagSeries()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("lag series:\n got %v\nwant %v", got, want)
+	}
+	hist := dt.History()
+	if hist[6].Exec != nil || hist[6].Usage != nil || hist[7].Usage != usage {
+		t.Errorf("the retry was not placed on its newest record: %+v %+v", hist[6], hist[7])
+	}
+	if c := dt.Counts(); c.CPUSeconds != 2 || c.AllocBytes != 100 || c.Seconds != 3 {
+		t.Errorf("counts after placing the retry = %+v, want its 2 s CPU, 100 B and 3 s", c)
 	}
 }

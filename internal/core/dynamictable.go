@@ -16,6 +16,7 @@ import (
 	"dyntables/internal/catalog"
 	"dyntables/internal/hlc"
 	"dyntables/internal/ivm"
+	"dyntables/internal/obs"
 	"dyntables/internal/ring"
 	"dyntables/internal/sql"
 	"dyntables/internal/storage"
@@ -139,7 +140,12 @@ type RefreshRecord struct {
 	// refresher's accounting pass or a manual refresh writes it (see
 	// DynamicTable.Place), and for records from older checkpoints.
 	Exec *Execution
-	Err  error
+	// Usage is the host resource cost the refresher metered around the
+	// refresh, both attempts of a retried one included; nil for refreshes
+	// outside a scheduler tick. In-memory only: checkpoints do not
+	// persist it.
+	Usage *obs.Usage
+	Err   error
 }
 
 // Execution is where and when a refresh ran: its dependency wave and
@@ -161,6 +167,9 @@ type RefreshCounts struct {
 	Attempts, Errors int64
 	// Seconds sums the placed refreshes' virtual execution time.
 	Seconds float64
+	// CPUSeconds and AllocBytes sum the metered refreshes' Usage.
+	CPUSeconds float64
+	AllocBytes int64
 }
 
 // DynamicTable is the engine-side state of one DT. The catalog stores it
@@ -497,22 +506,65 @@ func (dt *DynamicTable) Counts() RefreshCounts {
 	return dt.counts
 }
 
-// Place writes a refresh's execution onto the newest record at its data
-// timestamp and adds its duration to the counters. The controller
-// records a refresh from inside it; wave placement and virtual timing are
-// known only after the refresher's accounting pass (or a manual refresh's
+// Place writes a refresh's execution, and the resource use metered
+// around it (nil when unmetered), onto the newest record at its data
+// timestamp and adds both to the counters. The controller records a
+// refresh from inside it; wave placement and virtual timing are known
+// only after the refresher's accounting pass (or a manual refresh's
 // warehouse job), which places it here, once. A refresh that left no
-// record (a recovered panic, a suspended DT) places nothing.
-func (dt *DynamicTable) Place(dataTS time.Time, x Execution) {
+// record (a suspended DT) places nothing.
+func (dt *DynamicTable) Place(dataTS time.Time, x Execution, u *obs.Usage) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	for i := dt.history.Len() - 1; i >= 0; i-- {
 		if r := dt.history.At(i); r.DataTS.Equal(dataTS) {
-			r.Exec = &x
+			r.Exec, r.Usage = &x, u
 			dt.counts.Seconds += x.Duration().Seconds()
+			if u != nil {
+				dt.counts.CPUSeconds += u.CPU.Seconds()
+				dt.counts.AllocBytes += u.AllocBytes
+			}
 			return
 		}
 	}
+}
+
+// LagSeries derives the DT's lag sawtooth (Figure 4) from its history
+// ring, oldest first: one sample per successful refresh a scheduler tick
+// placed (Exec.Wave >= 0), at the refresh's virtual end. The trough is
+// the lag just after the commit, End - DataTS; the peak the lag just
+// before it, End - base, where base is the DT's data timestamp before
+// the refresh: the latest DataTS of the earlier successful records,
+// manual and repair refreshes included, or the refresh's own DataTS when
+// the ring holds none.
+func (dt *DynamicTable) LagSeries() []obs.LagSample {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	var out []obs.LagSample
+	var base time.Time
+	for i := 0; i < dt.history.Len(); i++ {
+		r := dt.history.At(i)
+		if r.Err != nil || r.Action == ActionSkip {
+			continue
+		}
+		prev := base
+		if prev.IsZero() {
+			prev = r.DataTS
+		}
+		if r.DataTS.After(base) {
+			base = r.DataTS
+		}
+		if x := r.Exec; x != nil && x.Wave >= 0 {
+			out = append(out, obs.LagSample{
+				DTName: dt.Name,
+				At:     x.End,
+				DataTS: r.DataTS,
+				Peak:   x.End.Sub(prev),
+				Trough: x.End.Sub(r.DataTS),
+			})
+		}
+	}
+	return out
 }
 
 // HistoryCapacity returns the history ring's bound.

@@ -1,19 +1,20 @@
 // Package obs is the engine's observability subsystem: it records every
-// dependency-graph edge, lag-sawtooth sample, warehouse job, metered
-// resource use, served request, executed statement and alert evaluation
-// into bounded history rings, and aggregates per-DT lag-SLO attainment
-// (the fraction of wall-clock time a dynamic table spent within its
-// target lag, plus effective-lag percentiles). Refresh attempts are not
-// recorded here: each dynamic table keeps its own history ring
-// (core.DynamicTable.History), which checkpoints carry and renames keep.
+// dependency-graph edge, warehouse job, metered statement, served request
+// and alert evaluation into bounded history rings, and computes lag-SLO
+// attainment (the fraction of wall-clock time a dynamic table spent
+// within its target lag, plus effective-lag percentiles) over a lag
+// sawtooth. Nothing here is kept per dynamic table: each DT's refresh
+// records, and the lag sawtooth and resource cost derived from them,
+// live in the DT's own history ring (core.DynamicTable.History), which
+// checkpoints carry and DDL moves with the DT.
 //
-// The recorder is a passive sink: producers (the DAG-wave refresher, the
-// scheduler, the warehouse pool, sessions and the server) push events
-// through narrow hook interfaces defined in their own packages, and the
-// engine adapts those hooks onto the recorder. Consumers read the same
-// data back through SQL — the engine exposes the rings as
-// INFORMATION_SCHEMA virtual tables resolvable by the normal planner —
-// so the system is observable through its own query path.
+// The recorder is a passive sink: producers (the warehouse pool,
+// sessions and the server) push events through narrow hook interfaces
+// defined in their own packages, and the engine adapts those hooks onto
+// the recorder. Consumers read the same data back through SQL — the
+// engine exposes the rings as INFORMATION_SCHEMA virtual tables
+// resolvable by the normal planner — so the system is observable through
+// its own query path.
 //
 // All methods are safe for concurrent use; accessors return defensive
 // copies so monitoring readers never observe a torn snapshot while
@@ -50,9 +51,9 @@ type GraphEdge struct {
 	ValidFrom time.Time
 }
 
-// LagSample is one lag-sawtooth measurement, recorded at a refresh
-// commit: lag peaks just before the commit and drops to the trough just
-// after (Figure 4 of the paper).
+// LagSample is one lag-sawtooth point, derived from a refresh commit:
+// lag peaks just before the commit and drops to the trough just after
+// (Figure 4 of the paper).
 type LagSample struct {
 	DTName string
 	// At is the measurement time (the refresh's virtual completion).
@@ -83,8 +84,8 @@ type MeterPoint struct {
 
 // RequestEvent is one network-protocol request served by the engine's
 // HTTP server (internal/server): the route it hit, its outcome, and the
-// protocol objects it touched. Unlike the lag and metering rings, requests are
-// timed in host wall-clock time — they measure the serving path, not the
+// protocol objects it touched. Unlike the lag sawtooth and the metering
+// ring, requests are timed in host wall-clock time — they measure the serving path, not the
 // virtual refresh timeline.
 type RequestEvent struct {
 	// Seq orders request observations recorder-globally.
@@ -202,8 +203,8 @@ type RequestHist struct {
 	Sum     float64
 }
 
-// SLOStats aggregates a DT's lag-SLO attainment over the recorded
-// sawtooth window.
+// SLOStats aggregates a DT's lag-SLO attainment over its sawtooth
+// window.
 type SLOStats struct {
 	// Samples is how many sawtooth points contributed.
 	Samples int
@@ -216,9 +217,9 @@ type SLOStats struct {
 	P50, P95 time.Duration
 }
 
-// Recorder accumulates observability events in bounded rings: one lag
-// ring per DT, one metering ring per warehouse, and shared graph-edge,
-// request, statement, resource and alert rings. A disabled recorder (see
+// Recorder accumulates observability events in bounded rings: one
+// metering ring per warehouse, and shared graph-edge, request, statement,
+// statement-resource and alert rings. A disabled recorder (see
 // NewDisabled) drops every event, for overhead baselines.
 type Recorder struct {
 	mu       sync.RWMutex
@@ -226,7 +227,6 @@ type Recorder struct {
 	capacity int
 	seq      int64
 
-	lags       map[string]*ring.Ring[LagSample]
 	meter      map[string]*ring.Ring[MeterPoint]
 	edges      *ring.Ring[GraphEdge]
 	requests   *ring.Ring[RequestEvent]
@@ -234,9 +234,8 @@ type Recorder struct {
 	resources  *ring.Ring[ResourceEvent]
 	alerts     *ring.Ring[AlertEvent]
 
-	// resTotals, alertTotals and reqBuckets/reqCount/reqSum are the
-	// monotonic /metrics aggregates; rings evict, these never do.
-	resTotals   map[string]*ResourceTotals
+	// alertTotals and reqBuckets/reqCount/reqSum are the monotonic
+	// /metrics aggregates; rings evict, these never do.
 	alertTotals map[string]*AlertTotals
 	reqBuckets  []int64 // per-bound counts (non-cumulative)
 	reqCount    int64
@@ -252,14 +251,12 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{
 		enabled:     true,
 		capacity:    capacity,
-		lags:        make(map[string]*ring.Ring[LagSample]),
 		meter:       make(map[string]*ring.Ring[MeterPoint]),
 		edges:       ring.New[GraphEdge](capacity),
 		requests:    ring.New[RequestEvent](capacity),
 		statements:  ring.New[StatementEvent](capacity),
 		resources:   ring.New[ResourceEvent](capacity),
 		alerts:      ring.New[AlertEvent](capacity),
-		resTotals:   make(map[string]*ResourceTotals),
 		alertTotals: make(map[string]*AlertTotals),
 		reqBuckets:  make([]int64, len(RequestBuckets)+1),
 	}
@@ -305,9 +302,6 @@ func (r *Recorder) SetCapacity(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.capacity = n
-	for _, rg := range r.lags {
-		rg.Resize(n)
-	}
 	for _, rg := range r.meter {
 		rg.Resize(n)
 	}
@@ -330,80 +324,6 @@ func (r *Recorder) RecordEdges(edges []GraphEdge) {
 		e.Seq = r.seq
 		r.edges.Push(e)
 	}
-}
-
-// RecordLag appends a sawtooth sample to the DT's lag ring.
-func (r *Recorder) RecordLag(s LagSample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
-	rg := r.lags[s.DTName]
-	if rg == nil {
-		rg = ring.New[LagSample](r.capacity)
-		r.lags[s.DTName] = rg
-	}
-	rg.Push(s)
-}
-
-// RenameDTs re-keys the per-DT observability data after ALTER DYNAMIC
-// TABLE ... RENAME or SWAP: moves maps each DT's old name to its new one,
-// and every move applies at once, so a swap is {a: b, b: a}. The lag
-// ring and its samples, the resource totals and the refresh events of the
-// resource ring all follow the DT.
-func (r *Recorder) RenameDTs(moves map[string]string) {
-	if len(moves) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lags := make(map[string]*ring.Ring[LagSample], len(moves))
-	totals := make(map[string]*ResourceTotals, len(moves))
-	for from := range moves {
-		if rg, ok := r.lags[from]; ok {
-			lags[from] = rg
-			delete(r.lags, from)
-		}
-		if t, ok := r.resTotals[from]; ok {
-			totals[from] = t
-			delete(r.resTotals, from)
-		}
-	}
-	for from, rg := range lags {
-		to := moves[from]
-		for i := 0; i < rg.Len(); i++ {
-			rg.At(i).DTName = to
-		}
-		r.lags[to] = rg
-	}
-	for from, t := range totals {
-		r.resTotals[moves[from]] = t
-	}
-	for i := 0; i < r.resources.Len(); i++ {
-		ev := r.resources.At(i)
-		if to, ok := moves[ev.Name]; ok && ev.Kind == ResourceRefresh {
-			ev.Name = to
-		}
-	}
-}
-
-// ForgetDT drops the per-DT observability data kept under name: the lag
-// ring, the resource totals and the refresh events of the resource ring.
-// Creating a DT calls it, so that a new DT does not inherit a dropped
-// one's data under a reused name; DROP does not, so UNDROP keeps it.
-func (r *Recorder) ForgetDT(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.lags, name)
-	delete(r.resTotals, name)
-	kept := ring.New[ResourceEvent](r.capacity)
-	for i := 0; i < r.resources.Len(); i++ {
-		if ev := r.resources.At(i); ev.Kind != ResourceRefresh || ev.Name != name {
-			kept.Push(*ev)
-		}
-	}
-	r.resources = kept
 }
 
 // RecordJob appends a billed warehouse job to the warehouse's metering
@@ -548,17 +468,6 @@ func (r *Recorder) Edges() []GraphEdge {
 	return r.edges.Snapshot()
 }
 
-// LagSeries returns a copy of one DT's sawtooth samples, oldest first.
-func (r *Recorder) LagSeries(dtName string) []LagSample {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg := r.lags[dtName]
-	if rg == nil {
-		return nil
-	}
-	return rg.Snapshot()
-}
-
 // Metering returns every warehouse's billed jobs, ordered by warehouse
 // name then recording order.
 func (r *Recorder) Metering() []MeterPoint {
@@ -578,15 +487,11 @@ func (r *Recorder) Metering() []MeterPoint {
 	return out
 }
 
-// SLO computes the DT's lag-SLO attainment against a target lag over the
-// recorded sawtooth window, extended to `now`. Lag rises linearly from
-// each commit's trough to the next commit's peak, so the within-target
-// time of each segment is exact for the sawtooth model.
-func (r *Recorder) SLO(dtName string, target time.Duration, now time.Time) SLOStats {
-	return ComputeSLO(r.LagSeries(dtName), target, now)
-}
-
-// ComputeSLO is the pure sawtooth-SLO computation behind Recorder.SLO.
+// ComputeSLO computes a DT's lag-SLO attainment against a target lag
+// over a sawtooth series (core.DynamicTable.LagSeries), extended to
+// `now`. Lag rises linearly from each commit's trough to the next
+// commit's peak, so the within-target time of each segment is exact for
+// the sawtooth model.
 func ComputeSLO(series []LagSample, target time.Duration, now time.Time) SLOStats {
 	if len(series) == 0 {
 		return SLOStats{}

@@ -34,32 +34,32 @@ func TestRingBounded(t *testing.T) {
 func TestSetCapacityTrims(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 8; i++ {
-		r.RecordLag(LagSample{DTName: "dt", At: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Duration(i) * time.Minute)})
 	}
 	r.SetCapacity(3)
-	hist := r.LagSeries("dt")
+	hist := r.Metering()
 	if len(hist) != 3 {
 		t.Fatalf("after shrink kept %d, want 3", len(hist))
 	}
-	if !hist[0].At.Equal(t0.Add(5 * time.Minute)) {
-		t.Fatalf("oldest survivor %v, want %v", hist[0].At, t0.Add(5*time.Minute))
+	if !hist[0].Submit.Equal(t0.Add(5 * time.Minute)) {
+		t.Fatalf("oldest survivor %v, want %v", hist[0].Submit, t0.Add(5*time.Minute))
 	}
 	// Growing keeps everything and accepts more.
 	r.SetCapacity(16)
 	for i := 0; i < 5; i++ {
-		r.RecordLag(LagSample{DTName: "dt", At: t0.Add(time.Hour)})
+		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Hour)})
 	}
-	if got := len(r.LagSeries("dt")); got != 8 {
+	if got := len(r.Metering()); got != 8 {
 		t.Fatalf("after grow kept %d, want 8", got)
 	}
 }
 
 func TestDisabledRecorderDropsEverything(t *testing.T) {
 	r := NewDisabled()
-	r.RecordLag(LagSample{DTName: "dt"})
 	r.RecordJob(MeterPoint{Warehouse: "wh"})
 	r.RecordEdges([]GraphEdge{{DTName: "dt", Upstream: "base"}})
-	if len(r.LagSeries("dt")) != 0 || len(r.Metering()) != 0 || len(r.Edges()) != 0 {
+	r.RecordResource(ResourceEvent{Kind: ResourceStatement})
+	if len(r.Metering()) != 0 || len(r.Edges()) != 0 || len(r.Resources()) != 0 {
 		t.Fatal("disabled recorder retained events")
 	}
 }
@@ -177,7 +177,7 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			defer writers.Done()
 			name := fmt.Sprintf("dt%d", w)
 			for i := 0; i < 500; i++ {
-				r.RecordLag(LagSample{DTName: name, At: t0.Add(time.Duration(i) * time.Second)})
+				r.RecordResource(ResourceEvent{Kind: ResourceStatement, Name: name})
 				r.RecordJob(MeterPoint{Warehouse: "wh", Label: name})
 			}
 		}(w)
@@ -198,13 +198,18 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 					return
 				}
 			}
-			r.SLO("dt0", time.Minute, t0.Add(time.Hour))
+			for _, ev := range r.Resources() {
+				if ev.Name == "" {
+					t.Error("torn resource event")
+					return
+				}
+			}
 		}
 	}()
 	writers.Wait()
 	close(stop)
 	<-readerDone
-	if got := len(r.LagSeries("dt0")); got != 64 {
+	if got := len(r.Resources()); got != 64 {
 		t.Fatalf("ring kept %d, want capacity 64", got)
 	}
 }

@@ -67,12 +67,15 @@ const (
 	ResourceStatement = "statement"
 )
 
-// ResourceEvent is one unit of attributed resource consumption, recorded
-// for INFORMATION_SCHEMA.RESOURCE_HISTORY. Refresh events carry the DT
-// name; statement events the result kind. RootID joins the event to
-// QUERY_HISTORY / DYNAMIC_TABLE_REFRESH_HISTORY / TRACE_SPANS.
+// ResourceEvent is one unit of attributed resource consumption, a row of
+// INFORMATION_SCHEMA.RESOURCE_HISTORY. Statement events are recorded in
+// the recorder's resource ring; refresh events are read from each DT's
+// history ring. Refresh events carry the DT name, statement events the
+// result kind. RootID joins the event to QUERY_HISTORY /
+// DYNAMIC_TABLE_REFRESH_HISTORY / TRACE_SPANS.
 type ResourceEvent struct {
-	// Seq orders resource observations recorder-globally.
+	// Seq is the recorder's sequence number for statements and the
+	// engine-wide refresh sequence number for refreshes.
 	Seq int64
 	// Kind is ResourceRefresh or ResourceStatement.
 	Kind string
@@ -95,20 +98,10 @@ type ResourceEvent struct {
 	Bytes int64
 }
 
-// ResourceTotals are monotonic per-DT resource counters backing the
-// /metrics exposition; unlike the bounded rings they never evict.
-type ResourceTotals struct {
-	// Refreshes counts measured refreshes.
-	Refreshes int64
-	// CPUSeconds sums measured refresh CPU time.
-	CPUSeconds float64
-	// AllocBytes sums heap bytes allocated during measured refreshes.
-	AllocBytes int64
-}
-
-// RecordResource appends a resource event to the shared resource ring,
-// assigning its sequence number, and folds refresh events into the
-// monotonic per-DT totals.
+// RecordResource appends a statement's resource event to the resource
+// ring, assigning its sequence number. Refreshes are not recorded here:
+// each placed refresh record carries its own Usage
+// (core.RefreshRecord.Usage).
 func (r *Recorder) RecordResource(ev ResourceEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -118,47 +111,12 @@ func (r *Recorder) RecordResource(ev ResourceEvent) {
 	r.seq++
 	ev.Seq = r.seq
 	r.resources.Push(ev)
-	if ev.Kind == ResourceRefresh {
-		t := r.resTotals[ev.Name]
-		if t == nil {
-			t = &ResourceTotals{}
-			r.resTotals[ev.Name] = t
-		}
-		t.Refreshes++
-		t.CPUSeconds += ev.CPU.Seconds()
-		t.AllocBytes += ev.AllocBytes
-	}
 }
 
-// Resources returns a copy of the resource events, oldest first.
+// Resources returns a copy of the statement resource events, oldest
+// first.
 func (r *Recorder) Resources() []ResourceEvent {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.resources.Snapshot()
-}
-
-// ResourceCounters returns a copy of the monotonic per-DT resource
-// totals.
-func (r *Recorder) ResourceCounters() map[string]ResourceTotals {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]ResourceTotals, len(r.resTotals))
-	for name, t := range r.resTotals {
-		out[name] = *t
-	}
-	return out
-}
-
-// RefreshCPUSeries returns one DT's measured refresh CPU times, oldest
-// first — the health evaluator's resource-trend input.
-func (r *Recorder) RefreshCPUSeries(dtName string) []time.Duration {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []time.Duration
-	for _, ev := range r.resources.Snapshot() {
-		if ev.Kind == ResourceRefresh && ev.Name == dtName {
-			out = append(out, ev.CPU)
-		}
-	}
-	return out
 }

@@ -16,7 +16,8 @@
 //     and end instants, result ordering) is computed in a deterministic
 //     name-ordered pass per wave, independent of goroutine interleaving.
 //   - Isolation: a panic inside one DT's refresh is confined to that DT
-//     and surfaces as its refresh error; sibling refreshes proceed.
+//     and surfaces as its refresh error, recorded in its history and
+//     counted toward auto-suspension; sibling refreshes proceed.
 //   - Retry: a refresh failing with a transient error (first-committer-
 //     wins write conflicts against concurrent DML) is retried once
 //     before the failure is reported.
@@ -58,13 +59,10 @@ type Result struct {
 	// Rec and Err are the controller's refresh outcome (after any retry).
 	// Rec carries the per-refresh effective-mode decision of the
 	// adaptive REFRESH_MODE=AUTO chooser (EffectiveMode, ModeReason and
-	// its cost signals), so sinks observe which mode each wave item
+	// its cost signals), so callers see which mode each wave item
 	// actually ran in.
 	Rec core.RefreshRecord
 	Err error
-	// PrevDataTS is the DT's data timestamp immediately before this
-	// refresh, for peak-lag measurement.
-	PrevDataTS time.Time
 	// Start and End bound the refresh job in virtual time: Start is when
 	// a warehouse slot picked the job up, End when it finished. For
 	// NO_DATA and failed refreshes End equals Start (no compute).
@@ -79,7 +77,8 @@ type Result struct {
 	Panicked bool
 	// Usage is the refresh's resource cost (host CPU time, allocation
 	// deltas), metered on the worker goroutine around the controller
-	// refresh including any retry.
+	// refresh including any retry. The accounting pass places it on the
+	// DT's record with the execution.
 	Usage obs.Usage
 }
 
@@ -100,24 +99,7 @@ type Refresher struct {
 	workers  int
 	quiesced bool
 	inflight int
-	sink     Sink
 	tracer   *trace.Recorder
-}
-
-// Sink observes every executed tick after its deterministic accounting
-// pass, with wave placement, worker slots and virtual start/end instants
-// final. The observability recorder uses it to annotate refresh history
-// with execution detail. Implementations must not call back into the
-// refresher or scheduler.
-type Sink interface {
-	TickExecuted(results []Result)
-}
-
-// SetSink registers the tick observer (at most one; nil clears).
-func (r *Refresher) SetSink(s Sink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sink = s
 }
 
 // SetTracer registers the span recorder. Each executed tick becomes one
@@ -237,7 +219,8 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 		waveSpan.End()
 		// Deterministic accounting pass: bill jobs and fix virtual start
 		// and end instants in name order, independent of which goroutine
-		// finished first.
+		// finished first, then place each refresh and its metered usage
+		// on the DT's record.
 		for i := range executed {
 			res := &executed[i]
 			res.Wave = waveIdx
@@ -259,14 +242,10 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 			if res.Err == nil {
 				endOf[res.DT] = res.End
 			}
+			usage := res.Usage
+			res.DT.Place(res.Rec.DataTS, core.Execution{Wave: res.Wave, Worker: res.Worker, Start: res.Start, End: res.End}, &usage)
 		}
 		results = append(results, executed...)
-	}
-	r.mu.Lock()
-	sink := r.sink
-	r.mu.Unlock()
-	if sink != nil {
-		sink.TickExecuted(results)
 	}
 	return results, nil
 }
@@ -293,7 +272,7 @@ func (r *Refresher) runWave(wave []Request, workers int, waveSpan *trace.Span) [
 			execSpan := waveSpan.Child("refresh.exec",
 				trace.A("dt", req.DT.Name),
 				trace.A("worker", strconv.Itoa(slot)))
-			res := Result{DT: req.DT, Start: req.Ready, PrevDataTS: req.DT.DataTimestamp(), Worker: slot}
+			res := Result{DT: req.DT, Start: req.Ready, Worker: slot}
 			meter := obs.StartMeter()
 			res.Rec, res.Err, res.Panicked = r.refreshIsolated(req.DT, req.DataTS)
 			if res.Err != nil && !res.Panicked && Transient(res.Err) {
@@ -313,13 +292,14 @@ func (r *Refresher) runWave(wave []Request, workers int, waveSpan *trace.Span) [
 
 // refreshIsolated runs one controller refresh with panic confinement: a
 // panicking refresh (a malformed plan, a corrupted row) fails that DT
-// alone instead of tearing down the scheduler goroutine.
+// alone instead of tearing down the scheduler goroutine, and is recorded
+// and counted like any failed refresh.
 func (r *Refresher) refreshIsolated(dt *core.DynamicTable, dataTS time.Time) (rec core.RefreshRecord, err error, panicked bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			panicked = true
 			err = fmt.Errorf("refresher: panic refreshing %s: %v\n%s", dt.Name, p, debug.Stack())
-			rec = core.RefreshRecord{DataTS: dataTS, Action: core.ActionError, Err: err}
+			rec = r.ctrl.Fail(dt, core.RefreshRecord{DataTS: dataTS}, err)
 		}
 	}()
 	rec, err = r.refreshFn(dt, dataTS)

@@ -250,9 +250,22 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	h.insert(src, t0.Add(90*time.Second), ints(2))
+	recorded := bad.HistoryLen()
 	results, err := r.ExecuteTick(requests(t0.Add(2*time.Minute), good, bad))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The panic is recorded and counted like a returned error, so a DT
+	// that panics on every tick reaches auto-suspension.
+	hist := bad.History()
+	if len(hist) != recorded+1 {
+		t.Fatalf("the panicking refresh left %d records, want 1", len(hist)-recorded)
+	}
+	if last := hist[len(hist)-1]; last.Action != core.ActionError || last.Err == nil || last.Exec == nil || last.Usage == nil {
+		t.Errorf("the panic's record is not a placed, metered ERROR: %+v", last)
+	}
+	if n := bad.ErrorCount(); n != 1 {
+		t.Errorf("error streak after the panic = %d, want 1", n)
 	}
 	var goodRes, badRes *Result
 	for i := range results {

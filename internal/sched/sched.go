@@ -2,8 +2,9 @@
 // the DT dependency graph, resolves DOWNSTREAM target lags, chooses
 // canonical refresh periods (48·2ⁿ seconds with a shared phase so data
 // timestamps align across the graph), issues refreshes in dependency
-// order, skips refreshes that would overlap a still-running one (§3.3.3),
-// and measures the lag sawtooth of Figure 4 for its LagSink.
+// order, and skips refreshes that would overlap a still-running one
+// (§3.3.3). The lag sawtooth of Figure 4 is not measured here: each DT
+// derives it from its own refresh records (core.DynamicTable.LagSeries).
 package sched
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"dyntables/internal/clock"
 	"dyntables/internal/core"
-	"dyntables/internal/obs"
 	"dyntables/internal/refresher"
 	"dyntables/internal/sql"
 	"dyntables/internal/warehouse"
@@ -83,8 +83,7 @@ type Scheduler struct {
 	// exec executes the due set of each fire instant: it partitions the
 	// DTs into dependency waves and runs each wave concurrently on its
 	// worker pool. The scheduler keeps the policy decisions (which DTs
-	// are due, skip-vs-queue, stats, the lag sawtooth); the refresher
-	// owns execution.
+	// are due, skip-vs-queue, stats); the refresher owns execution.
 	exec *refresher.Refresher
 
 	// phase is the account-wide constant phase for canonical periods
@@ -104,9 +103,6 @@ type Scheduler struct {
 	busyUntil map[*core.DynamicTable]time.Time
 
 	stats Stats
-	// lagSink, when set, observes every sawtooth point as it is measured
-	// (the observability recorder, which keeps the series).
-	lagSink LagSink
 
 	// DisableSkip runs overlapping refreshes back-to-back instead of
 	// skipping (ablation E10).
@@ -139,20 +135,6 @@ func (s *Scheduler) SetRefresher(r *refresher.Refresher) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.exec = r
-}
-
-// LagSink observes lag-sawtooth points (Figure 4) as the scheduler
-// measures them. Implementations are invoked with the scheduler lock held
-// and must not call back into the scheduler.
-type LagSink interface {
-	LagRecorded(s obs.LagSample)
-}
-
-// SetLagSink registers the sawtooth observer (at most one; nil clears).
-func (s *Scheduler) SetLagSink(sink LagSink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lagSink = sink
 }
 
 // Refresher returns the installed refresh executor (installing the
@@ -384,7 +366,7 @@ func (s *Scheduler) RunUntil(t time.Time) error {
 // applies the scheduling policy (skip-vs-queue, §3.3.3; exact-period
 // repair, E11), hands the due set to the refresher — which partitions it
 // into dependency waves and runs each wave concurrently — and folds the
-// results back into the stats, busy windows and the Figure 4 sawtooth.
+// results back into the stats and busy windows.
 // The policy pass and the result fold run under mu; execution does not,
 // so a long wave never blocks monitoring accessors. tickMu (held by the
 // caller) keeps concurrent passes from interleaving around the gap.
@@ -470,25 +452,8 @@ func (s *Scheduler) fireAt(at time.Time) error {
 	}
 	for _, res := range results {
 		s.tally(res.Rec, res.Err)
-		if res.Err != nil {
-			continue
-		}
-		s.busyUntil[res.DT] = res.End
-
-		// Measure the Figure 4 sawtooth point: the peak is the lag just
-		// before the commit, e_i − v_{i−1}; the trough just after, e_i − v_i.
-		if s.lagSink != nil {
-			peakBase := res.PrevDataTS
-			if peakBase.IsZero() {
-				peakBase = at
-			}
-			s.lagSink.LagRecorded(obs.LagSample{
-				DTName: res.DT.Name,
-				At:     res.End,
-				DataTS: at,
-				Peak:   res.End.Sub(peakBase),
-				Trough: res.End.Sub(at),
-			})
+		if res.Err == nil {
+			s.busyUntil[res.DT] = res.End
 		}
 	}
 	return nil

@@ -12,7 +12,6 @@ import (
 	"dyntables/internal/core"
 	"dyntables/internal/delta"
 	"dyntables/internal/hlc"
-	"dyntables/internal/obs"
 	"dyntables/internal/plan"
 	"dyntables/internal/refresher"
 	"dyntables/internal/sql"
@@ -261,24 +260,6 @@ func TestEffectiveLagDownstreamSinkHasNoLag(t *testing.T) {
 	}
 }
 
-// lagCollector is a LagSink that keeps every sample it is handed.
-type lagCollector struct {
-	mu      sync.Mutex
-	samples []obs.LagSample
-}
-
-func (c *lagCollector) LagRecorded(s obs.LagSample) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.samples = append(c.samples, s)
-}
-
-func (c *lagCollector) points() []obs.LagSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]obs.LagSample(nil), c.samples...)
-}
-
 func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	h := newDTHarness(t)
 	src := h.baseTable("src")
@@ -287,8 +268,6 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	s := New(h.clk, h.ctrl, h.pool,
 		warehouse.CostModel{Fixed: time.Second, PerRow: time.Millisecond}, schedT0, 0)
 	s.Track(dt)
-	lags := &lagCollector{}
-	s.SetLagSink(lags)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -307,6 +286,10 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 			st.Scheduled = -1
 			_ = s.EffectiveLag(dt)
 			_ = s.Period(dt)
+			series := dt.LagSeries()
+			for i := range series {
+				series[i].Peak = -1
+			}
 		}
 	}()
 
@@ -329,7 +312,7 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	if stats.Scheduled <= 0 || stats.Scheduled == -1 {
 		t.Errorf("reader mutation leaked into scheduler stats: %+v", stats)
 	}
-	series := lags.points()
+	series := dt.LagSeries()
 	if len(series) == 0 {
 		t.Fatal("no lag points recorded")
 	}

@@ -44,7 +44,6 @@ func (e *Engine) MetricsText() string {
 
 	e.writeRefreshMetrics(&b)
 	e.writeLagMetrics(&b)
-	e.writeResourceMetrics(&b)
 	e.writeFootprintMetrics(&b)
 	e.writeHealthMetrics(&b)
 	e.writeAlertMetrics(&b)
@@ -54,7 +53,8 @@ func (e *Engine) MetricsText() string {
 	return b.String()
 }
 
-// writeRefreshMetrics emits each DT's monotonic refresh counters.
+// writeRefreshMetrics emits each DT's monotonic refresh counters,
+// resource counters included.
 func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 	dts := e.sortedDTs()
 	counts := make([]core.RefreshCounts, len(dts))
@@ -77,6 +77,26 @@ func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 	for i, dt := range dts {
 		fmt.Fprintf(b, "dyntables_refresh_duration_seconds_total{dt=%s} %s\n",
 			labelQuote(dt.Name), fmtFloat(counts[i].Seconds))
+	}
+	// The resource counters sum the refreshes the refresher metered. CPU
+	// is goroutine wall-time (an approximation — Go has no per-goroutine
+	// CPU clock) and allocations are process-wide counter deltas taken on
+	// the refreshing worker. A DT no tick has metered yet has no series.
+	fmt.Fprintf(b, "# HELP dyntables_dt_cpu_seconds_total Approximate host CPU (goroutine wall-time) spent refreshing each dynamic table.\n")
+	fmt.Fprintf(b, "# TYPE dyntables_dt_cpu_seconds_total counter\n")
+	for i, dt := range dts {
+		if counts[i].CPUSeconds > 0 {
+			fmt.Fprintf(b, "dyntables_dt_cpu_seconds_total{dt=%s} %s\n",
+				labelQuote(dt.Name), fmtFloat(counts[i].CPUSeconds))
+		}
+	}
+	fmt.Fprintf(b, "# HELP dyntables_dt_alloc_bytes_total Heap bytes allocated while refreshing each dynamic table.\n")
+	fmt.Fprintf(b, "# TYPE dyntables_dt_alloc_bytes_total counter\n")
+	for i, dt := range dts {
+		if counts[i].CPUSeconds > 0 {
+			fmt.Fprintf(b, "dyntables_dt_alloc_bytes_total{dt=%s} %d\n",
+				labelQuote(dt.Name), counts[i].AllocBytes)
+		}
 	}
 }
 
@@ -107,32 +127,6 @@ func (e *Engine) writeLagMetrics(b *strings.Builder) {
 		if r.slo.Samples > 0 {
 			fmt.Fprintf(b, "dyntables_dt_slo_attainment{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(r.slo.Attainment))
 		}
-	}
-}
-
-// writeResourceMetrics emits the monotonic per-DT refresh resource
-// counters. CPU is goroutine wall-time (an approximation — Go has no
-// per-goroutine CPU clock) and allocations are process-wide counter
-// deltas taken on the refreshing worker.
-func (e *Engine) writeResourceMetrics(b *strings.Builder) {
-	totals := e.rec.ResourceCounters()
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	fmt.Fprintf(b, "# HELP dyntables_dt_cpu_seconds_total Approximate host CPU (goroutine wall-time) spent refreshing each dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_cpu_seconds_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(b, "dyntables_dt_cpu_seconds_total{dt=%s} %s\n",
-			labelQuote(name), fmtFloat(totals[name].CPUSeconds))
-	}
-	fmt.Fprintf(b, "# HELP dyntables_dt_alloc_bytes_total Heap bytes allocated while refreshing each dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_alloc_bytes_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(b, "dyntables_dt_alloc_bytes_total{dt=%s} %d\n",
-			labelQuote(name), totals[name].AllocBytes)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"dyntables/internal/hlc"
 	"dyntables/internal/obs"
 	"dyntables/internal/plan"
-	"dyntables/internal/refresher"
 	"dyntables/internal/sched"
 	"dyntables/internal/sql"
 	"dyntables/internal/trace"
@@ -19,11 +18,13 @@ import (
 )
 
 // This file wires the observability subsystem: the obs.Recorder collects
-// graph, lag, metering and resource events from sink hooks in the
-// refresher, sched and warehouse, each DT keeps its own refresh history,
-// and the engine exposes both as INFORMATION_SCHEMA virtual tables
-// resolvable by the normal planner — so every signal the engine produces
-// is queryable with plain SQL through the ordinary session/cursor path.
+// graph, metering and statement events from sink hooks in the warehouse
+// pool and the session layer; each DT keeps its own refresh records, from
+// which its lag sawtooth, SLO attainment, resource cost and health
+// signals are derived when read; and the engine exposes both as
+// INFORMATION_SCHEMA virtual tables resolvable by the normal planner — so
+// every signal the engine produces is queryable with plain SQL through
+// the ordinary session/cursor path.
 
 // The INFORMATION_SCHEMA virtual table names.
 const (
@@ -41,8 +42,8 @@ const (
 )
 
 // initObservability builds the recorder, layers the virtual-table
-// resolver over the catalog resolver, and registers the engine's sink
-// adapters with every producer subsystem. Called once from New.
+// resolver over the catalog resolver, and registers the engine's job
+// sink with the warehouse pool. Called once from New.
 func (e *Engine) initObservability() {
 	if e.cfg.HistoryCapacity < 0 {
 		e.rec = obs.NewDisabled()
@@ -60,10 +61,7 @@ func (e *Engine) initObservability() {
 	)
 	e.registerInfoSchema()
 
-	ad := &obsAdapter{e: e}
-	e.refr.SetSink(ad)
-	e.sch.SetLagSink(ad)
-	e.pool.SetJobSink(ad)
+	e.pool.SetJobSink(&obsAdapter{e: e})
 }
 
 // Observability exposes the recorder (history rings, lag-SLO
@@ -72,9 +70,9 @@ func (e *Engine) initObservability() {
 func (e *Engine) Observability() *obs.Recorder { return e.rec }
 
 // LagSLO returns a DT's lag-SLO attainment against its effective target
-// lag, computed over the recorded sawtooth window up to now. The second
-// return is false when the DT has no lag requirement (a DOWNSTREAM DT
-// with no consumers) or no recorded samples.
+// lag, computed over the sawtooth its history ring holds, up to now. The
+// second return is false when the DT has no lag requirement (a
+// DOWNSTREAM DT with no consumers) or no samples.
 func (e *Engine) LagSLO(name string) (obs.SLOStats, bool) {
 	_, dt, err := e.dynamicTable(name)
 	if err != nil {
@@ -84,39 +82,13 @@ func (e *Engine) LagSLO(name string) (obs.SLOStats, bool) {
 	if target >= sched.NoLag {
 		return obs.SLOStats{}, false
 	}
-	stats := e.rec.SLO(dt.Name, target, e.clk.Now())
+	stats := obs.ComputeSLO(dt.LagSeries(), target, e.clk.Now())
 	return stats, stats.Samples > 0
 }
 
-// obsAdapter fans producer hooks into the recorder. One adapter
-// implements every sink interface; all recorder methods are safe for
-// the concurrent refresh workers that invoke them.
+// obsAdapter records the warehouse pool's billed jobs; the recorder is
+// safe for the concurrent refresh workers that submit them.
 type obsAdapter struct{ e *Engine }
-
-// TickExecuted implements refresher.Sink: it places each refresh the
-// controller recorded during the tick (wave, worker slot, deterministic
-// virtual timing) on its DT's record, and records each refresh's metered
-// resource usage (captured on the worker goroutine) into the resource
-// ring.
-func (a *obsAdapter) TickExecuted(results []refresher.Result) {
-	for _, res := range results {
-		res.DT.Place(res.Rec.DataTS, core.Execution{Wave: res.Wave, Worker: res.Worker, Start: res.Start, End: res.End})
-		a.e.rec.RecordResource(obs.ResourceEvent{
-			Kind:         obs.ResourceRefresh,
-			Name:         res.DT.Name,
-			RootID:       res.Rec.TraceRoot,
-			Start:        res.Usage.Start,
-			CPU:          res.Usage.CPU,
-			AllocBytes:   res.Usage.AllocBytes,
-			AllocObjects: res.Usage.AllocObjects,
-			Rows:         res.Rec.SourceRowsScanned + int64(res.Rec.Inserted) + int64(res.Rec.Deleted),
-			Bytes:        res.Rec.ScanBytes,
-		})
-	}
-}
-
-// LagRecorded implements sched.LagSink.
-func (a *obsAdapter) LagRecorded(s obs.LagSample) { a.e.rec.RecordLag(s) }
 
 // JobSubmitted implements warehouse.JobSink.
 func (a *obsAdapter) JobSubmitted(w *warehouse.Warehouse, job warehouse.Job) {
@@ -384,11 +356,11 @@ func (e *Engine) registerInfoSchema() {
 		intervalCol("duration", func(r trace.Record) (time.Duration, bool) { return r.Duration, true }),
 	))
 
-	// RESOURCE_HISTORY, from the recorder's shared resource ring: one row
-	// per metered unit of work (scheduler-tick refreshes and session
-	// statements), joinable against QUERY_HISTORY,
+	// RESOURCE_HISTORY: one row per metered unit of work — scheduler-tick
+	// refreshes from each DT's history ring, session statements from the
+	// recorder's resource ring — joinable against QUERY_HISTORY,
 	// DYNAMIC_TABLE_REFRESH_HISTORY and TRACE_SPANS on root_id.
-	e.virt.Register(virtualTable(InfoSchemaResourceHistory, e.rec.Resources,
+	e.virt.Register(virtualTable(InfoSchemaResourceHistory, e.resourceHistory,
 		intCol("seq", func(ev obs.ResourceEvent) (int64, bool) { return ev.Seq, true }),
 		strCol("kind", func(ev obs.ResourceEvent) (string, bool) { return ev.Kind, true }),
 		strCol("name", func(ev obs.ResourceEvent) (string, bool) { return nonZero(ev.Name) }),
@@ -514,7 +486,7 @@ func (e *Engine) dynamicTableInfos() []dtInfo {
 	for _, dt := range dts {
 		info := dtInfo{dt: dt, target: e.sch.EffectiveLag(dt), dataTS: dt.DataTimestamp(), now: now}
 		if info.target < sched.NoLag {
-			info.slo = e.rec.SLO(dt.Name, info.target, now)
+			info.slo = obs.ComputeSLO(dt.LagSeries(), info.target, now)
 		}
 		info.mode, info.reason = dt.ModeDecision()
 		infos = append(infos, info)
@@ -554,6 +526,32 @@ func (e *Engine) refreshHistory() []refreshRow {
 	return rows
 }
 
+// resourceHistory lists the RESOURCE_HISTORY rows: every DT's metered
+// refresh records, ordered by DT name, then recording order, followed by
+// the recorder's statement events.
+func (e *Engine) resourceHistory() []obs.ResourceEvent {
+	var rows []obs.ResourceEvent
+	for _, dt := range e.sortedDTs() {
+		for _, rec := range dt.History() {
+			if u := rec.Usage; u != nil {
+				rows = append(rows, obs.ResourceEvent{
+					Seq:          rec.Seq,
+					Kind:         obs.ResourceRefresh,
+					Name:         dt.Name,
+					RootID:       rec.TraceRoot,
+					Start:        u.Start,
+					CPU:          u.CPU,
+					AllocBytes:   u.AllocBytes,
+					AllocObjects: u.AllocObjects,
+					Rows:         rec.SourceRowsScanned + int64(rec.Inserted) + int64(rec.Deleted),
+					Bytes:        rec.ScanBytes,
+				})
+			}
+		}
+	}
+	return append(rows, e.rec.Resources()...)
+}
+
 // errText is err's message, "" for nil.
 func errText(err error) string {
 	if err == nil {
@@ -586,11 +584,12 @@ var blamePhases = map[string]bool{
 
 // healthReports evaluates every DT through the pure internal/health
 // classifier, feeding it lag-SLO attainment, the error streak, and the
-// refresh-CPU trend from the resource ring. DTs classified at or below
-// AT_RISK get a blame attribution: the engine walks Controller.Upstreams
-// and the span forest to find the DAG node and phase that consumed the
-// lag budget. The previous per-DT status is remembered on the engine so
-// the classifier's hysteresis has its memory.
+// trend of its metered refresh CPU, all read from the DT's history ring.
+// DTs classified at or below AT_RISK get a blame attribution: the engine
+// walks Controller.Upstreams and the span forest to find the DAG node and
+// phase that consumed the lag budget. Each DT's previous status is
+// remembered on the engine, keyed by the DT itself, so the classifier's
+// hysteresis has its memory across RENAME and forgets a dropped DT.
 func (e *Engine) healthReports() []healthReport {
 	dts := e.sortedDTs()
 	now := e.clk.Now()
@@ -599,30 +598,35 @@ func (e *Engine) healthReports() []healthReport {
 
 	e.healthMu.Lock()
 	defer e.healthMu.Unlock()
-	if e.healthPrev == nil {
-		e.healthPrev = make(map[string]health.Status)
-	}
+	prevs := e.healthPrev
+	e.healthPrev = make(map[*core.DynamicTable]health.Status, len(dts))
 
 	reports := make([]healthReport, 0, len(dts))
 	for _, dt := range dts {
+		var cpu []time.Duration
+		for _, rec := range dt.History() {
+			if rec.Usage != nil {
+				cpu = append(cpu, rec.Usage.CPU)
+			}
+		}
 		in := health.Input{
 			Name:        dt.Name,
 			Suspended:   dt.State() == core.StateSuspended,
 			ErrorStreak: dt.ErrorCount(),
-			CPUTrend:    health.CPUTrendRatio(e.rec.RefreshCPUSeries(dt.Name)),
+			CPUTrend:    health.CPUTrendRatio(cpu),
 		}
 		if target := e.sch.EffectiveLag(dt); target < sched.NoLag {
 			in.HasSLO = true
-			stats := e.rec.SLO(dt.Name, target, now)
+			stats := obs.ComputeSLO(dt.LagSeries(), target, now)
 			in.Attainment = stats.Attainment
 			in.Samples = stats.Samples
 		}
-		prev := e.healthPrev[dt.Name]
+		prev := prevs[dt]
 		if prev == "" {
 			prev = health.Healthy
 		}
 		status, reason := health.Evaluate(in, prev, health.Thresholds{})
-		e.healthPrev[dt.Name] = status
+		e.healthPrev[dt] = status
 
 		rep := healthReport{
 			Name:        dt.Name,

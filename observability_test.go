@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dyntables/internal/core"
 	"dyntables/internal/types"
 )
 
@@ -482,10 +483,11 @@ func TestCreateForgetsDroppedObservability(t *testing.T) {
 			if o.resourceRows != 0 || o.metric {
 				t.Errorf("the new grand inherits resource data: %+v", o)
 			}
-			if n := len(eng.Observability().LagSeries("grand")); n != 0 {
+			if n := len(mustDT(t, eng, "grand").LagSeries()); n != 0 {
 				t.Errorf("the new grand inherits %d lag samples", n)
 			}
-			if c := eng.Observability().ResourceCounters()["grand"]; c.Refreshes != 0 || c.CPUSeconds != 0 {
+			// Its one refresh is the unmetered initialization.
+			if c := mustDT(t, eng, "grand").Counts(); c.Attempts != 1 || c.CPUSeconds != 0 {
 				t.Errorf("the new grand inherits resource totals %+v", c)
 			}
 			// The other DT keeps its data.
@@ -541,20 +543,24 @@ func TestRenameKeepsObservability(t *testing.T) {
 	})
 	t.Run("swap", func(t *testing.T) {
 		eng, sess := obsFixture(t)
-		counters := eng.Observability().ResourceCounters()
-		totals, grand := counters["totals"], counters["grand"]
-		if totals.Refreshes == 0 || grand.Refreshes == 0 {
-			t.Fatalf("fixture has no resource totals: %+v", counters)
+		counters := func() map[string]core.RefreshCounts {
+			return map[string]core.RefreshCounts{
+				"totals": mustDT(t, eng, "totals").Counts(),
+				"grand":  mustDT(t, eng, "grand").Counts(),
+			}
 		}
-		lagTotals := len(eng.Observability().LagSeries("totals"))
-		lagGrand := len(eng.Observability().LagSeries("grand"))
+		totals, grand := counters()["totals"], counters()["grand"]
+		if totals.Attempts == 0 || grand.Attempts == 0 || totals.CPUSeconds == 0 || grand.CPUSeconds == 0 {
+			t.Fatalf("fixture has no resource totals: %+v", counters())
+		}
+		lagTotals := len(mustDT(t, eng, "totals").LagSeries())
+		lagGrand := len(mustDT(t, eng, "grand").LagSeries())
 		sess.MustExec(`ALTER DYNAMIC TABLE totals SWAP WITH grand`)
-		counters = eng.Observability().ResourceCounters()
-		if counters["totals"] != grand || counters["grand"] != totals {
-			t.Errorf("resource totals did not swap: before totals %+v grand %+v, after %+v", totals, grand, counters)
+		if after := counters(); after["totals"] != grand || after["grand"] != totals {
+			t.Errorf("resource totals did not swap: before totals %+v grand %+v, after %+v", totals, grand, after)
 		}
 		for name, want := range map[string]int{"totals": lagGrand, "grand": lagTotals} {
-			series := eng.Observability().LagSeries(name)
+			series := mustDT(t, eng, name).LagSeries()
 			if len(series) != want {
 				t.Errorf("lag series of %s has %d samples after the swap, want %d", name, len(series), want)
 			}

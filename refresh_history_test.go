@@ -109,11 +109,27 @@ func historyColumns(t *testing.T, sess *Session) string {
 	return fmt.Sprint(res.Rows)
 }
 
+// lagColumns reads the DYNAMIC_TABLES lag-SLO columns and every DT's lag
+// series, which both derive from the DTs' refresh records.
+func lagColumns(t *testing.T, eng *Engine, sess *Session) string {
+	t.Helper()
+	res, err := sess.Query(`SELECT name, slo_attainment, lag_p50, lag_p95
+		FROM INFORMATION_SCHEMA.DYNAMIC_TABLES`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Sprint(res.Rows)
+	for _, row := range res.Rows {
+		out += fmt.Sprintf("\n%s %v", row[0].Str(), mustDT(t, eng, row[0].Str()).LagSeries())
+	}
+	return out
+}
+
 // TestRefreshHistoryMatchesDescribeAcrossReopen checks that
 // REFRESH_HISTORY and Describe read one store of refresh records: they
 // agree after a RENAME, after Close + Open of a durable engine (which
-// also keeps every column), after ALTER SYSTEM SET HISTORY_CAPACITY and
-// with recording disabled.
+// also keeps every column, and the lag signals derived from them), after
+// ALTER SYSTEM SET HISTORY_CAPACITY and with recording disabled.
 func TestRefreshHistoryMatchesDescribeAcrossReopen(t *testing.T) {
 	t.Run("rename", func(t *testing.T) {
 		eng, sess := obsFixture(t)
@@ -131,6 +147,7 @@ func TestRefreshHistoryMatchesDescribeAcrossReopen(t *testing.T) {
 		sess := historyScript(t, eng)
 		checkHistoryMatchesDescribe(t, sess)
 		before := historyColumns(t, sess)
+		lagBefore := lagColumns(t, eng, sess)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -144,6 +161,9 @@ func TestRefreshHistoryMatchesDescribeAcrossReopen(t *testing.T) {
 		checkHistoryMatchesDescribe(t, sess)
 		if after := historyColumns(t, sess); after != before {
 			t.Errorf("REFRESH_HISTORY changed across Close + Open:\nbefore %s\nafter  %s", before, after)
+		}
+		if after := lagColumns(t, eng, sess); after != lagBefore {
+			t.Errorf("lag signals changed across Close + Open:\nbefore %s\nafter  %s", lagBefore, after)
 		}
 		// Records made after the reopen continue the numbering.
 		historyRound(t, eng, sess)

@@ -154,18 +154,20 @@ func TestAlterSystemErrorPaths(t *testing.T) {
 }
 
 // TestConcurrentStatsReadersNoTornSnapshot drives the parallel refresher
-// while monitoring goroutines hammer the scheduler's stats, the
-// recorder's lag series and the INFORMATION_SCHEMA query path. Run under -race: the defensive
-// copies must keep every reader free of torn state.
+// while monitoring goroutines hammer the scheduler's stats, each DT's
+// lag series and the INFORMATION_SCHEMA query path. Run under -race: the
+// defensive copies must keep every reader free of torn state.
 func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
 	e := New(WithConfig(Config{RefreshWorkers: 4}))
 	t.Cleanup(func() { e.Close() })
 	s := e.NewSession()
 	s.MustExec(`CREATE WAREHOUSE wh`)
 	s.MustExec(`CREATE TABLE ev (k INT, grp INT, v INT)`)
+	var dts []*core.DynamicTable
 	for i := 0; i < 4; i++ {
 		s.MustExec(fmt.Sprintf(`CREATE DYNAMIC TABLE p_%d TARGET_LAG = '2 minutes' WAREHOUSE = wh
 			AS SELECT grp, count(*) c FROM ev WHERE grp %% 4 = %d GROUP BY grp`, i, i))
+		dts = append(dts, mustDT(t, e, fmt.Sprintf("p_%d", i)))
 	}
 
 	done := make(chan struct{})
@@ -188,8 +190,8 @@ func TestConcurrentStatsReadersNoTornSnapshot(t *testing.T) {
 					t.Errorf("torn Stats snapshot: tallied %d > scheduled %d", tallied, stats.Scheduled)
 					return
 				}
-				for d := 0; d < 4; d++ {
-					series := e.Observability().LagSeries(fmt.Sprintf("p_%d", d))
+				for _, dt := range dts {
+					series := dt.LagSeries()
 					for i := 1; i < len(series); i++ {
 						if series[i].At.Before(series[i-1].At) {
 							t.Error("torn LagSeries snapshot: out-of-order points")

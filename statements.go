@@ -533,7 +533,7 @@ func (e *Engine) refreshAt(dt *core.DynamicTable, dataTS time.Time) error {
 			// Place the refresh at the job's virtual timing (manual
 			// refreshes run outside a scheduler tick: no wave, no worker
 			// slot).
-			dt.Place(dataTS, core.Execution{Wave: -1, Worker: -1, Start: job.Start, End: job.End})
+			dt.Place(dataTS, core.Execution{Wave: -1, Worker: -1, Start: job.Start, End: job.End}, nil)
 		}
 	}
 	return nil
@@ -888,9 +888,10 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 		return &Result{Kind: "ALTER SYSTEM",
 			Message: fmt.Sprintf("REFRESH_WORKERS = %d", e.refr.Workers())}, nil
 	case "HISTORY_CAPACITY":
-		// Rebounds each DT's refresh-history ring and every
-		// observability ring (lag samples, metering, graph edges),
-		// evicting the oldest entries that no longer fit. On an
+		// Rebounds each DT's refresh-history ring (and so the lag and
+		// resource signals derived from it) and every observability ring
+		// (metering, graph edges, statements), evicting the oldest
+		// entries that no longer fit. On an
 		// engine built with recording disabled (Config.HistoryCapacity <
 		// 0) this turns recording on.
 		if stmt.Value <= 0 {
