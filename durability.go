@@ -474,6 +474,9 @@ func (e *Engine) restoreDT(entryID int64, st *persist.DTState) (*core.DynamicTab
 	if st.FrontierTSMicros == 0 {
 		cp.Frontier.DataTS = time.Time{}
 	}
+	if st.PriorDataTSMicros != 0 {
+		cp.PriorDataTS = time.UnixMicro(st.PriorDataTSMicros).UTC()
+	}
 	for key, seq := range st.FrontierVersions {
 		src, ok := e.keyedTable(key)
 		if !ok {
@@ -908,6 +911,9 @@ func (e *Engine) snapshotDT(dt *core.DynamicTable, keyOf map[int64]int64) (*pers
 	}
 	if !cp.Frontier.DataTS.IsZero() {
 		st.FrontierTSMicros = cp.Frontier.DataTS.UnixMicro()
+	}
+	if !cp.PriorDataTS.IsZero() {
+		st.PriorDataTSMicros = cp.PriorDataTS.UnixMicro()
 	}
 	if len(cp.Frontier.Versions) > 0 {
 		st.FrontierVersions = make(map[int64]int64, len(cp.Frontier.Versions))

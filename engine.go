@@ -86,10 +86,10 @@ type Engine struct {
 	refr  *refresher.Refresher
 	model warehouse.CostModel
 	cfg   Config
-	// rec is the observability recorder (bounded refresh/graph/lag/
-	// metering history rings); virt layers INFORMATION_SCHEMA virtual
-	// tables over the catalog resolver so the recorder is queryable
-	// through the normal planner.
+	// rec is the observability recorder (bounded graph-edge, statement,
+	// request and alert rings); virt layers INFORMATION_SCHEMA virtual
+	// tables over the catalog resolver so the recorder, and the DTs'
+	// refresh records, are queryable through the normal planner.
 	rec  *obs.Recorder
 	virt *plan.VirtualResolver
 	// trc is the execution-span recorder behind
@@ -170,9 +170,9 @@ type Config struct {
 	RefreshWorkers int
 	// HistoryCapacity bounds the history rings: each DT's refresh
 	// history (behind Describe, DYNAMIC_TABLE_REFRESH_HISTORY and the
-	// lag, resource and health signals derived from it) and the
-	// observability recorder's rings (per-warehouse metering, the
-	// graph-edge log, statements and the others). 0 uses the default
+	// lag, resource, warehouse-metering and health rows derived from
+	// it) and the observability recorder's rings (the graph-edge log,
+	// statements, requests and alerts). 0 uses the default
 	// (1024 entries per ring); a negative value disables the recorder
 	// and tracing (overhead baselines) while each DT keeps its refresh
 	// history at the default bound.

@@ -166,10 +166,19 @@ func TestNoDataRefresh(t *testing.T) {
 	if status.DataTimestamp.Equal(DefaultOrigin) {
 		t.Error("data timestamp did not advance")
 	}
-	// And consumes no warehouse compute.
-	for _, j := range e.Observability().Metering() {
-		if j.Warehouse == "wh" && j.Rows == 0 && j.Label == "d" && j.End.Sub(j.Start) > 3*time.Second {
-			t.Errorf("NO_DATA refresh consumed compute: %+v", j)
+	// And consumes no warehouse compute: no metering row is the job of a
+	// NO_DATA refresh, and none bills a scan of nothing past the fixed
+	// cost.
+	res := e.MustExec(`SELECT h.action, m.rows, m.duration
+		FROM INFORMATION_SCHEMA.WAREHOUSE_METERING_HISTORY m
+		JOIN INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY h ON m.seq = h.seq
+		WHERE m.label = 'd' AND h.dt_name = 'd'`)
+	if len(res.Rows) == 0 {
+		t.Fatal("the initialization of d left no metering row")
+	}
+	for _, row := range res.Rows {
+		if row[0].Str() == "NO_DATA" || row[1].Int() == 0 && row[2].Interval() > 3*time.Second {
+			t.Errorf("NO_DATA refresh consumed compute: %v", row)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"dyntables/internal/ring"
 	"dyntables/internal/sql"
 	"dyntables/internal/storage"
+	"dyntables/internal/warehouse"
 )
 
 // State is a DT's lifecycle state.
@@ -154,6 +155,11 @@ type RefreshRecord struct {
 type Execution struct {
 	Wave, Worker int
 	Start, End   time.Time
+	// Job is the warehouse job that billed the refresh: the row the DT
+	// contributes to WAREHOUSE_METERING_HISTORY. Nil when no warehouse
+	// billed it (NO_DATA, a failed refresh, a missing warehouse). In
+	// memory only: checkpoints do not persist it.
+	Job *warehouse.Job
 }
 
 // Duration is the refresh's virtual execution time (End - Start).
@@ -243,10 +249,14 @@ type DynamicTable struct {
 
 	// history is a bounded ring of refresh records (capacity historyCap;
 	// 0 = DefaultHistoryCapacity), and counts the totals of every record
-	// it has taken.
-	history    ring.Ring[RefreshRecord]
-	historyCap int
-	counts     RefreshCounts
+	// it has taken. priorDataTS is the data timestamp the DT held before
+	// its oldest retained record: the newest DataTS of the successful
+	// records the ring evicted, or the source's data timestamp for a
+	// clone; zero while the ring holds the DT's whole history.
+	history     ring.Ring[RefreshRecord]
+	historyCap  int
+	counts      RefreshCounts
+	priorDataTS time.Time
 }
 
 // ObjectKind implements catalog.Object.
@@ -535,16 +545,17 @@ func (dt *DynamicTable) Place(dataTS time.Time, x Execution, u *obs.Usage) {
 // the lag just after the commit, End - DataTS; the peak the lag just
 // before it, End - base, where base is the DT's data timestamp before
 // the refresh: the latest DataTS of the earlier successful records,
-// manual and repair refreshes included, or the refresh's own DataTS when
-// the ring holds none.
+// manual and repair refreshes included, or, before the oldest retained
+// one, the data timestamp the DT held then (a clone's source, evicted
+// records); the refresh's own DataTS when there is none.
 func (dt *DynamicTable) LagSeries() []obs.LagSample {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	var out []obs.LagSample
-	var base time.Time
+	base := dt.priorDataTS
 	for i := 0; i < dt.history.Len(); i++ {
 		r := dt.history.At(i)
-		if r.Err != nil || r.Action == ActionSkip {
+		if !r.succeeded() {
 			continue
 		}
 		prev := base
@@ -590,7 +601,39 @@ func (dt *DynamicTable) SetHistoryCapacity(n int) {
 		n = DefaultHistoryCapacity
 	}
 	dt.historyCap = n
+	dt.resizeHistoryLocked()
+}
+
+// succeeded reports whether the refresh moved the DT's data timestamp
+// (it neither failed nor was skipped).
+func (r *RefreshRecord) succeeded() bool { return r.Err == nil && r.Action != ActionSkip }
+
+// evictLocked notes that r leaves the ring: a successful record's data
+// timestamp becomes the one before the oldest retained record. Callers
+// hold dt.mu.
+func (dt *DynamicTable) evictLocked(r *RefreshRecord) {
+	if r.succeeded() && r.DataTS.After(dt.priorDataTS) {
+		dt.priorDataTS = r.DataTS
+	}
+}
+
+// resizeHistoryLocked rebounds the ring to the configured capacity,
+// evicting the oldest records that no longer fit; callers hold dt.mu.
+func (dt *DynamicTable) resizeHistoryLocked() {
+	n := dt.historyCapLocked()
+	for i := 0; i < dt.history.Len()-n; i++ {
+		dt.evictLocked(dt.history.At(i))
+	}
 	dt.history.Resize(n)
+}
+
+// pushLocked appends r to the ring, noting the record a full ring
+// evicts; callers hold dt.mu.
+func (dt *DynamicTable) pushLocked(r RefreshRecord) {
+	if dt.history.Len() == dt.history.Cap() {
+		dt.evictLocked(dt.history.At(0))
+	}
+	dt.history.Push(r)
 }
 
 // installHistoryLocked replaces the ring's contents, keeping the newest
@@ -599,7 +642,7 @@ func (dt *DynamicTable) installHistoryLocked(recs []RefreshRecord) {
 	dt.history = ring.Ring[RefreshRecord]{}
 	dt.history.Resize(dt.historyCapLocked())
 	for _, r := range recs {
-		dt.history.Push(r)
+		dt.pushLocked(r)
 	}
 }
 
@@ -616,7 +659,9 @@ func (dt *DynamicTable) LastRecord() (RefreshRecord, bool) {
 // CloneAt returns a zero-copy clone of the DT (§3.4): the storage version
 // chain is shared up to the clone point, and the frontier and
 // data-timestamp mappings are copied so the clone avoids reinitialization.
-// The clone is unregistered and unnamed; the engine assigns both.
+// The clone starts with an empty history whose prior data timestamp is
+// the frontier's, so its first lag sample peaks from there. The clone is
+// unregistered and unnamed; the engine assigns both.
 func (dt *DynamicTable) CloneAt(at hlc.Timestamp) (*DynamicTable, error) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
@@ -640,6 +685,7 @@ func (dt *DynamicTable) CloneAt(at hlc.Timestamp) (*DynamicTable, error) {
 		commitByDataTS:    make(map[int64]hlc.Timestamp, len(dt.commitByDataTS)),
 		schemaFingerprint: dt.schemaFingerprint,
 		historyCap:        dt.historyCap,
+		priorDataTS:       dt.frontier.DataTS,
 		adaptiveMode:      dt.adaptiveMode,
 		adaptiveReason:    dt.adaptiveReason,
 		chooser:           dt.chooser,
@@ -696,6 +742,9 @@ type DTCheckpoint struct {
 	VersionByDataTS   map[int64]int64
 	CommitByDataTS    map[int64]hlc.Timestamp
 	History           []RefreshRecord
+	// PriorDataTS is the data timestamp before the oldest History record
+	// (zero when History is the DT's whole history).
+	PriorDataTS time.Time
 	// AdaptiveMode and AdaptiveReason checkpoint the adaptive chooser's
 	// sticky decision so a recovered engine resumes in the same
 	// effective mode (RefreshAuto = no decision).
@@ -717,6 +766,7 @@ func (dt *DynamicTable) Checkpoint() DTCheckpoint {
 		VersionByDataTS:   make(map[int64]int64, len(dt.versionByDataTS)),
 		CommitByDataTS:    make(map[int64]hlc.Timestamp, len(dt.commitByDataTS)),
 		History:           dt.history.Snapshot(),
+		PriorDataTS:       dt.priorDataTS,
 		AdaptiveMode:      dt.adaptiveMode,
 		AdaptiveReason:    dt.adaptiveReason,
 	}
@@ -752,6 +802,7 @@ func (dt *DynamicTable) RestoreState(cp DTCheckpoint) {
 	}
 	dt.adaptiveMode = cp.AdaptiveMode
 	dt.adaptiveReason = cp.AdaptiveReason
+	dt.priorDataTS = cp.PriorDataTS
 	dt.installHistoryLocked(cp.History)
 }
 
@@ -790,9 +841,9 @@ func (dt *DynamicTable) ApplyFrontierUpdate(u FrontierUpdate) {
 func (dt *DynamicTable) record(r RefreshRecord) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	// Resize is a no-op while the configured capacity is unchanged.
-	dt.history.Resize(dt.historyCapLocked())
-	dt.history.Push(r)
+	// Resizing is a no-op while the configured capacity is unchanged.
+	dt.resizeHistoryLocked()
+	dt.pushLocked(r)
 	dt.counts.Attempts++
 	if r.Err != nil {
 		dt.counts.Errors++

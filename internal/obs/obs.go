@@ -1,20 +1,19 @@
 // Package obs is the engine's observability subsystem: it records every
-// dependency-graph edge, warehouse job, metered statement, served request
-// and alert evaluation into bounded history rings, and computes lag-SLO
-// attainment (the fraction of wall-clock time a dynamic table spent
-// within its target lag, plus effective-lag percentiles) over a lag
-// sawtooth. Nothing here is kept per dynamic table: each DT's refresh
-// records, and the lag sawtooth and resource cost derived from them,
+// dependency-graph edge, executed statement (with its metered resource
+// use), served request and alert evaluation into bounded history rings,
+// and computes lag-SLO attainment (the fraction of wall-clock time a
+// dynamic table spent within its target lag, plus effective-lag
+// percentiles) over a lag sawtooth. Nothing here is kept per dynamic
+// table or per warehouse: each DT's refresh records, and the lag
+// sawtooth, resource cost and billed warehouse jobs derived from them,
 // live in the DT's own history ring (core.DynamicTable.History), which
 // checkpoints carry and DDL moves with the DT.
 //
-// The recorder is a passive sink: producers (the warehouse pool,
-// sessions and the server) push events through narrow hook interfaces
-// defined in their own packages, and the engine adapts those hooks onto
-// the recorder. Consumers read the same data back through SQL — the
-// engine exposes the rings as INFORMATION_SCHEMA virtual tables
-// resolvable by the normal planner — so the system is observable through
-// its own query path.
+// The recorder is a passive sink: producers (sessions, the server and
+// the alert watchdog) push events into it. Consumers read the same data
+// back through SQL — the engine exposes the rings as INFORMATION_SCHEMA
+// virtual tables resolvable by the normal planner — so the system is
+// observable through its own query path.
 //
 // All methods are safe for concurrent use; accessors return defensive
 // copies so monitoring readers never observe a torn snapshot while
@@ -65,28 +64,11 @@ type LagSample struct {
 	Peak, Trough time.Duration
 }
 
-// MeterPoint is one billed warehouse job.
-type MeterPoint struct {
-	Seq       int64
-	Warehouse string
-	Size      string
-	// Label identifies the work (usually the refreshed DT's name).
-	Label string
-	// Submit, Start and End are the job's virtual instants; Start-Submit
-	// is queueing behind earlier jobs.
-	Submit, Start, End time.Time
-	// Rows is the work driver used for the job duration.
-	Rows int64
-	// Credits is the job's own billed credits (duration at the
-	// warehouse's hourly rate, metered per second).
-	Credits float64
-}
-
 // RequestEvent is one network-protocol request served by the engine's
 // HTTP server (internal/server): the route it hit, its outcome, and the
-// protocol objects it touched. Unlike the lag sawtooth and the metering
-// ring, requests are timed in host wall-clock time — they measure the serving path, not the
-// virtual refresh timeline.
+// protocol objects it touched. Unlike the lag sawtooth and warehouse
+// metering, requests are timed in host wall-clock time — they measure
+// the serving path, not the virtual refresh timeline.
 type RequestEvent struct {
 	// Seq orders request observations recorder-globally.
 	Seq int64
@@ -188,6 +170,10 @@ type StatementEvent struct {
 	RootID int64
 	// Error is the failure message for ERROR/CANCELED statements.
 	Error string
+	// Usage is the host resource cost metered around the statement, the
+	// statement's RESOURCE_HISTORY row; nil for the unmetered ones
+	// (cursor statements and bind errors).
+	Usage *Usage
 }
 
 // RequestBuckets are the upper bounds, in seconds, of the
@@ -217,9 +203,8 @@ type SLOStats struct {
 	P50, P95 time.Duration
 }
 
-// Recorder accumulates observability events in bounded rings: one
-// metering ring per warehouse, and shared graph-edge, request, statement,
-// statement-resource and alert rings. A disabled recorder (see
+// Recorder accumulates observability events in bounded graph-edge,
+// request, statement and alert rings. A disabled recorder (see
 // NewDisabled) drops every event, for overhead baselines.
 type Recorder struct {
 	mu       sync.RWMutex
@@ -227,11 +212,9 @@ type Recorder struct {
 	capacity int
 	seq      int64
 
-	meter      map[string]*ring.Ring[MeterPoint]
 	edges      *ring.Ring[GraphEdge]
 	requests   *ring.Ring[RequestEvent]
 	statements *ring.Ring[StatementEvent]
-	resources  *ring.Ring[ResourceEvent]
 	alerts     *ring.Ring[AlertEvent]
 
 	// alertTotals and reqBuckets/reqCount/reqSum are the monotonic
@@ -251,11 +234,9 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{
 		enabled:     true,
 		capacity:    capacity,
-		meter:       make(map[string]*ring.Ring[MeterPoint]),
 		edges:       ring.New[GraphEdge](capacity),
 		requests:    ring.New[RequestEvent](capacity),
 		statements:  ring.New[StatementEvent](capacity),
-		resources:   ring.New[ResourceEvent](capacity),
 		alerts:      ring.New[AlertEvent](capacity),
 		alertTotals: make(map[string]*AlertTotals),
 		reqBuckets:  make([]int64, len(RequestBuckets)+1),
@@ -302,13 +283,9 @@ func (r *Recorder) SetCapacity(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.capacity = n
-	for _, rg := range r.meter {
-		rg.Resize(n)
-	}
 	r.edges.Resize(n)
 	r.requests.Resize(n)
 	r.statements.Resize(n)
-	r.resources.Resize(n)
 	r.alerts.Resize(n)
 }
 
@@ -324,24 +301,6 @@ func (r *Recorder) RecordEdges(edges []GraphEdge) {
 		e.Seq = r.seq
 		r.edges.Push(e)
 	}
-}
-
-// RecordJob appends a billed warehouse job to the warehouse's metering
-// ring.
-func (r *Recorder) RecordJob(p MeterPoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
-	r.seq++
-	p.Seq = r.seq
-	rg := r.meter[p.Warehouse]
-	if rg == nil {
-		rg = ring.New[MeterPoint](r.capacity)
-		r.meter[p.Warehouse] = rg
-	}
-	rg.Push(p)
 }
 
 // RecordRequest appends a served-request event to the request ring,
@@ -466,25 +425,6 @@ func (r *Recorder) Edges() []GraphEdge {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.edges.Snapshot()
-}
-
-// Metering returns every warehouse's billed jobs, ordered by warehouse
-// name then recording order.
-func (r *Recorder) Metering() []MeterPoint {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.meter))
-	total := 0
-	for name, rg := range r.meter {
-		names = append(names, name)
-		total += rg.Len()
-	}
-	sort.Strings(names)
-	out := make([]MeterPoint, 0, total)
-	for _, name := range names {
-		out = append(out, r.meter[name].Snapshot()...)
-	}
-	return out
 }
 
 // ComputeSLO computes a DT's lag-SLO attainment against a target lag

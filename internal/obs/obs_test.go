@@ -12,17 +12,17 @@ var t0 = time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
 func TestRingBounded(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordStatement(StatementEvent{Start: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	hist := r.Metering()
+	hist := r.Statements()
 	if len(hist) != 4 {
 		t.Fatalf("ring kept %d events, want 4", len(hist))
 	}
 	// The newest four survive, in order.
 	for i, ev := range hist {
 		want := t0.Add(time.Duration(6+i) * time.Minute)
-		if !ev.Submit.Equal(want) {
-			t.Fatalf("event %d has Submit %v, want %v", i, ev.Submit, want)
+		if !ev.Start.Equal(want) {
+			t.Fatalf("event %d has Start %v, want %v", i, ev.Start, want)
 		}
 	}
 	// Sequence numbers keep increasing across evictions.
@@ -34,33 +34,41 @@ func TestRingBounded(t *testing.T) {
 func TestSetCapacityTrims(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 8; i++ {
-		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordStatement(StatementEvent{Start: t0.Add(time.Duration(i) * time.Minute)})
+		r.RecordAlert(AlertEvent{Alert: "a", At: t0.Add(time.Duration(i) * time.Minute)})
 	}
 	r.SetCapacity(3)
-	hist := r.Metering()
+	hist := r.Statements()
 	if len(hist) != 3 {
 		t.Fatalf("after shrink kept %d, want 3", len(hist))
 	}
-	if !hist[0].Submit.Equal(t0.Add(5 * time.Minute)) {
-		t.Fatalf("oldest survivor %v, want %v", hist[0].Submit, t0.Add(5*time.Minute))
+	if !hist[0].Start.Equal(t0.Add(5 * time.Minute)) {
+		t.Fatalf("oldest survivor %v, want %v", hist[0].Start, t0.Add(5*time.Minute))
+	}
+	if alerts := r.Alerts(); len(alerts) != 3 || !alerts[0].At.Equal(t0.Add(5*time.Minute)) {
+		t.Fatalf("alert ring after shrink: %d events, oldest %v", len(alerts), alerts[0].At)
 	}
 	// Growing keeps everything and accepts more.
 	r.SetCapacity(16)
 	for i := 0; i < 5; i++ {
-		r.RecordJob(MeterPoint{Warehouse: "wh", Submit: t0.Add(time.Hour)})
+		r.RecordStatement(StatementEvent{Start: t0.Add(time.Hour)})
 	}
-	if got := len(r.Metering()); got != 8 {
+	if got := len(r.Statements()); got != 8 {
 		t.Fatalf("after grow kept %d, want 8", got)
 	}
 }
 
 func TestDisabledRecorderDropsEverything(t *testing.T) {
 	r := NewDisabled()
-	r.RecordJob(MeterPoint{Warehouse: "wh"})
 	r.RecordEdges([]GraphEdge{{DTName: "dt", Upstream: "base"}})
-	r.RecordResource(ResourceEvent{Kind: ResourceStatement})
-	if len(r.Metering()) != 0 || len(r.Edges()) != 0 || len(r.Resources()) != 0 {
+	r.RecordRequest(RequestEvent{Endpoint: "/v1/statements"})
+	r.RecordStatement(StatementEvent{Text: "SELECT 1", Usage: &Usage{CPU: time.Millisecond}})
+	r.RecordAlert(AlertEvent{Alert: "a"})
+	if len(r.Edges()) != 0 || len(r.Requests()) != 0 || len(r.Statements()) != 0 || len(r.Alerts()) != 0 {
 		t.Fatal("disabled recorder retained events")
+	}
+	if r.RequestLatency().Count != 0 || len(r.AlertCounters()) != 0 {
+		t.Fatal("disabled recorder counted events")
 	}
 }
 
@@ -177,8 +185,8 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			defer writers.Done()
 			name := fmt.Sprintf("dt%d", w)
 			for i := 0; i < 500; i++ {
-				r.RecordResource(ResourceEvent{Kind: ResourceStatement, Name: name})
-				r.RecordJob(MeterPoint{Warehouse: "wh", Label: name})
+				r.RecordStatement(StatementEvent{Text: name, Usage: &Usage{CPU: time.Duration(i + 1)}})
+				r.RecordRequest(RequestEvent{Endpoint: name})
 			}
 		}(w)
 	}
@@ -192,15 +200,15 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 				return
 			default:
 			}
-			for _, p := range r.Metering() {
-				if p.Label == "" {
-					t.Error("torn metering point")
+			for _, ev := range r.Statements() {
+				if ev.Text == "" || ev.Usage == nil || ev.Usage.CPU == 0 {
+					t.Error("torn statement event")
 					return
 				}
 			}
-			for _, ev := range r.Resources() {
-				if ev.Name == "" {
-					t.Error("torn resource event")
+			for _, ev := range r.Requests() {
+				if ev.Endpoint == "" {
+					t.Error("torn request event")
 					return
 				}
 			}
@@ -209,7 +217,7 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-readerDone
-	if got := len(r.Resources()); got != 64 {
+	if got := len(r.Statements()); got != 64 {
 		t.Fatalf("ring kept %d, want capacity 64", got)
 	}
 }

@@ -68,13 +68,13 @@ const (
 )
 
 // ResourceEvent is one unit of attributed resource consumption, a row of
-// INFORMATION_SCHEMA.RESOURCE_HISTORY. Statement events are recorded in
-// the recorder's resource ring; refresh events are read from each DT's
-// history ring. Refresh events carry the DT name, statement events the
-// result kind. RootID joins the event to QUERY_HISTORY /
-// DYNAMIC_TABLE_REFRESH_HISTORY / TRACE_SPANS.
+// INFORMATION_SCHEMA.RESOURCE_HISTORY, derived when read from the record
+// of the work: refresh events from each DT's history ring, statement
+// events from the recorder's statement ring. Refresh events carry the
+// DT name, statement events the result kind. RootID joins the event to
+// QUERY_HISTORY / DYNAMIC_TABLE_REFRESH_HISTORY / TRACE_SPANS.
 type ResourceEvent struct {
-	// Seq is the recorder's sequence number for statements and the
+	// Seq is the statement's QUERY_HISTORY seq for statements and the
 	// engine-wide refresh sequence number for refreshes.
 	Seq int64
 	// Kind is ResourceRefresh or ResourceStatement.
@@ -96,27 +96,4 @@ type ResourceEvent struct {
 	// Bytes estimates bytes processed, from the executor's scan-side
 	// row-size accounting; 0 when the path did not count bytes.
 	Bytes int64
-}
-
-// RecordResource appends a statement's resource event to the resource
-// ring, assigning its sequence number. Refreshes are not recorded here:
-// each placed refresh record carries its own Usage
-// (core.RefreshRecord.Usage).
-func (r *Recorder) RecordResource(ev ResourceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
-		return
-	}
-	r.seq++
-	ev.Seq = r.seq
-	r.resources.Push(ev)
-}
-
-// Resources returns a copy of the statement resource events, oldest
-// first.
-func (r *Recorder) Resources() []ResourceEvent {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resources.Snapshot()
 }

@@ -106,6 +106,11 @@ type DTState struct {
 	VersionByDataTS   map[int64]int64         `json:"version_by_data_ts,omitempty"`
 	CommitByDataTS    map[int64]hlc.Timestamp `json:"commit_by_data_ts,omitempty"`
 	History           []RefreshState          `json:"history,omitempty"`
+	// PriorDataTSMicros is the data timestamp before the oldest History
+	// record (records the ring evicted, or a clone's source); 0 when
+	// History is the DT's whole history and in checkpoints written
+	// before DTs kept it.
+	PriorDataTSMicros int64 `json:"prior_data_ts_us,omitempty"`
 	// AdaptiveMode and AdaptiveReason checkpoint the adaptive chooser's
 	// sticky per-DT decision (0 = none).
 	AdaptiveMode   int    `json:"adaptive_mode,omitempty"`

@@ -219,8 +219,8 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 		waveSpan.End()
 		// Deterministic accounting pass: bill jobs and fix virtual start
 		// and end instants in name order, independent of which goroutine
-		// finished first, then place each refresh and its metered usage
-		// on the DT's record.
+		// finished first, then place each refresh, its billed job and its
+		// metered usage on the DT's record.
 		for i := range executed {
 			res := &executed[i]
 			res.Wave = waveIdx
@@ -231,10 +231,11 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 				}
 			}
 			res.Start, res.End = ready, ready
+			var job *warehouse.Job
 			if res.Err == nil && res.Rec.Action != core.ActionNoData {
 				if wh, werr := r.pool.Get(res.DT.Warehouse); werr == nil {
-					job := wh.SubmitConcurrent(ready, res.Rec.SourceRowsScanned, r.model, res.DT.Name, workers)
-					res.Start, res.End = job.Start, job.End
+					j := wh.SubmitConcurrent(ready, res.Rec.SourceRowsScanned, r.model, workers)
+					job, res.Start, res.End = &j, j.Start, j.End
 				} else {
 					res.End = ready.Add(r.model.Duration(res.Rec.SourceRowsScanned, warehouse.SizeXSmall))
 				}
@@ -243,7 +244,8 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 				endOf[res.DT] = res.End
 			}
 			usage := res.Usage
-			res.DT.Place(res.Rec.DataTS, core.Execution{Wave: res.Wave, Worker: res.Worker, Start: res.Start, End: res.End}, &usage)
+			res.DT.Place(res.Rec.DataTS, core.Execution{Wave: res.Wave, Worker: res.Worker,
+				Start: res.Start, End: res.End, Job: job}, &usage)
 		}
 		results = append(results, executed...)
 	}

@@ -68,6 +68,13 @@ func (s Size) Nodes() int { return 1 << uint(s) }
 // per size step.
 func (s Size) CreditsPerHour() float64 { return float64(s.Nodes()) }
 
+// Credits bills d at the size's hourly rate, metered per second
+// (§3.3.1: "granularity of seconds"): d rounds up to whole seconds.
+func (s Size) Credits(d time.Duration) float64 {
+	seconds := float64((d + time.Second - 1) / time.Second)
+	return seconds / 3600 * s.CreditsPerHour()
+}
+
 // CostModel converts refresh work into execution time (§3.3.2: fixed plus
 // variable costs, variable scaling linearly with changed data).
 type CostModel struct {
@@ -87,8 +94,12 @@ func (m CostModel) Duration(rows int64, size Size) time.Duration {
 	return m.Fixed + variable
 }
 
-// Job is one unit of submitted work.
+// Job is one billed unit of submitted work.
 type Job struct {
+	// Warehouse names the warehouse that ran the job, and Size is its
+	// size at submission.
+	Warehouse string
+	Size      Size
 	// Submit is when the job became ready to run.
 	Submit time.Time
 	// Start is when the warehouse actually began it (after queueing).
@@ -97,8 +108,9 @@ type Job struct {
 	End time.Time
 	// Rows is the work driver used for the duration.
 	Rows int64
-	// Label identifies the job in stats (usually the DT name).
-	Label string
+	// Credits is the job's own billed credits: its duration at the
+	// size's hourly rate (Size.Credits).
+	Credits float64
 }
 
 // Queued returns how long the job waited behind earlier jobs.
@@ -124,25 +136,8 @@ type Warehouse struct {
 	billed time.Duration
 	// resumes counts suspend→resume transitions.
 	resumes int
-	// jobs counts submitted jobs; the jobs themselves go to the sink.
+	// jobs counts submitted jobs; each job is returned to its submitter.
 	jobs int
-	// sink, when set, observes every submitted job (the observability
-	// recorder's metering feed).
-	sink JobSink
-}
-
-// JobSink observes billed warehouse jobs as they are submitted.
-// Implementations are invoked with the warehouse lock held and must not
-// call back into the warehouse.
-type JobSink interface {
-	JobSubmitted(w *Warehouse, job Job)
-}
-
-// SetJobSink registers the job observer (at most one; nil clears).
-func (w *Warehouse) SetJobSink(s JobSink) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.sink = s
 }
 
 // New creates a warehouse.
@@ -155,8 +150,8 @@ func New(name string, size Size, autoSuspend time.Duration) *Warehouse {
 // job starts at max(at, previous end). Billing accrues for run time plus
 // any idle time shorter than the auto-suspend threshold; longer gaps
 // suspend the warehouse (billing stops) and resume it when the job starts.
-func (w *Warehouse) Submit(at time.Time, rows int64, m CostModel, label string) Job {
-	return w.SubmitConcurrent(at, rows, m, label, 1)
+func (w *Warehouse) Submit(at time.Time, rows int64, m CostModel) Job {
+	return w.SubmitConcurrent(at, rows, m, 1)
 }
 
 // SubmitConcurrent schedules a job like Submit, but allows up to `slots`
@@ -166,7 +161,7 @@ func (w *Warehouse) Submit(at time.Time, rows int64, m CostModel, label string) 
 // overlapping job bills its full duration — every active cluster accrues
 // credits — plus the usual idle-grace accounting against its slot.
 // slots <= 1 is exactly Submit's serial behavior.
-func (w *Warehouse) SubmitConcurrent(at time.Time, rows int64, m CostModel, label string, slots int) Job {
+func (w *Warehouse) SubmitConcurrent(at time.Time, rows int64, m CostModel, slots int) Job {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if slots < 1 {
@@ -217,12 +212,9 @@ func (w *Warehouse) SubmitConcurrent(at time.Time, rows int64, m CostModel, labe
 		w.busyUntil = end
 	}
 	w.everUsed = true
-	job := Job{Submit: at, Start: start, End: end, Rows: rows, Label: label}
 	w.jobs++
-	if w.sink != nil {
-		w.sink.JobSubmitted(w, job)
-	}
-	return job
+	return Job{Warehouse: w.Name, Size: w.Size, Submit: at, Start: start, End: end,
+		Rows: rows, Credits: w.Size.Credits(dur)}
 }
 
 // State is the serializable billing-simulation state of a warehouse. The
@@ -269,13 +261,11 @@ func (w *Warehouse) BilledTime() time.Duration {
 	return w.billed
 }
 
-// Credits converts billed time to credits at the size's hourly rate,
-// metered per second (§3.3.1: "granularity of seconds").
+// Credits converts the billed time to credits (Size.Credits).
 func (w *Warehouse) Credits() float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seconds := float64((w.billed + time.Second - 1) / time.Second)
-	return seconds / 3600 * w.Size.CreditsPerHour()
+	return w.Size.Credits(w.billed)
 }
 
 // Resumes counts how many times the warehouse resumed from suspension.
@@ -296,24 +286,6 @@ func (w *Warehouse) JobCount() int {
 type Pool struct {
 	mu     sync.Mutex
 	byName map[string]*Warehouse
-	// jobSink is installed on every existing and future warehouse of the
-	// pool.
-	jobSink JobSink
-}
-
-// SetJobSink installs the job observer on every warehouse in the pool,
-// present and future.
-func (p *Pool) SetJobSink(s JobSink) {
-	p.mu.Lock()
-	whs := make([]*Warehouse, 0, len(p.byName))
-	for _, w := range p.byName {
-		whs = append(whs, w)
-	}
-	p.jobSink = s
-	p.mu.Unlock()
-	for _, w := range whs {
-		w.SetJobSink(s)
-	}
 }
 
 // NewPool returns an empty pool.
@@ -330,7 +302,6 @@ func (p *Pool) Create(name string, size Size, autoSuspend time.Duration) (*Wareh
 		return nil, fmt.Errorf("warehouse: %q already exists", name)
 	}
 	w := New(name, size, autoSuspend)
-	w.sink = p.jobSink
 	p.byName[key] = w
 	return w, nil
 }

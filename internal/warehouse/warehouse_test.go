@@ -55,8 +55,8 @@ func TestCostModelScalesWithSizeAndRows(t *testing.T) {
 func TestJobsRunSerially(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
 	m := CostModel{Fixed: 10 * time.Second}
-	j1 := w.Submit(t0, 0, m, "a")
-	j2 := w.Submit(t0, 0, m, "b") // submitted while j1 runs
+	j1 := w.Submit(t0, 0, m)
+	j2 := w.Submit(t0, 0, m) // submitted while j1 runs
 	if !j1.Start.Equal(t0) {
 		t.Errorf("j1 start: %v", j1.Start)
 	}
@@ -71,14 +71,14 @@ func TestJobsRunSerially(t *testing.T) {
 func TestBillingIdleVsSuspend(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
 	m := CostModel{Fixed: 10 * time.Second}
-	w.Submit(t0, 0, m, "a")
+	w.Submit(t0, 0, m)
 	// Short idle (30s < auto-suspend 60s): billed.
-	w.Submit(t0.Add(40*time.Second), 0, m, "b")
+	w.Submit(t0.Add(40*time.Second), 0, m)
 	if got := w.BilledTime(); got != 10*time.Second+30*time.Second+10*time.Second {
 		t.Errorf("billed with short idle: %v", got)
 	}
 	// Long idle (10 min): only the auto-suspend grace is billed.
-	w.Submit(t0.Add(20*time.Minute), 0, m, "c")
+	w.Submit(t0.Add(20*time.Minute), 0, m)
 	want := 50*time.Second + time.Minute + 10*time.Second
 	if got := w.BilledTime(); got != want {
 		t.Errorf("billed after suspend: %v, want %v", got, want)
@@ -91,7 +91,7 @@ func TestBillingIdleVsSuspend(t *testing.T) {
 func TestCreditsPerSecondGranularity(t *testing.T) {
 	w := New("wh", SizeSmall, time.Minute) // 2 credits/hour
 	m := CostModel{Fixed: 1500 * time.Millisecond}
-	w.Submit(t0, 0, m, "a")
+	w.Submit(t0, 0, m)
 	// 1.5s bills as 2s at 2 credits/hour.
 	want := 2.0 / 3600 * 2
 	if got := w.Credits(); got != want {
@@ -121,11 +121,16 @@ func TestPool(t *testing.T) {
 
 func TestJobLog(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
-	job := w.Submit(t0, 5, DefaultCostModel, "x")
-	if job.Label != "x" || job.Rows != 5 {
+	job := w.Submit(t0, 5, DefaultCostModel)
+	if job.Warehouse != "wh" || job.Size != SizeXSmall || job.Rows != 5 {
 		t.Errorf("job: %+v", job)
 	}
-	w.Submit(t0, 1, DefaultCostModel, "y")
+	// The job bills its own duration, rounded up to whole seconds: 2.005 s
+	// bills as 3 s at 1 credit/hour.
+	if want := 3.0 / 3600; job.Credits != want {
+		t.Errorf("job credits = %v, want %v", job.Credits, want)
+	}
+	w.Submit(t0, 1, DefaultCostModel)
 	if got := w.JobCount(); got != 2 {
 		t.Errorf("JobCount = %d, want 2", got)
 	}
@@ -138,7 +143,7 @@ func TestSubmitConcurrentOverlapsUpToSlots(t *testing.T) {
 	// two queue behind one job each.
 	var jobs []Job
 	for i := 0; i < 4; i++ {
-		jobs = append(jobs, w.SubmitConcurrent(t0, 0, m, "j", 2))
+		jobs = append(jobs, w.SubmitConcurrent(t0, 0, m, 2))
 	}
 	if !jobs[0].Start.Equal(t0) || !jobs[1].Start.Equal(t0) {
 		t.Errorf("first two jobs should start at t0: %v %v", jobs[0].Start, jobs[1].Start)
@@ -161,8 +166,8 @@ func TestSubmitConcurrentSingleSlotMatchesSubmit(t *testing.T) {
 	slotted := New("b", SizeSmall, time.Minute)
 	times := []time.Duration{0, 3 * time.Second, 2 * time.Minute, 2*time.Minute + time.Second}
 	for _, d := range times {
-		js := serial.Submit(t0.Add(d), 500, m, "x")
-		jc := slotted.SubmitConcurrent(t0.Add(d), 500, m, "x", 1)
+		js := serial.Submit(t0.Add(d), 500, m)
+		jc := slotted.SubmitConcurrent(t0.Add(d), 500, m, 1)
 		if !js.Start.Equal(jc.Start) || !js.End.Equal(jc.End) {
 			t.Errorf("slot-1 submit diverges from serial: %+v vs %+v", js, jc)
 		}
@@ -176,18 +181,18 @@ func TestSubmitConcurrentSingleSlotMatchesSubmit(t *testing.T) {
 func TestSubmitConcurrentAfterRestoreFoldsHorizon(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
 	m := CostModel{Fixed: 30 * time.Second, PerRow: 0}
-	w.Submit(t0, 0, m, "pre")
+	w.Submit(t0, 0, m)
 	st := w.State()
 
 	w2 := New("wh", SizeXSmall, time.Minute)
 	w2.RestoreState(st)
 	// The recovered horizon occupies the first slot; the second slot is
 	// fresh capacity.
-	j1 := w2.SubmitConcurrent(t0, 0, m, "a", 2)
+	j1 := w2.SubmitConcurrent(t0, 0, m, 2)
 	if !j1.Start.Equal(t0) {
 		t.Errorf("fresh slot should start at t0, got %v", j1.Start)
 	}
-	j2 := w2.SubmitConcurrent(t0, 0, m, "b", 2)
+	j2 := w2.SubmitConcurrent(t0, 0, m, 2)
 	if !j2.Start.Equal(t0.Add(30 * time.Second)) {
 		t.Errorf("slot behind recovered backlog should start at t0+30s, got %v", j2.Start)
 	}

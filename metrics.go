@@ -27,20 +27,13 @@ import (
 func (e *Engine) MetricsText() string {
 	var b strings.Builder
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, fmtFloat(v))
-	}
+	scalar(&b, "dyntables_uptime_seconds", "gauge", "Host seconds since the engine was constructed.",
+		fmtFloat(e.Uptime().Seconds()))
+	scalar(&b, "dyntables_sessions", "gauge", "Open engine sessions.", fmtFloat(float64(e.SessionCount())))
+	scalar(&b, "dyntables_open_cursors", "gauge", "Streaming cursors currently pinning snapshots.",
+		fmtFloat(float64(e.OpenCursors())))
 
-	gauge("dyntables_uptime_seconds", "Host seconds since the engine was constructed.",
-		e.Uptime().Seconds())
-	gauge("dyntables_sessions", "Open engine sessions.", float64(e.SessionCount()))
-	gauge("dyntables_open_cursors", "Streaming cursors currently pinning snapshots.",
-		float64(e.OpenCursors()))
-
-	fmt.Fprintf(&b, "# HELP dyntables_trace_spans_total Spans recorded by the execution tracer.\n")
-	fmt.Fprintf(&b, "# TYPE dyntables_trace_spans_total counter\n")
-	fmt.Fprintf(&b, "dyntables_trace_spans_total %d\n", e.trc.SpanCount())
+	scalar(&b, "dyntables_trace_spans_total", "counter", "Spans recorded by the execution tracer.", e.trc.SpanCount())
 
 	e.writeRefreshMetrics(&b)
 	e.writeLagMetrics(&b)
@@ -62,18 +55,15 @@ func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 		counts[i] = dt.Counts()
 	}
 
-	fmt.Fprintf(b, "# HELP dyntables_refreshes_total Recorded refresh attempts per dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_refreshes_total counter\n")
+	family(b, "dyntables_refreshes_total", "counter", "Recorded refresh attempts per dynamic table.")
 	for i, dt := range dts {
 		fmt.Fprintf(b, "dyntables_refreshes_total{dt=%s} %d\n", labelQuote(dt.Name), counts[i].Attempts)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_refresh_errors_total Failed refresh attempts per dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_refresh_errors_total counter\n")
+	family(b, "dyntables_refresh_errors_total", "counter", "Failed refresh attempts per dynamic table.")
 	for i, dt := range dts {
 		fmt.Fprintf(b, "dyntables_refresh_errors_total{dt=%s} %d\n", labelQuote(dt.Name), counts[i].Errors)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_refresh_duration_seconds_total Summed virtual refresh execution time per dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_refresh_duration_seconds_total counter\n")
+	family(b, "dyntables_refresh_duration_seconds_total", "counter", "Summed virtual refresh execution time per dynamic table.")
 	for i, dt := range dts {
 		fmt.Fprintf(b, "dyntables_refresh_duration_seconds_total{dt=%s} %s\n",
 			labelQuote(dt.Name), fmtFloat(counts[i].Seconds))
@@ -82,16 +72,14 @@ func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 	// is goroutine wall-time (an approximation — Go has no per-goroutine
 	// CPU clock) and allocations are process-wide counter deltas taken on
 	// the refreshing worker. A DT no tick has metered yet has no series.
-	fmt.Fprintf(b, "# HELP dyntables_dt_cpu_seconds_total Approximate host CPU (goroutine wall-time) spent refreshing each dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_cpu_seconds_total counter\n")
+	family(b, "dyntables_dt_cpu_seconds_total", "counter", "Approximate host CPU (goroutine wall-time) spent refreshing each dynamic table.")
 	for i, dt := range dts {
 		if counts[i].CPUSeconds > 0 {
 			fmt.Fprintf(b, "dyntables_dt_cpu_seconds_total{dt=%s} %s\n",
 				labelQuote(dt.Name), fmtFloat(counts[i].CPUSeconds))
 		}
 	}
-	fmt.Fprintf(b, "# HELP dyntables_dt_alloc_bytes_total Heap bytes allocated while refreshing each dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_alloc_bytes_total counter\n")
+	family(b, "dyntables_dt_alloc_bytes_total", "counter", "Heap bytes allocated while refreshing each dynamic table.")
 	for i, dt := range dts {
 		if counts[i].CPUSeconds > 0 {
 			fmt.Fprintf(b, "dyntables_dt_alloc_bytes_total{dt=%s} %d\n",
@@ -105,8 +93,7 @@ func (e *Engine) writeRefreshMetrics(b *strings.Builder) {
 // the recorded sawtooth window.
 func (e *Engine) writeLagMetrics(b *strings.Builder) {
 	infos := e.dynamicTableInfos()
-	fmt.Fprintf(b, "# HELP dyntables_dt_lag_seconds Virtual-clock staleness of each dynamic table (-1 before first refresh).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_lag_seconds gauge\n")
+	family(b, "dyntables_dt_lag_seconds", "gauge", "Virtual-clock staleness of each dynamic table (-1 before first refresh).")
 	for _, r := range infos {
 		lag := -1.0
 		if !r.dataTS.IsZero() {
@@ -114,15 +101,13 @@ func (e *Engine) writeLagMetrics(b *strings.Builder) {
 		}
 		fmt.Fprintf(b, "dyntables_dt_lag_seconds{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(lag))
 	}
-	fmt.Fprintf(b, "# HELP dyntables_dt_target_lag_seconds Effective target lag per dynamic table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_target_lag_seconds gauge\n")
+	family(b, "dyntables_dt_target_lag_seconds", "gauge", "Effective target lag per dynamic table.")
 	for _, r := range infos {
 		if r.target < sched.NoLag {
 			fmt.Fprintf(b, "dyntables_dt_target_lag_seconds{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(r.target.Seconds()))
 		}
 	}
-	fmt.Fprintf(b, "# HELP dyntables_dt_slo_attainment Fraction of time each dynamic table spent within its target lag (0..1).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_slo_attainment gauge\n")
+	family(b, "dyntables_dt_slo_attainment", "gauge", "Fraction of time each dynamic table spent within its target lag (0..1).")
 	for _, r := range infos {
 		if r.slo.Samples > 0 {
 			fmt.Fprintf(b, "dyntables_dt_slo_attainment{dt=%s} %s\n", labelQuote(r.dt.Name), fmtFloat(r.slo.Attainment))
@@ -151,28 +136,23 @@ func (e *Engine) writeFootprintMetrics(b *strings.Builder) {
 	}
 	sort.Slice(fps, func(i, j int) bool { return fps[i].name < fps[j].name })
 
-	fmt.Fprintf(b, "# HELP dyntables_table_versions Live MVCC versions retained per table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_table_versions gauge\n")
+	family(b, "dyntables_table_versions", "gauge", "Live MVCC versions retained per table.")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_versions{table=%s} %d\n", labelQuote(t.name), t.fp.Versions)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_table_live_rows Rows visible at the newest version per table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_table_live_rows gauge\n")
+	family(b, "dyntables_table_live_rows", "gauge", "Rows visible at the newest version per table.")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_live_rows{table=%s} %d\n", labelQuote(t.name), t.fp.LiveRows)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_table_chain_rows Change rows held across the retained version chain per table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_table_chain_rows gauge\n")
+	family(b, "dyntables_table_chain_rows", "gauge", "Change rows held across the retained version chain per table.")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_chain_rows{table=%s} %d\n", labelQuote(t.name), t.fp.ChainRows)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_table_bytes Estimated bytes of the row-log rows the version chain reads (change sets and snapshot versions) per table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_table_bytes gauge\n")
+	family(b, "dyntables_table_bytes", "gauge", "Estimated bytes of the row-log rows the version chain reads (change sets and snapshot versions) per table.")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_bytes{table=%s} %d\n", labelQuote(t.name), t.fp.Bytes)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_table_index_bytes Estimated bytes of the automatic lookup indexes per table.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_table_index_bytes gauge\n")
+	family(b, "dyntables_table_index_bytes", "gauge", "Estimated bytes of the automatic lookup indexes per table.")
 	for _, t := range fps {
 		fmt.Fprintf(b, "dyntables_table_index_bytes{table=%s} %d\n", labelQuote(t.name), t.fp.IndexBytes)
 	}
@@ -197,8 +177,7 @@ func healthStateValue(s health.Status) int {
 // numeric enum gauge: 0=HEALTHY 1=AT_RISK 2=MISSING_SLO 3=FAILING.
 func (e *Engine) writeHealthMetrics(b *strings.Builder) {
 	reports := e.healthReports()
-	fmt.Fprintf(b, "# HELP dyntables_dt_health_state Health classification per dynamic table (0=HEALTHY 1=AT_RISK 2=MISSING_SLO 3=FAILING).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_dt_health_state gauge\n")
+	family(b, "dyntables_dt_health_state", "gauge", "Health classification per dynamic table (0=HEALTHY 1=AT_RISK 2=MISSING_SLO 3=FAILING).")
 	for _, r := range reports {
 		fmt.Fprintf(b, "dyntables_dt_health_state{dt=%s} %d\n",
 			labelQuote(r.Name), healthStateValue(r.Status))
@@ -209,16 +188,9 @@ func (e *Engine) writeHealthMetrics(b *strings.Builder) {
 func (e *Engine) writeRuntimeMetrics(b *strings.Builder) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(b, "# HELP dyntables_go_heap_inuse_bytes Heap bytes in in-use spans.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_go_heap_inuse_bytes gauge\n")
-	fmt.Fprintf(b, "dyntables_go_heap_inuse_bytes %d\n", ms.HeapInuse)
-	fmt.Fprintf(b, "# HELP dyntables_go_goroutines Live goroutines in the hosting process.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_go_goroutines gauge\n")
-	fmt.Fprintf(b, "dyntables_go_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintf(b, "# HELP dyntables_go_gc_pause_seconds_total Cumulative GC stop-the-world pause time.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_go_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(b, "dyntables_go_gc_pause_seconds_total %s\n",
-		fmtFloat(float64(ms.PauseTotalNs)/1e9))
+	scalar(b, "dyntables_go_heap_inuse_bytes", "gauge", "Heap bytes in in-use spans.", ms.HeapInuse)
+	scalar(b, "dyntables_go_goroutines", "gauge", "Live goroutines in the hosting process.", runtime.NumGoroutine())
+	scalar(b, "dyntables_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", fmtFloat(float64(ms.PauseTotalNs)/1e9))
 }
 
 // writeRequestMetrics emits the served-request latency histogram
@@ -226,8 +198,7 @@ func (e *Engine) writeRuntimeMetrics(b *strings.Builder) {
 // protocol).
 func (e *Engine) writeRequestMetrics(b *strings.Builder) {
 	h := e.rec.RequestLatency()
-	fmt.Fprintf(b, "# HELP dyntables_request_duration_seconds Host latency of served protocol requests.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_request_duration_seconds histogram\n")
+	family(b, "dyntables_request_duration_seconds", "histogram", "Host latency of served protocol requests.")
 	for i, bound := range obs.RequestBuckets {
 		fmt.Fprintf(b, "dyntables_request_duration_seconds_bucket{le=%q} %d\n",
 			fmtFloat(bound), h.Buckets[i])
@@ -244,28 +215,16 @@ func (e *Engine) writePersistMetrics(b *strings.Builder) {
 	if !ok {
 		return
 	}
-	fmt.Fprintf(b, "# HELP dyntables_wal_bytes Current WAL file length.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_wal_bytes gauge\n")
-	fmt.Fprintf(b, "dyntables_wal_bytes %d\n", st.WALBytes)
-	fmt.Fprintf(b, "# HELP dyntables_wal_appended_bytes_total Bytes ever appended to the WAL (survives checkpoint resets).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_wal_appended_bytes_total counter\n")
-	fmt.Fprintf(b, "dyntables_wal_appended_bytes_total %d\n", st.WALAppendedBytes)
-	fmt.Fprintf(b, "# HELP dyntables_wal_appends_total WAL append operations.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_wal_appends_total counter\n")
-	fmt.Fprintf(b, "dyntables_wal_appends_total %d\n", st.WALAppends)
-	fmt.Fprintf(b, "# HELP dyntables_wal_append_seconds_total Host time spent in WAL appends.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_wal_append_seconds_total counter\n")
-	fmt.Fprintf(b, "dyntables_wal_append_seconds_total %s\n", fmtFloat(st.WALAppendTime.Seconds()))
-	fmt.Fprintf(b, "# HELP dyntables_checkpoints_total Snapshot checkpoints installed.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_checkpoints_total counter\n")
-	fmt.Fprintf(b, "dyntables_checkpoints_total %d\n", st.Checkpoints)
-	fmt.Fprintf(b, "# HELP dyntables_checkpoint_age_seconds Host seconds since the last checkpoint (-1 if none yet).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_checkpoint_age_seconds gauge\n")
+	scalar(b, "dyntables_wal_bytes", "gauge", "Current WAL file length.", st.WALBytes)
+	scalar(b, "dyntables_wal_appended_bytes_total", "counter", "Bytes ever appended to the WAL (survives checkpoint resets).", st.WALAppendedBytes)
+	scalar(b, "dyntables_wal_appends_total", "counter", "WAL append operations.", st.WALAppends)
+	scalar(b, "dyntables_wal_append_seconds_total", "counter", "Host time spent in WAL appends.", fmtFloat(st.WALAppendTime.Seconds()))
+	scalar(b, "dyntables_checkpoints_total", "counter", "Snapshot checkpoints installed.", st.Checkpoints)
 	age := -1.0
 	if !st.LastCheckpoint.IsZero() {
 		age = time.Since(st.LastCheckpoint).Seconds()
 	}
-	fmt.Fprintf(b, "dyntables_checkpoint_age_seconds %s\n", fmtFloat(age))
+	scalar(b, "dyntables_checkpoint_age_seconds", "gauge", "Host seconds since the last checkpoint (-1 if none yet).", fmtFloat(age))
 }
 
 // writeAlertMetrics emits the watchdog families: monotonic per-alert
@@ -280,18 +239,15 @@ func (e *Engine) writeAlertMetrics(b *strings.Builder) {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(b, "# HELP dyntables_alert_evaluations_total Watchdog condition evaluations per alert.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_alert_evaluations_total counter\n")
+	family(b, "dyntables_alert_evaluations_total", "counter", "Watchdog condition evaluations per alert.")
 	for _, name := range names {
 		fmt.Fprintf(b, "dyntables_alert_evaluations_total{alert=%s} %d\n", labelQuote(name), totals[name].Evaluations)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_alert_firings_total Fired alert actions per alert.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_alert_firings_total counter\n")
+	family(b, "dyntables_alert_firings_total", "counter", "Fired alert actions per alert.")
 	for _, name := range names {
 		fmt.Fprintf(b, "dyntables_alert_firings_total{alert=%s} %d\n", labelQuote(name), totals[name].Firings)
 	}
-	fmt.Fprintf(b, "# HELP dyntables_alert_action_errors_total Failed alert actions (webhook or SQL) per alert.\n")
-	fmt.Fprintf(b, "# TYPE dyntables_alert_action_errors_total counter\n")
+	family(b, "dyntables_alert_action_errors_total", "counter", "Failed alert actions (webhook or SQL) per alert.")
 	for _, name := range names {
 		fmt.Fprintf(b, "dyntables_alert_action_errors_total{alert=%s} %d\n", labelQuote(name), totals[name].ActionErrors)
 	}
@@ -307,8 +263,7 @@ func (e *Engine) writeAlertMetrics(b *strings.Builder) {
 	}
 	e.alertMu.Unlock()
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	fmt.Fprintf(b, "# HELP dyntables_alert_firing Whether the alert is currently in the FIRING state (1) or OK (0).\n")
-	fmt.Fprintf(b, "# TYPE dyntables_alert_firing gauge\n")
+	family(b, "dyntables_alert_firing", "gauge", "Whether the alert is currently in the FIRING state (1) or OK (0).")
 	for _, g := range gauges {
 		v := 0
 		if g.firing {
@@ -316,6 +271,19 @@ func (e *Engine) writeAlertMetrics(b *strings.Builder) {
 		}
 		fmt.Fprintf(b, "dyntables_alert_firing{alert=%s} %d\n", labelQuote(g.name), v)
 	}
+}
+
+// family writes a metric family's # HELP and # TYPE header; its samples
+// follow.
+func family(b *strings.Builder, name, typ, help string) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// scalar writes a family with one unlabelled sample; v prints with %v,
+// so floats come formatted by fmtFloat.
+func scalar(b *strings.Builder, name, typ, help string, v any) {
+	family(b, name, typ, help)
+	fmt.Fprintf(b, "%s %v\n", name, v)
 }
 
 // fmtFloat renders a metric value the shortest way Prometheus parsers

@@ -18,13 +18,12 @@ import (
 )
 
 // This file wires the observability subsystem: the obs.Recorder collects
-// graph, metering and statement events from sink hooks in the warehouse
-// pool and the session layer; each DT keeps its own refresh records, from
-// which its lag sawtooth, SLO attainment, resource cost and health
-// signals are derived when read; and the engine exposes both as
-// INFORMATION_SCHEMA virtual tables resolvable by the normal planner — so
-// every signal the engine produces is queryable with plain SQL through
-// the ordinary session/cursor path.
+// graph, statement, request and alert events; each DT keeps its own
+// refresh records, from which its lag sawtooth, SLO attainment, resource
+// cost, billed warehouse jobs and health signals are derived when read;
+// and the engine exposes both as INFORMATION_SCHEMA virtual tables
+// resolvable by the normal planner — so every signal the engine produces
+// is queryable with plain SQL through the ordinary session/cursor path.
 
 // The INFORMATION_SCHEMA virtual table names.
 const (
@@ -41,9 +40,8 @@ const (
 	InfoSchemaAlertHistory      = "INFORMATION_SCHEMA.ALERT_HISTORY"
 )
 
-// initObservability builds the recorder, layers the virtual-table
-// resolver over the catalog resolver, and registers the engine's job
-// sink with the warehouse pool. Called once from New.
+// initObservability builds the recorder and layers the virtual-table
+// resolver over the catalog resolver. Called once from New.
 func (e *Engine) initObservability() {
 	if e.cfg.HistoryCapacity < 0 {
 		e.rec = obs.NewDisabled()
@@ -60,8 +58,6 @@ func (e *Engine) initObservability() {
 		func() hlc.Timestamp { return e.txns.Now() },
 	)
 	e.registerInfoSchema()
-
-	e.pool.SetJobSink(&obsAdapter{e: e})
 }
 
 // Observability exposes the recorder (history rings, lag-SLO
@@ -84,26 +80,6 @@ func (e *Engine) LagSLO(name string) (obs.SLOStats, bool) {
 	}
 	stats := obs.ComputeSLO(dt.LagSeries(), target, e.clk.Now())
 	return stats, stats.Samples > 0
-}
-
-// obsAdapter records the warehouse pool's billed jobs; the recorder is
-// safe for the concurrent refresh workers that submit them.
-type obsAdapter struct{ e *Engine }
-
-// JobSubmitted implements warehouse.JobSink.
-func (a *obsAdapter) JobSubmitted(w *warehouse.Warehouse, job warehouse.Job) {
-	dur := job.End.Sub(job.Start)
-	secs := float64((dur + time.Second - 1) / time.Second)
-	a.e.rec.RecordJob(obs.MeterPoint{
-		Warehouse: w.Name,
-		Size:      w.Size.String(),
-		Label:     job.Label,
-		Submit:    job.Submit,
-		Start:     job.Start,
-		End:       job.End,
-		Rows:      job.Rows,
-		Credits:   secs / 3600 * w.Size.CreditsPerHour(),
-	})
 }
 
 // recordDTGraph snapshots a DT's dependency edges into the graph-history
@@ -282,20 +258,20 @@ func (e *Engine) registerInfoSchema() {
 		intCol("seq", func(ed obs.GraphEdge) (int64, bool) { return ed.Seq, true }),
 	))
 
-	// WAREHOUSE_METERING_HISTORY, from the recorder's per-warehouse
-	// metering rings.
-	e.virt.Register(virtualTable(InfoSchemaWarehouseMetering, e.rec.Metering,
-		strCol("warehouse", func(p obs.MeterPoint) (string, bool) { return p.Warehouse, true }),
-		strCol("size", func(p obs.MeterPoint) (string, bool) { return p.Size, true }),
-		strCol("label", func(p obs.MeterPoint) (string, bool) { return nonZero(p.Label) }),
-		tsCol("submit_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.Submit) }),
-		tsCol("start_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.Start) }),
-		tsCol("end_ts", func(p obs.MeterPoint) (time.Time, bool) { return nonZeroTime(p.End) }),
-		intervalCol("queued", func(p obs.MeterPoint) (time.Duration, bool) { return p.Start.Sub(p.Submit), true }),
-		intervalCol("duration", func(p obs.MeterPoint) (time.Duration, bool) { return p.End.Sub(p.Start), true }),
-		intCol("rows", func(p obs.MeterPoint) (int64, bool) { return p.Rows, true }),
-		floatCol("credits", func(p obs.MeterPoint) (float64, bool) { return p.Credits, true }),
-		intCol("seq", func(p obs.MeterPoint) (int64, bool) { return p.Seq, true }),
+	// WAREHOUSE_METERING_HISTORY, from the billed jobs placed on each
+	// DT's refresh records.
+	e.virt.Register(virtualTable(InfoSchemaWarehouseMetering, e.meteringHistory,
+		strCol("warehouse", func(r meterRow) (string, bool) { return r.Warehouse, true }),
+		strCol("size", func(r meterRow) (string, bool) { return r.Size.String(), true }),
+		strCol("label", func(r meterRow) (string, bool) { return r.dt, true }),
+		tsCol("submit_ts", func(r meterRow) (time.Time, bool) { return nonZeroTime(r.Submit) }),
+		tsCol("start_ts", func(r meterRow) (time.Time, bool) { return nonZeroTime(r.Start) }),
+		tsCol("end_ts", func(r meterRow) (time.Time, bool) { return nonZeroTime(r.End) }),
+		intervalCol("queued", func(r meterRow) (time.Duration, bool) { return r.Queued(), true }),
+		intervalCol("duration", func(r meterRow) (time.Duration, bool) { return r.End.Sub(r.Start), true }),
+		intCol("rows", func(r meterRow) (int64, bool) { return r.Rows, true }),
+		floatCol("credits", func(r meterRow) (float64, bool) { return r.Credits, true }),
+		intCol("seq", func(r meterRow) (int64, bool) { return r.seq, true }),
 	))
 
 	// SERVER_REQUEST_HISTORY, from the recorder's served-request ring
@@ -358,7 +334,7 @@ func (e *Engine) registerInfoSchema() {
 
 	// RESOURCE_HISTORY: one row per metered unit of work — scheduler-tick
 	// refreshes from each DT's history ring, session statements from the
-	// recorder's resource ring — joinable against QUERY_HISTORY,
+	// recorder's statement ring — joinable against QUERY_HISTORY,
 	// DYNAMIC_TABLE_REFRESH_HISTORY and TRACE_SPANS on root_id.
 	e.virt.Register(virtualTable(InfoSchemaResourceHistory, e.resourceHistory,
 		intCol("seq", func(ev obs.ResourceEvent) (int64, bool) { return ev.Seq, true }),
@@ -526,9 +502,37 @@ func (e *Engine) refreshHistory() []refreshRow {
 	return rows
 }
 
+// meterRow is one WAREHOUSE_METERING_HISTORY record: a billed refresh
+// job, the refreshed DT's name and the refresh's seq.
+type meterRow struct {
+	dt  string
+	seq int64
+	warehouse.Job
+}
+
+// meteringHistory lists every billed job placed on a retained refresh
+// record, ordered by warehouse name, then refresh seq.
+func (e *Engine) meteringHistory() []meterRow {
+	var rows []meterRow
+	for _, dt := range e.sortedDTs() {
+		for _, rec := range dt.History() {
+			if x := rec.Exec; x != nil && x.Job != nil {
+				rows = append(rows, meterRow{dt: dt.Name, seq: rec.Seq, Job: *x.Job})
+			}
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Warehouse != rows[j].Warehouse {
+			return rows[i].Warehouse < rows[j].Warehouse
+		}
+		return rows[i].seq < rows[j].seq
+	})
+	return rows
+}
+
 // resourceHistory lists the RESOURCE_HISTORY rows: every DT's metered
 // refresh records, ordered by DT name, then recording order, followed by
-// the recorder's statement events.
+// the recorder's metered statements.
 func (e *Engine) resourceHistory() []obs.ResourceEvent {
 	var rows []obs.ResourceEvent
 	for _, dt := range e.sortedDTs() {
@@ -549,7 +553,22 @@ func (e *Engine) resourceHistory() []obs.ResourceEvent {
 			}
 		}
 	}
-	return append(rows, e.rec.Resources()...)
+	for _, ev := range e.rec.Statements() {
+		if u := ev.Usage; u != nil {
+			rows = append(rows, obs.ResourceEvent{
+				Seq:          ev.Seq,
+				Kind:         obs.ResourceStatement,
+				Name:         ev.Kind,
+				RootID:       ev.RootID,
+				Start:        u.Start,
+				CPU:          u.CPU,
+				AllocBytes:   u.AllocBytes,
+				AllocObjects: u.AllocObjects,
+				Rows:         ev.Rows,
+			})
+		}
+	}
+	return rows
 }
 
 // errText is err's message, "" for nil.
@@ -594,7 +613,6 @@ func (e *Engine) healthReports() []healthReport {
 	dts := e.sortedDTs()
 	now := e.clk.Now()
 	spans := e.trc.Snapshot()
-	meter := e.rec.Metering()
 
 	e.healthMu.Lock()
 	defer e.healthMu.Unlock()
@@ -639,7 +657,7 @@ func (e *Engine) healthReports() []healthReport {
 			CPUTrend:    in.CPUTrend,
 		}
 		if status == health.MissingSLO || status == health.AtRisk {
-			rep.Blame = e.attributeBlame(dt, spans, meter)
+			rep.Blame = e.attributeBlame(dt, spans)
 		}
 		reports = append(reports, rep)
 	}
@@ -648,22 +666,22 @@ func (e *Engine) healthReports() []healthReport {
 
 // attributeBlame builds phase breakdowns for the DT and its upstream DTs
 // and asks the pure attributor which node/phase dominated.
-func (e *Engine) attributeBlame(dt *core.DynamicTable, spans []trace.Record, meter []obs.MeterPoint) health.Blame {
-	self := e.phaseBreakdown(dt, spans, meter)
+func (e *Engine) attributeBlame(dt *core.DynamicTable, spans []trace.Record) health.Blame {
+	self := e.phaseBreakdown(dt, spans)
 	var ups []health.PhaseBreakdown
 	if upstream, err := e.ctrl.Upstreams(dt); err == nil {
 		for _, up := range upstream {
-			ups = append(ups, e.phaseBreakdown(up, spans, meter))
+			ups = append(ups, e.phaseBreakdown(up, spans))
 		}
 	}
 	return health.Attribute(self, ups)
 }
 
-// phaseBreakdown assembles one DT's latest refresh cost: virtual job
-// duration from refresh history, queue wait from the newest metering
-// point labeled with the DT, and traced phase spans under the refresh
-// root.
-func (e *Engine) phaseBreakdown(dt *core.DynamicTable, spans []trace.Record, meter []obs.MeterPoint) health.PhaseBreakdown {
+// phaseBreakdown assembles one DT's latest refresh cost from its newest
+// placed record: the virtual execution time, the queue wait of the
+// warehouse job that billed it, and the traced phase spans under its
+// refresh root.
+func (e *Engine) phaseBreakdown(dt *core.DynamicTable, spans []trace.Record) health.PhaseBreakdown {
 	p := health.PhaseBreakdown{DT: dt.Name}
 	hist := dt.History()
 	var last *core.RefreshRecord
@@ -677,11 +695,8 @@ func (e *Engine) phaseBreakdown(dt *core.DynamicTable, spans []trace.Record, met
 		return p
 	}
 	p.Exec = last.Exec.Duration()
-	for i := len(meter) - 1; i >= 0; i-- {
-		if meter[i].Label == dt.Name {
-			p.QueueWait = meter[i].Start.Sub(meter[i].Submit)
-			break
-		}
+	if job := last.Exec.Job; job != nil {
+		p.QueueWait = job.Queued()
 	}
 	if last.TraceRoot != 0 {
 		for _, r := range spans {

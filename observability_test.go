@@ -2,11 +2,14 @@ package dyntables
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"dyntables/internal/core"
+	"dyntables/internal/obs"
 	"dyntables/internal/types"
 )
 
@@ -16,6 +19,13 @@ func obsFixture(t *testing.T, opts ...Option) (*Engine, *Session) {
 	t.Helper()
 	eng := New(opts...)
 	t.Cleanup(func() { eng.Close() })
+	return eng, obsScript(t, eng)
+}
+
+// obsScript creates obsFixture's base table and two chained DTs on eng,
+// runs three scheduler rounds, and returns the session it used.
+func obsScript(t *testing.T, eng *Engine) *Session {
+	t.Helper()
 	sess := eng.NewSession()
 	sess.MustExec(`CREATE WAREHOUSE wh`)
 	sess.MustExec(`CREATE TABLE events (id INT, v INT)`)
@@ -30,7 +40,7 @@ func obsFixture(t *testing.T, opts ...Option) (*Engine, *Session) {
 			t.Fatal(err)
 		}
 	}
-	return eng, sess
+	return sess
 }
 
 // TestRefreshHistoryStreamingQuery is the PR's acceptance query: refresh
@@ -425,12 +435,14 @@ func TestObservabilityDisabled(t *testing.T) {
 	}
 }
 
-// dtObservability reads what the recorder holds for one DT name: its
+// dtObservability reads what the engine reports under one DT name: its
 // DYNAMIC_TABLES lag-SLO columns, its RESOURCE_HISTORY refresh rows, its
-// /metrics CPU counter and its DT_HEALTH cpu_trend.
+// WAREHOUSE_METERING_HISTORY rows, its /metrics CPU counter and its
+// DT_HEALTH cpu_trend.
 type dtObservability struct {
 	sloNull, p95Null bool
 	resourceRows     int64
+	meteringRows     int64
 	metric           bool
 	trendNull        bool
 }
@@ -446,6 +458,9 @@ func readDTObservability(t *testing.T, eng *Engine, sess *Session, name string) 
 	res = sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.RESOURCE_HISTORY
 		WHERE kind = 'refresh' AND name = ?`, name)
 	o.resourceRows = res.Rows[0][0].Int()
+	res = sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.WAREHOUSE_METERING_HISTORY
+		WHERE label = ?`, name)
+	o.meteringRows = res.Rows[0][0].Int()
 	o.metric = strings.Contains(eng.MetricsText(), `dyntables_dt_cpu_seconds_total{dt="`+name+`"}`)
 	res = sess.MustExec(`SELECT cpu_trend FROM INFORMATION_SCHEMA.DT_HEALTH WHERE dt = ?`, name)
 	if len(res.Rows) != 1 {
@@ -480,7 +495,8 @@ func TestCreateForgetsDroppedObservability(t *testing.T) {
 			if !o.sloNull || !o.p95Null {
 				t.Errorf("DYNAMIC_TABLES lag-SLO columns of the new grand are not NULL: %+v", o)
 			}
-			if o.resourceRows != 0 || o.metric {
+			// Its one billed job is its initialization.
+			if o.resourceRows != 0 || o.meteringRows != 1 || o.metric {
 				t.Errorf("the new grand inherits resource data: %+v", o)
 			}
 			if n := len(mustDT(t, eng, "grand").LagSeries()); n != 0 {
@@ -508,14 +524,15 @@ func TestCreateForgetsDroppedObservability(t *testing.T) {
 }
 
 // TestRenameKeepsObservability checks that ALTER DYNAMIC TABLE ... RENAME
-// and SWAP carry a DT's lag samples, resource totals and resource events
-// to its new name: nothing stays under the old name, and DT_HEALTH's
-// cpu_trend continues from the refreshes made before the rename.
+// and SWAP carry a DT's lag samples, resource totals, resource events and
+// metering rows to its new name: nothing stays under the old name, and
+// DT_HEALTH's cpu_trend continues from the refreshes made before the
+// rename.
 func TestRenameKeepsObservability(t *testing.T) {
 	t.Run("rename", func(t *testing.T) {
 		eng, sess := obsFixture(t)
 		before := readDTObservability(t, eng, sess, "grand")
-		if before.sloNull || before.p95Null || before.resourceRows == 0 || !before.metric {
+		if before.sloNull || before.p95Null || before.resourceRows == 0 || before.meteringRows == 0 || !before.metric {
 			t.Fatalf("fixture has no observability data for grand: %+v", before)
 		}
 		sess.MustExec(`ALTER DYNAMIC TABLE grand RENAME TO grand2`)
@@ -523,12 +540,16 @@ func TestRenameKeepsObservability(t *testing.T) {
 		if after.sloNull || after.p95Null {
 			t.Errorf("DYNAMIC_TABLES lag-SLO columns are NULL for grand2 after the rename: %+v", after)
 		}
-		if after.resourceRows != before.resourceRows || !after.metric {
+		if after.resourceRows != before.resourceRows || after.meteringRows != before.meteringRows || !after.metric {
 			t.Errorf("resource data did not follow the rename: before %+v, after %+v", before, after)
 		}
 		res := sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.RESOURCE_HISTORY WHERE name = 'grand'`)
 		if n := res.Rows[0][0].Int(); n != 0 {
 			t.Errorf("RESOURCE_HISTORY keeps %d rows under the old name", n)
+		}
+		res = sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.WAREHOUSE_METERING_HISTORY WHERE label = 'grand'`)
+		if n := res.Rows[0][0].Int(); n != 0 {
+			t.Errorf("WAREHOUSE_METERING_HISTORY keeps %d rows under the old name", n)
 		}
 		if strings.Contains(eng.MetricsText(), `dyntables_dt_cpu_seconds_total{dt="grand"}`) {
 			t.Error("dyntables_dt_cpu_seconds_total keeps a series for the old name")
@@ -543,6 +564,17 @@ func TestRenameKeepsObservability(t *testing.T) {
 	})
 	t.Run("swap", func(t *testing.T) {
 		eng, sess := obsFixture(t)
+		// A manual refresh of totals alone bills one more job for it than
+		// for grand, so their metering row counts differ.
+		sess.MustExec(`INSERT INTO events VALUES (3, 30)`)
+		if err := sess.ManualRefresh("totals"); err != nil {
+			t.Fatal(err)
+		}
+		obsTotals := readDTObservability(t, eng, sess, "totals")
+		obsGrand := readDTObservability(t, eng, sess, "grand")
+		if obsTotals.meteringRows == obsGrand.meteringRows {
+			t.Fatalf("fixture bills totals and grand alike: %+v, %+v", obsTotals, obsGrand)
+		}
 		counters := func() map[string]core.RefreshCounts {
 			return map[string]core.RefreshCounts{
 				"totals": mustDT(t, eng, "totals").Counts(),
@@ -556,6 +588,12 @@ func TestRenameKeepsObservability(t *testing.T) {
 		lagTotals := len(mustDT(t, eng, "totals").LagSeries())
 		lagGrand := len(mustDT(t, eng, "grand").LagSeries())
 		sess.MustExec(`ALTER DYNAMIC TABLE totals SWAP WITH grand`)
+		if after := readDTObservability(t, eng, sess, "totals"); after != obsGrand {
+			t.Errorf("totals after the swap reports %+v, grand before it %+v", after, obsGrand)
+		}
+		if after := readDTObservability(t, eng, sess, "grand"); after != obsTotals {
+			t.Errorf("grand after the swap reports %+v, totals before it %+v", after, obsTotals)
+		}
 		if after := counters(); after["totals"] != grand || after["grand"] != totals {
 			t.Errorf("resource totals did not swap: before totals %+v grand %+v, after %+v", totals, grand, after)
 		}
@@ -571,5 +609,241 @@ func TestRenameKeepsObservability(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// TestHealthQueueWaitFollowsSwap checks that DT_HEALTH's queue-wait blame
+// reads the queue wait of the job that billed the DT's own newest
+// refresh: after a SWAP, each name reports the DT that now holds it, not
+// the job last billed under that name.
+func TestHealthQueueWaitFollowsSwap(t *testing.T) {
+	eng := New()
+	t.Cleanup(func() { eng.Close() })
+	sess := eng.NewSession()
+	sess.MustExec(`CREATE WAREHOUSE wh`)
+	sess.MustExec(`CREATE TABLE src (id INT)`)
+	// Two independent DTs due at the same tick on one serial warehouse:
+	// the second in name order queues behind the first.
+	sess.MustExec(`CREATE DYNAMIC TABLE alpha TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT id FROM src`)
+	sess.MustExec(`CREATE DYNAMIC TABLE beta TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT count(*) n FROM src`)
+	sess.MustExec(`INSERT INTO src VALUES (1), (2)`)
+	eng.AdvanceTime(2 * time.Minute)
+	if err := eng.RunScheduler(); err != nil {
+		t.Fatal(err)
+	}
+	alpha, beta := mustDT(t, eng, "alpha"), mustDT(t, eng, "beta")
+	queued := map[*core.DynamicTable]time.Duration{
+		alpha: eng.phaseBreakdown(alpha, nil).QueueWait,
+		beta:  eng.phaseBreakdown(beta, nil).QueueWait,
+	}
+	if queued[alpha] == queued[beta] {
+		t.Fatalf("fixture queues alpha and beta alike: %v", queued[alpha])
+	}
+	sess.MustExec(`ALTER DYNAMIC TABLE alpha SWAP WITH beta`)
+	for _, dt := range []*core.DynamicTable{alpha, beta} {
+		if got := eng.phaseBreakdown(dt, nil).QueueWait; got != queued[dt] {
+			t.Errorf("%s now blames queue wait %v, its own job queued %v", dt.Name, got, queued[dt])
+		}
+	}
+}
+
+// TestMeteringHistoryDerivedFromRefreshRecords checks that every
+// WAREHOUSE_METERING_HISTORY row is the billed job of one refresh record:
+// it joins DYNAMIC_TABLE_REFRESH_HISTORY on seq under its label, spans the
+// record's start and end, bills its duration rounded up to whole seconds
+// at its size's rate, and the rows come ordered by warehouse, then seq.
+// Scheduled and manual refreshes on two warehouses are billed; NO_DATA
+// refreshes are not.
+func TestMeteringHistoryDerivedFromRefreshRecords(t *testing.T) {
+	eng, sess := obsFixture(t)
+	sess.MustExec(`CREATE WAREHOUSE big WAREHOUSE_SIZE = 'MEDIUM'`)
+	sess.MustExec(`CREATE DYNAMIC TABLE side TARGET_LAG = '1 minute' WAREHOUSE = big
+		AS SELECT id, v FROM events WHERE v > 10`)
+	sess.MustExec(`INSERT INTO events VALUES (3, 30)`)
+	if err := sess.ManualRefresh("grand"); err != nil {
+		t.Fatal(err)
+	}
+	historyRound(t, eng, sess)
+
+	res := sess.MustExec(`SELECT m.warehouse, m.size, m.label, m.seq, m.duration, m.credits,
+			m.start_ts = h.start_ts AND m.end_ts = h.end_ts, h.action
+		FROM INFORMATION_SCHEMA.WAREHOUSE_METERING_HISTORY m
+		LEFT JOIN INFORMATION_SCHEMA.DYNAMIC_TABLE_REFRESH_HISTORY h
+			ON m.seq = h.seq AND m.label = h.dt_name`)
+	rate := map[string]float64{"XSMALL": 1, "MEDIUM": 4}
+	perWarehouse := map[string]int{}
+	var lastWH string
+	var lastSeq int64
+	for _, row := range res.Rows {
+		wh, size, seq := row[0].Str(), row[1].Str(), row[3].Int()
+		if row[6].IsNull() || !row[6].Bool() {
+			t.Errorf("metering row %v is not its refresh record's job", row)
+			continue
+		}
+		if row[7].Str() == "NO_DATA" {
+			t.Errorf("NO_DATA refresh billed: %v", row)
+		}
+		secs := math.Ceil(row[4].Interval().Seconds())
+		if want := secs / 3600 * rate[size]; math.Abs(row[5].Float()-want) > 1e-12 {
+			t.Errorf("metering row %v bills %v credits, want %v", row, row[5].Float(), want)
+		}
+		if wh < lastWH || wh == lastWH && seq <= lastSeq {
+			t.Errorf("metering row %s/%d follows %s/%d", wh, seq, lastWH, lastSeq)
+		}
+		lastWH, lastSeq = wh, seq
+		perWarehouse[wh]++
+	}
+	if perWarehouse["big"] == 0 || perWarehouse["wh"] == 0 {
+		t.Fatalf("expected billed jobs on both warehouses, got %v", perWarehouse)
+	}
+	// Each warehouse's job count is its metering row count.
+	for _, wh := range eng.sortedWarehouses() {
+		if got := perWarehouse[wh.Name]; got != wh.JobCount() {
+			t.Errorf("warehouse %s has %d metering rows and %d jobs", wh.Name, got, wh.JobCount())
+		}
+	}
+}
+
+// TestResourceHistoryStatementRowsAreQueryHistoryRows checks that each
+// RESOURCE_HISTORY statement row is a metered QUERY_HISTORY statement,
+// with the same seq, root_id, kind and rows, and that cursor statements
+// and statements that failed to bind stay unmetered.
+func TestResourceHistoryStatementRowsAreQueryHistoryRows(t *testing.T) {
+	_, sess := obsFixture(t)
+	if _, err := sess.Exec(`SELECT nope FROM events`); err == nil {
+		t.Fatal("binding an unknown column should fail")
+	}
+	rows, err := sess.QueryContext(context.Background(), `SELECT id FROM events`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	rows.Close()
+	if _, err := sess.QueryContext(context.Background(), `SELECT nope FROM events`); err == nil {
+		t.Fatal("binding a cursor over an unknown column should fail")
+	}
+	statements := sess.MustExec(`SELECT count(*) FROM INFORMATION_SCHEMA.QUERY_HISTORY`).Rows[0][0].Int()
+
+	res := sess.MustExec(`SELECT r.seq, q.seq, r.root_id = q.root_id, r.name, q.kind, r.rows, q.rows
+		FROM INFORMATION_SCHEMA.RESOURCE_HISTORY r
+		LEFT JOIN INFORMATION_SCHEMA.QUERY_HISTORY q ON r.seq = q.seq
+		WHERE r.kind = 'statement'`)
+	if len(res.Rows) == 0 {
+		t.Fatal("no statement rows in RESOURCE_HISTORY")
+	}
+	for _, row := range res.Rows {
+		if row[1].IsNull() || fmt.Sprint(row[3], row[5]) != fmt.Sprint(row[4], row[6]) || !row[2].IsNull() && !row[2].Bool() {
+			t.Errorf("statement resource row %v is not its QUERY_HISTORY row", row)
+		}
+	}
+	// Every statement but the cursor and its failed bind is metered: the
+	// failed Exec as an ERROR statement, and the count query too.
+	if got, want := int64(len(res.Rows)), statements+1-2; got != want {
+		t.Errorf("RESOURCE_HISTORY has %d statement rows, want %d (all statements but the two cursor ones)", got, want)
+	}
+}
+
+// cloneFixture clones grand into g2 on an obsFixture-shaped engine and
+// returns grand's data timestamp at the clone.
+func cloneFixture(t *testing.T, eng *Engine, sess *Session) time.Time {
+	t.Helper()
+	base := mustDT(t, eng, "grand").DataTimestamp()
+	sess.MustExec(`CREATE DYNAMIC TABLE g2 CLONE grand`)
+	return base
+}
+
+// checkClonePeak checks that a clone's first lag sample peaks from the
+// data timestamp it was cloned at.
+func checkClonePeak(t *testing.T, eng *Engine, base time.Time) {
+	t.Helper()
+	series := mustDT(t, eng, "g2").LagSeries()
+	if len(series) == 0 {
+		t.Fatal("the clone has no lag sample")
+	}
+	if s := series[0]; s.Peak != s.At.Sub(base) {
+		t.Errorf("the clone's first sample peaks at %v (trough %v), want %v from the cloned data timestamp",
+			s.Peak, s.Trough, s.At.Sub(base))
+	}
+}
+
+// TestCloneLagSeriesStartsFromSourceDataTS checks that a clone's first
+// lag sample measures its peak from the data timestamp the clone
+// inherited, also when the clone's first refresh comes after Close + Open.
+func TestCloneLagSeriesStartsFromSourceDataTS(t *testing.T) {
+	t.Run("live", func(t *testing.T) {
+		eng, sess := obsFixture(t)
+		base := cloneFixture(t, eng, sess)
+		historyRound(t, eng, sess)
+		checkClonePeak(t, eng, base)
+	})
+	t.Run("reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := cloneFixture(t, eng, historyScript(t, eng))
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		historyRound(t, eng, eng.NewSession())
+		checkClonePeak(t, eng, base)
+	})
+}
+
+// TestLagSeriesBaseSurvivesEviction checks that a history ring too small
+// for a DT's whole history keeps the lag samples of the records it
+// retains exactly as the full history derives them: the oldest retained
+// sample peaks from the evicted record's data timestamp. Records leave
+// the ring when a full ring takes a new one, when ALTER SYSTEM SET
+// HISTORY_CAPACITY shrinks it, and the bound holds across Close + Open.
+func TestLagSeriesBaseSurvivesEviction(t *testing.T) {
+	full, _ := obsFixture(t)
+	want := map[string][]obs.LagSample{}
+	for _, name := range []string{"totals", "grand"} {
+		want[name] = mustDT(t, full, name).LagSeries()
+	}
+	check := func(t *testing.T, eng *Engine) {
+		t.Helper()
+		for name, all := range want {
+			got := mustDT(t, eng, name).LagSeries()
+			if len(got) == 0 || len(got) > 2 {
+				t.Fatalf("%s keeps %d lag samples in a ring of 2", name, len(got))
+			}
+			if suffix := all[len(all)-len(got):]; fmt.Sprint(got) != fmt.Sprint(suffix) {
+				t.Errorf("%s lag samples in a ring of 2:\n%v\nwant the newest of the full history:\n%v", name, got, suffix)
+			}
+		}
+	}
+	t.Run("full_ring", func(t *testing.T) {
+		eng, _ := obsFixture(t, WithConfig(Config{HistoryCapacity: 2}))
+		check(t, eng)
+	})
+	t.Run("alter_system", func(t *testing.T) {
+		eng, sess := obsFixture(t)
+		sess.MustExec(`ALTER SYSTEM SET HISTORY_CAPACITY = 2`)
+		check(t, eng)
+	})
+	t.Run("reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, err := Open(dir, WithConfig(Config{HistoryCapacity: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsScript(t, eng)
+		check(t, eng)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err = Open(dir, WithConfig(Config{HistoryCapacity: 2})); err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		check(t, eng)
 	})
 }

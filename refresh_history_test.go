@@ -14,21 +14,11 @@ import (
 	"dyntables/internal/persist"
 )
 
-// historyScript creates obsFixture's base table and two chained DTs on
-// eng, runs three scheduler rounds and one manual refresh, and returns
-// the session it used.
+// historyScript runs obsScript on eng, then one manual refresh, and
+// returns the session it used.
 func historyScript(t *testing.T, eng *Engine) *Session {
 	t.Helper()
-	sess := eng.NewSession()
-	sess.MustExec(`CREATE WAREHOUSE wh`)
-	sess.MustExec(`CREATE TABLE events (id INT, v INT)`)
-	sess.MustExec(`CREATE DYNAMIC TABLE totals TARGET_LAG = '1 minute' WAREHOUSE = wh
-		AS SELECT id, count(*) c, sum(v) s FROM events GROUP BY id`)
-	sess.MustExec(`CREATE DYNAMIC TABLE grand TARGET_LAG = '1 minute' WAREHOUSE = wh
-		AS SELECT count(*) n FROM totals`)
-	for i := 0; i < 3; i++ {
-		historyRound(t, eng, sess)
-	}
+	sess := obsScript(t, eng)
 	sess.MustExec(`INSERT INTO events VALUES (5, 50)`)
 	eng.AdvanceTime(time.Minute)
 	if err := sess.ManualRefresh("grand"); err != nil {

@@ -318,6 +318,7 @@ func (s *Session) execStatement(ctx context.Context, text string, stmt sql.State
 		Start:     start,
 		Duration:  time.Since(start),
 		RootID:    root.RootID(),
+		Usage:     &use,
 	}
 	switch {
 	case err == nil:
@@ -340,16 +341,6 @@ func (s *Session) execStatement(ctx context.Context, text string, stmt sql.State
 	root.SetAttr("cpu", use.CPU.String())
 	e.trc.FinishRoot(root)
 	e.rec.RecordStatement(ev)
-	e.rec.RecordResource(obs.ResourceEvent{
-		Kind:         obs.ResourceStatement,
-		Name:         ev.Kind,
-		RootID:       root.RootID(),
-		Start:        use.Start,
-		CPU:          use.CPU,
-		AllocBytes:   use.AllocBytes,
-		AllocObjects: use.AllocObjects,
-		Rows:         ev.Rows,
-	})
 	e.afterWrite()
 	return res, err
 }

@@ -529,11 +529,11 @@ func (e *Engine) refreshAt(dt *core.DynamicTable, dataTS time.Time) error {
 	// Charge the warehouse for non-trivial work.
 	if rec.Action != core.ActionNoData && rec.Action != core.ActionSkip {
 		if wh, werr := e.pool.Get(dt.Warehouse); werr == nil {
-			job := wh.Submit(dataTS, rec.SourceRowsScanned, e.model, dt.Name)
-			// Place the refresh at the job's virtual timing (manual
-			// refreshes run outside a scheduler tick: no wave, no worker
-			// slot).
-			dt.Place(dataTS, core.Execution{Wave: -1, Worker: -1, Start: job.Start, End: job.End}, nil)
+			job := wh.Submit(dataTS, rec.SourceRowsScanned, e.model)
+			// Place the refresh and its job at the job's virtual timing
+			// (manual refreshes run outside a scheduler tick: no wave, no
+			// worker slot).
+			dt.Place(dataTS, core.Execution{Wave: -1, Worker: -1, Start: job.Start, End: job.End, Job: &job}, nil)
 		}
 	}
 	return nil
@@ -888,12 +888,12 @@ func (x *executor) execAlterSystem(stmt *sql.AlterSystemStmt) (*Result, error) {
 		return &Result{Kind: "ALTER SYSTEM",
 			Message: fmt.Sprintf("REFRESH_WORKERS = %d", e.refr.Workers())}, nil
 	case "HISTORY_CAPACITY":
-		// Rebounds each DT's refresh-history ring (and so the lag and
-		// resource signals derived from it) and every observability ring
-		// (metering, graph edges, statements), evicting the oldest
-		// entries that no longer fit. On an
-		// engine built with recording disabled (Config.HistoryCapacity <
-		// 0) this turns recording on.
+		// Rebounds each DT's refresh-history ring (and so the lag,
+		// resource and metering rows derived from it) and every recorder
+		// ring (graph edges, requests, statements, alerts), evicting the
+		// oldest entries that no longer fit. On an engine built with
+		// recording disabled (Config.HistoryCapacity < 0) this turns
+		// recording on.
 		if stmt.Value <= 0 {
 			return nil, fmt.Errorf("dyntables: HISTORY_CAPACITY must be > 0")
 		}
