@@ -8,12 +8,13 @@ import (
 )
 
 // This file implements the columnar fast path: Scan→Filter→Project→Limit
-// chains execute over shared, version-cached column batches with
-// vectorized predicates and projections, and materialize to []TRow only
-// at the boundary to a row-at-a-time operator (join, window, sort, ...);
-// an aggregate over such a chain consumes the batch directly. Operators
-// outside those chains run on the row path in run.go; the differential
-// harness holds the two byte-equivalent.
+// chains, and hash joins of two such subtrees (join.go), execute over
+// shared, version-cached column batches with vectorized predicates and
+// projections, and materialize to []TRow only at the boundary to a
+// row-at-a-time operator (window, sort, union, ...); an aggregate over
+// such a subtree consumes the batch directly. Operators outside those
+// subtrees run on the row path in run.go; the differential harness holds
+// the two byte-equivalent.
 
 // batchRes is a columnar intermediate result: a (possibly shared) batch
 // plus a selection of surviving row indices; a nil selection means every
@@ -60,8 +61,8 @@ func (r *batchRes) materialize() []TRow {
 }
 
 // batchable reports whether the whole subtree under n can execute on
-// the columnar path (it bottoms out in a Scan through vectorizable
-// operators only).
+// the columnar path (it bottoms out in scans through vectorizable
+// operators and joins only).
 func batchable(n plan.Node) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
@@ -72,6 +73,8 @@ func batchable(n plan.Node) bool {
 		return batchable(x.Input)
 	case *plan.Limit:
 		return batchable(x.Input)
+	case *plan.Join:
+		return batchable(x.L) && batchable(x.R)
 	default:
 		return false
 	}
@@ -136,12 +139,23 @@ func runBatchNode(n plan.Node, ctx *Context) (*batchRes, error) {
 		}
 		ids := in.b.IDs()
 		if in.sel != nil {
+			all := ids
 			ids = make([]string, len(in.sel))
 			for j, i := range in.sel {
-				ids[j] = in.b.ID(i)
+				ids[j] = all[i]
 			}
 		}
 		return &batchRes{b: types.NewBatchFromCols(x.Schema(), ids, cols)}, nil
+	case *plan.Join:
+		l, err := runBatch(x.L, ctx)
+		if err != nil {
+			return nil, err
+		}
+		r, err := runBatch(x.R, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return hashJoin(x, l, r, ctx)
 	case *plan.Limit:
 		in, err := runBatch(x.Input, ctx)
 		if err != nil {
@@ -304,6 +318,7 @@ type batchIter struct {
 	started bool
 	err     error
 	res     *batchRes
+	ids     []string
 	rows    []types.Row
 	i       int
 }
@@ -317,7 +332,7 @@ func (it *batchIter) Next() (TRow, bool, error) {
 			it.err = err
 		} else {
 			it.res = res
-			it.rows = res.b.Rows()
+			it.ids, it.rows = res.b.IDs(), res.b.Rows()
 		}
 	}
 	if it.err != nil {
@@ -331,7 +346,7 @@ func (it *batchIter) Next() (TRow, bool, error) {
 	}
 	idx := it.res.at(it.i)
 	it.i++
-	return TRow{ID: it.res.b.ID(idx), Row: it.rows[idx]}, true, nil
+	return TRow{ID: it.ids[idx], Row: it.rows[idx]}, true, nil
 }
 
 // Close implements RowIter.

@@ -1,17 +1,17 @@
 // Package exec evaluates bound query plans over pinned source versions.
 // Run materializes a plan's full result: Scan→Filter→Project→Limit
-// chains run on the columnar path (batch.go) and every other operator
-// runs row at a time here. Stream/Collect wrap the same two paths in the
-// context-cancelable pull cursor that session cursors drive. The
-// operators are deliberately plain — hash joins, hash aggregation, full
-// sorts — because the engine's focus is refresh semantics, not
-// single-query speed.
+// chains and hash joins over them run on the columnar path (batch.go,
+// join.go), an aggregate over such a subtree folds its batch, and every
+// other operator runs row at a time here. Stream/Collect wrap the same
+// two paths in the context-cancelable pull cursor that session cursors
+// drive. Windows, sorts and unions are still plain row operators — a
+// full sort, a partition map — because the engine's focus is refresh
+// semantics, not single-query speed.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dyntables/internal/plan"
-	"dyntables/internal/sql"
 	"dyntables/internal/types"
 )
 
@@ -49,8 +48,8 @@ type Context struct {
 	RowsOf func(s *plan.Scan) (map[string]types.Row, error)
 	// BatchOf, when non-nil, returns the pinned contents for a scan as a
 	// shared columnar batch (in storage log order), enabling the vectorized
-	// Scan→Filter→Project→Limit fast path. Scans outside batchable
-	// chains use RowsOf.
+	// fast path of Scan→Filter→Project→Limit chains and joins of them.
+	// Scans outside batchable subtrees use RowsOf.
 	BatchOf func(s *plan.Scan) (*types.Batch, error)
 	// LookupOf, when non-nil, lets a filter straight over a scan on the
 	// columnar path read only the candidate rows of the range its
@@ -299,126 +298,6 @@ func evalKey(exprs []plan.Expr, row types.Row, ev *plan.EvalContext) (string, bo
 	return string(buf), ok, nil
 }
 
-func runJoin(j *plan.Join, ctx *Context) ([]TRow, error) {
-	left, err := Run(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Run(j.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return JoinRows(j, left, right, ctx)
-}
-
-// JoinRows joins two pre-computed inputs using the join node's keys and
-// residual. The IVM engine reuses it to join delta streams against
-// snapshots without materializing scans twice.
-func JoinRows(j *plan.Join, left, right []TRow, ctx *Context) ([]TRow, error) {
-	ev := ctx.eval()
-	lWidth := j.L.Schema().Len()
-	rWidth := j.R.Schema().Len()
-
-	type bucket struct {
-		rows []int
-	}
-	build := make(map[string]*bucket, len(right))
-	rightMatched := make([]bool, len(right))
-	for i, tr := range right {
-		key, ok, err := evalKey(j.RightKeys, tr.Row, ev)
-		if err != nil {
-			return nil, err
-		}
-		if !ok && len(j.RightKeys) > 0 {
-			continue // NULL keys never match
-		}
-		b := build[key]
-		if b == nil {
-			b = &bucket{}
-			build[key] = b
-		}
-		b.rows = append(b.rows, i)
-	}
-
-	var out []TRow
-	nullRight := make(types.Row, rWidth)
-	nullLeft := make(types.Row, lWidth)
-
-	ticks := 0
-	for _, ltr := range left {
-		key, ok, err := evalKey(j.LeftKeys, ltr.Row, ev)
-		if err != nil {
-			return nil, err
-		}
-		matched := false
-		if ok || len(j.LeftKeys) == 0 {
-			if b := build[key]; b != nil {
-				for _, ri := range b.rows {
-					if err := ctx.tick(&ticks); err != nil {
-						return nil, err
-					}
-					ctx.count(func(c *Counters) { c.JoinProbes++ })
-					rtr := right[ri]
-					combined := ltr.Row.Concat(rtr.Row)
-					if j.Residual != nil {
-						pass, err := plan.EvalBool(j.Residual, combined, ev)
-						if err != nil {
-							return nil, err
-						}
-						if !pass {
-							continue
-						}
-					}
-					matched = true
-					rightMatched[ri] = true
-					out = append(out, TRow{ID: joinID(ltr.ID, rtr.ID), Row: combined})
-				}
-			}
-		}
-		if !matched && (j.Type == sql.JoinLeft || j.Type == sql.JoinFull) {
-			out = append(out, TRow{ID: joinID(ltr.ID, "-"), Row: ltr.Row.Concat(nullRight)})
-		}
-	}
-	if j.Type == sql.JoinRight || j.Type == sql.JoinFull {
-		for i, rtr := range right {
-			if !rightMatched[i] {
-				out = append(out, TRow{ID: joinID("-", rtr.ID), Row: nullLeft.Concat(rtr.Row)})
-			}
-		}
-	}
-	return out, nil
-}
-
-func joinID(l, r string) string { return "(" + l + "*" + r + ")" }
-
-// JoinRowID derives the combined row ID of a join output row; "-" stands
-// for the null-extended side of an outer join.
-func JoinRowID(l, r string) string { return joinID(l, r) }
-
-// SplitJoinID splits a combined join row ID back into its two components.
-// Embedded IDs (nested joins, union branch tags) contain balanced
-// parentheses, so the separator is the '*' at parenthesis depth zero.
-func SplitJoinID(id string) (l, r string, ok bool) {
-	if len(id) < 3 || id[0] != '(' || id[len(id)-1] != ')' {
-		return "", "", false
-	}
-	inner := id[1 : len(id)-1]
-	depth := 0
-	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case '*':
-			if depth == 0 {
-				return inner[:i], inner[i+1:], true
-			}
-		}
-	}
-	return "", "", false
-}
-
 // NormalizeKeyValue exposes key normalization (INT/FLOAT reconciliation,
 // variant unwrapping) for callers building grouping keys outside the
 // executor.
@@ -455,17 +334,26 @@ func AggregateRows(a *plan.Aggregate, in []TRow, ctx *Context) ([]TRow, error) {
 
 // GroupRowID derives the stable row ID for an aggregate output row from
 // its encoded group key: a plaintext prefix plus a 64-bit hash (§5.5.2).
-func GroupRowID(encodedKey string) string {
-	h := fnv.New64a()
-	h.Write([]byte(encodedKey))
-	return "g:" + strconv.FormatUint(h.Sum64(), 16)
-}
+func GroupRowID(encodedKey string) string { return hashRowID('g', encodedKey) }
 
 // DistinctRowID derives the stable row ID for a distinct output row.
-func DistinctRowID(encodedKey string) string {
-	h := fnv.New64a()
-	h.Write([]byte(encodedKey))
-	return "d:" + strconv.FormatUint(h.Sum64(), 16)
+func DistinctRowID(encodedKey string) string { return hashRowID('d', encodedKey) }
+
+// hashRowID returns prefix, ':' and the FNV-1a 64 hash of key in hex,
+// built in one buffer so that the ID is the only allocation.
+func hashRowID(prefix byte, key string) string {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	var buf [18]byte
+	buf[0], buf[1] = prefix, ':'
+	return string(strconv.AppendUint(buf[:2], h, 16))
 }
 
 // ---------------------------------------------------------------------------

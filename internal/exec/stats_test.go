@@ -12,14 +12,15 @@ import (
 
 // TestStatsProfileColumnarPath checks that collecting per-node stats
 // (EXPLAIN ANALYZE) profiles the columnar path instead of switching it
-// off: a Scan→Filter→Project chain and an aggregate fused over such a
-// chain read version batches, never row maps, and every plan node is
-// observed exactly once with its output row count. With LookupOf set, a
+// off: a Scan→Filter→Project chain, a join of two scans and an aggregate
+// fused over either read version batches, never row maps, and every plan
+// node is observed exactly once with its output row count. With LookupOf set, a
 // selective key filter reads its candidates without the version batch,
 // and its Scan node reports the candidates; an unselective one scans.
 func TestStatsProfileColumnarPath(t *testing.T) {
 	h := newHarness(t)
 	h.table("t", "a int, b int", ints(1, 10), ints(2, 20), ints(3, 30), ints(4, 40))
+	h.table("u", "a int, c int", ints(2, 5), ints(3, 6), ints(3, 7), ints(9, 9))
 
 	cases := []struct {
 		query  string
@@ -37,6 +38,12 @@ func TestStatsProfileColumnarPath(t *testing.T) {
 		{`SELECT b FROM t WHERE a = 3`, true, 0, []int64{1, 1, 1}},
 		// Three candidates of four rows are not selective: the scan runs.
 		{`SELECT b FROM t WHERE a >= 2`, true, 1, []int64{3, 3, 4}},
+		// Project → Join → (Scan t, Scan u).
+		{`SELECT t.b, u.c FROM t JOIN u ON t.a = u.a`, false, 2, []int64{3, 3, 4, 4}},
+		// Project → Aggregate → Join → (Filter → Scan t, Scan u).
+		{`SELECT u.a, sum(t.b) FROM t JOIN u ON t.a = u.a WHERE t.a >= 2 GROUP BY u.a`, false, 2, []int64{2, 2, 3, 3, 4, 4}},
+		// Project → Join[LEFT] → (Scan t, Scan u).
+		{`SELECT t.a, u.c FROM t LEFT JOIN u ON t.a = u.a`, false, 2, []int64{5, 5, 4, 4}},
 	}
 	for _, tc := range cases {
 		stmt, err := sql.Parse(tc.query)

@@ -11,8 +11,8 @@ type RowIter interface {
 }
 
 // Stream returns a cursor over the plan's result rows. A batchable
-// subtree (Scan→Filter→Project→Limit) on the columnar path streams its
-// selection straight out of the shared version batches; any other plan
+// subtree (Scan→Filter→Project→Limit chains and joins of them) on the
+// columnar path streams its selection straight out of its batch; any other plan
 // executes through Run on the first Next and streams the materialized
 // result. Either way execution is deferred to the first Next, so statement
 // errors surface there, and every Next checks ctx.Ctx, so abandoning the

@@ -123,11 +123,9 @@ func (r *run) bytes() int64 {
 }
 
 // current returns the run to read entries through. When first is set the
-// caller created ci and builds its first run. Otherwise it waits for the
-// first run and, when the tail has outgrown the run (tail² > entries),
-// folds the tail in unless another reader is already doing so. Merging
-// then costs amortized O(√N) per appended entry, and a lookup reads at
-// most ~√N tail entries.
+// caller created ci and builds its first run; otherwise it waits for the
+// first run. It folds no tail: fold does, once a lookup has decided to
+// read.
 func (ci *colIndex) current(entries []entry, col int, first bool) *run {
 	if first {
 		r := newRun(entries, 0, col, ci.kind)
@@ -137,7 +135,14 @@ func (ci *colIndex) current(entries []entry, col int, first bool) *run {
 		return r
 	}
 	<-ci.built
-	r := ci.run.Load()
+	return ci.run.Load()
+}
+
+// fold returns the run to read entries through after r: when the tail has
+// outgrown r (tail² > entries), r with the tail folded in, unless another
+// reader is already folding it. Merging then costs amortized O(√N) per
+// appended entry, and a lookup reads at most ~√N tail entries.
+func (ci *colIndex) fold(r *run, entries []entry, col int) *run {
 	if tail := len(entries) - r.n; tail > 0 && tail*tail > len(entries) && ci.merging.CompareAndSwap(false, true) {
 		// Another merge may have landed between the load and the swap.
 		if cur := ci.run.Load(); cur != r {
@@ -218,6 +223,8 @@ func inRanges(rs []keyRange, k int64) bool {
 // indexView is what a reader of one column's run sees: the run, the
 // segment's entries as of the read, and the version's row count.
 type indexView struct {
+	ci      *colIndex
+	col     int
 	r       *run
 	entries []entry
 	kind    types.Kind
@@ -225,8 +232,15 @@ type indexView struct {
 	rows    int
 }
 
+// fold folds the view's tail into its run as colIndex.fold does. The
+// rows the view reads do not change: the merged run's spans are the
+// unmerged run's spans plus the tail's matches.
+func (v *indexView) fold() {
+	v.r = v.ci.fold(v.r, v.entries, v.col)
+}
+
 // indexed returns the current run of column col over the segment that
-// version seq reads, building or merging it as colIndex.current does. It
+// version seq reads, building the first one as colIndex.current does. It
 // returns nil, and reads nothing, when col is not an INT-family column.
 func (t *Table) indexed(seq int64, col int) (*indexView, error) {
 	t.mu.Lock()
@@ -239,7 +253,7 @@ func (t *Table) indexed(seq int64, col int) (*indexView, error) {
 		t.mu.Unlock()
 		return nil, nil
 	}
-	view := &indexView{kind: t.schema.Column(col).Kind, schema: t.schema, rows: v.RowCount}
+	view := &indexView{col: col, kind: t.schema.Column(col).Kind, schema: t.schema, rows: v.RowCount}
 	seg := t.segmentFor(seq)
 	view.entries = seg.entries
 	ci := seg.index[col]
@@ -254,7 +268,7 @@ func (t *Table) indexed(seq int64, col int) (*indexView, error) {
 	}
 	t.mu.Unlock()
 
-	view.r = ci.current(view.entries, col, first)
+	view.ci, view.r = ci, ci.current(view.entries, col, first)
 	return view, nil
 }
 
@@ -263,7 +277,8 @@ func (t *Table) indexed(seq int64, col int) (*indexView, error) {
 // rs, and the visible rows whose col is NULL or of another kind. ok is
 // false when col is not an INT-family column and, when selective, when
 // the candidates over all of rs exceed 1/lookupShare of the version's
-// rows.
+// rows. It counts the candidates in the run and its tail before it folds
+// the tail, so a lookup that declines merges nothing.
 func (t *Table) lookupRanges(seq int64, col int, rs []keyRange, selective bool) (*types.Batch, bool, error) {
 	view, err := t.indexed(seq, col)
 	if view == nil || err != nil {
@@ -287,16 +302,21 @@ func (t *Table) lookupRanges(seq int64, col int, rs []keyRange, selective bool) 
 		}
 		from = j
 	}
+	// A lookup that declines folds nothing, so the tail can outgrow √N:
+	// stop reading it as soon as the lookup declines.
 	var tail []int32
 	for p := r.n; p < len(entries); p++ {
 		if k, keyed := keyOf(entries[p].row, col, view.kind); !keyed || inRanges(rs, k) {
 			tail = append(tail, int32(p))
+			if n++; over(n) {
+				return nil, false, nil
+			}
 		}
 	}
-	n += len(tail)
 	if over(n) {
 		return nil, false, nil
 	}
+	view.fold()
 	cand := make([]int32, 0, n)
 	for _, s := range spans {
 		cand = append(cand, r.pos[s[0]:s[1]]...)
@@ -331,6 +351,7 @@ func (t *Table) DistinctKeys(seq int64, col int) (n int, ok bool, _ error) {
 	if view == nil || err != nil {
 		return 0, false, err
 	}
+	view.fold()
 	r, entries := view.r, view.entries
 	for i, k := range r.keys {
 		if i == 0 || k != r.keys[i-1] {

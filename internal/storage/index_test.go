@@ -510,6 +510,46 @@ func TestLookupKeysInUnmergedTail(t *testing.T) {
 	}
 }
 
+// TestDeclinedLookupMergesNothing checks that a lookup counts its
+// candidates in the run and the tail before it folds the tail: one that
+// declines leaves the run as it was, and one that reads still folds a
+// tail that has outgrown the run.
+func TestDeclinedLookupMergesNothing(t *testing.T) {
+	tb := newTestTable()
+	apply(t, tb, 10, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 400; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i%8))
+		}
+	})
+	if _, ok, err := tb.SelectiveLookupKeys(2, 0, []int64{0}); err != nil || !ok {
+		t.Fatalf("first lookup: ok %v, %v", ok, err)
+	}
+	// 30 appended rows: 30² > 430 entries, so a reading lookup folds them.
+	apply(t, tb, 11, func(cs *delta.ChangeSet) {
+		for i := int64(0); i < 30; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(1+i%7))
+		}
+	})
+	runN := func() int { return tb.segmentFor(3).index[0].run.Load().n }
+	// Keys 0, 1 and 2 have 155 candidates, over a quarter of 430 rows.
+	if _, ok, err := tb.SelectiveLookupKeys(3, 0, []int64{0, 1, 2}); err != nil || ok {
+		t.Fatalf("lookup of {0, 1, 2}: ok %v, %v; want a decline", ok, err)
+	}
+	if n := runN(); n != 400 {
+		t.Fatalf("a declined lookup merged the tail: the run covers %d entries, want 400", n)
+	}
+	b, ok, err := tb.SelectiveLookupKeys(3, 0, []int64{0})
+	if err != nil || !ok {
+		t.Fatalf("lookup of {0}: ok %v, %v", ok, err)
+	}
+	if want := wantKeys(t, tb, 3, []int64{0}); !slices.Equal(b.IDs(), want) {
+		t.Fatalf("lookup of {0} = %v, want %v", b.IDs(), want)
+	}
+	if n := runN(); n != 430 {
+		t.Fatalf("a reading lookup left the tail unmerged: the run covers %d entries, want 430", n)
+	}
+}
+
 // TestSelectiveLookupKeysDeclinesOverUnion checks that the decline counts
 // the candidates of all the keys together: each key alone is selective,
 // their union is not.

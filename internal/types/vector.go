@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -293,6 +294,43 @@ func (v *Vector) Gather(sel []int) *Vector {
 	return out
 }
 
+// GatherOrNull is Gather, except that a negative position gathers NULL
+// (the missing side of an outer join).
+func (v *Vector) GatherOrNull(sel []int) *Vector {
+	var holes []bool
+	at := sel
+	for i, s := range sel {
+		if s >= 0 {
+			continue
+		}
+		if holes == nil {
+			holes = make([]bool, len(sel))
+			at = slices.Clone(sel)
+		}
+		holes[i], at[i] = true, 0
+	}
+	switch {
+	case holes == nil:
+		return v.Gather(sel)
+	case v.length == 0:
+		return NewConstVector(Null, len(sel))
+	}
+	out := v.Gather(at)
+	for i, hole := range holes {
+		switch {
+		case !hole:
+		case out.vals != nil:
+			out.vals[i] = Null
+		default:
+			if out.nulls == nil {
+				out.nulls = make([]bool, len(sel))
+			}
+			out.nulls[i] = true
+		}
+	}
+	return out
+}
+
 // Batch is a columnar slice of a relation: parallel row IDs, row views
 // and column vectors over a fixed schema. A batch holds a dual
 // representation — row views (shared []Value rows) and column vectors —
@@ -300,52 +338,104 @@ func (v *Vector) Gather(sel []int) *Vector {
 // batch built from storage rows only pays columnarization for columns an
 // expression actually touches, and a batch built by a vectorized
 // projection only materializes rows when a row-at-a-time operator
-// consumes it. Batches are immutable after construction and safe for
-// concurrent use; callers must not mutate returned slices.
+// consumes it. A lazy batch (NewLazyBatch) builds each part from its
+// source instead, row IDs included. Batches are immutable after
+// construction and safe for concurrent use; callers must not mutate
+// returned slices.
 type Batch struct {
 	schema Schema
-	ids    []string
+	n      int
+	// src, when non-nil, builds the parts of a lazy batch; ids is then
+	// set under mu on first use.
+	src BatchSource
 
 	mu    sync.Mutex
+	ids   []string
 	rows  []Row
 	cols  []*Vector
 	bytes int64 // cached ApproxBytes sum; 0 = not yet computed
 }
 
+// BatchSource builds the parts of a lazy batch on first use, and the
+// batch caches them: Col(c) builds column c, Rows the row views and IDs
+// the row IDs, each of the batch's length. Concurrent first readers may
+// each call a method; the batch keeps one result.
+type BatchSource interface {
+	Col(c int) *Vector
+	Rows() []Row
+	IDs() []string
+}
+
 // NewBatch builds a batch over existing row views. ids and rows are
 // parallel and adopted without copying; rows are shared, not cloned.
 func NewBatch(schema Schema, ids []string, rows []Row) *Batch {
-	return &Batch{schema: schema, ids: ids, rows: rows}
+	return &Batch{schema: schema, n: len(ids), ids: ids, rows: rows}
 }
 
 // NewBatchFromCols builds a batch from column vectors (one per schema
 // column, all the same length as ids).
 func NewBatchFromCols(schema Schema, ids []string, cols []*Vector) *Batch {
-	return &Batch{schema: schema, ids: ids, cols: cols}
+	return &Batch{schema: schema, n: len(ids), ids: ids, cols: cols}
+}
+
+// NewLazyBatch builds a batch of n rows whose columns, row views and row
+// IDs src builds when they are first read, so a consumer that reads two
+// columns pays for those two only.
+func NewLazyBatch(schema Schema, n int, src BatchSource) *Batch {
+	return &Batch{schema: schema, n: n, src: src, cols: make([]*Vector, len(schema.Columns))}
+}
+
+// fromSource returns the part of a lazy batch that *part caches, building
+// it with build on first use. build runs outside the lock, because a
+// source reads other batches; two readers that race both build it, and
+// the first to store it wins.
+func fromSource[T any](b *Batch, part *T, unset func(T) bool, build func() T) T {
+	b.mu.Lock()
+	v := *part
+	b.mu.Unlock()
+	if !unset(v) {
+		return v
+	}
+	v = build()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if unset(*part) {
+		*part = v
+	}
+	return *part
 }
 
 // Len returns the number of rows.
-func (b *Batch) Len() int { return len(b.ids) }
+func (b *Batch) Len() int { return b.n }
 
 // Schema returns the batch's schema.
 func (b *Batch) Schema() Schema { return b.schema }
 
 // IDs returns the row IDs; callers must not mutate the slice.
-func (b *Batch) IDs() []string { return b.ids }
+func (b *Batch) IDs() []string {
+	if b.src == nil {
+		return b.ids
+	}
+	return fromSource(b, &b.ids, func(ids []string) bool { return ids == nil }, b.src.IDs)
+}
 
 // ID returns row i's row ID.
-func (b *Batch) ID(i int) string { return b.ids[i] }
+func (b *Batch) ID(i int) string { return b.IDs()[i] }
 
 // Row returns row i as a shared row view.
 func (b *Batch) Row(i int) Row { return b.Rows()[i] }
 
 // Rows returns the batch's row views, materializing them from the column
-// vectors on first use. Callers must not mutate the slice or its rows.
+// vectors (or the source) on first use. Callers must not mutate the slice
+// or its rows.
 func (b *Batch) Rows() []Row {
+	if b.src != nil {
+		return fromSource(b, &b.rows, func(rows []Row) bool { return rows == nil }, b.src.Rows)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.rows == nil {
-		n := len(b.ids)
+		n := b.n
 		rows := make([]Row, n)
 		width := len(b.cols)
 		backing := make(Row, n*width)
@@ -362,8 +452,11 @@ func (b *Batch) Rows() []Row {
 }
 
 // Col returns column c as a vector, columnarizing it from the row views
-// on first use.
+// (or building it from the source) on first use.
 func (b *Batch) Col(c int) *Vector {
+	if b.src != nil {
+		return fromSource(b, &b.cols[c], func(v *Vector) bool { return v == nil }, func() *Vector { return b.src.Col(c) })
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cols == nil {

@@ -99,8 +99,9 @@ func TestExplainAnalyzeCancellation(t *testing.T) {
 
 // TestExplainAnalyzeObservesEveryNode checks that EXPLAIN ANALYZE reports
 // the plan that actually ran: every node executed (columnar chains, an
-// aggregate fused over one, and a LIMIT over a UNION ALL, whose branches
-// all run), and the root's actual rows equal the rows the SELECT returns.
+// aggregate fused over one, joins of two scans on the columnar path, and
+// a LIMIT over a UNION ALL, whose branches all run), and the root's
+// actual rows equal the rows the SELECT returns.
 func TestExplainAnalyzeObservesEveryNode(t *testing.T) {
 	_, sess := obsFixture(t)
 	actualRows := regexp.MustCompile(`actual rows=(\d+) `)
@@ -108,6 +109,8 @@ func TestExplainAnalyzeObservesEveryNode(t *testing.T) {
 		`SELECT id, v FROM events WHERE v > 10`,
 		`SELECT id, count(*) FROM events WHERE v > 0 GROUP BY id`,
 		`SELECT id FROM events UNION ALL SELECT id FROM totals LIMIT 2`,
+		`SELECT e.id, t.c FROM events e JOIN totals t ON e.id = t.id`,
+		`SELECT t.id, sum(e.v) FROM events e JOIN totals t ON e.id = t.id GROUP BY t.id`,
 	} {
 		want, err := sess.Query(q)
 		if err != nil {
@@ -124,6 +127,9 @@ func TestExplainAnalyzeObservesEveryNode(t *testing.T) {
 		plan := strings.Join(lines, "\n")
 		if strings.Contains(plan, "(never executed)") {
 			t.Errorf("%s: EXPLAIN ANALYZE reports unexecuted nodes:\n%s", q, plan)
+		}
+		if nodes, once := strings.Count(plan, "(actual rows="), strings.Count(plan, " loops=1 "); once != nodes {
+			t.Errorf("%s: %d of %d nodes report loops=1:\n%s", q, once, nodes, plan)
 		}
 		m := actualRows.FindStringSubmatch(lines[0])
 		if m == nil {
