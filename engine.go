@@ -299,6 +299,9 @@ func New(opts ...Option) *Engine {
 			return 0, err
 		}
 		return entry.Generation, nil
+	}, func() int64 {
+		_, seq := e.cat.Counters()
+		return seq
 	})
 	e.pool = warehouse.NewPool()
 	e.ctrl.Columnar = !e.cfg.DisableColumnar

@@ -35,7 +35,8 @@ var ErrSuspended = errors.New("core: dynamic table is suspended")
 var ErrUpstreamVersionMissing = errors.New("core: upstream DT version for exact data timestamp not found")
 
 // Controller executes DT refreshes. It is the engine-side "compiler +
-// transaction" path of §5.1: it re-binds the defining query, resolves
+// transaction" path of §5.1: it binds the defining query (once per
+// catalog DDL sequence, see compiled), resolves
 // source versions for the refresh interval, chooses the refresh action,
 // differentiates the plan when incremental, validates the changes and
 // commits them.
@@ -61,6 +62,9 @@ type Controller struct {
 	// depGeneration looks up the current catalog generation of an entry;
 	// wired by the engine to catalog lookups.
 	depGeneration func(entryID int64) (int64, error)
+	// ddlSeq reads the catalog's DDL sequence, which every committed DDL
+	// statement advances; a DT's compiled plan is valid at one value.
+	ddlSeq func() int64
 
 	// frontierSink, when set, observes every frontier advance (WAL
 	// emission for refresh continuity across restarts).
@@ -160,13 +164,15 @@ func (c *Controller) record(dt *DynamicTable, rec RefreshRecord) RefreshRecord {
 	return rec
 }
 
-// NewController wires a controller.
-func NewController(txns *txn.Manager, resolver plan.Resolver, depGeneration func(int64) (int64, error)) *Controller {
+// NewController wires a controller. ddlSeq must advance on every DDL
+// statement that can change how the resolver resolves a name.
+func NewController(txns *txn.Manager, resolver plan.Resolver, depGeneration func(int64) (int64, error), ddlSeq func() int64) *Controller {
 	return &Controller{
 		txns:          txns,
 		resolver:      resolver,
 		byStorageID:   make(map[int64]*DynamicTable),
 		depGeneration: depGeneration,
+		ddlSeq:        ddlSeq,
 	}
 }
 
@@ -267,13 +273,13 @@ func hlcUpperBound(ts time.Time) hlc.Timestamp {
 	return hlc.Timestamp{WallMicros: ts.UnixMicro(), Logical: math.MaxInt32}
 }
 
-// resolveVersions computes the version map for the plan's scans as of a
+// resolveVersions computes the version map for a plan's scans as of a
 // data timestamp: base tables resolve by commit time; upstream DTs resolve
 // through their data-timestamp mapping, failing with
 // ErrUpstreamVersionMissing when no exact entry exists (§6.1 validation 1).
-func (c *Controller) resolveVersions(p plan.Node, dataTS time.Time) (ivm.VersionMap, error) {
+func (c *Controller) resolveVersions(scans []*plan.Scan, dataTS time.Time) (ivm.VersionMap, error) {
 	vm := ivm.VersionMap{}
-	for _, scan := range plan.Scans(p) {
+	for _, scan := range scans {
 		id := scan.Table.ID()
 		if _, done := vm[id]; done {
 			continue
@@ -378,23 +384,23 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return rec, nil
 	}
 
-	// Re-bind the defining query (identifiers may resolve differently
-	// after upstream DDL, §5.4).
-	bindSpan := root.Child("bind")
-	bound, err := c.bind(dt.Text)
-	bindSpan.End()
+	// The defining query as bound at the current DDL sequence: rebuilt,
+	// under a bind span, only when DDL or an upstream's schema change may
+	// resolve its identifiers differently (§5.4).
+	cp, err := c.compiled(dt, root)
 	if err != nil {
 		return rec, err
 	}
+	bound := cp.bound
 
 	// Query evolution: a replaced dependency or changed output schema
 	// forces reinitialization (§5.4, conservative policy).
-	evolved, err := c.queryEvolved(dt, bound)
+	evolved, err := c.queryEvolved(dt, cp)
 	if err != nil {
 		return rec, err
 	}
 
-	vmTo, err := c.resolveVersions(bound.Plan, dataTS)
+	vmTo, err := c.resolveVersions(cp.scans, dataTS)
 	if err != nil {
 		return rec, err
 	}
@@ -428,7 +434,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 			}
 		}
 		rec.Action = action
-		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
+		return c.fullCompute(dt, cp, dataTS, vmTo, env, rec)
 	}
 
 	// NO_DATA when no source changed over the interval (§3.3.2) and the
@@ -436,7 +442,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	// the data timestamp alone.
 	frontier := dt.Frontier()
 	changed := plan.Volatile(bound.Plan)
-	for _, scan := range plan.Scans(bound.Plan) {
+	for _, scan := range cp.scans {
 		if changed {
 			break
 		}
@@ -454,7 +460,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	if !changed {
 		rec.Action = ActionNoData
 		rec.RowsAfter = dt.Storage.RowCount()
-		c.advanceFrontier(dt, bound, dataTS, vmTo, int64(dt.Storage.VersionCount()), hlc.Zero)
+		c.advanceFrontier(dt, bound.Deps, dataTS, vmTo, int64(dt.Storage.VersionCount()), hlc.Zero)
 		return rec, nil
 	}
 
@@ -462,13 +468,13 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	// incrementalizable AUTO DTs consult the adaptive chooser, comparing
 	// the interval's change volume against the full-recompute estimate
 	// smoothed over recent refresh history.
-	mode, reason, changeVol, fullEst := c.chooseMode(dt, bound, frontier, vmTo)
+	mode, reason, changeVol, fullEst := c.chooseMode(dt, cp, frontier, vmTo)
 	rec.EffectiveMode, rec.ModeReason = mode, reason
 	rec.SourceRowsChanged, rec.FullScanEstimate = changeVol, fullEst
 
 	if mode == sql.RefreshFull {
 		rec.Action = ActionFull
-		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
+		return c.fullCompute(dt, cp, dataTS, vmTo, env, rec)
 	}
 
 	// INCREMENTAL: differentiate over the frontier interval. AUTO never
@@ -488,7 +494,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	if errors.Is(err, ivm.ErrSourceOverwritten) {
 		// An upstream replace/overwrite invalidates stored results (§3.3.2).
 		rec.Action = ActionReinitialize
-		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
+		return c.fullCompute(dt, cp, dataTS, vmTo, env, rec)
 	}
 	if err != nil {
 		return rec, err
@@ -525,7 +531,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return rec, err
 	}
 	rec.RowsAfter = dt.Storage.RowCount()
-	c.advanceFrontier(dt, bound, dataTS, vmTo, int64(dt.Storage.VersionCount()), commit)
+	c.advanceFrontier(dt, bound.Deps, dataTS, vmTo, int64(dt.Storage.VersionCount()), commit)
 	return rec, nil
 }
 
@@ -537,13 +543,13 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 // chains against the full-recompute estimate, smoothed over the DT's
 // recent refresh history with hysteresis so the mode does not flap at
 // the crossover.
-func (c *Controller) chooseMode(dt *DynamicTable, bound *plan.Bound, frontier Frontier, vmTo ivm.VersionMap) (sql.RefreshMode, string, int64, int64) {
+func (c *Controller) chooseMode(dt *DynamicTable, cp *compiledPlan, frontier Frontier, vmTo ivm.VersionMap) (sql.RefreshMode, string, int64, int64) {
 	// Cost signals are computed for every refresh — a walk over
 	// version-chain lengths, no row materialization — so the refresh
 	// history carries them even for pinned DTs.
 	var changeVol, baseRows int64
 	seen := map[int64]bool{}
-	for _, scan := range plan.Scans(bound.Plan) {
+	for _, scan := range cp.scans {
 		id := scan.Table.ID()
 		if seen[id] {
 			continue
@@ -560,7 +566,7 @@ func (c *Controller) chooseMode(dt *DynamicTable, bound *plan.Bound, frontier Fr
 		mode, reason := StaticResolution(dt.DeclaredMode, dt.DeclaredMode)
 		return mode, reason, changeVol, fullEst
 	}
-	if err := ivm.Incrementalizable(bound.Plan); err != nil {
+	if err := ivm.Incrementalizable(cp.bound.Plan); err != nil {
 		// Upstream DDL can make an AUTO plan non-incrementalizable after
 		// Build: record the re-resolution (and drop any sticky adaptive
 		// decision — it was made for a structurally different plan) so
@@ -592,11 +598,11 @@ func (c *Controller) chooseMode(dt *DynamicTable, bound *plan.Bound, frontier Fr
 // defining query is incrementalizable. ALTER ... SET REFRESH_MODE uses
 // it to validate and install a new declaration.
 func (c *Controller) StaticMode(dt *DynamicTable, declared sql.RefreshMode) (sql.RefreshMode, error) {
-	bound, err := c.bind(dt.Text)
+	cp, err := c.compiled(dt, nil)
 	if err != nil {
 		return declared, err
 	}
-	return resolveMode(dt.Name, bound, declared)
+	return resolveMode(dt.Name, cp.bound, declared)
 }
 
 // resolveMode maps a declared refresh mode to the static effective mode
@@ -623,8 +629,8 @@ func resolveMode(name string, bound *plan.Bound, declared sql.RefreshMode) (sql.
 
 // fullCompute executes the defining query as of the data timestamp and
 // overwrites the DT's contents (FULL / INITIALIZE / REINITIALIZE actions).
-func (c *Controller) fullCompute(dt *DynamicTable, bound *plan.Bound, dataTS time.Time, vmTo ivm.VersionMap, env *ivm.Env, rec RefreshRecord) (RefreshRecord, error) {
-	rows, err := ivm.EvalAsOf(bound.Plan, vmTo, env)
+func (c *Controller) fullCompute(dt *DynamicTable, cp *compiledPlan, dataTS time.Time, vmTo ivm.VersionMap, env *ivm.Env, rec RefreshRecord) (RefreshRecord, error) {
+	rows, err := ivm.EvalAsOf(cp.bound.Plan, vmTo, env)
 	if err != nil {
 		return rec, err
 	}
@@ -638,7 +644,7 @@ func (c *Controller) fullCompute(dt *DynamicTable, bound *plan.Bound, dataTS tim
 	}
 
 	// Schema evolution: adopt the (possibly changed) output schema.
-	dt.Storage.SetSchema(bound.Plan.Schema())
+	dt.Storage.SetSchema(cp.bound.Plan.Schema())
 
 	tx := c.txns.Begin()
 	if err := tx.Overwrite(dt.Storage, contents); err != nil {
@@ -654,10 +660,10 @@ func (c *Controller) fullCompute(dt *DynamicTable, bound *plan.Bound, dataTS tim
 
 	dt.mu.Lock()
 	dt.initialized = true
-	dt.deps = bound.Deps
-	dt.schemaFingerprint = bound.Plan.Schema().String()
+	dt.deps = cp.bound.Deps
+	dt.schemaFingerprint = cp.fingerprint
 	dt.mu.Unlock()
-	c.advanceFrontier(dt, bound, dataTS, vmTo, int64(dt.Storage.VersionCount()), commit)
+	c.advanceFrontier(dt, cp.bound.Deps, dataTS, vmTo, int64(dt.Storage.VersionCount()), commit)
 	return rec, nil
 }
 
@@ -665,10 +671,11 @@ func (c *Controller) fullCompute(dt *DynamicTable, bound *plan.Bound, dataTS tim
 // mapping (§5.3: "when a refresh commits, we add a new entry to the
 // mapping"). The advance is also emitted to the frontier sink so the
 // durability layer can replay it after a crash.
-func (c *Controller) advanceFrontier(dt *DynamicTable, bound *plan.Bound, dataTS time.Time, vm ivm.VersionMap, versionSeq int64, commit hlc.Timestamp) {
+// deps is the compiled plan's Deps map, which the DT shares read-only.
+func (c *Controller) advanceFrontier(dt *DynamicTable, deps map[int64]int64, dataTS time.Time, vm ivm.VersionMap, versionSeq int64, commit hlc.Timestamp) {
 	dt.mu.Lock()
 	dt.frontier = Frontier{DataTS: dataTS, Versions: vm.Clone()}
-	dt.deps = bound.Deps
+	dt.deps = deps
 	dt.versionByDataTS[dataTS.UnixMicro()] = versionSeq
 	if !commit.IsZero() {
 		dt.commitByDataTS[dataTS.UnixMicro()] = commit
@@ -678,7 +685,7 @@ func (c *Controller) advanceFrontier(dt *DynamicTable, bound *plan.Bound, dataTS
 		Versions:          vm.Clone(),
 		VersionSeq:        versionSeq,
 		Commit:            commit,
-		Deps:              cloneDeps(bound.Deps),
+		Deps:              cloneDeps(deps),
 		SchemaFingerprint: dt.schemaFingerprint,
 		Initialized:       dt.initialized,
 		AdaptiveValid:     true,
@@ -700,16 +707,16 @@ func cloneDeps(deps map[int64]int64) map[int64]int64 {
 // queryEvolved reports whether the DT must reinitialize because a
 // dependency was replaced (generation bump) or the output schema changed
 // (§5.4). Dropped dependencies surface as bind errors instead.
-func (c *Controller) queryEvolved(dt *DynamicTable, bound *plan.Bound) (bool, error) {
+func (c *Controller) queryEvolved(dt *DynamicTable, cp *compiledPlan) (bool, error) {
 	dt.mu.Lock()
 	oldDeps := dt.deps
 	oldSchema := dt.schemaFingerprint
 	dt.mu.Unlock()
 
-	if bound.Plan.Schema().String() != oldSchema {
+	if cp.fingerprint != oldSchema {
 		return true, nil
 	}
-	for id := range bound.Deps {
+	for id := range cp.bound.Deps {
 		gen, err := c.depGeneration(id)
 		if err != nil {
 			return false, err
@@ -726,7 +733,7 @@ func (c *Controller) queryEvolved(dt *DynamicTable, bound *plan.Bound) (bool, er
 	}
 	// A dependency disappearing from the bound set also evolves the query.
 	for id := range oldDeps {
-		if _, still := bound.Deps[id]; !still {
+		if _, still := cp.bound.Deps[id]; !still {
 			return true, nil
 		}
 	}
@@ -738,7 +745,7 @@ func (c *Controller) queryEvolved(dt *DynamicTable, bound *plan.Bound) (bool, er
 // otherwise it uses the creation time. This avoids the quadratic refresh
 // blow-up when users create DT chains in dependency order.
 func (c *Controller) ChooseInitTimestamp(dt *DynamicTable, now time.Time) (time.Time, error) {
-	bound, err := c.bind(dt.Text)
+	cp, err := c.compiled(dt, nil)
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -748,7 +755,7 @@ func (c *Controller) ChooseInitTimestamp(dt *DynamicTable, now time.Time) (time.
 		lag = time.Duration(math.MaxInt64)
 	}
 	var best time.Time
-	for _, scan := range plan.Scans(bound.Plan) {
+	for _, scan := range cp.scans {
 		up, isDT := c.LookupByStorage(scan.Table.ID())
 		if !isDT {
 			continue
@@ -776,13 +783,13 @@ func (c *Controller) CheckDVS(dt *DynamicTable) error {
 	if !dt.Initialized() {
 		return fmt.Errorf("core: %s is not initialized", dt.Name)
 	}
-	bound, err := c.bind(dt.Text)
+	cp, err := c.compiled(dt, nil)
 	if err != nil {
 		return err
 	}
 	frontier := dt.Frontier()
 	env := &ivm.Env{Now: frontier.DataTS, Columnar: c.Columnar}
-	expected, err := ivm.EvalAsOf(bound.Plan, frontier.Versions, env)
+	expected, err := ivm.EvalAsOf(cp.bound.Plan, frontier.Versions, env)
 	if err != nil {
 		return err
 	}
@@ -816,13 +823,13 @@ func (c *Controller) CheckDVS(dt *DynamicTable) error {
 
 // Upstreams returns the DTs that the defining query reads (directly).
 func (c *Controller) Upstreams(dt *DynamicTable) ([]*DynamicTable, error) {
-	bound, err := c.bind(dt.Text)
+	cp, err := c.compiled(dt, nil)
 	if err != nil {
 		return nil, err
 	}
 	var out []*DynamicTable
 	seen := map[int64]bool{}
-	for _, scan := range plan.Scans(bound.Plan) {
+	for _, scan := range cp.scans {
 		if up, isDT := c.LookupByStorage(scan.Table.ID()); isDT && !seen[up.Storage.ID()] {
 			seen[up.Storage.ID()] = true
 			out = append(out, up)

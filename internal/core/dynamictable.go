@@ -186,8 +186,9 @@ type DynamicTable struct {
 	Name string
 	// EntryID is the catalog identity; set at registration.
 	EntryID int64
-	// Text is the defining query's SQL text; re-parsed and re-bound at
-	// every refresh (§5.4).
+	// Text is the defining query's SQL text. The controller binds it
+	// once per catalog DDL sequence and keeps the plan until DDL or an
+	// upstream's schema change may resolve it differently (§5.4).
 	Text string
 	// Lag is the TARGET_LAG setting.
 	Lag sql.TargetLag
@@ -199,6 +200,11 @@ type DynamicTable struct {
 	EffectiveMode sql.RefreshMode
 	// Storage holds the DT's materialized contents.
 	Storage *storage.Table
+
+	// planMu guards compiled, the bound defining query the controller
+	// keeps between refreshes (Controller.compiled).
+	planMu   sync.Mutex
+	compiled *compiledPlan
 
 	mu sync.Mutex
 	// refreshing guards against concurrent refreshes of the same DT.

@@ -12,6 +12,7 @@ package health
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -255,26 +256,41 @@ func Attribute(self PhaseBreakdown, upstreams []PhaseBreakdown) Blame {
 	return Blame{Culprit: best.DT, Phase: phase, Cost: best.Total()}
 }
 
-// CPUTrendRatio compares the mean of the most recent half of per-refresh
-// CPU costs against the mean of the older half, returning recent/older.
-// Returns 0 (unknown) with fewer than four samples or a zero older mean.
-// Samples are oldest-first.
+// cpuTrendFloor is the smallest per-refresh CPU difference between the two
+// halves that counts as a trend. Below it the ratio reads flat: a refresh
+// of tens of microseconds that a scheduler preemption doubles is noise,
+// not a cost trend.
+const cpuTrendFloor = time.Millisecond
+
+// CPUTrendRatio compares the median of the most recent half of per-refresh
+// CPU costs against the median of the older half, returning recent/older.
+// Medians keep one preempted refresh from reading as a trend, and halves
+// that differ by less than cpuTrendFloor read 1 (flat). Returns 0
+// (unknown) with fewer than four samples or a zero older median. Samples
+// are oldest-first.
 func CPUTrendRatio(cpu []time.Duration) float64 {
 	if len(cpu) < 4 {
 		return 0
 	}
 	mid := len(cpu) / 2
-	var older, recent time.Duration
-	for _, d := range cpu[:mid] {
-		older += d
-	}
-	for _, d := range cpu[mid:] {
-		recent += d
-	}
-	olderMean := float64(older) / float64(mid)
-	recentMean := float64(recent) / float64(len(cpu)-mid)
-	if olderMean <= 0 {
+	older, recent := median(cpu[:mid]), median(cpu[mid:])
+	if older <= 0 {
 		return 0
 	}
-	return recentMean / olderMean
+	if d := recent - older; d < cpuTrendFloor && d > -cpuTrendFloor {
+		return 1
+	}
+	return float64(recent) / float64(older)
+}
+
+// median returns the median of ds (the mean of the middle two for an even
+// count) without reordering ds.
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

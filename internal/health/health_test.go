@@ -260,3 +260,41 @@ func TestCPUTrendRatio(t *testing.T) {
 		t.Fatalf("flat ratio = %v, want 1", r)
 	}
 }
+
+// TestCPUTrendIgnoresMicrosecondNoise feeds the per-refresh CPU of DTs
+// whose refreshes take tens of microseconds, oldest first, as logged by
+// two runs that flagged a healthy DT: one preempted NO_DATA refresh, and
+// jitter whose ratio of means crosses CPUTrendAtRisk. Neither is a trend.
+func TestCPUTrendIgnoresMicrosecondNoise(t *testing.T) {
+	us := func(fs ...float64) []time.Duration {
+		out := make([]time.Duration, len(fs))
+		for i, f := range fs {
+			out[i] = time.Duration(f * float64(time.Microsecond))
+		}
+		return out
+	}
+	for _, cpu := range [][]time.Duration{
+		us(20.5, 12.3, 15.6, 13360, 15.0, 43.4, 12.2),
+		us(18.2, 9.5, 16.0, 11.8, 61.9, 52.9, 8.5),
+	} {
+		r := CPUTrendRatio(cpu)
+		if r != 1 {
+			t.Errorf("CPUTrendRatio(%v) = %v, want 1 (flat)", cpu, r)
+		}
+		in := Input{Name: "d", HasSLO: true, Attainment: 1, Samples: 10, CPUTrend: r}
+		if st, reason := Evaluate(in, Healthy, Thresholds{}); st != Healthy {
+			t.Errorf("CPU samples %v classify %s (%s), want HEALTHY", cpu, st, reason)
+		}
+	}
+	// A real trend still shows through one outlier per half.
+	ms := func(ns ...int) []time.Duration {
+		out := make([]time.Duration, len(ns))
+		for i, n := range ns {
+			out[i] = time.Duration(n) * time.Millisecond
+		}
+		return out
+	}
+	if r := CPUTrendRatio(ms(10, 90, 10, 30, 30, 1, 30)); r != 3 {
+		t.Errorf("ratio = %v, want 3", r)
+	}
+}

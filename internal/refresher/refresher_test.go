@@ -43,12 +43,16 @@ func newHarness(t *testing.T) *harness {
 		sources: map[string]*plan.Source{},
 	}
 	h.txns = txn.NewManager(clock.NewVirtual(t0))
-	h.ctrl = core.NewController(h.txns, h, func(int64) (int64, error) { return 1, nil })
+	h.ctrl = core.NewController(h.txns, h, func(int64) (int64, error) { return 1, nil }, h.ddlSeq)
 	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
+
+// ddlSeq stands in for the catalog's DDL sequence: every source added is
+// one DDL statement.
+func (h *harness) ddlSeq() int64 { return h.nextID }
 
 // ResolveTable implements plan.Resolver.
 func (h *harness) ResolveTable(name string) (*plan.Source, error) {

@@ -145,7 +145,7 @@ func newDTHarness(t *testing.T) *dtHarness {
 		pool:    warehouse.NewPool(),
 		sources: map[string]*plan.Source{},
 	}
-	h.ctrl = core.NewController(txn.NewManager(h.clk), h, func(int64) (int64, error) { return 1, nil })
+	h.ctrl = core.NewController(txn.NewManager(h.clk), h, func(int64) (int64, error) { return 1, nil }, h.ddlSeq)
 	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,10 @@ func newDTHarness(t *testing.T) *dtHarness {
 }
 
 var schedT0 = time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
+
+// ddlSeq stands in for the catalog's DDL sequence: every source added is
+// one DDL statement.
+func (h *dtHarness) ddlSeq() int64 { return h.nextID }
 
 func (h *dtHarness) ResolveTable(name string) (*plan.Source, error) {
 	src, ok := h.sources[strings.ToUpper(name)]
