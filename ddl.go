@@ -52,26 +52,10 @@ func (e *Engine) applyDDL(rec *persist.Record) error {
 	case persist.KindCreateDT:
 		return e.applyCreateDT(rec.CreateDT)
 	case persist.KindDrop:
-		entry, err := e.cat.Get(rec.Drop.Name)
-		if err != nil {
-			return err
-		}
-		if err := e.cat.Drop(rec.Drop.Name, rec.Drop.TS); err != nil {
-			return err
-		}
-		if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-			e.sch.Untrack(dt)
-		}
-		return nil
+		return e.cat.Drop(rec.Drop.Name, rec.Drop.TS)
 	case persist.KindUndrop:
-		entry, err := e.cat.Undrop(rec.Undrop.Name, rec.Undrop.TS)
-		if err != nil {
-			return err
-		}
-		if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-			e.sch.Track(dt)
-		}
-		return nil
+		_, err := e.cat.Undrop(rec.Undrop.Name, rec.Undrop.TS)
+		return err
 	case persist.KindRename:
 		r := rec.Rename
 		if err := e.cat.Rename(r.Name, r.Target, r.TS); err != nil {
@@ -202,8 +186,7 @@ func (e *Engine) applyCreateDT(r *persist.CreateDTRecord) error {
 	}
 	dt.EntryID = entry.ID
 	e.registerTable(r.TableKey, dt.Storage)
-	e.ctrl.Register(dt)
-	e.sch.Track(dt)
+	e.ctrl.Adopt(dt)
 	return nil
 }
 
@@ -240,11 +223,12 @@ func (e *Engine) applyAlterDT(r *persist.AlterDTRecord) error {
 }
 
 // installEntry adds a catalog entry, or under OR REPLACE swaps the
-// payload of an existing one and retires the replaced payload: its DT
-// leaves the scheduler and controller, and its storage table the key
-// registry (replaced entries have no graveyard, so nothing can reach it
-// again). The allocator is deterministic, so an entry ID other than
-// wantID means the log is corrupt.
+// payload of an existing one and retires the replaced payload's storage
+// table from the key registry: replaced entries have no graveyard, so
+// nothing can reach it again. A replaced DT leaves the scheduler's list
+// and the compaction floors with its payload. The allocator is
+// deterministic, so an entry ID other than wantID means the log is
+// corrupt.
 func (e *Engine) installEntry(name string, payload catalog.Object, owner string,
 	deps []int64, ts hlc.Timestamp, orReplace bool, wantID int64) (*catalog.Entry, error) {
 	var entry *catalog.Entry
@@ -255,8 +239,6 @@ func (e *Engine) installEntry(name string, payload catalog.Object, owner string,
 			case *tableObject:
 				e.deregisterTable(p.table)
 			case *core.DynamicTable:
-				e.sch.Untrack(p)
-				e.ctrl.Unregister(p)
 				e.deregisterTable(p.Storage)
 			}
 		}

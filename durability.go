@@ -386,10 +386,7 @@ func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
 			return err
 		}
 		if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-			e.ctrl.Register(dt)
-			if !entry.Dropped {
-				e.sch.Track(dt)
-			}
+			e.ctrl.Adopt(dt)
 		}
 	}
 	e.cat.RestoreCounters(snap.NextCatalogID, snap.DDLSeq)

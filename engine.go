@@ -199,9 +199,10 @@ type Config struct {
 	// every storage table readable: the scheduler's compaction sweep
 	// folds older change sets into a materialized snapshot at the
 	// horizon. The sweep never folds past a pinned version (an open
-	// cursor) or a registered DT's refresh frontier. 0 (the default)
-	// disables compaction and preserves unbounded time travel.
-	// Adjustable at runtime with `ALTER SYSTEM SET COMPACTION_HORIZON = n`.
+	// cursor) or the refresh frontier of a DT in the catalog, live or
+	// dropped. 0 (the default) disables compaction and preserves
+	// unbounded time travel. Adjustable at runtime with
+	// `ALTER SYSTEM SET COMPACTION_HORIZON = n`.
 	CompactionHorizon int
 }
 
@@ -293,13 +294,7 @@ func New(opts ...Option) *Engine {
 	// INFORMATION_SCHEMA (directly or through a view), and a refresh
 	// bind that materialized a virtual table would call back into the
 	// scheduler from under its own tick lock.
-	e.ctrl = core.NewController(e.txns, plan.ResolverFunc(e.resolveCatalogTable), func(entryID int64) (int64, error) {
-		entry, err := e.cat.GetByID(entryID)
-		if err != nil {
-			return 0, err
-		}
-		return entry.Generation, nil
-	}, func() int64 {
+	e.ctrl = core.NewController(e.txns, plan.ResolverFunc(e.resolveCatalogTable), e.catalogEntry, func() int64 {
 		_, seq := e.cat.Counters()
 		return seq
 	})
@@ -317,7 +312,7 @@ func New(opts ...Option) *Engine {
 		e.ctrl.Adaptive.SetEnabled(false)
 	}
 	e.refr = refresher.New(e.ctrl, e.pool, e.model, e.cfg.resolveWorkers())
-	e.sch = sched.New(e.vclk, e.ctrl, e.pool, e.model, e.clk.Now(), e.schPhase)
+	e.sch = sched.New(e.vclk, e.ctrl, e.sortedDTs, e.pool, e.model, e.clk.Now(), e.schPhase)
 	e.sch.SetRefresher(e.refr)
 	e.initObservability()
 	e.def = e.NewSession()
@@ -370,7 +365,7 @@ func (e *Engine) CompactionHorizon() int {
 // CompactNow runs one version-chain compaction sweep immediately: every
 // storage table (base tables and DT contents) is folded down to the last
 // COMPACTION_HORIZON versions, clamped so no pinned version (an open
-// cursor's snapshot) and no registered DT's refresh frontier is folded
+// cursor's snapshot) and no catalog DT's refresh frontier is folded
 // away. It returns the total number of versions folded. A sweep runs
 // automatically after every scheduler tick; this entry point exists for
 // tests and operational tooling. With COMPACTION_HORIZON = 0 it is a
@@ -393,14 +388,14 @@ func (e *Engine) compactLocked() (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	floors := e.ctrl.FrontierFloors()
+	floors := e.frontierFloors()
 	var total int64
 	for _, t := range e.allStorageTables() {
 		latest := int64(t.VersionCount())
 		h := latest - int64(n) + 1
 		if f, ok := floors[t.ID()]; ok && h > f {
-			// A registered DT's next refresh reads Changes starting at its
-			// frontier seq; folding past it would force a REINITIALIZE.
+			// A DT's next refresh reads Changes starting at its frontier
+			// seq; folding past it would force a REINITIALIZE.
 			h = f
 		}
 		if h <= t.CompactedThrough()+1 {
@@ -416,6 +411,27 @@ func (e *Engine) compactLocked() (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// frontierFloors reports, per storage table ID, the minimum version seq
+// pinned by the refresh frontier of any DT in the catalog, live or
+// dropped: UNDROP resumes a dropped DT incrementally from its frontier.
+// A DT replaced by CREATE OR REPLACE has left the catalog and pins
+// nothing.
+func (e *Engine) frontierFloors() map[int64]int64 {
+	floors := make(map[int64]int64)
+	for _, entry := range e.cat.Entries() {
+		dt, ok := entry.Payload.(*core.DynamicTable)
+		if !ok {
+			continue
+		}
+		for id, seq := range dt.Frontier().Versions {
+			if cur, ok := floors[id]; !ok || seq < cur {
+				floors[id] = seq
+			}
+		}
+	}
+	return floors
 }
 
 // allStorageTables enumerates the version-chain owners the compaction
@@ -587,6 +603,17 @@ func (e *Engine) Recluster(tableName string) error {
 func (e *Engine) DynamicTableHandle(name string) (*core.DynamicTable, error) {
 	_, dt, err := e.dynamicTable(name)
 	return dt, err
+}
+
+// catalogEntry resolves a catalog entry by ID for the refresh controller:
+// its generation and, when it holds a dynamic table, the DT.
+func (e *Engine) catalogEntry(id int64) (int64, *core.DynamicTable, error) {
+	entry, err := e.cat.GetByID(id)
+	if err != nil {
+		return 0, nil, err
+	}
+	dt, _ := entry.Payload.(*core.DynamicTable)
+	return entry.Generation, dt, nil
 }
 
 // dynamicTable resolves a DT payload by name.

@@ -1,8 +1,13 @@
 // Package catalog implements the metadata layer: named objects (tables,
-// views, dynamic tables, warehouses), a timestamped linearizable DDL log
-// consumed by the scheduler (§5.1), dependency tracking for query evolution
-// (§5.4), drop/undrop/rename/swap semantics (§3.4), and role-based access
-// control with the MONITOR and OPERATE privileges (§3.4).
+// views, dynamic tables, warehouses), dependency tracking for query
+// evolution (§5.4), drop/undrop/rename/swap semantics (§3.4), and
+// role-based access control with the MONITOR and OPERATE privileges
+// (§3.4). It is the engine's one registry of dynamic tables: the
+// scheduler reads the live DT entries on every pass, and the compaction
+// sweep reads every DT entry, live or dropped (§5.1). The timestamped,
+// linearizable DDL log is read only by checkpoints and tests; its
+// sequence number, which every DDL statement advances, is what tells a
+// DT's bound plan that names may now resolve differently.
 package catalog
 
 import (
@@ -98,8 +103,7 @@ func (p Privilege) String() string {
 	}
 }
 
-// DDLRecord is one entry of the timestamped, linearizable DDL log that the
-// scheduler consumes to render the DT dependency graph (§5.1).
+// DDLRecord is one entry of the timestamped, linearizable DDL log.
 type DDLRecord struct {
 	Seq    int64
 	TS     hlc.Timestamp
@@ -148,6 +152,11 @@ func key(name string) string { return strings.ToUpper(name) }
 func (c *Catalog) Create(name string, payload Object, owner string, deps []int64, ts hlc.Timestamp) (*Entry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.create(name, payload, owner, deps, ts)
+}
+
+// create is Create with the catalog lock held.
+func (c *Catalog) create(name string, payload Object, owner string, deps []int64, ts hlc.Timestamp) (*Entry, error) {
 	k := key(name)
 	if _, exists := c.byName[k]; exists {
 		return nil, fmt.Errorf("catalog: object %q already exists", name)
@@ -172,13 +181,11 @@ func (c *Catalog) Create(name string, payload Object, owner string, deps []int64
 // reinitialize (§5.4). If the object does not exist it is created.
 func (c *Catalog) Replace(name string, payload Object, owner string, deps []int64, ts hlc.Timestamp) (*Entry, error) {
 	c.mu.Lock()
-	e, exists := c.byName[key(name)]
-	c.mu.Unlock()
-	if !exists {
-		return c.Create(name, payload, owner, deps, ts)
-	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
+	e, exists := c.byName[key(name)]
+	if !exists {
+		return c.create(name, payload, owner, deps, ts)
+	}
 	e.Payload = payload
 	e.Kind = payload.ObjectKind()
 	e.DependsOn = append([]int64(nil), deps...)
@@ -296,35 +303,6 @@ func (c *Catalog) Swap(a, b string, ts hlc.Timestamp) error {
 	return nil
 }
 
-// SetDependencies replaces an entry's dependency edges.
-func (c *Catalog) SetDependencies(id int64, deps []int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("catalog: no object with id %d", id)
-	}
-	e.DependsOn = append([]int64(nil), deps...)
-	return nil
-}
-
-// Dependents returns the IDs of live objects that depend (directly) on id.
-func (c *Catalog) Dependents(id int64) []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []int64
-	for _, e := range c.byName {
-		for _, d := range e.DependsOn {
-			if d == id {
-				out = append(out, e.ID)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // List returns the live entries of a kind, sorted by name.
 func (c *Catalog) List(kind ObjectKind) []*Entry {
 	c.mu.RLock()
@@ -385,8 +363,7 @@ func (c *Catalog) log(ts hlc.Timestamp, op string, e *Entry, detail string) {
 	})
 }
 
-// DDLLogSince returns DDL records with Seq > afterSeq, in order. The
-// scheduler tails this log to maintain its view of the DT graph (§5.1).
+// DDLLogSince returns DDL records with Seq > afterSeq, in order.
 func (c *Catalog) DDLLogSince(afterSeq int64) []DDLRecord {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -19,7 +19,11 @@ type compiledPlan struct {
 	fingerprint string
 	// scans are the plan's scans; each holds the schema its table had at
 	// bind time.
-	scans  []*plan.Scan
+	scans []*plan.Scan
+	// ups holds, for each scan, the DT whose contents it reads, or nil
+	// for a base table: version resolution reads an upstream DT through
+	// its data-timestamp mapping (§5.3).
+	ups    []*DynamicTable
 	ddlSeq int64
 }
 
@@ -39,9 +43,13 @@ func (cp *compiledPlan) current() bool {
 
 // compiled returns the DT's compiled defining query, rebuilding it only
 // when a DDL statement has committed since it was bound (identifiers may
-// resolve differently, §5.4) or a scanned table's schema has moved. Bind
-// errors are not kept: the next call binds again. The DT's plan lock is
-// held across a rebuild, so concurrent callers bind once.
+// resolve differently, and an entry may hold a different object, §5.4)
+// or a scanned table's schema has moved. Each scan's upstream DT is
+// resolved through the scan's catalog entry in the same rebuild: the
+// scan reads a DT when its entry holds one whose contents are the
+// scanned table. Errors are not kept: the next call binds again. The
+// DT's plan lock is held across a rebuild, so concurrent callers bind
+// once.
 //
 // Each rebuild records one bind span: under parent, the refresh root,
 // when a refresh rebuilds, and as a root of its own otherwise (the
@@ -68,10 +76,22 @@ func (c *Controller) compiled(dt *DynamicTable, parent *trace.Span) (*compiledPl
 	if err != nil {
 		return nil, err
 	}
+	scans := plan.Scans(bound.Plan)
+	ups := make([]*DynamicTable, len(scans))
+	for i, scan := range scans {
+		_, up, err := c.entry(scan.EntryID)
+		if err != nil {
+			return nil, err
+		}
+		if up != nil && up.Storage == scan.Table {
+			ups[i] = up
+		}
+	}
 	dt.compiled = &compiledPlan{
 		bound:       bound,
 		fingerprint: bound.Plan.Schema().String(),
-		scans:       plan.Scans(bound.Plan),
+		scans:       scans,
+		ups:         ups,
 		ddlSeq:      seq,
 	}
 	return dt.compiled, nil

@@ -38,7 +38,7 @@ func newPlanCacheFixture(t *testing.T) *planCacheFixture {
 		return &plan.Source{EntryID: 1, Generation: 1, Name: name, Kind: catalog.KindTable, Table: f.src}, nil
 	})
 	f.ctrl = NewController(txn.NewManager(clock.NewVirtual(t0)), resolve,
-		func(int64) (int64, error) { return 1, nil }, func() int64 { return f.seq })
+		func(int64) (int64, *DynamicTable, error) { return 1, nil, nil }, func() int64 { return f.seq })
 	f.ctrl.Tracer = trace.NewRecorder(0, 0)
 	f.dt = NewDynamicTable("d", "SELECT a FROM src", sql.TargetLag{Kind: sql.LagDuration, Duration: time.Minute},
 		"wh", sql.RefreshAuto, sql.RefreshIncremental, storage.NewTable(schema, hlc.Timestamp{}))
@@ -126,5 +126,56 @@ func TestPlanCacheBindSpans(t *testing.T) {
 	}
 	if b := binds[1]; b.Parent != 0 || len(b.Attrs) != 1 || b.Attrs[0] != trace.A("dt", "d") {
 		t.Errorf("a rebuild outside a refresh is not a root naming the DT: %+v", b)
+	}
+}
+
+// TestRegistryUpstreamsResolveOncePerBind checks that a plan's upstream
+// DTs come from the catalog entries of its scans, looked up when the plan
+// is bound and not on each Upstreams call, and that an entry counts as an
+// upstream DT only when the DT it holds is the scanned table.
+func TestRegistryUpstreamsResolveOncePerBind(t *testing.T) {
+	t0 := time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
+	schema := types.Schema{Columns: []types.Column{{Name: "a", Kind: types.KindInt}}}
+	lag := sql.TargetLag{Kind: sql.LagDuration, Duration: time.Minute}
+	newDT := func(name, text string) *DynamicTable {
+		return NewDynamicTable(name, text, lag, "wh", sql.RefreshAuto, sql.RefreshIncremental,
+			storage.NewTable(schema, hlc.Timestamp{}))
+	}
+	up := newDT("u", "SELECT a FROM base")
+	down := newDT("d", "SELECT a FROM u")
+	held := up // the DT entry 2 holds
+	var seq int64
+	lookups := 0
+	resolve := plan.ResolverFunc(func(name string) (*plan.Source, error) {
+		return &plan.Source{EntryID: 2, Generation: 1, Name: name, Kind: catalog.KindDynamicTable, Table: up.Storage}, nil
+	})
+	ctrl := NewController(txn.NewManager(clock.NewVirtual(t0)), resolve,
+		func(id int64) (int64, *DynamicTable, error) {
+			lookups++
+			if id != 2 {
+				return 0, nil, errors.New("no such entry")
+			}
+			return 1, held, nil
+		}, func() int64 { return seq })
+
+	for i := 0; i < 3; i++ {
+		ups, err := ctrl.Upstreams(down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ups) != 1 || ups[0] != up {
+			t.Fatalf("Upstreams(d) = %v, want [u]", ups)
+		}
+	}
+	if lookups != 1 {
+		t.Fatalf("%d entry lookups over three Upstreams calls at one DDL sequence, want 1", lookups)
+	}
+
+	// The entry now holds a DT whose contents are another table: the scan
+	// reads no upstream DT.
+	held = newDT("other", "SELECT a FROM base")
+	seq++
+	if ups, err := ctrl.Upstreams(down); err != nil || len(ups) != 0 {
+		t.Fatalf("Upstreams(d) = %v, %v after the entry changed, want none", ups, err)
 	}
 }

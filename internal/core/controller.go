@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,33 +41,34 @@ var ErrUpstreamVersionMissing = errors.New("core: upstream DT version for exact 
 // differentiates the plan when incremental, validates the changes and
 // commits them.
 //
+// The controller keeps no registry of DTs: the catalog is the one
+// registry. A DT's upstream DTs are resolved through the catalog entries
+// of its plan's scans, once per bind (see compiled).
+//
 // Refresh is safe for concurrent callers refreshing *distinct* DTs (the
 // parallel refresher runs dependency waves this way): per-DT state sits
-// behind each DynamicTable's mutex, the registry behind regMu, storage
-// and catalog reads behind their own locks, and commits behind the
-// transaction manager's per-table locks. Concurrent refreshes of the
-// same DT serialize through the per-DT refresh lock — the second caller
-// gets ErrSkipped (§3.3.3, §5.3).
+// behind each DynamicTable's mutex, storage and catalog reads behind
+// their own locks, and commits behind the transaction manager's
+// per-table locks. The engine runs refreshes under its statement lock,
+// so the catalog entries a bind reads do not change beneath it.
+// Concurrent refreshes of the same DT serialize through the per-DT
+// refresh lock — the second caller gets ErrSkipped (§3.3.3, §5.3).
 type Controller struct {
 	txns     *txn.Manager
 	resolver plan.Resolver
 
-	// byStorageID maps a storage table ID to the DT whose contents it
-	// holds, so version resolution can use data-timestamp mappings for
-	// upstream DTs (§5.3). regMu guards it: sessions register/unregister
-	// DTs via DDL while refreshes resolve versions concurrently.
-	regMu       sync.RWMutex
-	byStorageID map[int64]*DynamicTable
-
-	// depGeneration looks up the current catalog generation of an entry;
-	// wired by the engine to catalog lookups.
-	depGeneration func(entryID int64) (int64, error)
+	// entry looks up a catalog entry by ID: its current generation and,
+	// when the entry holds a dynamic table, that DT (nil otherwise).
+	// Wired by the engine to catalog lookups.
+	entry func(entryID int64) (int64, *DynamicTable, error)
 	// ddlSeq reads the catalog's DDL sequence, which every committed DDL
 	// statement advances; a DT's compiled plan is valid at one value.
 	ddlSeq func() int64
 
 	// frontierSink, when set, observes every frontier advance (WAL
-	// emission for refresh continuity across restarts).
+	// emission for refresh continuity across restarts). Written only
+	// while no refresh runs (a durable engine installs it before Open
+	// returns).
 	frontierSink FrontierSink
 	// seq numbers refresh records across every DT, in recording order.
 	seq atomic.Int64
@@ -132,19 +133,14 @@ type FrontierSink interface {
 }
 
 // SetFrontierSink registers the frontier observer (at most one; nil
-// clears).
+// clears). It must not run beside a refresh.
 func (c *Controller) SetFrontierSink(s FrontierSink) {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
 	c.frontierSink = s
 }
 
 func (c *Controller) emitFrontier(dt *DynamicTable, u FrontierUpdate) {
-	c.regMu.RLock()
-	sink := c.frontierSink
-	c.regMu.RUnlock()
-	if sink != nil {
-		sink.FrontierAdvanced(dt, u)
+	if c.frontierSink != nil {
+		c.frontierSink.FrontierAdvanced(dt, u)
 	}
 }
 
@@ -164,28 +160,26 @@ func (c *Controller) record(dt *DynamicTable, rec RefreshRecord) RefreshRecord {
 	return rec
 }
 
-// NewController wires a controller. ddlSeq must advance on every DDL
-// statement that can change how the resolver resolves a name.
-func NewController(txns *txn.Manager, resolver plan.Resolver, depGeneration func(int64) (int64, error), ddlSeq func() int64) *Controller {
+// NewController wires a controller. entry resolves a catalog entry ID to
+// its generation and, when the entry holds a dynamic table, that DT.
+// ddlSeq must advance on every DDL statement that can change how the
+// resolver resolves a name or what an entry holds.
+func NewController(txns *txn.Manager, resolver plan.Resolver, entry func(int64) (int64, *DynamicTable, error), ddlSeq func() int64) *Controller {
 	return &Controller{
-		txns:          txns,
-		resolver:      resolver,
-		byStorageID:   make(map[int64]*DynamicTable),
-		depGeneration: depGeneration,
-		ddlSeq:        ddlSeq,
+		txns:     txns,
+		resolver: resolver,
+		entry:    entry,
+		ddlSeq:   ddlSeq,
 	}
 }
 
-// Register makes the controller aware of a DT (after catalog creation).
-// The DT also learns the controller's adaptive chooser, so its mode
-// reporting can tell whether a sticky adaptive decision is actually in
-// force (a disabled chooser falls back to the static resolution). A
-// recovered DT's history keeps its sequence numbers, which the
-// controller's numbering then continues past.
-func (c *Controller) Register(dt *DynamicTable) {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	c.byStorageID[dt.Storage.ID()] = dt
+// Adopt prepares a DT the engine built or restored for refreshes through
+// this controller. The DT learns the controller's adaptive chooser, so
+// its mode reporting can tell whether a sticky adaptive decision is
+// actually in force (a disabled chooser falls back to the static
+// resolution). A recovered DT's history keeps its sequence numbers,
+// which the controller's numbering then continues past.
+func (c *Controller) Adopt(dt *DynamicTable) {
 	dt.setChooser(c.Adaptive)
 	top := dt.numberHistory(func() int64 { return c.seq.Add(1) })
 	for cur := c.seq.Load(); cur < top; cur = c.seq.Load() {
@@ -193,44 +187,6 @@ func (c *Controller) Register(dt *DynamicTable) {
 			break
 		}
 	}
-}
-
-// Unregister removes a dropped DT's storage mapping.
-func (c *Controller) Unregister(dt *DynamicTable) {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	delete(c.byStorageID, dt.Storage.ID())
-}
-
-// FrontierFloors reports, per storage table ID, the minimum version seq
-// pinned by any registered DT's refresh frontier. The compaction sweep
-// keeps change history at and above these floors so every DT's next
-// refresh can still read Changes incrementally instead of falling back
-// to REINITIALIZE.
-func (c *Controller) FrontierFloors() map[int64]int64 {
-	c.regMu.RLock()
-	dts := make([]*DynamicTable, 0, len(c.byStorageID))
-	for _, dt := range c.byStorageID {
-		dts = append(dts, dt)
-	}
-	c.regMu.RUnlock()
-	floors := make(map[int64]int64)
-	for _, dt := range dts {
-		for id, seq := range dt.Frontier().Versions {
-			if cur, ok := floors[id]; !ok || seq < cur {
-				floors[id] = seq
-			}
-		}
-	}
-	return floors
-}
-
-// LookupByStorage resolves the DT owning a storage table, if any.
-func (c *Controller) LookupByStorage(id int64) (*DynamicTable, bool) {
-	c.regMu.RLock()
-	defer c.regMu.RUnlock()
-	dt, ok := c.byStorageID[id]
-	return dt, ok
 }
 
 // Build validates a CREATE DYNAMIC TABLE statement: it binds the defining
@@ -277,14 +233,14 @@ func hlcUpperBound(ts time.Time) hlc.Timestamp {
 // data timestamp: base tables resolve by commit time; upstream DTs resolve
 // through their data-timestamp mapping, failing with
 // ErrUpstreamVersionMissing when no exact entry exists (§6.1 validation 1).
-func (c *Controller) resolveVersions(scans []*plan.Scan, dataTS time.Time) (ivm.VersionMap, error) {
+func (c *Controller) resolveVersions(cp *compiledPlan, dataTS time.Time) (ivm.VersionMap, error) {
 	vm := ivm.VersionMap{}
-	for _, scan := range scans {
+	for i, scan := range cp.scans {
 		id := scan.Table.ID()
 		if _, done := vm[id]; done {
 			continue
 		}
-		if up, isDT := c.LookupByStorage(id); isDT {
+		if up := cp.ups[i]; up != nil {
 			seq, ok := up.VersionAtDataTS(dataTS)
 			if !ok {
 				return nil, fmt.Errorf("%w: %s has no version for %s",
@@ -400,7 +356,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return rec, err
 	}
 
-	vmTo, err := c.resolveVersions(cp.scans, dataTS)
+	vmTo, err := c.resolveVersions(cp, dataTS)
 	if err != nil {
 		return rec, err
 	}
@@ -717,7 +673,7 @@ func (c *Controller) queryEvolved(dt *DynamicTable, cp *compiledPlan) (bool, err
 		return true, nil
 	}
 	for id := range cp.bound.Deps {
-		gen, err := c.depGeneration(id)
+		gen, _, err := c.entry(id)
 		if err != nil {
 			return false, err
 		}
@@ -755,9 +711,8 @@ func (c *Controller) ChooseInitTimestamp(dt *DynamicTable, now time.Time) (time.
 		lag = time.Duration(math.MaxInt64)
 	}
 	var best time.Time
-	for _, scan := range cp.scans {
-		up, isDT := c.LookupByStorage(scan.Table.ID())
-		if !isDT {
+	for _, up := range cp.ups {
+		if up == nil {
 			continue
 		}
 		ts := up.DataTimestamp()
@@ -821,17 +776,16 @@ func (c *Controller) CheckDVS(dt *DynamicTable) error {
 	return nil
 }
 
-// Upstreams returns the DTs that the defining query reads (directly).
+// Upstreams returns the DTs that the defining query reads (directly), in
+// scan order, as resolved when the plan was bound.
 func (c *Controller) Upstreams(dt *DynamicTable) ([]*DynamicTable, error) {
 	cp, err := c.compiled(dt, nil)
 	if err != nil {
 		return nil, err
 	}
 	var out []*DynamicTable
-	seen := map[int64]bool{}
-	for _, scan := range cp.scans {
-		if up, isDT := c.LookupByStorage(scan.Table.ID()); isDT && !seen[up.Storage.ID()] {
-			seen[up.Storage.ID()] = true
+	for _, up := range cp.ups {
+		if up != nil && !slices.Contains(out, up) {
 			out = append(out, up)
 		}
 	}

@@ -184,7 +184,8 @@ type RefreshCounts struct {
 // Dynamic Table is locked when a refresh operation begins").
 type DynamicTable struct {
 	Name string
-	// EntryID is the catalog identity; set at registration.
+	// EntryID is the catalog identity; set when the engine installs the
+	// DT in the catalog.
 	EntryID int64
 	// Text is the defining query's SQL text. The controller binds it
 	// once per catalog DDL sequence and keeps the plan until DDL or an
@@ -449,7 +450,7 @@ func (dt *DynamicTable) adaptivePrior() adaptive.Mode {
 }
 
 // setChooser records the controller's adaptive chooser for mode
-// reporting; called at registration.
+// reporting; called by Controller.Adopt.
 func (dt *DynamicTable) setChooser(c *adaptive.Chooser) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()

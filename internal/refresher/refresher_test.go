@@ -33,6 +33,8 @@ type harness struct {
 	model   warehouse.CostModel
 	sources map[string]*plan.Source
 	nextID  int64
+	// byEntry maps each DT's entry ID to it, as the catalog would.
+	byEntry map[int64]*core.DynamicTable
 }
 
 func newHarness(t *testing.T) *harness {
@@ -41,9 +43,10 @@ func newHarness(t *testing.T) *harness {
 		pool:    warehouse.NewPool(),
 		model:   warehouse.CostModel{Fixed: 10 * time.Second, PerRow: 0},
 		sources: map[string]*plan.Source{},
+		byEntry: map[int64]*core.DynamicTable{},
 	}
 	h.txns = txn.NewManager(clock.NewVirtual(t0))
-	h.ctrl = core.NewController(h.txns, h, func(int64) (int64, error) { return 1, nil }, h.ddlSeq)
+	h.ctrl = core.NewController(h.txns, h, h.entry, h.ddlSeq)
 	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +56,11 @@ func newHarness(t *testing.T) *harness {
 // ddlSeq stands in for the catalog's DDL sequence: every source added is
 // one DDL statement.
 func (h *harness) ddlSeq() int64 { return h.nextID }
+
+// entry stands in for the catalog's entry lookup.
+func (h *harness) entry(id int64) (int64, *core.DynamicTable, error) {
+	return 1, h.byEntry[id], nil
+}
 
 // ResolveTable implements plan.Resolver.
 func (h *harness) ResolveTable(name string) (*plan.Source, error) {
@@ -104,8 +112,9 @@ func (h *harness) dt(name, text string) *core.DynamicTable {
 	}
 	dt := core.NewDynamicTable(name, text, stmt.Lag, stmt.Warehouse, stmt.Mode, mode,
 		storage.NewTable(bound.Plan.Schema(), hlc.Timestamp{WallMicros: t0.UnixMicro()}))
-	h.ctrl.Register(dt)
-	h.addSource(name, catalog.KindDynamicTable, dt.Storage)
+	h.ctrl.Adopt(dt)
+	src := h.addSource(name, catalog.KindDynamicTable, dt.Storage)
+	h.byEntry[src.EntryID] = dt
 	return dt
 }
 
@@ -363,10 +372,12 @@ func TestCycleDetection(t *testing.T) {
 	h.baseTable("tb", "a")
 	a := h.dt("a", "SELECT a FROM ta")
 	b := h.dt("b", "SELECT a FROM tb")
-	// Rewire the resolver so a reads b's storage and b reads a's: a
+	// Rewire the resolver and the entries so a reads b and b reads a: a
 	// dependency cycle the catalog would normally reject.
 	h.sources["TA"].Table = b.Storage
 	h.sources["TB"].Table = a.Storage
+	h.byEntry[h.sources["TA"].EntryID] = b
+	h.byEntry[h.sources["TB"].EntryID] = a
 
 	r := New(h.ctrl, h.pool, h.model, 2)
 	if _, err := r.ExecuteTick(requests(t0.Add(time.Minute), a, b)); err == nil {

@@ -3,12 +3,16 @@
 // canonical refresh periods (48·2ⁿ seconds with a shared phase so data
 // timestamps align across the graph), issues refreshes in dependency
 // order, and skips refreshes that would overlap a still-running one
-// (§3.3.3). The lag sawtooth of Figure 4 is not measured here: each DT
-// derives it from its own refresh records (core.DynamicTable.LagSeries).
+// (§3.3.3). The scheduler keeps no list of DTs: each pass reads the live
+// DTs from the catalog (§5.1) through the function it was built with,
+// and each DT's upstreams from its bound plan (core.Controller.Upstreams).
+// The lag sawtooth of Figure 4 is not measured here: each DT derives it
+// from its own refresh records (core.DynamicTable.LagSeries).
 package sched
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,8 +64,10 @@ type Stats struct {
 	ExtraUpstreamRefreshes int // misaligned-period ablation (E11)
 }
 
-// Scheduler drives refreshes against virtual time. All methods are safe
-// for concurrent use. Two locks split the roles: tickMu serializes
+// Scheduler drives refreshes against virtual time over the DTs its list
+// function returns; DDL that creates, drops or replaces a DT reaches the
+// scheduler only through that list. All methods are safe for concurrent
+// use. Two locks split the roles: tickMu serializes
 // scheduler passes (Step/RunUntil) so ticks never interleave, while mu
 // guards the cadence state and the stats and is held only for the policy
 // pass and the result fold — never across refresh execution. Monitoring
@@ -75,9 +81,12 @@ type Scheduler struct {
 	// mu guards all fields below. It is released around
 	// Refresher.ExecuteTick so monitoring accessors stay responsive
 	// mid-wave.
-	mu    sync.Mutex
-	clk   *clock.Virtual
-	ctrl  *core.Controller
+	mu   sync.Mutex
+	clk  *clock.Virtual
+	ctrl *core.Controller
+	// dts lists the live DTs, in any order. Each pass and each lag query
+	// calls it once, before taking mu.
+	dts   func() []*core.DynamicTable
 	pool  *warehouse.Pool
 	model warehouse.CostModel
 	// exec executes the due set of each fire instant: it partitions the
@@ -96,8 +105,6 @@ type Scheduler struct {
 	// the data timestamps it should have used).
 	cursor time.Time
 
-	dts []*core.DynamicTable
-
 	// busyUntil tracks each DT's simulated refresh completion; a fire
 	// instant inside a busy window is skipped (§3.3.3).
 	busyUntil map[*core.DynamicTable]time.Time
@@ -112,15 +119,16 @@ type Scheduler struct {
 	ExactPeriods bool
 }
 
-// New creates a scheduler over the controller's DTs. Each fire instant
-// advances clk to it; a nil clk (an engine on the wall clock, which is
-// always past the instants it is asked to process) is never advanced.
-// Without SetRefresher, the first tick lazily installs a serial
-// (single-worker) refresh executor.
-func New(clk *clock.Virtual, ctrl *core.Controller, pool *warehouse.Pool, model warehouse.CostModel, epoch time.Time, phase time.Duration) *Scheduler {
+// New creates a scheduler over the DTs that dts lists, refreshed through
+// ctrl. Each fire instant advances clk to it; a nil clk (an engine on the
+// wall clock, which is always past the instants it is asked to process)
+// is never advanced. Without SetRefresher, the first tick lazily installs
+// a serial (single-worker) refresh executor.
+func New(clk *clock.Virtual, ctrl *core.Controller, dts func() []*core.DynamicTable, pool *warehouse.Pool, model warehouse.CostModel, epoch time.Time, phase time.Duration) *Scheduler {
 	return &Scheduler{
 		clk:       clk,
 		ctrl:      ctrl,
+		dts:       dts,
 		pool:      pool,
 		model:     model,
 		epoch:     epoch,
@@ -190,30 +198,6 @@ func (s *Scheduler) Restore(epoch time.Time, phase time.Duration, cursor time.Ti
 	}
 }
 
-// Track registers a DT with the scheduler.
-func (s *Scheduler) Track(dt *core.DynamicTable) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, existing := range s.dts {
-		if existing == dt {
-			return
-		}
-	}
-	s.dts = append(s.dts, dt)
-}
-
-// Untrack removes a DT (dropped).
-func (s *Scheduler) Untrack(dt *core.DynamicTable) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, existing := range s.dts {
-		if existing == dt {
-			s.dts = append(s.dts[:i], s.dts[i+1:]...)
-			return
-		}
-	}
-}
-
 // Stats returns a snapshot of the aggregate counters. The returned value
 // is a copy taken under the scheduler lock: callers may retain and read
 // it freely while the tick loop keeps counting.
@@ -228,12 +212,13 @@ func (s *Scheduler) Stats() Stats {
 // dependents (§3.2). A DOWNSTREAM DT with no dependents has no lag
 // requirement.
 func (s *Scheduler) EffectiveLag(dt *core.DynamicTable) time.Duration {
+	dts := s.dts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.effectiveLag(dt, make(map[*core.DynamicTable]bool))
+	return s.effectiveLag(dt, dts, make(map[*core.DynamicTable]bool))
 }
 
-func (s *Scheduler) effectiveLag(dt *core.DynamicTable, visiting map[*core.DynamicTable]bool) time.Duration {
+func (s *Scheduler) effectiveLag(dt *core.DynamicTable, dts []*core.DynamicTable, visiting map[*core.DynamicTable]bool) time.Duration {
 	if dt.Lag.Kind == sql.LagDuration {
 		return dt.Lag.Duration
 	}
@@ -243,18 +228,18 @@ func (s *Scheduler) effectiveLag(dt *core.DynamicTable, visiting map[*core.Dynam
 	visiting[dt] = true
 	defer delete(visiting, dt)
 	min := NoLag
-	for _, down := range s.downstreams(dt) {
-		if l := s.effectiveLag(down, visiting); l < min {
+	for _, down := range s.downstreams(dt, dts) {
+		if l := s.effectiveLag(down, dts, visiting); l < min {
 			min = l
 		}
 	}
 	return min
 }
 
-// downstreams finds tracked DTs that read dt.
-func (s *Scheduler) downstreams(dt *core.DynamicTable) []*core.DynamicTable {
+// downstreams finds the DTs among dts that read dt.
+func (s *Scheduler) downstreams(dt *core.DynamicTable, dts []*core.DynamicTable) []*core.DynamicTable {
 	var out []*core.DynamicTable
-	for _, other := range s.dts {
+	for _, other := range dts {
 		if other == dt {
 			continue
 		}
@@ -262,11 +247,8 @@ func (s *Scheduler) downstreams(dt *core.DynamicTable) []*core.DynamicTable {
 		if err != nil {
 			continue
 		}
-		for _, up := range ups {
-			if up == dt {
-				out = append(out, other)
-				break
-			}
+		if slices.Contains(ups, dt) {
+			out = append(out, other)
 		}
 	}
 	return out
@@ -274,14 +256,15 @@ func (s *Scheduler) downstreams(dt *core.DynamicTable) []*core.DynamicTable {
 
 // Period returns the refresh period chosen for the DT.
 func (s *Scheduler) Period(dt *core.DynamicTable) time.Duration {
+	dts := s.dts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.period(dt)
+	return s.period(dt, dts)
 }
 
-// period is Period with the scheduler lock held.
-func (s *Scheduler) period(dt *core.DynamicTable) time.Duration {
-	lag := s.effectiveLag(dt, make(map[*core.DynamicTable]bool))
+// period is Period over the live DTs dts, with the scheduler lock held.
+func (s *Scheduler) period(dt *core.DynamicTable, dts []*core.DynamicTable) time.Duration {
+	lag := s.effectiveLag(dt, dts, make(map[*core.DynamicTable]bool))
 	if s.ExactPeriods {
 		if lag >= NoLag {
 			return NoLag
@@ -292,8 +275,8 @@ func (s *Scheduler) period(dt *core.DynamicTable) time.Duration {
 }
 
 // nextFire returns the first fire time strictly after `after` for the DT.
-func (s *Scheduler) nextFire(dt *core.DynamicTable, after time.Time) (time.Time, bool) {
-	p := s.period(dt)
+func (s *Scheduler) nextFire(dt *core.DynamicTable, dts []*core.DynamicTable, after time.Time) (time.Time, bool) {
+	p := s.period(dt, dts)
 	if p >= NoLag {
 		return time.Time{}, false
 	}
@@ -317,14 +300,15 @@ func (s *Scheduler) Step(limit time.Time) (bool, error) {
 
 // step is Step with tickMu held; it takes (and drops) mu itself.
 func (s *Scheduler) step(limit time.Time) (bool, error) {
+	dts := s.dts()
 	s.mu.Lock()
 	var earliest time.Time
 	found := false
-	for _, dt := range s.dts {
+	for _, dt := range dts {
 		if dt.State() == core.StateSuspended {
 			continue
 		}
-		next, ok := s.nextFire(dt, s.cursor)
+		next, ok := s.nextFire(dt, dts, s.cursor)
 		if !ok || next.After(limit) {
 			continue
 		}
@@ -371,13 +355,14 @@ func (s *Scheduler) RunUntil(t time.Time) error {
 // so a long wave never blocks monitoring accessors. tickMu (held by the
 // caller) keeps concurrent passes from interleaving around the gap.
 func (s *Scheduler) fireAt(at time.Time) error {
+	dts := s.dts()
 	s.mu.Lock()
 	var due []*core.DynamicTable
-	for _, dt := range s.dts {
+	for _, dt := range dts {
 		if dt.State() == core.StateSuspended {
 			continue
 		}
-		p := s.period(dt)
+		p := s.period(dt, dts)
 		if p >= NoLag {
 			continue
 		}

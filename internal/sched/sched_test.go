@@ -136,6 +136,10 @@ type dtHarness struct {
 	pool    *warehouse.Pool
 	sources map[string]*plan.Source
 	nextID  int64
+	// dts are the harness's DTs, which the schedulers under test list;
+	// byEntry maps each one's entry ID to it, as the catalog would.
+	dts     []*core.DynamicTable
+	byEntry map[int64]*core.DynamicTable
 }
 
 func newDTHarness(t *testing.T) *dtHarness {
@@ -144,8 +148,9 @@ func newDTHarness(t *testing.T) *dtHarness {
 		clk:     clock.NewVirtual(schedT0),
 		pool:    warehouse.NewPool(),
 		sources: map[string]*plan.Source{},
+		byEntry: map[int64]*core.DynamicTable{},
 	}
-	h.ctrl = core.NewController(txn.NewManager(h.clk), h, func(int64) (int64, error) { return 1, nil }, h.ddlSeq)
+	h.ctrl = core.NewController(txn.NewManager(h.clk), h, h.entry, h.ddlSeq)
 	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +162,19 @@ var schedT0 = time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
 // ddlSeq stands in for the catalog's DDL sequence: every source added is
 // one DDL statement.
 func (h *dtHarness) ddlSeq() int64 { return h.nextID }
+
+// entry stands in for the catalog's entry lookup.
+func (h *dtHarness) entry(id int64) (int64, *core.DynamicTable, error) {
+	return 1, h.byEntry[id], nil
+}
+
+// list stands in for the catalog's list of live DTs.
+func (h *dtHarness) list() []*core.DynamicTable { return h.dts }
+
+// scheduler builds a scheduler over the harness's DTs.
+func (h *dtHarness) scheduler(model warehouse.CostModel) *Scheduler {
+	return New(h.clk, h.ctrl, h.list, h.pool, model, schedT0, 0)
+}
 
 func (h *dtHarness) ResolveTable(name string) (*plan.Source, error) {
 	src, ok := h.sources[strings.ToUpper(name)]
@@ -190,8 +208,10 @@ func (h *dtHarness) dt(name, text string, lag sql.TargetLag) *core.DynamicTable 
 	}
 	dt := core.NewDynamicTable(name, text, lag, "wh", sql.RefreshAuto, mode,
 		storage.NewTable(bound.Plan.Schema(), hlc.Timestamp{WallMicros: schedT0.UnixMicro()}))
-	h.ctrl.Register(dt)
+	h.ctrl.Adopt(dt)
 	h.addSource(name, catalog.KindDynamicTable, dt.Storage)
+	h.dts = append(h.dts, dt)
+	h.byEntry[h.nextID] = dt
 	return dt
 }
 
@@ -209,10 +229,7 @@ func TestEffectiveLagDiamond(t *testing.T) {
 	c := h.dt("c", "SELECT a FROM a", downstreamLag)
 	d := h.dt("d", "SELECT x.a FROM b x JOIN c y ON x.a = y.a", lagOf(10*time.Minute))
 
-	s := New(h.clk, h.ctrl, h.pool, warehouse.DefaultCostModel, schedT0, 0)
-	for _, dt := range []*core.DynamicTable{a, b, c, d} {
-		s.Track(dt)
-	}
+	s := h.scheduler(warehouse.DefaultCostModel)
 
 	// The sink's lag flows up both branches of the diamond to the apex.
 	for _, dt := range []*core.DynamicTable{a, b, c, d} {
@@ -234,12 +251,9 @@ func TestEffectiveLagDiamondMixedBranches(t *testing.T) {
 	a := h.dt("a", "SELECT a FROM src", downstreamLag)
 	b := h.dt("b", "SELECT a FROM a", lagOf(30*time.Minute)) // own lag beats propagation
 	c := h.dt("c", "SELECT a FROM a", downstreamLag)
-	d := h.dt("d", "SELECT x.a FROM b x JOIN c y ON x.a = y.a", lagOf(10*time.Minute))
+	h.dt("d", "SELECT x.a FROM b x JOIN c y ON x.a = y.a", lagOf(10*time.Minute))
 
-	s := New(h.clk, h.ctrl, h.pool, warehouse.DefaultCostModel, schedT0, 0)
-	for _, dt := range []*core.DynamicTable{a, b, c, d} {
-		s.Track(dt)
-	}
+	s := h.scheduler(warehouse.DefaultCostModel)
 	if got := s.EffectiveLag(b); got != 30*time.Minute {
 		t.Errorf("EffectiveLag(b) = %v, want its own 30m", got)
 	}
@@ -257,8 +271,7 @@ func TestEffectiveLagDownstreamSinkHasNoLag(t *testing.T) {
 	h := newDTHarness(t)
 	h.baseTable("src")
 	a := h.dt("a", "SELECT a FROM src", downstreamLag)
-	s := New(h.clk, h.ctrl, h.pool, warehouse.DefaultCostModel, schedT0, 0)
-	s.Track(a)
+	s := h.scheduler(warehouse.DefaultCostModel)
 	if got := s.EffectiveLag(a); got != NoLag {
 		t.Errorf("DOWNSTREAM DT with no dependents should have NoLag, got %v", got)
 	}
@@ -269,9 +282,7 @@ func TestAccessorsAreDefensiveCopiesUnderConcurrentTicks(t *testing.T) {
 	src := h.baseTable("src")
 	dt := h.dt("d", "SELECT a FROM src", lagOf(2*time.Minute))
 
-	s := New(h.clk, h.ctrl, h.pool,
-		warehouse.CostModel{Fixed: time.Second, PerRow: time.Millisecond}, schedT0, 0)
-	s.Track(dt)
+	s := h.scheduler(warehouse.CostModel{Fixed: time.Second, PerRow: time.Millisecond})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -343,8 +354,7 @@ func TestMonitoringAccessorsReturnMidWave(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(h.clk, h.ctrl, h.pool, warehouse.DefaultCostModel, schedT0, 0)
-	s.Track(dt)
+	s := h.scheduler(warehouse.DefaultCostModel)
 	r := refresher.New(h.ctrl, h.pool, warehouse.DefaultCostModel, 1)
 	s.SetRefresher(r)
 
@@ -395,5 +405,37 @@ func TestMonitoringAccessorsReturnMidWave(t *testing.T) {
 	}
 	if st := s.Stats(); st.Initialize+st.Incremental+st.Full == 0 {
 		t.Errorf("stalled wave never completed after Resume: %+v", st)
+	}
+}
+
+// TestRegistryListReadEachPass checks that the scheduler keeps no DT set
+// of its own: a DT its list stops returning (DROP) is not refreshed, and
+// one the list returns again (UNDROP) is, with no call on the scheduler.
+func TestRegistryListReadEachPass(t *testing.T) {
+	h := newDTHarness(t)
+	src := h.baseTable("src")
+	dt := h.dt("d", "SELECT a FROM src", lagOf(2*time.Minute))
+	s := h.scheduler(warehouse.DefaultCostModel)
+
+	at := schedT0.Add(5 * time.Minute)
+	var cs delta.ChangeSet
+	cs.AddInsert(src.NextRowID(), types.Row{types.NewInt(1)})
+	if _, err := src.Apply(cs, hlc.Timestamp{WallMicros: schedT0.Add(time.Second).UnixMicro()}); err != nil {
+		t.Fatal(err)
+	}
+	h.dts = nil
+	if err := s.RunUntil(at); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Scheduled != 0 || len(dt.History()) != 0 {
+		t.Fatalf("a DT the list no longer returns was scheduled: %+v", st)
+	}
+
+	h.dts = []*core.DynamicTable{dt}
+	if err := s.RunUntil(at.Add(5 * time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Scheduled == 0 || st.Initialize != 1 {
+		t.Fatalf("a DT the list returns again was not refreshed: %+v", st)
 	}
 }

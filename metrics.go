@@ -18,13 +18,15 @@ import (
 )
 
 // MetricsText renders the engine's operational state in the Prometheus
-// text exposition format (version 0.0.4). Every value comes from a
-// snapshot accessor with its own short-lived lock — no engine lock is
-// held across the whole scrape, so a slow scraper never stalls
-// refreshes or statements. Refresh durations and lag gauges are in
-// virtual time; request latencies, uptime and checkpoint age are host
-// wall-clock.
+// text exposition format (version 0.0.4). The scrape reads catalog
+// entries, DT names and bound plans, which DDL writes, so it holds the
+// statement lock as a reader, like a query: it runs beside statements
+// and refreshes and waits only for DDL, checkpoints and compaction
+// sweeps. Refresh durations and lag gauges are in virtual time; request
+// latencies, uptime and checkpoint age are host wall-clock.
 func (e *Engine) MetricsText() string {
+	e.stmtMu.RLock()
+	defer e.stmtMu.RUnlock()
 	var b strings.Builder
 
 	scalar(&b, "dyntables_uptime_seconds", "gauge", "Host seconds since the engine was constructed.",

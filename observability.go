@@ -70,6 +70,8 @@ func (e *Engine) Observability() *obs.Recorder { return e.rec }
 // second return is false when the DT has no lag requirement (a
 // DOWNSTREAM DT with no consumers) or no samples.
 func (e *Engine) LagSLO(name string) (obs.SLOStats, bool) {
+	e.stmtMu.RLock()
+	defer e.stmtMu.RUnlock()
 	_, dt, err := e.dynamicTable(name)
 	if err != nil {
 		return obs.SLOStats{}, false
@@ -427,10 +429,10 @@ func targetLagText(lag sql.TargetLag) string {
 	return lag.Duration.String()
 }
 
-// sortedDTs lists the dynamic tables by name.
+// sortedDTs lists the live dynamic tables by name. It is also the
+// scheduler's list of the DTs it refreshes.
 func (e *Engine) sortedDTs() []*core.DynamicTable {
 	entries := e.cat.List(catalog.KindDynamicTable)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	dts := make([]*core.DynamicTable, 0, len(entries))
 	for _, entry := range entries {
 		if dt, ok := entry.Payload.(*core.DynamicTable); ok {

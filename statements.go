@@ -1074,7 +1074,8 @@ func (x *executor) execExplain(stmt *sql.ExplainStmt) (*Result, error) {
 				continue
 			}
 			seen[id] = true
-			if up, isDT := e.ctrl.LookupByStorage(id); isDT {
+			_, up, err := e.catalogEntry(scan.EntryID)
+			if err == nil && up != nil && up.Storage == scan.Table {
 				emit(fmt.Sprintf("    %s DYNAMIC TABLE version=%d data_ts=%s",
 					scan.Name, scan.Table.VersionCount(),
 					up.DataTimestamp().UTC().Format(time.RFC3339)))
