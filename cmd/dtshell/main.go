@@ -7,7 +7,7 @@
 //	.status name       print a dynamic table's state and history
 //	.dvs name          check delayed view semantics for a dynamic table
 //	.role name         switch the session role
-//	.warehouses        print warehouse billing
+//	.warehouses        print warehouse billing (SHOW WAREHOUSES, as \dw)
 //	.checkpoint        force a snapshot checkpoint (durable engines)
 //
 // psql-style meta-commands back the new SHOW statements:
@@ -395,10 +395,7 @@ func directive(eng *dyntables.Engine, sess *dyntables.Session, line string) {
 		sess.SetRole(fields[1])
 		fmt.Println("role set to", fields[1])
 	case ".warehouses":
-		for _, wh := range eng.Warehouses().All() {
-			fmt.Printf("%s: size=%s billed=%s credits=%.4f resumes=%d\n",
-				wh.Name, wh.Size, wh.BilledTime().Truncate(time.Second), wh.Credits(), wh.Resumes())
-		}
+		metaCommand(sess, `\dw`)
 	case ".checkpoint":
 		if err := eng.Checkpoint(); err != nil {
 			fmt.Println("error:", err)

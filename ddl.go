@@ -61,14 +61,14 @@ func (e *Engine) applyDDL(rec *persist.Record) error {
 		if err := e.cat.Rename(r.Name, r.Target, r.TS); err != nil {
 			return err
 		}
-		e.syncDTNames(r.Target)
+		e.syncNames(r.Target)
 		return nil
 	case persist.KindSwap:
 		r := rec.Swap
 		if err := e.cat.Swap(r.Name, r.Target, r.TS); err != nil {
 			return err
 		}
-		e.syncDTNames(r.Name, r.Target)
+		e.syncNames(r.Name, r.Target)
 		return nil
 	case persist.KindAlterDT:
 		return e.applyAlterDT(rec.AlterDT)
@@ -138,25 +138,21 @@ func (e *Engine) applyCreateTable(r *persist.CreateTableRecord) error {
 	return nil
 }
 
-// applyCreateWarehouse creates the warehouse, or under OR REPLACE resizes
-// an existing one in place (its billing history is retained). A catalog
-// entry is added only when the name is free there.
+// applyCreateWarehouse installs a new warehouse entry. A record without
+// an entry ID is an OR REPLACE of a live warehouse, which is resized in
+// place and keeps its billing history. Logs written before warehouses
+// lived only in the catalog also hold records without an entry ID that
+// resize no live warehouse (a CREATE on a name a table held, an OR
+// REPLACE of a dropped warehouse): the warehouse they made had no
+// catalog entry, so they install nothing.
 func (e *Engine) applyCreateWarehouse(r *persist.CreateWhRecord) error {
 	size, autoSuspend := warehouse.Size(r.Size), time.Duration(r.AutoSuspend)*time.Microsecond
-	wh, err := e.pool.Create(r.Name, size, autoSuspend)
-	if err != nil {
-		existing, gerr := e.pool.Get(r.Name)
-		if !r.OrReplace || gerr != nil {
-			return err
-		}
-		existing.Size = size
-		existing.AutoSuspend = autoSuspend
-		return nil
+	if r.EntryID != 0 {
+		_, err := e.installEntry(r.Name, warehouse.New(r.Name, size, autoSuspend), r.Owner, nil, r.CreatedAt, r.OrReplace, r.EntryID)
+		return err
 	}
-	if !e.cat.Exists(r.Name) {
-		if _, err := e.installEntry(r.Name, &warehouseObject{wh: wh}, r.Owner, nil, r.CreatedAt, false, r.EntryID); err != nil {
-			return err
-		}
+	if wh, err := e.Warehouse(r.Name); err == nil && r.OrReplace {
+		wh.Size, wh.AutoSuspend = size, autoSuspend
 	}
 	return nil
 }
@@ -268,14 +264,18 @@ func (e *Engine) entryIDFor(name string, orReplace bool) int64 {
 	return last + 1
 }
 
-// syncDTNames copies the catalog's names onto the named entries' DT
-// payloads. RENAME and SWAP call it once the catalog accepted the change,
-// so a rejected statement leaves every DT name as it was.
-func (e *Engine) syncDTNames(names ...string) {
+// syncNames copies the catalog's names onto the named entries' DT and
+// warehouse payloads. RENAME and SWAP call it once the catalog accepted
+// the change, so a rejected statement leaves every payload name as it
+// was.
+func (e *Engine) syncNames(names ...string) {
 	for _, name := range names {
 		if entry, err := e.cat.Get(name); err == nil {
-			if dt, ok := entry.Payload.(*core.DynamicTable); ok {
-				dt.Name = entry.Name
+			switch p := entry.Payload.(type) {
+			case *core.DynamicTable:
+				p.Name = entry.Name
+			case *warehouse.Warehouse:
+				p.Name = entry.Name
 			}
 		}
 	}

@@ -315,18 +315,19 @@ func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
 	e.nextKey = max(e.nextKey, snap.TableSeq)
 	e.keysMu.Unlock()
 
-	// Warehouses: configuration plus billing state.
+	// Warehouses: configuration plus billing state, one row per
+	// warehouse entry, live or dropped. Older snapshots key rows by
+	// warehouse name, which the entry names in its Warehouse field; a row
+	// no entry names is a warehouse the catalog never held, and is not
+	// restored.
+	whByEntry := make(map[int64]persist.WarehouseState, len(snap.Warehouses))
+	whByName := make(map[string]persist.WarehouseState)
 	for _, ws := range snap.Warehouses {
-		wh, err := e.pool.Create(ws.Name, warehouse.Size(ws.Size), time.Duration(ws.AutoSuspend)*time.Microsecond)
-		if err != nil {
-			return err
+		if ws.EntryID != 0 {
+			whByEntry[ws.EntryID] = ws
+		} else {
+			whByName[ws.Name] = ws
 		}
-		wh.RestoreState(warehouse.State{
-			BusyUntil: time.UnixMicro(ws.BusyUntilUS).UTC(),
-			EverUsed:  ws.EverUsed,
-			Billed:    time.Duration(ws.BilledUS) * time.Microsecond,
-			Resumes:   ws.Resumes,
-		})
 	}
 
 	// Catalog: live entries by ID, then dropped entries in drop order so
@@ -365,11 +366,21 @@ func (e *Engine) restoreSnapshot(snap *persist.Snapshot) error {
 		case catalog.KindView:
 			entry.Payload = &viewObject{text: es.ViewText}
 		case catalog.KindWarehouse:
-			wh, err := e.pool.Get(es.Warehouse)
-			if err != nil {
-				return err
+			ws, ok := whByEntry[es.ID]
+			if !ok {
+				ws, ok = whByName[es.Warehouse]
 			}
-			entry.Payload = &warehouseObject{wh: wh}
+			if !ok {
+				return fmt.Errorf("dyntables: snapshot entry %s has no warehouse state", es.Name)
+			}
+			wh := warehouse.New(es.Name, warehouse.Size(ws.Size), time.Duration(ws.AutoSuspend)*time.Microsecond)
+			wh.RestoreState(warehouse.State{
+				BusyUntil: time.UnixMicro(ws.BusyUntilUS).UTC(),
+				EverUsed:  ws.EverUsed,
+				Billed:    time.Duration(ws.BilledUS) * time.Microsecond,
+				Resumes:   ws.Resumes,
+			})
+			entry.Payload = wh
 		case catalog.KindDynamicTable:
 			if es.DT == nil {
 				return fmt.Errorf("dyntables: snapshot entry %s has no DT state", es.Name)
@@ -815,8 +826,19 @@ func (e *Engine) buildSnapshot() (*persist.Snapshot, error) {
 			es.TableKey = key
 		case *viewObject:
 			es.ViewText = payload.text
-		case *warehouseObject:
-			es.Warehouse = payload.wh.Name
+		case *warehouse.Warehouse:
+			es.Warehouse = payload.Name
+			st := payload.State()
+			snap.Warehouses = append(snap.Warehouses, persist.WarehouseState{
+				EntryID:     entry.ID,
+				Name:        payload.Name,
+				Size:        int(payload.Size),
+				AutoSuspend: int64(payload.AutoSuspend / time.Microsecond),
+				BusyUntilUS: st.BusyUntil.UnixMicro(),
+				EverUsed:    st.EverUsed,
+				BilledUS:    int64(st.Billed / time.Microsecond),
+				Resumes:     st.Resumes,
+			})
 		case *core.DynamicTable:
 			ds, err := e.snapshotDT(payload, keyOf)
 			if err != nil {
@@ -840,20 +862,6 @@ func (e *Engine) buildSnapshot() (*persist.Snapshot, error) {
 		})
 	}
 	snap.NextCatalogID, snap.DDLSeq = e.cat.Counters()
-
-	for _, wh := range e.pool.All() {
-		st := wh.State()
-		snap.Warehouses = append(snap.Warehouses, persist.WarehouseState{
-			Name:        wh.Name,
-			Size:        int(wh.Size),
-			AutoSuspend: int64(wh.AutoSuspend / time.Microsecond),
-			BusyUntilUS: st.BusyUntil.UnixMicro(),
-			EverUsed:    st.EverUsed,
-			BilledUS:    int64(st.Billed / time.Microsecond),
-			Resumes:     st.Resumes,
-		})
-	}
-	sort.Slice(snap.Warehouses, func(i, j int) bool { return snap.Warehouses[i].Name < snap.Warehouses[j].Name })
 
 	for _, a := range e.alertSnapshots() {
 		as := persist.AlertState{

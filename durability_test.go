@@ -16,6 +16,7 @@ import (
 	"dyntables/internal/hlc"
 	"dyntables/internal/persist"
 	"dyntables/internal/storage"
+	"dyntables/internal/warehouse"
 )
 
 // ---------------------------------------------------------------------------
@@ -68,7 +69,8 @@ func dumpTable(t *testing.T, tbl *storage.Table) []versionDump {
 }
 
 // dumpEngine captures every catalog-reachable table and DT, plus the DDL
-// state of every catalog entry (live and dropped), warehouse and alert.
+// state of every catalog entry (live and dropped; warehouses among them)
+// and alert.
 // DDL state rides as one-version pseudo-chains whose rows are the
 // compared fields, so every caller that walks dumps by version compares
 // it too.
@@ -93,6 +95,11 @@ func dumpEngine(t *testing.T, e *Engine) map[string][]versionDump {
 		switch p := entry.Payload.(type) {
 		case *viewObject:
 			fields = append(fields, "text="+p.text)
+		case *warehouse.Warehouse:
+			fields = append(fields,
+				"wh.name="+p.Name,
+				fmt.Sprintf("size=%v", p.Size),
+				fmt.Sprintf("auto_suspend=%v", p.AutoSuspend))
 		case *core.DynamicTable:
 			fields = append(fields,
 				"dt.name="+p.Name,
@@ -102,9 +109,6 @@ func dumpEngine(t *testing.T, e *Engine) map[string][]versionDump {
 				"state="+p.State().String())
 		}
 		out[fmt.Sprintf("entry:%d", entry.ID)] = stateDump(fields...)
-	}
-	for _, wh := range e.Warehouses().All() {
-		out["warehouse:"+wh.Name] = stateDump(fmt.Sprintf("size=%v", wh.Size), fmt.Sprintf("auto_suspend=%v", wh.AutoSuspend))
 	}
 	for _, a := range e.alertSnapshots() {
 		out["alert:"+a.def.Name] = stateDump(fmt.Sprintf("def=%+v", a.def), fmt.Sprintf("suspended=%v", a.suspended))

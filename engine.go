@@ -81,7 +81,6 @@ type Engine struct {
 	txns  *txn.Manager
 	cat   *catalog.Catalog
 	ctrl  *core.Controller
-	pool  *warehouse.Pool
 	sch   *sched.Scheduler
 	refr  *refresher.Refresher
 	model warehouse.CostModel
@@ -298,7 +297,6 @@ func New(opts ...Option) *Engine {
 		_, seq := e.cat.Counters()
 		return seq
 	})
-	e.pool = warehouse.NewPool()
 	e.ctrl.Columnar = !e.cfg.DisableColumnar
 	if e.cfg.CompactionHorizon > 0 {
 		e.compactionHorizon = e.cfg.CompactionHorizon
@@ -311,9 +309,8 @@ func New(opts ...Option) *Engine {
 	if e.cfg.AdaptiveWindow < 0 {
 		e.ctrl.Adaptive.SetEnabled(false)
 	}
-	e.refr = refresher.New(e.ctrl, e.pool, e.model, e.cfg.resolveWorkers())
-	e.sch = sched.New(e.vclk, e.ctrl, e.sortedDTs, e.pool, e.model, e.clk.Now(), e.schPhase)
-	e.sch.SetRefresher(e.refr)
+	e.refr = refresher.New(e.ctrl, e.Warehouse, e.model, e.cfg.resolveWorkers())
+	e.sch = sched.New(e.vclk, e.ctrl, e.sortedDTs, e.refr, e.clk.Now(), e.schPhase)
 	e.initObservability()
 	e.def = e.NewSession()
 	return e
@@ -471,8 +468,17 @@ func (e *Engine) Scheduler() *sched.Scheduler { return e.sch }
 // Controller exposes the refresh controller (ablation knobs, experiments).
 func (e *Engine) Controller() *core.Controller { return e.ctrl }
 
-// Warehouses exposes the warehouse pool (billing inspection).
-func (e *Engine) Warehouses() *warehouse.Pool { return e.pool }
+// Warehouse resolves a live warehouse by name through its catalog
+// entry, the only place a warehouse is registered. A dropped warehouse,
+// or a name another kind of object holds, does not resolve.
+func (e *Engine) Warehouse(name string) (*warehouse.Warehouse, error) {
+	if entry, err := e.cat.Get(name); err == nil {
+		if wh, ok := entry.Payload.(*warehouse.Warehouse); ok {
+			return wh, nil
+		}
+	}
+	return nil, fmt.Errorf("dyntables: warehouse %q does not exist", name)
+}
 
 // Catalog exposes the catalog (RBAC administration, DDL log).
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
@@ -526,12 +532,6 @@ type viewObject struct {
 }
 
 func (*viewObject) ObjectKind() catalog.ObjectKind { return catalog.KindView }
-
-type warehouseObject struct {
-	wh *warehouse.Warehouse
-}
-
-func (*warehouseObject) ObjectKind() catalog.ObjectKind { return catalog.KindWarehouse }
 
 // ResolveTable implements plan.Resolver: INFORMATION_SCHEMA virtual
 // tables resolve through the observability layer, everything else

@@ -130,7 +130,7 @@ func main() {
 		}
 	}
 
-	wh, err := eng.Warehouses().Get("etl_wh")
+	wh, err := eng.Warehouse("etl_wh")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -246,7 +246,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			}
 		}
 	}
-	wh, _ := e.Warehouses().Get("wh")
+	wh, _ := e.Warehouse("wh")
 	result.Credits = wh.Credits()
 	return result, nil
 }
@@ -522,7 +522,7 @@ func RunSkipExperiment(hours int) (*SkipResult, error) {
 				out.Refreshes++
 			}
 		}
-		wh, _ := e.Warehouses().Get("wh")
+		wh, _ := e.Warehouse("wh")
 		out.Billed = wh.BilledTime()
 		return out, nil
 	}

@@ -260,10 +260,15 @@ type DynamicTable struct {
 	// its oldest retained record: the newest DataTS of the successful
 	// records the ring evicted, or the source's data timestamp for a
 	// clone; zero while the ring holds the DT's whole history.
-	history     ring.Ring[RefreshRecord]
-	historyCap  int
-	counts      RefreshCounts
-	priorDataTS time.Time
+	// priorBusyUntil is BusyUntil's value from before the oldest retained
+	// record: the End of the newest evicted successful record a scheduler
+	// tick placed. It keeps a busy window that outlasts the ring's last
+	// fire instants; checkpoints do not persist it.
+	history        ring.Ring[RefreshRecord]
+	historyCap     int
+	counts         RefreshCounts
+	priorDataTS    time.Time
+	priorBusyUntil time.Time
 }
 
 // ObjectKind implements catalog.Object.
@@ -572,7 +577,7 @@ func (dt *DynamicTable) LagSeries() []obs.LagSample {
 		if r.DataTS.After(base) {
 			base = r.DataTS
 		}
-		if x := r.Exec; x != nil && x.Wave >= 0 {
+		if x := r.Exec; r.placedByTick() {
 			out = append(out, obs.LagSample{
 				DTName: dt.Name,
 				At:     x.End,
@@ -583,6 +588,22 @@ func (dt *DynamicTable) LagSeries() []obs.LagSample {
 		}
 	}
 	return out
+}
+
+// BusyUntil returns when the DT's last scheduled refresh ends: the End
+// of the newest successful record a scheduler tick placed (the newest
+// LagSeries sample), including one the ring has evicted, or the zero
+// time when there is none. The scheduler skips a fire instant before it
+// (§3.3.3).
+func (dt *DynamicTable) BusyUntil() time.Time {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	for i := dt.history.Len() - 1; i >= 0; i-- {
+		if r := dt.history.At(i); r.succeeded() && r.placedByTick() {
+			return r.Exec.End
+		}
+	}
+	return dt.priorBusyUntil
 }
 
 // HistoryCapacity returns the history ring's bound.
@@ -615,12 +636,24 @@ func (dt *DynamicTable) SetHistoryCapacity(n int) {
 // (it neither failed nor was skipped).
 func (r *RefreshRecord) succeeded() bool { return r.Err == nil && r.Action != ActionSkip }
 
+// placedByTick reports whether a scheduler tick placed the refresh
+// (Exec.Wave >= 0): manual refreshes place at wave -1, and exact-period
+// repair refreshes are never placed.
+func (r *RefreshRecord) placedByTick() bool { return r.Exec != nil && r.Exec.Wave >= 0 }
+
 // evictLocked notes that r leaves the ring: a successful record's data
-// timestamp becomes the one before the oldest retained record. Callers
+// timestamp becomes the one before the oldest retained record, and its
+// End, if a scheduler tick placed it, the busy window before it. Callers
 // hold dt.mu.
 func (dt *DynamicTable) evictLocked(r *RefreshRecord) {
-	if r.succeeded() && r.DataTS.After(dt.priorDataTS) {
+	if !r.succeeded() {
+		return
+	}
+	if r.DataTS.After(dt.priorDataTS) {
 		dt.priorDataTS = r.DataTS
+	}
+	if r.placedByTick() {
+		dt.priorBusyUntil = r.Exec.End
 	}
 }
 

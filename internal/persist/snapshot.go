@@ -39,7 +39,8 @@ type Snapshot struct {
 	// Storage: every table's complete version chain, keyed by stable key.
 	Tables []TableState `json:"tables"`
 
-	// Warehouses: configuration plus billing simulation state.
+	// Warehouses: configuration plus billing simulation state, one row
+	// per warehouse entry (live or dropped), in entry-ID order.
 	Warehouses []WarehouseState `json:"warehouses,omitempty"`
 
 	// Alerts: watchdog definitions plus evaluation state.
@@ -163,7 +164,10 @@ type DDLState struct {
 }
 
 // WarehouseState serializes one warehouse including its billing state.
+// EntryID is the catalog entry holding it; rows from older snapshots
+// carry none and belong to the entry whose Warehouse field is their Name.
 type WarehouseState struct {
+	EntryID     int64  `json:"entry_id,omitempty"`
 	Name        string `json:"name"`
 	Size        int    `json:"size"`
 	AutoSuspend int64  `json:"auto_suspend_us"`

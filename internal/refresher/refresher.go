@@ -86,9 +86,11 @@ type Result struct {
 // All methods are safe for concurrent use, but ticks serialize against
 // Quiesce: a quiesced refresher blocks ExecuteTick until Resume.
 type Refresher struct {
-	ctrl  *core.Controller
-	pool  *warehouse.Pool
-	model warehouse.CostModel
+	ctrl *core.Controller
+	// warehouse resolves the warehouse a DT names; a refresh whose
+	// warehouse does not resolve runs at XSMALL timing and bills no job.
+	warehouse func(name string) (*warehouse.Warehouse, error)
+	model     warehouse.CostModel
 
 	// refreshFn executes one refresh; defaults to ctrl.Refresh. Tests
 	// stub it to inject failures.
@@ -112,13 +114,14 @@ func (r *Refresher) SetTracer(t *trace.Recorder) {
 	r.tracer = t
 }
 
-// New creates a refresher. workers <= 0 derives the pool width from the
-// host: one worker per schedulable CPU (GOMAXPROCS).
-func New(ctrl *core.Controller, pool *warehouse.Pool, model warehouse.CostModel, workers int) *Refresher {
+// New creates a refresher that bills refreshes to the warehouses wh
+// resolves by name. workers <= 0 derives the pool width from the host:
+// one worker per schedulable CPU (GOMAXPROCS).
+func New(ctrl *core.Controller, wh func(name string) (*warehouse.Warehouse, error), model warehouse.CostModel, workers int) *Refresher {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Refresher{ctrl: ctrl, pool: pool, model: model, workers: workers}
+	r := &Refresher{ctrl: ctrl, warehouse: wh, model: model, workers: workers}
 	r.refreshFn = ctrl.Refresh
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -233,7 +236,7 @@ func (r *Refresher) ExecuteTick(reqs []Request) ([]Result, error) {
 			res.Start, res.End = ready, ready
 			var job *warehouse.Job
 			if res.Err == nil && res.Rec.Action != core.ActionNoData {
-				if wh, werr := r.pool.Get(res.DT.Warehouse); werr == nil {
+				if wh, werr := r.warehouse(res.DT.Warehouse); werr == nil {
 					j := wh.SubmitConcurrent(ready, res.Rec.SourceRowsScanned, r.model, workers)
 					job, res.Start, res.End = &j, j.Start, j.End
 				} else {

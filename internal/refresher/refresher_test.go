@@ -23,13 +23,13 @@ import (
 
 var t0 = time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
 
-// harness wires a controller, a resolver and a warehouse pool without the
+// harness wires a controller, a resolver and a warehouse without the
 // full engine, mirroring how the scheduler drives the refresher.
 type harness struct {
 	t       *testing.T
 	ctrl    *core.Controller
 	txns    *txn.Manager
-	pool    *warehouse.Pool
+	wh      *warehouse.Warehouse
 	model   warehouse.CostModel
 	sources map[string]*plan.Source
 	nextID  int64
@@ -40,17 +40,23 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	h := &harness{
 		t:       t,
-		pool:    warehouse.NewPool(),
+		wh:      warehouse.New("wh", warehouse.SizeXSmall, time.Minute),
 		model:   warehouse.CostModel{Fixed: 10 * time.Second, PerRow: 0},
 		sources: map[string]*plan.Source{},
 		byEntry: map[int64]*core.DynamicTable{},
 	}
 	h.txns = txn.NewManager(clock.NewVirtual(t0))
 	h.ctrl = core.NewController(h.txns, h, h.entry, h.ddlSeq)
-	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
-		t.Fatal(err)
-	}
 	return h
+}
+
+// warehouse stands in for the engine's warehouse lookup: every DT names
+// the one warehouse wh.
+func (h *harness) warehouse(name string) (*warehouse.Warehouse, error) {
+	if name != h.wh.Name {
+		return nil, fmt.Errorf("no such warehouse %q", name)
+	}
+	return h.wh, nil
 }
 
 // ddlSeq stands in for the catalog's DDL sequence: every source added is
@@ -143,7 +149,7 @@ func TestWavePartitioningAndExecution(t *testing.T) {
 	b := h.dt("b", "SELECT b FROM src")
 	c := h.dt("c", "SELECT x.a FROM a x JOIN b y ON x.b = y.b")
 
-	r := New(h.ctrl, h.pool, h.model, 4)
+	r := New(h.ctrl, h.warehouse, h.model, 4)
 	at := t0.Add(time.Minute)
 	results, err := r.ExecuteTick(requests(at, c, b, a)) // intentionally unordered
 	if err != nil {
@@ -186,7 +192,7 @@ func TestDownstreamWaveStartsAfterUpstreamEnds(t *testing.T) {
 	up := h.dt("up", "SELECT a FROM src")
 	down := h.dt("down", "SELECT a FROM up")
 
-	r := New(h.ctrl, h.pool, h.model, 4)
+	r := New(h.ctrl, h.warehouse, h.model, 4)
 	at := t0.Add(time.Minute)
 	results, err := r.ExecuteTick(requests(at, down, up))
 	if err != nil {
@@ -215,7 +221,7 @@ func TestWaveMakespanScalesWithWorkers(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			dts = append(dts, h.dt(fmt.Sprintf("s%d", i), "SELECT a, b FROM src"))
 		}
-		r := New(h.ctrl, h.pool, h.model, workers)
+		r := New(h.ctrl, h.warehouse, h.model, workers)
 		at := t0.Add(time.Minute)
 		results, err := r.ExecuteTick(requests(at, dts...))
 		if err != nil {
@@ -249,7 +255,7 @@ func TestPanicIsolation(t *testing.T) {
 	h.insert(src, t0.Add(time.Second), ints(1))
 	good := h.dt("good", "SELECT a FROM src")
 	bad := h.dt("bad", "SELECT a FROM src")
-	r := New(h.ctrl, h.pool, h.model, 2)
+	r := New(h.ctrl, h.warehouse, h.model, 2)
 	if _, err := r.ExecuteTick(requests(t0.Add(time.Minute), good, bad)); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +312,7 @@ func TestTransientFailureRetriesOnce(t *testing.T) {
 	h.insert(src, t0.Add(time.Second), ints(1))
 	dt := h.dt("d", "SELECT a FROM src")
 
-	r := New(h.ctrl, h.pool, h.model, 1)
+	r := New(h.ctrl, h.warehouse, h.model, 1)
 	if _, err := r.ExecuteTick(requests(t0.Add(time.Minute), dt)); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +385,7 @@ func TestCycleDetection(t *testing.T) {
 	h.byEntry[h.sources["TA"].EntryID] = b
 	h.byEntry[h.sources["TB"].EntryID] = a
 
-	r := New(h.ctrl, h.pool, h.model, 2)
+	r := New(h.ctrl, h.warehouse, h.model, 2)
 	if _, err := r.ExecuteTick(requests(t0.Add(time.Minute), a, b)); err == nil {
 		t.Fatal("expected cycle error")
 	} else if !strings.Contains(err.Error(), "cycle") {
@@ -393,7 +399,7 @@ func TestQuiesceBlocksTicksUntilResume(t *testing.T) {
 	h.insert(src, t0.Add(time.Second), ints(1))
 	dt := h.dt("d", "SELECT a FROM src")
 
-	r := New(h.ctrl, h.pool, h.model, 1)
+	r := New(h.ctrl, h.warehouse, h.model, 1)
 	r.Quiesce()
 	done := make(chan struct{})
 	go func() {
@@ -426,7 +432,7 @@ func TestConcurrentTicksDistinctDTsUnderRace(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		dts = append(dts, h.dt(fmt.Sprintf("w%d", i), "SELECT a, b FROM src"))
 	}
-	r := New(h.ctrl, h.pool, h.model, 4)
+	r := New(h.ctrl, h.warehouse, h.model, 4)
 	if _, err := r.ExecuteTick(requests(t0.Add(time.Minute), dts...)); err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +479,7 @@ func TestDeterministicVirtualTimes(t *testing.T) {
 			dts = append(dts, h.dt(fmt.Sprintf("s%d", i), "SELECT a, b FROM src"))
 		}
 		rollup := h.dt("zz_rollup", "SELECT a FROM s0")
-		r := New(h.ctrl, h.pool, h.model, 3)
+		r := New(h.ctrl, h.warehouse, h.model, 3)
 		results, err := r.ExecuteTick(requests(t0.Add(time.Minute), append(dts, rollup)...))
 		if err != nil {
 			t.Fatal(err)

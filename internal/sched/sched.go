@@ -3,11 +3,14 @@
 // canonical refresh periods (48·2ⁿ seconds with a shared phase so data
 // timestamps align across the graph), issues refreshes in dependency
 // order, and skips refreshes that would overlap a still-running one
-// (§3.3.3). The scheduler keeps no list of DTs: each pass reads the live
+// (§3.3.3). The scheduler keeps no per-DT state: each pass reads the live
 // DTs from the catalog (§5.1) through the function it was built with,
-// and each DT's upstreams from its bound plan (core.Controller.Upstreams).
-// The lag sawtooth of Figure 4 is not measured here: each DT derives it
-// from its own refresh records (core.DynamicTable.LagSeries).
+// each DT's upstreams from its bound plan (core.Controller.Upstreams),
+// and when its last scheduled refresh ends from its refresh records
+// (core.DynamicTable.BusyUntil). The lag sawtooth of Figure 4 is not
+// measured here either: each DT derives it from the same records
+// (core.DynamicTable.LagSeries). Execution, and so warehouse billing,
+// belongs to the refresher the scheduler is built with.
 package sched
 
 import (
@@ -21,7 +24,6 @@ import (
 	"dyntables/internal/core"
 	"dyntables/internal/refresher"
 	"dyntables/internal/sql"
-	"dyntables/internal/warehouse"
 )
 
 // MinCanonicalPeriod is 48 seconds — the n=0 canonical period (§5.2).
@@ -78,23 +80,21 @@ type Scheduler struct {
 	// tickMu serializes scheduler passes; it is always acquired before mu
 	// and held across an entire Step/RunUntil call.
 	tickMu sync.Mutex
-	// mu guards all fields below. It is released around
-	// Refresher.ExecuteTick so monitoring accessors stay responsive
-	// mid-wave.
-	mu   sync.Mutex
-	clk  *clock.Virtual
-	ctrl *core.Controller
+	clk    *clock.Virtual
+	ctrl   *core.Controller
 	// dts lists the live DTs, in any order. Each pass and each lag query
 	// calls it once, before taking mu.
-	dts   func() []*core.DynamicTable
-	pool  *warehouse.Pool
-	model warehouse.CostModel
+	dts func() []*core.DynamicTable
 	// exec executes the due set of each fire instant: it partitions the
 	// DTs into dependency waves and runs each wave concurrently on its
 	// worker pool. The scheduler keeps the policy decisions (which DTs
 	// are due, skip-vs-queue, stats); the refresher owns execution.
 	exec *refresher.Refresher
 
+	// mu guards all fields below. It is released around
+	// Refresher.ExecuteTick so monitoring accessors stay responsive
+	// mid-wave.
+	mu sync.Mutex
 	// phase is the account-wide constant phase for canonical periods
 	// (§5.2: "we choose a constant phase for each customer").
 	phase time.Duration
@@ -104,10 +104,6 @@ type Scheduler struct {
 	// advanced past them (a scheduler running late issues refreshes with
 	// the data timestamps it should have used).
 	cursor time.Time
-
-	// busyUntil tracks each DT's simulated refresh completion; a fire
-	// instant inside a busy window is skipped (§3.3.3).
-	busyUntil map[*core.DynamicTable]time.Time
 
 	stats Stats
 
@@ -120,46 +116,19 @@ type Scheduler struct {
 }
 
 // New creates a scheduler over the DTs that dts lists, refreshed through
-// ctrl. Each fire instant advances clk to it; a nil clk (an engine on the
-// wall clock, which is always past the instants it is asked to process)
-// is never advanced. Without SetRefresher, the first tick lazily installs
-// a serial (single-worker) refresh executor.
-func New(clk *clock.Virtual, ctrl *core.Controller, dts func() []*core.DynamicTable, pool *warehouse.Pool, model warehouse.CostModel, epoch time.Time, phase time.Duration) *Scheduler {
+// ctrl and executed by exec. Each fire instant advances clk
+// to it; a nil clk (an engine on the wall clock, which is always past the
+// instants it is asked to process) is never advanced.
+func New(clk *clock.Virtual, ctrl *core.Controller, dts func() []*core.DynamicTable, exec *refresher.Refresher, epoch time.Time, phase time.Duration) *Scheduler {
 	return &Scheduler{
-		clk:       clk,
-		ctrl:      ctrl,
-		dts:       dts,
-		pool:      pool,
-		model:     model,
-		epoch:     epoch,
-		phase:     phase,
-		cursor:    epoch,
-		busyUntil: make(map[*core.DynamicTable]time.Time),
+		clk:    clk,
+		ctrl:   ctrl,
+		dts:    dts,
+		exec:   exec,
+		epoch:  epoch,
+		phase:  phase,
+		cursor: epoch,
 	}
-}
-
-// SetRefresher installs the refresh executor driving each fire instant.
-func (s *Scheduler) SetRefresher(r *refresher.Refresher) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.exec = r
-}
-
-// Refresher returns the installed refresh executor (installing the
-// serial default if no tick has run yet).
-func (s *Scheduler) Refresher() *refresher.Refresher {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refresherLocked()
-}
-
-// refresherLocked returns the executor, lazily defaulting to a serial
-// one. Callers hold s.mu.
-func (s *Scheduler) refresherLocked() *refresher.Refresher {
-	if s.exec == nil {
-		s.exec = refresher.New(s.ctrl, s.pool, s.model, 1)
-	}
-	return s.exec
 }
 
 // Cursor returns the last processed fire instant, checkpointed so a
@@ -350,7 +319,7 @@ func (s *Scheduler) RunUntil(t time.Time) error {
 // applies the scheduling policy (skip-vs-queue, §3.3.3; exact-period
 // repair, E11), hands the due set to the refresher — which partitions it
 // into dependency waves and runs each wave concurrently — and folds the
-// results back into the stats and busy windows.
+// results back into the stats.
 // The policy pass and the result fold run under mu; execution does not,
 // so a long wave never blocks monitoring accessors. tickMu (held by the
 // caller) keeps concurrent passes from interleaving around the gap.
@@ -382,7 +351,7 @@ func (s *Scheduler) fireAt(at time.Time) error {
 
 		// Skip if the previous refresh is still running (§3.3.3). The
 		// skipped interval folds into the next refresh via the frontier.
-		busy := s.busyUntil[dt]
+		busy := dt.BusyUntil()
 		ready := at
 		if busy.After(ready) {
 			if !s.DisableSkip {
@@ -397,7 +366,6 @@ func (s *Scheduler) fireAt(at time.Time) error {
 	}
 
 	exactPeriods := s.ExactPeriods
-	exec := s.refresherLocked()
 	s.mu.Unlock()
 
 	// Under exact periods, upstream data timestamps misalign; repair by
@@ -427,7 +395,7 @@ func (s *Scheduler) fireAt(at time.Time) error {
 		}
 	}
 
-	results, err := exec.ExecuteTick(reqs)
+	results, err := s.exec.ExecuteTick(reqs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -437,9 +405,6 @@ func (s *Scheduler) fireAt(at time.Time) error {
 	}
 	for _, res := range results {
 		s.tally(res.Rec, res.Err)
-		if res.Err == nil {
-			s.busyUntil[res.DT] = res.End
-		}
 	}
 	return nil
 }

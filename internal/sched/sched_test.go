@@ -133,7 +133,7 @@ type dtHarness struct {
 	t       *testing.T
 	clk     *clock.Virtual
 	ctrl    *core.Controller
-	pool    *warehouse.Pool
+	wh      *warehouse.Warehouse
 	sources map[string]*plan.Source
 	nextID  int64
 	// dts are the harness's DTs, which the schedulers under test list;
@@ -146,14 +146,11 @@ func newDTHarness(t *testing.T) *dtHarness {
 	h := &dtHarness{
 		t:       t,
 		clk:     clock.NewVirtual(schedT0),
-		pool:    warehouse.NewPool(),
+		wh:      warehouse.New("wh", warehouse.SizeXSmall, time.Minute),
 		sources: map[string]*plan.Source{},
 		byEntry: map[int64]*core.DynamicTable{},
 	}
 	h.ctrl = core.NewController(txn.NewManager(h.clk), h, h.entry, h.ddlSeq)
-	if _, err := h.pool.Create("wh", warehouse.SizeXSmall, time.Minute); err != nil {
-		t.Fatal(err)
-	}
 	return h
 }
 
@@ -171,9 +168,24 @@ func (h *dtHarness) entry(id int64) (int64, *core.DynamicTable, error) {
 // list stands in for the catalog's list of live DTs.
 func (h *dtHarness) list() []*core.DynamicTable { return h.dts }
 
-// scheduler builds a scheduler over the harness's DTs.
+// warehouse stands in for the engine's warehouse lookup: every DT names
+// the one warehouse wh.
+func (h *dtHarness) warehouse(name string) (*warehouse.Warehouse, error) {
+	if name != h.wh.Name {
+		return nil, fmt.Errorf("no such warehouse %q", name)
+	}
+	return h.wh, nil
+}
+
+// refresher builds a refresh executor billing the harness's warehouse.
+func (h *dtHarness) refresher(model warehouse.CostModel, workers int) *refresher.Refresher {
+	return refresher.New(h.ctrl, h.warehouse, model, workers)
+}
+
+// scheduler builds a scheduler over the harness's DTs with a serial
+// refresh executor.
 func (h *dtHarness) scheduler(model warehouse.CostModel) *Scheduler {
-	return New(h.clk, h.ctrl, h.list, h.pool, model, schedT0, 0)
+	return New(h.clk, h.ctrl, h.list, h.refresher(model, 1), schedT0, 0)
 }
 
 func (h *dtHarness) ResolveTable(name string) (*plan.Source, error) {
@@ -354,9 +366,8 @@ func TestMonitoringAccessorsReturnMidWave(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := h.scheduler(warehouse.DefaultCostModel)
-	r := refresher.New(h.ctrl, h.pool, warehouse.DefaultCostModel, 1)
-	s.SetRefresher(r)
+	r := h.refresher(warehouse.DefaultCostModel, 1)
+	s := New(h.clk, h.ctrl, h.list, r, schedT0, 0)
 
 	r.Quiesce() // the next ExecuteTick blocks until Resume
 	done := make(chan error, 1)

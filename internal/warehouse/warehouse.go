@@ -4,6 +4,12 @@
 // arrives. The simulation is driven by virtual time: submitting a job
 // advances the warehouse's busy horizon and accrues billing, so schedulers
 // and benches can measure cost and queueing without wall-clock time.
+//
+// A Warehouse is a catalog object (§3.4): the catalog is the only
+// registry of warehouses, and the engine resolves a warehouse by name
+// through its live catalog entry. DROP moves the warehouse, billing and
+// all, to the catalog's graveyard; UNDROP brings it back; RENAME and SWAP
+// change the entry's name, which the engine copies onto Name.
 package warehouse
 
 import (
@@ -11,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dyntables/internal/catalog"
 )
 
 // Size is a warehouse size; each step doubles the node count (§3.3.1).
@@ -116,7 +124,8 @@ type Job struct {
 // Queued returns how long the job waited behind earlier jobs.
 func (j Job) Queued() time.Duration { return j.Start.Sub(j.Submit) }
 
-// Warehouse simulates one virtual warehouse.
+// Warehouse simulates one virtual warehouse. Name, Size and AutoSuspend
+// change only under DDL, which no job submission runs beside.
 type Warehouse struct {
 	Name        string
 	Size        Size
@@ -144,6 +153,9 @@ type Warehouse struct {
 func New(name string, size Size, autoSuspend time.Duration) *Warehouse {
 	return &Warehouse{Name: name, Size: size, AutoSuspend: autoSuspend}
 }
+
+// ObjectKind implements catalog.Object.
+func (w *Warehouse) ObjectKind() catalog.ObjectKind { return catalog.KindWarehouse }
 
 // Submit schedules a job that becomes ready at `at` and processes `rows`
 // rows under the cost model. Jobs run serially in submission order: the
@@ -280,50 +292,4 @@ func (w *Warehouse) JobCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.jobs
-}
-
-// Pool is a named set of warehouses.
-type Pool struct {
-	mu     sync.Mutex
-	byName map[string]*Warehouse
-}
-
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{byName: make(map[string]*Warehouse)}
-}
-
-// Create adds a warehouse; replacing an existing name is an error.
-func (p *Pool) Create(name string, size Size, autoSuspend time.Duration) (*Warehouse, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := strings.ToUpper(name)
-	if _, exists := p.byName[key]; exists {
-		return nil, fmt.Errorf("warehouse: %q already exists", name)
-	}
-	w := New(name, size, autoSuspend)
-	p.byName[key] = w
-	return w, nil
-}
-
-// Get resolves a warehouse by name.
-func (p *Pool) Get(name string) (*Warehouse, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w, ok := p.byName[strings.ToUpper(name)]
-	if !ok {
-		return nil, fmt.Errorf("warehouse: %q does not exist", name)
-	}
-	return w, nil
-}
-
-// All returns every warehouse.
-func (p *Pool) All() []*Warehouse {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Warehouse, 0, len(p.byName))
-	for _, w := range p.byName {
-		out = append(out, w)
-	}
-	return out
 }

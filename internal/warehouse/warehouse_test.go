@@ -99,26 +99,6 @@ func TestCreditsPerSecondGranularity(t *testing.T) {
 	}
 }
 
-func TestPool(t *testing.T) {
-	p := NewPool()
-	if _, err := p.Create("wh", SizeXSmall, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Create("WH", SizeXSmall, time.Minute); err == nil {
-		t.Error("duplicate (case-insensitive) name should fail")
-	}
-	w, err := p.Get("wH")
-	if err != nil || w.Name != "wh" {
-		t.Errorf("get: %v %v", w, err)
-	}
-	if _, err := p.Get("missing"); err == nil {
-		t.Error("missing warehouse should fail")
-	}
-	if len(p.All()) != 1 {
-		t.Errorf("all: %d", len(p.All()))
-	}
-}
-
 func TestJobLog(t *testing.T) {
 	w := New("wh", SizeXSmall, time.Minute)
 	job := w.Submit(t0, 5, DefaultCostModel)

@@ -414,10 +414,12 @@ func (e *Engine) warehousesTable() *plan.VirtualTable {
 	)
 }
 
-// sortedWarehouses lists the warehouses by name.
+// sortedWarehouses lists the live warehouses by name.
 func (e *Engine) sortedWarehouses() []*warehouse.Warehouse {
-	whs := e.pool.All()
-	sort.Slice(whs, func(i, j int) bool { return whs[i].Name < whs[j].Name })
+	var whs []*warehouse.Warehouse
+	for _, entry := range e.cat.List(catalog.KindWarehouse) {
+		whs = append(whs, entry.Payload.(*warehouse.Warehouse))
+	}
 	return whs
 }
 

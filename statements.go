@@ -380,12 +380,13 @@ func (x *executor) execCreateWarehouse(stmt *sql.CreateWarehouseStmt) (*Result, 
 		AutoSuspend: int64(autoSuspend / time.Microsecond),
 		CreatedAt:   e.txns.Now(),
 	}
-	// Replacement keeps the existing warehouse identity (and its billing
-	// history) and adds no catalog entry.
-	_, gerr := e.pool.Get(stmt.Name)
-	replaced := gerr == nil
-	if !replaced && !e.cat.Exists(stmt.Name) {
-		rec.EntryID = e.entryIDFor(stmt.Name, false)
+	// OR REPLACE of a live warehouse resizes it in place: it keeps its
+	// entry and its billing history, and the record carries no entry ID.
+	// Anything else installs a new entry under the catalog's rules.
+	_, gerr := e.Warehouse(stmt.Name)
+	replaced := stmt.OrReplace && gerr == nil
+	if !replaced {
+		rec.EntryID = e.entryIDFor(stmt.Name, stmt.OrReplace)
 	}
 	if err := e.execDDL(&persist.Record{Kind: persist.KindCreateWh, CreateWh: rec}); err != nil {
 		return nil, err
@@ -404,7 +405,7 @@ func (x *executor) execCreateDynamicTable(stmt *sql.CreateDynamicTableStmt) (*Re
 	if stmt.Warehouse == "" {
 		return nil, fmt.Errorf("dyntables: dynamic table %s requires WAREHOUSE", stmt.Name)
 	}
-	if _, err := e.pool.Get(stmt.Warehouse); err != nil {
+	if _, err := e.Warehouse(stmt.Warehouse); err != nil {
 		return nil, err
 	}
 	if err := checkTargetLag(stmt.Lag); err != nil {
@@ -528,7 +529,7 @@ func (e *Engine) refreshAt(dt *core.DynamicTable, dataTS time.Time) error {
 	}
 	// Charge the warehouse for non-trivial work.
 	if rec.Action != core.ActionNoData && rec.Action != core.ActionSkip {
-		if wh, werr := e.pool.Get(dt.Warehouse); werr == nil {
+		if wh, werr := e.Warehouse(dt.Warehouse); werr == nil {
 			job := wh.Submit(dataTS, rec.SourceRowsScanned, e.model)
 			// Place the refresh and its job at the job's virtual timing
 			// (manual refreshes run outside a scheduler tick: no wave, no
