@@ -226,6 +226,18 @@ func (c *Catalog) Exists(name string) bool {
 	return ok
 }
 
+// LastDropped returns the most recently dropped object with the name: the
+// one UNDROP would restore.
+func (c *Catalog) LastDropped(name string) (*Entry, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	stack := c.dropped[key(name)]
+	if len(stack) == 0 {
+		return nil, false
+	}
+	return stack[len(stack)-1], true
+}
+
 // Drop removes the object from the namespace but keeps it in a graveyard
 // so UNDROP can restore it (§3.4).
 func (c *Catalog) Drop(name string, ts hlc.Timestamp) error {

@@ -66,7 +66,9 @@ type NamedArg struct {
 // Named builds a NamedArg, mirroring the engine's Named helper.
 func Named(name string, value any) NamedArg { return NamedArg{Name: name, Value: value} }
 
-// do issues one JSON request. out may be nil.
+// do sends one JSON request and reads the reply into out, which may be
+// nil. The result bodies, *statementBody and *rowsBody, are read with the
+// wire scanner (decode.go); every other body with encoding/json.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -91,20 +93,49 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	dec.UseNumber()
 	if resp.StatusCode >= 400 {
 		var eb errorBody
-		if err := dec.Decode(&eb); err != nil || eb.Error.Code == "" {
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code == "" {
 			return &ProtocolError{Status: resp.StatusCode, Code: "http_error", Message: resp.Status}
 		}
 		return &ProtocolError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
 	}
-	if out == nil {
+	switch body := out.(type) {
+	case nil:
 		io.Copy(io.Discard, resp.Body)
 		return nil
+	case *statementBody:
+		data, err := readBody(resp)
+		if err != nil {
+			return err
+		}
+		return decodeStatementBody(data, body)
+	case *rowsBody:
+		data, err := readBody(resp)
+		if err != nil {
+			return err
+		}
+		return decodeRowsBody(data, body)
+	default:
+		dec := json.NewDecoder(resp.Body)
+		dec.UseNumber()
+		return dec.Decode(out)
 	}
-	return dec.Decode(out)
+}
+
+// maxPresized caps the buffer readBody allocates up front from a
+// response's declared length.
+const maxPresized = 16 << 20
+
+// readBody reads a whole response body as one string, into a buffer sized
+// from Content-Length when the server sent one.
+func readBody(resp *http.Response) (string, error) {
+	var b bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		b.Grow(int(min(n, maxPresized)) + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(resp.Body)
+	return b.String(), err
 }
 
 // Status is the daemon's liveness snapshot.

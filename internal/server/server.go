@@ -85,9 +85,10 @@ type statement struct {
 	mu        sync.Mutex
 	cur       Cursor
 	cols      []string
-	served    int64   // rows handed out so far
-	page      [][]any // most recent page, kept for idempotent retry
-	pageStart int64   // `after` value the cached page answered
+	served    int64  // rows handed out so far
+	page      []byte // most recent page's encoded body, kept for idempotent retry
+	pageRows  int    // rows in the cached page
+	pageStart int64  // `after` value the cached page answered
 	done      bool
 	closed    bool
 
@@ -323,10 +324,59 @@ func writeError(w http.ResponseWriter, e *httpError) {
 	writeJSON(w, e.status, body)
 }
 
+// writeJSON answers with v encoded by encoding/json. It encodes before
+// writing the header, so a failed encode answers an error, never a 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, errf(http.StatusInternalServerError, "encode_failed", "%v", err))
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody answers with an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+}
+
+// unencodable is the protocol error for a result the wire codec cannot
+// encode. The statement ran; its result holds a value JSON has no form for.
+func unencodable(err error) *httpError {
+	return errf(http.StatusUnprocessableEntity, "unencodable_value", "%v", err)
+}
+
+// bodyPool recycles the buffers buffered results are encoded into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the size of a buffer kept in bodyPool, so one large
+// result does not stay pinned after it is sent.
+const maxPooledBody = 1 << 20
+
+// writeResult answers with a buffered result's statementBody, or a script's
+// with script set. The body is encoded in full before anything is written.
+func writeResult(w http.ResponseWriter, script bool, results ...*Result) {
+	buf := bodyPool.Get().(*[]byte)
+	var body []byte
+	var err error
+	if script {
+		body, err = appendScriptBody((*buf)[:0], results)
+	} else {
+		body, err = appendResultBody((*buf)[:0], results[0])
+	}
+	if err != nil {
+		writeError(w, unencodable(err))
+	} else {
+		writeBody(w, http.StatusOK, body)
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyPool.Put(buf)
+	}
 }
 
 // statusWriter captures the response status for the metrics middleware.
@@ -482,6 +532,10 @@ type statementRequest struct {
 	Cursor bool      `json:"cursor,omitempty"`
 }
 
+// resultBody, statementBody and rowsBody are the result bodies as the Go
+// client decodes them. Their json tags define the wire form; the server
+// writes it with the append functions in codec.go and the client reads it
+// with decode.go, and FuzzWireCodec checks both against encoding/json.
 type resultBody struct {
 	Kind         string   `json:"kind"`
 	Columns      []string `json:"columns,omitempty"`
@@ -529,16 +583,6 @@ type statusBody struct {
 	Durable              bool    `json:"durable"`
 	WALBytes             int64   `json:"wal_bytes"`
 	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"`
-}
-
-func toResultBody(res *Result) resultBody {
-	return resultBody{
-		Kind:         res.Kind,
-		Columns:      res.Columns,
-		Rows:         encodeRows(res.Rows),
-		RowsAffected: res.RowsAffected,
-		Message:      res.Message,
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -629,12 +673,10 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 			writeError(w, sqlError(err))
 			return
 		}
-		body := statementBody{Results: make([]resultBody, len(results))}
-		for i, res := range results {
-			body.Results[i] = toResultBody(res)
+		for _, res := range results {
 			meta.rows += len(res.Rows)
 		}
-		writeJSON(w, http.StatusOK, body)
+		writeResult(w, true, results...)
 		return
 	}
 	if req.SQL == "" {
@@ -678,7 +720,7 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 		sess.stmts[st.id] = st
 		s.mu.Unlock()
 		meta.statementID = st.id
-		writeJSON(w, http.StatusOK, statementBody{StatementID: st.id, Columns: st.cols})
+		writeBody(w, http.StatusOK, appendCursorBody(nil, st.id, st.cols))
 		return
 	}
 
@@ -688,8 +730,7 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta.rows = len(res.Rows)
-	body := toResultBody(res)
-	writeJSON(w, http.StatusOK, statementBody{Result: &body})
+	writeResult(w, false, res)
 }
 
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
@@ -731,8 +772,8 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// same `after`; the cached page answers it without re-reading the
 	// cursor.
 	if after == st.pageStart {
-		meta.rows = len(st.page)
-		writeJSON(w, http.StatusOK, rowsBody{Rows: st.page, After: st.served, Done: st.done})
+		meta.rows = st.pageRows
+		writeBody(w, http.StatusOK, st.page)
 		return
 	}
 	if after != st.served {
@@ -741,37 +782,51 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.done {
-		writeJSON(w, http.StatusOK, rowsBody{Rows: [][]any{}, After: st.served, Done: true})
+		writeBody(w, http.StatusOK, appendPageEnd(appendPageStart(nil), st.served, true))
 		return
 	}
 
-	rows := make([][]any, 0, limit)
-	for len(rows) < limit && st.cur.Next() {
-		src := st.cur.Row()
-		enc := make([]any, len(src))
-		for i, v := range src {
-			enc[i] = encodeValue(v)
+	// The page is encoded row by row as the cursor yields it, into the
+	// buffer of the page it replaces as the retry cache.
+	body := appendPageStart(st.page[:0])
+	n := 0
+	var encErr error
+	for n < limit && st.cur.Next() {
+		if n > 0 {
+			body = append(body, ',')
 		}
-		rows = append(rows, enc)
+		if body, encErr = appendRow(body, st.cur.Row(), st.cols); encErr != nil {
+			break
+		}
+		n++
 	}
-	if len(rows) < limit {
-		// Exhausted (or failed): release the cursor and its pinned
-		// snapshot now rather than waiting for DELETE or the reaper.
-		err := st.cur.Err()
+	if n < limit || encErr != nil {
+		// Exhausted, failed, or at a row the wire cannot carry: release
+		// the cursor and its pinned snapshot now rather than waiting for
+		// DELETE or the reaper.
+		var hErr *httpError
+		if err := st.cur.Err(); err != nil {
+			hErr = sqlError(err)
+		} else if encErr != nil {
+			// The cursor has moved past the page's rows, so the statement
+			// cannot resume: it closes with the error.
+			hErr = unencodable(encErr)
+		}
 		st.cur.Close()
 		st.cur = nil
-		if err != nil {
+		if hErr != nil {
 			st.closed = true
-			writeError(w, sqlError(err))
+			st.page = nil
+			writeError(w, hErr)
 			return
 		}
 		st.done = true
 	}
-	st.pageStart = after
-	st.page = rows
-	st.served = after + int64(len(rows))
-	meta.rows = len(rows)
-	writeJSON(w, http.StatusOK, rowsBody{Rows: rows, After: st.served, Done: st.done})
+	st.served = after + int64(n)
+	st.page = appendPageEnd(body, st.served, st.done)
+	st.pageStart, st.pageRows = after, n
+	meta.rows = n
+	writeBody(w, http.StatusOK, st.page)
 }
 
 func (s *Server) handleCancelStatement(w http.ResponseWriter, r *http.Request) {
@@ -855,8 +910,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta.rows = len(res.Rows)
-	body := toResultBody(res)
-	writeJSON(w, http.StatusOK, statementBody{Result: &body})
+	writeResult(w, false, res)
 }
 
 // handleAlerts serves GET /v1/alerts: the registered watchdog alerts
@@ -879,8 +933,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta.rows = len(res.Rows)
-	body := toResultBody(res)
-	writeJSON(w, http.StatusOK, statementBody{Result: &body})
+	writeResult(w, false, res)
 }
 
 var identRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_$]*$`)
@@ -919,8 +972,7 @@ func (s *Server) handleRefreshMode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, sqlError(err))
 		return
 	}
-	body := toResultBody(res)
-	writeJSON(w, http.StatusOK, statementBody{Result: &body})
+	writeResult(w, false, res)
 }
 
 // adminOnly wraps a handler (the pprof endpoints) behind requireAdmin,

@@ -516,3 +516,61 @@ func TestPprofAdminGate(t *testing.T) {
 		t.Errorf("open-access pprof: http %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestUnencodableValue runs results holding +Inf, which JSON has no form
+// for: a buffered statement and a script answer the unencodable_value
+// error naming the column, and a cursor whose next page holds one closes
+// with that error, releasing its cursor.
+func TestUnencodableValue(t *testing.T) {
+	eng, _, ts := newTestServer(t, nil, -1)
+	ctx := context.Background()
+	cli := server.NewClient(ts.URL, "")
+	sess := mustSession(t, cli, "")
+	wantUnencodable := func(what string, err error, col string) {
+		t.Helper()
+		var pe *server.ProtocolError
+		if !errors.As(err, &pe) || pe.Code != "unencodable_value" || !strings.Contains(pe.Message, `"`+col+`"`) {
+			t.Fatalf("%s: %v, want an unencodable_value error naming column %s", what, err, col)
+		}
+	}
+
+	_, err := sess.Exec(ctx, `SELECT 1e308 * 10.0 AS big`)
+	wantUnencodable("Exec", err, "big")
+	_, err = sess.ExecScript(ctx, `SELECT 1 AS one; SELECT -1e308 * 10.0 AS small`)
+	wantUnencodable("ExecScript", err, "small")
+	// The session still works.
+	if res, err := sess.Exec(ctx, `SELECT 1e308 AS big`); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("finite float after the error: %v, %v", res, err)
+	}
+
+	if _, err := sess.ExecScript(ctx, `
+		CREATE TABLE f (a INT, x FLOAT);
+		INSERT INTO f VALUES (1, 1.0), (2, 2.0), (3, 1e308), (4, 4.0);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.QueryPaged(ctx, 2, `SELECT a, x * 10.0 AS y FROM f ORDER BY a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if n != 2 {
+		t.Errorf("cursor served %d rows before the unencodable page, want 2", n)
+	}
+	wantUnencodable("cursor", rows.Err(), "y")
+	if got := eng.OpenCursors(); got != 0 {
+		t.Errorf("OpenCursors = %d after the failed page, want 0", got)
+	}
+	// The statement is closed: a retry of the failed page is gone, not a
+	// page that skips the rows the cursor moved past.
+	resp, _ := getJSON(t, fmt.Sprintf("%s/v1/statements/%s/rows?after=2&limit=2", ts.URL, rows.ID()))
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("fetch after the failed page: http %d, want 410", resp.StatusCode)
+	}
+	if err := rows.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}

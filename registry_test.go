@@ -345,6 +345,50 @@ func TestRegistryWarehouseNameClash(t *testing.T) {
 	}
 }
 
+// TestRegistryDropChecksKind runs DROP and UNDROP of a kind other than the
+// named entry's: a table, a warehouse and a DT share one namespace, and the
+// statement must not reach an object of another kind through the name.
+func TestRegistryDropChecksKind(t *testing.T) {
+	e := New()
+	t.Cleanup(func() { e.Close() })
+	e.MustExec(`CREATE WAREHOUSE wh`)
+	e.MustExec(`DROP WAREHOUSE wh`)
+	e.MustExec(`CREATE TABLE wh (a INT)`)
+	e.MustExec(`INSERT INTO wh VALUES (5)`)
+	e.MustExec(`DROP TABLE wh`)
+	// The most recently dropped wh is the table.
+	if _, err := e.Exec(`UNDROP WAREHOUSE wh`); err == nil || !strings.Contains(err.Error(), "wh is a TABLE") {
+		t.Fatalf("UNDROP WAREHOUSE wh with a dropped table on top: %v, want a kind error", err)
+	}
+	if _, err := e.Exec(`SELECT a FROM wh`); err == nil {
+		t.Fatal("the rejected UNDROP WAREHOUSE restored the table wh")
+	}
+	e.MustExec(`UNDROP TABLE wh`)
+	if _, err := e.Exec(`DROP WAREHOUSE wh`); err == nil || !strings.Contains(err.Error(), "wh is a TABLE") {
+		t.Fatalf("DROP WAREHOUSE on the table wh: %v, want a kind error", err)
+	}
+	if _, err := e.Exec(`DROP DYNAMIC TABLE wh`); err == nil || !strings.Contains(err.Error(), "wh is a TABLE") {
+		t.Fatalf("DROP DYNAMIC TABLE on the table wh: %v, want a kind error", err)
+	}
+	res := e.MustExec(`SELECT a FROM wh`)
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 5 {
+		t.Fatalf("the table wh holds %v after the rejected drops, want [[5]]", res.Rows)
+	}
+
+	e = New()
+	t.Cleanup(func() { e.Close() })
+	registryScript(t, e)
+	if _, err := e.Exec(`DROP TABLE d`); err == nil || !strings.Contains(err.Error(), "d is a DYNAMIC TABLE") {
+		t.Fatalf("DROP TABLE on the DT d: %v, want a kind error", err)
+	}
+	e.MustExec(`DROP DYNAMIC TABLE d`)
+	if _, err := e.Exec(`UNDROP VIEW d`); err == nil || !strings.Contains(err.Error(), "d is a DYNAMIC TABLE") {
+		t.Fatalf("UNDROP VIEW of the dropped DT d: %v, want a kind error", err)
+	}
+	e.MustExec(`UNDROP DYNAMIC TABLE d`)
+	mustDT(t, e, "d")
+}
+
 // TestRegistryWarehouseCheckpointKeepsDroppedAndLive checkpoints a dropped
 // wh and a live wh created after it, and reopens: each comes back with its
 // own size and billed time and bills again.

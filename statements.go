@@ -791,6 +791,11 @@ func (x *executor) execDrop(stmt *sql.DropStmt) (*Result, error) {
 	if stmt.Kind == "ALERT" {
 		return x.execDropAlert(stmt)
 	}
+	if ent, err := x.e.cat.Get(stmt.Name); err == nil {
+		if err := checkObjectKind("DROP", stmt.Kind, stmt.Name, ent); err != nil {
+			return nil, err
+		}
+	}
 	if err := x.e.execDDL(&persist.Record{Kind: persist.KindDrop,
 		Drop: &persist.DropRecord{Name: stmt.Name, TS: x.e.txns.Now()}}); err != nil {
 		return nil, err
@@ -802,11 +807,27 @@ func (x *executor) execUndrop(stmt *sql.UndropStmt) (*Result, error) {
 	if stmt.Kind == "ALERT" {
 		return nil, fmt.Errorf("dyntables: UNDROP does not support alerts")
 	}
+	if ent, ok := x.e.cat.LastDropped(stmt.Name); ok {
+		if err := checkObjectKind("UNDROP", stmt.Kind, stmt.Name, ent); err != nil {
+			return nil, err
+		}
+	}
 	if err := x.e.execDDL(&persist.Record{Kind: persist.KindUndrop,
 		Undrop: &persist.DropRecord{Name: stmt.Name, TS: x.e.txns.Now()}}); err != nil {
 		return nil, err
 	}
 	return &Result{Kind: "UNDROP", Message: fmt.Sprintf("%s %s restored", stmt.Kind, stmt.Name)}, nil
+}
+
+// checkObjectKind rejects a DROP or UNDROP whose object kind is not the
+// kind of the entry the name reaches. Tables, views, DTs and warehouses
+// share one namespace, so the name alone could reach an object of another
+// kind. The check runs at the statement, before any record is written.
+func checkObjectKind(verb, kind, name string, ent *catalog.Entry) error {
+	if ent.Kind.String() != kind {
+		return fmt.Errorf("dyntables: cannot %s %s %s: %s is a %s", verb, kind, name, name, ent.Kind)
+	}
+	return nil
 }
 
 func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
