@@ -258,7 +258,9 @@ func AggregateColumnar(a *plan.Aggregate, in *ColumnarRows, affected map[string]
 // aggregate-argument expressions are evaluated once per column over the
 // whole batch, and each row folds into the group table (groupTable), so
 // the steady-state per-row work (existing group, key already seen)
-// allocates nothing.
+// allocates nothing. A single key of one INT-family or STRING kind finds
+// its group by the value's payload; only the affected-group restriction
+// encodes it.
 func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, ctx *Context) ([]TRow, error) {
 	ev := ctx.eval()
 	keys := make([]*types.Vector, len(a.GroupBy))
@@ -281,19 +283,21 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 		args[i] = v
 	}
 
-	t := newGroupTable(a, false)
 	n := in.len()
+	t := newGroupTable(a, false, n)
 	ticks := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.tick(&ticks); err != nil {
 			return nil, err
 		}
 		for k, kv := range keys {
-			t.vals[k] = kv.Value(i)
+			t.row[k] = kv.Value(i)
 		}
-		t.encode(t.vals)
-		if affected != nil && !affected[string(t.key)] {
-			continue
+		if affected != nil {
+			t.key = appendKey(t.key[:0], t.row)
+			if !affected[string(t.key)] {
+				continue
+			}
 		}
 		for k, av := range args {
 			t.args[k] = types.Null
@@ -301,11 +305,11 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 				t.args[k] = av.Value(i)
 			}
 		}
-		if _, err := t.fold(t.groups[string(t.key)], t.vals, t.args, 1); err != nil {
+		if _, _, err := t.fold(t.find(t.row), t.row, t.args, 1); err != nil {
 			return nil, err
 		}
 	}
-	return t.result(GroupRowID), nil
+	return t.result('g'), nil
 }
 
 // batchIter adapts a columnar result to the pull-based cursor protocol,

@@ -216,12 +216,15 @@ func runProject(p *plan.Project, ctx *Context) ([]TRow, error) {
 	}
 	ev := ctx.eval()
 	out := make([]TRow, len(in))
+	// The output rows share one backing array.
+	w := len(p.Exprs)
+	backing := make(types.Row, len(in)*w)
 	ticks := 0
 	for i, tr := range in {
 		if err := ctx.tick(&ticks); err != nil {
 			return nil, err
 		}
-		row := make(types.Row, len(p.Exprs))
+		row := backing[i*w : (i+1)*w : (i+1)*w]
 		for j, e := range p.Exprs {
 			v, err := plan.Eval(e, tr.Row, ev)
 			if err != nil {
@@ -325,11 +328,11 @@ func runAggregate(a *plan.Aggregate, ctx *Context) ([]TRow, error) {
 // AggregateRows aggregates pre-computed input rows; reused by the IVM
 // affected-group recompute rule.
 func AggregateRows(a *plan.Aggregate, in []TRow, ctx *Context) ([]TRow, error) {
-	t := newGroupTable(a, false)
+	t := newGroupTable(a, false, len(in))
 	if _, err := t.foldRows(in, 1, ctx, nil); err != nil {
 		return nil, err
 	}
-	return t.result(GroupRowID), nil
+	return t.result('g'), nil
 }
 
 // GroupRowID derives the stable row ID for an aggregate output row from
@@ -339,9 +342,25 @@ func GroupRowID(encodedKey string) string { return hashRowID('g', encodedKey) }
 // DistinctRowID derives the stable row ID for a distinct output row.
 func DistinctRowID(encodedKey string) string { return hashRowID('d', encodedKey) }
 
+// maxRowIDLen is the longest ID appendRowID appends: a prefix, ':' and
+// 16 hex digits.
+const maxRowIDLen = 18
+
 // hashRowID returns prefix, ':' and the FNV-1a 64 hash of key in hex,
 // built in one buffer so that the ID is the only allocation.
 func hashRowID(prefix byte, key string) string {
+	var buf [maxRowIDLen]byte
+	buf[0], buf[1] = prefix, ':'
+	return string(strconv.AppendUint(buf[:2], fnv64a(key), 16))
+}
+
+// appendRowID appends hashRowID's ID of prefix and key to dst.
+func appendRowID(dst []byte, prefix byte, key []byte) []byte {
+	return strconv.AppendUint(append(dst, prefix, ':'), fnv64a(key), 16)
+}
+
+// fnv64a returns the FNV-1a 64 hash of key.
+func fnv64a[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -351,9 +370,7 @@ func hashRowID(prefix byte, key string) string {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	var buf [18]byte
-	buf[0], buf[1] = prefix, ':'
-	return string(strconv.AppendUint(buf[:2], h, 16))
+	return h
 }
 
 // ---------------------------------------------------------------------------
@@ -776,11 +793,11 @@ func runDistinct(d *plan.Distinct, ctx *Context) ([]TRow, error) {
 // DistinctRows eliminates duplicates from pre-computed rows, keeping each
 // value's first row; reused by IVM.
 func DistinctRows(in []TRow) ([]TRow, error) {
-	t := newDistinctTable()
+	t := newDistinctTable(len(in))
 	if _, err := t.foldRows(in, 1, &Context{}, nil); err != nil {
 		return nil, err
 	}
-	return t.result(DistinctRowID), nil
+	return t.result('d'), nil
 }
 
 func runFlatten(f *plan.Flatten, ctx *Context) ([]TRow, error) {

@@ -75,11 +75,7 @@ func NewValueVector(vals []Value) *Vector {
 // typed payload so downstream fast paths stay engaged.
 func NewConstVector(v Value, n int) *Vector {
 	if v.IsNull() {
-		nulls := make([]bool, n)
-		for i := range nulls {
-			nulls[i] = true
-		}
-		return &Vector{kind: KindInt, ints: make([]int64, n), nulls: nulls, length: n}
+		return nullVector(n)
 	}
 	switch v.kind {
 	case KindInt, KindTimestamp, KindInterval:
@@ -137,12 +133,7 @@ func VectorFromValues(vals []Value) *Vector {
 	}
 	n := len(vals)
 	if kind == KindNull {
-		// All-NULL column: represent as a typed INT column of NULLs.
-		nulls := make([]bool, n)
-		for i := range nulls {
-			nulls[i] = true
-		}
-		return &Vector{kind: KindInt, ints: make([]int64, n), nulls: nulls, length: n}
+		return nullVector(n)
 	}
 	var nulls []bool
 	setNull := func(i int) {
@@ -191,6 +182,85 @@ func VectorFromValues(vals []Value) *Vector {
 		}
 	}
 	out.nulls = nulls
+	return out
+}
+
+// nullVector returns a column of n NULLs: a typed INT column whose every
+// position is NULL.
+func nullVector(n int) *Vector {
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = true
+	}
+	return &Vector{kind: KindInt, ints: make([]int64, n), nulls: nulls, length: n}
+}
+
+// cell returns column c of row, or NULL when the row is shorter.
+func cell(row Row, c int) Value {
+	if c < len(row) {
+		return row[c]
+	}
+	return Null
+}
+
+// vectorFromRows builds column c of rows exactly as VectorFromValues
+// builds it from the column's values, but fills the typed payload straight
+// from the rows: one pass finds the column's kind and a second fills the
+// payload and the null mask. Only a mixed-kind or VARIANT column, which
+// takes the generic payload, copies its values out first.
+func vectorFromRows(rows []Row, c int) *Vector {
+	kind := KindNull
+	for _, row := range rows {
+		v := cell(row, c)
+		if v.IsNull() {
+			continue
+		}
+		if kind == KindNull {
+			kind = v.kind
+		}
+		if v.kind != kind || !typedVectorKind(kind) {
+			vals := make([]Value, len(rows))
+			for i, row := range rows {
+				vals[i] = cell(row, c)
+			}
+			return NewValueVector(vals)
+		}
+	}
+	n := len(rows)
+	if kind == KindNull {
+		return nullVector(n)
+	}
+	out := &Vector{kind: kind, length: n}
+	switch kind {
+	case KindInt, KindTimestamp, KindInterval:
+		out.ints = make([]int64, n)
+	case KindFloat:
+		out.floats = make([]float64, n)
+	case KindString:
+		out.strs = make([]string, n)
+	case KindBool:
+		out.bools = make([]bool, n)
+	}
+	for i, row := range rows {
+		v := cell(row, c)
+		if v.IsNull() {
+			if out.nulls == nil {
+				out.nulls = make([]bool, n)
+			}
+			out.nulls[i] = true
+			continue
+		}
+		switch kind {
+		case KindInt, KindTimestamp, KindInterval:
+			out.ints[i] = v.i()
+		case KindFloat:
+			out.floats[i] = v.f()
+		case KindString:
+			out.strs[i] = v.s()
+		case KindBool:
+			out.bools[i] = v.b()
+		}
+	}
 	return out
 }
 
@@ -452,7 +522,8 @@ func (b *Batch) Rows() []Row {
 }
 
 // Col returns column c as a vector, columnarizing it from the row views
-// (or building it from the source) on first use.
+// (or building it from the source) on first use. A column of one scalar
+// kind fills its typed payload straight from the rows.
 func (b *Batch) Col(c int) *Vector {
 	if b.src != nil {
 		return fromSource(b, &b.cols[c], func(v *Vector) bool { return v == nil }, func() *Vector { return b.src.Col(c) })
@@ -463,13 +534,7 @@ func (b *Batch) Col(c int) *Vector {
 		b.cols = make([]*Vector, len(b.schema.Columns))
 	}
 	if b.cols[c] == nil {
-		vals := make([]Value, len(b.rows))
-		for i, row := range b.rows {
-			if c < len(row) {
-				vals[i] = row[c]
-			}
-		}
-		b.cols[c] = VectorFromValues(vals)
+		b.cols[c] = vectorFromRows(b.rows, c)
 	}
 	return b.cols[c]
 }

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"math/rand"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -114,5 +116,76 @@ func TestLazyBatchConcurrentReaders(t *testing.T) {
 	b.IDs()
 	if src.builds.Load() != before {
 		t.Errorf("cached parts were built again")
+	}
+}
+
+// TestBatchColMatchesVectorFromValues checks that a row batch's Col(c),
+// which fills a typed payload straight from the rows, builds the vector
+// VectorFromValues builds from the column's values: for one kind or a mix
+// of kinds per column, with and without NULLs, VARIANTs, rows shorter than
+// the schema, and no rows at all.
+func TestBatchColMatchesVectorFromValues(t *testing.T) {
+	gens := []func(r *rand.Rand) Value{
+		func(r *rand.Rand) Value { return NewInt(r.Int63n(7) - 3) },
+		func(r *rand.Rand) Value { return NewFloat(float64(r.Intn(7)) / 2) },
+		func(r *rand.Rand) Value { return NewString(strconv.Itoa(r.Intn(5))) },
+		func(r *rand.Rand) Value { return NewBool(r.Intn(2) == 0) },
+		func(r *rand.Rand) Value { return NewTimestampMicros(r.Int63n(100)) },
+		func(r *rand.Rand) Value { return intValue(KindInterval, r.Int63n(100)) },
+		func(r *rand.Rand) Value { return NewVariant(float64(r.Intn(3))) },
+		func(*rand.Rand) Value { return Null },
+	}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		const width = 3
+		// Each column draws its values from one to three generators.
+		var kinds [width][]func(*rand.Rand) Value
+		for c := range kinds {
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				kinds[c] = append(kinds[c], gens[r.Intn(len(gens))])
+			}
+		}
+		n := r.Intn(6)
+		ids, rows := make([]string, n), make([]Row, n)
+		for i := range rows {
+			ids[i] = strconv.Itoa(i)
+			w := width
+			if r.Intn(8) == 0 {
+				w = r.Intn(width)
+			}
+			rows[i] = make(Row, w)
+			for c := range rows[i] {
+				rows[i][c] = kinds[c][r.Intn(len(kinds[c]))](r)
+			}
+		}
+		schema := Schema{Columns: make([]Column, width)}
+		b := NewBatch(schema, ids, rows)
+		for c := 0; c < width; c++ {
+			vals := make([]Value, n)
+			for i, row := range rows {
+				if c < len(row) {
+					vals[i] = row[c]
+				}
+			}
+			if got, want := b.Col(c), VectorFromValues(vals); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, column %d of %v: Col = %+v, VectorFromValues = %+v", trial, c, rows, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkBatchCol columnarizes one INT column of a fresh 50k-row batch
+// of (INT, STRING) rows, as the first reader of a new version does.
+func BenchmarkBatchCol(b *testing.B) {
+	const n = 50_000
+	ids, rows := make([]string, n), make([]Row, n)
+	for i := range rows {
+		ids[i] = strconv.Itoa(i)
+		rows[i] = Row{NewInt(int64(i)), NewString(ids[i])}
+	}
+	schema := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
+	b.ReportAllocs()
+	for b.Loop() {
+		NewBatch(schema, ids, rows).Col(0)
 	}
 }

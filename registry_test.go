@@ -389,6 +389,44 @@ func TestRegistryDropChecksKind(t *testing.T) {
 	mustDT(t, e, "d")
 }
 
+// TestRegistryRenameAndSwapCheckKind runs ALTER ... RENAME and SWAP with a
+// kind other than the named entry's, and SWAP with a target of another
+// kind: each must fail and leave both names where they were.
+func TestRegistryRenameAndSwapCheckKind(t *testing.T) {
+	e := New()
+	t.Cleanup(func() { e.Close() })
+	registryScript(t, e)
+	for _, tc := range []struct{ stmt, want string }{
+		{`ALTER WAREHOUSE src RENAME TO src2`, "src is a TABLE"},
+		{`ALTER DYNAMIC TABLE src RENAME TO src2`, "src is a TABLE"},
+		{`ALTER TABLE d RENAME TO d2`, "d is a DYNAMIC TABLE"},
+		{`ALTER TABLE wh SWAP WITH src`, "wh is a WAREHOUSE"},
+		{`ALTER TABLE src SWAP WITH d`, "d is a DYNAMIC TABLE"},
+		{`ALTER TABLE src SWAP WITH wh`, "wh is a WAREHOUSE"},
+	} {
+		if _, err := e.Exec(tc.stmt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a kind error naming %q", tc.stmt, err, tc.want)
+		}
+	}
+	if res := e.MustExec(`SELECT count(*) FROM src`); res.Rows[0][0].Int() != 12 {
+		t.Fatalf("src holds %v rows after the rejected ALTERs, want 12", res.Rows)
+	}
+	mustDT(t, e, "d")
+	if _, err := e.Exec(`SELECT * FROM src2`); err == nil {
+		t.Fatal("a rejected RENAME created src2")
+	}
+	if _, err := e.Warehouse("wh"); err != nil {
+		t.Fatal("a rejected SWAP moved the warehouse wh")
+	}
+
+	e.MustExec(`CREATE TABLE src3 (id INT, v INT)`)
+	e.MustExec(`ALTER TABLE src SWAP WITH src3`)
+	e.MustExec(`ALTER TABLE src RENAME TO src4`)
+	if res := e.MustExec(`SELECT count(*) FROM src3`); res.Rows[0][0].Int() != 12 {
+		t.Fatalf("src3 holds %v rows after the swap, want 12", res.Rows)
+	}
+}
+
 // TestRegistryWarehouseCheckpointKeepsDroppedAndLive checkpoints a dropped
 // wh and a live wh created after it, and reopens: each comes back with its
 // own size and billed time and bills again.

@@ -819,8 +819,8 @@ func (x *executor) execUndrop(stmt *sql.UndropStmt) (*Result, error) {
 	return &Result{Kind: "UNDROP", Message: fmt.Sprintf("%s %s restored", stmt.Kind, stmt.Name)}, nil
 }
 
-// checkObjectKind rejects a DROP or UNDROP whose object kind is not the
-// kind of the entry the name reaches. Tables, views, DTs and warehouses
+// checkObjectKind rejects a DROP, UNDROP, RENAME or SWAP whose object kind
+// is not the kind of the entry the name reaches. Tables, views, DTs and warehouses
 // share one namespace, so the name alone could reach an object of another
 // kind. The check runs at the statement, before any record is written.
 func checkObjectKind(verb, kind, name string, ent *catalog.Entry) error {
@@ -837,6 +837,17 @@ func (x *executor) execAlter(stmt *sql.AlterStmt) (*Result, error) {
 	}
 	switch stmt.Action {
 	case "RENAME", "SWAP":
+		names := []string{stmt.Name}
+		if stmt.Action == "SWAP" {
+			names = append(names, stmt.Target)
+		}
+		for _, name := range names {
+			if ent, err := e.cat.Get(name); err == nil {
+				if err := checkObjectKind(stmt.Action, stmt.Kind, name, ent); err != nil {
+					return nil, err
+				}
+			}
+		}
 		rr := &persist.RenameRecord{Name: stmt.Name, Target: stmt.Target, TS: e.txns.Now()}
 		rec := &persist.Record{Kind: persist.KindRename, Rename: rr}
 		msg := "renamed"
