@@ -211,3 +211,45 @@ func TestAccumulatorDTsRefreshInParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestDistinctSumAndAvg pins SUM and AVG(DISTINCT) to each distinct
+// non-NULL value once: over v = {5, 5, 7, NULL} they give 12 and 6, and
+// COUNT(DISTINCT v) gives 2. A DT over them refreshes INCREMENTAL by
+// recomputing the affected groups from the source, never by folding Δ
+// into stored accumulators (a DISTINCT value cannot be taken back), and
+// passes CheckDVS after DML.
+func TestDistinctSumAndAvg(t *testing.T) {
+	e := newTestEngine(t)
+	e.MustExec(`CREATE TABLE t (id INT, g INT, v INT)`)
+	e.MustExec(`INSERT INTO t VALUES (1, 1, 5), (2, 1, 5), (3, 1, 7), (4, 1, NULL), (5, 2, 3)`)
+	expectQuery(t, e, `SELECT sum(DISTINCT v), avg(DISTINCT v), count(DISTINCT v) FROM t WHERE g = 1`, "[12 6 2]")
+	e.MustExec(`CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh REFRESH_MODE = INCREMENTAL
+	            AS SELECT g, sum(DISTINCT v) s, avg(DISTINCT v) a, count(*) n FROM t GROUP BY g`)
+	e.AdvanceTime(time.Minute)
+	if err := e.ManualRefresh("d"); err != nil {
+		t.Fatal(err)
+	}
+	for i, dml := range []string{
+		`INSERT INTO t VALUES (6, 1, 7), (7, 2, 3), (8, 2, 4)`,
+		`DELETE FROM t WHERE id = 1`,
+		`UPDATE t SET v = 9 WHERE id = 2`,
+		`UPDATE t SET g = 2 WHERE id = 3`,
+	} {
+		e.MustExec(dml)
+		e.AdvanceTime(time.Minute)
+		if err := e.ManualRefresh("d"); err != nil {
+			t.Fatal(err)
+		}
+		dt, _ := e.DynamicTableHandle("d")
+		rec, _ := dt.LastRecord()
+		if rec.Action != core.ActionIncremental || rec.SourceRowsScanned == 0 {
+			t.Fatalf("refresh %d: action %v scanning %d source rows; want an INCREMENTAL recompute of the affected groups",
+				i, rec.Action, rec.SourceRowsScanned)
+		}
+		if err := e.CheckDVS("d"); err != nil {
+			t.Fatalf("refresh %d: %v", i, err)
+		}
+	}
+	// g = 1 holds 9, NULL and 7; g = 2 holds 3, 3, 4 and 7.
+	expectQuery(t, e, `SELECT g, s, a, n FROM d`, "[1 16 8 3]", "[2 14 4.666666666666667 4]")
+}

@@ -536,9 +536,9 @@ type accumulator struct {
 }
 
 // accExt is the state only some aggregates need beside their
-// accumulator: MIN, MAX and ANY_VALUE's current value, COUNT(DISTINCT)'s
-// values seen, and whether an unsigned SUM has folded a FLOAT (a signed
-// table never folds one).
+// accumulator: MIN, MAX and ANY_VALUE's current value, the values a
+// COUNT, SUM or AVG(DISTINCT) has seen, and whether an unsigned SUM has
+// folded a FLOAT (a signed table never folds one).
 type accExt struct {
 	v        types.Value
 	distinct map[string]bool
@@ -550,12 +550,27 @@ func needsExt(agg *plan.AggExpr, signed bool) bool {
 	switch agg.Kind {
 	case plan.AggMin, plan.AggMax, plan.AggAnyValue:
 		return true
-	case plan.AggCount:
+	case plan.AggCount, plan.AggAvg:
 		return agg.Distinct && agg.Arg != nil
 	case plan.AggSum:
-		return !signed
+		return !signed || agg.Distinct
 	}
 	return false
+}
+
+// firstSight records v among the values a DISTINCT aggregate has seen and
+// reports whether it is new. Values equal under key normalization, such
+// as INT 5 and FLOAT 5.0, are one value.
+func (x *accExt) firstSight(v types.Value) bool {
+	if x.distinct == nil {
+		x.distinct = make(map[string]bool)
+	}
+	k := string(normalizeKeyValue(v).EncodeKey(nil))
+	if x.distinct[k] {
+		return false
+	}
+	x.distinct[k] = true
+	return true
 }
 
 // fold folds one argument value of agg in with multiplicity sign: +1 adds
@@ -571,18 +586,8 @@ func (a *accumulator) fold(agg *plan.AggExpr, v types.Value, sign int64, x *accE
 			a.count += sign
 			return nil
 		}
-		if v.IsNull() {
+		if v.IsNull() || agg.Distinct && !x.firstSight(v) {
 			return nil
-		}
-		if x != nil {
-			if x.distinct == nil {
-				x.distinct = make(map[string]bool)
-			}
-			k := string(normalizeKeyValue(v).EncodeKey(nil))
-			if x.distinct[k] {
-				return nil
-			}
-			x.distinct[k] = true
 		}
 		a.count += sign
 	case plan.AggCountIf:
@@ -595,6 +600,11 @@ func (a *accumulator) fold(agg *plan.AggExpr, v types.Value, sign int64, x *accE
 		}
 		if !v.Numeric() {
 			return fmt.Errorf("exec: %s requires numeric input, got %s", agg.Kind, v.Kind())
+		}
+		// A DISTINCT aggregate folds each value once; an INT and an equal
+		// FLOAT are one value, folded as whichever came first.
+		if agg.Distinct && !x.firstSight(v) {
+			return nil
 		}
 		a.count += sign
 		// The float sum takes every value and the int sum every INT; SUM's

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dyntables/internal/plan"
+	"dyntables/internal/sql"
 	"dyntables/internal/types"
 )
 
@@ -866,7 +867,11 @@ func runSort(s *plan.Sort, ctx *Context) ([]TRow, error) {
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k, item := range s.Items {
-			c, err := types.Compare(rows[i].keys[k], rows[j].keys[k])
+			a, b := rows[i].keys[k], rows[j].keys[k]
+			if an := a.IsNull(); an != b.IsNull() && item.Nulls != sql.NullsDefault {
+				return an == (item.Nulls == sql.NullsFirst)
+			}
+			c, err := types.Compare(a, b)
 			if err != nil {
 				c = 0
 			}

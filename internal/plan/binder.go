@@ -344,14 +344,23 @@ func sideOf(e Expr, leftWidth int) exprSide {
 }
 
 func splitConjuncts(e Expr) []Expr {
+	var out []Expr
+	forEachConjunct(e, func(c Expr) { out = append(out, c) })
+	return out
+}
+
+// forEachConjunct calls f on each conjunct of e, left to right: the
+// leaves of its AND tree, except TRUE literals, which vanish.
+func forEachConjunct(e Expr, f func(Expr)) {
 	if b, ok := e.(*BinOp); ok && b.Op == sql.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		forEachConjunct(b.L, f)
+		forEachConjunct(b.R, f)
+		return
 	}
-	// TRUE literals vanish.
 	if l, ok := e.(*Lit); ok && l.Val.Kind() == types.KindBool && l.Val.Bool() {
-		return nil
+		return
 	}
-	return []Expr{e}
+	f(e)
 }
 
 func combineConjuncts(es []Expr) Expr {
@@ -447,7 +456,10 @@ func (b *Binder) wantsHiddenSort(stmt *sql.SelectStmt) bool {
 		case *sql.Literal:
 			// Ordinals always address the select list.
 		case *sql.ColumnRef:
-			if !names[strings.ToUpper(e.Name)] {
+			if e.Table != "" && selectItemOf(stmt.Items, e) < 0 {
+				return true
+			}
+			if e.Table == "" && !names[strings.ToUpper(e.Name)] {
 				return true
 			}
 		default:
@@ -455,6 +467,26 @@ func (b *Binder) wantsHiddenSort(stmt *sql.SelectStmt) bool {
 		}
 	}
 	return false
+}
+
+// selectItemOf returns the ordinal of the first select-list item that is
+// the qualified column ref itself (`a.g`, aliased or not), or -1 when
+// there is none or a star makes the ordinals unknown. ORDER BY resolves a
+// qualified name through it: two joined tables may each give the output
+// a column g, so the output's names alone cannot tell a.g from b.g.
+func selectItemOf(items []sql.SelectItem, ref *sql.ColumnRef) int {
+	idx := -1
+	for i, it := range items {
+		switch e := it.Expr.(type) {
+		case *sql.Star:
+			return -1
+		case *sql.ColumnRef:
+			if idx < 0 && strings.EqualFold(e.Table, ref.Table) && strings.EqualFold(e.Name, ref.Name) {
+				idx = i
+			}
+		}
+	}
+	return idx
 }
 
 // bindSortWithHidden supports ORDER BY items that do not appear in the
@@ -485,9 +517,8 @@ func (b *Binder) bindSortWithHidden(stmt *sql.SelectStmt) (Node, *scope, error) 
 		outNames[strings.ToUpper(outputName(it, i))] = true
 	}
 	type pendingSpec struct {
-		expr   sql.Expr
+		sql.OrderItem
 		hidden int // ordinal among hidden columns, or -1 for output items
-		desc   bool
 	}
 	var pend []pendingSpec
 	hidden := 0
@@ -499,13 +530,19 @@ func (b *Binder) bindSortWithHidden(stmt *sql.SelectStmt) (Node, *scope, error) 
 		case *sql.ColumnRef:
 			// With a star in the list the syntactic name set is
 			// incomplete; order such columns by a hidden copy instead.
-			direct = allNamed && outNames[strings.ToUpper(e.Name)]
+			// So is a qualified name no select item gives, which then
+			// resolves against the FROM scope.
+			if e.Table != "" {
+				direct = selectItemOf(stmt.Items, e) >= 0
+			} else {
+				direct = allNamed && outNames[strings.ToUpper(e.Name)]
+			}
 		}
 		if direct {
-			pend = append(pend, pendingSpec{expr: oi.Expr, hidden: -1, desc: oi.Desc})
+			pend = append(pend, pendingSpec{OrderItem: oi, hidden: -1})
 			continue
 		}
-		pend = append(pend, pendingSpec{expr: oi.Expr, hidden: hidden, desc: oi.Desc})
+		pend = append(pend, pendingSpec{OrderItem: oi, hidden: hidden})
 		extended.Items = append(extended.Items, sql.SelectItem{Expr: oi.Expr})
 		hidden++
 	}
@@ -522,13 +559,17 @@ func (b *Binder) bindSortWithHidden(stmt *sql.SelectStmt) (Node, *scope, error) 
 		if p.hidden >= 0 {
 			idx = outWidth + p.hidden
 		} else {
-			switch e := p.expr.(type) {
+			switch e := p.Expr.(type) {
 			case *sql.Literal:
 				if e.Kind != sql.LitInt || e.Int < 1 || int(e.Int) > outWidth {
 					return nil, nil, fmt.Errorf("plan: ORDER BY position out of range")
 				}
 				idx = int(e.Int) - 1
 			case *sql.ColumnRef:
+				if e.Table != "" {
+					idx = selectItemOf(stmt.Items, e)
+					break
+				}
 				var rerr error
 				idx, _, rerr = outScope.resolve("", e.Name)
 				if rerr != nil {
@@ -537,7 +578,7 @@ func (b *Binder) bindSortWithHidden(stmt *sql.SelectStmt) (Node, *scope, error) 
 			}
 		}
 		c := sc.cols[idx]
-		specs[i] = OrderSpec{Expr: &ColIdx{Idx: idx, Name: c.name, Kind: c.kind}, Desc: p.desc}
+		specs[i] = OrderSpec{Expr: &ColIdx{Idx: idx, Name: c.name, Kind: c.kind}, Desc: p.Desc, Nulls: p.Nulls}
 	}
 	node = &Sort{Input: node, Items: specs}
 	if hidden == 0 {
@@ -554,7 +595,8 @@ func (b *Binder) bindSortWithHidden(stmt *sql.SelectStmt) (Node, *scope, error) 
 }
 
 // bindOrderBy resolves ORDER BY items against the select output: by output
-// column name, by ordinal, or by alias.
+// column name, by ordinal, by alias, or, for a qualified name, by the
+// select item that is that column.
 func (b *Binder) bindOrderBy(orderBy []sql.OrderItem, items []sql.SelectItem, out *scope) ([]OrderSpec, error) {
 	var specs []OrderSpec
 	for _, oi := range orderBy {
@@ -565,17 +607,27 @@ func (b *Binder) bindOrderBy(orderBy []sql.OrderItem, items []sql.SelectItem, ou
 			}
 			idx := int(e.Int) - 1
 			specs = append(specs, OrderSpec{
-				Expr: &ColIdx{Idx: idx, Name: out.cols[idx].name, Kind: out.cols[idx].kind},
-				Desc: oi.Desc,
+				Expr:  &ColIdx{Idx: idx, Name: out.cols[idx].name, Kind: out.cols[idx].kind},
+				Desc:  oi.Desc,
+				Nulls: oi.Nulls,
 			})
 		case *sql.ColumnRef:
-			idx, kind, err := out.resolve("", e.Name)
-			if err != nil {
-				return nil, fmt.Errorf("plan: ORDER BY: %w", err)
+			idx, kind := -1, types.KindNull
+			if e.Table != "" {
+				if idx = selectItemOf(items, e); idx >= 0 {
+					kind = out.cols[idx].kind
+				}
+			}
+			if idx < 0 {
+				var err error
+				if idx, kind, err = out.resolve("", e.Name); err != nil {
+					return nil, fmt.Errorf("plan: ORDER BY: %w", err)
+				}
 			}
 			specs = append(specs, OrderSpec{
-				Expr: &ColIdx{Idx: idx, Name: e.Name, Kind: kind},
-				Desc: oi.Desc,
+				Expr:  &ColIdx{Idx: idx, Name: e.Name, Kind: kind},
+				Desc:  oi.Desc,
+				Nulls: oi.Nulls,
 			})
 		default:
 			return nil, fmt.Errorf("plan: ORDER BY supports output columns and positions only")
@@ -995,6 +1047,9 @@ func (rw *rewriter) bindWindowCall(fc *sql.FuncCall) (WindowFunc, []Expr, []Orde
 	}
 	var order []OrderSpec
 	for _, o := range fc.Over.OrderBy {
+		if o.Nulls != sql.NullsDefault {
+			return WindowFunc{}, nil, nil, "", fmt.Errorf("plan: NULLS FIRST|LAST is supported in a query's ORDER BY, not a window's")
+		}
 		e, err := rw.rewriteNoWindow(o.Expr)
 		if err != nil {
 			return WindowFunc{}, nil, nil, "", err

@@ -619,8 +619,9 @@ func (w WindowFunc) ResultKind() types.Kind {
 
 // OrderSpec is a bound ORDER BY element.
 type OrderSpec struct {
-	Expr Expr
-	Desc bool
+	Expr  Expr
+	Desc  bool
+	Nulls sql.NullsOrder // NULLS FIRST|LAST; only a query's Sort sets it
 }
 
 // Fingerprint returns a matching key for the order item.
@@ -628,6 +629,12 @@ func (o OrderSpec) Fingerprint() string {
 	d := "asc"
 	if o.Desc {
 		d = "desc"
+	}
+	switch o.Nulls {
+	case sql.NullsFirst:
+		d += " nulls first"
+	case sql.NullsLast:
+		d += " nulls last"
 	}
 	return o.Expr.Fingerprint() + " " + d
 }

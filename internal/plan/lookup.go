@@ -82,7 +82,7 @@ func columnBound(e Expr, params *Params) (*ColIdx, sql.BinaryOp, types.Value, bo
 
 // mirror maps `bound op col` to `col mirror[op] bound`.
 var mirror = map[sql.BinaryOp]sql.BinaryOp{
-	sql.OpEq: sql.OpEq, sql.OpLt: sql.OpGt, sql.OpLe: sql.OpGe, sql.OpGt: sql.OpLt, sql.OpGe: sql.OpLe,
+	sql.OpEq: sql.OpEq, sql.OpNe: sql.OpNe, sql.OpLt: sql.OpGt, sql.OpLe: sql.OpGe, sql.OpGt: sql.OpLt, sql.OpGe: sql.OpLe,
 }
 
 // narrow intersects the range with the keys k satisfying `key op k`.

@@ -142,9 +142,21 @@ type WindowSpec struct {
 
 // OrderItem is one ORDER BY element.
 type OrderItem struct {
-	Expr Expr
-	Desc bool
+	Expr  Expr
+	Desc  bool
+	Nulls NullsOrder
 }
+
+// NullsOrder is an ORDER BY item's NULLS FIRST or NULLS LAST. By default
+// NULL sorts lowest: first ascending and last descending.
+type NullsOrder uint8
+
+// The NULL orders.
+const (
+	NullsDefault NullsOrder = iota
+	NullsFirst
+	NullsLast
+)
 
 // CastExpr is expr::type.
 type CastExpr struct {

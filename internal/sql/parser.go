@@ -1019,6 +1019,16 @@ func (p *Parser) parseOrderItems() ([]OrderItem, error) {
 		} else {
 			p.acceptKeyword("ASC")
 		}
+		if p.acceptKeyword("NULLS") {
+			switch {
+			case p.acceptKeyword("FIRST"):
+				item.Nulls = NullsFirst
+			case p.acceptKeyword("LAST"):
+				item.Nulls = NullsLast
+			default:
+				return nil, p.errorf("expected FIRST or LAST after NULLS, found %q", p.peek().Text)
+			}
+		}
 		items = append(items, item)
 		if !p.accept(",") {
 			break
