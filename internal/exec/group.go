@@ -601,20 +601,21 @@ func (a *accumulator) fold(agg *plan.AggExpr, v types.Value, sign int64, x *accE
 		if !v.Numeric() {
 			return fmt.Errorf("exec: %s requires numeric input, got %s", agg.Kind, v.Kind())
 		}
-		// A DISTINCT aggregate folds each value once; an INT and an equal
-		// FLOAT are one value, folded as whichever came first.
+		// The float sum takes every value and the int sum every INT; SUM's
+		// result is the float sum once it has seen a FLOAT. A DISTINCT
+		// aggregate folds each value once, an INT and an equal FLOAT being
+		// one value, but a FLOAT it skips still makes the result a FLOAT,
+		// so the result's kind does not depend on the order of the rows.
+		isFloat := v.Kind() == types.KindFloat
+		if isFloat && x != nil {
+			x.isFloat = true
+		}
 		if agg.Distinct && !x.firstSight(v) {
 			return nil
 		}
 		a.count += sign
-		// The float sum takes every value and the int sum every INT; SUM's
-		// result is the float sum once it has folded a FLOAT.
 		a.sumFloat += float64(sign) * v.AsFloat()
-		if v.Kind() == types.KindFloat {
-			if x != nil {
-				x.isFloat = true
-			}
-		} else {
+		if !isFloat {
 			a.sumInt += sign * v.Int()
 		}
 	case plan.AggMin, plan.AggMax:

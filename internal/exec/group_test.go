@@ -177,8 +177,9 @@ func TestGroupStateReusesSlotsAndCompactsArena(t *testing.T) {
 // COUNT(DISTINCT) fold each distinct non-NULL value once, on the row path
 // and the columnar path, with INT 5 and FLOAT 5.0 as one value: over v =
 // {5, 5, FLOAT 5.0, 7, NULL} they give 12, 6.0 and 2, where folding every
-// value gives 22 and 5.5. Such an aggregate is not Invertible, so no
-// GroupState ever folds it.
+// value gives 22 and 5.5. SUM(DISTINCT) is FLOAT 12.0 whether the FLOAT
+// comes before or after the INT it equals. Such an aggregate is not
+// Invertible, so no GroupState ever folds it.
 func TestDistinctAggregatesFoldEachValueOnce(t *testing.T) {
 	v := &plan.ColIdx{Idx: 1, Name: "v"}
 	a := &plan.Aggregate{
@@ -190,29 +191,34 @@ func TestDistinctAggregatesFoldEachValueOnce(t *testing.T) {
 			{Kind: plan.AggSum, Arg: v},
 		},
 	}
-	var rows []TRow
-	for i, x := range []types.Value{types.NewInt(5), types.NewInt(5), types.NewFloat(5), types.NewInt(7), types.Null} {
-		rows = append(rows, TRow{ID: strconv.Itoa(i), Row: types.Row{types.NewInt(1), x}})
-	}
-	want := types.Row{types.NewInt(1), types.NewInt(12), types.NewFloat(6), types.NewInt(2), types.NewFloat(22)}
-	check := func(label string, got []TRow, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if len(got) != 1 || !got[0].Row.Equal(want) {
-			t.Fatalf("%s = %v, want one row %v", label, got, want)
-		}
-	}
-	got, err := AggregateRows(a, rows, &Context{})
-	check("AggregateRows", got, err)
+	want := types.Row{types.NewInt(1), types.NewFloat(12), types.NewFloat(6), types.NewInt(2), types.NewFloat(22)}
 	schema := types.Schema{Columns: []types.Column{{Name: "g", Kind: types.KindInt}, {Name: "v", Kind: types.KindVariant}}}
-	ids, vals := make([]string, len(rows)), make([]types.Row, len(rows))
-	for i, r := range rows {
-		ids[i], vals[i] = r.ID, r.Row
+	for _, order := range [][]types.Value{
+		{types.NewInt(5), types.NewInt(5), types.NewFloat(5), types.NewInt(7), types.Null},
+		{types.NewFloat(5), types.NewInt(5), types.NewInt(5), types.NewInt(7), types.Null},
+	} {
+		var rows []TRow
+		for i, x := range order {
+			rows = append(rows, TRow{ID: strconv.Itoa(i), Row: types.Row{types.NewInt(1), x}})
+		}
+		check := func(label string, got []TRow, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s over %v: %v", label, order, err)
+			}
+			if len(got) != 1 || !got[0].Row.Equal(want) || got[0].Row[1].Kind() != types.KindFloat {
+				t.Fatalf("%s over %v = %v, want one row %v with a FLOAT sum", label, order, got, want)
+			}
+		}
+		got, err := AggregateRows(a, rows, &Context{})
+		check("AggregateRows", got, err)
+		ids, vals := make([]string, len(rows)), make([]types.Row, len(rows))
+		for i, r := range rows {
+			ids[i], vals[i] = r.ID, r.Row
+		}
+		got, err = aggregateBatch(a, &batchRes{b: types.NewBatch(schema, ids, vals)}, nil, &Context{})
+		check("aggregateBatch", got, err)
 	}
-	got, err = aggregateBatch(a, &batchRes{b: types.NewBatch(schema, ids, vals)}, nil, &Context{})
-	check("aggregateBatch", got, err)
 
 	for _, agg := range a.Aggs[:3] {
 		sum := &plan.Aggregate{GroupBy: a.GroupBy, Aggs: []plan.AggExpr{agg}}

@@ -532,73 +532,21 @@ func (f *filterKernel) narrow(v *types.Vector, sel []int, n int, dst []int, pend
 	}
 	m := opMask(f.op)
 	nulls := v.Nulls()
-	fast := pending == nil || nulls == nil
 	switch f.k.Kind() {
 	case types.KindFloat:
 		return narrowOrdered(v.Floats(), nulls, f.k.Float(), m, sel, n, dst, pending)
 	case types.KindString:
-		if fast {
-			return narrowFast(v.Strs(), nulls, f.k.Str(), f.op, sel, n, dst)
-		}
 		return narrowOrdered(v.Strs(), nulls, f.k.Str(), m, sel, n, dst, pending)
 	case types.KindBool:
 		return narrowBools(v.Bools(), nulls, f.k.Bool(), m, sel, n, dst, pending)
 	default:
-		if fast {
-			return narrowFast(v.Ints(), nulls, f.k.IntPayload(), f.op, sel, n, dst)
-		}
 		return narrowOrdered(v.Ints(), nulls, f.k.IntPayload(), m, sel, n, dst, pending)
 	}
 }
 
-// narrowFast is filterKernel.narrow over an INT-family or STRING payload
-// when no NULL is kept: one loop per operator, so that a row costs one
-// comparison of its payload.
-func narrowFast[T int64 | string](vals []T, nulls []bool, k T, op sql.BinaryOp, sel []int, n int, dst []int) []int {
-	switch op {
-	case sql.OpEq:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] == k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	case sql.OpNe:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] != k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	case sql.OpLt:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] < k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	case sql.OpLe:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] <= k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	case sql.OpGt:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] > k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	default:
-		for i := 0; i < n; i++ {
-			if p := selAt(sel, i); vals[p] >= k && (nulls == nil || !nulls[p]) {
-				dst = append(dst, p)
-			}
-		}
-	}
-	return dst
-}
-
 // narrowOrdered is filterKernel.narrow over an INT-family, FLOAT or
-// STRING payload, for the orders in mask m; FLOATs take it always, for
-// the NaN order, and the others when NULLs are kept.
+// STRING payload, for the orders in mask m (see order, which also gives
+// a FLOAT NaN its place).
 func narrowOrdered[T int64 | float64 | string](vals []T, nulls []bool, k T, m uint, sel []int, n int, dst []int, pending []bool) []int {
 	for i := 0; i < n; i++ {
 		p := selAt(sel, i)

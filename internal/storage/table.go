@@ -127,11 +127,6 @@ type Table struct {
 
 	versions []*Version // ordered by Seq (and Commit)
 
-	// bytes runs parallel to versions: the types.Row.ApproxBytes sum of
-	// each retained version's rows. A commit keeps it in O(|Δ|), so a
-	// scan's byte count does not walk the rows it read.
-	bytes []int64
-
 	// base counts versions folded away by compaction: versions[0] carries
 	// Seq base+1, and sequences 1..base are no longer readable. Zero on
 	// an uncompacted table.
@@ -175,7 +170,6 @@ func NewTable(schema types.Schema, createdAt hlc.Timestamp) *Table {
 		live:   map[string]int{},
 	}
 	t.versions = []*Version{{Seq: 1, Commit: createdAt}}
-	t.bytes = []int64{0}
 	return t
 }
 
@@ -236,11 +230,9 @@ func RestoreTable(st TableState) (*Table, error) {
 		id:       tableIDs.Add(1),
 		schema:   st.Schema,
 		versions: make([]*Version, 0, len(st.Versions)),
-		bytes:    make([]int64, 0, len(st.Versions)),
 		base:     st.Versions[0].Seq - 1,
 	}
 	t.rowSeq.Store(st.RowSeq)
-	var bytes int64
 	for i, v := range st.Versions {
 		switch {
 		case startsSnapshot(i, v):
@@ -248,7 +240,7 @@ func RestoreTable(st TableState) (*Table, error) {
 			if snap == nil {
 				return nil, fmt.Errorf("storage: restored version %d starts a snapshot but has none", v.Seq)
 			}
-			bytes = t.startSegment(v.Seq, snap.IDs(), snap.Rows())
+			t.startSegment(v.Seq, snap.IDs(), snap.Rows())
 			if len(t.live) != snap.Len() {
 				return nil, fmt.Errorf("storage: restored version %d's snapshot repeats a row ID", v.Seq)
 			}
@@ -257,10 +249,9 @@ func RestoreTable(st TableState) (*Table, error) {
 			if err := t.checkDeletes(v.Changes); err != nil {
 				return nil, fmt.Errorf("storage: restored version %d: %w", v.Seq, err)
 			}
-			bytes += t.appendChanges(v.Changes, v.Seq)
+			t.appendChanges(v.Changes, v.Seq)
 		}
 		t.versions = append(t.versions, v)
-		t.bytes = append(t.bytes, bytes)
 	}
 	return t, nil
 }
@@ -393,11 +384,11 @@ func (t *Table) Batch(seq int64) (*types.Batch, error) {
 	}
 	m := &memo{seq: seq, ready: make(chan struct{})}
 	t.remember(m)
-	schema, entries, bytes := t.schema, t.segmentFor(seq).entries, t.bytes[seq-1-t.base]
+	schema, entries := t.schema, t.segmentFor(seq).entries
 	t.mu.Unlock()
 
 	ids, rows := scan(entries, seq, v.RowCount)
-	m.b = types.NewSizedBatch(schema, ids, rows, bytes)
+	m.b = types.NewBatch(schema, ids, rows)
 	close(m.ready)
 	return m.b, nil
 }
@@ -479,9 +470,9 @@ func (t *Table) Apply(cs delta.ChangeSet, commit hlc.Timestamp) (*Version, error
 		return nil, err
 	}
 	v := &Version{Seq: last.Seq + 1, Commit: commit, Changes: cs}
-	grown := t.appendChanges(cs, v.Seq)
+	t.appendChanges(cs, v.Seq)
 	v.RowCount = len(t.live)
-	t.commitLocked(v, nil, t.bytes[len(t.bytes)-1]+grown)
+	t.commitLocked(v, nil)
 	return v, nil
 }
 
@@ -500,35 +491,29 @@ func (t *Table) checkDeletes(cs delta.ChangeSet) error {
 
 // appendChanges records version seq's change set in the last segment:
 // deletes first, then inserts, as a change set applies. An insert of a row
-// ID that is still live replaces that row. It returns how much the live
-// rows' ApproxBytes sum grew. Callers hold t.mu and own the last segment.
-func (t *Table) appendChanges(cs delta.ChangeSet, seq int64) (grown int64) {
+// ID that is still live replaces that row. Callers hold t.mu and own the
+// last segment.
+func (t *Table) appendChanges(cs delta.ChangeSet, seq int64) {
 	seg := t.segs[len(t.segs)-1]
 	for _, c := range cs.Changes {
 		if c.Action == delta.Delete {
-			grown -= t.retire(seg, c.RowID, seq)
+			t.retire(seg, c.RowID, seq)
 		}
 	}
 	for _, c := range cs.Changes {
 		if c.Action == delta.Insert {
-			grown -= t.retire(seg, c.RowID, seq)
+			t.retire(seg, c.RowID, seq)
 			t.live[c.RowID] = seg.add(c.RowID, c.Row, seq, notDeleted)
-			grown += c.Row.ApproxBytes()
 		}
 	}
-	return grown
 }
 
-// retire stamps the live entry for id, if any, as deleted at seq, and
-// returns its row's ApproxBytes (0 when there is none).
-func (t *Table) retire(seg *segment, id string, seq int64) int64 {
-	pos, ok := t.live[id]
-	if !ok {
-		return 0
+// retire stamps the live entry for id, if any, as deleted at seq.
+func (t *Table) retire(seg *segment, id string, seq int64) {
+	if pos, ok := t.live[id]; ok {
+		seg.entries[pos].del.Store(seq)
+		delete(t.live, id)
 	}
-	seg.entries[pos].del.Store(seq)
-	delete(t.live, id)
-	return seg.entries[pos].row.ApproxBytes()
 }
 
 // ownLog gives a clone its own last segment before its first write: the
@@ -551,17 +536,14 @@ func (t *Table) ownLog() {
 }
 
 // startSegment begins a new log at version seq holding the rows with the
-// given IDs, in that order, and returns their ApproxBytes sum. Callers
-// hold t.mu.
-func (t *Table) startSegment(seq int64, ids []string, rows []types.Row) (bytes int64) {
+// given IDs, in that order. Callers hold t.mu.
+func (t *Table) startSegment(seq int64, ids []string, rows []types.Row) {
 	seg := &segment{from: seq, entries: make([]entry, 0, len(ids))}
 	t.live = make(map[string]int, len(ids))
 	for i, id := range ids {
 		t.live[id] = seg.add(id, rows[i], seq, notDeleted)
-		bytes += rows[i].ApproxBytes()
 	}
 	t.replaceSegmentsFrom(seq, seg)
-	return bytes
 }
 
 // replaceSegmentsFrom installs seg as the last segment, replacing any
@@ -575,12 +557,10 @@ func (t *Table) replaceSegmentsFrom(seq int64, seg *segment) {
 	t.segs = append(t.segs[:n], seg)
 }
 
-// commitLocked appends a committed version holding rows of the given
-// ApproxBytes sum and notifies the sink; rows are an overwrite's new
-// contents. Callers hold t.mu.
-func (t *Table) commitLocked(v *Version, rows *types.Batch, bytes int64) {
+// commitLocked appends a committed version and notifies the sink; rows
+// are an overwrite's new contents. Callers hold t.mu.
+func (t *Table) commitLocked(v *Version, rows *types.Batch) {
 	t.versions = append(t.versions, v)
-	t.bytes = append(t.bytes, bytes)
 	if t.sink != nil {
 		t.sink.TableCommitted(t, v, t.schema, rows)
 	}
@@ -613,8 +593,8 @@ func (t *Table) Overwrite(rows map[string]types.Row, commit hlc.Timestamp) (*Ver
 		Overwrite: true,
 		RowCount:  len(ids),
 	}
-	bytes := t.startSegment(v.Seq, ids, ordered)
-	t.commitLocked(v, types.NewSizedBatch(t.schema, ids, ordered, bytes), bytes)
+	t.startSegment(v.Seq, ids, ordered)
+	t.commitLocked(v, types.NewBatch(t.schema, ids, ordered))
 	return v, nil
 }
 
@@ -635,7 +615,7 @@ func (t *Table) AppendDataEquivalent(commit hlc.Timestamp) (*Version, error) {
 		DataEquivalent: true,
 		RowCount:       last.RowCount,
 	}
-	t.commitLocked(v, nil, t.bytes[len(t.bytes)-1])
+	t.commitLocked(v, nil)
 	return v, nil
 }
 
@@ -830,7 +810,6 @@ func (t *Table) Clone(at hlc.Timestamp) (*Table, error) {
 	// Share the version chain prefix (metadata-only copy).
 	clone.versions = make([]*Version, src.Seq-t.base)
 	copy(clone.versions, t.versions[:src.Seq-t.base])
-	clone.bytes = append([]int64(nil), t.bytes[:src.Seq-t.base]...)
 	// Borrow the segments the prefix reads. Each copy is a header of the
 	// clone's own, so this table's later appends stay out of its view.
 	for _, s := range t.segs {
@@ -971,7 +950,6 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 	newVersions = append(newVersions, folded)
 	newVersions = append(newVersions, kept...)
 	t.versions = newVersions
-	t.bytes = append([]int64{t.bytes[h-1-t.base]}, t.bytes[h-t.base:]...)
 	t.base = h - 1
 	t.foldLog(h)
 	// Memoized versions below the new horizon are unreadable now; those at

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -176,87 +174,4 @@ func TestChangesComposeQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestVersionBytesMatchRowWalk checks the ApproxBytes sum each retained
-// version keeps, and the count its Batch reports, against a walk over the
-// version's rows, through random applies (inserts, deletes, and inserts
-// that replace a live row), overwrites and compaction folds, and on a
-// clone and on a table restored from a checkpoint's state.
-func TestVersionBytesMatchRowWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	row := func() types.Row { return types.Row{types.NewString(strings.Repeat("x", rng.Intn(40)))} }
-	check := func(label string, tb *Table) {
-		t.Helper()
-		for seq := tb.CompactedThrough() + 1; seq <= int64(tb.VersionCount()); seq++ {
-			b, err := tb.Batch(seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var walk int64
-			for _, r := range b.Rows() {
-				walk += r.ApproxBytes()
-			}
-			if kept := tb.bytes[seq-1-tb.base]; kept != walk || b.ApproxBytes() != walk {
-				t.Fatalf("%s: version %d keeps %d bytes and its batch reports %d; its rows hold %d",
-					label, seq, kept, b.ApproxBytes(), walk)
-			}
-		}
-	}
-	tb := newTestTable()
-	live := map[string]bool{}
-	commit := int64(10)
-	for step := 0; step < 300; step++ {
-		commit++
-		switch op := rng.Intn(20); {
-		case op == 0:
-			rows := map[string]types.Row{}
-			live = map[string]bool{}
-			for i := rng.Intn(20); i > 0; i-- {
-				id := tb.NextRowID()
-				rows[id], live[id] = row(), true
-			}
-			if _, err := tb.Overwrite(rows, ts(commit)); err != nil {
-				t.Fatal(err)
-			}
-		case op == 1:
-			if _, _, err := tb.Compact(int64(tb.VersionCount()) - int64(rng.Intn(5))); err != nil {
-				t.Fatal(err)
-			}
-		case op == 2:
-			if _, err := tb.AppendDataEquivalent(ts(commit)); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			var cs delta.ChangeSet
-			for id := range live {
-				switch rng.Intn(6) {
-				case 0:
-					cs.AddDelete(id, nil)
-					delete(live, id)
-				case 1:
-					cs.AddInsert(id, row()) // replaces the live row
-				}
-			}
-			for i := rng.Intn(4); i > 0; i-- {
-				id := tb.NextRowID()
-				cs.AddInsert(id, row())
-				live[id] = true
-			}
-			if _, err := tb.Apply(cs, ts(commit)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(fmt.Sprintf("step %d", step), tb)
-	}
-	clone, err := tb.Clone(ts(commit - 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("clone", clone)
-	restored, err := RestoreTable(tb.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("restored", restored)
 }

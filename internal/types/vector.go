@@ -442,13 +442,6 @@ func NewBatch(schema Schema, ids []string, rows []Row) *Batch {
 	return &Batch{schema: schema, n: len(ids), ids: ids, rows: rows}
 }
 
-// NewSizedBatch is NewBatch over rows whose ApproxBytes sum the caller
-// already knows (a stored version keeps its own), so ApproxBytes need not
-// walk them.
-func NewSizedBatch(schema Schema, ids []string, rows []Row, bytes int64) *Batch {
-	return &Batch{schema: schema, n: len(ids), ids: ids, rows: rows, bytes: bytes}
-}
-
 // NewBatchFromCols builds a batch from column vectors (one per schema
 // column, all the same length as ids).
 func NewBatchFromCols(schema Schema, ids []string, cols []*Vector) *Batch {
