@@ -1,6 +1,7 @@
 package dyntables
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -137,6 +138,78 @@ func TestIncrementalRefreshViaScheduler(t *testing.T) {
 	// of slack for the refresh itself).
 	if status.Lag > 2*time.Minute {
 		t.Errorf("lag %v exceeds the 1 minute target plus slack", status.Lag)
+	}
+}
+
+// TestTrickleJoinRefreshReadsDeltaKeys refreshes a join of 5000 facts
+// with 1000 dims after 10-row changes on either side: each incremental
+// refresh reads the other side through a lookup of the changed rows' join
+// keys, so the source rows it scans grow with the changes, not with dims
+// (a refresh that reads dims whole scans at least 1000), and the DT still
+// holds its query's result at every data timestamp.
+func TestTrickleJoinRefreshReadsDeltaKeys(t *testing.T) {
+	e := newTestEngine(t)
+	e.MustExec(`CREATE TABLE facts (id INT, dim INT, v INT)`)
+	e.MustExec(`CREATE TABLE dims (dim INT, name STRING)`)
+	var vals []string
+	for d := 0; d < 1000; d++ {
+		vals = append(vals, fmt.Sprintf("(%d, 'd%d')", d, d))
+	}
+	e.MustExec(`INSERT INTO dims VALUES ` + strings.Join(vals, ", "))
+	for lo := 0; lo < 5000; lo += 1000 {
+		vals = vals[:0]
+		for id := lo; id < lo+1000; id++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d)", id, id%1000, id%7))
+		}
+		e.MustExec(`INSERT INTO facts VALUES ` + strings.Join(vals, ", "))
+	}
+	e.MustExec(`CREATE DYNAMIC TABLE dt_join TARGET_LAG = '1 minute' WAREHOUSE = wh REFRESH_MODE = INCREMENTAL
+	            AS SELECT f.id, f.v, d.name FROM facts f JOIN dims d ON f.dim = d.dim`)
+	dt, err := e.DynamicTableHandle("dt_join")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := len(dt.History())
+	for round := 0; round < 6; round++ {
+		switch round % 3 {
+		case 0: // 10 facts change v
+			e.MustExec(fmt.Sprintf(`UPDATE facts SET v = v + 1 WHERE id %% 500 = %d`, round))
+		case 1: // 10 facts move to other dims
+			e.MustExec(fmt.Sprintf(`UPDATE facts SET dim = (dim + 1) %% 1000 WHERE id %% 500 = %d`, round))
+		case 2: // 2 dims renamed, 8 facts inserted
+			e.MustExec(fmt.Sprintf(`UPDATE dims SET name = name || 'x' WHERE dim = %d OR dim = %d`, round, 500+round))
+			e.MustExec(fmt.Sprintf(`INSERT INTO facts VALUES (%d, 1, 1), (%d, 2, 2), (%d, 3, 3), (%d, 4, 4),
+			    (%d, 5, 5), (%d, 6, 6), (%d, 7, 7), (%d, 8, 8)`,
+				5000+8*round, 5001+8*round, 5002+8*round, 5003+8*round,
+				5004+8*round, 5005+8*round, 5006+8*round, 5007+8*round))
+		}
+		e.AdvanceTime(time.Minute)
+		if err := e.RunScheduler(); err != nil {
+			t.Fatal(err)
+		}
+		incremental := 0
+		for _, rec := range dt.History()[seen:] {
+			switch rec.Action {
+			case core.ActionNoData:
+			case core.ActionIncremental:
+				incremental++
+				// The changed rows and the other side's rows that match
+				// their keys (five facts per dim): well under dims' 1000.
+				if rec.SourceRowsScanned > 100 {
+					t.Errorf("round %d: the refresh scanned %d source rows for %d changed rows",
+						round, rec.SourceRowsScanned, rec.Inserted+rec.Deleted)
+				}
+			default:
+				t.Fatalf("round %d refreshed with %v, want INCREMENTAL", round, rec.Action)
+			}
+		}
+		if incremental != 1 {
+			t.Fatalf("round %d refreshed incrementally %d times", round, incremental)
+		}
+		seen = len(dt.History())
+		if err := e.CheckDVS("dt_join"); err != nil {
+			t.Fatalf("round %d: DVS violated: %v", round, err)
+		}
 	}
 }
 

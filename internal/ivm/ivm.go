@@ -94,7 +94,8 @@ type Stats struct {
 	// row log (storage.Table.DistinctKeys). For a one-column PARTITION BY
 	// that is an upper bound, which still counts values whose rows were
 	// all deleted or filtered out, until the next compaction fold; for a
-	// wider one it counts the keyed column's values only.
+	// wider one it counts the keyed column's values only. That count is
+	// taken only when the Env has a Stats sink: nothing else reads it.
 	PartitionsTotal int64
 	// GroupsRecomputed counts aggregate groups recomputed.
 	GroupsRecomputed int64
@@ -555,7 +556,9 @@ func joinSides(j *plan.Join, iv Interval, env *Env) (dq, dr []delta.Change, err 
 }
 
 // deltaInnerJoin implements Δ(Q⋈R) = ΔQ⋈R₁ + Q₀⋈ΔR, evaluating each
-// bilinear term's boundary snapshot only when its delta is non-empty.
+// bilinear term's boundary snapshot only when its delta is non-empty, and
+// then over the rows whose join key can match one of the delta's where a
+// lookup applies (keyed.go).
 func deltaInnerJoin(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error) {
 	dq, dr, err := joinSides(j, iv, env)
 	if err != nil {
@@ -563,7 +566,7 @@ func deltaInnerJoin(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error)
 	}
 	var out []delta.Change
 	if len(dq) > 0 {
-		r1, err := snapshot(j.R, iv.To, env)
+		r1, err := lookupFor(j.R, j.RightKeys, j.LeftKeys, dq, env).boundary(j.R, iv.To, env)
 		if err != nil {
 			return nil, err
 		}
@@ -572,7 +575,7 @@ func deltaInnerJoin(j *plan.Join, iv Interval, env *Env) ([]delta.Change, error)
 		}
 	}
 	if len(dr) > 0 {
-		q0, err := snapshot(j.L, iv.From, env)
+		q0, err := lookupFor(j.L, j.LeftKeys, j.RightKeys, dr, env).boundary(j.L, iv.From, env)
 		if err != nil {
 			return nil, err
 		}
@@ -1114,9 +1117,10 @@ func windowEnd(w *plan.Window, iv Interval, ak *affectedKeys, all map[string]boo
 		maps.Copy(all, end)
 		recomputed = len(all)
 	}
-	if lk := ak.lk; lk != nil {
+	if lk := ak.lk; lk != nil && env.Stats != nil {
 		// The end boundary read only the affected partitions' rows; the
-		// keyed column's run counts them all without reading them.
+		// keyed column's runs count them all without reading them. Only a
+		// Stats sink reads the count, so nothing else pays for it.
 		if partitions, _, err = lk.scan.Table.DistinctKeys(iv.To[lk.scan.Table.ID()], lk.col); err != nil {
 			return nil, err
 		}

@@ -20,6 +20,12 @@ import (
 // share of the version declines to a scan. Candidates come back in log
 // order, as the scan returns them, so the change sets are the same either
 // way.
+//
+// An inner join's bilinear terms read the other side the same way
+// (deltaInnerJoin): ΔQ⋈R₁ evaluates R₁ over the rows whose right key can
+// equal one of ΔQ's left keys, and Q₀⋈ΔR evaluates Q₀ over the rows whose
+// left key can equal one of ΔR's right keys. The join itself then matches
+// the full keys; the rows it drops are rows it would not have matched.
 
 // keyedLookups turns the keyed path on. Only tests turn it off, to
 // compare the change sets with the scan path's byte for byte: the row path
@@ -41,7 +47,7 @@ type affectedKeys struct {
 // affectedBy returns the keys of din's rows under exprs, which are
 // expressions over input's rows.
 func affectedBy(input plan.Node, exprs []plan.Expr, din []delta.Change, env *Env) (*affectedKeys, error) {
-	ak := &affectedKeys{exprs: exprs, keys: make(map[string]bool), lk: affectedLookup(input, exprs, din, env)}
+	ak := &affectedKeys{exprs: exprs, keys: make(map[string]bool), lk: lookupFor(input, exprs, exprs, din, env)}
 	ev := &plan.EvalContext{Now: env.Now}
 	var key []byte
 	for _, c := range din {
@@ -103,36 +109,55 @@ type keyLookup struct {
 	keys []int64
 }
 
-// affectedLookup returns the lookup that restricts input's scan to the
-// keys of din, or nil when the keyed path does not apply: off the columnar
-// path, or when no key expression is a bare column of input that traces
-// through Filter (identity) and Project (a bare column reference) to an
-// INT-family column of a single scan.
-func affectedLookup(input plan.Node, keyExprs []plan.Expr, din []delta.Change, env *Env) *keyLookup {
+// lookupFor returns the lookup that restricts the scan under input to the
+// rows whose key under inputKeys can equal the key of one of din's rows
+// under deltaKeys, the matching key expressions over din's rows. It is nil
+// when the keyed path does not apply: off the columnar path, or when no
+// input key is a bare column of input that traces through Filter
+// (identity) and Project (a bare column reference) to an INT-family column
+// of a single scan, or when a key of din fails to evaluate: the caller
+// evaluates the same keys over the same rows and reports the error. An
+// affected-key rule passes its key expressions as both, din being changes
+// of input.
+func lookupFor(input plan.Node, inputKeys, deltaKeys []plan.Expr, din []delta.Change, env *Env) *keyLookup {
 	if !env.Columnar || !keyedLookups {
 		return nil
 	}
-	for _, e := range keyExprs {
+	for i, e := range inputKeys {
 		c, ok := e.(*plan.ColIdx)
 		if !ok {
 			continue
 		}
 		if lk := traceKey(input, c.Idx); lk != nil {
-			seen := make(map[int64]bool)
-			for _, ch := range din {
-				// An integral FLOAT groups with the INT of its value
-				// (exec.NormalizeKeyValue), so it looks that INT up. NULLs
-				// and other kinds need no key: their rows always come back.
-				v := exec.NormalizeKeyValue(ch.Row[c.Idx])
-				if v.Kind() == lk.kind && !seen[v.IntPayload()] {
-					seen[v.IntPayload()] = true
-					lk.keys = append(lk.keys, v.IntPayload())
-				}
+			keys, err := lookupKeys(deltaKeys[i], din, lk.kind, &plan.EvalContext{Now: env.Now})
+			if err != nil {
+				return nil
 			}
+			lk.keys = keys
 			return lk
 		}
 	}
 	return nil
+}
+
+// lookupKeys evaluates e over din's rows and returns the distinct values
+// of kind among them, normalized as join and group keys compare: an
+// integral FLOAT (exec.NormalizeKeyValue) looks up the INT of its value.
+// NULLs and other kinds need no key: their rows always come back.
+func lookupKeys(e plan.Expr, din []delta.Change, kind types.Kind, ev *plan.EvalContext) ([]int64, error) {
+	seen := make(map[int64]bool)
+	var keys []int64
+	for _, c := range din {
+		v, err := plan.Eval(e, c.Row, ev)
+		if err != nil {
+			return nil, err
+		}
+		if v = exec.NormalizeKeyValue(v); v.Kind() == kind && !seen[v.IntPayload()] {
+			seen[v.IntPayload()] = true
+			keys = append(keys, v.IntPayload())
+		}
+	}
+	return keys, nil
 }
 
 // traceKey follows column idx of n down to a scan column, or returns nil.
@@ -175,8 +200,9 @@ func (lk *keyLookup) ctx(vm VersionMap, env *Env) *exec.Context {
 	return ctx
 }
 
-// boundary evaluates the input of an affected-key rule as of vm, through
-// the lookup's restricted scan when there is one, and keeps every row.
+// boundary evaluates n, the input of an affected-key rule or a join's
+// other side, as of vm, through the lookup's restricted scan when there is
+// one, and keeps every row.
 func (lk *keyLookup) boundary(n plan.Node, vm VersionMap, env *Env) ([]exec.TRow, error) {
 	env.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
 	if env.Span != nil {

@@ -76,14 +76,49 @@ func (h *harness) deltaWith(p plan.Node, iv ivm.Interval, keyed bool) pathResult
 	return res
 }
 
+// keyedJoins are inner joins whose bilinear terms read the other side
+// through a lookup of Δ's join keys: INT keys on both sides, whose rows
+// also hold NULLs and FLOATs; a second, STRING key beside the INT one;
+// each side under a Filter and a Project; a join under an aggregate. The
+// computed keys of the last one leave both sides to the scan (computed).
+var keyedJoins = []struct {
+	sql      string
+	computed bool
+}{
+	{`SELECT t.a, t.b, u.k, u.name FROM t JOIN u ON t.b = u.k`, false},
+	{`SELECT t.a, u.name FROM t JOIN u ON t.b = u.k AND t.s = u.name`, false},
+	{`SELECT x.id, x.k, v.name FROM (SELECT a id, b k FROM t WHERE a % 4 <> 1) x
+	    JOIN (SELECT name, k kk FROM u WHERE name <> 'y') v ON x.k = v.kk`, false},
+	{`SELECT u.name, count(*) c, sum(t.a) total FROM t JOIN u ON u.k = t.b GROUP BY u.name`, false},
+	{`SELECT t.a, u.name FROM t JOIN u ON t.b + 1 = u.k + 1`, true},
+}
+
+// joinRow draws a row of u: k is mostly one of 150 INTs, 60 of which t's
+// b holds, sometimes NULL or an integral FLOAT, which joins the INT of its
+// value.
+func joinRow(rng *rand.Rand) types.Row {
+	k := types.NewInt(rng.Int63n(150))
+	switch r := rng.Intn(100); {
+	case r < 3:
+		k = types.Null
+	case r < 5:
+		k = types.NewFloat(float64(rng.Intn(60)))
+	}
+	return types.Row{k, types.NewString([]string{"x", "y", "z"}[rng.Intn(3)])}
+}
+
 // TestKeyedBoundariesMatchScanPath differentiates every keyed shape over
 // random histories with the keyed boundary path and without it; the change
 // sets must be identical, byte for byte. The histories insert NULL and FLOAT keys, empty
 // whole groups, move rows between groups (to and from NULL), fold the log
 // by compaction between refreshes (the new segment has no runs), switch
 // the source to a clone, and change over half the rows in one interval so
-// that the lookups decline.
+// that the lookups decline. The inner joins run the same way over
+// histories that change t, u or both in one interval.
 func TestKeyedBoundariesMatchScanPath(t *testing.T) {
+	for ji, q := range keyedJoins {
+		t.Run(fmt.Sprintf("join%d", ji), func(t *testing.T) { keyedJoinHistory(t, int64(ji), q.sql, q.computed) })
+	}
 	for qi, q := range keyedQueries {
 		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(qi)))
@@ -171,6 +206,115 @@ func TestKeyedBoundariesMatchScanPath(t *testing.T) {
 				t.Errorf("the keyed path read fewer rows than the scan in %d rounds of 16", fewer)
 			}
 		})
+	}
+}
+
+// keyedJoinHistory differentiates the join query over a random history of
+// t and u with the keyed path on and off. The change sets must be
+// identical, and non-empty in most rounds; the keyed path must read no
+// more rows, and fewer in most rounds unless the keys are computed, when
+// it must read as many.
+func keyedJoinHistory(t *testing.T, seed int64, query string, computed bool) {
+	rng := rand.New(rand.NewSource(seed))
+	h := newHarness(t)
+	h.table("t", "a INT, b INT, s STRING")
+	h.table("u", "k INT, name STRING")
+	nextA := int64(0)
+	var rows []types.Row
+	for ; nextA < 400; nextA++ {
+		rows = append(rows, keyedRow(rng, nextA))
+	}
+	h.insert("t", rows...)
+	rows = nil
+	for i := 0; i < 300; i++ {
+		rows = append(rows, joinRow(rng))
+	}
+	h.insert("u", rows...)
+	p := h.bind(query)
+	fewer, changed := 0, 0
+	for round := 0; round < 16; round++ {
+		if round == 8 {
+			// Refresh clones of t and u from here on.
+			for _, name := range []string{"T", "U"} {
+				tb := h.tables[name]
+				clone, err := tb.Clone(tb.LatestVersion().Commit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.tables[name] = clone
+			}
+			p = h.bind(query)
+		}
+		from := h.versions()
+		big := round%8 == 5
+		if round%3 != 1 {
+			h.mutate("t", func(live map[string]types.Row, cs *delta.ChangeSet) {
+				for _, id := range slices.Sorted(maps.Keys(live)) {
+					r := live[id]
+					switch x := rng.Intn(400); {
+					case big && x < 240, x < 2:
+						cs.AddDelete(id, r)
+						cs.AddInsert(id, types.Row{r[0], keyedRow(rng, 0)[1], r[2]})
+					case x < 4:
+						cs.AddDelete(id, r)
+					}
+				}
+				// A FLOAT 3.0 joins u's INT 3; a NULL joins nothing.
+				for _, b := range []types.Value{types.NewFloat(float64(rng.Intn(60))), types.Null, types.NewInt(rng.Int63n(60))} {
+					cs.AddInsert(fmt.Sprintf("n%d", nextA), types.Row{types.NewInt(nextA), b, types.NewString("x")})
+					nextA++
+				}
+			})
+		}
+		if round%3 != 0 {
+			h.mutate("u", func(live map[string]types.Row, cs *delta.ChangeSet) {
+				for _, id := range slices.Sorted(maps.Keys(live)) {
+					switch x := rng.Intn(300); {
+					case x < 2:
+						cs.AddDelete(id, live[id])
+						cs.AddInsert(id, joinRow(rng))
+					case x < 3:
+						cs.AddDelete(id, live[id])
+					}
+				}
+				cs.AddInsert(fmt.Sprintf("u%d", round), types.Row{types.NewFloat(float64(rng.Intn(60))), types.NewString("z")})
+			})
+		}
+		if round%4 == 3 {
+			// Fold both logs up to the interval's start.
+			for _, tb := range h.tables {
+				if _, _, err := tb.Compact(from[tb.ID()]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		iv := ivm.Interval{From: from, To: h.versions()}
+		keyed, scan := h.deltaWith(p, iv, true), h.deltaWith(p, iv, false)
+		if !reflect.DeepEqual(keyed.cs, scan.cs) {
+			t.Fatalf("round %d: keyed change set differs from the scan path's\nkeyed: %v\nscan:  %v",
+				round, keyed.cs.Changes, scan.cs.Changes)
+		}
+		if len(scan.cs.Changes) > 0 {
+			changed++
+		}
+		if keyed.stats.SubplanSnapshotEvals != scan.stats.SubplanSnapshotEvals {
+			t.Errorf("round %d: keyed path counted %d snapshot evaluations, scan path %d",
+				round, keyed.stats.SubplanSnapshotEvals, scan.stats.SubplanSnapshotEvals)
+		}
+		switch {
+		case keyed.scanRows > scan.scanRows:
+			t.Errorf("round %d: keyed path read %d rows, scan path %d", round, keyed.scanRows, scan.scanRows)
+		case computed && keyed.scanRows != scan.scanRows:
+			t.Errorf("round %d: computed join keys read %d rows keyed, %d scanned; they should scan", round, keyed.scanRows, scan.scanRows)
+		case keyed.scanRows < scan.scanRows:
+			fewer++
+		}
+	}
+	if !computed && fewer < 12 {
+		t.Errorf("the keyed path read fewer rows than the scan in %d rounds of 16", fewer)
+	}
+	if changed < 12 {
+		t.Errorf("the join changed rows in %d rounds of 16; the test wants changes to compare", changed)
 	}
 }
 

@@ -243,22 +243,10 @@ func (t *storedTop) old(ak *affectedKeys, at map[string]int32, din []delta.Chang
 	var b *types.Batch
 	ok := false
 	if t.col >= 0 {
-		kind := env.Stored.Schema().Column(t.col).Kind
-		seen := make(map[int64]bool)
-		var keys []int64
-		for _, c := range din {
-			v, err := plan.Eval(t.keys[t.keyed], c.Row, ev)
-			if err != nil {
-				return nil, err
-			}
-			// An integral FLOAT groups with the INT of its value, as in
-			// affectedLookup.
-			if v = exec.NormalizeKeyValue(v); v.Kind() == kind && !seen[v.IntPayload()] {
-				seen[v.IntPayload()] = true
-				keys = append(keys, v.IntPayload())
-			}
+		keys, err := lookupKeys(t.keys[t.keyed], din, env.Stored.Schema().Column(t.col).Kind, ev)
+		if err != nil {
+			return nil, err
 		}
-		var err error
 		if b, ok, err = env.Stored.SelectiveLookupKeys(env.StoredSeq, t.col, keys); err != nil {
 			return nil, err
 		}

@@ -201,9 +201,37 @@ func TestLookupMatchesFilteredScanProperty(t *testing.T) {
 	}
 }
 
+// checkStack checks the invariants of column col's stack of runs over
+// the segment version seq reads, after a reading lookup: the tail past the
+// top run is below foldSize, the runs cover consecutive ranges of the
+// entries, each is more than twice the size of the run above it, so there
+// are at most log₂(N/foldSize)+1 of them. It returns the top run.
+func checkStack(t *testing.T, label string, tb *Table, seq int64, col int) *run {
+	t.Helper()
+	seg := tb.segmentFor(seq)
+	top := seg.index[col].run.Load()
+	if tail := len(seg.entries) - top.n; tail >= foldSize {
+		t.Fatalf("%s: a tail of %d entries past the stack was not sealed", label, tail)
+	}
+	runs := top.stack(nil)
+	for i, x := range runs {
+		if i == 0 && x.from != 0 || i > 0 && x.from != runs[i-1].n {
+			t.Fatalf("%s: run %d covers [%d, %d), after a run ending at %d", label, i, x.from, x.n, runs[max(i-1, 0)].n)
+		}
+		if i > 0 && runs[i-1].size() <= 2*x.size() {
+			t.Fatalf("%s: run %d of %d entries lies on a run of only %d", label, i, x.size(), runs[i-1].size())
+		}
+	}
+	if n := len(runs); n > 1 && float64(n) > math.Log2(float64(top.n)/foldSize)+1 {
+		t.Fatalf("%s: %d runs over %d entries", label, n, top.n)
+	}
+	return top
+}
+
 // TestLookupTailMerges appends one row at a time after the first lookup:
-// the tail stays short, because a lookup folds it into a new run once
-// tail² exceeds the segment's entries, and every lookup stays exact.
+// the tail stays below foldSize, because a reading lookup seals it into a
+// new run once it reaches foldSize, the stack of runs stays logarithmic,
+// every lookup stays exact, and IndexBytes sums the whole stack.
 func TestLookupTailMerges(t *testing.T) {
 	tb := newTestTable()
 	apply(t, tb, 10, func(cs *delta.ChangeSet) {
@@ -212,20 +240,21 @@ func TestLookupTailMerges(t *testing.T) {
 		}
 	})
 	var r *run
-	for i := int64(0); i < 300; i++ {
+	most := 0
+	for i := int64(0); i < 1500; i++ {
 		apply(t, tb, 11+i, func(cs *delta.ChangeSet) {
 			cs.AddInsert(tb.NextRowID(), intRow(i%50))
 		})
 		seq := int64(tb.VersionCount())
 		checkLookup(t, fmt.Sprintf("append %d", i), tb, seq, 7, 7)
-		seg := tb.segmentFor(seq)
-		r = seg.index[0].run.Load()
-		if tail := len(seg.entries) - r.n; tail*tail > len(seg.entries) {
-			t.Fatalf("append %d: tail of %d entries over a %d-entry segment was not merged", i, tail, len(seg.entries))
-		}
+		r = checkStack(t, fmt.Sprintf("append %d", i), tb, seq, 0)
+		most = max(most, len(r.stack(nil)))
+	}
+	if most < 3 {
+		t.Errorf("the stack never held more than %d runs; the test wants merges of several", most)
 	}
 	if fp := tb.FootprintStats(); fp.IndexBytes != 12*int64(r.n) {
-		t.Errorf("IndexBytes = %d, want 12 B for each of the run's %d entries", fp.IndexBytes, r.n)
+		t.Errorf("IndexBytes = %d, want 12 B for each of the stack's %d entries", fp.IndexBytes, r.n)
 	}
 }
 
@@ -511,9 +540,9 @@ func TestLookupKeysInUnmergedTail(t *testing.T) {
 }
 
 // TestDeclinedLookupMergesNothing checks that a lookup counts its
-// candidates in the run and the tail before it folds the tail: one that
-// declines leaves the run as it was, and one that reads still folds a
-// tail that has outgrown the run.
+// candidates in the runs and the tail before it seals the tail: one that
+// declines leaves the stack as it was, and one that reads still seals a
+// tail of foldSize entries or more.
 func TestDeclinedLookupMergesNothing(t *testing.T) {
 	tb := newTestTable()
 	apply(t, tb, 10, func(cs *delta.ChangeSet) {
@@ -524,19 +553,19 @@ func TestDeclinedLookupMergesNothing(t *testing.T) {
 	if _, ok, err := tb.SelectiveLookupKeys(2, 0, []int64{0}); err != nil || !ok {
 		t.Fatalf("first lookup: ok %v, %v", ok, err)
 	}
-	// 30 appended rows: 30² > 430 entries, so a reading lookup folds them.
+	// 70 appended rows, at least foldSize: a reading lookup seals them.
 	apply(t, tb, 11, func(cs *delta.ChangeSet) {
-		for i := int64(0); i < 30; i++ {
+		for i := int64(0); i < 70; i++ {
 			cs.AddInsert(tb.NextRowID(), intRow(1+i%7))
 		}
 	})
-	runN := func() int { return tb.segmentFor(3).index[0].run.Load().n }
-	// Keys 0, 1 and 2 have 155 candidates, over a quarter of 430 rows.
+	top := func() *run { return tb.segmentFor(3).index[0].run.Load() }
+	// Keys 0, 1 and 2 have 170 candidates, over a quarter of 470 rows.
 	if _, ok, err := tb.SelectiveLookupKeys(3, 0, []int64{0, 1, 2}); err != nil || ok {
 		t.Fatalf("lookup of {0, 1, 2}: ok %v, %v; want a decline", ok, err)
 	}
-	if n := runN(); n != 400 {
-		t.Fatalf("a declined lookup merged the tail: the run covers %d entries, want 400", n)
+	if r := top(); r.n != 400 || r.below != nil {
+		t.Fatalf("a declined lookup sealed the tail: the top run covers [%d, %d), want one run over 400 entries", r.from, r.n)
 	}
 	b, ok, err := tb.SelectiveLookupKeys(3, 0, []int64{0})
 	if err != nil || !ok {
@@ -545,8 +574,10 @@ func TestDeclinedLookupMergesNothing(t *testing.T) {
 	if want := wantKeys(t, tb, 3, []int64{0}); !slices.Equal(b.IDs(), want) {
 		t.Fatalf("lookup of {0} = %v, want %v", b.IDs(), want)
 	}
-	if n := runN(); n != 430 {
-		t.Fatalf("a reading lookup left the tail unmerged: the run covers %d entries, want 430", n)
+	// 400 entries are more than twice 70: the sealed tail stays a run of
+	// its own on top.
+	if r := top(); r.from != 400 || r.n != 470 || r.below == nil || r.below.n != 400 {
+		t.Fatalf("a reading lookup left the tail unsealed: the top run covers [%d, %d), want [400, 470) over the first run", r.from, r.n)
 	}
 }
 
@@ -634,18 +665,40 @@ func TestDistinctKeysBoundsVisibleValues(t *testing.T) {
 // both ways — through a key-set lookup, and by restricting the memoized
 // version batch to the keys as a refresh boundary does — for k from one
 // key up to half the table, to place the crossover that lookupShare
-// encodes. The lookup arm uses the non-selective form, which never
-// declines.
+// encodes. It runs over one run (layout=one-run, the table loaded at once)
+// and over a stack of several runs (layout=stack, half the table loaded at
+// once and half in chunks, each followed by a lookup). The lookup arm uses
+// the non-selective form, which never declines.
 func BenchmarkLookupKeysVsScan(b *testing.B) {
+	for _, layout := range []struct {
+		name  string
+		chunk int64
+	}{{"one-run", 50_000}, {"stack", 1000}} {
+		b.Run("layout="+layout.name, func(b *testing.B) { benchLookupKeysVsScan(b, layout.chunk) })
+	}
+}
+
+// benchLookupKeysVsScan is BenchmarkLookupKeysVsScan over a table whose
+// second half is loaded in chunks of chunk rows.
+func benchLookupKeysVsScan(b *testing.B, chunk int64) {
 	const n = 50_000
 	schema := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt}, types.Column{Name: "v", Kind: types.KindInt})
 	tb := NewTable(schema, ts(1))
-	var cs delta.ChangeSet
-	for i := int64(0); i < n; i++ {
-		cs.AddInsert(tb.NextRowID(), intRow(i, i%101))
-	}
-	if _, err := tb.Apply(cs, ts(2)); err != nil {
-		b.Fatal(err)
+	seq := int64(0)
+	for lo := int64(0); lo < n; {
+		hi := min(n, max(n/2, lo+chunk))
+		var cs delta.ChangeSet
+		for i := lo; i < hi; i++ {
+			cs.AddInsert(tb.NextRowID(), intRow(i, i%101))
+		}
+		v, err := tb.Apply(cs, ts(2+lo))
+		if err != nil {
+			b.Fatal(err)
+		}
+		seq, lo = v.Seq, hi
+		if _, _, err := tb.Lookup(seq, 0, 0, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	order := rng.Perm(n)
@@ -672,10 +725,10 @@ func BenchmarkLookupKeysVsScan(b *testing.B) {
 			read func() (*types.Batch, error)
 		}{
 			{"lookup", func() (*types.Batch, error) {
-				batch, _, err := tb.lookupRanges(2, 0, pointRanges(keys), false)
+				batch, _, err := tb.lookupRanges(seq, 0, pointRanges(keys), false)
 				return batch, err
 			}},
-			{"scan", func() (*types.Batch, error) { return tb.Batch(2) }},
+			{"scan", func() (*types.Batch, error) { return tb.Batch(seq) }},
 		} {
 			b.Run(fmt.Sprintf("keys=%d/%s", k, arm.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -688,6 +741,57 @@ func BenchmarkLookupKeysVsScan(b *testing.B) {
 						b.Fatalf("%d rows, want %d", got, k)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkIndexFold measures what keeping a column's index up to date
+// costs a table fed by trickles of appends: over a segment of n entries,
+// each iteration commits a version of k appended rows and then makes one
+// selective point lookup, which seals the tail into the index when the
+// fold policy says so. It reports the time and the bytes allocated per
+// appended entry, commit and lookup included.
+func BenchmarkIndexFold(b *testing.B) {
+	for _, n := range []int{50_000, 500_000} {
+		for _, k := range []int{1, 10, 100} {
+			b.Run(fmt.Sprintf("entries=%d/k=%d", n, k), func(b *testing.B) {
+				schema := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt}, types.Column{Name: "v", Kind: types.KindInt})
+				tb := NewTable(schema, ts(1))
+				var cs delta.ChangeSet
+				for i := int64(0); i < int64(n); i++ {
+					cs.AddInsert(tb.NextRowID(), intRow(i, i%101))
+				}
+				if _, err := tb.Apply(cs, ts(2)); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := tb.Lookup(2, 0, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(1))
+				next := int64(n)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var cs delta.ChangeSet
+					for j := 0; j < k; j++ {
+						cs.AddInsert(tb.NextRowID(), intRow(next, next%101))
+						next++
+					}
+					v, err := tb.Apply(cs, ts(int64(3+i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, ok, err := tb.SelectiveLookupKeys(v.Seq, 0, []int64{rng.Int63n(next)}); err != nil || !ok {
+						b.Fatalf("point lookup: ok %v, %v", ok, err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				entries := float64(b.N * k)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/entries, "B/entry")
 			})
 		}
 	}
